@@ -1,9 +1,10 @@
 #include "src/core/ht_tree.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <chrono>
-#include <deque>
+#include <optional>
 #include <thread>
 #include <unordered_set>
 #include <utility>
@@ -16,13 +17,11 @@ namespace fmds {
 
 namespace {
 constexpr uint32_t kMaxDepth = 40;
-// Stale retries may have to outwait an in-flight split (buckets frozen,
-// trie not yet republished), so the budget is generous and backs off.
+// One retry budget per key and operation, counting mispredicted CASes,
+// stale refreshes and pending waits. Stale retries may have to outwait an
+// in-flight split (buckets frozen, trie not yet republished), so the budget
+// is generous and backs off.
 constexpr int kMaxOpRetries = 4096;
-// Wave-based CAS retries in BatchPut before dropping to the synchronous
-// fallback. Each retry costs two extra waves (inspect, re-CAS), so a
-// persistent loser hands off to the sync path's backoff fairly quickly.
-constexpr int kMaxBatchCasRetries = 16;
 
 uint64_t VersionOf(uint64_t meta) { return meta & 0xffffffffull; }
 
@@ -269,10 +268,6 @@ int32_t HtTree::DescendCached(uint64_t hash) const {
   return idx;
 }
 
-Status HtTree::ReadItem(FarAddr addr, Item* out) {
-  return client_->Read(addr, AsBytes(*out));
-}
-
 Status HtTree::RefreshCache() {
   // Header: config + root pointer, one far access.
   uint64_t hdr[8];
@@ -377,9 +372,24 @@ Status HtTree::RefreshPath(uint64_t hash) {
   return Internal("trie deeper than kMaxDepth");
 }
 
-Result<uint64_t> HtTree::Get(uint64_t key) {
-  ScopedOpLabel label(&client_->recorder(), "httree.get");
-  ++op_stats_.gets;
+namespace {
+// The serial driver of a point op's one-key engine: every posted op runs as
+// the sync verb it stands for, so the op pays exactly the protocol's serial
+// round trips (one for a fresh lookup, two for a fresh store) and none of a
+// doorbell's accounting.
+template <typename Engine>
+void RunSerial(FarClient* client, Engine& engine) {
+  std::array<FarClient::Completion, 2> done;  // a key posts <= 2 ops a wave
+  while (const size_t posted = engine.PostWave()) {
+    assert(posted <= done.size());
+    const std::span<FarClient::Completion> wave(done.data(), posted);
+    client->ExecuteSerially(wave);
+    engine.AbsorbWave(wave);
+  }
+}
+}  // namespace
+
+bool HtTree::ConsultNear(uint64_t key, Result<uint64_t>* out) {
   // Write-behind read-your-writes: the pending table is the newest truth
   // for this thread's own writes, so it outranks the near cache and the
   // far map. A miss here implies the write already published (the flusher
@@ -390,10 +400,11 @@ Result<uint64_t> HtTree::Get(uint64_t key) {
     bool pending_tombstone = false;
     if (wb_->Lookup(key, &pending_value, &pending_tombstone)) {
       client_->AccountNear(1);
-      if (pending_tombstone) {
-        return Status(StatusCode::kNotFound, "key removed");
-      }
-      return pending_value;
+      *out = pending_tombstone
+                 ? Result<uint64_t>(Status(StatusCode::kNotFound,
+                                           "key removed"))
+                 : Result<uint64_t>(pending_value);
+      return true;
     }
   }
   DispatchCacheInvalidations();
@@ -403,137 +414,75 @@ Result<uint64_t> HtTree::Get(uint64_t key) {
   // bounded by the writer-side Invalidate and the channel loss reset.
   uint64_t cached_value = 0;
   if (CacheLookupValue(key, &cached_value)) {
-    return cached_value;
+    *out = cached_value;
+    return true;
   }
-  // Routing decision only after every near-only fast path missed: the
-  // router prices far work, and a key the cache answers costs neither path
-  // anything.
-  if (route_decider_ != nullptr) {
-    const uint64_t t0 = client_->clock().now_ns();
-    if (route_decider_->Decide(RoutedOp::kGet, home_node_, lookup_units_,
-                               1) == DataplaneRoute::kRpc) {
-      auto view = remote_path_->Get(header_, key);
-      if (view.ok()) {
+  return false;
+}
+
+template <typename Ship, typename OneSided>
+auto HtTree::Route(RoutedOp op, Ship ship, OneSided one_sided)
+    -> decltype(one_sided()) {
+  if (route_decider_ == nullptr) {
+    return one_sided();
+  }
+  const bool lookup = op == RoutedOp::kGet;
+  const double& units = lookup ? lookup_units_ : store_units_;
+  const uint64_t t0 = client_->clock().now_ns();
+  if (route_decider_->Decide(op, home_node_, units, 1) ==
+      DataplaneRoute::kRpc) {
+    if (auto shipped = ship()) {
+      route_decider_->Observe(op, home_node_, DataplaneRoute::kRpc,
+                              client_->clock().now_ns() - t0, units, 1);
+      return *std::move(shipped);
+    }
+    // Agent unreachable or aborted: the one-sided engine is the safety
+    // valve; observe the path actually taken.
+  }
+  const uint64_t hops0 = op_stats_.chain_hops;
+  const uint64_t retries0 = op_stats_.cas_retries;
+  auto result = one_sided();
+  if (lookup) {
+    NoteLookupUnits(1.0 + static_cast<double>(op_stats_.chain_hops - hops0));
+  } else {
+    NoteStoreUnits(2.0 +
+                   static_cast<double>(op_stats_.cas_retries - retries0));
+  }
+  route_decider_->Observe(op, home_node_, DataplaneRoute::kOneSided,
+                          client_->clock().now_ns() - t0, units, 1);
+  return result;
+}
+
+Result<uint64_t> HtTree::Get(uint64_t key) {
+  ScopedOpLabel label(&client_->recorder(), "httree.get");
+  BatchGet engine(this, std::span<const uint64_t>(&key, 1));
+  if (engine.resolved()) {
+    return engine.Take(0);  // a near path answered
+  }
+  return Route(
+      RoutedOp::kGet,
+      [&]() -> std::optional<Result<uint64_t>> {
+        auto view = remote_path_->Get(header_, key);
+        if (!view.ok()) {
+          return std::nullopt;
+        }
         NoteLookupUnits(1.0 + static_cast<double>(view->chain_hops));
         if (view->found && view->cacheable) {
           CacheAdmitValue(key, view->value, view->bucket, view->head_word);
         }
-        route_decider_->Observe(RoutedOp::kGet, home_node_,
-                                DataplaneRoute::kRpc,
-                                client_->clock().now_ns() - t0, lookup_units_,
-                                1);
         if (!view->found) {
-          return Status(StatusCode::kNotFound, "key absent");
+          return Result<uint64_t>(Status(StatusCode::kNotFound, "key absent"));
         }
-        return view->value;
-      }
-      // Agent unreachable or aborted: the one-sided walk below is the
-      // safety valve; observe the path actually taken.
-    }
-    const uint64_t hops0 = op_stats_.chain_hops;
-    Result<uint64_t> result = GetOneSided(key);
-    NoteLookupUnits(1.0 + static_cast<double>(op_stats_.chain_hops - hops0));
-    route_decider_->Observe(RoutedOp::kGet, home_node_,
-                            DataplaneRoute::kOneSided,
-                            client_->clock().now_ns() - t0, lookup_units_, 1);
-    return result;
-  }
-  return GetOneSided(key);
-}
-
-Result<uint64_t> HtTree::GetOneSided(uint64_t key) {
-  const uint64_t hash = Mix64(key);
-  for (int attempt = 0; attempt < kMaxOpRetries; ++attempt) {
-    const int32_t li = DescendCached(hash);
-    const CachedNode leaf = nodes_[li];
-    const FarAddr bucket = BucketAddr(leaf.table, BucketIndex(hash));
-    Item item;
-    FarAddr head_addr = kNullFarAddr;
-    Result<FarAddr> head = Status(StatusCode::kInternal, "unset");
-    if (options_.use_indirect) {
-      // Proposed hardware: ONE far access dereferences the bucket and
-      // returns the head item.
-      head = client_->Load0(bucket, AsBytes(item));
-    } else {
-      // Today's verbs (ablation): bucket word first, then the item.
-      auto ptr = client_->ReadWord(bucket);
-      if (ptr.ok()) {
-        Status read = ReadItem(*ptr, &item);
-        head = read.ok() ? Result<FarAddr>(*ptr) : Result<FarAddr>(read);
-      } else {
-        head = ptr.status();
-      }
-    }
-    if (!head.ok()) {
-      return head.status();
-    }
-    head_addr = *head;
-    client_->AccountNear(1);
-    // Hint only a head that passed this check: a Get that gives up on a
-    // frozen, unpublished table must not leave the retired sentinel as the
-    // next Put's CAS prediction, or that Put "succeeds" into the dead
-    // table (DESIGN.md §7).
-    if ((item.meta & kFlagRetired) != 0 ||
-        VersionOf(item.meta) != leaf.version) {
-      FMDS_RETURN_IF_ERROR(RefreshPath(hash));
-      StaleBackoff(attempt);
-      continue;
-    }
-    // A pending head is a transaction's lock record (only ever at the
-    // head); the pre-transaction chain hangs off its `next`. The walk
-    // resolves that view wait-free, but the pending address must never
-    // become a CAS-prediction hint (a Put predicting it would steal the
-    // lock) or a cache watch word (a txn validating against it would miss
-    // the commit).
-    const bool head_pending = (item.meta & kFlagPending) != 0;
-    if (options_.use_head_hints && !head_pending) {
-      head_hints_.Upsert(bucket, head_addr);
-    }
-    // Fresh view: walk the chain (first match wins; tombstone = absent).
-    uint64_t chain_len = 0;
-    FarAddr cursor_addr = head_addr;
-    Item cursor = item;
-    if (head_pending) {
-      cursor_addr = cursor.next;
-      FMDS_RETURN_IF_ERROR(ReadItem(cursor_addr, &cursor));
-    }
-    while (true) {
-      if ((cursor.meta & kFlagSentinel) != 0) {
-        // End of chain (or empty bucket): definitive miss in one access
-        // thanks to the version-carrying sentinel.
-        if (chain_len > options_.max_chain) {
-          (void)SplitLeaf(li, hash);
-        }
-        return Status(StatusCode::kNotFound, "key absent");
-      }
-      if (cursor.key == key) {
-        const bool tombstone = (cursor.meta & kFlagTombstone) != 0;
-        if (chain_len > options_.max_chain) {
-          (void)SplitLeaf(li, hash);
-        }
-        if (tombstone) {
-          return Status(StatusCode::kNotFound, "key removed");
-        }
-        if (!head_pending) {
-          CacheAdmitValue(key, cursor.value, bucket, head_addr);
-        }
-        return cursor.value;
-      }
-      if (cursor.next == kNullFarAddr) {
-        return Status(StatusCode::kNotFound, "key absent");
-      }
-      cursor_addr = cursor.next;
-      FMDS_RETURN_IF_ERROR(ReadItem(cursor_addr, &cursor));
-      ++chain_len;
-      ++op_stats_.chain_hops;
-    }
-  }
-  return Status(StatusCode::kAborted, "get retries exhausted");
+        return Result<uint64_t>(view->value);
+      },
+      [&] {
+        RunSerial(client_, engine);
+        return engine.Take(0);
+      });
 }
 
 Result<HtTree::TxnReadView> HtTree::TxnRead(uint64_t key, bool allow_cache) {
   ScopedOpLabel label(&client_->recorder(), "txn.read");
-  ++op_stats_.gets;
   DispatchCacheInvalidations();
   if (allow_cache && near_cache_ != nullptr) {
     // Zero-far-op fast path: a valid entry carries the bucket it watches
@@ -545,6 +494,7 @@ Result<HtTree::TxnReadView> HtTree::TxnRead(uint64_t key, bool allow_cache) {
     uint64_t watch_word = 0;
     if (near_cache_->LookupWatch(key, AsBytes(cached_value), &watch,
                                  &watch_word)) {
+      ++op_stats_.gets;
       TxnReadView view;
       view.found = true;
       view.value = cached_value;
@@ -553,324 +503,279 @@ Result<HtTree::TxnReadView> HtTree::TxnRead(uint64_t key, bool allow_cache) {
       return view;
     }
   }
-  const uint64_t hash = Mix64(key);
-  for (int attempt = 0; attempt < kMaxOpRetries; ++attempt) {
-    const int32_t li = DescendCached(hash);
-    const CachedNode leaf = nodes_[li];
-    const FarAddr bucket = BucketAddr(leaf.table, BucketIndex(hash));
-    Item item;
-    Result<FarAddr> head = Status(StatusCode::kInternal, "unset");
-    if (options_.use_indirect) {
-      head = client_->Load0(bucket, AsBytes(item));
-    } else {
-      auto ptr = client_->ReadWord(bucket);
-      if (ptr.ok()) {
-        Status read = ReadItem(*ptr, &item);
-        head = read.ok() ? Result<FarAddr>(*ptr) : Result<FarAddr>(read);
-      } else {
-        head = ptr.status();
-      }
-    }
-    if (!head.ok()) {
-      return head.status();
-    }
-    const FarAddr head_addr = *head;
-    client_->AccountNear(1);
-    if ((item.meta & kFlagPending) != 0) {
-      // Another transaction holds this bucket pending. Unlike Get, a txn
-      // read must NOT resolve the pre-transaction view: the only word it
-      // could record would be the lock record's address, and validating
-      // against that would certify a read the in-flight commit is about to
-      // overwrite (write skew). Wait for a clean head instead.
-      StaleBackoff(attempt);
-      continue;
-    }
-    if ((item.meta & kFlagRetired) != 0 ||
-        VersionOf(item.meta) != leaf.version) {
-      FMDS_RETURN_IF_ERROR(RefreshPath(hash));
-      StaleBackoff(attempt);
-      continue;
-    }
-    // Validated heads only (see GetOneSided).
-    if (options_.use_head_hints) {
-      head_hints_.Upsert(bucket, head_addr);
-    }
-    // Fresh, clean view: walk the chain. A miss is a successful view —
-    // negative reads participate in validation with the same word.
-    TxnReadView view;
-    view.bucket = bucket;
-    view.head_word = head_addr;
-    view.version = leaf.version;
-    view.versioned = true;
-    FarAddr cursor_addr = head_addr;
-    Item cursor = item;
-    while (true) {
-      if ((cursor.meta & kFlagSentinel) != 0) {
-        return view;  // found = false
-      }
-      if (cursor.key == key) {
-        if ((cursor.meta & kFlagTombstone) == 0) {
-          view.found = true;
-          view.value = cursor.value;
-          CacheAdmitValue(key, cursor.value, bucket, head_addr);
-        }
-        return view;
-      }
-      if (cursor.next == kNullFarAddr) {
-        return view;  // found = false
-      }
-      cursor_addr = cursor.next;
-      FMDS_RETURN_IF_ERROR(ReadItem(cursor_addr, &cursor));
-      ++op_stats_.chain_hops;
-    }
-  }
-  return Aborted("txn read waited out a pending bucket");
-}
-
-HtTree::CompletionMap HtTree::ToCompletionMap(
-    std::vector<FarClient::Completion> done) {
-  CompletionMap map;
-  map.reserve(done.size());
-  for (const FarClient::Completion& c : done) {
-    map.emplace(c.id, c);
-  }
-  return map;
+  BatchGet engine(this, std::span<const uint64_t>(&key, 1),
+                  /*txn_mode=*/true);
+  RunSerial(client_, engine);
+  return engine.TakeView(0);
 }
 
 // ---------------------------- BatchGet engine ----------------------------
 
-HtTree::BatchGet::BatchGet(HtTree* map, std::span<const uint64_t> keys)
-    : BatchGet(map, keys, /*txn_mode=*/false) {}
-
 HtTree::BatchGet::BatchGet(HtTree* map, std::span<const uint64_t> keys,
                            bool txn_mode)
-    : map_(map),
-      results_(keys.size(),
-               Status(StatusCode::kInternal, "multiget unresolved")),
-      txn_mode_(txn_mode) {
+    : map_(map), txn_mode_(txn_mode), probes_(keys.size()) {
   map_->op_stats_.gets += keys.size();
-  map_->DispatchCacheInvalidations();
-  if (txn_mode_) {
-    txn_state_.assign(keys.size(), 0);  // kFallback until a view resolves
-    views_.resize(keys.size());
-  }
-  probes_.reserve(keys.size());
   for (size_t i = 0; i < keys.size(); ++i) {
-    Probe probe;
-    probe.idx = i;
+    Probe& probe = probes_[i];
     probe.key = keys[i];
-    // Pending-table consult first (read-your-writes, see Get), then the
-    // NearCache: either hit resolves the probe before any wave posts —
-    // hot keys drop out of the doorbell entirely, without even a descent.
-    // Txn mode skips both: the caller already resolved cache hits with
-    // watch words, and a value without one is useless to validation.
-    if (!txn_mode_ && map_->wb_ != nullptr) {
-      uint64_t pending_value = 0;
-      bool pending_tombstone = false;
-      if (map_->wb_->Lookup(probe.key, &pending_value, &pending_tombstone)) {
-        map_->client_->AccountNear(1);
-        results_[i] = pending_tombstone
-                          ? Result<uint64_t>(
-                                Status(StatusCode::kNotFound, "key removed"))
-                          : Result<uint64_t>(pending_value);
-        probe.stage = Stage::kDone;
-        probes_.push_back(probe);
-        continue;
-      }
-    }
-    uint64_t cached_value = 0;
-    if (!txn_mode_ && map_->CacheLookupValue(probe.key, &cached_value)) {
-      results_[i] = cached_value;
-      probe.stage = Stage::kDone;
-      probes_.push_back(probe);
-      continue;
-    }
     probe.hash = Mix64(keys[i]);
-    probe.leaf = map_->nodes_[map_->DescendCached(probe.hash)];
-    probe.bucket =
-        map_->BucketAddr(probe.leaf.table, map_->BucketIndex(probe.hash));
-    probes_.push_back(probe);
+    // Near hits resolve before any wave posts: hot keys drop out of the
+    // doorbell entirely, without even a descent.
+    if (!txn_mode_ && map_->ConsultNear(probe.key, &probe.result)) {
+      probe.stage = Stage::kDone;
+    }
   }
 }
 
+bool HtTree::BatchGet::resolved() const {
+  return std::all_of(probes_.begin(), probes_.end(), [](const Probe& p) {
+    return p.stage == Stage::kDone;
+  });
+}
+
 size_t HtTree::BatchGet::PostWave() {
+  FarClient* client = map_->client_;
   size_t posted = 0;
   for (Probe& probe : probes_) {
     switch (probe.stage) {
       case Stage::kProbe:
+        // Descend the cached trie again on every probe: a retry after a
+        // refresh lands on the fresh leaf.
+        probe.leaf_index = map_->DescendCached(probe.hash);
+        probe.leaf = map_->nodes_[probe.leaf_index];
+        probe.bucket =
+            map_->BucketAddr(probe.leaf.table, map_->BucketIndex(probe.hash));
         // use_indirect: ONE access dereferences the bucket and returns the
-        // head item. Ablation: bucket word this wave, head item next wave —
-        // two batched round trips where the sync path pays two *per key*.
+        // head item. Ablation: bucket word this wave, head item next wave.
         probe.op = map_->options_.use_indirect
-                       ? map_->client_->PostLoad0(probe.bucket,
-                                                  AsBytes(probe.item))
-                       : map_->client_->PostReadWord(probe.bucket);
-        ++posted;
+                       ? client->PostLoad0(probe.bucket, AsBytes(probe.item))
+                       : client->PostReadWord(probe.bucket);
         break;
       case Stage::kHead:
-        probe.op = map_->client_->PostRead(probe.head, AsBytes(probe.item));
-        ++posted;
+        probe.op = client->PostRead(probe.head, AsBytes(probe.item));
         break;
       case Stage::kWalk:
         // addr is captured at post time, so reading into `item` is safe
         // even though it overwrites the `next` field the address came from.
-        probe.op =
-            map_->client_->PostRead(probe.item.next, AsBytes(probe.item));
+        probe.op = client->PostRead(probe.item.next, AsBytes(probe.item));
         ++map_->op_stats_.chain_hops;
-        ++posted;
+        ++probe.hops;
         break;
-      case Stage::kStale:
       case Stage::kDone:
-        break;
+        continue;
     }
+    ++posted;
   }
   return posted;
 }
 
-void HtTree::BatchGet::AbsorbWave(const CompletionMap& done) {
-  for (Probe& probe : probes_) {
-    if (probe.stage == Stage::kStale || probe.stage == Stage::kDone) {
+void HtTree::BatchGet::AbsorbWave(
+    std::span<const FarClient::Completion> done) {
+  for (size_t i = 0; i < probes_.size(); ++i) {
+    Probe& probe = probes_[i];
+    if (probe.stage == Stage::kDone) {
       continue;
     }
-    const auto it = done.find(probe.op);
-    if (it == done.end()) {
-      continue;  // posted into a wave this map did not flush yet
+    const FarClient::Completion* c = FarClient::FindCompletion(done, probe.op);
+    if (c == nullptr) {
+      continue;  // posted into a wave not executed yet
     }
-    if (!it->second.status.ok()) {
-      results_[probe.idx] = it->second.status;
-      if (txn_mode_) {
-        txn_state_[probe.idx] = static_cast<uint8_t>(TxnOutcome::kError);
-      }
+    if (!c->status.ok()) {
+      probe.result = c->status;
       probe.stage = Stage::kDone;
       continue;
     }
-    switch (probe.stage) {
-      case Stage::kProbe:
-        probe.head = it->second.word;
-        if (!map_->options_.use_indirect) {
-          probe.stage = Stage::kHead;  // item read rides the next wave
-          break;
-        }
-        [[fallthrough]];
-      case Stage::kHead:
-        // Staleness check on the head; stale views finish via the sync path.
-        map_->client_->AccountNear(1);
-        if ((probe.item.meta & kFlagRetired) != 0 ||
-            VersionOf(probe.item.meta) != probe.leaf.version) {
-          probe.stage = Stage::kStale;
-          break;
-        }
-        if ((probe.item.meta & kFlagPending) != 0) {
-          if (txn_mode_) {
-            // A txn read must not resolve the pre-transaction view (the
-            // lock record's word would certify a read the in-flight commit
-            // overwrites — write skew). Fall back to TxnRead's wait-out
-            // discipline for this key only.
-            probe.stage = Stage::kStale;
-            break;
-          }
-          // Transaction lock record at the head: the pre-transaction chain
-          // hangs off its `next`; resolve that view via the walk stage and
-          // keep it out of the cache (see Get).
-          probe.pending_seen = true;
-          probe.stage = Stage::kWalk;
-          break;
-        }
-        Classify(probe);
-        break;
-      case Stage::kWalk:
-        Classify(probe);
-        break;
-      case Stage::kStale:
-      case Stage::kDone:
-        break;
+    if (probe.stage == Stage::kWalk) {
+      Classify(i);
+      continue;
     }
+    if (probe.stage == Stage::kProbe) {
+      probe.head = c->word;
+      if (!map_->options_.use_indirect) {
+        probe.stage = Stage::kHead;  // the item read rides the next wave
+        continue;
+      }
+    }
+    AbsorbHead(i);
   }
 }
 
-void HtTree::BatchGet::Classify(Probe& probe) {
-  // No proactive splits on this read-only path (unlike Get).
-  const Item& item = probe.item;
-  if (txn_mode_) {
-    // Classify only sees version-checked clean heads (kStale/pending gates
-    // upstream), so a terminal outcome is a validatable view keyed by the
-    // bucket word the probe wave observed. A miss (sentinel or chain end)
-    // is a successful negative view — same as the sync TxnRead.
-    const bool sentinel = (item.meta & kFlagSentinel) != 0;
-    const bool match = !sentinel && item.key == probe.key;
-    if (sentinel || match || item.next == kNullFarAddr) {
-      TxnReadView& view = views_[probe.idx];
-      view.bucket = probe.bucket;
-      view.head_word = probe.head;
-      view.version = probe.leaf.version;
-      view.versioned = true;
-      if (match && (item.meta & kFlagTombstone) == 0) {
-        view.found = true;
-        view.value = item.value;
-        map_->CacheAdmitValue(probe.key, item.value, probe.bucket,
-                              probe.head);
-      }
-      txn_state_[probe.idx] = static_cast<uint8_t>(TxnOutcome::kView);
-      probe.stage = Stage::kDone;
-    } else {
-      probe.stage = Stage::kWalk;
-    }
+void HtTree::BatchGet::AbsorbHead(size_t i) {
+  Probe& probe = probes_[i];
+  map_->client_->AccountNear(1);
+  const uint64_t meta = probe.item.meta;
+  if ((meta & kFlagRetired) != 0 || VersionOf(meta) != probe.leaf.version) {
+    Retry(i, /*stale=*/true);
     return;
   }
-  if ((item.meta & kFlagSentinel) != 0) {
-    results_[probe.idx] = Status(StatusCode::kNotFound, "key absent");
-    probe.stage = Stage::kDone;
-  } else if (item.key == probe.key) {
-    if ((item.meta & kFlagTombstone) != 0) {
-      results_[probe.idx] = Status(StatusCode::kNotFound, "key removed");
-    } else {
-      // Classify only sees version-checked fresh views (the kHead absorb
-      // gates on the staleness check), so the binding is admissible.
-      // probe.head is the bucket word the kProbe wave observed — unless a
-      // pending lock record sat there, in which case it must not become a
-      // cache watch word.
-      if (!probe.pending_seen) {
-        map_->CacheAdmitValue(probe.key, item.value, probe.bucket,
-                              probe.head);
-      }
-      results_[probe.idx] = item.value;
+  // A pending head is a transaction's lock record (only ever at the head);
+  // the pre-transaction chain hangs off its `next`.
+  if ((meta & kFlagPending) != 0) {
+    if (txn_mode_) {
+      // A txn read must NOT resolve the pre-transaction view: the only word
+      // it could record would be the lock record's address, and validating
+      // against that would certify a read the in-flight commit is about to
+      // overwrite (write skew). Wait for a clean head instead.
+      Retry(i, /*stale=*/false);
+      return;
     }
-    probe.stage = Stage::kDone;
-  } else if (item.next == kNullFarAddr) {
-    results_[probe.idx] = Status(StatusCode::kNotFound, "key absent");
-    probe.stage = Stage::kDone;
-  } else {
+    // A lookup resolves that view wait-free, but the pending address must
+    // never become a CAS-prediction hint (a Put predicting it would steal
+    // the lock) or a cache watch word (a txn validating against it would
+    // miss the commit).
+    probe.pending_seen = true;
     probe.stage = Stage::kWalk;
+    return;
+  }
+  // Hint only a head that passed the checks above: a lookup giving up on a
+  // frozen, unpublished table must not leave the retired sentinel as the
+  // next store's CAS prediction, or that store "succeeds" into the dead
+  // table (DESIGN.md §7).
+  if (map_->options_.use_head_hints) {
+    map_->head_hints_.Upsert(probe.bucket, probe.head);
+  }
+  Classify(i);
+}
+
+void HtTree::BatchGet::Retry(size_t i, bool stale) {
+  Probe& probe = probes_[i];
+  // A batch refreshes a stale leaf once: a probe whose leaf another probe
+  // already refreshed just descends again.
+  if (stale && map_->CachesLeaf(probe.leaf_index, probe.leaf.table)) {
+    if (Status refreshed = map_->RefreshPath(probe.hash); !refreshed.ok()) {
+      probe.result = refreshed;
+      probe.stage = Stage::kDone;
+      return;
+    }
+  }
+  StaleBackoff(probe.attempts);
+  if (++probe.attempts >= kMaxOpRetries) {
+    probe.result = Aborted(txn_mode_ ? "txn read waited out a pending bucket"
+                                     : "get retries exhausted");
+    probe.stage = Stage::kDone;
+    return;
+  }
+  probe.stage = Stage::kProbe;
+}
+
+void HtTree::BatchGet::Classify(size_t i) {
+  Probe& probe = probes_[i];
+  const Item& item = probe.item;
+  const bool sentinel = (item.meta & kFlagSentinel) != 0;
+  const bool match = !sentinel && item.key == probe.key;
+  if (!sentinel && !match && item.next != kNullFarAddr) {
+    probe.stage = Stage::kWalk;
+    return;
+  }
+  probe.stage = Stage::kDone;
+  // Resolved: the version-carrying sentinel makes even a miss definitive
+  // in one access; the first match wins and a tombstone means absent. A
+  // lookup that walked a long chain splits the table (§5.2) before the
+  // cache arms a watch on the bucket; the read past a lock record is not
+  // a chain link.
+  const uint32_t chain = probe.hops - (probe.pending_seen ? 1 : 0);
+  if (!txn_mode_ && (sentinel || match) &&
+      chain > map_->options_.max_chain &&
+      map_->CachesLeaf(probe.leaf_index, probe.leaf.table)) {
+    (void)map_->SplitLeaf(probe.leaf_index, probe.hash);
+  }
+  const bool found = match && (item.meta & kFlagTombstone) == 0;
+  if (found && !probe.pending_seen) {
+    // Only version-checked, chain-resolved bindings get here; probe.head
+    // is the bucket word the probe observed (the read-and-arm check).
+    map_->CacheAdmitValue(probe.key, item.value, probe.bucket, probe.head);
+  }
+  if (txn_mode_) {
+    // A miss is a successful negative view: it validates with the same
+    // bucket word.
+    TxnReadView& view = probe.view;
+    view.found = found;
+    view.value = found ? item.value : 0;
+    view.bucket = probe.bucket;
+    view.head_word = probe.head;
+    view.version = probe.leaf.version;
+    view.versioned = true;
+    probe.result = view.value;
+  } else if (found) {
+    probe.result = item.value;
+  } else {
+    probe.result =
+        Status(StatusCode::kNotFound, match ? "key removed" : "key absent");
   }
 }
 
 std::vector<Result<uint64_t>> HtTree::BatchGet::Take() {
+  std::vector<Result<uint64_t>> results;
+  results.reserve(probes_.size());
   for (Probe& probe : probes_) {
-    if (probe.stage == Stage::kStale) {
-      --map_->op_stats_.gets;  // Get() bumps it again
-      results_[probe.idx] = map_->Get(probe.key);
-      probe.stage = Stage::kDone;
+    results.push_back(std::move(probe.result));
+  }
+  return results;
+}
+
+Result<HtTree::TxnReadView> HtTree::BatchGet::TakeView(size_t i) const {
+  const Probe& probe = probes_[i];
+  if (!probe.result.ok()) {
+    return probe.result.status();
+  }
+  return probe.view;
+}
+
+bool HtTree::BatchGet::TryRoute(uint64_t t0) {
+  HtTree* map = map_;
+  if (map->route_decider_ == nullptr || probes_.size() == 0 ||
+      map->route_decider_->Decide(RoutedOp::kMultiGet, map->home_node_,
+                                  map->lookup_units_, probes_.size()) !=
+          DataplaneRoute::kRpc) {
+    return false;
+  }
+  std::vector<uint64_t> residue;
+  std::vector<size_t> residue_pos;
+  for (size_t i = 0; i < probes_.size(); ++i) {
+    if (probes_[i].stage != Stage::kDone) {
+      residue.push_back(probes_[i].key);
+      residue_pos.push_back(i);
     }
   }
-  return std::move(results_);
+  if (residue.empty()) {
+    return true;  // nothing far to observe — all keys answered near
+  }
+  std::vector<RemoteMapPath::ReadView> views;
+  if (!map->remote_path_->MultiGet(map->header_, residue, &views).ok()) {
+    return false;
+  }
+  double hops = 0.0;
+  for (size_t j = 0; j < residue.size(); ++j) {
+    const RemoteMapPath::ReadView& view = views[j];
+    hops += static_cast<double>(view.chain_hops);
+    if (view.found && view.cacheable) {
+      map->CacheAdmitValue(residue[j], view.value, view.bucket,
+                           view.head_word);
+    }
+    const size_t i = residue_pos[j];
+    probes_[i].result = view.found ? Result<uint64_t>(view.value)
+                             : Result<uint64_t>(Status(StatusCode::kNotFound,
+                                                       "key absent"));
+    probes_[i].stage = Stage::kDone;
+  }
+  map->NoteLookupUnits(1.0 + hops / static_cast<double>(residue.size()));
+  map->route_decider_->Observe(RoutedOp::kMultiGet, map->home_node_,
+                               DataplaneRoute::kRpc,
+                               map->client_->clock().now_ns() - t0,
+                               map->lookup_units_, residue.size());
+  return true;
 }
 
 std::vector<Result<uint64_t>> HtTree::MultiGet(
     std::span<const uint64_t> keys) {
   ScopedOpLabel label(&client_->recorder(), "httree.multiget");
-  std::vector<Result<uint64_t>> routed;
-  if (TryRouteMultiGet(keys, &routed)) {
-    return routed;
-  }
   const uint64_t t0 = client_->clock().now_ns();
-  const uint64_t hops0 = op_stats_.chain_hops;
   BatchGet engine(this, keys);
-  while (engine.PostWave() > 0) {
-    std::vector<FarClient::Completion> done;
-    (void)client_->WaitAll(&done);
-    engine.AbsorbWave(ToCompletionMap(std::move(done)));
+  if (engine.TryRoute(t0)) {
+    return engine.Take();
   }
-  std::vector<Result<uint64_t>> results = engine.Take();
+  const uint64_t hops0 = op_stats_.chain_hops;
+  RunWaves(client_, std::span(&engine, 1));
   if (!keys.empty()) {
     // Feed chain-depth units from the one-sided path too; if only the RPC
     // path reported units, the per-unit one-sided estimate would be scaled
@@ -884,7 +789,7 @@ std::vector<Result<uint64_t>> HtTree::MultiGet(
                               keys.size());
     }
   }
-  return results;
+  return engine.Take();
 }
 
 Status HtTree::EnableRouting(RouteDecider* decider, RemoteMapPath* remote) {
@@ -923,114 +828,52 @@ void HtTree::ApplyRemoteWrite(uint64_t key, uint64_t value, bool tombstone,
   }
 }
 
-bool HtTree::TryRouteMultiGet(std::span<const uint64_t> keys,
-                              std::vector<Result<uint64_t>>* results) {
-  if (route_decider_ == nullptr || keys.empty()) {
-    return false;
-  }
-  const uint64_t t0 = client_->clock().now_ns();
-  // Decide before the near-path sweep: a kOneSided verdict returns false
-  // immediately, so the engine's own consults are not double-charged.
-  if (route_decider_->Decide(RoutedOp::kMultiGet, home_node_, lookup_units_,
-                             keys.size()) != DataplaneRoute::kRpc) {
-    return false;
-  }
-  op_stats_.gets += keys.size();
-  DispatchCacheInvalidations();
-  results->assign(keys.size(), Result<uint64_t>(Status(
-                                   StatusCode::kInternal, "unresolved")));
-  // Same near-first discipline as the BatchGet engine: pending-table and
-  // cache hits resolve locally; only the residue ships to the agent.
-  std::vector<uint64_t> residue;
-  std::vector<size_t> residue_pos;
-  for (size_t i = 0; i < keys.size(); ++i) {
-    if (wb_ != nullptr) {
-      uint64_t pending_value = 0;
-      bool pending_tombstone = false;
-      if (wb_->Lookup(keys[i], &pending_value, &pending_tombstone)) {
-        client_->AccountNear(1);
-        (*results)[i] = pending_tombstone
-                            ? Result<uint64_t>(Status(StatusCode::kNotFound,
-                                                      "key removed"))
-                            : Result<uint64_t>(pending_value);
-        continue;
-      }
-    }
-    uint64_t cached_value = 0;
-    if (CacheLookupValue(keys[i], &cached_value)) {
-      (*results)[i] = cached_value;
-      continue;
-    }
-    residue.push_back(keys[i]);
-    residue_pos.push_back(i);
-  }
-  if (residue.empty()) {
-    return true;  // nothing far to observe — all keys answered near
-  }
-  std::vector<RemoteMapPath::ReadView> views;
-  const Status shipped = remote_path_->MultiGet(header_, residue, &views);
-  if (!shipped.ok()) {
-    // Fall back whole-batch: the engine re-bumps the op counters.
-    op_stats_.gets -= keys.size();
-    return false;
-  }
-  double hops = 0.0;
-  for (size_t j = 0; j < residue.size(); ++j) {
-    const RemoteMapPath::ReadView& view = views[j];
-    hops += static_cast<double>(view.chain_hops);
-    if (view.found && view.cacheable) {
-      CacheAdmitValue(residue[j], view.value, view.bucket, view.head_word);
-    }
-    (*results)[residue_pos[j]] =
-        view.found ? Result<uint64_t>(view.value)
-                   : Result<uint64_t>(
-                         Status(StatusCode::kNotFound, "key absent"));
-  }
-  NoteLookupUnits(1.0 + hops / static_cast<double>(residue.size()));
-  route_decider_->Observe(RoutedOp::kMultiGet, home_node_,
-                          DataplaneRoute::kRpc,
-                          client_->clock().now_ns() - t0, lookup_units_,
-                          residue.size());
-  return true;
-}
-
 Status HtTree::Put(uint64_t key, uint64_t value) {
   ScopedOpLabel label(&client_->recorder(), "httree.put");
+  return Store(key, value, /*tombstone=*/false);
+}
+
+Status HtTree::Remove(uint64_t key) {
+  // A removal is an insert-at-head of a tombstone: same cost, same
+  // concurrency story as Put. Splits drop tombstones and everything they
+  // shadow.
+  ScopedOpLabel label(&client_->recorder(), "httree.remove");
+  return Store(key, 0, /*tombstone=*/true);
+}
+
+Status HtTree::Store(uint64_t key, uint64_t value, bool tombstone) {
   if (wb_ != nullptr) {
     // Write-behind: stage and return — no far round trip, no allocation,
     // no cache sweep on this thread. The flusher publishes asynchronously;
     // errors surface at FlushBarrier().
-    ++op_stats_.puts;
+    ++(tombstone ? op_stats_.removes : op_stats_.puts);
     client_->AccountNear(1);
-    wb_->Put(key, value);
+    if (tombstone) {
+      wb_->Remove(key);
+    } else {
+      wb_->Put(key, value);
+    }
     return OkStatus();
   }
-  ++op_stats_.puts;
-  DispatchCacheInvalidations();
-  if (route_decider_ != nullptr) {
-    const uint64_t t0 = client_->clock().now_ns();
-    if (route_decider_->Decide(RoutedOp::kPut, home_node_, store_units_,
-                               1) == DataplaneRoute::kRpc) {
-      auto outcome = remote_path_->Put(header_, key, value);
-      if (outcome.ok()) {
-        ApplyRemoteWrite(key, value, /*tombstone=*/false, *outcome);
-        route_decider_->Observe(RoutedOp::kPut, home_node_,
-                                DataplaneRoute::kRpc,
-                                client_->clock().now_ns() - t0, store_units_,
-                                1);
+  const uint8_t tomb = tombstone ? 1 : 0;
+  BatchPut engine(this, std::span<const uint64_t>(&key, 1),
+                  std::span<const uint64_t>(&value, 1),
+                  std::span<const uint8_t>(&tomb, 1), nullptr);
+  return Route(
+      tombstone ? RoutedOp::kRemove : RoutedOp::kPut,
+      [&]() -> std::optional<Status> {
+        auto outcome = tombstone ? remote_path_->Remove(header_, key)
+                                 : remote_path_->Put(header_, key, value);
+        if (!outcome.ok()) {
+          return std::nullopt;
+        }
+        ApplyRemoteWrite(key, value, tombstone, *outcome);
         return OkStatus();
-      }
-    }
-    const uint64_t retries0 = op_stats_.cas_retries;
-    const Status status = StoreOneSided(key, value, /*tombstone=*/false);
-    NoteStoreUnits(2.0 +
-                   static_cast<double>(op_stats_.cas_retries - retries0));
-    route_decider_->Observe(RoutedOp::kPut, home_node_,
-                            DataplaneRoute::kOneSided,
-                            client_->clock().now_ns() - t0, store_units_, 1);
-    return status;
-  }
-  return StoreOneSided(key, value, /*tombstone=*/false);
+      },
+      [&] {
+        RunSerial(client_, engine);
+        return engine.Take();
+      });
 }
 
 bool HtTree::GrowthSplitDue(FarAddr table, bool grew) {
@@ -1046,282 +889,192 @@ bool HtTree::GrowthSplitDue(FarAddr table, bool grew) {
   return true;
 }
 
-Status HtTree::StoreOneSided(uint64_t key, uint64_t value, bool tombstone) {
-  const uint64_t hash = Mix64(key);
-  const uint64_t flags = tombstone ? kFlagTombstone : 0;
-  FMDS_ASSIGN_OR_RETURN(FarAddr slot, AllocItemSlot());
-  int32_t li = DescendCached(hash);
-  CachedNode leaf = nodes_[li];
-  FarAddr bucket = BucketAddr(leaf.table, BucketIndex(hash));
-  client_->AccountNear(1);
-  FarAddr predicted = HeadHint(bucket, leaf.sentinel);
-  // Far access 1: publish the item body (not yet reachable).
-  Item item{key, value, VersionOf(leaf.version) | flags, predicted};
-  FMDS_RETURN_IF_ERROR(client_->Write(slot, AsConstBytes(item)));
-  bool full_write_done = true;
-  for (int attempt = 0; attempt < kMaxOpRetries; ++attempt) {
-    if (!full_write_done) {
-      // Only the link field changed since the last image.
-      FMDS_RETURN_IF_ERROR(client_->WriteWord(slot + kItemNext, item.next));
-    }
-    // Far access 2: the bucket CAS both links the item and validates the
-    // cached version (a frozen/retired bucket can never equal `predicted`).
-    FMDS_ASSIGN_OR_RETURN(uint64_t old,
-                          client_->CompareSwap(bucket, predicted, slot));
-    if (old == predicted) {
-      if (options_.use_head_hints) {
-        head_hints_.Upsert(bucket, slot);
-      }
-      // Writer-side refill (zero far round trips): the writer holds the
-      // fresh value and its CAS left the bucket word equal to `slot`, so a
-      // resident entry refills in place instead of dying and paying a read
-      // RTT on the next lookup. Word-versioned coherence makes this safe:
-      // the echo of our own CAS confirms the entry (event word == slot),
-      // while any later writer's event carries a different word and kills
-      // it. Non-resident keys are untouched; a moved watch degrades to the
-      // old invalidate, so read-your-writes holds in every case. A
-      // tombstone just invalidates.
-      if (near_cache_ != nullptr) {
-        if (tombstone) {
-          near_cache_->Invalidate(key);
-        } else {
-          near_cache_->Refill(key, AsConstBytes(value), bucket, kWordSize,
-                              slot);
-        }
-      }
-      if (GrowthSplitDue(leaf.table, item.next == predicted)) {
-        (void)SplitLeaf(li, hash);
-      }
-      return OkStatus();
-    }
-    ++op_stats_.cas_retries;
-    // Misprediction: inspect the actual head for staleness.
-    Item head;
-    FMDS_RETURN_IF_ERROR(ReadItem(old, &head));
-    if ((head.meta & kFlagPending) != 0) {
-      // A transaction holds the bucket pending. Only its owner may change
-      // the word (commit or rollback), so adopting `old` as the prediction
-      // would steal the lock — wait it out instead.
-      StaleBackoff(attempt);
-      continue;
-    }
-    if ((head.meta & kFlagRetired) != 0 ||
-        VersionOf(head.meta) != leaf.version) {
-      FMDS_RETURN_IF_ERROR(RefreshPath(hash));
-      li = DescendCached(hash);
-      leaf = nodes_[li];
-      bucket = BucketAddr(leaf.table, BucketIndex(hash));
-      predicted = leaf.sentinel;
-      // Version changed: rewrite the full item image.
-      item.meta = VersionOf(leaf.version) | flags;
-      item.next = predicted;
-      FMDS_RETURN_IF_ERROR(client_->Write(slot, AsConstBytes(item)));
-      full_write_done = true;
-      StaleBackoff(attempt);
-      continue;
-    }
-    if (options_.use_head_hints) {
-      head_hints_.Upsert(bucket, old);
-    }
-    predicted = old;
-    item.next = LinkPast(key, old, head);
-    full_write_done = false;
-  }
-  return Aborted(tombstone ? "remove retries exhausted"
-                           : "put retries exhausted");
-}
-
 // ---------------------------- BatchPut engine ----------------------------
-
-HtTree::BatchPut::BatchPut(HtTree* map, std::span<const uint64_t> keys,
-                           std::span<const uint64_t> values)
-    : BatchPut(map, keys, values, {}, nullptr) {}
 
 HtTree::BatchPut::BatchPut(HtTree* map, std::span<const uint64_t> keys,
                            std::span<const uint64_t> values,
                            std::span<const uint8_t> tombstones,
                            std::vector<WriteOutcome>* outcomes)
-    : map_(map), outcomes_(outcomes) {
+    : map_(map), ops_(keys.size()), outcomes_(outcomes) {
   map_->DispatchCacheInvalidations();
   if (outcomes_ != nullptr) {
     outcomes_->assign(keys.size(), WriteOutcome{});
   }
-  ops_.reserve(keys.size());
   for (size_t i = 0; i < keys.size(); ++i) {
-    Op op;
+    Op& op = ops_[i];
     op.key = keys[i];
     op.tombstone = i < tombstones.size() && tombstones[i] != 0;
     op.value = (!op.tombstone && i < values.size()) ? values[i] : 0;
     op.hash = Mix64(keys[i]);
-    if (op.tombstone) {
-      ++map_->op_stats_.removes;
-    } else {
-      ++map_->op_stats_.puts;
-    }
-    ops_.push_back(op);
+    ++(op.tombstone ? map_->op_stats_.removes : map_->op_stats_.puts);
   }
 }
 
 size_t HtTree::BatchPut::PostWave() {
-  size_t posted = 0;
+  FarClient* client = map_->client_;
   // Same-bucket ops within one wave chain their predictions: op k links
   // (and predicts) op k-1's slot, so the whole chain rides the ordered
   // doorbell with zero intra-batch mispredictions. Without this, a batch
   // of hot keys (write-behind under Zipf) collides on its own buckets and
-  // every op past the first falls back to a serial synchronous Put —
-  // re-serializing exactly the round trips the batch exists to overlap.
-  // Only each chain's FIRST op races external writers.
-  std::unordered_map<FarAddr, const Op*> chain_tail;
+  // every op past the first pays a mispredict's extra waves. Only each
+  // chain's FIRST op races external writers. A lone op has no chain.
+  const bool chained = ops_.size() > 1;
+  chain_tail_.clear();
+  auto tail_of = [&](FarAddr bucket) -> const Op* {
+    const auto it = chained ? chain_tail_.find(bucket) : chain_tail_.end();
+    return it == chain_tail_.end() ? nullptr : it->second;
+  };
+  size_t posted = 0;
   for (Op& op : ops_) {
     switch (op.state) {
-      case State::kInit: {
-        auto slot = map_->AllocItemSlot();
-        if (!slot.ok()) {
-          op.result = slot.status();
-          op.state = State::kDone;
-          break;
+      case State::kInit:
+      case State::kRewrite: {
+        const bool fresh = op.state == State::kInit;
+        if (fresh) {
+          auto slot = map_->AllocItemSlot();
+          if (!slot.ok()) {
+            op.result = slot.status();
+            op.state = State::kDone;
+            continue;
+          }
+          op.slot = *slot;
         }
-        op.slot = *slot;
         op.leaf_index = map_->DescendCached(op.hash);
         op.leaf = map_->nodes_[op.leaf_index];
         op.bucket =
             map_->BucketAddr(op.leaf.table, map_->BucketIndex(op.hash));
-        map_->client_->AccountNear(1);
-        const auto tail = chain_tail.find(op.bucket);
-        op.predicted = tail != chain_tail.end()
-                           ? tail->second->slot
-                           : map_->HeadHint(op.bucket, op.leaf.sentinel);
+        if (fresh) {
+          client->AccountNear(1);
+        }
+        // A fresh store predicts its bucket's hinted head; one republished
+        // after a trie refresh predicts the fresh table's empty bucket.
+        const Op* tail = tail_of(op.bucket);
+        op.predicted = tail != nullptr ? tail->slot
+                       : fresh ? map_->HeadHint(op.bucket, op.leaf.sentinel)
+                               : op.leaf.sentinel;
         op.link = op.predicted;
-        chain_tail[op.bucket] = &op;
-        // Both far accesses of the store ride the shared doorbell: publish
-        // the item body, then CAS the bucket head. The doorbell preserves
-        // post order per node, so the item is visible before it becomes
-        // reachable. A removal is the same insert-at-head with the
-        // tombstone flag set.
-        Item item{op.key, op.value,
-                  VersionOf(op.leaf.version) |
-                      (op.tombstone ? kFlagTombstone : 0ull),
-                  op.link};
-        op.write_op = map_->client_->PostWrite(op.slot, AsConstBytes(item));
-        op.cas_op =
-            map_->client_->PostCompareSwap(op.bucket, op.predicted, op.slot);
-        op.state = State::kPosted;
-        posted += 2;
+        op.relinked = false;
+        // Far access 1 publishes the item body (not yet reachable); the
+        // CAS below links it. In a doorbell, post order per node makes the
+        // item visible before it becomes reachable. A removal is the same
+        // insert-at-head with the tombstone flag set.
+        const Item item{op.key, op.value,
+                        VersionOf(op.leaf.version) |
+                            (op.tombstone ? kFlagTombstone : 0ull),
+                        op.link};
+        op.write_op = client->PostWrite(op.slot, AsConstBytes(item));
         break;
       }
-      case State::kInspect:
-        // Read the item behind the observed head before adopting it as a
-        // prediction (it could be the retired sentinel of a frozen
-        // bucket). The read rides the same doorbell as every other op in
-        // the wave, so an entire failed chain re-validates in one batched
-        // round trip.
-        op.read_op = map_->client_->PostRead(op.observed, AsBytes(op.head));
-        op.state = State::kInspectPosted;
-        posted += 1;
-        break;
-      case State::kRelink: {
+      case State::kRelink:
         // The slot body is already published and never became reachable
         // (the CAS failed), so only the link word needs rewriting. An
         // earlier same-bucket op in this wave re-forms the chain; its
-        // members keep their original relative order, so their link words
-        // are rewritten with the values they already hold. A chain's first
-        // op links past the observed head when it is the op's own key.
-        const auto tail = chain_tail.find(op.bucket);
-        if (tail != chain_tail.end()) {
-          op.predicted = op.link = tail->second->slot;
-        } else {
-          op.predicted = op.observed;
-          op.link = LinkPast(op.key, op.observed, op.head);
+        // members keep their original relative order.
+        if (const Op* tail = tail_of(op.bucket)) {
+          op.predicted = op.link = tail->slot;
         }
-        chain_tail[op.bucket] = &op;
-        op.write_op =
-            map_->client_->PostWriteWord(op.slot + kItemNext, op.link);
-        op.cas_op =
-            map_->client_->PostCompareSwap(op.bucket, op.predicted, op.slot);
-        op.state = State::kPosted;
-        posted += 2;
+        op.relinked = true;
+        op.write_op = client->PostWriteWord(op.slot + kItemNext, op.link);
         break;
-      }
+      case State::kRecas:
+        op.write_op = 0;
+        break;
+      case State::kInspect:
+        // Read the item behind the observed head before adopting it as a
+        // prediction (it could be the retired sentinel of a frozen
+        // bucket). In a doorbell the read rides with every other op of the
+        // wave, so an entire failed chain re-validates in one round trip.
+        op.read_op = client->PostRead(op.observed, AsBytes(op.head));
+        op.state = State::kInspectPosted;
+        ++posted;
+        continue;
       case State::kPosted:
       case State::kInspectPosted:
       case State::kDone:
-      case State::kFallback:
-        break;
+        continue;
     }
+    if (chained) {
+      chain_tail_[op.bucket] = &op;
+    }
+    // Far access 2: the bucket CAS both links the item and validates the
+    // cached version (a frozen/retired bucket never equals `predicted`).
+    // It runs only if this wave's write of the slot landed.
+    op.cas_op = client->PostCompareSwap(op.bucket, op.predicted, op.slot,
+                                        /*guard=*/op.write_op);
+    posted += op.write_op != 0 ? 2 : 1;
+    op.state = State::kPosted;
   }
   return posted;
 }
 
-void HtTree::BatchPut::AbsorbWave(const CompletionMap& done) {
+void HtTree::BatchPut::AbsorbWave(
+    std::span<const FarClient::Completion> done) {
   for (size_t i = 0; i < ops_.size(); ++i) {
     Op& op = ops_[i];
     if (op.state == State::kInspectPosted) {
-      const auto rit = done.find(op.read_op);
-      if (rit == done.end()) {
-        continue;  // posted into a wave this map did not flush yet
+      const FarClient::Completion* read =
+          FarClient::FindCompletion(done, op.read_op);
+      if (read == nullptr) {
+        continue;  // posted into a wave not executed yet
       }
-      if (!rit->second.status.ok()) {
-        op.result = rit->second.status;
+      if (!read->status.ok()) {
+        op.result = read->status;
         op.state = State::kDone;
-        continue;
+      } else {
+        AbsorbInspect(op);
       }
-      map_->client_->AccountNear(1);
-      if ((op.head.meta & kFlagPending) != 0 ||
-          (op.head.meta & kFlagRetired) != 0 ||
-          VersionOf(op.head.meta) != op.leaf.version) {
-        // A pending transaction lock (only its owner may change the word)
-        // or a concurrent split: both need the sync path's backoff /
-        // RefreshPath machinery. Rare enough to pay the serial trip.
-        op.state = State::kFallback;
-        continue;
-      }
-      // Validated live head of the current table generation: safe to adopt
-      // as the prediction, as a hint, and (kRelink) to link past when it is
-      // this op's own key (mirrors the sync store).
-      if (map_->options_.use_head_hints) {
-        map_->head_hints_.Upsert(op.bucket, op.observed);
-      }
-      op.state = State::kRelink;
       continue;
     }
     if (op.state != State::kPosted) {
       continue;
     }
-    const auto wit = done.find(op.write_op);
-    const auto cit = done.find(op.cas_op);
-    if (wit == done.end() || cit == done.end()) {
-      continue;  // posted into a wave this map did not flush yet
+    const FarClient::Completion* cas =
+        FarClient::FindCompletion(done, op.cas_op);
+    if (cas == nullptr) {
+      continue;  // posted into a wave not executed yet
     }
-    if (!wit->second.status.ok() || !cit->second.status.ok()) {
-      op.result = !wit->second.status.ok() ? wit->second.status
-                                           : cit->second.status;
+    const FarClient::Completion* write =
+        op.write_op != 0 ? FarClient::FindCompletion(done, op.write_op)
+                         : nullptr;
+    // A failed write cancels its CAS: the write's error is the op's.
+    const Status& failure = write != nullptr && !write->status.ok()
+                                ? write->status
+                                : cas->status;
+    if (!failure.ok()) {
+      op.result = failure;
       op.state = State::kDone;
       continue;
     }
-    const uint64_t old = cit->second.word;
-    if (old != op.predicted) {
+    if (cas->word != op.predicted) {
       // Mispredicted: stale cache or a concurrent writer (same-batch
-      // neighbors never collide — they chain at post time). Retry inside
-      // the wave engine: inspect the observed head next wave, adopt it if
-      // it validates, re-CAS the wave after. The observed head must NOT
-      // be cached as a hint before that read: we cannot tell it from the
-      // retired sentinel of a concurrently frozen bucket, and a later CAS
-      // predicting the sentinel would "succeed" into the dead table and
-      // lose the write.
+      // neighbors never collide — they chain at post time). Inspect the
+      // observed head next wave; it must NOT be hinted before that read:
+      // we cannot tell it from the retired sentinel of a concurrently
+      // frozen bucket, and a later CAS predicting the sentinel would
+      // "succeed" into the dead table and lose the write.
       ++map_->op_stats_.cas_retries;
-      if (++op.attempts >= kMaxBatchCasRetries) {
-        op.state = State::kFallback;
-      } else {
-        op.observed = old;
-        op.state = State::kInspect;
+      if (++op.attempts >= kMaxOpRetries) {
+        op.result = Aborted(op.tombstone ? "remove retries exhausted"
+                                         : "put retries exhausted");
+        op.state = State::kDone;
+        continue;
       }
+      op.observed = cas->word;
+      op.state = State::kInspect;
       continue;
     }
     if (map_->options_.use_head_hints) {
       map_->head_hints_.Upsert(op.bucket, op.slot);
     }
-    // Writer-side refill, same rationale as the sync Put's; a tombstone
-    // mirrors the sync Remove and invalidates instead.
+    // Writer-side refill (zero far round trips): the writer holds the
+    // fresh value and its CAS left the bucket word equal to `slot`, so a
+    // resident entry refills in place instead of dying and paying a read
+    // RTT on the next lookup. Word-versioned coherence makes this safe:
+    // the echo of our own CAS confirms the entry (event word == slot),
+    // while any later writer's event carries a different word and kills
+    // it. Non-resident keys are untouched; a moved watch degrades to the
+    // old invalidate, so read-your-writes holds in every case. A
+    // tombstone just invalidates.
     if (map_->near_cache_ != nullptr) {
       if (op.tombstone) {
         map_->near_cache_->Invalidate(op.key);
@@ -1330,36 +1083,58 @@ void HtTree::BatchPut::AbsorbWave(const CompletionMap& done) {
                                   kWordSize, op.slot);
       }
     }
-    // Only the batched fast path yields a refillable outcome: its CAS left
-    // the bucket word equal to op.slot, the exact confirmation word a
-    // cross-thread RefillExternal needs.
+    // The CAS left the bucket word equal to op.slot, the exact
+    // confirmation word a cross-thread RefillExternal needs.
     if (outcomes_ != nullptr) {
       (*outcomes_)[i] = WriteOutcome{op.bucket, op.slot, !op.tombstone};
     }
     if (map_->GrowthSplitDue(op.leaf.table, op.link == op.predicted)) {
-      deferred_splits_.emplace_back(op.leaf_index, op.hash);
+      deferred_splits_.push_back({op.leaf_index, op.leaf.table, op.hash});
     }
     op.result = OkStatus();
     op.state = State::kDone;
   }
 }
 
+void HtTree::BatchPut::AbsorbInspect(Op& op) {
+  const uint64_t meta = op.head.meta;
+  if ((meta & kFlagPending) != 0) {
+    // A transaction holds the bucket pending. Only its owner may change
+    // the word (commit or rollback), so adopting it as the prediction
+    // would steal the lock — wait it out under the same prediction.
+    StaleBackoff(op.attempts - 1);
+    op.state = op.relinked ? State::kRelink : State::kRecas;
+    return;
+  }
+  if ((meta & kFlagRetired) != 0 || VersionOf(meta) != op.leaf.version) {
+    // A split froze or replaced the cached table: refresh the trie (once
+    // per stale leaf in a batch) and republish the whole image, with the
+    // fresh version, into the fresh table.
+    if (map_->CachesLeaf(op.leaf_index, op.leaf.table)) {
+      if (Status refreshed = map_->RefreshPath(op.hash); !refreshed.ok()) {
+        op.result = refreshed;
+        op.state = State::kDone;
+        return;
+      }
+    }
+    StaleBackoff(op.attempts - 1);
+    op.state = State::kRewrite;
+    return;
+  }
+  // Validated live head of the cached table generation: safe to adopt as
+  // the prediction and as a hint, and to link past when it is this op's
+  // own key (same-key head replacement, file comment).
+  if (map_->options_.use_head_hints) {
+    map_->head_hints_.Upsert(op.bucket, op.observed);
+  }
+  op.predicted = op.observed;
+  op.link = LinkPast(op.key, op.observed, op.head);
+  op.state = State::kRelink;
+}
+
 Status HtTree::BatchPut::Take() {
   Status first = OkStatus();
-  std::unordered_set<FarAddr> fallback_buckets;
-  for (Op& op : ops_) {
-    if (op.state == State::kFallback) {
-      fallback_buckets.insert(op.bucket);
-      // The sync op bumps the stat again.
-      if (op.tombstone) {
-        --map_->op_stats_.removes;
-        op.result = map_->Remove(op.key);
-      } else {
-        --map_->op_stats_.puts;
-        op.result = map_->Put(op.key, op.value);
-      }
-      op.state = State::kDone;
-    }
+  for (const Op& op : ops_) {
     if (first.ok() && !op.result.ok()) {
       first = op.result;
     }
@@ -1367,34 +1142,27 @@ Status HtTree::BatchPut::Take() {
   if (outcomes_ != nullptr) {
     // A chained bucket's stable post-batch head is its LAST landed slot;
     // refill confirmations must record that word, not each member's own
-    // slot (the member's word was overwritten by its chain successor). A
-    // bucket any fallback op re-wrote moved past the chain entirely —
-    // downgrade its outcomes to invalidate.
+    // slot (the member's word was overwritten by its chain successor).
     std::unordered_map<FarAddr, uint64_t> final_head;
-    for (size_t i = 0; i < ops_.size(); ++i) {
-      const WriteOutcome& o = (*outcomes_)[i];
+    for (const WriteOutcome& o : *outcomes_) {
       if (o.bucket != kNullFarAddr) {
         final_head[o.bucket] = o.head;
       }
     }
-    for (size_t i = 0; i < ops_.size(); ++i) {
-      WriteOutcome& o = (*outcomes_)[i];
-      if (!o.refillable) {
-        continue;
-      }
-      if (fallback_buckets.count(o.bucket) != 0) {
-        o.refillable = false;
-      } else {
+    for (WriteOutcome& o : *outcomes_) {
+      if (o.refillable) {
         o.head = final_head[o.bucket];
       }
     }
   }
   // Deferred splits run after the waves so the batched fast path itself
-  // stays split-free. Re-descend by hash: an earlier split in this very
-  // loop may have spliced the cached trie under the recorded index.
-  for (const auto& [leaf_index, hash] : deferred_splits_) {
-    (void)leaf_index;
-    (void)map_->SplitLeaf(map_->DescendCached(hash), hash);
+  // stays split-free. An earlier split in this loop may have replaced the
+  // recorded leaf; re-descend by hash then.
+  for (const DeferredSplit& split : deferred_splits_) {
+    const int32_t leaf_index = map_->CachesLeaf(split.leaf_index, split.table)
+                                   ? split.leaf_index
+                                   : map_->DescendCached(split.hash);
+    (void)map_->SplitLeaf(leaf_index, split.hash);
   }
   deferred_splits_.clear();
   return first;
@@ -1438,51 +1206,8 @@ Status HtTree::MultiWrite(std::span<const uint64_t> keys,
     return OkStatus();
   }
   BatchPut engine(this, keys, values, tombstones, outcomes);
-  while (engine.PostWave() > 0) {
-    std::vector<FarClient::Completion> done;
-    (void)client_->WaitAll(&done);
-    engine.AbsorbWave(ToCompletionMap(std::move(done)));
-  }
+  RunWaves(client_, std::span(&engine, 1));
   return engine.Take();
-}
-
-Status HtTree::Remove(uint64_t key) {
-  // A removal is an insert-at-head of a tombstone: same cost, same
-  // concurrency story as Put. Splits drop tombstones and everything they
-  // shadow.
-  ScopedOpLabel label(&client_->recorder(), "httree.remove");
-  if (wb_ != nullptr) {
-    ++op_stats_.removes;
-    client_->AccountNear(1);
-    wb_->Remove(key);
-    return OkStatus();
-  }
-  ++op_stats_.removes;
-  DispatchCacheInvalidations();
-  if (route_decider_ != nullptr) {
-    const uint64_t t0 = client_->clock().now_ns();
-    if (route_decider_->Decide(RoutedOp::kRemove, home_node_, store_units_,
-                               1) == DataplaneRoute::kRpc) {
-      auto outcome = remote_path_->Remove(header_, key);
-      if (outcome.ok()) {
-        ApplyRemoteWrite(key, 0, /*tombstone=*/true, *outcome);
-        route_decider_->Observe(RoutedOp::kRemove, home_node_,
-                                DataplaneRoute::kRpc,
-                                client_->clock().now_ns() - t0, store_units_,
-                                1);
-        return OkStatus();
-      }
-    }
-    const uint64_t retries0 = op_stats_.cas_retries;
-    const Status status = StoreOneSided(key, 0, /*tombstone=*/true);
-    NoteStoreUnits(2.0 +
-                   static_cast<double>(op_stats_.cas_retries - retries0));
-    route_decider_->Observe(RoutedOp::kRemove, home_node_,
-                            DataplaneRoute::kOneSided,
-                            client_->clock().now_ns() - t0, store_units_, 1);
-    return status;
-  }
-  return StoreOneSided(key, 0, /*tombstone=*/true);
 }
 
 Status HtTree::SplitTableOf(uint64_t key) {
@@ -1602,7 +1327,7 @@ Status HtTree::SplitLeafLocked(const CachedNode& leaf, uint64_t hash,
     int attempt = 0;
     while (got != predicted) {
       Item head_item;
-      FMDS_RETURN_IF_ERROR(ReadItem(got, &head_item));
+      FMDS_RETURN_IF_ERROR(client_->Read(got, AsBytes(head_item)));
       if ((head_item.meta & kFlagPending) != 0) {
         // Owner-only word: wait for the transaction to commit or roll
         // back rather than CASing its lock record away.
@@ -1754,11 +1479,11 @@ class HtTreeWbPublisher : public WriteBehindEngine::Publisher {
     }
     for (size_t i = 0; i < batch.keys.size(); ++i) {
       if (batch.tombstones[i] != 0 || !outcomes_[i].refillable) {
-        // Tombstones and fallback publishes: drop the entry and let the
-        // bucket notification (already in the app channel by now) rule.
+        // Tombstones and keys that did not land: drop the entry and let
+        // the bucket notification (already in the app channel by now) rule.
         app_cache_->InvalidateExternal(batch.keys[i]);
       } else {
-        // Fast-path store: the CAS left the bucket word equal to
+        // Landed store: the CAS left the bucket word equal to
         // outcomes_[i].head, so a resident entry refills in place and the
         // writer's next read costs zero far accesses.
         app_cache_->RefillExternal(batch.keys[i],
@@ -1789,7 +1514,7 @@ Status HtTree::EnableWriteBehind(const WriteBehindOptions& wb_options) {
       client_->fabric(), client_->id() | kWbClientIdBit,
       wb_options.flusher_client);
   Options fopt = options_;
-  fopt.cache = NearCacheOptions{};
+  fopt.cache = CacheOptions{};
   FMDS_ASSIGN_OR_RETURN(
       HtTree handle, Attach(flusher_client.get(), alloc_, header_, fopt));
   auto publisher = std::make_unique<HtTreeWbPublisher>(

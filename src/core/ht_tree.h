@@ -62,8 +62,8 @@ class HtTree : public FarMap {
  public:
   struct Options {
     uint64_t buckets_per_table = 1024;
-    // Split a table once a Get observes a chain longer than this, or local
-    // collision estimates exceed the table load factor.
+    // Split a table once a lookup (Get, MultiGet) walks a chain longer than
+    // this, or local collision estimates exceed the table load factor.
     uint64_t max_chain = 6;
     // Pre-split the key space into 2^initial_depth tables at Create().
     uint32_t initial_depth = 0;
@@ -83,9 +83,8 @@ class HtTree : public FarMap {
     // NearCache of bucket heads (budget_bytes = 0 keeps it off): a hit
     // serves the whole lookup from near memory — zero far accesses —
     // with coherence via per-bucket write notifications (DESIGN.md §9).
-    // The composable block (src/core/map_options.h); assigning a bare
-    // NearCacheOptions still compiles. HtTree ignores the fleet-wide
-    // global_budget_bytes field (single cache).
+    // The composable block (src/core/map_options.h). HtTree ignores the
+    // fleet-wide global_budget_bytes field (single cache).
     CacheOptions cache;
     // Stored write-behind defaults: the no-arg EnableWriteBehind() overload
     // enables the engine with this block. The defaulting rule
@@ -124,6 +123,9 @@ class HtTree : public FarMap {
   FarAddr header() const { return header_; }
 
   // Point operations. Get returns kNotFound for absent/tombstoned keys.
+  // Each runs its one key through the same engine as the batched calls
+  // below (BatchGet / BatchPut), executing every far op as its own sync
+  // verb: a fresh lookup costs one far access, a fresh store two.
   Result<uint64_t> Get(uint64_t key) override;
   Status Put(uint64_t key, uint64_t value) override;
   Status Remove(uint64_t key) override;
@@ -131,30 +133,30 @@ class HtTree : public FarMap {
   // Batched multi-key lookup over the async pipeline: every key's bucket
   // probe rides one doorbell (one client round trip for the whole batch
   // instead of one per key), and chain continuations proceed in batched
-  // waves. Per-key semantics match Get exactly; keys whose cached view turns
-  // out stale fall back to the synchronous path. Unlike Get this never
-  // triggers proactive splits (it is a read-only fast path). Requires no
-  // other async ops pending on the client.
+  // waves. Per-key semantics match Get exactly, including the stale-trie
+  // refresh, head hints and the proactive split of a long chain. Requires
+  // no other async ops pending on the client.
   std::vector<Result<uint64_t>> MultiGet(
       std::span<const uint64_t> keys) override;
 
   // Batched multi-key store: each key's item-body write and bucket CAS ride
-  // one shared doorbell (k stores ≈ 1 waited round trip instead of 2 each).
-  // Keys whose CAS mispredicts (stale cache, same-bucket collisions inside
-  // the batch, concurrent writers) fall back to the synchronous Put, so
-  // per-key semantics match Put; duplicate keys in one batch resolve in
-  // unspecified relative order. The write→CAS ordering a doorbell
-  // guarantees holds per node, so a map whose storage spans nodes relies
-  // on the simulator's in-order execution — pin placement (ShardedMap
-  // does) for hardware-faithful batching. Requires no other async ops
-  // pending on the client. Returns the first per-key error, if any.
+  // one shared doorbell (k stores ≈ 1 waited round trip instead of 2 each),
+  // and a CAS never runs when its item write failed. A mispredicted CAS
+  // (stale cache, concurrent writers) retries inside later waves with
+  // Put's rules, so per-key semantics match Put; duplicate keys in one
+  // batch resolve in unspecified relative order. The write→CAS ordering a
+  // doorbell guarantees holds per node, so a map whose storage spans nodes
+  // relies on the simulator's in-order execution — pin placement
+  // (ShardedMap does) for hardware-faithful batching. Requires no other
+  // async ops pending on the client. Returns the first per-key error, if
+  // any.
   Status MultiPut(std::span<const uint64_t> keys,
                   std::span<const uint64_t> values) override;
 
   // Per-key publish location from MultiWrite, for the write-behind
-  // flusher's writer-side cache refill. Only the batched fast path is
-  // refillable: a fallback's bucket head is unknown here, so the refill
-  // stage invalidates instead and lets the bucket notification rule.
+  // flusher's writer-side cache refill. A key that did not land is not
+  // refillable: the refill stage invalidates it instead and lets the
+  // bucket notification rule.
   struct WriteOutcome {
     FarAddr bucket = kNullFarAddr;
     FarAddr head = kNullFarAddr;  // new bucket head = the key's item slot
@@ -164,22 +166,43 @@ class HtTree : public FarMap {
   // Batched mixed store/remove: like MultiPut, but tombstones[i] != 0
   // selects a Remove for keys[i] (an empty span means all stores). When
   // `outcomes` is non-null it is resized to keys.size() and filled in
-  // input order. Same batching contract and fallback semantics as
-  // MultiPut; this is the write-behind flusher's publish primitive.
+  // input order. Same batching contract as MultiPut; this is the
+  // write-behind flusher's publish primitive.
   Status MultiWrite(std::span<const uint64_t> keys,
                     std::span<const uint64_t> values,
                     std::span<const uint8_t> tombstones,
                     std::vector<WriteOutcome>* outcomes = nullptr);
 
-  using CompletionMap =
-      std::unordered_map<FarClient::OpId, FarClient::Completion>;
-  static CompletionMap ToCompletionMap(std::vector<FarClient::Completion> done);
-
-  // BatchGet / BatchPut — the resumable wave engines behind MultiGet /
-  // MultiPut — are defined after the private layout types they capture; see
-  // the bottom of the class.
+  // BatchGet / BatchPut — the resumable engines behind every lookup and
+  // every store — are defined after the private layout types they capture;
+  // see the bottom of the class.
   class BatchGet;
   class BatchPut;
+
+  // The batched driver: runs `engines` to completion, one doorbell per
+  // wave. Every engine posts its next wave, one Flush carries them all —
+  // routers (ShardedMap, Txn) run one engine per shard, so sub-batches
+  // bound for different memory nodes overlap (§7: simulated time = max
+  // over nodes) — then every engine absorbs the completions. (Point ops
+  // use the serial driver instead: each posted op runs as its sync verb.)
+  template <typename Engine>
+  static void RunWaves(FarClient* client, std::span<Engine> engines) {
+    std::vector<FarClient::Completion> done;
+    for (;;) {
+      size_t posted = 0;
+      for (Engine& engine : engines) {
+        posted += engine.PostWave();
+      }
+      if (posted == 0) {
+        return;
+      }
+      done.clear();
+      (void)client->WaitAll(&done);
+      for (Engine& engine : engines) {
+        engine.AbsorbWave(done);
+      }
+    }
+  }
 
   // Re-reads the trie from far memory (level-by-level rgather).
   Status RefreshCache();
@@ -250,17 +273,6 @@ class HtTree : public FarMap {
   // Smoothed serial-RTT estimate for one lookup (1 + expected chain hops);
   // the complexity signal routed decisions price one-sided cost with.
   double lookup_units() const { return lookup_units_; }
-
-  // Routed front end for batched lookups, shared by MultiGet and
-  // ShardedMap's per-shard fan-out. No-op (returns false) when routing is
-  // off. Otherwise resolves near-served keys (pending writes, NearCache),
-  // and if the router ships the residue to the RPC agent — and the remote
-  // call succeeds — fills `results` completely and returns true. A false
-  // return leaves `results` untouched: every key still needs the one-sided
-  // BatchGet engine (which re-consults the near paths at near-only cost),
-  // and the caller must Observe() the engine's cost for the router.
-  bool TryRouteMultiGet(std::span<const uint64_t> keys,
-                        std::vector<Result<uint64_t>>* results);
 
   // Exposed for tests: forces a split of the table owning `key`.
   Status SplitTableOf(uint64_t key);
@@ -366,8 +378,6 @@ class HtTree : public FarMap {
   // returns the local index of the subtree root.
   Result<int32_t> FetchSubtree(FarAddr addr);
 
-  Status ReadItem(FarAddr addr, Item* out);
-
   // ---- Transaction read hook (used by Txn via friendship) ----
   // One validated read observation: the resolved value (or a definitive
   // miss) together with the bucket word it was resolved under. The word is
@@ -384,13 +394,14 @@ class HtTree : public FarMap {
     bool versioned = false;  // false when served from the NearCache (the
                              // cache stores words, not table versions)
   };
-  // Reads `key` and returns a validatable view. Unlike Get, a miss is a
-  // successful view (found = false) — negative reads participate in
-  // validation too. Waits out pending bucket heads (bounded backoff) so the
-  // recorded word is always clean; returns kAborted if a transaction holds
-  // the bucket past the retry budget. `allow_cache` permits the zero-far-op
-  // NearCache fast path (versioned = false); pass false when the caller
-  // needs the table version (write intents building item images).
+  // Reads `key` and returns a validatable view: a one-key BatchGet in txn
+  // mode. Unlike Get, a miss is a successful view (found = false) —
+  // negative reads participate in validation too. Waits out pending bucket
+  // heads (bounded backoff) so the recorded word is always clean; returns
+  // kAborted if a transaction holds the bucket past the retry budget.
+  // `allow_cache` permits the zero-far-op NearCache fast path (versioned =
+  // false); pass false when the caller needs the table version (write
+  // intents building item images).
   Result<TxnReadView> TxnRead(uint64_t key, bool allow_cache);
 
   // ---- NearCache integration (key-addressed value entries) ----
@@ -417,6 +428,10 @@ class HtTree : public FarMap {
                        FarAddr head);
   // Probe; on hit fills *value and returns true.
   bool CacheLookupValue(uint64_t key, uint64_t* value);
+  // The near-only fast paths of a lookup, in precedence order: this
+  // handle's pending write-behind record, then the NearCache. True when one
+  // answered `key` (*out holds the answer); costs near accesses only.
+  bool ConsultNear(uint64_t key, Result<uint64_t>* out);
 
   FarAddr BucketAddr(FarAddr table, uint64_t bucket) const {
     return table + kTableHeaderBytes + bucket * kWordSize;
@@ -451,6 +466,12 @@ class HtTree : public FarMap {
   bool GrowthSplitDue(FarAddr table, bool grew);
   static uint32_t HashBit(uint64_t hash, uint32_t depth) {
     return static_cast<uint32_t>((hash >> (63 - depth)) & 1);
+  }
+  // True while nodes_[index] still caches `table` as a leaf: no refresh or
+  // split has replaced the trie cell an engine descended to.
+  bool CachesLeaf(int32_t index, FarAddr table) const {
+    return index >= 0 && static_cast<size_t>(index) < nodes_.size() &&
+           nodes_[index].leaf && nodes_[index].table == table;
   }
 
   // The split slow path: freeze, rewrite, republish (see file comment).
@@ -488,11 +509,8 @@ class HtTree : public FarMap {
   SubId split_sub_ = kInvalidSubId;
   OpStats op_stats_;
 
-  // One-sided bodies of the routed point ops: everything after the
-  // near-only fast paths (write-behind table, NearCache) and the routing
-  // decision. A store with `tombstone` set is a Remove.
-  Result<uint64_t> GetOneSided(uint64_t key);
-  Status StoreOneSided(uint64_t key, uint64_t value, bool tombstone);
+  // Put and Remove: a store with `tombstone` set is a Remove.
+  Status Store(uint64_t key, uint64_t value, bool tombstone);
 
   // ---- Routing state (EnableRouting; DESIGN.md §13) ----
   RouteDecider* route_decider_ = nullptr;
@@ -511,11 +529,40 @@ class HtTree : public FarMap {
   void NoteStoreUnits(double units) {
     store_units_ += kUnitsAlpha * (units - store_units_);
   }
+  // The routing gate of a point op that missed the near paths: when the
+  // router prices `op` on the RPC dataplane, `ship()` sends it to the
+  // agent (an empty optional means the agent failed); otherwise, or then,
+  // `one_sided()` runs the engine. Observes the path actually taken and
+  // feeds its complexity units.
+  template <typename Ship, typename OneSided>
+  auto Route(RoutedOp op, Ship ship, OneSided one_sided)
+      -> decltype(one_sided());
   // Routed mutation exit: mirrors the one-sided success path's cache
   // maintenance (writer-side refill / tombstone invalidate) and head-hint
   // update from the agent's publish outcome.
   void ApplyRemoteWrite(uint64_t key, uint64_t value, bool tombstone,
                         const RemoteMapPath::WriteOutcome& outcome);
+
+  // An engine's per-key state: inline for the single key of a point op,
+  // so that hot path allocates nothing, and a vector for a batch. Spans
+  // into it are re-derived on use, so engines stay movable.
+  template <typename T>
+  class PerKey {
+   public:
+    explicit PerKey(size_t n) : many_(n == 1 ? 0 : n), single_(n == 1) {}
+    T* begin() { return single_ ? &one_ : many_.data(); }
+    T* end() { return begin() + size(); }
+    const T* begin() const { return single_ ? &one_ : many_.data(); }
+    const T* end() const { return begin() + size(); }
+    size_t size() const { return single_ ? 1 : many_.size(); }
+    T& operator[](size_t i) { return begin()[i]; }
+    const T& operator[](size_t i) const { return begin()[i]; }
+
+   private:
+    T one_{};
+    std::vector<T> many_;
+    bool single_;
+  };
 
   // Write-behind engine (null when off). Declared after near_cache_: the
   // flusher's refill stage touches that cache, so the engine must stop
@@ -523,104 +570,117 @@ class HtTree : public FarMap {
   std::unique_ptr<WriteBehindEngine> wb_;
 
  public:
-  // Resumable engine behind MultiGet: PostWave() enqueues the next wave of
-  // far ops without flushing, AbsorbWave() consumes their completions.
-  // Routers (ShardedMap) run one engine per shard and flush ALL engines'
-  // posted waves through a single doorbell, so sub-batches bound for
-  // different memory nodes overlap (§7: simulated time = max over nodes).
-  // Drive until PostWave() returns 0 for every engine, then Take().
+  // The lookup engine behind Get, MultiGet and TxnRead. PostWave()
+  // enqueues the next wave of far ops without flushing; AbsorbWave()
+  // consumes their completions. Drive it until PostWave() returns 0 — with
+  // RunWaves for a batch, serially for a point op — then Take(). Each key
+  // probes its bucket (load0: bucket word and head item in one access),
+  // validates the head against its cached leaf, and walks the chain. A
+  // stale head (retired sentinel or version mismatch) refreshes the cached
+  // trie, backs off and probes again; a validated clean head becomes the
+  // bucket's CAS-prediction hint; a lookup that walked past max_chain
+  // items splits the table.
   class BatchGet {
    public:
-    BatchGet(HtTree* map, std::span<const uint64_t> keys);
-    // Txn mode (the batched walk stage of Txn::MultiGet): skips the
-    // pending-table and value-cache consults (the txn resolved those with
-    // watch words before calling), treats pending heads as fallbacks
-    // instead of resolving the pre-transaction view, and records a
-    // validatable TxnReadView per resolved key — so a deep-chain read set
-    // costs O(chain) doorbells total instead of O(keys × chain) sequential
-    // round trips. Keys needing the sync path's backoff/refresh discipline
-    // (pending or stale heads) are left at kFallback for the caller's
-    // TxnRead; the caller reads views via txn_outcome()/txn_view() and
-    // must NOT call Take().
-    BatchGet(HtTree* map, std::span<const uint64_t> keys, bool txn_mode);
-    enum class TxnOutcome : uint8_t { kFallback = 0, kView = 1, kError = 2 };
-    TxnOutcome txn_outcome(size_t i) const {
-      return static_cast<TxnOutcome>(txn_state_[i]);
-    }
-    const TxnReadView& txn_view(size_t i) const { return views_[i]; }
-    Status txn_error(size_t i) const { return results_[i].status(); }
+    // Txn mode (TxnRead, Txn::MultiGet): skips the pending-table and
+    // value-cache consults (a txn resolves cache hits with watch words
+    // itself), waits out pending heads instead of resolving the
+    // pre-transaction view, never splits, and records a validatable
+    // TxnReadView per key, read with TakeView() instead of Take(). A
+    // deep-chain read set costs O(chain) doorbells total instead of
+    // O(keys × chain) sequential round trips.
+    BatchGet(HtTree* map, std::span<const uint64_t> keys,
+             bool txn_mode = false);
     // Posts this engine's next wave into the client's issue queue (no
     // fabric traffic yet); returns the number of ops posted.
     size_t PostWave();
-    // Consumes the flushed wave's completions, keyed by op id.
-    void AbsorbWave(const CompletionMap& done);
-    // Resolves keys that fell back to the sync path (stale caches) and
-    // returns per-key results in input order. Call once, at the end.
+    // Consumes the executed wave's completions (post order).
+    void AbsorbWave(std::span<const FarClient::Completion> done);
+    // True once every key is answered (before any wave: by a near path).
+    bool resolved() const;
+    // Per-key results in input order. Call once, at the end.
     std::vector<Result<uint64_t>> Take();
+    // The result for keys[i] alone.
+    Result<uint64_t> Take(size_t i) { return std::move(probes_[i].result); }
+    // Txn mode: the view resolved for keys[i], or the error that ended it.
+    Result<TxnReadView> TakeView(size_t i) const;
+    // Routing gate of a batched lookup (MultiGet, ShardedMap's per-shard
+    // fan-out), called before any wave: when the router prices the batch
+    // on the RPC dataplane, ships the keys the near paths did not answer
+    // to the agent. True when every key is resolved; false leaves them to
+    // the waves, whose one-sided cost the caller observes. `t0` is the
+    // clock before construction, so near work counts toward the route.
+    bool TryRoute(uint64_t t0);
 
    private:
-    enum class Stage : uint8_t { kProbe, kHead, kWalk, kStale, kDone };
+    enum class Stage : uint8_t { kProbe, kHead, kWalk, kDone };
     struct Probe {
-      size_t idx = 0;  // index into keys/results
       uint64_t key = 0;
       uint64_t hash = 0;
+      int32_t leaf_index = -1;
       CachedNode leaf;
       FarAddr bucket = kNullFarAddr;
       FarAddr head = kNullFarAddr;
       Item item{};
       Stage stage = Stage::kProbe;
       FarClient::OpId op = 0;
+      int attempts = 0;   // stale refreshes and pending waits so far
+      uint32_t hops = 0;  // chain reads past the bucket head
       // Head was a transaction lock record: the walk resolves the
       // pre-transaction view, which must not feed hints or the cache.
       bool pending_seen = false;
+      Result<uint64_t> result = Status(StatusCode::kInternal, "unresolved");
+      TxnReadView view;  // txn mode
     };
+    // Validates a freshly read bucket head.
+    void AbsorbHead(size_t i);
     // Chain-walk decision on a fresh item image: hit, definitive miss, or
     // continue walking next wave.
-    void Classify(Probe& probe);
+    void Classify(size_t i);
+    // A stale or (txn mode) pending head: refresh the trie if nobody did
+    // since this probe descended, back off, and probe again.
+    void Retry(size_t i, bool stale);
 
     HtTree* map_;
-    std::vector<Probe> probes_;
-    std::vector<Result<uint64_t>> results_;
-    // Txn mode only: per-key outcome (TxnOutcome values) and resolved views.
-    bool txn_mode_ = false;
-    std::vector<uint8_t> txn_state_;
-    std::vector<TxnReadView> views_;
+    bool txn_mode_;
+    PerKey<Probe> probes_;
   };
 
-  // Resumable engine behind MultiPut (see BatchGet for the wave protocol
-  // and the ShardedMap fan-out rationale).
+  // The store engine behind Put, Remove, MultiPut and MultiWrite (see
+  // BatchGet for the wave protocol and its two drivers).
   class BatchPut {
    public:
-    BatchPut(HtTree* map, std::span<const uint64_t> keys,
-             std::span<const uint64_t> values);
-    // Mixed store/remove wave with optional per-key outcome capture (the
-    // MultiWrite engine; tombstones may be empty, outcomes may be null).
+    // Mixed store/remove with optional per-key outcome capture
+    // (tombstones may be empty, outcomes may be null).
     BatchPut(HtTree* map, std::span<const uint64_t> keys,
              std::span<const uint64_t> values,
              std::span<const uint8_t> tombstones,
              std::vector<WriteOutcome>* outcomes);
     size_t PostWave();
-    void AbsorbWave(const CompletionMap& done);
-    // Runs sync fallbacks (Put or Remove) and deferred splits; first error
-    // wins.
+    void AbsorbWave(std::span<const FarClient::Completion> done);
+    // Runs deferred splits; returns the first per-key error.
     Status Take();
 
    private:
-    // kInspect/kRelink are the wave-based CAS retry: a mispredicted op
-    // reads the observed head (kInspect -> kInspectPosted), validates it
-    // against the cached leaf version, then re-links (past the head when it
-    // is the op's own key, like the sync store) and re-CASes in a later
-    // wave (kRelink). Only pending locks, retired tables, and
-    // exhausted retry budgets drop to the synchronous kFallback path, so
-    // cross-handle collisions stay pipelined instead of re-serializing.
+    // kInit posts the item body and the bucket CAS, which the client runs
+    // only if the body landed. A mispredicted CAS reads the head it
+    // observed (kInspect -> kInspectPosted) and validates it: a live head
+    // of the cached table is adopted as prediction and hint, and the op
+    // re-links (past the head when it is the op's own key) and re-CASes
+    // (kRelink); a retired or version-mismatched head refreshes the trie
+    // and re-publishes the whole image into the fresh table (kRewrite); a
+    // transaction's pending head is waited out under the same prediction
+    // (kRecas after a full image, kRelink after a re-link, as the store
+    // protocol rewrites the link word on every retry that follows one).
     enum class State : uint8_t {
       kInit,
       kPosted,
       kInspect,
       kInspectPosted,
       kRelink,
-      kDone,
-      kFallback
+      kRecas,
+      kRewrite,
+      kDone
     };
     struct Op {
       uint64_t key = 0;
@@ -640,18 +700,28 @@ class HtTree : public FarMap {
       FarClient::OpId write_op = 0;
       FarClient::OpId cas_op = 0;
       FarClient::OpId read_op = 0;
-      int attempts = 0;
+      int attempts = 0;  // mispredicted CASes so far
       State state = State::kInit;
       bool tombstone = false;
+      bool relinked = false;  // the last write was a link word, not an image
       Status result;
     };
+    void AbsorbInspect(Op& op);
+
     HtTree* map_;
-    std::vector<Op> ops_;
+    PerKey<Op> ops_;
+    // The op that last joined each bucket's chain in the wave being posted.
+    std::unordered_map<FarAddr, const Op*> chain_tail_;
     // Input-order outcome sink (null unless the caller asked).
     std::vector<WriteOutcome>* outcomes_ = nullptr;
     // Tables that crossed the split threshold during the batch; split after
     // the waves so the batched fast path itself stays split-free.
-    std::vector<std::pair<int32_t, uint64_t>> deferred_splits_;
+    struct DeferredSplit {
+      int32_t leaf_index;
+      FarAddr table;
+      uint64_t hash;
+    };
+    std::vector<DeferredSplit> deferred_splits_;
   };
 };
 

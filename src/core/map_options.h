@@ -7,16 +7,9 @@
 // one {cache, write_behind, route} configuration and drop it into either
 // map.
 //
-// THE defaulting rule (there is exactly one, applied uniformly): a
-// non-default value in the composable block wins; when the block is left at
-// its default, the legacy flat field (kept as a deprecated alias) seeds it.
-// Concretely:
-//   - ShardedMap fleet cache budget: `shard.cache.global_budget_bytes` wins
-//     over the deprecated flat `Options::global_cache_budget_bytes`.
-//   - Write-behind: an explicit EnableWriteBehind(options) argument wins
-//     over the stored `Options::write_behind` block (used by the no-arg
-//     overload).
-// Old code that sets only the flat fields compiles and behaves unchanged.
+// The one defaulting rule: an explicit EnableWriteBehind(options) argument
+// wins over the stored `Options::write_behind` block (which the no-arg
+// overload uses).
 #ifndef FMDS_SRC_CORE_MAP_OPTIONS_H_
 #define FMDS_SRC_CORE_MAP_OPTIONS_H_
 
@@ -29,13 +22,8 @@ namespace fmds {
 
 // NearCacheOptions plus the fleet-wide concerns a multi-cache map owns.
 // Inherits so every per-cache knob keeps its name (`cache.budget_bytes`,
-// `cache.admit_after`, ...) and whole-struct assignment from a bare
-// NearCacheOptions keeps compiling via the implicit adopting constructor.
+// `cache.admit_after`, ...).
 struct CacheOptions : NearCacheOptions {
-  CacheOptions() = default;
-  // Implicit: legacy `options.cache = NearCacheOptions{...}` still works.
-  CacheOptions(const NearCacheOptions& base) : NearCacheOptions(base) {}
-
   // Fleet-wide budget shared by sibling caches (ShardedMap: one shared
   // CacheBudget caps the summed bytes of ALL shards' rings). 0 keeps
   // per-cache budgets. Maps owning a single cache (HtTree) ignore it.

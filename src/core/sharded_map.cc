@@ -18,15 +18,6 @@ constexpr uint32_t kMaxShards = 1u << 12;
 // Distinguishes the write-behind flusher's client id from its application
 // client's (same convention as ht_tree.cc).
 constexpr uint64_t kWbClientIdBit = 1ull << 62;
-
-// The map_options.h defaulting rule for the fleet-wide cache budget: the
-// composable block (shard.cache.global_budget_bytes) wins when set;
-// otherwise the deprecated flat field seeds it.
-uint64_t EffectiveGlobalBudget(const ShardedMap::Options& options) {
-  return options.shard.cache.global_budget_bytes != 0
-             ? options.shard.cache.global_budget_bytes
-             : options.global_cache_budget_bytes;
-}
 }  // namespace
 
 uint32_t ShardedMap::ShardOf(uint64_t key) const {
@@ -66,7 +57,7 @@ Result<ShardedMap> ShardedMap::Create(FarClient* client, FarAllocator* alloc,
   ShardedMap map(client, directory);
   map.alloc_ = alloc;
   map.options_ = options;
-  if (const uint64_t global_budget = EffectiveGlobalBudget(options);
+  if (const uint64_t global_budget = options.shard.cache.global_budget_bytes;
       global_budget > 0) {
     map.shared_budget_ = std::make_shared<CacheBudget>(
         global_budget, options.shard.cache.high_watermark_bytes,
@@ -108,7 +99,7 @@ Result<ShardedMap> ShardedMap::Attach(FarClient* client, FarAllocator* alloc,
   ShardedMap map(client, directory);
   map.alloc_ = alloc;
   map.options_ = options;
-  if (const uint64_t global_budget = EffectiveGlobalBudget(options);
+  if (const uint64_t global_budget = options.shard.cache.global_budget_bytes;
       global_budget > 0) {
     map.shared_budget_ = std::make_shared<CacheBudget>(
         global_budget, options.shard.cache.high_watermark_bytes,
@@ -194,26 +185,26 @@ std::vector<Result<uint64_t>> ShardedMap::MultiGet(
     shard_keys[s].push_back(keys[i]);
     shard_pos[s].push_back(i);
   }
-  // Per-shard routing first: an RPC-priced shard ships its whole
-  // sub-batch to that node's agent and drops out of the wave loop; the
-  // rest run the one-sided engines below. Because route state is keyed by
-  // node, a skewed fleet splits — busy nodes walk one-sided, idle nodes
+  // One engine per shard consults the near paths; then per-shard routing:
+  // an RPC-priced shard ships its residue to that node's agent and drops
+  // out of the waves; the rest run one-sided. Because route state is keyed
+  // by node, a skewed fleet splits — busy nodes walk one-sided, idle nodes
   // answer by RPC — within a single MultiGet.
   std::vector<HtTree::BatchGet> engines;
   std::vector<size_t> engine_shard;
   engines.reserve(n);
   for (size_t s = 0; s < n; ++s) {
-    if (!shard_keys[s].empty()) {
-      std::vector<Result<uint64_t>> routed;
-      if (shards_[s].TryRouteMultiGet(shard_keys[s], &routed)) {
-        for (size_t j = 0; j < routed.size(); ++j) {
-          results[shard_pos[s][j]] = std::move(routed[j]);
-        }
-        continue;
+    const uint64_t t0 = client_->clock().now_ns();
+    engines.emplace_back(&shards_[s], std::span<const uint64_t>(shard_keys[s]));
+    if (engines.back().TryRoute(t0)) {
+      std::vector<Result<uint64_t>> routed = engines.back().Take();
+      for (size_t j = 0; j < routed.size(); ++j) {
+        results[shard_pos[s][j]] = std::move(routed[j]);
       }
+      engines.pop_back();
+      continue;
     }
     engine_shard.push_back(s);
-    engines.emplace_back(&shards_[s], std::span<const uint64_t>(shard_keys[s]));
   }
   // Each wave flushes EVERY remaining shard's posted ops in a single
   // doorbell, so sub-batches bound for different nodes overlap.
@@ -222,22 +213,7 @@ std::vector<Result<uint64_t>> ShardedMap::MultiGet(
   for (size_t e = 0; e < engine_shard.size(); ++e) {
     hops_before[e] = shards_[engine_shard[e]].op_stats().chain_hops;
   }
-  while (true) {
-    size_t posted = 0;
-    for (HtTree::BatchGet& engine : engines) {
-      posted += engine.PostWave();
-    }
-    if (posted == 0) {
-      break;
-    }
-    std::vector<FarClient::Completion> done;
-    (void)client_->WaitAll(&done);
-    const HtTree::CompletionMap completions =
-        HtTree::ToCompletionMap(std::move(done));
-    for (HtTree::BatchGet& engine : engines) {
-      engine.AbsorbWave(completions);
-    }
-  }
+  HtTree::RunWaves(client_, std::span(engines));
   // Scatter per-shard results back to input order; feed the router each
   // shard's PROPORTIONAL share of the wave-loop cost. Waves overlap
   // across shards, so charging every shard the full joint latency would
@@ -342,22 +318,7 @@ Status ShardedMap::MultiWrite(std::span<const uint64_t> keys,
                          std::span<const uint8_t>(shard_tombs[s]),
                          outcomes != nullptr ? &shard_outcomes[s] : nullptr);
   }
-  while (true) {
-    size_t posted = 0;
-    for (HtTree::BatchPut& engine : engines) {
-      posted += engine.PostWave();
-    }
-    if (posted == 0) {
-      break;
-    }
-    std::vector<FarClient::Completion> done;
-    (void)client_->WaitAll(&done);
-    const HtTree::CompletionMap completions =
-        HtTree::ToCompletionMap(std::move(done));
-    for (HtTree::BatchPut& engine : engines) {
-      engine.AbsorbWave(completions);
-    }
-  }
+  HtTree::RunWaves(client_, std::span(engines));
   Status first = OkStatus();
   for (HtTree::BatchPut& engine : engines) {
     const Status status = engine.Take();
@@ -460,8 +421,7 @@ Status ShardedMap::EnableWriteBehind(const WriteBehindOptions& wb_options) {
       client_->fabric(), client_->id() | kWbClientIdBit,
       wb_options.flusher_client);
   Options fopt = options_;
-  fopt.shard.cache = NearCacheOptions{};
-  fopt.global_cache_budget_bytes = 0;
+  fopt.shard.cache = CacheOptions{};
   FMDS_ASSIGN_OR_RETURN(
       ShardedMap handle,
       Attach(flusher_client.get(), alloc_, directory_, fopt));

@@ -48,17 +48,6 @@ class ShardedMap : public FarMap {
     // placement round-robin per allocation — a measurable anti-pattern
     // (bench_e11): batches then touch every node per shard.
     bool pin_shards = true;
-    // DEPRECATED flat alias for `shard.cache.global_budget_bytes` (the
-    // composable CacheOptions block, src/core/map_options.h). The
-    // defaulting rule: a non-zero block value wins; otherwise this field
-    // seeds it, so old code compiles and behaves unchanged. Fleet-wide
-    // NearCache budget: one shared CacheBudget caps the summed bytes of
-    // ALL shards' rings (near_cache_bytes() == the shared total), so the
-    // client's footprint stays bounded as shard counts grow instead of
-    // multiplying per-shard budgets. Overrides shard.cache.budget_bytes
-    // when non-zero; shard.cache's watermark fields configure the shared
-    // watermarks (background eviction drains whichever shards hold bytes).
-    uint64_t global_cache_budget_bytes = 0;
     // Route MultiPut through the transaction chainlet builder: all keys
     // publish atomically (one prepare/validate/commit round) instead of
     // the independent per-key waves. Ignored while write-behind is on
@@ -155,7 +144,7 @@ class ShardedMap : public FarMap {
   // Aggregated per-shard NearCache counters (zeros when caching is off).
   NearCacheStats near_cache_stats() const;
   // Total bytes resident across the shards' NearCaches (== the shared
-  // budget's used total when global_cache_budget_bytes is set).
+  // budget's used total when shard.cache.global_budget_bytes is set).
   uint64_t near_cache_bytes() const;
   // The fleet-wide budget, or null when per-shard budgets are in use.
   const std::shared_ptr<CacheBudget>& shared_cache_budget() const {

@@ -152,12 +152,11 @@ std::vector<Result<uint64_t>> Txn::MultiGet(std::span<const uint64_t> keys) {
     return results;
   }
 
-  // Batched chain walks: one txn-mode wave engine per shard, every wave
-  // flushed through a single doorbell across ALL shards (the §7 fan-out).
-  // A read set over depth-d chains costs O(d) doorbells total, where the
-  // old per-key TxnRead fallback paid O(keys × d) sequential round trips.
-  // Keys the engine cannot resolve wait-free (pending or stale heads)
-  // fall back to the sync path's retry/backoff discipline below.
+  // Batched chain walks: one txn-mode engine per shard, every wave flushed
+  // through a single doorbell across ALL shards (the §7 fan-out). A read
+  // set over depth-d chains costs O(d) doorbells total instead of
+  // O(keys × d) sequential round trips; the engines wait out pending heads
+  // and refresh stale tries themselves.
   std::vector<HtTree::BatchGet> engines;
   std::vector<uint32_t> engine_shard;
   for (uint32_t s = 0; s < num_shards; ++s) {
@@ -169,60 +168,29 @@ std::vector<Result<uint64_t>> Txn::MultiGet(std::span<const uint64_t> keys) {
                          /*txn_mode=*/true);
     engine_shard.push_back(s);
   }
-  while (true) {
-    size_t posted = 0;
-    for (HtTree::BatchGet& engine : engines) {
-      posted += engine.PostWave();
-    }
-    if (posted == 0) {
-      break;
-    }
-    std::vector<FarClient::Completion> done;
-    (void)c->WaitAll(&done);
-    const auto completions = HtTree::ToCompletionMap(std::move(done));
-    for (HtTree::BatchGet& engine : engines) {
-      engine.AbsorbWave(completions);
-    }
-  }
+  HtTree::RunWaves(c, std::span(engines));
   for (size_t e = 0; e < engines.size(); ++e) {
     const uint32_t s = engine_shard[e];
-    HtTree* shard = &map_->shard(s);
     for (size_t j = 0; j < shard_keys[s].size(); ++j) {
       const size_t idx = shard_pos[s][j];
-      const uint64_t key = shard_keys[s][j];
       if (aborted_) {
         results[idx] = Aborted("txn aborted during multiget");
         continue;
       }
-      HtTree::TxnReadView view;
-      switch (engines[e].txn_outcome(j)) {
-        case HtTree::BatchGet::TxnOutcome::kError:
-          results[idx] = engines[e].txn_error(j);
-          continue;
-        case HtTree::BatchGet::TxnOutcome::kView:
-          view = engines[e].txn_view(j);
-          break;
-        case HtTree::BatchGet::TxnOutcome::kFallback: {
-          auto fallback = shard->TxnRead(key, /*allow_cache=*/false);
-          --shard->op_stats_.gets;  // the engine already counted this key
-          if (!fallback.ok()) {
-            results[idx] =
-                fallback.status().code() == StatusCode::kAborted
-                    ? Abort("txn read outwaited a pending bucket")
-                    : fallback.status();
-            continue;
-          }
-          view = *fallback;
-          break;
-        }
+      const Result<HtTree::TxnReadView> view = engines[e].TakeView(j);
+      if (!view.ok()) {
+        results[idx] = view.status().code() == StatusCode::kAborted
+                           ? Abort("txn read outwaited a pending bucket")
+                           : view.status();
+        continue;
       }
-      Status rec = RecordView(key, s, view, true);
+      Status rec = RecordView(shard_keys[s][j], s, *view, true);
       if (!rec.ok()) {
         results[idx] = rec;
         continue;
       }
-      results[idx] = view.found
-                         ? Result<uint64_t>(view.value)
+      results[idx] = view->found
+                         ? Result<uint64_t>(view->value)
                          : Result<uint64_t>(NotFound("txn: key absent"));
     }
   }
@@ -411,18 +379,24 @@ Status Txn::Commit() {
   // the items visible before the CAS links them).
   if (commits.size() == 1 && buckets_.size() == 1) {
     BucketCommit& bc = commits.front();
+    FarClient::OpId first_write = 0;
     for (const auto& [slot, img] : bc.items) {
-      (void)c->PostWrite(slot, AsConstBytes(img));
+      const FarClient::OpId id = c->PostWrite(slot, AsConstBytes(img));
+      if (first_write == 0) {
+        first_write = id;
+      }
     }
-    bc.cas_op = c->PostCompareSwap(bc.bucket, bc.expected, bc.final_head);
+    // The CAS runs only if every chainlet body landed.
+    bc.cas_op = c->PostCompareSwap(bc.bucket, bc.expected, bc.final_head,
+                                   first_write);
     std::vector<FarClient::Completion> done;
     FMDS_RETURN_IF_ERROR(c->WaitAll(&done));
-    const auto completions = HtTree::ToCompletionMap(std::move(done));
-    const auto it = completions.find(bc.cas_op);
-    if (it == completions.end()) {
+    const FarClient::Completion* cas =
+        FarClient::FindCompletion(done, bc.cas_op);
+    if (cas == nullptr) {
       return Internal("txn commit CAS completion lost");
     }
-    if (it->second.word != bc.expected) {
+    if (cas->word != bc.expected) {
       ++c->mutable_stats().txn_prepare_fails;
       return Abort("txn commit CAS lost the bucket");
     }
@@ -438,25 +412,32 @@ Status Txn::Commit() {
   // NOTE: with shard pinning, a bucket's items and its bucket word live on
   // the same node, so the doorbell's per-node post order guarantees the
   // bodies land first (the same contract MultiPut relies on).
+  // Each lock-record CAS runs only if its bucket's bodies landed; a bucket
+  // whose CAS failed or was cancelled joins the rollback path below.
   for (BucketCommit& bc : commits) {
+    FarClient::OpId first_write = 0;
     for (const auto& [slot, img] : bc.items) {
-      (void)c->PostWrite(slot, AsConstBytes(img));
+      const FarClient::OpId id = c->PostWrite(slot, AsConstBytes(img));
+      if (first_write == 0) {
+        first_write = id;
+      }
     }
     (void)c->PostWrite(bc.pending, AsConstBytes(bc.pending_item));
-    bc.cas_op = c->PostCompareSwap(bc.bucket, bc.expected, bc.pending);
+    bc.cas_op = c->PostCompareSwap(bc.bucket, bc.expected, bc.pending,
+                                   first_write);
   }
   std::vector<FarClient::Completion> done;
-  FMDS_RETURN_IF_ERROR(c->WaitAll(&done));
-  const auto completions = HtTree::ToCompletionMap(std::move(done));
+  (void)c->WaitAll(&done);
   std::vector<BucketCommit*> prepared;
   bool prepare_failed = false;
   for (BucketCommit& bc : commits) {
-    const auto it = completions.find(bc.cas_op);
-    if (it == completions.end() || !it->second.status.ok()) {
+    const FarClient::Completion* cas =
+        FarClient::FindCompletion(done, bc.cas_op);
+    if (cas == nullptr || !cas->status.ok()) {
       prepare_failed = true;
       continue;
     }
-    if (it->second.word == bc.expected) {
+    if (cas->word == bc.expected) {
       prepared.push_back(&bc);
     } else {
       prepare_failed = true;

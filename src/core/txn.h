@@ -68,8 +68,8 @@ class Txn {
   Result<uint64_t> Get(uint64_t key);
 
   // Batched Get: unresolved keys' bucket probes ride one doorbell across
-  // all shards (chains, stale caches, and pending buckets fall back to the
-  // synchronous path). Per-key results match Get.
+  // all shards, and chain walks, stale-trie refreshes and pending waits
+  // proceed in later waves. Per-key results match Get.
   std::vector<Result<uint64_t>> MultiGet(std::span<const uint64_t> keys);
 
   // Buffers a write; nothing reaches far memory until Commit. The key's

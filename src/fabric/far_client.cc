@@ -1,6 +1,7 @@
 #include "src/fabric/far_client.h"
 
 #include <algorithm>
+#include <cassert>
 #include <chrono>
 #include <thread>
 #include <unordered_set>
@@ -646,78 +647,73 @@ Status FarClient::CasBatch(std::span<const CasTarget> targets,
 
 // ------------------------- Async batched pipeline -------------------------
 
-FarClient::OpId FarClient::Enqueue(PendingOp op) {
+FarClient::PendingOp& FarClient::NewOp(OpKind kind, FarAddr addr) {
+  if (issued_ == issue_queue_.size()) {
+    issue_queue_.emplace_back();
+  }
+  PendingOp& op = issue_queue_[issued_++];
   op.id = next_op_id_++;
-  const OpId id = op.id;
-  issue_queue_.push_back(std::move(op));
-  return id;
+  op.kind = kind;
+  op.addr = addr;
+  op.arg0 = 0;
+  op.arg1 = 0;
+  op.guard = 0;
+  op.out = {};
+  op.payload.clear();
+  op.iov.clear();
+  return op;
 }
 
 FarClient::OpId FarClient::PostRead(FarAddr addr, std::span<std::byte> out) {
-  PendingOp op;
-  op.kind = OpKind::kRead;
-  op.addr = addr;
+  PendingOp& op = NewOp(OpKind::kRead, addr);
   op.out = out;
-  return Enqueue(std::move(op));
+  return op.id;
 }
 
 FarClient::OpId FarClient::PostWrite(FarAddr addr,
                                      std::span<const std::byte> data) {
-  PendingOp op;
-  op.kind = OpKind::kWrite;
-  op.addr = addr;
+  PendingOp& op = NewOp(OpKind::kWrite, addr);
   op.payload.assign(data.begin(), data.end());
-  return Enqueue(std::move(op));
+  return op.id;
 }
 
 FarClient::OpId FarClient::PostReadWord(FarAddr addr) {
-  PendingOp op;
-  op.kind = OpKind::kReadWord;
-  op.addr = addr;
-  return Enqueue(std::move(op));
+  return NewOp(OpKind::kReadWord, addr).id;
 }
 
 FarClient::OpId FarClient::PostWriteWord(FarAddr addr, uint64_t value) {
-  PendingOp op;
-  op.kind = OpKind::kWriteWord;
-  op.addr = addr;
+  PendingOp& op = NewOp(OpKind::kWriteWord, addr);
   op.arg0 = value;
-  return Enqueue(std::move(op));
+  return op.id;
 }
 
 FarClient::OpId FarClient::PostCompareSwap(FarAddr addr, uint64_t expected,
-                                           uint64_t desired) {
-  PendingOp op;
-  op.kind = OpKind::kCas;
-  op.addr = addr;
+                                           uint64_t desired, OpId guard) {
+  PendingOp& op = NewOp(OpKind::kCas, addr);
   op.arg0 = expected;
   op.arg1 = desired;
-  return Enqueue(std::move(op));
+  op.guard = guard;
+  return op.id;
 }
 
 FarClient::OpId FarClient::PostFetchAdd(FarAddr addr, uint64_t delta) {
-  PendingOp op;
-  op.kind = OpKind::kFetchAdd;
-  op.addr = addr;
+  PendingOp& op = NewOp(OpKind::kFetchAdd, addr);
   op.arg0 = delta;
-  return Enqueue(std::move(op));
+  return op.id;
 }
 
 FarClient::OpId FarClient::PostLoad0(FarAddr ad, std::span<std::byte> out) {
-  PendingOp op;
-  op.kind = OpKind::kLoad0;
-  op.addr = ad;
+  PendingOp& op = NewOp(OpKind::kLoad0, ad);
   op.out = out;
-  return Enqueue(std::move(op));
+  return op.id;
 }
 
 FarClient::OpId FarClient::PostRGather(std::vector<FarSeg> iov,
                                        std::span<std::byte> out) {
-  PendingOp op;
-  op.kind = OpKind::kRGather;
+  PendingOp& op = NewOp(OpKind::kRGather, kNullFarAddr);
   op.iov = std::move(iov);
   op.out = out;
-  return Enqueue(std::move(op));
+  return op.id;
 }
 
 Status FarClient::ExecuteBatchedOp(
@@ -954,11 +950,9 @@ Status FarClient::ExecuteBatchedOp(
 }
 
 Status FarClient::Flush() {
-  if (issue_queue_.empty()) {
+  if (issued_ == 0) {
     return OkStatus();
   }
-  std::vector<PendingOp> batch;
-  batch.swap(issue_queue_);
   std::unordered_map<NodeId, BatchGroup> groups;
   uint64_t messages = 0;
   uint64_t fabric_ops = 0;   // logical round trips the sync path would pay
@@ -966,24 +960,35 @@ Status FarClient::Flush() {
   uint64_t serial_rtts = 0;
   const bool observing = obs_.recording();
   std::vector<BatchOpObs> op_obs;
+  const size_t batch_size = issued_;
   if (observing) {
-    op_obs.resize(batch.size());
+    op_obs.resize(batch_size);
   }
-  for (size_t i = 0; i < batch.size(); ++i) {
-    PendingOp& op = batch[i];
+  Completion failed;  // latest failure: cancels the CASes it guards
+  for (size_t i = 0; i < batch_size; ++i) {
+    PendingOp& op = issue_queue_[i];
     Completion completion;
     completion.id = op.id;
-    uint64_t word = 0;
-    completion.status = ExecuteBatchedOp(op, &word, groups, &messages,
-                                         &fabric_ops, &serial_ns,
-                                         &serial_rtts,
-                                         observing ? &op_obs[i] : nullptr);
-    completion.word = word;
+    if (op.guard != 0 && failed.id >= op.guard) {
+      completion.status = failed.status;
+      if (observing) {
+        op_obs[i].kind = FarOpKind::kCas;
+        op_obs[i].addr = op.addr;
+      }
+    } else {
+      completion.status = ExecuteBatchedOp(
+          op, &completion.word, groups, &messages, &fabric_ops, &serial_ns,
+          &serial_rtts, observing ? &op_obs[i] : nullptr);
+    }
+    if (!completion.status.ok()) {
+      failed = completion;
+    }
     if (observing) {
       op_obs[i].ok = completion.status.ok();
     }
     completion_queue_.push_back(std::move(completion));
   }
+  issued_ = 0;
   // One doorbell: per-node groups proceed in parallel; the client waits for
   // the slowest, then for any serialized dependent accesses.
   uint64_t batch_ns = 0;
@@ -1006,7 +1011,7 @@ Status FarClient::Flush() {
     batch_ns = std::max(batch_ns, cost);
   }
   ++stats_.batches;
-  stats_.batched_ops += batch.size();
+  stats_.batched_ops += batch_size;
   stats_.messages += messages;
   const uint64_t waited_rtts = (groups.empty() ? 0 : 1) + serial_rtts;
   stats_.far_ops += waited_rtts;
@@ -1077,6 +1082,63 @@ Status FarClient::WaitAll(std::vector<Completion>* out) {
     }
   }
   return first;
+}
+
+void FarClient::ExecuteSerially(std::span<Completion> done) {
+  assert(done.size() == issued_);
+  Completion failed;  // latest failure: cancels the CASes it guards
+  for (size_t i = 0; i < done.size(); ++i) {
+    PendingOp& op = issue_queue_[i];
+    Completion& completion = done[i];
+    completion.id = op.id;
+    completion.word = 0;
+    auto word = [&completion](const Result<uint64_t>& r) {
+      completion.word = r.ok() ? *r : 0;
+      return r.status();
+    };
+    if (op.guard != 0 && failed.id >= op.guard) {
+      completion.status = failed.status;
+      continue;
+    }
+    switch (op.kind) {
+      case OpKind::kRead:
+        completion.status = Read(op.addr, op.out);
+        break;
+      case OpKind::kWrite:
+        completion.status = Write(op.addr, op.payload);
+        break;
+      case OpKind::kReadWord:
+        completion.status = word(ReadWord(op.addr));
+        break;
+      case OpKind::kWriteWord:
+        completion.status = WriteWord(op.addr, op.arg0);
+        break;
+      case OpKind::kCas:
+        completion.status = word(CompareSwap(op.addr, op.arg0, op.arg1));
+        break;
+      case OpKind::kFetchAdd:
+        completion.status = word(FetchAdd(op.addr, op.arg0));
+        break;
+      case OpKind::kLoad0:
+        completion.status = word(Load0(op.addr, op.out));
+        break;
+      case OpKind::kRGather:
+        completion.status = RGather(op.iov, op.out);
+        break;
+    }
+    if (!completion.status.ok()) {
+      failed = completion;
+    }
+  }
+  issued_ = 0;
+}
+
+const FarClient::Completion* FarClient::FindCompletion(
+    std::span<const Completion> done, OpId id) {
+  const auto it = std::lower_bound(
+      done.begin(), done.end(), id,
+      [](const Completion& c, OpId target) { return c.id < target; });
+  return it != done.end() && it->id == id ? &*it : nullptr;
 }
 
 // ------------------------------ Notifications ------------------------------

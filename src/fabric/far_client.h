@@ -179,14 +179,20 @@ class FarClient {
   OpId PostWrite(FarAddr addr, std::span<const std::byte> data);
   OpId PostReadWord(FarAddr addr);
   OpId PostWriteWord(FarAddr addr, uint64_t value);
-  OpId PostCompareSwap(FarAddr addr, uint64_t expected, uint64_t desired);
+  // With `guard` set to an op posted earlier in the same batch, the CAS
+  // runs only if every op from `guard` up to it succeeded; otherwise it
+  // completes with that failure and no memory effect. A CAS that links
+  // items written in the same doorbell must never publish a slot whose
+  // write failed.
+  OpId PostCompareSwap(FarAddr addr, uint64_t expected, uint64_t desired,
+                       OpId guard = 0);
   OpId PostFetchAdd(FarAddr addr, uint64_t delta);
   // Indirect read (Fig. 1 load0): tmp = *ad, read out.size() bytes at tmp.
   OpId PostLoad0(FarAddr ad, std::span<std::byte> out);
   // Scatter-gather read of a far iovec into the contiguous `out`.
   OpId PostRGather(std::vector<FarSeg> iov, std::span<std::byte> out);
 
-  size_t pending_ops() const { return issue_queue_.size(); }
+  size_t pending_ops() const { return issued_; }
   size_t pending_completions() const { return completion_queue_.size(); }
 
   // Doorbell: submits every posted op in post order, advances the clock by
@@ -198,6 +204,16 @@ class FarClient {
   // Flushes pending ops, drains every completion into `out` (if given), and
   // returns OK iff all drained ops succeeded (first error otherwise).
   Status WaitAll(std::vector<Completion>* out = nullptr);
+  // The serial alternative to a doorbell: executes every posted op as the
+  // sync verb it stands for (one round trip each, same accounting, same
+  // CAS guard rule), in post order, writing op i's completion to done[i].
+  // `done` must hold exactly pending_ops() slots. Charges no completion
+  // check: the caller waited on each verb.
+  void ExecuteSerially(std::span<Completion> done);
+  // The completion of op `id` in `done`, a flushed batch in post order
+  // (ids ascending), or nullptr when `id` is not in it.
+  static const Completion* FindCompletion(std::span<const Completion> done,
+                                          OpId id);
 
   // ----------------------- Notifications (§4.3) -----------------------
   // Read-and-arm registration: if `snapshot` is non-null it receives the
@@ -339,6 +355,7 @@ class FarClient {
     FarAddr addr = kNullFarAddr;
     uint64_t arg0 = 0;  // CAS expected / fetch-add delta / write word value
     uint64_t arg1 = 0;  // CAS desired
+    OpId guard = 0;     // CAS: first op whose failure cancels it
     std::span<std::byte> out;        // read destination (caller-owned)
     std::vector<std::byte> payload;  // write data (copied at Post time)
     std::vector<FarSeg> iov;         // rgather source list
@@ -370,7 +387,9 @@ class FarClient {
   // the channel capacity (overflow collapses to one loss warning).
   void ParkEvent(NotifyEvent ev);
 
-  OpId Enqueue(PendingOp op);
+  // Appends a posted op in a slot of the issue queue, reusing one an
+  // earlier batch left (and its buffers' capacity).
+  PendingOp& NewOp(OpKind kind, FarAddr addr);
   // Executes one posted op against the memory nodes, accumulating node-group
   // charges into `groups` and message/serial-RTT totals; returns the
   // per-op status and fills `word`. When `obs` is non-null it receives the
@@ -418,7 +437,10 @@ class FarClient {
   std::deque<NotifyEvent> parked_events_;
   size_t channel_capacity_;
 
+  // Slots of posted ops: the first issued_ are this batch, in post order;
+  // the rest are spares kept from larger batches.
   std::vector<PendingOp> issue_queue_;
+  size_t issued_ = 0;
   std::deque<Completion> completion_queue_;
   OpId next_op_id_ = 1;
 };

@@ -5,48 +5,13 @@
 namespace fmds {
 
 std::string ClientStats::ToString() const {
-  char buf[768];
-  std::snprintf(buf, sizeof(buf),
-                "far_ops=%llu msgs=%llu rd=%lluB wr=%lluB near=%llu rpc=%llu "
-                "notif=%llu slow=%llu bg=%llu batches=%llu batched=%llu "
-                "rtts_saved=%llu fanout=%llu xnode_saved=%llu "
-                "cache_hit=%llu cache_miss=%llu cache_inval=%llu "
-                "txn_commit=%llu txn_abort=%llu txn_vfail=%llu txn_pfail=%llu "
-                "wb_combined=%llu wb_stages=%llu bg_evict=%llu "
-                "route_1s=%llu route_rpc=%llu route_probe=%llu "
-                "route_flip=%llu ovl_shed=%llu ovl_retry=%llu ovl_fail=%llu",
-                static_cast<unsigned long long>(far_ops),
-                static_cast<unsigned long long>(messages),
-                static_cast<unsigned long long>(bytes_read),
-                static_cast<unsigned long long>(bytes_written),
-                static_cast<unsigned long long>(near_ops),
-                static_cast<unsigned long long>(rpc_calls),
-                static_cast<unsigned long long>(notifications),
-                static_cast<unsigned long long>(slow_path_ops),
-                static_cast<unsigned long long>(background_ops),
-                static_cast<unsigned long long>(batches),
-                static_cast<unsigned long long>(batched_ops),
-                static_cast<unsigned long long>(overlapped_rtts_saved),
-                static_cast<unsigned long long>(fanout_batches),
-                static_cast<unsigned long long>(cross_node_rtts_saved),
-                static_cast<unsigned long long>(cache_hits),
-                static_cast<unsigned long long>(cache_misses),
-                static_cast<unsigned long long>(cache_invalidations),
-                static_cast<unsigned long long>(txn_commits),
-                static_cast<unsigned long long>(txn_aborts),
-                static_cast<unsigned long long>(txn_validate_fails),
-                static_cast<unsigned long long>(txn_prepare_fails),
-                static_cast<unsigned long long>(writes_combined),
-                static_cast<unsigned long long>(flush_stages),
-                static_cast<unsigned long long>(bg_evictions),
-                static_cast<unsigned long long>(route_one_sided),
-                static_cast<unsigned long long>(route_rpc),
-                static_cast<unsigned long long>(route_probes),
-                static_cast<unsigned long long>(route_flips),
-                static_cast<unsigned long long>(overload_sheds),
-                static_cast<unsigned long long>(overload_retries),
-                static_cast<unsigned long long>(overload_failures));
-  return buf;
+  std::string out;
+#define FMDS_STATS_TO_STRING(name)               \
+  out += out.empty() ? #name "=" : " " #name "="; \
+  out += std::to_string(name);
+  FMDS_CLIENT_STATS(FMDS_STATS_TO_STRING)
+#undef FMDS_STATS_TO_STRING
+  return out;
 }
 
 std::string NodeStats::ToString() const {

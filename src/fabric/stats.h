@@ -10,140 +10,99 @@
 
 namespace fmds {
 
+// Every per-client counter, declared once; ClientStats' fields, Delta, Add
+// and ToString (`name=value` per field) are all generated from this list.
+//   far_ops .. background_ops: one-sided round trips issued, fabric
+//     messages (segments, forward hops), payload bytes moved far -> client
+//     and client -> far, local (client cache) accesses accounted, two-sided
+//     calls (baselines), notification events consumed, data-structure
+//     slow-path entries, far ops posted off the critical path.
+//   batches .. overlapped_rtts_saved: the async pipeline (doorbell
+//     batching). far_ops counts round-trip latencies the client serially
+//     waited for, so a flushed batch of k independent ops bumps far_ops
+//     once and these record the pipelining: Flush() doorbells issued, ops
+//     carried inside them, round trips overlapped vs the sync path.
+//   fanout_batches, cross_node_rtts_saved: cross-node fan-out (§7
+//     scale-out). A flushed batch whose ops span several memory nodes
+//     issues the per-node sub-batches concurrently and waits for the
+//     slowest node, not the sum: flushes that spanned > 1 node, and node
+//     doorbells overlapped vs one-node-at-a-time issue (G-1 each).
+//   cache_*: NearCache (src/cache/). A hit replaces a far round trip with
+//     a near access; an invalidation is a notification-driven entry kill.
+//   txn_*: optimistic multi-key transactions (src/core/txn.*): commit and
+//     abort outcomes, and why a commit attempt died (read-set word changed
+//     under the txn / write-set bucket CAS mispredicted). abort rate =
+//     txn_aborts / (txn_commits + txn_aborts).
+//   writes_combined, flush_stages, bg_evictions: write-behind dataplane
+//     (src/core/write_behind.*). The app thread enqueues; a flusher thread
+//     publishes. Pending writes absorbed by a newer write to the same key
+//     before any doorbell (app client); pipeline stage executions by the
+//     flusher (coalesce / publish / refill passes, flusher client); cache
+//     entries reclaimed off the hot path by a background evictor (evictor
+//     client).
+//   route_*: adaptive dataplane routing (src/route/), per-op decisions
+//     between the one-sided fabric path and shipping the op to the node's
+//     near-memory RPC agent. Probes are decisions deliberately sent down
+//     the currently non-preferred path to keep its estimate fresh; flips
+//     count changes of the preferred path (a crossover crossing that beat
+//     the hysteresis band).
+//   overload_*: congestion control (DESIGN.md §14). Sheds counts
+//     kOverloaded bounces this client observed (each one a completed,
+//     failed round trip); retries counts backoff re-offers the retry
+//     policy took; failures counts operations that surfaced kOverloaded to
+//     the caller after the policy gave up.
+#define FMDS_CLIENT_STATS(X) \
+  X(far_ops)                 \
+  X(messages)                \
+  X(bytes_read)              \
+  X(bytes_written)           \
+  X(near_ops)                \
+  X(rpc_calls)               \
+  X(notifications)           \
+  X(slow_path_ops)           \
+  X(background_ops)          \
+  X(batches)                 \
+  X(batched_ops)             \
+  X(overlapped_rtts_saved)   \
+  X(fanout_batches)          \
+  X(cross_node_rtts_saved)   \
+  X(cache_hits)              \
+  X(cache_misses)            \
+  X(cache_invalidations)     \
+  X(txn_commits)             \
+  X(txn_aborts)              \
+  X(txn_validate_fails)      \
+  X(txn_prepare_fails)       \
+  X(writes_combined)         \
+  X(flush_stages)            \
+  X(bg_evictions)            \
+  X(route_one_sided)         \
+  X(route_rpc)               \
+  X(route_probes)            \
+  X(route_flips)             \
+  X(overload_sheds)          \
+  X(overload_retries)        \
+  X(overload_failures)
+
 // Per-client counters. A FarClient is owned by one application thread, so
 // these are plain integers (no synchronization cost on the hot path).
 struct ClientStats {
-  uint64_t far_ops = 0;         // one-sided round trips issued
-  uint64_t messages = 0;        // fabric messages (segments, forward hops)
-  uint64_t bytes_read = 0;      // payload bytes moved far -> client
-  uint64_t bytes_written = 0;   // payload bytes moved client -> far
-  uint64_t near_ops = 0;        // local (client cache) accesses accounted
-  uint64_t rpc_calls = 0;       // two-sided calls (baselines)
-  uint64_t notifications = 0;   // notification events consumed
-  uint64_t slow_path_ops = 0;   // data-structure slow-path entries
-  uint64_t background_ops = 0;  // far ops posted off the critical path
-  // Async pipeline (doorbell batching): far_ops counts round-trip latencies
-  // the client serially waited for, so a flushed batch of k independent ops
-  // bumps far_ops once and these three record the pipelining.
-  uint64_t batches = 0;               // Flush() doorbells issued
-  uint64_t batched_ops = 0;           // ops carried inside those batches
-  uint64_t overlapped_rtts_saved = 0; // round trips overlapped vs sync path
-  // Cross-node fan-out (§7 scale-out): a flushed batch whose ops span
-  // several memory nodes issues the per-node sub-batches concurrently and
-  // waits for the slowest node, not the sum.
-  uint64_t fanout_batches = 0;        // flushes that spanned > 1 node
-  uint64_t cross_node_rtts_saved = 0; // node doorbells overlapped vs
-                                      // one-node-at-a-time issue (G-1 each)
-  // NearCache (src/cache/): a hit replaces a far round trip with a near
-  // access; an invalidation is a notification-driven entry kill.
-  uint64_t cache_hits = 0;
-  uint64_t cache_misses = 0;
-  uint64_t cache_invalidations = 0;
-  // Optimistic multi-key transactions (src/core/txn.*): commit/abort
-  // outcomes and the reason a commit attempt died. abort rate =
-  // txn_aborts / (txn_commits + txn_aborts).
-  uint64_t txn_commits = 0;
-  uint64_t txn_aborts = 0;
-  uint64_t txn_validate_fails = 0;  // read-set word changed under the txn
-  uint64_t txn_prepare_fails = 0;   // write-set bucket CAS mispredicted
-  // Write-behind dataplane (src/core/write_behind.*): the app thread
-  // enqueues; a flusher thread publishes. writes_combined counts pending
-  // writes absorbed by a newer write to the same key before any doorbell
-  // (app client); flush_stages counts pipeline stage executions by the
-  // flusher (coalesce / publish / refill passes, flusher client);
-  // bg_evictions counts cache entries reclaimed off the hot path by a
-  // background evictor (evictor client).
-  uint64_t writes_combined = 0;
-  uint64_t flush_stages = 0;
-  uint64_t bg_evictions = 0;
-  // Adaptive dataplane routing (src/route/): per-op decisions between the
-  // one-sided fabric path and shipping the op to the node's near-memory RPC
-  // agent. Probes are decisions deliberately sent down the currently
-  // non-preferred path to keep its estimate fresh; flips count changes of
-  // the preferred path (a crossover crossing that beat the hysteresis band).
-  uint64_t route_one_sided = 0;
-  uint64_t route_rpc = 0;
-  uint64_t route_probes = 0;
-  uint64_t route_flips = 0;
-  // Congestion control (DESIGN.md §14): sheds counts kOverloaded bounces
-  // this client observed (each one a completed, failed round trip);
-  // retries counts backoff re-offers the retry policy took; failures
-  // counts operations that surfaced kOverloaded to the caller after the
-  // policy gave up.
-  uint64_t overload_sheds = 0;
-  uint64_t overload_retries = 0;
-  uint64_t overload_failures = 0;
+#define FMDS_STATS_FIELD(name) uint64_t name = 0;
+  FMDS_CLIENT_STATS(FMDS_STATS_FIELD)
+#undef FMDS_STATS_FIELD
 
   ClientStats Delta(const ClientStats& earlier) const {
     ClientStats d;
-    d.far_ops = far_ops - earlier.far_ops;
-    d.messages = messages - earlier.messages;
-    d.bytes_read = bytes_read - earlier.bytes_read;
-    d.bytes_written = bytes_written - earlier.bytes_written;
-    d.near_ops = near_ops - earlier.near_ops;
-    d.rpc_calls = rpc_calls - earlier.rpc_calls;
-    d.notifications = notifications - earlier.notifications;
-    d.slow_path_ops = slow_path_ops - earlier.slow_path_ops;
-    d.background_ops = background_ops - earlier.background_ops;
-    d.batches = batches - earlier.batches;
-    d.batched_ops = batched_ops - earlier.batched_ops;
-    d.overlapped_rtts_saved =
-        overlapped_rtts_saved - earlier.overlapped_rtts_saved;
-    d.fanout_batches = fanout_batches - earlier.fanout_batches;
-    d.cross_node_rtts_saved =
-        cross_node_rtts_saved - earlier.cross_node_rtts_saved;
-    d.cache_hits = cache_hits - earlier.cache_hits;
-    d.cache_misses = cache_misses - earlier.cache_misses;
-    d.cache_invalidations = cache_invalidations - earlier.cache_invalidations;
-    d.txn_commits = txn_commits - earlier.txn_commits;
-    d.txn_aborts = txn_aborts - earlier.txn_aborts;
-    d.txn_validate_fails = txn_validate_fails - earlier.txn_validate_fails;
-    d.txn_prepare_fails = txn_prepare_fails - earlier.txn_prepare_fails;
-    d.writes_combined = writes_combined - earlier.writes_combined;
-    d.flush_stages = flush_stages - earlier.flush_stages;
-    d.bg_evictions = bg_evictions - earlier.bg_evictions;
-    d.route_one_sided = route_one_sided - earlier.route_one_sided;
-    d.route_rpc = route_rpc - earlier.route_rpc;
-    d.route_probes = route_probes - earlier.route_probes;
-    d.route_flips = route_flips - earlier.route_flips;
-    d.overload_sheds = overload_sheds - earlier.overload_sheds;
-    d.overload_retries = overload_retries - earlier.overload_retries;
-    d.overload_failures = overload_failures - earlier.overload_failures;
+#define FMDS_STATS_DELTA(name) d.name = name - earlier.name;
+    FMDS_CLIENT_STATS(FMDS_STATS_DELTA)
+#undef FMDS_STATS_DELTA
     return d;
   }
 
   void Add(const ClientStats& other) {
-    far_ops += other.far_ops;
-    messages += other.messages;
-    bytes_read += other.bytes_read;
-    bytes_written += other.bytes_written;
-    near_ops += other.near_ops;
-    rpc_calls += other.rpc_calls;
-    notifications += other.notifications;
-    slow_path_ops += other.slow_path_ops;
-    background_ops += other.background_ops;
-    batches += other.batches;
-    batched_ops += other.batched_ops;
-    overlapped_rtts_saved += other.overlapped_rtts_saved;
-    fanout_batches += other.fanout_batches;
-    cross_node_rtts_saved += other.cross_node_rtts_saved;
-    cache_hits += other.cache_hits;
-    cache_misses += other.cache_misses;
-    cache_invalidations += other.cache_invalidations;
-    txn_commits += other.txn_commits;
-    txn_aborts += other.txn_aborts;
-    txn_validate_fails += other.txn_validate_fails;
-    txn_prepare_fails += other.txn_prepare_fails;
-    writes_combined += other.writes_combined;
-    flush_stages += other.flush_stages;
-    bg_evictions += other.bg_evictions;
-    route_one_sided += other.route_one_sided;
-    route_rpc += other.route_rpc;
-    route_probes += other.route_probes;
-    route_flips += other.route_flips;
-    overload_sheds += other.overload_sheds;
-    overload_retries += other.overload_retries;
-    overload_failures += other.overload_failures;
+#define FMDS_STATS_ADD(name) name += other.name;
+    FMDS_CLIENT_STATS(FMDS_STATS_ADD)
+#undef FMDS_STATS_ADD
   }
 
   std::string ToString() const;

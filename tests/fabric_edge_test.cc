@@ -135,6 +135,33 @@ TEST(FabricEdgeTest, ClientStatsDeltaAndToString) {
   EXPECT_EQ(sum.far_ops, client.stats().far_ops);
 }
 
+TEST(FabricEdgeTest, ClientStatsDeltaAndAddMoveOnlyTheSetField) {
+  // Walks the one field list: setting a single counter must move exactly
+  // that counter through Delta and Add, and print under its own name.
+  std::vector<uint64_t ClientStats::*> fields;
+  std::vector<std::string> names;
+#define FMDS_TEST_FIELD(name)             \
+  fields.push_back(&ClientStats::name);   \
+  names.push_back(#name);
+  FMDS_CLIENT_STATS(FMDS_TEST_FIELD)
+#undef FMDS_TEST_FIELD
+  ASSERT_EQ(fields.size() * sizeof(uint64_t), sizeof(ClientStats));
+  for (size_t i = 0; i < fields.size(); ++i) {
+    ClientStats set;
+    set.*fields[i] = 7;
+    const ClientStats delta = set.Delta(ClientStats{});
+    ClientStats sum;
+    sum.Add(set);
+    for (size_t j = 0; j < fields.size(); ++j) {
+      const uint64_t want = i == j ? 7 : 0;
+      EXPECT_EQ(delta.*fields[j], want) << names[i] << " -> " << names[j];
+      EXPECT_EQ(sum.*fields[j], want) << names[i] << " -> " << names[j];
+    }
+    EXPECT_NE(set.ToString().find(names[i] + "=7"), std::string::npos)
+        << set.ToString();
+  }
+}
+
 TEST(FabricEdgeTest, FaaiNegativeDeltaMovesPointerBackwards) {
   TestEnv env;
   auto& client = env.NewClient();

@@ -3,7 +3,7 @@
 // baseline hash tables via the FarMapRef adapter — through the abstract
 // interface only. Also pins the map_options.h consolidation: the composable
 // CacheOptions / WriteBehindOptions / RouteOptions blocks and the ONE
-// defaulting rule (non-default block value wins over the legacy flat field).
+// defaulting rule (an explicit EnableWriteBehind argument wins).
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -162,32 +162,17 @@ TEST(FarMap, DefaultMultiPutRejectsSizeMismatch) {
 
 // ------------------------- options consolidation --------------------------
 
-TEST(MapOptions, GlobalBudgetBlockWinsOverFlatAlias) {
+TEST(MapOptions, GlobalBudgetBlockSetsSharedBudget) {
   TestEnv env(SmallFabric(2, 16ull << 20));
   auto& client = env.NewClient();
   ShardedMap::Options options;
   options.num_shards = 2;
   options.shard.cache.budget_bytes = 1 << 16;
-  // Both spellings set: the composable block's value must win.
   options.shard.cache.global_budget_bytes = 1 << 20;
-  options.global_cache_budget_bytes = 1 << 18;
   auto map = ShardedMap::Create(&client, &env.alloc(), options);
   ASSERT_TRUE(map.ok());
   ASSERT_NE(map->shared_cache_budget(), nullptr);
   EXPECT_EQ(map->shared_cache_budget()->limit, 1u << 20);
-}
-
-TEST(MapOptions, FlatAliasStillSeedsGlobalBudget) {
-  TestEnv env(SmallFabric(2, 16ull << 20));
-  auto& client = env.NewClient();
-  ShardedMap::Options options;
-  options.num_shards = 2;
-  options.shard.cache.budget_bytes = 1 << 16;
-  options.global_cache_budget_bytes = 1 << 18;  // legacy spelling only
-  auto map = ShardedMap::Create(&client, &env.alloc(), options);
-  ASSERT_TRUE(map.ok());
-  ASSERT_NE(map->shared_cache_budget(), nullptr);
-  EXPECT_EQ(map->shared_cache_budget()->limit, 1u << 18);
 }
 
 TEST(MapOptions, StoredWriteBehindBlockEnablesNoArg) {

@@ -5,6 +5,8 @@
 #include <thread>
 
 #include "src/core/ht_tree.h"
+#include "src/core/sharded_map.h"
+#include "src/core/txn.h"
 #include "tests/test_env.h"
 
 namespace fmds {
@@ -432,6 +434,171 @@ TEST(HtTreeTest, GetGivingUpOnFrozenBucketLeavesNoRetiredHint) {
   EXPECT_FALSE(map->Put(kKey, 51).ok());
   EXPECT_EQ(*client.ReadWord(bucket), retired)
       << "the Put landed in the frozen table";
+}
+
+TEST(HtTreeTest, PointOpAccountingIsPinned) {
+  // A fixed-seed script of point ops through two handles on two clients:
+  // mispredicted CASes, same-key head replacement, growth splits, stale
+  // refreshes after the other handle's splits, one forced split, then one
+  // transaction (TxnRead, prepare, validate, commit). Every far access,
+  // near access, byte and simulated nanosecond of it is pinned.
+  TestEnv env(BigFabric());
+  auto& a = env.NewClient();
+  auto& b = env.NewClient();
+  auto map_a = HtTree::Create(&a, &env.alloc(), SmallTables(64));
+  ASSERT_TRUE(map_a.ok());
+  auto map_b = HtTree::Attach(&b, &env.alloc(), map_a->header());
+  ASSERT_TRUE(map_b.ok());
+  Rng rng(20261017);
+  for (int op = 0; op < 3000; ++op) {
+    if (op == 1500) {
+      ASSERT_TRUE(map_a->SplitTableOf(rng.NextInRange(1, 200)).ok());
+    }
+    HtTree& map = (op % 2 == 0) ? *map_a : *map_b;
+    const uint64_t key = rng.NextInRange(1, 200);
+    const uint64_t kind = rng.NextBelow(10);
+    if (kind < 4) {
+      ASSERT_TRUE(map.Put(key, rng.Next()).ok());
+    } else if (kind < 5) {
+      ASSERT_TRUE(map.Remove(key).ok());
+    } else {
+      const auto value = map.Get(key);
+      ASSERT_TRUE(value.ok() || value.status().code() == StatusCode::kNotFound);
+    }
+  }
+  ShardedMap::Options options;
+  options.num_shards = 1;
+  options.shard = SmallTables(64);
+  auto sharded = ShardedMap::Create(&a, &env.alloc(), options);
+  ASSERT_TRUE(sharded.ok());
+  for (uint64_t k = 1; k <= 10; ++k) {
+    ASSERT_TRUE(sharded->Put(k, k).ok());
+  }
+  Txn txn(&*sharded);
+  ASSERT_EQ(*txn.Get(3), 3u);
+  ASSERT_TRUE(txn.Put(4, 44).ok());
+  ASSERT_TRUE(txn.Commit().ok());
+
+  using Counts = std::vector<uint64_t>;
+  auto client_counts = [](FarClient& c) {
+    const ClientStats& s = c.stats();
+    return Counts{s.far_ops,    s.messages,      s.near_ops,
+                  s.bytes_read, s.bytes_written, c.clock().now_ns()};
+  };
+  auto op_counts = [](const HtTree::OpStats& s) {
+    return Counts{s.gets,       s.puts,           s.removes,
+                  s.chain_hops, s.stale_refreshes, s.cas_retries,
+                  s.splits};
+  };
+  EXPECT_EQ(client_counts(a),
+            (Counts{3742, 4494, 8508, 72760, 54392, 4251390}));
+  EXPECT_EQ(client_counts(b),
+            (Counts{3769, 4927, 8388, 85360, 58544, 4267834}));
+  EXPECT_EQ(op_counts(map_a->op_stats()),
+            (Counts{750, 611, 139, 227, 9, 320, 6}));
+  EXPECT_EQ(op_counts(map_b->op_stats()),
+            (Counts{784, 548, 168, 263, 6, 307, 9}));
+  EXPECT_EQ(op_counts(sharded->op_stats()), (Counts{2, 10, 0, 1, 0, 0, 0}));
+}
+
+TEST(HtTreeTest, PutAfterMultiGetUsesItsHeadHint) {
+  // MultiGet validates bucket heads exactly like Get, so it feeds the same
+  // CAS-prediction hints: a Put right after either read of a key another
+  // handle wrote costs the paper's two far accesses, not a mispredict.
+  TestEnv env(BigFabric());
+  auto& a = env.NewClient();
+  auto& b = env.NewClient();
+  auto map_a = HtTree::Create(&a, &env.alloc(), SmallTables(4096));
+  ASSERT_TRUE(map_a.ok());
+  auto map_b = HtTree::Attach(&b, &env.alloc(), map_a->header());
+  ASSERT_TRUE(map_b.ok());
+  ASSERT_TRUE(map_a->Put(5, 55).ok());
+  ASSERT_TRUE(map_a->Put(6, 66).ok());
+  ASSERT_TRUE(map_b->Put(7, 77).ok());  // warms b's item slab
+
+  EXPECT_EQ(*map_b->Get(5), 55u);
+  uint64_t before = b.stats().far_ops;
+  ASSERT_TRUE(map_b->Put(5, 56).ok());
+  EXPECT_EQ(b.stats().far_ops - before, 2u) << "Put after Get";
+
+  const uint64_t key = 6;
+  const auto got = map_b->MultiGet(std::span<const uint64_t>(&key, 1));
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(*got[0], 66u);
+  before = b.stats().far_ops;
+  ASSERT_TRUE(map_b->Put(6, 67).ok());
+  EXPECT_EQ(b.stats().far_ops - before, 2u) << "Put after MultiGet";
+  EXPECT_EQ(*map_a->Get(5), 56u);
+  EXPECT_EQ(*map_a->Get(6), 67u);
+}
+
+TEST(HtTreeTest, StaleHandleBatchStaysBatched) {
+  // A handle whose cached trie lags another handle's split sees every
+  // bucket CAS of its batch land on the retired sentinel. The batch
+  // refreshes its trie once and re-publishes in waves; no key drops to a
+  // serial store of its own.
+  TestEnv env(BigFabric());
+  auto& a = env.NewClient();
+  auto& b = env.NewClient();
+  auto map_a = HtTree::Create(&a, &env.alloc(), SmallTables(64));
+  ASSERT_TRUE(map_a.ok());
+  auto map_b = HtTree::Attach(&b, &env.alloc(), map_a->header());
+  ASSERT_TRUE(map_b.ok());
+  ASSERT_TRUE(map_a->SplitTableOf(1).ok());
+  std::vector<uint64_t> keys;
+  std::vector<uint64_t> values;
+  for (uint64_t k = 1000; k < 1064; ++k) {
+    keys.push_back(k);
+    values.push_back(k * 3);
+  }
+  const uint64_t puts = map_b->op_stats().puts;
+  const uint64_t before = b.stats().far_ops;
+  ASSERT_TRUE(map_b->MultiPut(keys, values).ok());
+  // Three doorbells (stores, inspects, republish) plus a four-access trie
+  // refresh; one serial store per key would cost well over 100.
+  EXPECT_LE(b.stats().far_ops - before, 7u);
+  EXPECT_EQ(map_b->op_stats().puts - puts, keys.size());
+  EXPECT_GE(map_b->op_stats().stale_refreshes, 1u);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_EQ(*map_a->Get(keys[i]), values[i]) << "key " << keys[i];
+  }
+}
+
+TEST(HtTreeTest, ShedItemWriteNeverPublishesItsSlot) {
+  // A batched store posts its item write and bucket CAS in one doorbell.
+  // When the node holding the writer's item slab sheds the write while the
+  // bucket's node admits the CAS, the bucket must not link the unwritten
+  // slot: every key behind it would become unreadable.
+  TestEnv env(SmallFabric(2, 64ull << 20));
+  auto& a = env.NewClient();
+  auto& b = env.NewClient();
+  HtTree::Options options = SmallTables(64);
+  options.placement = AllocHint::OnNode(0);
+  auto map_a = HtTree::Create(&a, &env.alloc(), options);
+  ASSERT_TRUE(map_a.ok());
+  for (uint64_t k = 1; k <= 20; ++k) {
+    ASSERT_TRUE(map_a->Put(k, k * 10).ok());
+  }
+  options.placement = AllocHint::OnNode(1);
+  auto map_b = HtTree::Attach(&b, &env.alloc(), map_a->header(), options);
+  ASSERT_TRUE(map_b.ok());
+  ASSERT_EQ(*map_b->Get(5), 50u);  // b now predicts that bucket's head
+  CongestionOptions shed;
+  shed.enabled = true;
+  shed.queue_ops = 0;
+  env.fabric().node(1).SetCongestion(shed);
+  const uint64_t key = 5;
+  const uint64_t value = 555;
+  EXPECT_EQ(map_b
+                ->MultiPut(std::span<const uint64_t>(&key, 1),
+                           std::span<const uint64_t>(&value, 1))
+                .code(),
+            StatusCode::kOverloaded);
+  for (uint64_t k = 1; k <= 20; ++k) {
+    const auto got = map_a->Get(k);
+    ASSERT_TRUE(got.ok()) << "key " << k << ": " << got.status().ToString();
+    EXPECT_EQ(*got, k * 10) << "key " << k;
+  }
 }
 
 // Property sweep: content matches a reference map across geometries.

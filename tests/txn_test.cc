@@ -73,6 +73,54 @@ TEST(TxnTest, ReadGivingUpOnFrozenBucketLeavesNoRetiredHint) {
       << "the Put landed in the frozen table";
 }
 
+TEST(TxnTest, ShedBodyWriteNeverPublishesItsBucketCas) {
+  // A commit posts item (and lock-record) bodies and the bucket CAS that
+  // links them in one doorbell. When the node holding this handle's item
+  // slab sheds the bodies while the bucket's node admits the CAS, the
+  // bucket must not link slots that were never written — neither on the
+  // one-bucket fast path nor in the prepare round.
+  TestEnv env(SmallFabric(2, 16ull << 20));
+  auto& a = env.NewClient();
+  auto& b = env.NewClient();
+  ShardedMap::Options options = SmallMapOptions(1);  // pinned to node 0
+  auto map_a = ShardedMap::Create(&a, &env.alloc(), options);
+  ASSERT_TRUE(map_a.ok());
+  for (uint64_t k = 1; k <= 20; ++k) {
+    ASSERT_TRUE(map_a->Put(k, k * 10).ok());
+  }
+  options.pin_shards = false;
+  options.shard.placement = AllocHint::OnNode(1);  // b's item slab
+  auto map_b =
+      ShardedMap::Attach(&b, &env.alloc(), map_a->directory(), options);
+  ASSERT_TRUE(map_b.ok());
+  uint64_t other = 4;  // a key in another bucket than key 3
+  while (Mix64(other) % 64 == Mix64(3) % 64) {
+    ++other;
+  }
+  ASSERT_TRUE(map_b->Put(other, 1).ok());  // b's slab exists before the shed
+  CongestionOptions shed;
+  shed.enabled = true;
+  shed.queue_ops = 0;
+  env.fabric().node(1).SetCongestion(shed);
+  {
+    Txn fast(&*map_b);  // one write bucket, no other read: fast path
+    ASSERT_TRUE(fast.Put(3, 33).ok());
+    EXPECT_FALSE(fast.Commit().ok());
+  }
+  {
+    Txn prepared(&*map_b);  // two write buckets: prepare round
+    ASSERT_TRUE(prepared.Put(3, 34).ok());
+    ASSERT_TRUE(prepared.Put(other, 2).ok());
+    EXPECT_FALSE(prepared.Commit().ok());
+  }
+  env.fabric().node(1).SetCongestion(CongestionOptions{});
+  for (uint64_t k = 1; k <= 20; ++k) {
+    const auto got = map_a->Get(k);
+    ASSERT_TRUE(got.ok()) << "key " << k << ": " << got.status().ToString();
+    EXPECT_EQ(*got, k == other ? 1 : k * 10) << "key " << k;
+  }
+}
+
 TEST(TxnTest, NegativeReadsAreRecordedAndPublishable) {
   TestEnv env(SmallFabric(2, 16ull << 20));
   auto& client = env.NewClient();

@@ -424,7 +424,7 @@ TEST(WriteBehindShardedTest, GlobalBudgetCapsFleetBytes) {
   auto& client = env.NewClient();
   ShardedMap::Options options = SmallShards(4);
   options.shard.cache.admit_after = 0;
-  options.global_cache_budget_bytes = 16 << 10;
+  options.shard.cache.global_budget_bytes = 16 << 10;
   auto map = ShardedMap::Create(&client, &env.alloc(), options);
   ASSERT_TRUE(map.ok());
   ASSERT_NE(map->shared_cache_budget(), nullptr);
