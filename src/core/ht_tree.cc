@@ -484,29 +484,27 @@ Result<uint64_t> HtTree::Get(uint64_t key) {
 Result<HtTree::TxnReadView> HtTree::TxnRead(uint64_t key, bool allow_cache) {
   ScopedOpLabel label(&client_->recorder(), "txn.read");
   DispatchCacheInvalidations();
-  if (allow_cache && near_cache_ != nullptr) {
-    // Zero-far-op fast path: a valid entry carries the bucket it watches
-    // AND the word it was filled under, so the hit is a validatable read —
-    // commit-time word equality catches any concurrent write even if its
-    // invalidation notification is still queued.
-    uint64_t cached_value = 0;
-    FarAddr watch = kNullFarAddr;
-    uint64_t watch_word = 0;
-    if (near_cache_->LookupWatch(key, AsBytes(cached_value), &watch,
-                                 &watch_word)) {
+  if (allow_cache) {
+    if (std::optional<TxnReadView> view = CachedTxnView(key)) {
       ++op_stats_.gets;
-      TxnReadView view;
-      view.found = true;
-      view.value = cached_value;
-      view.bucket = watch;
-      view.head_word = watch_word;
-      return view;
+      return *view;
     }
   }
   BatchGet engine(this, std::span<const uint64_t>(&key, 1),
                   /*txn_mode=*/true);
   RunSerial(client_, engine);
   return engine.TakeView(0);
+}
+
+std::optional<HtTree::TxnReadView> HtTree::CachedTxnView(uint64_t key) {
+  TxnReadView view;
+  if (near_cache_ == nullptr ||
+      !near_cache_->LookupWatch(key, AsBytes(view.value), &view.bucket,
+                                &view.head_word)) {
+    return std::nullopt;
+  }
+  view.found = true;
+  return view;
 }
 
 // ---------------------------- BatchGet engine ----------------------------
@@ -777,19 +775,23 @@ std::vector<Result<uint64_t>> HtTree::MultiGet(
   const uint64_t hops0 = op_stats_.chain_hops;
   RunWaves(client_, std::span(&engine, 1));
   if (!keys.empty()) {
-    // Feed chain-depth units from the one-sided path too; if only the RPC
-    // path reported units, the per-unit one-sided estimate would be scaled
-    // by units it never observed, biasing Decide() toward RPC.
-    NoteLookupUnits(1.0 + static_cast<double>(op_stats_.chain_hops - hops0) /
-                              static_cast<double>(keys.size()));
-    if (route_decider_ != nullptr) {
-      route_decider_->Observe(RoutedOp::kMultiGet, home_node_,
-                              DataplaneRoute::kOneSided,
-                              client_->clock().now_ns() - t0, lookup_units_,
-                              keys.size());
-    }
+    ObserveOneSidedMultiGet(keys.size(), op_stats_.chain_hops - hops0,
+                            client_->clock().now_ns() - t0);
   }
   return engine.Take();
+}
+
+void HtTree::ObserveOneSidedMultiGet(size_t keys, uint64_t hops,
+                                     uint64_t elapsed_ns) {
+  // Feed chain-depth units from the one-sided path too; if only the RPC
+  // path reported units, the per-unit one-sided estimate would be scaled by
+  // units it never observed, biasing Decide() toward RPC.
+  NoteLookupUnits(1.0 + static_cast<double>(hops) / static_cast<double>(keys));
+  if (route_decider_ != nullptr) {
+    route_decider_->Observe(RoutedOp::kMultiGet, home_node_,
+                            DataplaneRoute::kOneSided, elapsed_ns,
+                            lookup_units_, keys);
+  }
 }
 
 Status HtTree::EnableRouting(RouteDecider* decider, RemoteMapPath* remote) {

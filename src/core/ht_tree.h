@@ -43,6 +43,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -403,6 +404,12 @@ class HtTree : public FarMap {
   // false); pass false when the caller needs the table version (write
   // intents building item images).
   Result<TxnReadView> TxnRead(uint64_t key, bool allow_cache);
+  // The zero-far-op txn read: `key`'s valid NearCache entry as a view that
+  // carries the bucket it watches AND the word it was filled under, so the
+  // hit is validatable — commit-time word equality catches any concurrent
+  // write even if its invalidation notification is still queued. Empty on
+  // a miss or without a cache.
+  std::optional<TxnReadView> CachedTxnView(uint64_t key);
 
   // ---- NearCache integration (key-addressed value entries) ----
   // Entries are keyed by the USER key and hold the resolved value (8 bytes),
@@ -529,6 +536,11 @@ class HtTree : public FarMap {
   void NoteStoreUnits(double units) {
     store_units_ += kUnitsAlpha * (units - store_units_);
   }
+  // What a one-sided MultiGet of `keys` keys cost: it walked `hops` chain
+  // hops and the caller attributes it `elapsed_ns`. Feeds the units and,
+  // when routing, the one-sided estimate.
+  void ObserveOneSidedMultiGet(size_t keys, uint64_t hops,
+                               uint64_t elapsed_ns);
   // The routing gate of a point op that missed the near paths: when the
   // router prices `op` on the RPC dataplane, `ship()` sends it to the
   // agent (an empty optional means the agent failed); otherwise, or then,

@@ -230,21 +230,11 @@ std::vector<Result<uint64_t>> ShardedMap::MultiGet(
       results[shard_pos[s][j]] = std::move(shard_results[j]);
     }
     if (!shard_keys[s].empty()) {
-      // Mirror the RPC path's units feedback: without it, chain-depth units
-      // would only ever grow from agent observations, inflating the
-      // one-sided cost estimate for deep-chain shards.
-      const uint64_t hops = shards_[s].op_stats().chain_hops - hops_before[e];
-      shards_[s].NoteLookupUnits(1.0 + static_cast<double>(hops) /
-                                           static_cast<double>(
-                                               shard_keys[s].size()));
-      if (shards_[s].route_decider() != nullptr) {
-        const uint64_t attributed_ns =
-            wave_ns * shard_keys[s].size() / std::max<size_t>(engine_key_total, 1);
-        shards_[s].route_decider()->Observe(
-            RoutedOp::kMultiGet, shards_[s].home_node(),
-            DataplaneRoute::kOneSided, attributed_ns,
-            shards_[s].lookup_units(), shard_keys[s].size());
-      }
+      shards_[s].ObserveOneSidedMultiGet(
+          shard_keys[s].size(),
+          shards_[s].op_stats().chain_hops - hops_before[e],
+          wave_ns * shard_keys[s].size() /
+              std::max<size_t>(engine_key_total, 1));
     }
   }
   return results;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <thread>
 
 #include "src/common/bytes.h"
@@ -122,23 +123,12 @@ std::vector<Result<uint64_t>> Txn::MultiGet(std::span<const uint64_t> keys) {
       continue;
     }
     const uint32_t shard_idx = map_->ShardOf(key);
-    NearCache* cache = map_->shard(shard_idx).near_cache();
-    if (cache != nullptr) {
-      uint64_t cached_value = 0;
-      FarAddr watch = kNullFarAddr;
-      uint64_t watch_word = 0;
-      if (cache->LookupWatch(key, AsBytes(cached_value), &watch,
-                             &watch_word)) {
-        HtTree::TxnReadView view;
-        view.found = true;
-        view.value = cached_value;
-        view.bucket = watch;
-        view.head_word = watch_word;
-        Status rec = RecordView(key, shard_idx, view, true);
-        results[i] = rec.ok() ? Result<uint64_t>(cached_value)
-                              : Result<uint64_t>(rec);
-        continue;
-      }
+    if (std::optional<HtTree::TxnReadView> view =
+            map_->shard(shard_idx).CachedTxnView(key)) {
+      Status rec = RecordView(key, shard_idx, *view, true);
+      results[i] =
+          rec.ok() ? Result<uint64_t>(view->value) : Result<uint64_t>(rec);
+      continue;
     }
     shard_keys[shard_idx].push_back(key);
     shard_pos[shard_idx].push_back(i);

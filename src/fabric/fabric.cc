@@ -52,15 +52,16 @@ Status Fabric::Segments(FarAddr addr, uint64_t len,
       (options_.stripe_bytes == 0 || options_.num_nodes == 1)
           ? options_.node_capacity
           : options_.stripe_bytes;
+  const size_t first = out.size();
   FarAddr cursor = addr;
   uint64_t remaining = len;
   while (remaining > 0) {
     const uint64_t chunk_end = (cursor / chunk + 1) * chunk;
     const uint64_t take = std::min<uint64_t>(remaining, chunk_end - cursor);
     const Location loc = Translate(cursor).value();
-    // Merge with the previous segment when contiguous on the same node
-    // (always true in partitioned mode within one node).
-    if (!out.empty() && out.back().node == loc.node &&
+    // Merge with the previous segment of this range when contiguous on the
+    // same node (always true in partitioned mode within one node).
+    if (out.size() > first && out.back().node == loc.node &&
         out.back().offset + out.back().len == loc.offset &&
         out.back().addr + out.back().len == cursor) {
       out.back().len += take;
@@ -111,57 +112,25 @@ void Fabric::DumpStats(std::ostream& os) const {
 
 void Fabric::DumpClientStats(std::ostream& os,
                              std::span<const ClientStats> clients) {
-  Table table({"client", "far_ops", "msgs", "rd_B", "wr_B", "near", "rpc",
-               "notif", "slow", "bg", "batches", "batched", "rtts_saved",
-               "fanout", "xnode_saved", "cache_hit", "cache_miss",
-               "cache_inval", "txn_commit", "txn_abort", "txn_vfail",
-               "txn_pfail", "wb_combined", "wb_stages", "bg_evict",
-               "route_1s", "route_rpc", "route_probe", "route_flip"});
+  // One column per FMDS_CLIENT_STATS field, named as ToString names it.
+  std::vector<std::string> headers{"client"};
+#define FMDS_STATS_HEADER(name) headers.push_back(#name);
+  FMDS_CLIENT_STATS(FMDS_STATS_HEADER)
+#undef FMDS_STATS_HEADER
+  Table table(std::move(headers));
+  auto row = [&table](std::string label, const ClientStats& s) {
+    std::vector<std::string> cells{std::move(label)};
+#define FMDS_STATS_CELL(name) cells.push_back(Table::Cell(s.name));
+    FMDS_CLIENT_STATS(FMDS_STATS_CELL)
+#undef FMDS_STATS_CELL
+    table.AddRow(std::move(cells));
+  };
   ClientStats totals;
   for (size_t i = 0; i < clients.size(); ++i) {
-    const ClientStats& s = clients[i];
-    totals.Add(s);
-    table.AddRow({Table::Cell(static_cast<uint64_t>(i)),
-                  Table::Cell(s.far_ops), Table::Cell(s.messages),
-                  Table::Cell(s.bytes_read), Table::Cell(s.bytes_written),
-                  Table::Cell(s.near_ops), Table::Cell(s.rpc_calls),
-                  Table::Cell(s.notifications), Table::Cell(s.slow_path_ops),
-                  Table::Cell(s.background_ops), Table::Cell(s.batches),
-                  Table::Cell(s.batched_ops),
-                  Table::Cell(s.overlapped_rtts_saved),
-                  Table::Cell(s.fanout_batches),
-                  Table::Cell(s.cross_node_rtts_saved),
-                  Table::Cell(s.cache_hits), Table::Cell(s.cache_misses),
-                  Table::Cell(s.cache_invalidations),
-                  Table::Cell(s.txn_commits), Table::Cell(s.txn_aborts),
-                  Table::Cell(s.txn_validate_fails),
-                  Table::Cell(s.txn_prepare_fails),
-                  Table::Cell(s.writes_combined), Table::Cell(s.flush_stages),
-                  Table::Cell(s.bg_evictions), Table::Cell(s.route_one_sided),
-                  Table::Cell(s.route_rpc), Table::Cell(s.route_probes),
-                  Table::Cell(s.route_flips)});
+    totals.Add(clients[i]);
+    row(Table::Cell(static_cast<uint64_t>(i)), clients[i]);
   }
-  table.AddRow({"(all)", Table::Cell(totals.far_ops),
-                Table::Cell(totals.messages), Table::Cell(totals.bytes_read),
-                Table::Cell(totals.bytes_written), Table::Cell(totals.near_ops),
-                Table::Cell(totals.rpc_calls), Table::Cell(totals.notifications),
-                Table::Cell(totals.slow_path_ops),
-                Table::Cell(totals.background_ops), Table::Cell(totals.batches),
-                Table::Cell(totals.batched_ops),
-                Table::Cell(totals.overlapped_rtts_saved),
-                Table::Cell(totals.fanout_batches),
-                Table::Cell(totals.cross_node_rtts_saved),
-                Table::Cell(totals.cache_hits), Table::Cell(totals.cache_misses),
-                Table::Cell(totals.cache_invalidations),
-                Table::Cell(totals.txn_commits), Table::Cell(totals.txn_aborts),
-                Table::Cell(totals.txn_validate_fails),
-                Table::Cell(totals.txn_prepare_fails),
-                Table::Cell(totals.writes_combined),
-                Table::Cell(totals.flush_stages),
-                Table::Cell(totals.bg_evictions),
-                Table::Cell(totals.route_one_sided),
-                Table::Cell(totals.route_rpc), Table::Cell(totals.route_probes),
-                Table::Cell(totals.route_flips)});
+  row("(all)", totals);
   table.Print(os, "clients: per-client counters");
 }
 

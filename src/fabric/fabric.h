@@ -75,7 +75,8 @@ class Fabric {
   Result<Location> Translate(FarAddr addr) const;
 
   // Splits [addr, addr+len) into per-node contiguous segments, in address
-  // order. Returns kOutOfRange if the range exceeds the address space.
+  // order, appended to `out` (never merged with segments already there).
+  // Returns kOutOfRange if the range exceeds the address space.
   Status Segments(FarAddr addr, uint64_t len, std::vector<Segment>& out) const;
 
   // True if the entire word at `addr` lives on `node` (8-byte ranges never
@@ -88,11 +89,10 @@ class Fabric {
   // the memory-side companion to the client-side flight recorder.
   void DumpStats(std::ostream& os) const;
 
-  // Client-side fleet table: one row per ClientStats with EVERY counter
-  // ClientStats::ToString reports — including the PR 7 pipeline counters
-  // (writes_combined, flush_stages, bg_evictions) — plus a totals row.
-  // Pass each thread's client->stats() snapshot (taken quiesced: ClientStats
-  // are single-owner and must not be read while the owner runs).
+  // Client-side fleet table: one row per ClientStats with a column per
+  // FMDS_CLIENT_STATS counter, plus a totals row. Pass each thread's
+  // client->stats() snapshot (taken quiesced: ClientStats are single-owner
+  // and must not be read while the owner runs).
   static void DumpClientStats(std::ostream& os,
                               std::span<const ClientStats> clients);
 

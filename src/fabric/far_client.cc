@@ -4,6 +4,7 @@
 #include <cassert>
 #include <chrono>
 #include <thread>
+#include <type_traits>
 #include <unordered_set>
 
 // Sanitizer instrumentation slows the spinning side of real-time waits by
@@ -39,6 +40,7 @@ FarClient::FarClient(Fabric* fabric, uint64_t client_id, ClientOptions options)
       channel_(options.channel_capacity),
       channel_capacity_(options.channel_capacity) {
   obs_.set_options(options.obs);
+  doorbell_.groups.resize(fabric->num_nodes());
 }
 
 void FarClient::AccountRoundTrip(FarOpKind kind, NodeId node, FarAddr addr,
@@ -73,53 +75,43 @@ uint64_t FarClient::NextJitter() {
   return x * 0x2545F4914F6CDD1Dull;
 }
 
-Result<uint64_t> FarClient::OfferOnce(NodeId node, uint64_t ops,
-                                      uint64_t bytes) {
-  if (node == kObsNoNode) {
-    return uint64_t{0};
-  }
-  if (home_node_.has_value() && node == *home_node_) {
-    // The near-memory agent reaches its own memory through the controller,
-    // not through the node's NIC front end; its local work never queues
-    // there. (This is what lets an RPC agent keep servicing shipped ops
-    // while the one-sided front end is saturated.)
-    return uint64_t{0};
+MemoryNode* FarClient::FrontEnd(NodeId node) const {
+  // The near-memory agent reaches its own memory through the controller,
+  // not through the node's NIC front end; its local work never queues
+  // there. (This is what lets an RPC agent keep servicing shipped ops
+  // while the one-sided front end is saturated.)
+  if (node == kObsNoNode || (home_node_.has_value() && node == *home_node_)) {
+    return nullptr;
   }
   MemoryNode& n = fabric_->node(node);
-  if (!n.congestion_enabled()) {
-    return uint64_t{0};
+  return n.congestion_enabled() ? &n : nullptr;
+}
+
+bool FarClient::OfferOnce(NodeId node, uint64_t ops, uint64_t bytes,
+                          uint64_t* queue_ns) {
+  *queue_ns = 0;
+  MemoryNode* n = FrontEnd(node);
+  if (n == nullptr) {
+    return true;
   }
-  AdmissionOutcome outcome = n.OfferLoad(clock_.now_ns(), ops, bytes);
+  const AdmissionOutcome outcome = n->OfferLoad(clock_.now_ns(), ops, bytes);
   if (outcome.admitted) {
-    return outcome.queue_ns;
+    *queue_ns = outcome.queue_ns;
+    return true;
   }
   stats_.overload_sheds += ops;
-  ++stats_.overload_failures;
-  return Overloaded("node " + std::to_string(node) +
-                    " shed op: service queue full");
+  return false;
 }
 
 Result<uint64_t> FarClient::AdmitCongestion(FarOpKind kind, NodeId node,
                                             FarAddr addr, uint64_t ops,
                                             uint64_t bytes) {
-  if (node == kObsNoNode) {
-    return uint64_t{0};
-  }
-  if (home_node_.has_value() && node == *home_node_) {
-    // See OfferOnce: home-node (agent) accesses bypass the NIC front end.
-    return uint64_t{0};
-  }
-  MemoryNode& n = fabric_->node(node);
-  if (!n.congestion_enabled()) {
-    return uint64_t{0};
-  }
   const uint64_t op_start_ns = clock_.now_ns();
   for (uint32_t attempt = 1;; ++attempt) {
-    AdmissionOutcome outcome = n.OfferLoad(clock_.now_ns(), ops, bytes);
-    if (outcome.admitted) {
-      return outcome.queue_ns;
+    uint64_t queue_ns = 0;
+    if (OfferOnce(node, ops, bytes, &queue_ns)) {
+      return queue_ns;
     }
-    stats_.overload_sheds += ops;
     // The bounce is a completed (failed) round trip: the client learns of
     // the shed from the node's reject reply.
     AccountRoundTrip(kind, node, addr, 0, 1, 0, /*ok=*/false);
@@ -145,468 +137,448 @@ Result<uint64_t> FarClient::AdmitCongestion(FarOpKind kind, NodeId node,
                     " shed op: retry budget exhausted");
 }
 
+// ------------------------------- Executor -------------------------------
+
+Result<uint64_t> FarClient::Admit(ChargeRule rule, FarOpKind kind,
+                                  NodeId node, FarAddr addr, uint64_t ops,
+                                  uint64_t bytes) {
+  if (FrontEnd(node) == nullptr) {
+    return uint64_t{0};
+  }
+  switch (rule) {
+    case ChargeRule::kSerial:
+      return AdmitCongestion(kind, node, addr, ops, bytes);
+    case ChargeRule::kDoorbell: {
+      // A doorbell cannot re-time its sub-ops: a shed op completes with
+      // kOverloaded and its caller decides whether to re-post.
+      uint64_t queue_ns = 0;
+      if (OfferOnce(node, ops, bytes, &queue_ns)) {
+        return queue_ns;
+      }
+      ++stats_.overload_failures;
+      return Overloaded("node " + std::to_string(node) +
+                        " shed op: service queue full");
+    }
+    case ChargeRule::kBackground:
+      break;
+  }
+  return uint64_t{0};
+}
+
+inline void FarClient::Charge(ChargeRule rule, const RoundTripCost& cost) {
+  switch (rule) {
+    case ChargeRule::kSerial:
+      AccountRoundTrip(cost.kind, cost.node, cost.addr, cost.bytes,
+                       std::max<uint64_t>(cost.messages, 1), cost.hops,
+                       cost.ok, cost.queue_ns);
+      return;
+    case ChargeRule::kBackground:
+      ++stats_.background_ops;
+      stats_.messages += std::max<uint64_t>(cost.messages, 1);
+      if (obs_.recording()) {
+        // Fire-and-forget: the client clock does not wait, so latency is 0.
+        obs_.RecordOp(FarOpKind::kBackground, cost.node, cost.addr,
+                      cost.bytes, clock_.now_ns(), 0, true);
+      }
+      return;
+    case ChargeRule::kDoorbell:
+      break;
+  }
+  if (cost.dependent) {
+    // It cannot overlap the batch it depends on: Flush charges it serially
+    // once the doorbell's reply is in.
+    doorbell_.deferred.push_back(cost);
+    doorbell_.deferred.back().pieces = {};
+    return;
+  }
+  ++doorbell_.rtts;
+  doorbell_.messages += cost.messages;
+  if (cost.node == kObsNoNode) {
+    return;  // an empty op: nothing for any node group to wait for
+  }
+  auto join = [this](NodeId node, uint64_t bytes, uint64_t hops) {
+    BatchGroup& group = doorbell_.groups[node];
+    ++group.contribs;
+    group.wire_ns += ModelFor(node).per_byte_ns * static_cast<double>(bytes);
+    group.hops += hops;
+  };
+  BatchGroup& primary = doorbell_.groups[cost.node];
+  primary.queue_ns = std::max(primary.queue_ns, cost.queue_ns);
+  if (cost.pieces.empty()) {
+    join(cost.node, cost.bytes, cost.hops);
+  }
+  for (const Fabric::Segment& piece : cost.pieces) {
+    join(piece.node, piece.len, 0);
+  }
+}
+
+void FarClient::Apply(const FarOp& op) {
+  size_t moved = 0;
+  for (const Fabric::Segment& seg : segs_) {
+    MemoryNode& node = fabric_->node(seg.node);
+    const size_t len = static_cast<size_t>(seg.len);
+    switch (op.access) {
+      case Access::kRead:
+        node.ReadRange(seg.offset, op.out.subspan(moved, len));
+        break;
+      case Access::kWrite:
+        node.WriteRange(seg.offset, op.in.subspan(moved, len),
+                        clock_.now_ns());
+        break;
+      case Access::kAdd:
+        node.FetchAddWord(seg.offset, op.value, clock_.now_ns());
+        break;
+    }
+    moved += len;
+  }
+}
+
+Status FarClient::Execute(const FarOp& op, ChargeRule rule, uint64_t* word,
+                          RoundTripCost* report) {
+  RoundTripCost unreported;
+  RoundTripCost& cost = report != nullptr ? *report : unreported;
+  cost = RoundTripCost{
+      .kind = op.kind, .addr = op.addr, .dependent = op.dependent};
+  uint64_t result = 0;
+  switch (op.kind) {
+    case FarOpKind::kRead:
+    case FarOpKind::kWrite:
+    case FarOpKind::kScatterGather: {
+      // A byte range [addr, addr + local size), or a far iovec read into
+      // or written from one contiguous local buffer.
+      const bool read = op.access == Access::kRead;
+      const size_t local = read ? op.out.size() : op.in.size();
+      const FarSeg range{op.addr, local};
+      const std::span<const FarSeg> far =
+          op.kind == FarOpKind::kScatterGather ? op.iov
+                                               : std::span(&range, 1);
+      uint64_t total = 0;
+      segs_.clear();
+      for (const FarSeg& f : far) {
+        total += f.len;
+        FMDS_RETURN_IF_ERROR(fabric_->Segments(f.addr, f.len, segs_));
+      }
+      if (total > local) {
+        return InvalidArgument("far iovec exceeds the local buffer");
+      }
+      cost.addr = far.empty() ? kNullFarAddr : far.front().addr;
+      const NodeId node = segs_.empty() ? kObsNoNode : segs_.front().node;
+      // The op queues at its primary node: one arrival per segment of a
+      // range, per entry of an iovec.
+      FMDS_ASSIGN_OR_RETURN(
+          cost.queue_ns,
+          Admit(rule, op.kind, node, cost.addr,
+                op.kind == FarOpKind::kScatterGather
+                    ? far.size()
+                    : std::max<size_t>(segs_.size(), 1),
+                total));
+      Apply(op);
+      (read ? stats_.bytes_read : stats_.bytes_written) += total;
+      cost.node = node;
+      cost.bytes = total;
+      cost.messages = segs_.size();
+      cost.pieces = segs_;
+      Charge(rule, cost);
+      break;
+    }
+    case FarOpKind::kReadWord:
+    case FarOpKind::kWriteWord:
+    case FarOpKind::kCas:
+    case FarOpKind::kFetchAdd: {
+      if (!IsWordAligned(op.addr)) {
+        return InvalidArgument("unaligned word access");
+      }
+      const Result<Fabric::Location> loc = fabric_->Translate(op.addr);
+      if (!loc.ok()) {
+        return loc.status();
+      }
+      FMDS_ASSIGN_OR_RETURN(cost.queue_ns, Admit(rule, op.kind, loc->node,
+                                                 op.addr, 1, kWordSize));
+      MemoryNode& node = fabric_->node(loc->node);
+      if (op.kind == FarOpKind::kReadWord) {
+        result = node.LoadWord(loc->offset);
+      } else if (op.kind == FarOpKind::kWriteWord) {
+        node.StoreWord(loc->offset, op.value, clock_.now_ns());
+      } else if (op.kind == FarOpKind::kCas) {
+        result = node.CompareSwapWord(loc->offset, op.value, op.desired,
+                                      clock_.now_ns());
+      } else {
+        result = node.FetchAddWord(loc->offset, op.value, clock_.now_ns());
+      }
+      stats_.bytes_read += op.kind == FarOpKind::kWriteWord ? 0 : kWordSize;
+      stats_.bytes_written += op.kind == FarOpKind::kReadWord ? 0 : kWordSize;
+      cost.node = loc->node;
+      cost.bytes = kWordSize;
+      cost.messages = 1;
+      Charge(rule, cost);
+      break;
+    }
+    case FarOpKind::kIndirect: {
+      const FarAddr ptr_addr =
+          op.mode == IndexMode::kIndexedPtr ? op.addr + op.index : op.addr;
+      if (!IsWordAligned(ptr_addr)) {
+        return InvalidArgument(
+            "indirect pointer location must be word-aligned");
+      }
+      FMDS_ASSIGN_OR_RETURN(const Fabric::Location home,
+                            fabric_->Translate(ptr_addr));
+      const uint64_t len = op.access == Access::kRead    ? op.out.size()
+                           : op.access == Access::kWrite ? op.in.size()
+                                                         : kWordSize;
+      cost.addr = ptr_addr;
+      // One queued request at the home node covers the whole indirection
+      // and carries the bytes it moves; the dependent access (forwarded or
+      // local) is controller work, not a second NIC arrival.
+      FMDS_ASSIGN_OR_RETURN(cost.queue_ns,
+                            Admit(rule, op.kind, home.node, ptr_addr, 1,
+                                  kWordSize + len));
+      cost.node = home.node;
+      cost.bytes = kWordSize;
+      cost.messages = 1;
+      MemoryNode& home_node = fabric_->node(home.node);
+      home_node.stats().indirections.fetch_add(1, std::memory_order_relaxed);
+      // Fetch (and for faai/saai atomically bump) the pointer.
+      result = op.bump.has_value()
+                   ? home_node.FetchAddWord(home.offset,
+                                            static_cast<uint64_t>(*op.bump),
+                                            clock_.now_ns())
+                   : home_node.LoadWord(home.offset);
+      const FarAddr target =
+          op.mode == IndexMode::kIndexedTgt ? result + op.index : result;
+      segs_.clear();
+      const Status usable =
+          result == kNullFarAddr
+              ? FailedPrecondition("null indirect pointer")
+          : op.access == Access::kAdd && !IsWordAligned(target)
+              ? InvalidArgument("indirect add target must be word-aligned")
+              : fabric_->Segments(target, len, segs_);
+      uint64_t hops = 0;
+      for (const Fabric::Segment& seg : segs_) {
+        hops += seg.node != home.node ? 1 : 0;
+      }
+      if (!usable.ok() ||
+          (hops > 0 &&
+           fabric_->options().indirection == IndirectionPolicy::kError)) {
+        // The round trip brings the pointer back: unusable, or (§7.1
+        // kError) for the client to follow itself with a dependent round
+        // trip of the direct verb.
+        stats_.bytes_read += kWordSize;
+        cost.ok = usable.ok();
+        Charge(rule, cost);
+        FMDS_RETURN_IF_ERROR(usable);
+        FMDS_RETURN_IF_ERROR(Execute(
+            {.kind = op.access == Access::kRead    ? FarOpKind::kRead
+                     : op.access == Access::kWrite ? FarOpKind::kWrite
+                                                   : FarOpKind::kFetchAdd,
+             .access = op.access,
+             .dependent = true,
+             .addr = target,
+             .value = op.value,
+             .out = op.out,
+             .in = op.in},
+            rule));
+        break;
+      }
+      if (hops > 0) {
+        home_node.stats().forwards.fetch_add(hops, std::memory_order_relaxed);
+      }
+      Apply(op);
+      (op.access == Access::kRead ? stats_.bytes_read : stats_.bytes_written) +=
+          len;
+      // One client round trip regardless of forwarding; each forward hop
+      // adds a node-to-node traversal and hop latency.
+      cost.bytes = kWordSize + len;
+      cost.messages = 1 + hops;
+      cost.hops = hops;
+      Charge(rule, cost);
+      break;
+    }
+    default:
+      return Internal("not an executable far op kind");
+  }
+  if (word != nullptr) {
+    *word = result;
+  }
+  return OkStatus();
+}
+
+inline Result<uint64_t> FarClient::Run(const FarOp& op, ChargeRule rule) {
+  uint64_t word = 0;
+  FMDS_RETURN_IF_ERROR(Execute(op, rule, &word));
+  return word;
+}
+
 // ------------------------------ Base verbs ------------------------------
 
 Status FarClient::Read(FarAddr addr, std::span<std::byte> out) {
-  std::vector<Fabric::Segment> segs;
-  FMDS_RETURN_IF_ERROR(fabric_->Segments(addr, out.size(), segs));
-  // Admission precedes memory effects everywhere: a shed op never touches
-  // far memory. The op (all its segments) queues at its primary node.
-  FMDS_ASSIGN_OR_RETURN(
-      const uint64_t queue_ns,
-      AdmitCongestion(FarOpKind::kRead,
-                      segs.empty() ? kObsNoNode : segs.front().node, addr,
-                      std::max<size_t>(segs.size(), 1), out.size()));
-  size_t produced = 0;
-  for (const auto& seg : segs) {
-    fabric_->node(seg.node).ReadRange(
-        seg.offset, out.subspan(produced, static_cast<size_t>(seg.len)));
-    produced += static_cast<size_t>(seg.len);
-  }
-  stats_.bytes_read += out.size();
-  AccountRoundTrip(FarOpKind::kRead,
-                   segs.empty() ? kObsNoNode : segs.front().node, addr,
-                   out.size(), std::max<size_t>(segs.size(), 1), 0,
-                   /*ok=*/true, queue_ns);
-  return OkStatus();
+  return Execute({.kind = FarOpKind::kRead, .addr = addr, .out = out},
+                 ChargeRule::kSerial);
 }
 
 Status FarClient::Write(FarAddr addr, std::span<const std::byte> data) {
-  std::vector<Fabric::Segment> segs;
-  FMDS_RETURN_IF_ERROR(fabric_->Segments(addr, data.size(), segs));
-  FMDS_ASSIGN_OR_RETURN(
-      const uint64_t queue_ns,
-      AdmitCongestion(FarOpKind::kWrite,
-                      segs.empty() ? kObsNoNode : segs.front().node, addr,
-                      std::max<size_t>(segs.size(), 1), data.size()));
-  size_t consumed = 0;
-  for (const auto& seg : segs) {
-    fabric_->node(seg.node).WriteRange(
-        seg.offset, data.subspan(consumed, static_cast<size_t>(seg.len)),
-        clock_.now_ns());
-    consumed += static_cast<size_t>(seg.len);
-  }
-  stats_.bytes_written += data.size();
-  AccountRoundTrip(FarOpKind::kWrite,
-                   segs.empty() ? kObsNoNode : segs.front().node, addr,
-                   data.size(), std::max<size_t>(segs.size(), 1), 0,
-                   /*ok=*/true, queue_ns);
-  return OkStatus();
+  return Execute({.kind = FarOpKind::kWrite,
+                  .access = Access::kWrite,
+                  .addr = addr,
+                  .in = data},
+                 ChargeRule::kSerial);
 }
 
 Result<uint64_t> FarClient::ReadWord(FarAddr addr) {
-  if (!IsWordAligned(addr)) {
-    return Status(StatusCode::kInvalidArgument, "unaligned word read");
-  }
-  FMDS_ASSIGN_OR_RETURN(auto loc, fabric_->Translate(addr));
-  FMDS_ASSIGN_OR_RETURN(
-      const uint64_t queue_ns,
-      AdmitCongestion(FarOpKind::kReadWord, loc.node, addr, 1, kWordSize));
-  const uint64_t value = fabric_->node(loc.node).LoadWord(loc.offset);
-  stats_.bytes_read += kWordSize;
-  AccountRoundTrip(FarOpKind::kReadWord, loc.node, addr, kWordSize, 1, 0,
-                   /*ok=*/true, queue_ns);
-  return value;
+  return Run({.kind = FarOpKind::kReadWord, .addr = addr});
 }
 
 Status FarClient::WriteWord(FarAddr addr, uint64_t value) {
-  if (!IsWordAligned(addr)) {
-    return InvalidArgument("unaligned word write");
-  }
-  FMDS_ASSIGN_OR_RETURN(auto loc, fabric_->Translate(addr));
-  FMDS_ASSIGN_OR_RETURN(
-      const uint64_t queue_ns,
-      AdmitCongestion(FarOpKind::kWriteWord, loc.node, addr, 1, kWordSize));
-  fabric_->node(loc.node).StoreWord(loc.offset, value, clock_.now_ns());
-  stats_.bytes_written += kWordSize;
-  AccountRoundTrip(FarOpKind::kWriteWord, loc.node, addr, kWordSize, 1, 0,
-                   /*ok=*/true, queue_ns);
-  return OkStatus();
+  return Execute({.kind = FarOpKind::kWriteWord, .addr = addr, .value = value},
+                 ChargeRule::kSerial);
 }
 
 Result<uint64_t> FarClient::CompareSwap(FarAddr addr, uint64_t expected,
                                         uint64_t desired) {
-  if (!IsWordAligned(addr)) {
-    return Status(StatusCode::kInvalidArgument, "unaligned CAS");
-  }
-  FMDS_ASSIGN_OR_RETURN(auto loc, fabric_->Translate(addr));
-  FMDS_ASSIGN_OR_RETURN(
-      const uint64_t queue_ns,
-      AdmitCongestion(FarOpKind::kCas, loc.node, addr, 1, kWordSize));
-  const uint64_t old = fabric_->node(loc.node).CompareSwapWord(
-      loc.offset, expected, desired, clock_.now_ns());
-  stats_.bytes_written += kWordSize;
-  stats_.bytes_read += kWordSize;
-  AccountRoundTrip(FarOpKind::kCas, loc.node, addr, kWordSize, 1, 0,
-                   /*ok=*/true, queue_ns);
-  return old;
+  return Run({.kind = FarOpKind::kCas,
+              .addr = addr,
+              .value = expected,
+              .desired = desired});
 }
 
 Result<uint64_t> FarClient::FetchAdd(FarAddr addr, uint64_t delta) {
-  if (!IsWordAligned(addr)) {
-    return Status(StatusCode::kInvalidArgument, "unaligned fetch-add");
-  }
-  FMDS_ASSIGN_OR_RETURN(auto loc, fabric_->Translate(addr));
-  FMDS_ASSIGN_OR_RETURN(
-      const uint64_t queue_ns,
-      AdmitCongestion(FarOpKind::kFetchAdd, loc.node, addr, 1, kWordSize));
-  const uint64_t old =
-      fabric_->node(loc.node).FetchAddWord(loc.offset, delta, clock_.now_ns());
-  stats_.bytes_written += kWordSize;
-  stats_.bytes_read += kWordSize;
-  AccountRoundTrip(FarOpKind::kFetchAdd, loc.node, addr, kWordSize, 1, 0,
-                   /*ok=*/true, queue_ns);
-  return old;
+  return Run({.kind = FarOpKind::kFetchAdd, .addr = addr, .value = delta});
 }
 
 // -------------------------- Indirect addressing --------------------------
 
-Status FarClient::DirectAccess(IndirectKind kind, FarAddr addr,
-                               std::span<std::byte> read_out,
-                               std::span<const std::byte> write_value,
-                               uint64_t add_value) {
-  switch (kind) {
-    case IndirectKind::kRead:
-      return Read(addr, read_out);
-    case IndirectKind::kWrite:
-      return Write(addr, write_value);
-    case IndirectKind::kAtomicAdd: {
-      auto r = FetchAdd(addr, add_value);
-      return r.status();
-    }
-  }
-  return Internal("bad indirect kind");
-}
-
-Result<FarAddr> FarClient::IndirectOp(IndirectKind kind, IndexMode mode,
-                                      FarAddr ad, uint64_t i,
-                                      std::optional<int64_t> fetch_add_delta,
-                                      std::span<std::byte> read_out,
-                                      std::span<const std::byte> write_value,
-                                      uint64_t add_value) {
-  // 1. Locate the pointer word.
-  const FarAddr ptr_addr = (mode == IndexMode::kIndexedPtr) ? ad + i : ad;
-  if (!IsWordAligned(ptr_addr)) {
-    return Status(StatusCode::kInvalidArgument,
-                  "indirect pointer location must be word-aligned");
-  }
-  FMDS_ASSIGN_OR_RETURN(auto home, fabric_->Translate(ptr_addr));
-  MemoryNode& home_node = fabric_->node(home.node);
-  // One queued request at the home node covers the whole indirection; the
-  // dependent access (forwarded or local) is controller work, not a second
-  // NIC arrival.
-  FMDS_ASSIGN_OR_RETURN(const uint64_t queue_ns,
-                        AdmitCongestion(FarOpKind::kIndirect, home.node,
-                                        ptr_addr, 1, kWordSize));
-  home_node.stats().indirections.fetch_add(1, std::memory_order_relaxed);
-
-  // 2. Fetch (and for faai/saai atomically bump) the pointer.
-  FarAddr pointer;
-  if (fetch_add_delta.has_value()) {
-    pointer = home_node.FetchAddWord(
-        home.offset, static_cast<uint64_t>(*fetch_add_delta), clock_.now_ns());
-  } else {
-    pointer = home_node.LoadWord(home.offset);
-  }
-  if (pointer == kNullFarAddr) {
-    // Completed round trip that found a null pointer; still one far access.
-    stats_.bytes_read += kWordSize;
-    AccountRoundTrip(FarOpKind::kIndirect, home.node, ptr_addr, kWordSize, 1,
-                     0, /*ok=*/false, queue_ns);
-    return Status(StatusCode::kFailedPrecondition, "null indirect pointer");
-  }
-
-  // 3. Compute the target of the second access.
-  const FarAddr target = (mode == IndexMode::kIndexedTgt) ? pointer + i
-                                                          : pointer;
-  const uint64_t len = (kind == IndirectKind::kRead) ? read_out.size()
-                       : (kind == IndirectKind::kWrite) ? write_value.size()
-                                                        : kWordSize;
-  if (kind == IndirectKind::kAtomicAdd && !IsWordAligned(target)) {
-    return Status(StatusCode::kInvalidArgument,
-                  "indirect add target must be word-aligned");
-  }
-
-  std::vector<Fabric::Segment> segs;
-  Status seg_status = fabric_->Segments(target, len, segs);
-  if (!seg_status.ok()) {
-    stats_.bytes_read += kWordSize;
-    AccountRoundTrip(FarOpKind::kIndirect, home.node, ptr_addr, kWordSize, 1,
-                     0, /*ok=*/false, queue_ns);
-    return seg_status;
-  }
-
-  uint64_t remote_hops = 0;
-  for (const auto& seg : segs) {
-    if (seg.node != home.node) {
-      ++remote_hops;
-    }
-  }
-
-  if (remote_hops > 0 &&
-      fabric_->options().indirection == IndirectionPolicy::kError) {
-    // §7.1 alternative: the memory node returns the pointer and an error;
-    // the client completes the indirection itself with a second round trip
-    // (which accounts under its own direct op kind).
-    stats_.bytes_read += kWordSize;
-    AccountRoundTrip(FarOpKind::kIndirect, home.node, ptr_addr, kWordSize, 1,
-                     0, /*ok=*/true, queue_ns);
-    FMDS_RETURN_IF_ERROR(
-        DirectAccess(kind, target, read_out, write_value, add_value));
-    return pointer;
-  }
-
-  // 4. Execute memory-side (forwarding between nodes when needed).
-  if (remote_hops > 0) {
-    home_node.stats().forwards.fetch_add(remote_hops,
-                                         std::memory_order_relaxed);
-  }
-  size_t moved = 0;
-  for (const auto& seg : segs) {
-    MemoryNode& tgt = fabric_->node(seg.node);
-    switch (kind) {
-      case IndirectKind::kRead:
-        tgt.ReadRange(seg.offset,
-                      read_out.subspan(moved, static_cast<size_t>(seg.len)));
-        break;
-      case IndirectKind::kWrite:
-        tgt.WriteRange(seg.offset,
-                       write_value.subspan(moved,
-                                           static_cast<size_t>(seg.len)),
-                       clock_.now_ns());
-        break;
-      case IndirectKind::kAtomicAdd:
-        tgt.FetchAddWord(seg.offset, add_value, clock_.now_ns());
-        break;
-    }
-    moved += static_cast<size_t>(seg.len);
-  }
-
-  // 5. Accounting: one client round trip regardless of forwarding; each
-  // forward hop adds a node-to-node traversal and hop latency.
-  const uint64_t payload = kWordSize + len;
-  if (kind == IndirectKind::kRead) {
-    stats_.bytes_read += len;
-  } else {
-    stats_.bytes_written += len;
-  }
-  AccountRoundTrip(FarOpKind::kIndirect, home.node, ptr_addr, payload,
-                   1 + remote_hops, remote_hops, /*ok=*/true, queue_ns);
-  return pointer;
-}
-
 Result<FarAddr> FarClient::Load0(FarAddr ad, std::span<std::byte> out) {
-  return IndirectOp(IndirectKind::kRead, IndexMode::kPlain, ad, 0,
-                    std::nullopt, out, {}, 0);
+  return Run({.kind = FarOpKind::kIndirect, .addr = ad, .out = out});
 }
 
 Result<FarAddr> FarClient::Load1(FarAddr ad, uint64_t i,
                                  std::span<std::byte> out) {
-  return IndirectOp(IndirectKind::kRead, IndexMode::kIndexedPtr, ad, i,
-                    std::nullopt, out, {}, 0);
+  return Run({.kind = FarOpKind::kIndirect,
+              .mode = IndexMode::kIndexedPtr,
+              .addr = ad,
+              .index = i,
+              .out = out});
 }
 
 Result<FarAddr> FarClient::Load2(FarAddr ad, uint64_t i,
                                  std::span<std::byte> out) {
-  return IndirectOp(IndirectKind::kRead, IndexMode::kIndexedTgt, ad, i,
-                    std::nullopt, out, {}, 0);
+  return Run({.kind = FarOpKind::kIndirect,
+              .mode = IndexMode::kIndexedTgt,
+              .addr = ad,
+              .index = i,
+              .out = out});
 }
 
 Result<FarAddr> FarClient::Store0(FarAddr ad,
                                   std::span<const std::byte> value) {
-  return IndirectOp(IndirectKind::kWrite, IndexMode::kPlain, ad, 0,
-                    std::nullopt, {}, value, 0);
+  return Run({.kind = FarOpKind::kIndirect,
+              .access = Access::kWrite,
+              .addr = ad,
+              .in = value});
 }
 
 Result<FarAddr> FarClient::Store1(FarAddr ad, uint64_t i,
                                   std::span<const std::byte> value) {
-  return IndirectOp(IndirectKind::kWrite, IndexMode::kIndexedPtr, ad, i,
-                    std::nullopt, {}, value, 0);
+  return Run({.kind = FarOpKind::kIndirect,
+              .access = Access::kWrite,
+              .mode = IndexMode::kIndexedPtr,
+              .addr = ad,
+              .index = i,
+              .in = value});
 }
 
 Result<FarAddr> FarClient::Store2(FarAddr ad, uint64_t i,
                                   std::span<const std::byte> value) {
-  return IndirectOp(IndirectKind::kWrite, IndexMode::kIndexedTgt, ad, i,
-                    std::nullopt, {}, value, 0);
+  return Run({.kind = FarOpKind::kIndirect,
+              .access = Access::kWrite,
+              .mode = IndexMode::kIndexedTgt,
+              .addr = ad,
+              .index = i,
+              .in = value});
 }
 
 Result<FarAddr> FarClient::Faai(FarAddr ad, int64_t delta,
                                 std::span<std::byte> out) {
-  return IndirectOp(IndirectKind::kRead, IndexMode::kPlain, ad, 0, delta, out,
-                    {}, 0);
+  return Run({.kind = FarOpKind::kIndirect,
+              .addr = ad,
+              .bump = delta,
+              .out = out});
 }
 
 Result<FarAddr> FarClient::Saai(FarAddr ad, int64_t delta,
                                 std::span<const std::byte> value) {
-  return IndirectOp(IndirectKind::kWrite, IndexMode::kPlain, ad, 0, delta, {},
-                    value, 0);
+  return Run({.kind = FarOpKind::kIndirect,
+              .access = Access::kWrite,
+              .addr = ad,
+              .bump = delta,
+              .in = value});
 }
 
 Status FarClient::Add0(FarAddr ad, uint64_t v) {
-  return IndirectOp(IndirectKind::kAtomicAdd, IndexMode::kPlain, ad, 0,
-                    std::nullopt, {}, {}, v)
-      .status();
+  return Execute({.kind = FarOpKind::kIndirect,
+                  .access = Access::kAdd,
+                  .addr = ad,
+                  .value = v},
+                 ChargeRule::kSerial);
 }
 
 Status FarClient::Add1(FarAddr ad, uint64_t v, uint64_t i) {
-  return IndirectOp(IndirectKind::kAtomicAdd, IndexMode::kIndexedPtr, ad, i,
-                    std::nullopt, {}, {}, v)
-      .status();
+  return Execute({.kind = FarOpKind::kIndirect,
+                  .access = Access::kAdd,
+                  .mode = IndexMode::kIndexedPtr,
+                  .addr = ad,
+                  .value = v,
+                  .index = i},
+                 ChargeRule::kSerial);
 }
 
 Status FarClient::Add2(FarAddr ad, uint64_t v, uint64_t i) {
-  return IndirectOp(IndirectKind::kAtomicAdd, IndexMode::kIndexedTgt, ad, i,
-                    std::nullopt, {}, {}, v)
-      .status();
+  return Execute({.kind = FarOpKind::kIndirect,
+                  .access = Access::kAdd,
+                  .mode = IndexMode::kIndexedTgt,
+                  .addr = ad,
+                  .value = v,
+                  .index = i},
+                 ChargeRule::kSerial);
 }
 
 // ----------------------------- Scatter-gather -----------------------------
 
 Status FarClient::RScatter(FarAddr ad, std::span<const LocalBuf> iov) {
-  const uint64_t total = TotalLen(iov);
-  std::vector<std::byte> staging(total);
-  std::vector<Fabric::Segment> segs;
-  FMDS_RETURN_IF_ERROR(fabric_->Segments(ad, total, segs));
-  FMDS_ASSIGN_OR_RETURN(
-      const uint64_t queue_ns,
-      AdmitCongestion(FarOpKind::kScatterGather,
-                      segs.empty() ? kObsNoNode : segs.front().node, ad,
-                      std::max<size_t>(segs.size(), 1), total));
-  size_t produced = 0;
-  for (const auto& seg : segs) {
-    fabric_->node(seg.node).ReadRange(
-        seg.offset,
-        std::span<std::byte>(staging).subspan(produced,
-                                              static_cast<size_t>(seg.len)));
-    produced += static_cast<size_t>(seg.len);
-  }
+  std::vector<std::byte> staging(TotalLen(iov));
+  const FarSeg range{ad, staging.size()};
+  FMDS_RETURN_IF_ERROR(RGather(std::span(&range, 1), staging));
   size_t cursor = 0;
   for (const auto& buf : iov) {
     std::memcpy(buf.data, staging.data() + cursor, buf.len);
     cursor += buf.len;
   }
-  stats_.bytes_read += total;
-  AccountRoundTrip(FarOpKind::kScatterGather,
-                   segs.empty() ? kObsNoNode : segs.front().node, ad, total,
-                   std::max<size_t>(segs.size(), 1), 0, /*ok=*/true, queue_ns);
   return OkStatus();
 }
 
 Status FarClient::RGather(std::span<const FarSeg> iov,
                           std::span<std::byte> out) {
-  uint64_t total = 0;
-  for (const auto& seg : iov) {
-    total += seg.len;
-  }
-  if (total > out.size()) {
-    return InvalidArgument("rgather output buffer too small");
-  }
-  uint64_t queue_ns = 0;
-  if (!iov.empty()) {
-    FMDS_ASSIGN_OR_RETURN(auto loc0, fabric_->Translate(iov.front().addr));
-    FMDS_ASSIGN_OR_RETURN(queue_ns,
-                          AdmitCongestion(FarOpKind::kScatterGather, loc0.node,
-                                          iov.front().addr, iov.size(), total));
-  }
-  size_t produced = 0;
-  uint64_t messages = 0;
-  NodeId first_node = kObsNoNode;
-  for (const auto& far : iov) {
-    std::vector<Fabric::Segment> segs;
-    FMDS_RETURN_IF_ERROR(fabric_->Segments(far.addr, far.len, segs));
-    size_t inner = 0;
-    for (const auto& seg : segs) {
-      if (first_node == kObsNoNode) {
-        first_node = seg.node;
-      }
-      fabric_->node(seg.node).ReadRange(
-          seg.offset,
-          out.subspan(produced + inner, static_cast<size_t>(seg.len)));
-      inner += static_cast<size_t>(seg.len);
-    }
-    produced += static_cast<size_t>(far.len);
-    messages += segs.size();
-  }
-  stats_.bytes_read += total;
-  // One client round trip: the adapter issues the segment reads concurrently.
-  AccountRoundTrip(FarOpKind::kScatterGather, first_node,
-                   iov.empty() ? kNullFarAddr : iov.front().addr, total,
-                   std::max<uint64_t>(messages, 1), 0, /*ok=*/true, queue_ns);
-  return OkStatus();
+  return Execute({.kind = FarOpKind::kScatterGather, .out = out, .iov = iov},
+                 ChargeRule::kSerial);
 }
 
 Status FarClient::WScatter(std::span<const FarSeg> iov,
                            std::span<const std::byte> src) {
-  uint64_t total = 0;
-  for (const auto& seg : iov) {
-    total += seg.len;
-  }
-  if (total > src.size()) {
-    return InvalidArgument("wscatter source buffer too small");
-  }
-  uint64_t queue_ns = 0;
-  if (!iov.empty()) {
-    FMDS_ASSIGN_OR_RETURN(auto loc0, fabric_->Translate(iov.front().addr));
-    FMDS_ASSIGN_OR_RETURN(queue_ns,
-                          AdmitCongestion(FarOpKind::kScatterGather, loc0.node,
-                                          iov.front().addr, iov.size(), total));
-  }
-  size_t consumed = 0;
-  uint64_t messages = 0;
-  NodeId first_node = kObsNoNode;
-  for (const auto& far : iov) {
-    std::vector<Fabric::Segment> segs;
-    FMDS_RETURN_IF_ERROR(fabric_->Segments(far.addr, far.len, segs));
-    size_t inner = 0;
-    for (const auto& seg : segs) {
-      if (first_node == kObsNoNode) {
-        first_node = seg.node;
-      }
-      fabric_->node(seg.node).WriteRange(
-          seg.offset,
-          src.subspan(consumed + inner, static_cast<size_t>(seg.len)),
-          clock_.now_ns());
-      inner += static_cast<size_t>(seg.len);
-    }
-    consumed += static_cast<size_t>(far.len);
-    messages += segs.size();
-  }
-  stats_.bytes_written += total;
-  AccountRoundTrip(FarOpKind::kScatterGather, first_node,
-                   iov.empty() ? kNullFarAddr : iov.front().addr, total,
-                   std::max<uint64_t>(messages, 1), 0, /*ok=*/true, queue_ns);
-  return OkStatus();
+  return Execute({.kind = FarOpKind::kScatterGather,
+                  .access = Access::kWrite,
+                  .in = src,
+                  .iov = iov},
+                 ChargeRule::kSerial);
 }
 
 Status FarClient::WGather(FarAddr ad, std::span<const ConstLocalBuf> iov) {
-  const uint64_t total = TotalLen(iov);
-  std::vector<std::byte> staging(total);
+  std::vector<std::byte> staging(TotalLen(iov));
   size_t cursor = 0;
   for (const auto& buf : iov) {
     std::memcpy(staging.data() + cursor, buf.data, buf.len);
     cursor += buf.len;
   }
-  std::vector<Fabric::Segment> segs;
-  FMDS_RETURN_IF_ERROR(fabric_->Segments(ad, total, segs));
-  FMDS_ASSIGN_OR_RETURN(
-      const uint64_t queue_ns,
-      AdmitCongestion(FarOpKind::kScatterGather,
-                      segs.empty() ? kObsNoNode : segs.front().node, ad,
-                      std::max<size_t>(segs.size(), 1), total));
-  size_t consumed = 0;
-  for (const auto& seg : segs) {
-    fabric_->node(seg.node).WriteRange(
-        seg.offset,
-        std::span<const std::byte>(staging)
-            .subspan(consumed, static_cast<size_t>(seg.len)),
-        clock_.now_ns());
-    consumed += static_cast<size_t>(seg.len);
-  }
-  stats_.bytes_written += total;
-  AccountRoundTrip(FarOpKind::kScatterGather,
-                   segs.empty() ? kObsNoNode : segs.front().node, ad, total,
-                   std::max<size_t>(segs.size(), 1), 0, /*ok=*/true, queue_ns);
-  return OkStatus();
+  const FarSeg range{ad, staging.size()};
+  return WScatter(std::span(&range, 1), staging);
 }
 
 Status FarClient::CasBatch(std::span<const CasTarget> targets,
@@ -647,359 +619,113 @@ Status FarClient::CasBatch(std::span<const CasTarget> targets,
 
 // ------------------------- Async batched pipeline -------------------------
 
-FarClient::PendingOp& FarClient::NewOp(OpKind kind, FarAddr addr) {
+FarClient::PendingOp& FarClient::Post(const FarOp& op) {
+  // A posted op's spans point into its slot's own vectors, which must keep
+  // their buffers when issue_queue_ grows: the slots move, never copy.
+  static_assert(std::is_nothrow_move_constructible_v<PendingOp>);
   if (issued_ == issue_queue_.size()) {
     issue_queue_.emplace_back();
   }
-  PendingOp& op = issue_queue_[issued_++];
-  op.id = next_op_id_++;
-  op.kind = kind;
-  op.addr = addr;
-  op.arg0 = 0;
-  op.arg1 = 0;
-  op.guard = 0;
-  op.out = {};
-  op.payload.clear();
-  op.iov.clear();
-  return op;
+  PendingOp& slot = issue_queue_[issued_++];
+  slot.id = next_op_id_++;
+  slot.guard = 0;
+  slot.op = op;
+  return slot;
 }
 
 FarClient::OpId FarClient::PostRead(FarAddr addr, std::span<std::byte> out) {
-  PendingOp& op = NewOp(OpKind::kRead, addr);
-  op.out = out;
-  return op.id;
+  return Post({.kind = FarOpKind::kRead, .addr = addr, .out = out}).id;
 }
 
 FarClient::OpId FarClient::PostWrite(FarAddr addr,
                                      std::span<const std::byte> data) {
-  PendingOp& op = NewOp(OpKind::kWrite, addr);
-  op.payload.assign(data.begin(), data.end());
-  return op.id;
+  PendingOp& slot = Post(
+      {.kind = FarOpKind::kWrite, .access = Access::kWrite, .addr = addr});
+  slot.payload.assign(data.begin(), data.end());
+  slot.op.in = slot.payload;
+  return slot.id;
 }
 
 FarClient::OpId FarClient::PostReadWord(FarAddr addr) {
-  return NewOp(OpKind::kReadWord, addr).id;
+  return Post({.kind = FarOpKind::kReadWord, .addr = addr}).id;
 }
 
 FarClient::OpId FarClient::PostWriteWord(FarAddr addr, uint64_t value) {
-  PendingOp& op = NewOp(OpKind::kWriteWord, addr);
-  op.arg0 = value;
-  return op.id;
+  return Post({.kind = FarOpKind::kWriteWord, .addr = addr, .value = value})
+      .id;
 }
 
 FarClient::OpId FarClient::PostCompareSwap(FarAddr addr, uint64_t expected,
                                            uint64_t desired, OpId guard) {
-  PendingOp& op = NewOp(OpKind::kCas, addr);
-  op.arg0 = expected;
-  op.arg1 = desired;
-  op.guard = guard;
-  return op.id;
+  PendingOp& slot = Post({.kind = FarOpKind::kCas,
+                          .addr = addr,
+                          .value = expected,
+                          .desired = desired});
+  slot.guard = guard;
+  return slot.id;
 }
 
 FarClient::OpId FarClient::PostFetchAdd(FarAddr addr, uint64_t delta) {
-  PendingOp& op = NewOp(OpKind::kFetchAdd, addr);
-  op.arg0 = delta;
-  return op.id;
+  return Post({.kind = FarOpKind::kFetchAdd, .addr = addr, .value = delta})
+      .id;
 }
 
 FarClient::OpId FarClient::PostLoad0(FarAddr ad, std::span<std::byte> out) {
-  PendingOp& op = NewOp(OpKind::kLoad0, ad);
-  op.out = out;
-  return op.id;
+  return Post({.kind = FarOpKind::kIndirect, .addr = ad, .out = out}).id;
 }
 
 FarClient::OpId FarClient::PostRGather(std::vector<FarSeg> iov,
                                        std::span<std::byte> out) {
-  PendingOp& op = NewOp(OpKind::kRGather, kNullFarAddr);
-  op.iov = std::move(iov);
-  op.out = out;
-  return op.id;
+  PendingOp& slot = Post({.kind = FarOpKind::kScatterGather, .out = out});
+  slot.iov = std::move(iov);
+  slot.op.iov = slot.iov;
+  return slot.id;
 }
 
-Status FarClient::ExecuteBatchedOp(
-    PendingOp& op, uint64_t* word,
-    std::unordered_map<NodeId, BatchGroup>& groups, uint64_t* messages,
-    uint64_t* fabric_ops, uint64_t* serial_ns, uint64_t* serial_rtts,
-    BatchOpObs* obs) {
-  // One node-group contribution: `msgs` fabric messages carrying
-  // `payload_bytes` whose occupancy lands on `node`, plus forward hops.
-  // Batch-path admission: one offer per op, no retry — a doorbell cannot
-  // re-time individual sub-ops, so a shed surfaces as a kOverloaded
-  // completion and the caller decides whether to re-post. The group waits
-  // out the worst queueing delay among its admitted ops.
-  auto admit = [&](NodeId node, uint64_t ops, uint64_t bytes) -> Status {
-    FMDS_ASSIGN_OR_RETURN(const uint64_t queue_ns,
-                          OfferOnce(node, ops, bytes));
-    if (queue_ns > 0) {
-      BatchGroup& group = groups[node];
-      group.queue_ns = std::max(group.queue_ns, queue_ns);
+template <typename Next>
+void FarClient::RunIssued(ChargeRule rule, Next next) {
+  Completion failed;  // latest failure: cancels the CASes it guards
+  for (size_t i = 0; i < issued_; ++i) {
+    const PendingOp& slot = issue_queue_[i];
+    Completion& completion = next(i);
+    completion.id = slot.id;
+    completion.word = 0;
+    // What a cancelled CAS reports: its kind and address, nothing moved.
+    RoundTripCost cost{.kind = FarOpKind::kCas, .addr = slot.op.addr};
+    completion.status = slot.guard != 0 && failed.id >= slot.guard
+                            ? failed.status
+                            : Execute(slot.op, rule, &completion.word, &cost);
+    if (!completion.status.ok()) {
+      failed = completion;
     }
-    return OkStatus();
-  };
-  auto charge = [&](NodeId node, uint64_t payload_bytes, uint64_t msgs,
-                    uint64_t hops) {
-    BatchGroup& group = groups[node];
-    ++group.contribs;
-    group.wire_ns +=
-        ModelFor(node).per_byte_ns * static_cast<double>(payload_bytes);
-    group.hops += hops;
-    *messages += msgs;
-    if (obs != nullptr && obs->node == kObsNoNode) {
-      obs->node = node;  // primary node serviced (first charge)
-    }
-    if (obs != nullptr) {
-      obs->bytes += payload_bytes;
-    }
-  };
-  if (obs != nullptr) {
-    obs->addr = op.addr;
-    switch (op.kind) {
-      case OpKind::kRead: obs->kind = FarOpKind::kRead; break;
-      case OpKind::kWrite: obs->kind = FarOpKind::kWrite; break;
-      case OpKind::kReadWord: obs->kind = FarOpKind::kReadWord; break;
-      case OpKind::kWriteWord: obs->kind = FarOpKind::kWriteWord; break;
-      case OpKind::kCas: obs->kind = FarOpKind::kCas; break;
-      case OpKind::kFetchAdd: obs->kind = FarOpKind::kFetchAdd; break;
-      case OpKind::kLoad0: obs->kind = FarOpKind::kIndirect; break;
-      case OpKind::kRGather: obs->kind = FarOpKind::kScatterGather; break;
+    if (rule == ChargeRule::kDoorbell && obs_.recording()) {
+      cost.ok = completion.status.ok();
+      cost.pieces = {};
+      doorbell_.obs.push_back(cost);
     }
   }
-
-  switch (op.kind) {
-    case OpKind::kRead: {
-      std::vector<Fabric::Segment> segs;
-      FMDS_RETURN_IF_ERROR(fabric_->Segments(op.addr, op.out.size(), segs));
-      FMDS_RETURN_IF_ERROR(admit(segs.empty() ? kObsNoNode : segs.front().node,
-                                 std::max<size_t>(segs.size(), 1),
-                                 op.out.size()));
-      size_t produced = 0;
-      for (const auto& seg : segs) {
-        fabric_->node(seg.node).ReadRange(
-            seg.offset,
-            op.out.subspan(produced, static_cast<size_t>(seg.len)));
-        charge(seg.node, seg.len, 1, 0);
-        produced += static_cast<size_t>(seg.len);
-      }
-      stats_.bytes_read += op.out.size();
-      ++*fabric_ops;
-      return OkStatus();
-    }
-    case OpKind::kWrite: {
-      std::vector<Fabric::Segment> segs;
-      FMDS_RETURN_IF_ERROR(
-          fabric_->Segments(op.addr, op.payload.size(), segs));
-      FMDS_RETURN_IF_ERROR(admit(segs.empty() ? kObsNoNode : segs.front().node,
-                                 std::max<size_t>(segs.size(), 1),
-                                 op.payload.size()));
-      size_t consumed = 0;
-      for (const auto& seg : segs) {
-        fabric_->node(seg.node).WriteRange(
-            seg.offset,
-            std::span<const std::byte>(op.payload)
-                .subspan(consumed, static_cast<size_t>(seg.len)),
-            clock_.now_ns());
-        charge(seg.node, seg.len, 1, 0);
-        consumed += static_cast<size_t>(seg.len);
-      }
-      stats_.bytes_written += op.payload.size();
-      ++*fabric_ops;
-      return OkStatus();
-    }
-    case OpKind::kReadWord:
-    case OpKind::kWriteWord:
-    case OpKind::kCas:
-    case OpKind::kFetchAdd: {
-      if (!IsWordAligned(op.addr)) {
-        return InvalidArgument("unaligned word op in batch");
-      }
-      FMDS_ASSIGN_OR_RETURN(auto loc, fabric_->Translate(op.addr));
-      FMDS_RETURN_IF_ERROR(admit(loc.node, 1, kWordSize));
-      MemoryNode& node = fabric_->node(loc.node);
-      switch (op.kind) {
-        case OpKind::kReadWord:
-          *word = node.LoadWord(loc.offset);
-          stats_.bytes_read += kWordSize;
-          break;
-        case OpKind::kWriteWord:
-          node.StoreWord(loc.offset, op.arg0, clock_.now_ns());
-          stats_.bytes_written += kWordSize;
-          break;
-        case OpKind::kCas:
-          *word = node.CompareSwapWord(loc.offset, op.arg0, op.arg1,
-                                       clock_.now_ns());
-          stats_.bytes_read += kWordSize;
-          stats_.bytes_written += kWordSize;
-          break;
-        default:  // OpKind::kFetchAdd
-          *word = node.FetchAddWord(loc.offset, op.arg0, clock_.now_ns());
-          stats_.bytes_read += kWordSize;
-          stats_.bytes_written += kWordSize;
-          break;
-      }
-      charge(loc.node, kWordSize, 1, 0);
-      ++*fabric_ops;
-      return OkStatus();
-    }
-    case OpKind::kLoad0: {
-      if (!IsWordAligned(op.addr)) {
-        return InvalidArgument("indirect pointer location must be word-aligned");
-      }
-      FMDS_ASSIGN_OR_RETURN(auto home, fabric_->Translate(op.addr));
-      FMDS_RETURN_IF_ERROR(
-          admit(home.node, 1, kWordSize + op.out.size()));
-      MemoryNode& home_node = fabric_->node(home.node);
-      home_node.stats().indirections.fetch_add(1, std::memory_order_relaxed);
-      const FarAddr pointer = home_node.LoadWord(home.offset);
-      if (pointer == kNullFarAddr) {
-        // The round trip completed and found a null pointer.
-        stats_.bytes_read += kWordSize;
-        charge(home.node, kWordSize, 1, 0);
-        ++*fabric_ops;
-        return Status(StatusCode::kFailedPrecondition,
-                      "null indirect pointer");
-      }
-      const uint64_t len = op.out.size();
-      std::vector<Fabric::Segment> segs;
-      Status seg_status = fabric_->Segments(pointer, len, segs);
-      if (!seg_status.ok()) {
-        stats_.bytes_read += kWordSize;
-        charge(home.node, kWordSize, 1, 0);
-        ++*fabric_ops;
-        return seg_status;
-      }
-      uint64_t remote_hops = 0;
-      for (const auto& seg : segs) {
-        if (seg.node != home.node) {
-          ++remote_hops;
-        }
-      }
-      if (remote_hops > 0 &&
-          fabric_->options().indirection == IndirectionPolicy::kError) {
-        // §7.1 kError: the pointer bounces back inside the batch; the client
-        // completes the read with a second round trip that cannot overlap
-        // anything (it depends on this batch), so it is charged serially.
-        stats_.bytes_read += kWordSize;
-        charge(home.node, kWordSize, 1, 0);
-        ++*fabric_ops;
-        size_t produced = 0;
-        for (const auto& seg : segs) {
-          fabric_->node(seg.node).ReadRange(
-              seg.offset,
-              op.out.subspan(produced, static_cast<size_t>(seg.len)));
-          produced += static_cast<size_t>(seg.len);
-        }
-        stats_.bytes_read += len;
-        *messages += segs.size();
-        *serial_ns += latency_.FarRoundTripNs(len);
-        ++*serial_rtts;
-        ++*fabric_ops;
-        *word = pointer;
-        return OkStatus();
-      }
-      if (remote_hops > 0) {
-        home_node.stats().forwards.fetch_add(remote_hops,
-                                             std::memory_order_relaxed);
-      }
-      size_t produced = 0;
-      for (const auto& seg : segs) {
-        fabric_->node(seg.node).ReadRange(
-            seg.offset,
-            op.out.subspan(produced, static_cast<size_t>(seg.len)));
-        produced += static_cast<size_t>(seg.len);
-      }
-      stats_.bytes_read += len;
-      charge(home.node, kWordSize + len, 1 + remote_hops, remote_hops);
-      ++*fabric_ops;
-      *word = pointer;
-      return OkStatus();
-    }
-    case OpKind::kRGather: {
-      uint64_t total = 0;
-      for (const auto& far : op.iov) {
-        total += far.len;
-      }
-      if (total > op.out.size()) {
-        return InvalidArgument("rgather output buffer too small");
-      }
-      if (!op.iov.empty()) {
-        FMDS_ASSIGN_OR_RETURN(auto loc0,
-                              fabric_->Translate(op.iov.front().addr));
-        FMDS_RETURN_IF_ERROR(admit(loc0.node, op.iov.size(), total));
-      }
-      size_t produced = 0;
-      for (const auto& far : op.iov) {
-        std::vector<Fabric::Segment> segs;
-        FMDS_RETURN_IF_ERROR(fabric_->Segments(far.addr, far.len, segs));
-        size_t inner = 0;
-        for (const auto& seg : segs) {
-          fabric_->node(seg.node).ReadRange(
-              seg.offset,
-              op.out.subspan(produced + inner,
-                             static_cast<size_t>(seg.len)));
-          charge(seg.node, seg.len, 1, 0);
-          inner += static_cast<size_t>(seg.len);
-        }
-        produced += static_cast<size_t>(far.len);
-      }
-      stats_.bytes_read += total;
-      ++*fabric_ops;
-      return OkStatus();
-    }
-  }
-  return Internal("bad batched op kind");
+  issued_ = 0;
 }
 
 Status FarClient::Flush() {
   if (issued_ == 0) {
     return OkStatus();
   }
-  std::unordered_map<NodeId, BatchGroup> groups;
-  uint64_t messages = 0;
-  uint64_t fabric_ops = 0;   // logical round trips the sync path would pay
-  uint64_t serial_ns = 0;    // dependent second accesses (kError policy)
-  uint64_t serial_rtts = 0;
-  const bool observing = obs_.recording();
-  std::vector<BatchOpObs> op_obs;
   const size_t batch_size = issued_;
-  if (observing) {
-    op_obs.resize(batch_size);
-  }
-  Completion failed;  // latest failure: cancels the CASes it guards
-  for (size_t i = 0; i < batch_size; ++i) {
-    PendingOp& op = issue_queue_[i];
-    Completion completion;
-    completion.id = op.id;
-    if (op.guard != 0 && failed.id >= op.guard) {
-      completion.status = failed.status;
-      if (observing) {
-        op_obs[i].kind = FarOpKind::kCas;
-        op_obs[i].addr = op.addr;
-      }
-    } else {
-      completion.status = ExecuteBatchedOp(
-          op, &completion.word, groups, &messages, &fabric_ops, &serial_ns,
-          &serial_rtts, observing ? &op_obs[i] : nullptr);
-    }
-    if (!completion.status.ok()) {
-      failed = completion;
-    }
-    if (observing) {
-      op_obs[i].ok = completion.status.ok();
-    }
-    completion_queue_.push_back(std::move(completion));
-  }
-  issued_ = 0;
+  RunIssued(ChargeRule::kDoorbell, [this](size_t) -> Completion& {
+    return completion_queue_.emplace_back();
+  });
   // One doorbell: per-node groups proceed in parallel; the client waits for
-  // the slowest, then for any serialized dependent accesses.
+  // the slowest.
   uint64_t batch_ns = 0;
-  for (const auto& [node, group] : groups) {
-    const LatencyModel& model = ModelFor(node);
+  uint64_t groups = 0;
+  for (NodeId node = 0; node < doorbell_.groups.size(); ++node) {
+    BatchGroup& group = doorbell_.groups[node];
     if (group.contribs == 0) {
-      // Admitted op that failed before any memory effect (e.g. a bad range
-      // in a gather): its queueing delay was still paid.
-      batch_ns = std::max(batch_ns, group.queue_ns);
       continue;
     }
+    ++groups;
+    const LatencyModel& model = ModelFor(node);
     const uint64_t cost =
         model.far_base_ns + static_cast<uint64_t>(group.wire_ns) +
         (group.contribs - 1) * model.batch_op_ns +
@@ -1009,51 +735,58 @@ Status FarClient::Flush() {
         // Congestion (§14): the group waits out its worst queueing delay.
         group.queue_ns;
     batch_ns = std::max(batch_ns, cost);
+    group = BatchGroup{};
   }
   ++stats_.batches;
   stats_.batched_ops += batch_size;
-  stats_.messages += messages;
-  const uint64_t waited_rtts = (groups.empty() ? 0 : 1) + serial_rtts;
+  stats_.messages += doorbell_.messages;
+  const uint64_t waited_rtts = groups == 0 ? 0 : 1;
   stats_.far_ops += waited_rtts;
-  if (fabric_ops > waited_rtts) {
-    stats_.overlapped_rtts_saved += fabric_ops - waited_rtts;
+  if (doorbell_.rtts > waited_rtts) {
+    stats_.overlapped_rtts_saved += doorbell_.rtts - waited_rtts;
   }
-  if (groups.size() > 1) {
+  if (groups > 1) {
     // §7 fan-out: G per-node doorbells overlapped into one wait. A client
     // that issued node sub-batches one at a time would wait G round trips.
     ++stats_.fanout_batches;
-    stats_.cross_node_rtts_saved += groups.size() - 1;
+    stats_.cross_node_rtts_saved += groups - 1;
   }
   const uint64_t start_ns = clock_.now_ns();
-  const uint64_t total_ns = batch_ns + serial_ns;
-  clock_.Advance(total_ns);
-  if (observing && !op_obs.empty()) {
-    // Flight recorder: the doorbell is one span [start, start+total]; each
-    // op inside gets an equal latency share, remainder on the first op, so
-    // the shares tile the span exactly and sum to the clock delta (the
-    // batched counterpart of "per-lookup share of the batch's simulated
-    // time" the benches report).
+  clock_.Advance(batch_ns);
+  if (!doorbell_.obs.empty()) {
+    // Flight recorder: the doorbell is one span [start, start+batch_ns];
+    // each op inside gets an equal latency share, remainder on the first
+    // op, so the shares tile the span exactly and sum to its clock delta
+    // (the batched counterpart of "per-lookup share of the batch's
+    // simulated time" the benches report).
     const uint64_t batch_id = obs_.NextBatchId();
-    const uint64_t k = op_obs.size();
-    const uint64_t share = total_ns / k;
+    const uint64_t k = doorbell_.obs.size();
+    const uint64_t share = batch_ns / k;
     uint64_t total_bytes = 0;
     bool all_ok = true;
-    for (const BatchOpObs& o : op_obs) {
+    for (const RoundTripCost& o : doorbell_.obs) {
       total_bytes += o.bytes;
       all_ok = all_ok && o.ok;
     }
     obs_.RecordOp(FarOpKind::kBatch, kObsNoNode, kNullFarAddr, total_bytes,
-                  start_ns, total_ns, all_ok, batch_id);
+                  start_ns, batch_ns, all_ok, batch_id);
     uint64_t cursor = start_ns;
-    for (size_t i = 0; i < op_obs.size(); ++i) {
-      const BatchOpObs& o = op_obs[i];
-      const uint64_t op_ns =
-          (i == 0) ? total_ns - share * (k - 1) : share;
+    for (size_t i = 0; i < doorbell_.obs.size(); ++i) {
+      const RoundTripCost& o = doorbell_.obs[i];
+      const uint64_t op_ns = (i == 0) ? batch_ns - share * (k - 1) : share;
       obs_.RecordOp(o.kind, o.node, o.addr, o.bytes, cursor, op_ns, o.ok,
                     batch_id);
       cursor += op_ns;
     }
   }
+  // Then the dependent accesses, one serial round trip each.
+  for (const RoundTripCost& cost : doorbell_.deferred) {
+    Charge(ChargeRule::kSerial, cost);
+  }
+  doorbell_.messages = 0;
+  doorbell_.rtts = 0;
+  doorbell_.obs.clear();
+  doorbell_.deferred.clear();
   return OkStatus();
 }
 
@@ -1086,51 +819,8 @@ Status FarClient::WaitAll(std::vector<Completion>* out) {
 
 void FarClient::ExecuteSerially(std::span<Completion> done) {
   assert(done.size() == issued_);
-  Completion failed;  // latest failure: cancels the CASes it guards
-  for (size_t i = 0; i < done.size(); ++i) {
-    PendingOp& op = issue_queue_[i];
-    Completion& completion = done[i];
-    completion.id = op.id;
-    completion.word = 0;
-    auto word = [&completion](const Result<uint64_t>& r) {
-      completion.word = r.ok() ? *r : 0;
-      return r.status();
-    };
-    if (op.guard != 0 && failed.id >= op.guard) {
-      completion.status = failed.status;
-      continue;
-    }
-    switch (op.kind) {
-      case OpKind::kRead:
-        completion.status = Read(op.addr, op.out);
-        break;
-      case OpKind::kWrite:
-        completion.status = Write(op.addr, op.payload);
-        break;
-      case OpKind::kReadWord:
-        completion.status = word(ReadWord(op.addr));
-        break;
-      case OpKind::kWriteWord:
-        completion.status = WriteWord(op.addr, op.arg0);
-        break;
-      case OpKind::kCas:
-        completion.status = word(CompareSwap(op.addr, op.arg0, op.arg1));
-        break;
-      case OpKind::kFetchAdd:
-        completion.status = word(FetchAdd(op.addr, op.arg0));
-        break;
-      case OpKind::kLoad0:
-        completion.status = word(Load0(op.addr, op.out));
-        break;
-      case OpKind::kRGather:
-        completion.status = RGather(op.iov, op.out);
-        break;
-    }
-    if (!completion.status.ok()) {
-      failed = completion;
-    }
-  }
-  issued_ = 0;
+  RunIssued(ChargeRule::kSerial,
+            [done](size_t i) -> Completion& { return done[i]; });
 }
 
 const FarClient::Completion* FarClient::FindCompletion(
@@ -1348,25 +1038,11 @@ void FarClient::AccountNear(uint64_t accesses) {
 
 Status FarClient::PostWriteBackground(FarAddr addr,
                                       std::span<const std::byte> data) {
-  std::vector<Fabric::Segment> segs;
-  FMDS_RETURN_IF_ERROR(fabric_->Segments(addr, data.size(), segs));
-  size_t consumed = 0;
-  for (const auto& seg : segs) {
-    fabric_->node(seg.node).WriteRange(
-        seg.offset, data.subspan(consumed, static_cast<size_t>(seg.len)),
-        clock_.now_ns());
-    consumed += static_cast<size_t>(seg.len);
-  }
-  ++stats_.background_ops;
-  stats_.messages += std::max<size_t>(segs.size(), 1);
-  stats_.bytes_written += data.size();
-  if (obs_.recording()) {
-    // Fire-and-forget: the client clock does not wait, so latency is 0.
-    obs_.RecordOp(FarOpKind::kBackground,
-                  segs.empty() ? kObsNoNode : segs.front().node, addr,
-                  data.size(), clock_.now_ns(), 0, true);
-  }
-  return OkStatus();
+  return Execute({.kind = FarOpKind::kWrite,
+                  .access = Access::kWrite,
+                  .addr = addr,
+                  .in = data},
+                 ChargeRule::kBackground);
 }
 
 Status FarClient::PostWriteWordBackground(FarAddr addr, uint64_t value) {
@@ -1375,19 +1051,8 @@ Status FarClient::PostWriteWordBackground(FarAddr addr, uint64_t value) {
 }
 
 Result<uint64_t> FarClient::ReadWordBackground(FarAddr addr) {
-  if (!IsWordAligned(addr)) {
-    return Status(StatusCode::kInvalidArgument, "unaligned word read");
-  }
-  FMDS_ASSIGN_OR_RETURN(auto loc, fabric_->Translate(addr));
-  const uint64_t value = fabric_->node(loc.node).LoadWord(loc.offset);
-  ++stats_.background_ops;
-  ++stats_.messages;
-  stats_.bytes_read += kWordSize;
-  if (obs_.recording()) {
-    obs_.RecordOp(FarOpKind::kBackground, loc.node, addr, kWordSize,
-                  clock_.now_ns(), 0, true);
-  }
-  return value;
+  return Run({.kind = FarOpKind::kReadWord, .addr = addr},
+             ChargeRule::kBackground);
 }
 
 }  // namespace fmds

@@ -196,8 +196,9 @@ class FarClient {
   size_t pending_completions() const { return completion_queue_.size(); }
 
   // Doorbell: submits every posted op in post order, advances the clock by
-  // the modelled batch latency, and moves completions to the completion
-  // queue. A flush with nothing posted is a (free) no-op.
+  // the modelled batch latency (then by one round trip per dependent kError
+  // access), and moves completions to the completion queue. A flush with
+  // nothing posted is a (free) no-op.
   Status Flush();
   // Pops the oldest completion, if any. Completions surface in post order.
   std::optional<Completion> Poll();
@@ -284,8 +285,9 @@ class FarClient {
   // trip, or kOverloaded once the policy gives up. No-op (returns 0) for
   // kObsNoNode, for the agent's own home node (an on-node agent crosses the
   // memory controller, not the NIC front end), and while congestion is off.
-  // Sync verbs, the batched Flush path, and RpcClient::Call all come
-  // through here — admission happens BEFORE memory effects everywhere.
+  // Sync verbs and RpcClient::Call come through here (a doorbell offers
+  // each op once instead) — admission happens BEFORE memory effects
+  // everywhere.
   Result<uint64_t> AdmitCongestion(FarOpKind kind, NodeId node, FarAddr addr,
                                    uint64_t ops, uint64_t bytes);
   const RetryPolicy& retry_policy() const { return retry_; }
@@ -305,27 +307,87 @@ class FarClient {
   void EnableObs(const ObsOptions& options) { obs_.set_options(options); }
 
  private:
-  enum class IndirectKind : uint8_t { kRead, kWrite, kAtomicAdd };
+  // Direction of a range, gather or indirect access.
+  enum class Access : uint8_t { kRead, kWrite, kAdd };
   // Pointer-selection variants of Fig. 1:
   //   kPlain:      tmp = *ad
   //   kIndexedPtr: tmp = *(ad + i)       (load1/store1/add1)
   //   kIndexedTgt: tmp = *ad + i         (load2/store2/add2)
   enum class IndexMode : uint8_t { kPlain, kIndexedPtr, kIndexedTgt };
 
-  // Shared engine for all indirect primitives. `fetch_add_delta`, when set,
-  // atomically bumps the pointer word (faai/saai).
-  Result<FarAddr> IndirectOp(IndirectKind kind, IndexMode mode, FarAddr ad,
-                             uint64_t i, std::optional<int64_t> fetch_add_delta,
-                             std::span<std::byte> read_out,
-                             std::span<const std::byte> write_value,
-                             uint64_t add_value);
+  // One far op as the executor runs it: built on the stack by a sync verb,
+  // kept in its issue-queue slot by a posted one. The spans point at the
+  // caller's buffers or at the slot's own copies, so a sync write copies no
+  // payload.
+  struct FarOp {
+    // kRead/kWrite (byte range), the four word kinds, kIndirect (Fig. 1
+    // load/store/add/faai/saai) or kScatterGather (rgather/wscatter).
+    FarOpKind kind = FarOpKind::kRead;
+    Access access = Access::kRead;       // ranges, gathers, indirections
+    IndexMode mode = IndexMode::kPlain;  // indirections
+    bool dependent = false;  // the second round trip of a kError bounce
+    FarAddr addr = kNullFarAddr;
+    uint64_t value = 0;    // word written, CAS expected, fetch-add/add delta
+    uint64_t desired = 0;  // CAS desired
+    uint64_t index = 0;    // load1/2, store1/2, add1/2
+    std::optional<int64_t> bump = {};  // faai/saai: pointer word += *bump
+    std::span<std::byte> out = {};       // read destination
+    std::span<const std::byte> in = {};  // write source
+    std::span<const FarSeg> iov = {};    // gather/scatter far list
+  };
 
-  // Executes a direct far access at `addr` (second round trip of the
-  // kError indirection policy).
-  Status DirectAccess(IndirectKind kind, FarAddr addr,
-                      std::span<std::byte> read_out,
-                      std::span<const std::byte> write_value,
-                      uint64_t add_value);
+  // How an executed op's cost reaches the client (DESIGN.md §5).
+  enum class ChargeRule : uint8_t {
+    // Sync verbs and ExecuteSerially: admission retries per RetryPolicy and
+    // each round trip is one AccountRoundTrip.
+    kSerial,
+    // Flush: each op is offered to admission once; the doorbell waits for
+    // its slowest memory-node group.
+    kDoorbell,
+    // Off the critical path: no admission; traffic counts, the clock stays.
+    kBackground,
+  };
+
+  // What one round trip cost, as the executor reports it to a charge rule.
+  struct RoundTripCost {
+    FarOpKind kind = FarOpKind::kRead;
+    NodeId node = kObsNoNode;  // primary node serviced; none for empty ops
+    FarAddr addr = kNullFarAddr;
+    uint64_t bytes = 0;     // payload moved
+    uint64_t messages = 0;  // node visits (segments + forward hops)
+    uint64_t hops = 0;      // forward hops between memory nodes
+    uint64_t queue_ns = 0;  // congestion queueing delay
+    bool ok = true;
+    bool dependent = false;
+    // A range op's per-node pieces, for the doorbell's node groups; empty
+    // when the whole cost lands on `node`.
+    std::span<const Fabric::Segment> pieces = {};
+  };
+
+  // The executor, the one body of every data verb (all but CasBatch and
+  // the notification verbs): checks `op`'s arguments, offers it to
+  // congestion admission, applies its memory-node effect and charges each
+  // of its round trips by `rule`. On success `word` (if set) receives the
+  // read value, pre-op value or indirect pointer. `cost` (if set) receives
+  // the report of the op's first round trip; an op that fails before its
+  // round trip leaves only its kind and address there.
+  Status Execute(const FarOp& op, ChargeRule rule, uint64_t* word = nullptr,
+                 RoundTripCost* cost = nullptr);
+  // Execute, keeping only the op's word.
+  Result<uint64_t> Run(const FarOp& op,
+                       ChargeRule rule = ChargeRule::kSerial);
+  // Applies `op`'s access to every segment in segs_, in order: reads fill
+  // op.out, writes drain op.in, adds bump each word by op.value.
+  void Apply(const FarOp& op);
+  // Admission under `rule`: AdmitCongestion, OfferOnce or none.
+  Result<uint64_t> Admit(ChargeRule rule, FarOpKind kind, NodeId node,
+                         FarAddr addr, uint64_t ops, uint64_t bytes);
+  void Charge(ChargeRule rule, const RoundTripCost& cost);
+  // Runs the issued ops in post order under `rule`, op i completing into
+  // next(i), then empties the issue queue. A CAS whose guard range saw a
+  // failure completes with that failure and no memory effect.
+  template <typename Next>
+  void RunIssued(ChargeRule rule, Next next);
 
   // Charges one client round trip: bumps ClientStats, advances the clock
   // by the modelled latency plus any congestion queueing delay, and (when
@@ -338,32 +400,18 @@ class FarClient {
                         uint64_t queue_ns = 0);
 
   // ---- Async pipeline internals ----
-  enum class OpKind : uint8_t {
-    kRead,
-    kWrite,
-    kReadWord,
-    kWriteWord,
-    kCas,
-    kFetchAdd,
-    kLoad0,
-    kRGather,
-  };
-
+  // A posted op: its descriptor plus the buffers the slot owns for it.
   struct PendingOp {
     OpId id = 0;
-    OpKind kind = OpKind::kRead;
-    FarAddr addr = kNullFarAddr;
-    uint64_t arg0 = 0;  // CAS expected / fetch-add delta / write word value
-    uint64_t arg1 = 0;  // CAS desired
-    OpId guard = 0;     // CAS: first op whose failure cancels it
-    std::span<std::byte> out;        // read destination (caller-owned)
+    OpId guard = 0;  // CAS: first op whose failure cancels it
+    FarOp op;        // op.in / op.iov point into the vectors below
     std::vector<std::byte> payload;  // write data (copied at Post time)
     std::vector<FarSeg> iov;         // rgather source list
   };
 
   // Per-node accumulator for one Flush: cost_n = far_base + wire_ns +
   // (contribs-1)*batch_op_ns + hops*node_hop_ns; the clock advances by the
-  // max over nodes plus any serialized extra round trips (kError policy).
+  // max over nodes.
   struct BatchGroup {
     uint64_t contribs = 0;
     double wire_ns = 0.0;
@@ -373,32 +421,25 @@ class FarClient {
     uint64_t queue_ns = 0;
   };
 
-  // Recorder-facing view of one batched op, collected during Flush; the
-  // latency share is assigned once the whole batch's cost is known.
-  struct BatchOpObs {
-    FarOpKind kind = FarOpKind::kRead;
-    NodeId node = kObsNoNode;
-    FarAddr addr = kNullFarAddr;
-    uint64_t bytes = 0;
-    bool ok = true;
+  // The doorbell Flush is submitting: what the kDoorbell rule charged.
+  struct Doorbell {
+    std::vector<BatchGroup> groups;  // indexed by node
+    uint64_t messages = 0;
+    uint64_t rtts = 0;  // round trips the serial rule would have charged
+    // Per-op reports for the flight recorder (only while recording).
+    std::vector<RoundTripCost> obs;
+    // Dependent accesses (kError bounces): serial round trips that start
+    // when the doorbell's reply arrives.
+    std::vector<RoundTripCost> deferred;
   };
 
   // Queues a dispatched poll-style event for PollNotification(), bounded by
   // the channel capacity (overflow collapses to one loss warning).
   void ParkEvent(NotifyEvent ev);
 
-  // Appends a posted op in a slot of the issue queue, reusing one an
-  // earlier batch left (and its buffers' capacity).
-  PendingOp& NewOp(OpKind kind, FarAddr addr);
-  // Executes one posted op against the memory nodes, accumulating node-group
-  // charges into `groups` and message/serial-RTT totals; returns the
-  // per-op status and fills `word`. When `obs` is non-null it receives the
-  // op's kind/node/bytes for the flight recorder.
-  Status ExecuteBatchedOp(PendingOp& op, uint64_t* word,
-                          std::unordered_map<NodeId, BatchGroup>& groups,
-                          uint64_t* messages, uint64_t* fabric_ops,
-                          uint64_t* serial_ns, uint64_t* serial_rtts,
-                          BatchOpObs* obs);
+  // Appends `op` in a slot of the issue queue, reusing one an earlier batch
+  // left (and its buffers' capacity).
+  PendingOp& Post(const FarOp& op);
 
   // Latency model for round trips serviced by `node` — the local model when
   // this client is a near-memory agent on that node, the fabric model
@@ -408,10 +449,15 @@ class FarClient {
                                                            : latency_;
   }
 
-  // One shed-or-retry admission attempt without retry semantics (the batch
-  // path: a doorbell offers each op once; rejected ops complete with
-  // kOverloaded in the same reply). Bumps shed stats on reject.
-  Result<uint64_t> OfferOnce(NodeId node, uint64_t ops, uint64_t bytes);
+  // `node` when an op to it queues at its congestion front end; nullptr
+  // for kObsNoNode, for the agent's own home node and while congestion is
+  // off (admission is then free).
+  MemoryNode* FrontEnd(NodeId node) const;
+  // One admission attempt at `node`'s congestion front end: true with the
+  // queueing delay in *queue_ns, or false (after bumping overload_sheds)
+  // when the node sheds the op. Charges no bounce round trip.
+  bool OfferOnce(NodeId node, uint64_t ops, uint64_t bytes,
+                 uint64_t* queue_ns);
   // Deterministic per-client jitter source (xorshift).
   uint64_t NextJitter();
 
@@ -437,10 +483,13 @@ class FarClient {
   std::deque<NotifyEvent> parked_events_;
   size_t channel_capacity_;
 
+  // Segments of the op being executed (reused across ops).
+  std::vector<Fabric::Segment> segs_;
   // Slots of posted ops: the first issued_ are this batch, in post order;
   // the rest are spares kept from larger batches.
   std::vector<PendingOp> issue_queue_;
   size_t issued_ = 0;
+  Doorbell doorbell_;
   std::deque<Completion> completion_queue_;
   OpId next_op_id_ = 1;
 };

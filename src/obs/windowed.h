@@ -45,6 +45,7 @@
 #include "src/common/histogram.h"
 #include "src/fabric/far_addr.h"
 #include "src/obs/op_kind.h"
+#include "src/obs/trace_ring.h"
 
 namespace fmds {
 
@@ -211,7 +212,9 @@ class WindowedSignals {
       staged_last_now_ = now_ns;
     }
     const uint64_t lat = latency_ns > UINT32_MAX ? UINT32_MAX : latency_ns;
-    if (kind != FarOpKind::kBatch) {
+    // The batch span rolls up ops attributed individually, and an op with
+    // no memory node (a delivered notification, an empty range) has no row.
+    if (kind != FarOpKind::kBatch && node != kObsNoNode) {
       if (node >= node_hot_cap_) {
         GrowNodeHot(node);
       }

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <thread>
 #include <vector>
@@ -364,6 +365,221 @@ TEST(AsyncClientTest, RandomAsyncInterleavingsMatchSyncExecution) {
     // Batching must have saved round trips somewhere.
     EXPECT_GT(async_client.stats().overlapped_rtts_saved, 0u);
     EXPECT_LT(async_client.stats().far_ops, sync_client.stats().far_ops);
+  }
+
+  // Every posted kind, on two page-striped nodes under the kError policy:
+  // ranges across the stripe boundary, load0 through a null, a same-node
+  // and a cross-node pointer (the bounce), rgather, and a CAS guarded by a
+  // write that may fail. One stream drives three legs: the sync verbs, the
+  // doorbell (Flush) and the serial driver (ExecuteSerially). All three
+  // must leave the same memory and complete every op alike; the serial
+  // driver must also charge exactly what the sync verbs charge.
+  enum Kind : uint64_t {
+    kWriteWord, kReadWord, kCas, kFetchAdd, kWrite, kRead, kLoad0, kRGather,
+    kGuardedCas, kKinds
+  };
+  struct RichOp {
+    uint64_t kind;
+    uint64_t slot;
+    uint64_t arg;
+    bool flush_after;
+  };
+  struct Outcome {
+    StatusCode code = StatusCode::kOk;
+    uint64_t word = 0;
+    std::array<uint64_t, 3> out{};
+  };
+  // Slot kWords/2 starts page 1 (node 1); the slots before it end page 0.
+  constexpr FarAddr kBase = kPageSize - kWordSize * (kWords / 2);
+  constexpr FarAddr kPtrs = kBase - 64;  // page 0: null, same-node, remote
+  auto slot_addr = [](uint64_t slot) { return kBase + kWordSize * slot; };
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    FabricOptions options = StripedFabric(2, kPageSize, 1 << 20);
+    options.indirection = IndirectionPolicy::kError;
+    TestEnv sync_env(options);
+    TestEnv async_env(options);
+    TestEnv serial_env(options);
+    FarClient& sync_client = sync_env.NewClient();
+    FarClient& async_client = async_env.NewClient();
+    FarClient& serial_client = serial_env.NewClient();
+    const FarAddr beyond = sync_env.fabric().total_capacity();
+    for (FarClient* c : {&sync_client, &async_client, &serial_client}) {
+      for (uint64_t slot = 0; slot < kWords; ++slot) {
+        ASSERT_TRUE(c->WriteWord(slot_addr(slot), slot * 10).ok());
+      }
+      ASSERT_TRUE(c->WriteWord(kPtrs, kNullFarAddr).ok());
+      ASSERT_TRUE(c->WriteWord(kPtrs + 8, slot_addr(2)).ok());
+      ASSERT_TRUE(c->WriteWord(kPtrs + 16, slot_addr(kWords - 3)).ok());
+    }
+
+    Rng rng(seed);
+    std::vector<RichOp> ops;
+    size_t entries = 0;  // completions: a guarded pair posts two ops
+    for (int i = 0; i < kOpsTotal; ++i) {
+      ops.push_back(RichOp{rng.NextBelow(kKinds), rng.NextBelow(kWords - 3),
+                           rng.NextBelow(1000), rng.NextBool(0.2)});
+      entries += ops.back().kind == kGuardedCas ? 2 : 1;
+    }
+    // Outcome slots stay put while ops are in flight (read destinations).
+    std::vector<Outcome> sync_got(entries);
+    std::vector<Outcome> async_got(entries);
+    std::vector<Outcome> serial_got(entries);
+    auto out_bytes = [](Outcome& o, size_t words) {
+      return std::as_writable_bytes(std::span<uint64_t>(o.out.data(), words));
+    };
+    // A 3-word range starting one or two words before node 1's page.
+    auto range_addr = [&](const RichOp& op) {
+      return slot_addr(kWords / 2 - 1 - op.arg % 2);
+    };
+    auto gather_iov = [&](const RichOp& op) {
+      return std::vector<FarSeg>{{slot_addr(op.slot), 8},
+                                 {slot_addr((op.slot + op.arg) % kWords), 8},
+                                 {slot_addr(kWords - 1 - op.slot), 8}};
+    };
+    // The guarded pair's write fails (out of range) on odd args.
+    auto guard_write_addr = [&](const RichOp& op) {
+      return op.arg % 2 == 1 ? beyond : slot_addr(op.slot + 1);
+    };
+
+    auto word = [](const Result<uint64_t>& r, Outcome* o) {
+      o->code = r.status().code();
+      o->word = r.ok() ? *r : 0;
+    };
+    auto run_sync = [&](const RichOp& op, Outcome* o) {
+      const uint64_t payload[3] = {op.arg, op.arg + 1, op.arg + 2};
+      const auto data = std::as_bytes(std::span<const uint64_t>(payload));
+      FarClient& c = sync_client;
+      switch (op.kind) {
+        case kWriteWord:
+          o->code = c.WriteWord(slot_addr(op.slot), op.arg).code();
+          break;
+        case kReadWord:
+          word(c.ReadWord(slot_addr(op.slot)), o);
+          break;
+        case kCas:
+          word(c.CompareSwap(slot_addr(op.slot), op.arg, op.arg + 1), o);
+          break;
+        case kFetchAdd:
+          word(c.FetchAdd(slot_addr(op.slot), op.arg), o);
+          break;
+        case kWrite:
+          o->code = c.Write(range_addr(op), data).code();
+          break;
+        case kRead:
+          o->code = c.Read(range_addr(op), out_bytes(*o, 3)).code();
+          break;
+        case kLoad0:
+          word(c.Load0(kPtrs + 8 * (op.arg % 3), out_bytes(*o, 2)), o);
+          break;
+        case kRGather:
+          o->code = c.RGather(gather_iov(op), out_bytes(*o, 3)).code();
+          break;
+        default: {  // kGuardedCas: the CAS runs only if its write succeeded
+          const Status wrote = c.Write(guard_write_addr(op), data.first(8));
+          o[0].code = wrote.code();
+          if (wrote.ok()) {
+            word(c.CompareSwap(slot_addr(op.slot), op.arg, op.arg + 1), &o[1]);
+          } else {
+            o[1].code = wrote.code();
+          }
+          break;
+        }
+      }
+    };
+    auto post = [&](FarClient& c, const RichOp& op, Outcome* o) {
+      const uint64_t payload[3] = {op.arg, op.arg + 1, op.arg + 2};
+      const auto data = std::as_bytes(std::span<const uint64_t>(payload));
+      switch (op.kind) {
+        case kWriteWord:
+          c.PostWriteWord(slot_addr(op.slot), op.arg);
+          break;
+        case kReadWord:
+          c.PostReadWord(slot_addr(op.slot));
+          break;
+        case kCas:
+          c.PostCompareSwap(slot_addr(op.slot), op.arg, op.arg + 1);
+          break;
+        case kFetchAdd:
+          c.PostFetchAdd(slot_addr(op.slot), op.arg);
+          break;
+        case kWrite:
+          c.PostWrite(range_addr(op), data);  // copied: payload dies here
+          break;
+        case kRead:
+          c.PostRead(range_addr(op), out_bytes(*o, 3));
+          break;
+        case kLoad0:
+          c.PostLoad0(kPtrs + 8 * (op.arg % 3), out_bytes(*o, 2));
+          break;
+        case kRGather:
+          c.PostRGather(gather_iov(op), out_bytes(*o, 3));
+          break;
+        default: {
+          const FarClient::OpId write =
+              c.PostWrite(guard_write_addr(op), data.first(8));
+          c.PostCompareSwap(slot_addr(op.slot), op.arg, op.arg + 1, write);
+          break;
+        }
+      }
+    };
+    auto absorb = [](std::span<const FarClient::Completion> done,
+                     Outcome* first) {
+      for (size_t k = 0; k < done.size(); ++k) {
+        first[k].code = done[k].status.code();
+        first[k].word = done[k].word;
+      }
+    };
+
+    size_t next = 0;         // next outcome slot
+    size_t batch_start = 0;  // first outcome slot of the open batch
+    for (size_t i = 0; i < ops.size(); ++i) {
+      const RichOp& op = ops[i];
+      run_sync(op, &sync_got[next]);
+      post(async_client, op, &async_got[next]);
+      post(serial_client, op, &serial_got[next]);
+      next += op.kind == kGuardedCas ? 2 : 1;
+      if (!op.flush_after && i + 1 < ops.size()) {
+        continue;
+      }
+      std::vector<FarClient::Completion> done;
+      (void)async_client.WaitAll(&done);
+      ASSERT_EQ(done.size(), next - batch_start);
+      absorb(done, &async_got[batch_start]);
+      std::vector<FarClient::Completion> serial_done(
+          serial_client.pending_ops());
+      serial_client.ExecuteSerially(serial_done);
+      ASSERT_EQ(serial_done.size(), next - batch_start);
+      absorb(serial_done, &serial_got[batch_start]);
+      batch_start = next;
+      // The serial driver charges exactly the sync verbs' costs.
+      EXPECT_EQ(serial_client.stats().ToString(),
+                sync_client.stats().ToString())
+          << "after op " << i;
+      EXPECT_EQ(serial_client.clock().now_ns(), sync_client.clock().now_ns())
+          << "after op " << i;
+    }
+    ASSERT_EQ(next, entries);
+
+    for (size_t k = 0; k < entries; ++k) {
+      for (const auto* got : {&async_got, &serial_got}) {
+        EXPECT_EQ((*got)[k].code, sync_got[k].code) << "entry " << k;
+        EXPECT_EQ((*got)[k].word, sync_got[k].word) << "entry " << k;
+        EXPECT_EQ((*got)[k].out, sync_got[k].out) << "entry " << k;
+      }
+    }
+    for (uint64_t slot = 0; slot < kWords; ++slot) {
+      const uint64_t want = *sync_client.ReadWord(slot_addr(slot));
+      EXPECT_EQ(*async_client.ReadWord(slot_addr(slot)), want) << slot;
+      EXPECT_EQ(*serial_client.ReadWord(slot_addr(slot)), want) << slot;
+    }
+    // The stream reached every outcome the op kinds can produce.
+    auto count = [&](StatusCode code) {
+      return std::count_if(sync_got.begin(), sync_got.end(),
+                           [code](const Outcome& o) { return o.code == code; });
+    };
+    EXPECT_GT(count(StatusCode::kFailedPrecondition), 0);  // null load0
+    EXPECT_GT(count(StatusCode::kOutOfRange), 0);  // failed guard write
+    EXPECT_GT(sync_client.stats().far_ops, async_client.stats().far_ops);
   }
 }
 

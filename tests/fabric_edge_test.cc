@@ -3,6 +3,7 @@
 // corrupt pointers, and accounting invariants.
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -159,6 +160,17 @@ TEST(FabricEdgeTest, ClientStatsDeltaAndAddMoveOnlyTheSetField) {
     }
     EXPECT_NE(set.ToString().find(names[i] + "=7"), std::string::npos)
         << set.ToString();
+  }
+  // The fleet table has a column per field, headed by the field's name.
+  std::ostringstream dump;
+  Fabric::DumpClientStats(dump, {});
+  const std::string table = dump.str();
+  const size_t header_start = table.find('|');
+  const std::string header =
+      table.substr(header_start, table.find('\n', header_start) - header_start);
+  for (const std::string& name : names) {
+    EXPECT_NE(header.find(" " + name + " |"), std::string::npos)
+        << name << " missing from " << header;
   }
 }
 

@@ -289,8 +289,13 @@ TEST(WindowedSignalsTest, PerNodeAttribution) {
   for (int i = 0; i < 10; ++i) {
     s.RecordOp(FarOpKind::kRead, 2, 300, 50, 2000);
   }
+  // An op no memory node serviced (a delivered notification) counts for
+  // its kind but owns no per-node row.
+  s.RecordOp(FarOpKind::kNotification, kObsNoNode, 8, 50, 0);
   s.Drain();
   ASSERT_GE(s.node_count(), 3u);
+  EXPECT_EQ(s.node_count(), 3u);
+  EXPECT_EQ(s.RecentCount(FarOpKind::kNotification), 1u);
   EXPECT_DOUBLE_EQ(s.RecentOpsPerSec(0) / s.RecentOpsPerSec(2), 3.0);
   // bytes: node0 30*100, node2 10*300 — equal rolling byte rates.
   EXPECT_DOUBLE_EQ(s.RecentBytesPerSec(0), s.RecentBytesPerSec(2));
