@@ -1,5 +1,6 @@
 #include "src/core/blob_store.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "src/common/bytes.h"
@@ -57,7 +58,7 @@ Status HtBlobStore::Put(uint64_t key, std::span<const std::byte> value) {
   std::vector<std::byte> image(blob_bytes);
   const uint64_t len = value.size();
   std::memcpy(image.data(), &len, kWordSize);
-  std::memcpy(image.data() + kWordSize, value.data(), value.size());
+  std::copy_n(value.data(), value.size(), image.data() + kWordSize);
   FMDS_RETURN_IF_ERROR(client_->Write(blob, image));  // 1 far access
   // Publish through the map (2 far accesses). A replaced blob becomes
   // unreachable; its memory is reclaimed through allocator epochs by the
@@ -90,7 +91,7 @@ Result<std::vector<std::byte>> HtBlobStore::Get(uint64_t key,
   const uint64_t len = LoadAs<uint64_t>(buf);
   std::vector<std::byte> value(len);
   const uint64_t have = std::min<uint64_t>(len, first_fetch - kWordSize);
-  std::memcpy(value.data(), buf.data() + kWordSize, have);
+  std::copy_n(buf.data() + kWordSize, have, value.data());
   if (have < len) {
     // Large value beyond the speculative fetch: one more far access.
     FMDS_RETURN_IF_ERROR(client_->Read(
@@ -135,7 +136,7 @@ std::vector<Result<std::vector<std::byte>>> HtBlobStore::MultiGet(
     const uint64_t len = LoadAs<uint64_t>(buf);
     std::vector<std::byte> value(len);
     const uint64_t have = std::min<uint64_t>(len, first_fetch - kWordSize);
-    std::memcpy(value.data(), buf.data() + kWordSize, have);
+    std::copy_n(buf.data() + kWordSize, have, value.data());
     results[idx] = std::move(value);
     if (have < len) {
       tails.push_back(Tail{idx, blob, have});

@@ -31,6 +31,17 @@ inline constexpr size_t kRoutedOpCount = 4;
 
 enum class DataplaneRoute : uint8_t { kOneSided = 0, kRpc = 1 };
 
+// Where one store landed, whichever path published it (HtTree::MultiWrite
+// per key, a routed write's reply): the bucket its CAS swung and the new
+// head word there, the key's item slot. `refillable` marks a landed Put —
+// not a tombstone, not a key that failed — whose writer may refill its
+// NearCache entry under `head` (the landed-store exit, DESIGN.md §11).
+struct WriteOutcome {
+  FarAddr bucket = kNullFarAddr;
+  FarAddr head = kNullFarAddr;
+  bool refillable = false;
+};
+
 // Per-operation route decision + measurement feedback. One decider serves
 // every handle bound to one FarClient (single application thread); state is
 // keyed by (op kind, memory node), so ShardedMap shards pinned to different
@@ -74,12 +85,6 @@ class RemoteMapPath {
     // Chain positions the server walked — complexity feedback that keeps
     // the caller's units estimate fresh even while RPC-routed.
     uint32_t chain_hops = 0;
-  };
-
-  struct WriteOutcome {
-    FarAddr bucket = kNullFarAddr;
-    uint64_t head = 0;  // new bucket head word (the key's item slot)
-    bool refillable = false;
   };
 
   virtual Result<ReadView> Get(FarAddr header, uint64_t key) = 0;

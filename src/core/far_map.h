@@ -26,16 +26,27 @@
 
 namespace fmds {
 
-// Portable per-handle counters: the common denominator of the concrete
-// maps' richer stats. Fields a structure does not track stay zero.
+// Portable per-handle counters. They are the HT-tree's own op counters
+// (HtTree::OpStats names this struct); a structure fills the fields it
+// tracks and leaves the rest zero.
 struct FarMapStats {
   uint64_t gets = 0;
   uint64_t puts = 0;
   uint64_t removes = 0;
-  uint64_t chain_hops = 0;
-  uint64_t stale_refreshes = 0;
-  uint64_t cas_retries = 0;
-  uint64_t splits = 0;
+  uint64_t chain_hops = 0;       // extra far accesses walking chains
+  uint64_t stale_refreshes = 0;  // cache refreshes triggered by staleness
+  uint64_t cas_retries = 0;      // bucket CAS mispredictions
+  uint64_t splits = 0;           // splits this handle performed
+
+  void Add(const FarMapStats& other) {
+    gets += other.gets;
+    puts += other.puts;
+    removes += other.removes;
+    chain_hops += other.chain_hops;
+    stale_refreshes += other.stale_refreshes;
+    cas_retries += other.cas_retries;
+    splits += other.splits;
+  }
 };
 
 class FarMap {

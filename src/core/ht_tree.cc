@@ -396,14 +396,9 @@ bool HtTree::ConsultNear(uint64_t key, Result<uint64_t>* out) {
   // erases records only after its CAS and cache-refill stages), making the
   // pending -> dispatch -> cache consult order safe.
   if (wb_ != nullptr) {
-    uint64_t pending_value = 0;
-    bool pending_tombstone = false;
-    if (wb_->Lookup(key, &pending_value, &pending_tombstone)) {
+    if (std::optional<Result<uint64_t>> pending = wb_->Lookup(key)) {
       client_->AccountNear(1);
-      *out = pending_tombstone
-                 ? Result<uint64_t>(Status(StatusCode::kNotFound,
-                                           "key removed"))
-                 : Result<uint64_t>(pending_value);
+      *out = *std::move(pending);
       return true;
     }
   }
@@ -807,26 +802,42 @@ Status HtTree::EnableRouting(RouteDecider* decider, RemoteMapPath* remote) {
   return OkStatus();
 }
 
-void HtTree::ApplyRemoteWrite(uint64_t key, uint64_t value, bool tombstone,
-                              const RemoteMapPath::WriteOutcome& outcome) {
-  // Mirror the one-sided CAS exit: the agent's CAS left the bucket word
-  // equal to `outcome.head`, so the hint and (for a Put) the writer-side
-  // refill are exactly as fresh as they would be had this client swung the
-  // word itself. Word-versioned coherence covers the race with later
-  // writers: their events carry a different word and kill the entry, and
-  // none of their queued events can have been dispatched between the agent's
-  // publish and this refill (no DispatchCacheInvalidations in between).
+void HtTree::ApplyLandedStore(uint64_t key, uint64_t value,
+                              const WriteOutcome& outcome) {
+  // The CAS — this handle's own, a txn round's or the RPC agent's — left the
+  // bucket word equal to `outcome.head`, so the hint and the refill are
+  // exactly as fresh as the word itself. Word-versioned coherence covers the
+  // race with later writers: their events carry a different word and kill
+  // the entry, and none of their queued events can have been dispatched
+  // between the publish and this refill (no DispatchCacheInvalidations in
+  // between). Non-resident keys are untouched and a moved watch degrades
+  // to an invalidate, so read-your-writes holds in every case.
   if (options_.use_head_hints && outcome.bucket != kNullFarAddr) {
     head_hints_.Upsert(outcome.bucket, outcome.head);
   }
   if (near_cache_ == nullptr) {
     return;
   }
-  if (!tombstone && outcome.refillable && outcome.bucket != kNullFarAddr) {
+  if (outcome.refillable) {
     near_cache_->Refill(key, AsConstBytes(value), outcome.bucket, kWordSize,
                         outcome.head);
   } else {
     near_cache_->Invalidate(key);
+  }
+}
+
+void HtTree::ApplyFlushedStore(NearCache* cache, uint64_t key, uint64_t value,
+                               const WriteOutcome& outcome) {
+  if (cache == nullptr) {
+    return;
+  }
+  if (outcome.refillable) {
+    cache->RefillExternal(key, AsConstBytes(value), outcome.bucket, kWordSize,
+                          outcome.head);
+  } else {
+    // A tombstone or a key that did not land: drop the entry and let the
+    // bucket notification (already in the app channel by now) rule.
+    cache->InvalidateExternal(key);
   }
 }
 
@@ -869,7 +880,7 @@ Status HtTree::Store(uint64_t key, uint64_t value, bool tombstone) {
         if (!outcome.ok()) {
           return std::nullopt;
         }
-        ApplyRemoteWrite(key, value, tombstone, *outcome);
+        ApplyLandedStore(key, value, *outcome);
         return OkStatus();
       },
       [&] {
@@ -1065,30 +1076,13 @@ void HtTree::BatchPut::AbsorbWave(
       op.state = State::kInspect;
       continue;
     }
-    if (map_->options_.use_head_hints) {
-      map_->head_hints_.Upsert(op.bucket, op.slot);
-    }
-    // Writer-side refill (zero far round trips): the writer holds the
-    // fresh value and its CAS left the bucket word equal to `slot`, so a
-    // resident entry refills in place instead of dying and paying a read
-    // RTT on the next lookup. Word-versioned coherence makes this safe:
-    // the echo of our own CAS confirms the entry (event word == slot),
-    // while any later writer's event carries a different word and kills
-    // it. Non-resident keys are untouched; a moved watch degrades to the
-    // old invalidate, so read-your-writes holds in every case. A
-    // tombstone just invalidates.
-    if (map_->near_cache_ != nullptr) {
-      if (op.tombstone) {
-        map_->near_cache_->Invalidate(op.key);
-      } else {
-        map_->near_cache_->Refill(op.key, AsConstBytes(op.value), op.bucket,
-                                  kWordSize, op.slot);
-      }
-    }
-    // The CAS left the bucket word equal to op.slot, the exact
-    // confirmation word a cross-thread RefillExternal needs.
+    // The CAS left the bucket word equal to op.slot: the landed-store exit
+    // refills (or, for a tombstone, invalidates) under that word, and the
+    // caller's outcome carries it to the flusher-side exit.
+    const WriteOutcome landed{op.bucket, op.slot, !op.tombstone};
+    map_->ApplyLandedStore(op.key, op.value, landed);
     if (outcomes_ != nullptr) {
-      (*outcomes_)[i] = WriteOutcome{op.bucket, op.slot, !op.tombstone};
+      (*outcomes_)[i] = landed;
     }
     if (map_->GrowthSplitDue(op.leaf.table, op.link == op.predicted)) {
       deferred_splits_.push_back({op.leaf_index, op.leaf.table, op.hash});
@@ -1451,79 +1445,12 @@ Status HtTree::SplitLeafLocked(const CachedNode& leaf, uint64_t hash,
   return OkStatus();
 }
 
-namespace {
-// Distinguishes a flusher client's id from its application client's.
-constexpr uint64_t kWbClientIdBit = 1ull << 62;
-
-// Publishes write-behind batches through a flusher-owned FarClient and
-// Attach'd handle to the same far map, then refills the application
-// handle's NearCache from the per-key outcomes. Lives entirely on the
-// flusher thread; the only cross-thread touch is the (internally locked)
-// NearCache External calls.
-class HtTreeWbPublisher : public WriteBehindEngine::Publisher {
- public:
-  HtTreeWbPublisher(std::unique_ptr<FarClient> client, HtTree map,
-                    NearCache* app_cache)
-      : client_(std::move(client)),
-        map_(std::move(map)),
-        app_cache_(app_cache) {}
-
-  FarClient* client() override { return client_.get(); }
-
-  Status Publish(const WriteBehindEngine::Batch& batch) override {
-    return map_.MultiWrite(batch.keys, batch.values, batch.tombstones,
-                           &outcomes_);
-  }
-
-  void RefillCaches(const WriteBehindEngine::Batch& batch) override {
-    if (app_cache_ == nullptr) {
-      return;
-    }
-    for (size_t i = 0; i < batch.keys.size(); ++i) {
-      if (batch.tombstones[i] != 0 || !outcomes_[i].refillable) {
-        // Tombstones and keys that did not land: drop the entry and let
-        // the bucket notification (already in the app channel by now) rule.
-        app_cache_->InvalidateExternal(batch.keys[i]);
-      } else {
-        // Landed store: the CAS left the bucket word equal to
-        // outcomes_[i].head, so a resident entry refills in place and the
-        // writer's next read costs zero far accesses.
-        app_cache_->RefillExternal(batch.keys[i],
-                                   AsConstBytes(batch.values[i]),
-                                   outcomes_[i].bucket, kWordSize,
-                                   outcomes_[i].head);
-      }
-    }
-  }
-
- private:
-  std::unique_ptr<FarClient> client_;
-  HtTree map_;
-  NearCache* app_cache_;
-  std::vector<HtTree::WriteOutcome> outcomes_;
-};
-}  // namespace
-
 Status HtTree::EnableWriteBehind(const WriteBehindOptions& wb_options) {
-  if (wb_ != nullptr) {
-    return FailedPrecondition("write-behind already enabled");
-  }
-  // The flusher owns a separate client (so publish round trips land on its
-  // clock, not this thread's) and a separate handle (head hints on for CAS
-  // prediction, near cache off — the app handle's cache is refilled via
-  // the External calls instead).
-  auto flusher_client = std::make_unique<FarClient>(
-      client_->fabric(), client_->id() | kWbClientIdBit,
-      wb_options.flusher_client);
-  Options fopt = options_;
-  fopt.cache = CacheOptions{};
-  FMDS_ASSIGN_OR_RETURN(
-      HtTree handle, Attach(flusher_client.get(), alloc_, header_, fopt));
-  auto publisher = std::make_unique<HtTreeWbPublisher>(
-      std::move(flusher_client), std::move(handle), near_cache_.get());
-  wb_ = std::make_unique<WriteBehindEngine>(client_, std::move(publisher),
-                                            wb_options);
-  return OkStatus();
+  Options flusher_options = options_;
+  flusher_options.cache = CacheOptions{};
+  return AttachWriteBehind<HtTree>(&wb_, client_, alloc_, header_,
+                                   flusher_options, {near_cache_.get()},
+                                   wb_options);
 }
 
 Status HtTree::FlushBarrier() {

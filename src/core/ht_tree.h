@@ -45,6 +45,7 @@
 #include <memory>
 #include <optional>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/alloc/far_allocator.h"
@@ -97,16 +98,8 @@ class HtTree : public FarMap {
     RouteOptions route;
   };
 
-  // Per-handle counters for the experiments.
-  struct OpStats {
-    uint64_t gets = 0;
-    uint64_t puts = 0;
-    uint64_t removes = 0;
-    uint64_t chain_hops = 0;       // extra far accesses walking chains
-    uint64_t stale_refreshes = 0;  // cache refreshes triggered by staleness
-    uint64_t cas_retries = 0;      // bucket CAS mispredictions
-    uint64_t splits = 0;           // splits this handle performed
-  };
+  // Per-handle counters for the experiments: the FarMap surface's own.
+  using OpStats = FarMapStats;
 
   // Creates a new map in far memory and returns a handle bound to `client`.
   static Result<HtTree> Create(FarClient* client, FarAllocator* alloc,
@@ -154,21 +147,13 @@ class HtTree : public FarMap {
   Status MultiPut(std::span<const uint64_t> keys,
                   std::span<const uint64_t> values) override;
 
-  // Per-key publish location from MultiWrite, for the write-behind
-  // flusher's writer-side cache refill. A key that did not land is not
-  // refillable: the refill stage invalidates it instead and lets the
-  // bucket notification rule.
-  struct WriteOutcome {
-    FarAddr bucket = kNullFarAddr;
-    FarAddr head = kNullFarAddr;  // new bucket head = the key's item slot
-    bool refillable = false;
-  };
-
   // Batched mixed store/remove: like MultiPut, but tombstones[i] != 0
   // selects a Remove for keys[i] (an empty span means all stores). When
   // `outcomes` is non-null it is resized to keys.size() and filled in
-  // input order. Same batching contract as MultiPut; this is the
-  // write-behind flusher's publish primitive.
+  // input order with each key's publish location (a key that did not land
+  // stays unrefillable, and the flusher's refill stage invalidates it).
+  // Same batching contract as MultiPut; this is the write-behind flusher's
+  // publish primitive.
   Status MultiWrite(std::span<const uint64_t> keys,
                     std::span<const uint64_t> values,
                     std::span<const uint8_t> tombstones,
@@ -225,12 +210,7 @@ class HtTree : public FarMap {
 
   const OpStats& op_stats() const { return op_stats_; }
   // FarMap surface: portable counters and the structure name.
-  FarMapStats map_stats() const override {
-    return {op_stats_.gets,          op_stats_.puts,
-            op_stats_.removes,       op_stats_.chain_hops,
-            op_stats_.stale_refreshes, op_stats_.cas_retries,
-            op_stats_.splits};
-  }
+  FarMapStats map_stats() const override { return op_stats_; }
   const char* kind() const override { return "ht_tree"; }
   FarClient* client() { return client_; }
   // The bucket-head NearCache, or nullptr when Options::cache is off.
@@ -265,8 +245,8 @@ class HtTree : public FarMap {
   // must outlive the handle; pass them to every handle of one client so
   // estimates accumulate. Routed mutations stay cache-coherent: the RPC
   // agent publishes through the bucket-head CAS (watch notifications fire)
-  // and this handle refills/invalidates its own NearCache from the returned
-  // outcome, exactly like the one-sided exit paths.
+  // and this handle applies the one landed-store exit (ApplyLandedStore)
+  // to the returned outcome, like every one-sided writer.
   Status EnableRouting(RouteDecider* decider, RemoteMapPath* remote);
   RouteDecider* route_decider() { return route_decider_; }
   // The node owning this map's header (kObsNoNode before EnableRouting).
@@ -549,11 +529,20 @@ class HtTree : public FarMap {
   template <typename Ship, typename OneSided>
   auto Route(RoutedOp op, Ship ship, OneSided one_sided)
       -> decltype(one_sided());
-  // Routed mutation exit: mirrors the one-sided success path's cache
-  // maintenance (writer-side refill / tombstone invalidate) and head-hint
-  // update from the agent's publish outcome.
-  void ApplyRemoteWrite(uint64_t key, uint64_t value, bool tombstone,
-                        const RemoteMapPath::WriteOutcome& outcome);
+  // The landed-store exit: what a writer does to its own near state once
+  // the bucket CAS of its store of `key` landed `outcome` — a one-sided
+  // store, a txn commit and a routed write alike. The head hint moves to
+  // the new head, and a resident NearCache entry refills with `value` under
+  // that head word (zero far round trips; the echo of the CAS confirms it,
+  // any later writer's event kills it), or is invalidated for a tombstone.
+  void ApplyLandedStore(uint64_t key, uint64_t value,
+                        const WriteOutcome& outcome);
+  // Its flusher-side form, run on a write-behind flusher's thread against
+  // the application handle's `cache` (null when off): the same refill or
+  // invalidate through the NearCache's External variants, and no hint
+  // (the application handle's hints belong to its own thread).
+  static void ApplyFlushedStore(NearCache* cache, uint64_t key,
+                                uint64_t value, const WriteOutcome& outcome);
 
   // An engine's per-key state: inline for the single key of a point op,
   // so that hot path allocates nothing, and a vector for a batch. Spans
@@ -580,6 +569,78 @@ class HtTree : public FarMap {
   // flusher's refill stage touches that cache, so the engine must stop
   // (members destroy in reverse order) before the cache goes away.
   std::unique_ptr<WriteBehindEngine> wb_;
+
+  // ---- Write-behind attachment, one for both maps (DESIGN.md §11) ----
+  // Distinguishes a flusher client's id from its application client's.
+  static constexpr uint64_t kWbClientIdBit = 1ull << 62;
+  // Publishes write-behind batches through a flusher-owned FarClient and a
+  // cache-off `Map` handle (an HtTree or a ShardedMap) on the same far map,
+  // then applies the flusher-side landed-store exit to the application
+  // handle's cache of each key: an HtTree's one cache, or the cache of the
+  // key's shard. Lives on the flusher thread; the NearCache External calls
+  // are its only cross-thread touch.
+  template <typename Map>
+  class WbPublisher final : public WriteBehindEngine::Publisher {
+   public:
+    WbPublisher(std::unique_ptr<FarClient> client, Map map,
+                std::vector<NearCache*> app_caches)
+        : client_(std::move(client)),
+          map_(std::move(map)),
+          app_caches_(std::move(app_caches)) {}
+
+    FarClient* client() override { return client_.get(); }
+
+    Status Publish(const WriteBehindEngine::Batch& batch) override {
+      return map_.MultiWrite(batch.keys, batch.values, batch.tombstones,
+                             &outcomes_);
+    }
+
+    void RefillCaches(const WriteBehindEngine::Batch& batch) override {
+      for (size_t i = 0; i < batch.keys.size(); ++i) {
+        NearCache* cache = app_caches_.front();
+        if constexpr (requires { map_.ShardOf(batch.keys[i]); }) {
+          cache = app_caches_[map_.ShardOf(batch.keys[i])];
+        }
+        ApplyFlushedStore(cache, batch.keys[i], batch.values[i],
+                          outcomes_[i]);
+      }
+    }
+
+   private:
+    std::unique_ptr<FarClient> client_;
+    Map map_;
+    std::vector<NearCache*> app_caches_;
+    std::vector<WriteOutcome> outcomes_;
+  };
+  // Sets `*engine` to a write-behind engine for `app_client` whose flusher
+  // owns its own client (publish round trips land on its clock, not the
+  // app thread's) and a `Map` handle attached to `root` under
+  // `flusher_options` (head hints on for CAS prediction, caches off).
+  // `app_caches` are the application handle's caches, one per shard.
+  template <typename Map>
+  static Status AttachWriteBehind(std::unique_ptr<WriteBehindEngine>* engine,
+                                  FarClient* app_client, FarAllocator* alloc,
+                                  FarAddr root,
+                                  const typename Map::Options& flusher_options,
+                                  std::vector<NearCache*> app_caches,
+                                  const WriteBehindOptions& options) {
+    if (*engine != nullptr) {
+      return FailedPrecondition("write-behind already enabled");
+    }
+    auto flusher_client = std::make_unique<FarClient>(
+        app_client->fabric(), app_client->id() | kWbClientIdBit,
+        options.flusher_client);
+    FMDS_ASSIGN_OR_RETURN(
+        Map handle,
+        Map::Attach(flusher_client.get(), alloc, root, flusher_options));
+    *engine = std::make_unique<WriteBehindEngine>(
+        app_client,
+        std::make_unique<WbPublisher<Map>>(std::move(flusher_client),
+                                           std::move(handle),
+                                           std::move(app_caches)),
+        options);
+    return OkStatus();
+  }
 
  public:
   // The lookup engine behind Get, MultiGet and TxnRead. PostWave()

@@ -1,6 +1,8 @@
 #include "src/core/sharded_map.h"
 
-#include "src/common/bytes.h"
+#include <optional>
+#include <utility>
+
 #include "src/common/hash.h"
 #include "src/core/txn.h"
 #include "src/obs/recorder.h"
@@ -14,11 +16,18 @@ namespace {
 constexpr uint64_t kShardSalt = 0x9e3779b97f4a7c15ull;
 
 constexpr uint32_t kMaxShards = 1u << 12;
-
-// Distinguishes the write-behind flusher's client id from its application
-// client's (same convention as ht_tree.cc).
-constexpr uint64_t kWbClientIdBit = 1ull << 62;
 }  // namespace
+
+ShardedMap::ShardedMap(FarClient* client, FarAllocator* alloc,
+                       FarAddr directory, const Options& options)
+    : client_(client), alloc_(alloc), directory_(directory), options_(options) {
+  if (const uint64_t global_budget = options.shard.cache.global_budget_bytes;
+      global_budget > 0) {
+    shared_budget_ = std::make_shared<CacheBudget>(
+        global_budget, options.shard.cache.high_watermark_bytes,
+        options.shard.cache.low_watermark_bytes);
+  }
+}
 
 uint32_t ShardedMap::ShardOf(uint64_t key) const {
   return static_cast<uint32_t>(Mix64(key ^ kShardSalt) % shards_.size());
@@ -29,18 +38,16 @@ NodeId ShardedMap::NodeOf(uint64_t key) const {
                              client_->fabric()->num_nodes());
 }
 
-HtTree::Options ShardedMap::ShardOptions(
-    const Options& options, uint32_t i, uint32_t num_nodes,
-    const std::shared_ptr<CacheBudget>& budget) {
-  HtTree::Options shard = options.shard;
-  if (options.pin_shards) {
-    shard.placement = AllocHint::OnNode(i % num_nodes);
+HtTree::Options ShardedMap::ShardOptions(uint32_t i) const {
+  HtTree::Options shard = options_.shard;
+  if (options_.pin_shards) {
+    shard.placement = AllocHint::OnNode(i % client_->fabric()->num_nodes());
   }
-  if (budget != nullptr) {
+  if (shared_budget_ != nullptr) {
     // Fleet-wide budget: budget_bytes sizes each shard's ring, but all
     // byte accounting and watermark checks run against the shared total.
-    shard.cache.budget_bytes = budget->limit;
-    shard.cache.shared_budget = budget;
+    shard.cache.budget_bytes = shared_budget_->limit;
+    shard.cache.shared_budget = shared_budget_;
   }
   return shard;
 }
@@ -50,28 +57,16 @@ Result<ShardedMap> ShardedMap::Create(FarClient* client, FarAllocator* alloc,
   if (options.num_shards == 0 || options.num_shards > kMaxShards) {
     return InvalidArgument("bad shard count");
   }
-  const uint32_t num_nodes = client->fabric()->num_nodes();
   FMDS_ASSIGN_OR_RETURN(
       FarAddr directory,
       alloc->Allocate((1 + options.num_shards) * kWordSize));
-  ShardedMap map(client, directory);
-  map.alloc_ = alloc;
-  map.options_ = options;
-  if (const uint64_t global_budget = options.shard.cache.global_budget_bytes;
-      global_budget > 0) {
-    map.shared_budget_ = std::make_shared<CacheBudget>(
-        global_budget, options.shard.cache.high_watermark_bytes,
-        options.shard.cache.low_watermark_bytes);
-  }
+  ShardedMap map(client, alloc, directory, options);
   std::vector<uint64_t> dir(1 + options.num_shards, 0);
   dir[0] = options.num_shards;
   map.shards_.reserve(options.num_shards);
   for (uint32_t i = 0; i < options.num_shards; ++i) {
-    FMDS_ASSIGN_OR_RETURN(
-        HtTree shard,
-        HtTree::Create(client, alloc,
-                       ShardOptions(options, i, num_nodes,
-                                    map.shared_budget_)));
+    FMDS_ASSIGN_OR_RETURN(HtTree shard,
+                          HtTree::Create(client, alloc, map.ShardOptions(i)));
     dir[1 + i] = shard.header();
     map.shards_.push_back(std::move(shard));
   }
@@ -91,27 +86,16 @@ Result<ShardedMap> ShardedMap::Attach(FarClient* client, FarAllocator* alloc,
   if (num_shards == 0 || num_shards > kMaxShards) {
     return Internal("corrupt shard directory");
   }
-  const uint32_t num_nodes = client->fabric()->num_nodes();
   std::vector<uint64_t> headers(num_shards);
   FMDS_RETURN_IF_ERROR(client->Read(
       directory + kWordSize,
       std::as_writable_bytes(std::span<uint64_t>(headers))));
-  ShardedMap map(client, directory);
-  map.alloc_ = alloc;
-  map.options_ = options;
-  if (const uint64_t global_budget = options.shard.cache.global_budget_bytes;
-      global_budget > 0) {
-    map.shared_budget_ = std::make_shared<CacheBudget>(
-        global_budget, options.shard.cache.high_watermark_bytes,
-        options.shard.cache.low_watermark_bytes);
-  }
+  ShardedMap map(client, alloc, directory, options);
   map.shards_.reserve(num_shards);
   for (uint32_t i = 0; i < num_shards; ++i) {
     FMDS_ASSIGN_OR_RETURN(
         HtTree shard,
-        HtTree::Attach(client, alloc, headers[i],
-                       ShardOptions(options, i, num_nodes,
-                                    map.shared_budget_)));
+        HtTree::Attach(client, alloc, headers[i], map.ShardOptions(i)));
     map.shards_.push_back(std::move(shard));
   }
   return map;
@@ -125,13 +109,8 @@ Result<uint64_t> ShardedMap::Get(uint64_t key) {
   // Fleet-wide write-behind read-your-writes: the shared pending table
   // outranks every shard's cache and far state (see HtTree::Get).
   if (wb_ != nullptr) {
-    uint64_t pending_value = 0;
-    bool pending_tombstone = false;
-    if (wb_->Lookup(key, &pending_value, &pending_tombstone)) {
-      if (pending_tombstone) {
-        return Status(StatusCode::kNotFound, "key removed");
-      }
-      return pending_value;
+    if (std::optional<Result<uint64_t>> pending = wb_->Lookup(key)) {
+      return *std::move(pending);
     }
   }
   return shards_[ShardOf(key)].Get(key);
@@ -171,13 +150,8 @@ std::vector<Result<uint64_t>> ShardedMap::MultiGet(
   for (size_t i = 0; i < keys.size(); ++i) {
     client_->AccountNear(1);
     if (wb_ != nullptr) {
-      uint64_t pending_value = 0;
-      bool pending_tombstone = false;
-      if (wb_->Lookup(keys[i], &pending_value, &pending_tombstone)) {
-        results[i] = pending_tombstone
-                         ? Result<uint64_t>(
-                               Status(StatusCode::kNotFound, "key removed"))
-                         : Result<uint64_t>(pending_value);
+      if (std::optional<Result<uint64_t>> pending = wb_->Lookup(keys[i])) {
+        results[i] = *std::move(pending);
         continue;
       }
     }
@@ -263,7 +237,7 @@ Status ShardedMap::MultiPut(std::span<const uint64_t> keys,
 Status ShardedMap::MultiWrite(std::span<const uint64_t> keys,
                               std::span<const uint64_t> values,
                               std::span<const uint8_t> tombstones,
-                              std::vector<HtTree::WriteOutcome>* outcomes) {
+                              std::vector<WriteOutcome>* outcomes) {
   if (keys.size() != values.size() ||
       (!tombstones.empty() && tombstones.size() != keys.size())) {
     return InvalidArgument("MultiWrite span length mismatch");
@@ -280,7 +254,7 @@ Status ShardedMap::MultiWrite(std::span<const uint64_t> keys,
       }
     }
     if (outcomes != nullptr) {
-      outcomes->assign(keys.size(), HtTree::WriteOutcome{});
+      outcomes->assign(keys.size(), WriteOutcome{});
     }
     return OkStatus();
   }
@@ -298,7 +272,7 @@ Status ShardedMap::MultiWrite(std::span<const uint64_t> keys,
         i < tombstones.size() && tombstones[i] != 0 ? 1 : 0);
     shard_pos[s].push_back(i);
   }
-  std::vector<std::vector<HtTree::WriteOutcome>> shard_outcomes(n);
+  std::vector<std::vector<WriteOutcome>> shard_outcomes(n);
   std::vector<HtTree::BatchPut> engines;
   engines.reserve(n);
   for (size_t s = 0; s < n; ++s) {
@@ -318,7 +292,7 @@ Status ShardedMap::MultiWrite(std::span<const uint64_t> keys,
   }
   if (outcomes != nullptr) {
     // Scatter the per-shard outcomes back to input order.
-    outcomes->assign(keys.size(), HtTree::WriteOutcome{});
+    outcomes->assign(keys.size(), WriteOutcome{});
     for (size_t s = 0; s < n; ++s) {
       for (size_t j = 0; j < shard_pos[s].size(); ++j) {
         (*outcomes)[shard_pos[s][j]] = shard_outcomes[s][j];
@@ -350,81 +324,24 @@ Status ShardedMap::MultiPutAtomic(std::span<const uint64_t> keys,
   });
 }
 
-namespace {
-// Fleet-wide flusher target: publishes through an Attach'd ShardedMap
-// handle so each drained batch still fans out across shards/nodes in
-// single doorbell waves, then refills the app handle's per-shard caches.
-class ShardedWbPublisher : public WriteBehindEngine::Publisher {
- public:
-  ShardedWbPublisher(std::unique_ptr<FarClient> client, ShardedMap map,
-                     std::vector<NearCache*> app_caches)
-      : client_(std::move(client)),
-        map_(std::move(map)),
-        app_caches_(std::move(app_caches)) {}
-
-  FarClient* client() override { return client_.get(); }
-
-  Status Publish(const WriteBehindEngine::Batch& batch) override {
-    return map_.MultiWrite(batch.keys, batch.values, batch.tombstones,
-                           &outcomes_);
-  }
-
-  void RefillCaches(const WriteBehindEngine::Batch& batch) override {
-    for (size_t i = 0; i < batch.keys.size(); ++i) {
-      NearCache* cache = app_caches_[map_.ShardOf(batch.keys[i])];
-      if (cache == nullptr) {
-        continue;
-      }
-      if (batch.tombstones[i] != 0 || !outcomes_[i].refillable) {
-        cache->InvalidateExternal(batch.keys[i]);
-      } else {
-        cache->RefillExternal(batch.keys[i], AsConstBytes(batch.values[i]),
-                              outcomes_[i].bucket, kWordSize,
-                              outcomes_[i].head);
-      }
-    }
-  }
-
- private:
-  std::unique_ptr<FarClient> client_;
-  ShardedMap map_;
-  std::vector<NearCache*> app_caches_;
-  std::vector<HtTree::WriteOutcome> outcomes_;
-};
-}  // namespace
-
 Status ShardedMap::EnableWriteBehind(const WriteBehindOptions& wb_options) {
-  if (wb_ != nullptr) {
-    return FailedPrecondition("write-behind already enabled");
-  }
+  std::vector<NearCache*> app_caches;
+  app_caches.reserve(shards_.size());
   for (HtTree& shard : shards_) {
     if (shard.write_behind() != nullptr) {
       return FailedPrecondition(
           "per-shard write-behind already enabled; use one engine per map");
     }
-  }
-  // Mirror HtTree::EnableWriteBehind: the flusher gets its own client and
-  // its own Attach'd handle (caches off — the app shards' caches are
-  // refilled via the External calls; no shared budget either, the flusher
-  // handle caches nothing).
-  auto flusher_client = std::make_unique<FarClient>(
-      client_->fabric(), client_->id() | kWbClientIdBit,
-      wb_options.flusher_client);
-  Options fopt = options_;
-  fopt.shard.cache = CacheOptions{};
-  FMDS_ASSIGN_OR_RETURN(
-      ShardedMap handle,
-      Attach(flusher_client.get(), alloc_, directory_, fopt));
-  std::vector<NearCache*> app_caches;
-  app_caches.reserve(shards_.size());
-  for (HtTree& shard : shards_) {
     app_caches.push_back(shard.near_cache());
   }
-  auto publisher = std::make_unique<ShardedWbPublisher>(
-      std::move(flusher_client), std::move(handle), std::move(app_caches));
-  wb_ = std::make_unique<WriteBehindEngine>(client_, std::move(publisher),
-                                            wb_options);
-  return OkStatus();
+  // The flusher's handle caches nothing, so it takes no shared budget
+  // either; each drained batch still fans out across shards and nodes in
+  // single doorbell waves.
+  Options flusher_options = options_;
+  flusher_options.shard.cache = CacheOptions{};
+  return HtTree::AttachWriteBehind<ShardedMap>(
+      &wb_, client_, alloc_, directory_, flusher_options,
+      std::move(app_caches), wb_options);
 }
 
 Status ShardedMap::FlushBarrier() {
@@ -463,14 +380,7 @@ Status ShardedMap::DrainWriteBehind() {
 HtTree::OpStats ShardedMap::op_stats() const {
   HtTree::OpStats total;
   for (const HtTree& shard : shards_) {
-    const HtTree::OpStats& s = shard.op_stats();
-    total.gets += s.gets;
-    total.puts += s.puts;
-    total.removes += s.removes;
-    total.chain_hops += s.chain_hops;
-    total.stale_refreshes += s.stale_refreshes;
-    total.cas_retries += s.cas_retries;
-    total.splits += s.splits;
+    total.Add(shard.op_stats());
   }
   return total;
 }

@@ -92,7 +92,7 @@ class ShardedMap : public FarMap {
   Status MultiWrite(std::span<const uint64_t> keys,
                     std::span<const uint64_t> values,
                     std::span<const uint8_t> tombstones,
-                    std::vector<HtTree::WriteOutcome>* outcomes = nullptr);
+                    std::vector<WriteOutcome>* outcomes = nullptr);
 
   // Atomic MultiPut via the transaction engine: every key (any shard)
   // publishes in one ≤3-doorbell prepare/validate/commit, all-or-nothing
@@ -134,11 +134,7 @@ class ShardedMap : public FarMap {
   // Sum of the shards' per-handle counters.
   HtTree::OpStats op_stats() const;
   // FarMap surface: portable counters and the structure name.
-  FarMapStats map_stats() const override {
-    const HtTree::OpStats s = op_stats();
-    return {s.gets,       s.puts,        s.removes, s.chain_hops,
-            s.stale_refreshes, s.cas_retries, s.splits};
-  }
+  FarMapStats map_stats() const override { return op_stats(); }
   const char* kind() const override { return "sharded_map"; }
   uint64_t cache_bytes() const;
   // Aggregated per-shard NearCache counters (zeros when caching is off).
@@ -152,17 +148,17 @@ class ShardedMap : public FarMap {
   }
 
  private:
-  ShardedMap(FarClient* client, FarAddr directory)
-      : client_(client), directory_(directory) {}
+  // Binds the handle and, when shard.cache.global_budget_bytes is set,
+  // creates the fleet-wide CacheBudget its shards share.
+  ShardedMap(FarClient* client, FarAllocator* alloc, FarAddr directory,
+             const Options& options);
 
-  // Per-shard HtTree options for shard `i` under `options`; `budget` is
-  // the fleet-wide CacheBudget (null for per-shard budgets).
-  static HtTree::Options ShardOptions(const Options& options, uint32_t i,
-                                      uint32_t num_nodes,
-                                      const std::shared_ptr<CacheBudget>& budget);
+  // HtTree options for shard `i`: options_.shard, pinned to node
+  // i % num_nodes under pin_shards, drawing on shared_budget_ when set.
+  HtTree::Options ShardOptions(uint32_t i) const;
 
   FarClient* client_;
-  FarAllocator* alloc_ = nullptr;
+  FarAllocator* alloc_;
   FarAddr directory_;
   Options options_;
   std::shared_ptr<CacheBudget> shared_budget_;

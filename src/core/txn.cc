@@ -48,6 +48,32 @@ Status Txn::RecordView(uint64_t key, uint32_t shard_idx,
   return OkStatus();
 }
 
+std::optional<Result<uint64_t>> Txn::Buffered(uint64_t key) const {
+  if (auto w = writes_.find(key); w != writes_.end()) {
+    return w->second.tombstone ? Result<uint64_t>(NotFound("txn: key removed"))
+                               : Result<uint64_t>(w->second.value);
+  }
+  if (auto r = reads_.find(key); r != reads_.end()) {
+    return r->second.found ? Result<uint64_t>(r->second.value)
+                           : Result<uint64_t>(NotFound("txn: key absent"));
+  }
+  return std::nullopt;
+}
+
+Result<uint64_t> Txn::Observe(uint64_t key, uint32_t shard_idx,
+                              const Result<HtTree::TxnReadView>& view) {
+  if (!view.ok()) {
+    return view.status().code() == StatusCode::kAborted
+               ? Abort("txn read outwaited a pending bucket")
+               : view.status();
+  }
+  FMDS_RETURN_IF_ERROR(RecordView(key, shard_idx, *view, /*record_key=*/true));
+  if (!view->found) {
+    return NotFound("txn: key absent");
+  }
+  return view->value;
+}
+
 Result<uint64_t> Txn::Get(uint64_t key) {
   if (aborted_ || committed_) {
     return Aborted("txn handle is dead");
@@ -56,33 +82,12 @@ Result<uint64_t> Txn::Get(uint64_t key) {
   // TxnRead's bucket probe, so drain the pending table first (no-op when
   // write-behind is off or idle).
   FMDS_RETURN_IF_ERROR(map_->DrainWriteBehind());
-  if (auto w = writes_.find(key); w != writes_.end()) {
-    // Read-your-writes from the buffer.
-    if (w->second.tombstone) {
-      return NotFound("txn: key removed by this txn");
-    }
-    return w->second.value;
-  }
-  if (auto r = reads_.find(key); r != reads_.end()) {
-    // Repeatable read from the memo.
-    if (!r->second.found) {
-      return NotFound("txn: key absent");
-    }
-    return r->second.value;
+  if (std::optional<Result<uint64_t>> buffered = Buffered(key)) {
+    return *std::move(buffered);
   }
   const uint32_t shard_idx = map_->ShardOf(key);
-  auto view = map_->shard(shard_idx).TxnRead(key, /*allow_cache=*/true);
-  if (!view.ok()) {
-    if (view.status().code() == StatusCode::kAborted) {
-      return Abort("txn read outwaited a pending bucket");
-    }
-    return view.status();
-  }
-  FMDS_RETURN_IF_ERROR(RecordView(key, shard_idx, *view, /*record_key=*/true));
-  if (!view->found) {
-    return NotFound("txn: key absent");
-  }
-  return view->value;
+  return Observe(key, shard_idx,
+                 map_->shard(shard_idx).TxnRead(key, /*allow_cache=*/true));
 }
 
 std::vector<Result<uint64_t>> Txn::MultiGet(std::span<const uint64_t> keys) {
@@ -110,24 +115,14 @@ std::vector<Result<uint64_t>> Txn::MultiGet(std::span<const uint64_t> keys) {
   std::vector<std::vector<size_t>> shard_pos(num_shards);
   for (size_t i = 0; i < keys.size(); ++i) {
     const uint64_t key = keys[i];
-    if (auto w = writes_.find(key); w != writes_.end()) {
-      results[i] = w->second.tombstone
-                       ? Result<uint64_t>(NotFound("txn: key removed"))
-                       : Result<uint64_t>(w->second.value);
-      continue;
-    }
-    if (auto r = reads_.find(key); r != reads_.end()) {
-      results[i] = r->second.found
-                       ? Result<uint64_t>(r->second.value)
-                       : Result<uint64_t>(NotFound("txn: key absent"));
+    if (std::optional<Result<uint64_t>> buffered = Buffered(key)) {
+      results[i] = *std::move(buffered);
       continue;
     }
     const uint32_t shard_idx = map_->ShardOf(key);
     if (std::optional<HtTree::TxnReadView> view =
             map_->shard(shard_idx).CachedTxnView(key)) {
-      Status rec = RecordView(key, shard_idx, *view, true);
-      results[i] =
-          rec.ok() ? Result<uint64_t>(view->value) : Result<uint64_t>(rec);
+      results[i] = Observe(key, shard_idx, *view);
       continue;
     }
     shard_keys[shard_idx].push_back(key);
@@ -167,21 +162,7 @@ std::vector<Result<uint64_t>> Txn::MultiGet(std::span<const uint64_t> keys) {
         results[idx] = Aborted("txn aborted during multiget");
         continue;
       }
-      const Result<HtTree::TxnReadView> view = engines[e].TakeView(j);
-      if (!view.ok()) {
-        results[idx] = view.status().code() == StatusCode::kAborted
-                           ? Abort("txn read outwaited a pending bucket")
-                           : view.status();
-        continue;
-      }
-      Status rec = RecordView(shard_keys[s][j], s, *view, true);
-      if (!rec.ok()) {
-        results[idx] = rec;
-        continue;
-      }
-      results[idx] = view->found
-                         ? Result<uint64_t>(view->value)
-                         : Result<uint64_t>(NotFound("txn: key absent"));
+      results[idx] = Observe(shard_keys[s][j], s, engines[e].TakeView(j));
     }
   }
   return results;
@@ -275,47 +256,127 @@ Status Txn::BuildCommits(std::vector<BucketCommit>* commits) {
   return OkStatus();
 }
 
-Status Txn::RollbackPrepared(std::span<BucketCommit* const> prepared) {
-  if (prepared.empty()) {
+Status Txn::Prepare(std::span<BucketCommit> commits, bool lock,
+                    std::vector<BucketCommit*>* prepared) {
+  if (commits.empty()) {
+    return OkStatus();
+  }
+  // NOTE: with shard pinning, a bucket's items and its bucket word live on
+  // the same node, so the doorbell's per-node post order guarantees the
+  // bodies land first (the same contract MultiPut relies on).
+  FarClient* c = client();
+  for (BucketCommit& bc : commits) {
+    FarClient::OpId first_write = 0;
+    for (const auto& [slot, img] : bc.items) {
+      const FarClient::OpId id = c->PostWrite(slot, AsConstBytes(img));
+      if (first_write == 0) {
+        first_write = id;
+      }
+    }
+    if (lock) {
+      (void)c->PostWrite(bc.pending, AsConstBytes(bc.pending_item));
+    }
+    // The CAS runs only if every body of its bucket landed.
+    bc.cas_op = c->PostCompareSwap(bc.bucket, bc.expected,
+                                   lock ? bc.pending : bc.final_head,
+                                   first_write);
+  }
+  std::vector<FarClient::Completion> done;
+  const Status flushed = c->WaitAll(&done);
+  if (!lock) {
+    // A direct commit locked nothing: a fabric error is its answer as is
+    // (RunTxn does not retry it), where round P reads it as a lost bucket.
+    FMDS_RETURN_IF_ERROR(flushed);
+  }
+  for (BucketCommit& bc : commits) {
+    const FarClient::Completion* cas =
+        FarClient::FindCompletion(done, bc.cas_op);
+    if (cas != nullptr && cas->status.ok() && cas->word == bc.expected) {
+      prepared->push_back(&bc);
+    }
+  }
+  if (prepared->size() < commits.size()) {
+    ++c->mutable_stats().txn_prepare_fails;
+    return Aborted(lock ? "txn prepare lost a bucket"
+                        : "txn commit CAS lost the bucket");
+  }
+  if (lock) {
+    // Every write bucket is locked, and from here on only this txn can
+    // change those words: the channel's only events for them are round P's
+    // own echoes, carrying the lock word. Route them now, or the next
+    // dispatch would kill the entries the commit refills under the final
+    // head (round C's echo confirms those).
+    (void)c->DispatchNotifications();
+  }
+  return OkStatus();
+}
+
+Status Txn::Validate(std::span<const BucketCommit> commits) {
+  // One doorbell re-reads every recorded bucket word no write bucket
+  // covers (each prepare CAS validated its own bucket's word). All read
+  // intervals share [last read, first validation read], so unchanged words
+  // certify a consistent snapshot.
+  std::vector<std::pair<FarAddr, uint64_t>> checks;
+  for (const auto& [bucket, bv] : buckets_) {
+    if (std::none_of(
+            commits.begin(), commits.end(),
+            [&](const BucketCommit& bc) { return bc.bucket == bucket; })) {
+      checks.emplace_back(bucket, bv.word);
+    }
+  }
+  if (checks.empty()) {
     return OkStatus();
   }
   FarClient* c = client();
-  ScopedOpLabel label(&c->recorder(), "txn.abort");
-  std::vector<FarClient::CasTarget> targets;
-  std::vector<uint64_t> observed(prepared.size());
-  targets.reserve(prepared.size());
-  for (const BucketCommit* bc : prepared) {
-    targets.push_back(
-        FarClient::CasTarget{bc->bucket, bc->pending, bc->expected});
+  ScopedOpLabel label(&c->recorder(), "txn.validate");
+  for (const auto& check : checks) {
+    (void)c->PostReadWord(check.first);
   }
-  FMDS_RETURN_IF_ERROR(c->CasBatch(targets, observed));
-  for (size_t i = 0; i < prepared.size(); ++i) {
-    if (observed[i] != prepared[i]->pending) {
-      // Owner-only invariant broken: nobody else may touch a pending word.
-      return Internal("txn rollback CAS lost a pending bucket");
+  std::vector<FarClient::Completion> done;
+  FMDS_RETURN_IF_ERROR(c->WaitAll(&done));
+  for (size_t i = 0; i < checks.size(); ++i) {
+    if (done[i].word != checks[i].second) {
+      ++c->mutable_stats().txn_validate_fails;
+      validate_failed_ = true;
+      return Aborted("txn validation failed");
     }
   }
   return OkStatus();
 }
 
-void Txn::FinalizeBucket(const BucketCommit& bc) {
-  HtTree* shard = bc.shard;
-  if (shard->options_.use_head_hints) {
-    shard->head_hints_.Upsert(bc.bucket, bc.final_head);
+Status Txn::SwingPrepared(std::span<BucketCommit* const> prepared,
+                          bool commit) {
+  if (prepared.empty()) {
+    return OkStatus();
   }
-  if (shard->near_cache_ == nullptr) {
-    return;
+  std::vector<FarClient::CasTarget> targets;
+  std::vector<uint64_t> observed(prepared.size());
+  targets.reserve(prepared.size());
+  for (const BucketCommit* bc : prepared) {
+    targets.push_back(FarClient::CasTarget{
+        bc->bucket, bc->pending, commit ? bc->final_head : bc->expected});
   }
-  for (const auto& [key, w] : bc.writes) {
-    if (w.tombstone) {
-      shard->near_cache_->Invalidate(key);
-    } else {
-      // Writer-side refill under the committed head word — same zero-RTT
-      // path as HtTree::Put's exit.
-      shard->near_cache_->Refill(key, AsConstBytes(w.value), bc.bucket,
-                                 kWordSize, bc.final_head);
+  FMDS_RETURN_IF_ERROR(client()->CasBatch(targets, observed));
+  for (size_t i = 0; i < prepared.size(); ++i) {
+    if (observed[i] != prepared[i]->pending) {
+      // Owner-only invariant broken: nobody else may touch a pending word.
+      return Internal(commit ? "txn commit CAS lost a pending bucket"
+                             : "txn rollback CAS lost a pending bucket");
     }
   }
+  return OkStatus();
+}
+
+Status Txn::RollbackPrepared(std::span<BucketCommit* const> prepared,
+                             const Status& failure) {
+  if (!prepared.empty()) {
+    ScopedOpLabel label(&client()->recorder(), "txn.abort");
+    FMDS_RETURN_IF_ERROR(SwingPrepared(prepared, /*commit=*/false));
+  }
+  if (failure.code() != StatusCode::kAborted) {
+    return failure;
+  }
+  return Abort(failure.message().c_str());
 }
 
 Status Txn::Commit() {
@@ -331,160 +392,30 @@ Status Txn::Commit() {
   FMDS_RETURN_IF_ERROR(map_->DrainWriteBehind());
   FarClient* c = client();
   ScopedOpLabel label(&c->recorder(), "txn.commit");
-
-  // Read-only: one validation doorbell re-reading every recorded bucket
-  // word. All read intervals share [last read, first validation read], so
-  // unchanged words certify a consistent snapshot.
-  if (writes_.empty()) {
-    if (!buckets_.empty()) {
-      ScopedOpLabel vlabel(&c->recorder(), "txn.validate");
-      std::vector<uint64_t> expected;
-      expected.reserve(buckets_.size());
-      for (const auto& [bucket, bv] : buckets_) {
-        expected.push_back(bv.word);
-        (void)c->PostReadWord(bucket);
-      }
-      std::vector<FarClient::Completion> done;
-      FMDS_RETURN_IF_ERROR(c->WaitAll(&done));
-      for (size_t i = 0; i < expected.size(); ++i) {
-        if (done[i].word != expected[i]) {
-          ++c->mutable_stats().txn_validate_fails;
-          validate_failed_ = true;
-          return Abort("txn validation failed");
-        }
-      }
-    }
-    ++c->mutable_stats().txn_commits;
-    c->recorder().RecordTxnOutcome(c->clock().now_ns(), /*committed=*/true,
-                                   false);
-    return OkStatus();
-  }
-
   std::vector<BucketCommit> commits;
   FMDS_RETURN_IF_ERROR(BuildCommits(&commits));
 
-  // Fast path: a single write bucket and no other read buckets means the
-  // prepare CAS IS the whole transaction — publish the chainlet directly,
-  // no lock record, one doorbell (bodies + CAS; per-node post order makes
-  // the items visible before the CAS links them).
-  if (commits.size() == 1 && buckets_.size() == 1) {
-    BucketCommit& bc = commits.front();
-    FarClient::OpId first_write = 0;
-    for (const auto& [slot, img] : bc.items) {
-      const FarClient::OpId id = c->PostWrite(slot, AsConstBytes(img));
-      if (first_write == 0) {
-        first_write = id;
-      }
-    }
-    // The CAS runs only if every chainlet body landed.
-    bc.cas_op = c->PostCompareSwap(bc.bucket, bc.expected, bc.final_head,
-                                   first_write);
-    std::vector<FarClient::Completion> done;
-    FMDS_RETURN_IF_ERROR(c->WaitAll(&done));
-    const FarClient::Completion* cas =
-        FarClient::FindCompletion(done, bc.cas_op);
-    if (cas == nullptr) {
-      return Internal("txn commit CAS completion lost");
-    }
-    if (cas->word != bc.expected) {
-      ++c->mutable_stats().txn_prepare_fails;
-      return Abort("txn commit CAS lost the bucket");
-    }
-    FinalizeBucket(bc);
-    ++c->mutable_stats().txn_commits;
-    c->recorder().RecordTxnOutcome(c->clock().now_ns(), /*committed=*/true,
-                                   false);
-    return OkStatus();
-  }
-
-  // Round P — prepare: per write bucket, publish items + lock record and
-  // CAS the bucket word recorded-head -> lock record, all in one flush.
-  // NOTE: with shard pinning, a bucket's items and its bucket word live on
-  // the same node, so the doorbell's per-node post order guarantees the
-  // bodies land first (the same contract MultiPut relies on).
-  // Each lock-record CAS runs only if its bucket's bodies landed; a bucket
-  // whose CAS failed or was cancelled joins the rollback path below.
-  for (BucketCommit& bc : commits) {
-    FarClient::OpId first_write = 0;
-    for (const auto& [slot, img] : bc.items) {
-      const FarClient::OpId id = c->PostWrite(slot, AsConstBytes(img));
-      if (first_write == 0) {
-        first_write = id;
-      }
-    }
-    (void)c->PostWrite(bc.pending, AsConstBytes(bc.pending_item));
-    bc.cas_op = c->PostCompareSwap(bc.bucket, bc.expected, bc.pending,
-                                   first_write);
-  }
-  std::vector<FarClient::Completion> done;
-  (void)c->WaitAll(&done);
+  // A single write bucket and no other read bucket: the prepare CAS IS the
+  // whole transaction, so round P swings the bucket straight to its
+  // chainlet, with no lock record and no round V or C. A read-only txn
+  // runs round V alone.
+  const bool direct = commits.size() == 1 && buckets_.size() == 1;
   std::vector<BucketCommit*> prepared;
-  bool prepare_failed = false;
-  for (BucketCommit& bc : commits) {
-    const FarClient::Completion* cas =
-        FarClient::FindCompletion(done, bc.cas_op);
-    if (cas == nullptr || !cas->status.ok()) {
-      prepare_failed = true;
-      continue;
-    }
-    if (cas->word == bc.expected) {
-      prepared.push_back(&bc);
-    } else {
-      prepare_failed = true;
-    }
+  Status status = Prepare(commits, /*lock=*/!direct, &prepared);
+  if (status.ok() && !direct) {
+    status = Validate(commits);
   }
-  if (prepare_failed) {
-    FMDS_RETURN_IF_ERROR(RollbackPrepared(prepared));
-    ++c->mutable_stats().txn_prepare_fails;
-    return Abort("txn prepare lost a bucket");
+  if (status.ok() && !direct) {
+    status = SwingPrepared(prepared, /*commit=*/true);  // round C
   }
-
-  // Round V — validate the read-set buckets the prepare didn't already
-  // cover (its CAS validated every write bucket's word).
-  std::vector<std::pair<FarAddr, uint64_t>> checks;
-  for (const auto& [bucket, bv] : buckets_) {
-    if (std::any_of(
-            commits.begin(), commits.end(),
-            [&](const BucketCommit& bc) { return bc.bucket == bucket; })) {
-      continue;
-    }
-    checks.emplace_back(bucket, bv.word);
-  }
-  if (!checks.empty()) {
-    ScopedOpLabel vlabel(&c->recorder(), "txn.validate");
-    for (const auto& [bucket, word] : checks) {
-      (void)word;
-      (void)c->PostReadWord(bucket);
-    }
-    std::vector<FarClient::Completion> vdone;
-    FMDS_RETURN_IF_ERROR(c->WaitAll(&vdone));
-    for (size_t i = 0; i < checks.size(); ++i) {
-      if (vdone[i].word != checks[i].second) {
-        FMDS_RETURN_IF_ERROR(RollbackPrepared(prepared));
-        ++c->mutable_stats().txn_validate_fails;
-        validate_failed_ = true;
-        return Abort("txn validation failed");
-      }
-    }
-  }
-
-  // Round C — commit: swing every locked bucket lock record -> new chain
-  // head in one CasBatch. Must succeed: pending words are owner-only.
-  std::vector<FarClient::CasTarget> targets;
-  std::vector<uint64_t> observed(commits.size());
-  targets.reserve(commits.size());
-  for (const BucketCommit& bc : commits) {
-    targets.push_back(
-        FarClient::CasTarget{bc.bucket, bc.pending, bc.final_head});
-  }
-  FMDS_RETURN_IF_ERROR(c->CasBatch(targets, observed));
-  for (size_t i = 0; i < commits.size(); ++i) {
-    if (observed[i] != commits[i].pending) {
-      return Internal("txn commit CAS lost a pending bucket");
-    }
+  if (!status.ok()) {
+    return RollbackPrepared(prepared, status);
   }
   for (const BucketCommit& bc : commits) {
-    FinalizeBucket(bc);
+    for (const auto& [key, w] : bc.writes) {
+      bc.shard->ApplyLandedStore(
+          key, w.value, WriteOutcome{bc.bucket, bc.final_head, !w.tombstone});
+    }
   }
   ++c->mutable_stats().txn_commits;
   c->recorder().RecordTxnOutcome(c->clock().now_ns(), /*committed=*/true,

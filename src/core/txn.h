@@ -19,12 +19,15 @@
 //                 and abort.
 //   V (validate)  one flush of word reads over the read-set buckets not in
 //                 the write set (prepare already validated those). Any
-//                 mismatch: roll back, abort.
+//                 mismatch: roll back, abort. A read-only txn runs V alone.
 //   C (commit)    CasBatch swinging every locked bucket lock -> new chain
 //                 head. Must succeed: only the owner may change a pending
 //                 bucket's word (readers skip it, writers and splits wait).
 // Single-bucket write sets with no extra read buckets skip the lock
 // entirely: one direct CAS recorded-head -> new head commits the txn.
+// Every failure after round P — a lost bucket, a moved word, a shed
+// doorbell — leaves through one exit that first rolls back every bucket
+// P locked, so no failed commit leaves a bucket pending.
 //
 // Aborts surface as StatusCode::kAborted; RunTxn() wraps body + Commit in
 // a bounded jittered-backoff retry loop.
@@ -33,6 +36,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -131,17 +135,39 @@ class Txn {
   // was already recorded under a different word.
   Status RecordView(uint64_t key, uint32_t shard_idx,
                     const HtTree::TxnReadView& view, bool record_key);
+  // The answer the txn already holds for `key`: its buffered write
+  // (read-your-writes), else its recorded read (repeatable reads).
+  std::optional<Result<uint64_t>> Buffered(uint64_t key) const;
+  // Records a shard read of `key` and answers it: the value, kNotFound for
+  // a recorded miss, or kAborted (the txn dies) when the read outwaited a
+  // pending bucket or breaks the snapshot.
+  Result<uint64_t> Observe(uint64_t key, uint32_t shard_idx,
+                           const Result<HtTree::TxnReadView>& view);
   // Pins `key`'s bucket with a far-validated (word, version) pair; returns
   // the bucket address.
   Result<FarAddr> EnsureWritableBucket(uint64_t key);
   Status BufferWrite(uint64_t key, uint64_t value, bool tombstone);
   // Builds item chainlets + lock records for every write bucket.
   Status BuildCommits(std::vector<BucketCommit>* commits);
-  // CASes every bucket in `prepared` lock record -> recorded head. Must
-  // succeed (owner-only word); Internal if the fabric disagrees.
-  Status RollbackPrepared(std::span<BucketCommit* const> prepared);
-  // Post-publish bookkeeping: head hints and writer-side cache refills.
-  void FinalizeBucket(const BucketCommit& bc);
+  // Round P: one doorbell posts every write bucket's chainlet bodies and
+  // the guarded CAS that swings the bucket from its recorded head to its
+  // lock record (`lock`) or, on a direct commit, straight to the chainlet.
+  // Collects the buckets whose CAS landed into `prepared`; kAborted when
+  // one did not.
+  Status Prepare(std::span<BucketCommit> commits, bool lock,
+                 std::vector<BucketCommit*>* prepared);
+  // Round V: re-reads the recorded word of every bucket no write bucket
+  // in `commits` covers; kAborted when one moved.
+  Status Validate(std::span<const BucketCommit> commits);
+  // The owner-only swing: one CasBatch moving every bucket in `prepared`
+  // from its lock record to its chainlet (`commit`, round C) or back to
+  // its recorded head. Must succeed; Internal if the fabric disagrees.
+  Status SwingPrepared(std::span<BucketCommit* const> prepared, bool commit);
+  // The one failure exit once round P has run: rolls every bucket in
+  // `prepared` back, then returns `failure` — a conflict (kAborted) ends
+  // the txn only after the rollback landed.
+  Status RollbackPrepared(std::span<BucketCommit* const> prepared,
+                          const Status& failure);
 
   ShardedMap* map_;
   std::unordered_map<uint64_t, ReadRec> reads_;

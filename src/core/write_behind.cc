@@ -76,20 +76,16 @@ void WriteBehindEngine::Enqueue(uint64_t key, uint64_t value, bool tombstone) {
   }
 }
 
-bool WriteBehindEngine::Lookup(uint64_t key, uint64_t* value,
-                               bool* tombstone) const {
+std::optional<Result<uint64_t>> WriteBehindEngine::Lookup(uint64_t key) const {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = latest_.find(key);
+  const auto it = latest_.find(key);
   if (it == latest_.end()) {
-    return false;
+    return std::nullopt;
   }
-  if (value != nullptr) {
-    *value = it->second.value;
+  if (it->second.tombstone) {
+    return Result<uint64_t>(NotFound("key removed"));
   }
-  if (tombstone != nullptr) {
-    *tombstone = it->second.tombstone;
-  }
-  return true;
+  return Result<uint64_t>(it->second.value);
 }
 
 Status WriteBehindEngine::FlushBarrier() {

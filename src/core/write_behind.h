@@ -45,6 +45,7 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <unordered_map>
 #include <unordered_set>
@@ -81,8 +82,9 @@ class WriteBehindEngine {
   };
 
   // The structure-side publish target, owned by the engine and driven only
-  // from the flusher thread. Implementations (HtTree/ShardedMap) hold a
-  // flusher-owned FarClient plus an Attach'd handle to the same far map.
+  // from the flusher thread. Its one implementation (HtTree::WbPublisher,
+  // for an HtTree or a ShardedMap) holds a flusher-owned FarClient plus an
+  // Attach'd handle to the same far map.
   class Publisher {
    public:
     virtual ~Publisher() = default;
@@ -91,9 +93,10 @@ class WriteBehindEngine {
     // CAS-issue + completion-absorb: publish the whole batch far-side
     // (one doorbell wave per stage via the structure's batch engine).
     virtual Status Publish(const Batch& batch) = 0;
-    // Writer-side cache refill: push the published values into the
-    // application handle's NearCache (External variants — no owner-client
-    // accounting). Called only after a successful Publish.
+    // Writer-side cache refill: the flusher-side landed-store exit for each
+    // published key, on the application handle's NearCache (External
+    // variants — no owner-client accounting). Called only after a
+    // successful Publish.
     virtual void RefillCaches(const Batch& batch) = 0;
   };
 
@@ -109,9 +112,10 @@ class WriteBehindEngine {
   void Put(uint64_t key, uint64_t value);
   void Remove(uint64_t key);
 
-  // Read-your-writes probe: true when `key` has an unpublished (staged or
-  // in-flight) write; *tombstone reports a pending Remove.
-  bool Lookup(uint64_t key, uint64_t* value, bool* tombstone) const;
+  // Read-your-writes probe: when `key` has an unpublished (staged or
+  // in-flight) write, the answer a lookup gives — its value, or kNotFound
+  // for a pending Remove; nullopt otherwise.
+  std::optional<Result<uint64_t>> Lookup(uint64_t key) const;
 
   // True when no staged or in-flight writes exist. Lock-free fast path for
   // per-operation drain hooks.

@@ -136,7 +136,7 @@ Status MapRpcService::HandleWrite(std::span<const std::byte> req,
   const uint64_t keys[1] = {key};
   const uint64_t values[1] = {value};
   const uint8_t tombstones[1] = {tombstone ? uint8_t{1} : uint8_t{0}};
-  std::vector<HtTree::WriteOutcome> outcomes;
+  std::vector<WriteOutcome> outcomes;
   const Status published =
       (*map)->MultiWrite(keys, values, tombstones, &outcomes);
   server_->ChargeService(agent_.clock().now_ns() - t0);
@@ -229,7 +229,7 @@ Result<RemoteMapPath::ReadView> RpcMapPath::Get(FarAddr header,
   return ReadViewFrom(reader);
 }
 
-Result<RemoteMapPath::WriteOutcome> RpcMapPath::CallWrite(
+Result<WriteOutcome> RpcMapPath::CallWrite(
     uint32_t method, const char* label_name, FarAddr header, uint64_t key,
     uint64_t value) {
   ScopedOpLabel label(&client_->recorder(), label_name);
@@ -249,13 +249,13 @@ Result<RemoteMapPath::WriteOutcome> RpcMapPath::CallWrite(
   return outcome;
 }
 
-Result<RemoteMapPath::WriteOutcome> RpcMapPath::Put(FarAddr header,
+Result<WriteOutcome> RpcMapPath::Put(FarAddr header,
                                                     uint64_t key,
                                                     uint64_t value) {
   return CallWrite(MapRpcService::kPut, "rpc.map.put", header, key, value);
 }
 
-Result<RemoteMapPath::WriteOutcome> RpcMapPath::Remove(FarAddr header,
+Result<WriteOutcome> RpcMapPath::Remove(FarAddr header,
                                                        uint64_t key) {
   return CallWrite(MapRpcService::kRemove, "rpc.map.remove", header, key, 0);
 }

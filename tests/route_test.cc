@@ -4,6 +4,7 @@
 // routed HtTree/ShardedMap handles, and the batched transaction chain-walk
 // doorbell bound (EXPERIMENTS.md E16 satellite).
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -434,6 +435,134 @@ TEST_F(RpcPathTest, RpcLandedWritesKeepWatchCoherence) {
   ASSERT_TRUE(map_a->Remove(42).ok());
   EXPECT_EQ(map_b2->Get(42).status().code(), StatusCode::kNotFound);
   EXPECT_EQ(map_a->Get(42).status().code(), StatusCode::kNotFound);
+}
+
+// The owner's near state once `writer` landed a store of `key`: the next
+// Get answers `value` from the refilled NearCache entry at zero far
+// accesses (a removed key misses to kNotFound instead). A `one_sided`
+// owner also holds the new head as its CAS hint, so its next Put costs the
+// bare two far accesses and no CAS retry.
+void ExpectLandedStoreExit(const char* writer, FarClient& owner, FarMap& map,
+                           uint64_t key, std::optional<uint64_t> value,
+                           bool one_sided) {
+  SCOPED_TRACE(writer);
+  const uint64_t get_far0 = owner.stats().far_ops;
+  const Result<uint64_t> got = map.Get(key);
+  if (value.has_value()) {
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(*got, *value);
+    EXPECT_EQ(owner.stats().far_ops - get_far0, 0u)
+        << "the next Get must hit the writer-side refill";
+  } else {
+    EXPECT_EQ(got.status().code(), StatusCode::kNotFound);
+  }
+  if (one_sided) {
+    const uint64_t put_far0 = owner.stats().far_ops;
+    const uint64_t retries0 = map.map_stats().cas_retries;
+    ASSERT_TRUE(map.Put(key, 7777).ok());
+    EXPECT_EQ(owner.stats().far_ops - put_far0, 2u);
+    EXPECT_EQ(map.map_stats().cas_retries - retries0, 0u)
+        << "the head hint must predict the next CAS";
+  }
+}
+
+TEST_F(RpcPathTest, EveryWriterLeavesTheSameNearState) {
+  // Every writer whose bucket CAS landed applies the same exit to its own
+  // near state: Put, Remove, MultiPut, both txn commit paths, a routed Put
+  // and the write-behind flushers of an HtTree and of a ShardedMap. Each
+  // case starts from a resident, valid entry and a drained channel (a Get
+  // of the key right before the write).
+  HtTree::Options options = DeepChainOptions(64);
+  options.cache.budget_bytes = 1 << 16;
+  options.cache.admit_after = 1;
+  ShardedMap::Options sharded_options;
+  sharded_options.num_shards = 2;
+  sharded_options.shard = options;
+  auto warm = [](FarMap& map, uint64_t key) {
+    ASSERT_TRUE(map.Put(key, 1).ok());
+    ASSERT_TRUE(map.FlushBarrier().ok());
+    ASSERT_TRUE(map.Get(key).ok());  // admits the entry
+  };
+
+  auto& client = env_.NewClient();
+  auto tree = HtTree::Create(&client, &env_.alloc(), options);
+  ASSERT_TRUE(tree.ok());
+  warm(*tree, 1);
+  ASSERT_TRUE(tree->Put(1, 11).ok());
+  ExpectLandedStoreExit("Put", client, *tree, 1, 11, true);
+  warm(*tree, 2);
+  ASSERT_TRUE(tree->Remove(2).ok());
+  ExpectLandedStoreExit("Remove", client, *tree, 2, std::nullopt, true);
+  warm(*tree, 3);
+  const uint64_t multi_keys[2] = {3, 4};
+  const uint64_t multi_values[2] = {33, 44};
+  ASSERT_TRUE(tree->MultiPut(multi_keys, multi_values).ok());
+  ExpectLandedStoreExit("MultiPut", client, *tree, 3, 33, true);
+
+  auto& txn_client = env_.NewClient();
+  auto sharded = ShardedMap::Create(&txn_client, &env_.alloc(),
+                                    sharded_options);
+  ASSERT_TRUE(sharded.ok());
+  warm(*sharded, 5);
+  {
+    Txn fast(&*sharded);  // one write bucket, no other read: fast path
+    ASSERT_TRUE(fast.Put(5, 55).ok());
+    ASSERT_TRUE(fast.Commit().ok());
+  }
+  ExpectLandedStoreExit("fast-path txn", txn_client, *sharded, 5, 55, true);
+  uint64_t other = 7;  // a second write bucket: the prepare path
+  while (sharded->ShardOf(other) == sharded->ShardOf(6) &&
+         Mix64(other) % 64 == Mix64(6) % 64) {
+    ++other;
+  }
+  warm(*sharded, 6);
+  {
+    Txn prepared(&*sharded);
+    ASSERT_TRUE(prepared.Put(6, 66).ok());
+    ASSERT_TRUE(prepared.Put(other, 67).ok());
+    ASSERT_TRUE(prepared.Commit().ok());
+  }
+  ExpectLandedStoreExit("prepare-path txn", txn_client, *sharded, 6, 66,
+                        true);
+
+  auto& routed_client = env_.NewClient();
+  auto routed = HtTree::Attach(&routed_client, &env_.alloc(), tree->header(),
+                               options);
+  ASSERT_TRUE(routed.ok());
+  RpcDataplane dataplane(&env_.fabric(), &env_.alloc());
+  RpcMapPath path(&routed_client, &dataplane);
+  DataplaneRouterOptions force_rpc;
+  force_rpc.force = DataplaneRoute::kRpc;
+  DataplaneRouter router(&routed_client, force_rpc);
+  ASSERT_TRUE(routed->EnableRouting(&router, &path).ok());
+  warm(*routed, 8);
+  ASSERT_TRUE(routed->Put(8, 88).ok());
+  ExpectLandedStoreExit("routed Put", routed_client, *routed, 8, 88, false);
+
+  auto& wb_tree_client = env_.NewClient();
+  auto wb_tree = HtTree::Create(&wb_tree_client, &env_.alloc(), options);
+  ASSERT_TRUE(wb_tree.ok());
+  ASSERT_TRUE(wb_tree->EnableWriteBehind().ok());
+  warm(*wb_tree, 9);
+  ASSERT_TRUE(wb_tree->Put(9, 99).ok());
+  ASSERT_TRUE(wb_tree->FlushBarrier().ok());
+  ExpectLandedStoreExit("HtTree flusher", wb_tree_client, *wb_tree, 9, 99,
+                        false);
+
+  auto& wb_sharded_client = env_.NewClient();
+  auto wb_sharded = ShardedMap::Create(&wb_sharded_client, &env_.alloc(),
+                                       sharded_options);
+  ASSERT_TRUE(wb_sharded.ok());
+  ASSERT_TRUE(wb_sharded->EnableWriteBehind().ok());
+  uint64_t flushed = 10;  // on shard 1: the refill must pick its shard's cache
+  while (wb_sharded->ShardOf(flushed) != 1) {
+    ++flushed;
+  }
+  warm(*wb_sharded, flushed);
+  ASSERT_TRUE(wb_sharded->Put(flushed, 1010).ok());
+  ASSERT_TRUE(wb_sharded->FlushBarrier().ok());
+  ExpectLandedStoreExit("ShardedMap flusher", wb_sharded_client, *wb_sharded,
+                        flushed, 1010, false);
 }
 
 TEST_F(RpcPathTest, ShardedMapRoutesPerShard) {

@@ -121,6 +121,49 @@ TEST(TxnTest, ShedBodyWriteNeverPublishesItsBucketCas) {
   }
 }
 
+TEST(TxnTest, ShedValidateReadRollsBackPreparedBuckets) {
+  // The txn reads a key on shard 1 (node 1) and writes one on shard 0
+  // (node 0): round P locks the write bucket on node 0, then node 1 sheds
+  // round V's validate read. The commit fails, and the lock record it left
+  // must be rolled back — pending words are owner-only, so nobody else
+  // could ever clear it.
+  TestEnv env(SmallFabric(2, 16ull << 20));
+  auto& client = env.NewClient();
+  auto map = ShardedMap::Create(&client, &env.alloc(), SmallMapOptions(2));
+  ASSERT_TRUE(map.ok());
+  uint64_t read_key = 1;
+  while (map->ShardOf(read_key) != 1) {
+    ++read_key;
+  }
+  uint64_t write_key = 1;
+  while (map->ShardOf(write_key) != 0) {
+    ++write_key;
+  }
+  ASSERT_TRUE(map->Put(read_key, 10).ok());
+  ASSERT_TRUE(map->Put(write_key, 20).ok());
+  {
+    Txn txn(&*map);
+    ASSERT_TRUE(txn.Get(read_key).ok());
+    ASSERT_TRUE(txn.Put(write_key, 21).ok());
+    CongestionOptions shed;
+    shed.enabled = true;
+    shed.queue_ops = 0;
+    env.fabric().node(1).SetCongestion(shed);
+    EXPECT_EQ(txn.Commit().code(), StatusCode::kOverloaded);
+    env.fabric().node(1).SetCongestion(CongestionOptions{});
+  }
+  // The write bucket is clean again: a plain store, a txn store and a
+  // lookup all go through.
+  const Status put = map->Put(write_key, 22);
+  ASSERT_TRUE(put.ok()) << put.ToString();
+  EXPECT_EQ(*map->Get(write_key), 22u);
+  Txn txn(&*map);
+  const Status txn_put = txn.Put(write_key, 23);
+  ASSERT_TRUE(txn_put.ok()) << txn_put.ToString();
+  ASSERT_TRUE(txn.Commit().ok());
+  EXPECT_EQ(*map->Get(write_key), 23u);
+}
+
 TEST(TxnTest, NegativeReadsAreRecordedAndPublishable) {
   TestEnv env(SmallFabric(2, 16ull << 20));
   auto& client = env.NewClient();
