@@ -26,6 +26,7 @@ void GranularityTable() {
     ClientOptions big;
     big.channel_capacity = 1 << 20;
     FarClient watcher(&env.fabric(), 42, big);
+    NotificationInbox inbox(watcher.channel().capacity());
     const FarAddr base =
         CheckOk(env.alloc().Allocate(kWords * kWordSize, AllocHint::Any(),
                                      kPageSize),
@@ -51,7 +52,7 @@ void GranularityTable() {
       spec.addr = base + w * kWordSize;
       spec.len = std::min(words_per_sub, kWords - w) * kWordSize;
       spec.policy.coalesce = false;
-      CheckOk(watcher.Subscribe(spec).status(), "subscribe");
+      CheckOk(watcher.Subscribe(spec, &inbox).status(), "subscribe");
       ++subs;
     }
     Rng rng(7);
@@ -61,7 +62,8 @@ void GranularityTable() {
     }
     uint64_t fired = 0;
     uint64_t relevant = 0;
-    while (auto event = watcher.channel().Poll()) {
+    watcher.DispatchNotifications();
+    while (auto event = inbox.Pop()) {
       if (event->kind != NotifyEventKind::kChanged) {
         continue;
       }
@@ -92,13 +94,14 @@ void CoalescingTable() {
       ClientOptions big;
       big.channel_capacity = 1 << 20;
       FarClient watcher(&env.fabric(), 43, big);
+      NotificationInbox inbox(watcher.channel().capacity());
       const FarAddr addr = CheckOk(env.alloc().Allocate(64), "word");
       NotifySpec spec;
       spec.mode = NotifyMode::kOnWrite;
       spec.addr = addr;
       spec.len = 64;
       spec.policy.coalesce = coalesce;
-      CheckOk(watcher.Subscribe(spec).status(), "subscribe");
+      CheckOk(watcher.Subscribe(spec, &inbox).status(), "subscribe");
       uint64_t delivered = 0;
       for (int round = 0; round < kWrites / burst; ++round) {
         for (int i = 0; i < burst; ++i) {
@@ -106,7 +109,8 @@ void CoalescingTable() {
         }
         // The subscriber drains between bursts (the paper's temporal
         // batching window).
-        delivered += watcher.channel().Drain().size();
+        delivered += watcher.DispatchNotifications();
+        inbox.Clear();
       }
       table.AddRow(
           {Table::Cell(static_cast<int64_t>(burst)),
@@ -133,19 +137,21 @@ void OverloadTable() {
     ClientOptions opts;
     opts.channel_capacity = capacity;
     FarClient watcher(&env.fabric(), 44, opts);
+    NotificationInbox inbox(watcher.channel().capacity());
     const FarAddr addr = CheckOk(env.alloc().Allocate(8), "word");
     NotifySpec spec;
     spec.mode = NotifyMode::kOnWrite;
     spec.addr = addr;
     spec.len = 8;
     spec.policy.coalesce = false;
-    CheckOk(watcher.Subscribe(spec).status(), "subscribe");
+    CheckOk(watcher.Subscribe(spec, &inbox).status(), "subscribe");
     for (int i = 0; i < kWrites; ++i) {
       CheckOk(writer.WriteWord(addr, i), "write");
     }
     uint64_t delivered = 0;
     uint64_t warnings = 0;
-    while (auto event = watcher.channel().Poll()) {
+    watcher.DispatchNotifications();
+    while (auto event = inbox.Pop()) {
       if (event->kind == NotifyEventKind::kLossWarning) {
         ++warnings;
       } else {
@@ -173,18 +179,20 @@ void BrokerTable() {
     ClientOptions big;
     big.channel_capacity = 1 << 20;
     FarClient broker(&env.fabric(), 45, big);
+    NotificationInbox inbox(broker.channel().capacity());
     const FarAddr addr = CheckOk(env.alloc().Allocate(8), "word");
     NotifySpec spec;
     spec.mode = NotifyMode::kOnWrite;
     spec.addr = addr;
     spec.len = 8;
     spec.policy.coalesce = false;
-    CheckOk(broker.Subscribe(spec).status(), "subscribe");
+    CheckOk(broker.Subscribe(spec, &inbox).status(), "subscribe");
     // Software subscriber queues fed by the broker.
     std::vector<uint64_t> delivered(subscribers, 0);
     for (int i = 0; i < 1000; ++i) {
       CheckOk(writer.WriteWord(addr, i), "write");
-      while (auto event = broker.channel().Poll()) {
+      broker.DispatchNotifications();
+      while (auto event = inbox.Pop()) {
         for (int s = 0; s < subscribers; ++s) {
           ++delivered[s];  // broker re-publishes over the network
         }

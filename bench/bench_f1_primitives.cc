@@ -111,11 +111,12 @@ void PrintFigure1() {
 
   // Notifications: subscription setup + the writer-side cost of a firing
   // write (zero extra client round trips for the writer).
+  NotificationInbox inbox(watcher.channel().capacity());
   NotifySpec spec;
   spec.mode = NotifyMode::kOnWrite;
   spec.addr = 4096;
   spec.len = 64;
-  CheckOk(watcher.Subscribe(spec).status(), "notify0 sub");
+  CheckOk(watcher.Subscribe(spec, &inbox).status(), "notify0 sub");
   measure("write w/ notify0 armed", [&](FarClient& c) {
     CheckOk(c.WriteWord(4096, 1), "write");
   });
@@ -124,7 +125,7 @@ void PrintFigure1() {
   eq.addr = 8192;
   eq.len = 8;
   eq.value = 0;
-  CheckOk(watcher.Subscribe(eq).status(), "notifye sub");
+  CheckOk(watcher.Subscribe(eq, &inbox).status(), "notifye sub");
   measure("write w/ notifye armed", [&](FarClient& c) {
     CheckOk(c.WriteWord(8192, 0), "write");
   });

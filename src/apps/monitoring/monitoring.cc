@@ -144,15 +144,15 @@ Status MetricConsumer::Subscribe() {
     spec.addr = store_->window_base(w) + first * kWordSize;
     spec.len = (cfg.num_bins - first) * kWordSize;
     spec.policy = policy_;
-    FMDS_ASSIGN_OR_RETURN(SubId id, client_->Subscribe(spec));
-    window_subs_.push_back(id);
+    FMDS_RETURN_IF_ERROR(client_->Subscribe(spec, inbox_.get()).status());
   }
   NotifySpec rotation;
   rotation.mode = NotifyMode::kOnWrite;  // notify0 on the base pointer word
   rotation.addr = store_->current_ptr_addr();
   rotation.len = kWordSize;
   rotation.policy = DeliveryPolicy::Reliable();
-  FMDS_ASSIGN_OR_RETURN(rotation_sub_, client_->Subscribe(rotation));
+  FMDS_ASSIGN_OR_RETURN(rotation_sub_,
+                        client_->Subscribe(rotation, inbox_.get()));
   raised_counts_.assign(cfg.num_bins, 0);
   return OkStatus();
 }
@@ -161,7 +161,8 @@ Result<std::vector<Alarm>> MetricConsumer::Poll() {
   ScopedOpLabel label(&client_->recorder(), "monitor.poll");
   const MonitorConfig& cfg = store_->config();
   std::vector<Alarm> alarms;
-  while (auto event = client_->PollNotification()) {
+  (void)client_->DispatchNotifications();
+  while (auto event = inbox_->Pop()) {
     if (event->kind == NotifyEventKind::kLossWarning) {
       // Degraded delivery: resynchronize by snapshotting the alarm range.
       auto snapshot = CopyAlarmRange();

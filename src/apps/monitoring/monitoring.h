@@ -112,13 +112,16 @@ class MetricConsumer {
                  AlarmSeverity min_severity,
                  DeliveryPolicy policy = DeliveryPolicy::Reliable())
       : store_(store), client_(client), min_severity_(min_severity),
-        policy_(policy) {}
+        policy_(policy),
+        inbox_(MakeOwnedSink<NotificationInbox>(
+            client, client->channel().capacity())) {}
 
   // Arms notify0d on the alarm bins of every window + notify0 on the
   // current-window pointer (rotation tracking).
   Status Subscribe();
 
-  // Drains the notification channel, returns alarms crossing thresholds.
+  // Dispatches the client's notifications, then consumes this consumer's
+  // own events; returns alarms crossing thresholds.
   Result<std::vector<Alarm>> Poll();
 
   // Optional extra far access: snapshot the alarm range of the current
@@ -146,7 +149,8 @@ class MetricConsumer {
   FarClient* client_;
   AlarmSeverity min_severity_;
   DeliveryPolicy policy_;
-  std::vector<SubId> window_subs_;
+  // Sink of every subscription this consumer makes.
+  OwnedSink<NotificationInbox> inbox_;
   SubId rotation_sub_ = kInvalidSubId;
   uint64_t current_seq_ = 0;
   uint64_t rotations_seen_ = 0;

@@ -444,8 +444,8 @@ size_t NearCache::BackgroundSweep(FarClient* evictor_client) {
         sub_to_key_.erase(e.sub);
         retired.push_back({e.sub, e.watch});
         // The owner forgets the id (no RTT) on its next cache op; any
-        // event still in flight for it is ignored (sub_to_key_ miss) or
-        // discarded by the owner's forgotten-subs filter.
+        // event still in flight for it is ignored (sub_to_key_ miss) or,
+        // once forgotten, dropped by dispatch for want of a sink.
         retired_subs_.push_back(e.sub);
       }
     }

@@ -64,8 +64,7 @@ Status CachedFarVector::EnableMirror() {
     spec.addr = addr;
     spec.len = len;
     spec.policy.coalesce = false;  // each update applies individually
-    FMDS_ASSIGN_OR_RETURN(SubId id, client_->Subscribe(spec));
-    subs_.push_back(id);
+    FMDS_RETURN_IF_ERROR(client_->Subscribe(spec, inbox_.get()).status());
     offset += len;
   }
   mirror_enabled_ = true;
@@ -84,7 +83,8 @@ Status CachedFarVector::Sync() {
   }
   ++stats_.syncs;
   bool lost = false;
-  while (auto event = client_->PollNotification()) {
+  (void)client_->DispatchNotifications();
+  while (auto event = inbox_->Pop()) {
     if (event->kind == NotifyEventKind::kLossWarning) {
       lost = true;
       continue;

@@ -47,8 +47,9 @@ class CachedFarVector {
   // Reader side: builds the mirror (one bulk read) and arms notify0d over
   // the element region (one subscription per page).
   Status EnableMirror();
-  // Drains the channel, applying pushed updates to the mirror; a loss
-  // warning triggers one bulk re-read. Near-only in the common case.
+  // Dispatches the client's notifications, then applies this mirror's
+  // pushed updates; a loss warning triggers one bulk re-read. Near-only in
+  // the common case.
   Status Sync();
   // Mirror read (near access). Call Sync() first for the freshest view.
   Result<uint64_t> Get(uint64_t i);
@@ -57,7 +58,10 @@ class CachedFarVector {
 
  private:
   CachedFarVector(FarClient* client, FarAddr header)
-      : client_(client), header_(header) {}
+      : client_(client),
+        header_(header),
+        inbox_(MakeOwnedSink<NotificationInbox>(
+            client, client->channel().capacity())) {}
 
   FarAddr ElementAddr(uint64_t i) const {
     return data_ + i * kWordSize;
@@ -70,7 +74,8 @@ class CachedFarVector {
   uint64_t size_ = 0;
   bool mirror_enabled_ = false;
   std::vector<uint64_t> mirror_;
-  std::vector<SubId> subs_;
+  // Sink of the mirror's page subscriptions.
+  OwnedSink<NotificationInbox> inbox_;
   Stats stats_;
 };
 

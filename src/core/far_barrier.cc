@@ -42,14 +42,15 @@ Status FarBarrier::Arrive(FarClient& client, uint64_t timeout_ms) {
   spec.addr = gen_addr();
   spec.len = kWordSize;
   spec.value = target_gen;
-  FMDS_ASSIGN_OR_RETURN(SubId sub, client.Subscribe(spec));
+  // The wake-up is all the read-back needs, so the events are discarded.
+  FMDS_ASSIGN_OR_RETURN(SubId sub, client.Subscribe(spec, DiscardingSink()));
   Status result = Unavailable("barrier wait timed out");
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(timeout_ms);
   while (std::chrono::steady_clock::now() < deadline) {
-    FMDS_ASSIGN_OR_RETURN(uint64_t gen, client.ReadWord(gen_addr()));
-    if (gen >= target_gen) {
-      result = OkStatus();
+    auto gen = client.ReadWord(gen_addr());
+    if (!gen.ok() || *gen >= target_gen) {
+      result = gen.status();
       break;
     }
     (void)client.WaitNotification(50);

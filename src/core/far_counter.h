@@ -1,7 +1,7 @@
 // Far-memory counter (§5.1): "implemented using loads, stores, and atomics
 // with immediate addressing". One word in far memory; every operation is a
 // single far access. Consumers can subscribe to changes (notify0) or to a
-// target value (notifye) instead of polling.
+// target value (notifye) on addr() instead of polling.
 #ifndef FMDS_SRC_CORE_FAR_COUNTER_H_
 #define FMDS_SRC_CORE_FAR_COUNTER_H_
 
@@ -36,31 +36,6 @@ class FarCounter {
   }
   Status Add(FarClient& client, uint64_t delta) const {
     return client.FetchAdd(addr_, delta).status();
-  }
-
-  // notify0 on the counter word.
-  Result<SubId> SubscribeChanges(
-      FarClient& client,
-      DeliveryPolicy policy = DeliveryPolicy::Reliable()) const {
-    NotifySpec spec;
-    spec.mode = NotifyMode::kOnWrite;
-    spec.addr = addr_;
-    spec.len = kWordSize;
-    spec.policy = policy;
-    return client.Subscribe(spec);
-  }
-
-  // notifye: fires when the counter reaches `target`.
-  Result<SubId> SubscribeEquals(
-      FarClient& client, uint64_t target,
-      DeliveryPolicy policy = DeliveryPolicy::Reliable()) const {
-    NotifySpec spec;
-    spec.mode = NotifyMode::kOnEqual;
-    spec.addr = addr_;
-    spec.len = kWordSize;
-    spec.value = target;
-    spec.policy = policy;
-    return client.Subscribe(spec);
   }
 
  private:

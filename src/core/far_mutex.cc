@@ -30,13 +30,14 @@ Status FarMutex::Lock(FarClient& client, MutexWaitStrategy strategy,
     return Unavailable("mutex poll-lock timed out");
   }
   // Notification strategy: subscribe to "word == 0", retry the CAS whenever
-  // a release fires (or periodically as a lost-notification fallback).
+  // a release fires (or periodically as a lost-notification fallback). The
+  // wake-up is all the CAS retry needs, so the events are discarded.
   NotifySpec spec;
   spec.mode = NotifyMode::kOnEqual;
   spec.addr = addr_;
   spec.len = kWordSize;
   spec.value = 0;
-  FMDS_ASSIGN_OR_RETURN(SubId sub, client.Subscribe(spec));
+  FMDS_ASSIGN_OR_RETURN(SubId sub, client.Subscribe(spec, DiscardingSink()));
   Status result = Unavailable("mutex notify-lock timed out");
   while (std::chrono::steady_clock::now() < deadline) {
     // Re-check after subscribing: the release may have happened in between

@@ -8,8 +8,8 @@
 namespace fmds {
 
 namespace {
-// Bounded spin for a slot whose assigned producer is in flight.
-constexpr int kSlotSpinLimit = 1 << 20;
+// Tries between yields while a dequeue waits for its slot's producer.
+constexpr uint64_t kYieldEvery = 64;
 }  // namespace
 
 FarQueue::FarQueue(FarClient* client, FarAddr header)
@@ -91,7 +91,7 @@ void FarQueue::EstimateWatch::OnNotify(const NotifyEvent& event) {
 }
 
 Status FarQueue::EnableWatch() {
-  watch_ = std::make_unique<EstimateWatch>();
+  watch_ = MakeOwnedSink<EstimateWatch>(client_);
   NotifySpec spec;
   spec.mode = NotifyMode::kOnWrite;
   spec.len = kWordSize;
@@ -141,14 +141,16 @@ Status FarQueue::MaybeRefreshEstimates() {
   return OkStatus();
 }
 
-// Slots between two absolute pointer values, modulo one ring lap.
+// Slots between two absolute pointer values, modulo one ring lap. A slack
+// head up to max_clients + 2 slots past a lapped tail marks outstanding
+// empty reservations: the queue reads empty, not (wrapped negative) full.
 static uint64_t LogicalOccSlots(uint64_t head, uint64_t tail,
                                 uint64_t ring_bytes) {
   int64_t d = static_cast<int64_t>(tail) - static_cast<int64_t>(head);
   if (d < 0) {
     d += static_cast<int64_t>(ring_bytes);
   }
-  return static_cast<uint64_t>(d) / kWordSize;
+  return d < 0 ? 0 : static_cast<uint64_t>(d) / kWordSize;
 }
 
 Status FarQueue::Enqueue(uint64_t value) {
@@ -164,9 +166,22 @@ Status FarQueue::Enqueue(uint64_t value) {
   if (occ + 2 * max_clients_ >= capacity_) {
     ++op_stats_.slow_enqueues;
     ++client_->mutable_stats().slow_path_ops;
-    FMDS_ASSIGN_OR_RETURN(est_head_, client_->ReadWord(head_addr()));
+    uint64_t hdr[2];  // head and tail, one round trip
+    FMDS_RETURN_IF_ERROR(client_->Read(
+        header_, std::as_writable_bytes(std::span<uint64_t>(hdr))));
+    est_head_ = hdr[kHdrHead / 8];
+    est_tail_ = hdr[kHdrTail / 8];
     occ = LogicalOccSlots(est_head_, est_tail_, capacity_ * kWordSize);
     if (occ + max_clients_ + 1 >= capacity_) {
+      return ResourceExhausted("queue full");
+    }
+    // The slot the tail reuses next may still hold last lap's item, owed to
+    // a dequeuer that reserved it empty: full until that dequeuer takes it.
+    const FarAddr reuse = est_tail_ < ring_end()
+                              ? est_tail_
+                              : ring_base_ + (est_tail_ - ring_end());
+    FMDS_ASSIGN_OR_RETURN(uint64_t owed, client_->ReadWord(reuse));
+    if (owed != 0) {
       return ResourceExhausted("queue full");
     }
   }
@@ -176,7 +191,14 @@ Status FarQueue::Enqueue(uint64_t value) {
   if (!landed.ok()) {
     return landed.status();
   }
-  est_tail_ = *landed + kWordSize;
+  // Advance the tail estimate by how far the tail moved, without the lap
+  // modulo, so a head estimate a lap stale reads full, not nearly empty.
+  int64_t moved = static_cast<int64_t>(*landed + kWordSize - est_tail_) %
+                  static_cast<int64_t>(capacity_ * kWordSize);
+  if (moved < 0) {
+    moved += static_cast<int64_t>(capacity_ * kWordSize);
+  }
+  est_tail_ += static_cast<uint64_t>(moved);
   ++ops_since_refresh_;
   if (*landed < ring_end()) {
     ++op_stats_.fast_enqueues;
@@ -185,11 +207,10 @@ Status FarQueue::Enqueue(uint64_t value) {
   if (*landed >= slack_end()) {
     return Internal("tail overshot the slack region (protocol violation)");
   }
-  return FixupTailLanding(*landed, value);
+  return FixupTailLanding(*landed);
 }
 
-Status FarQueue::FixupTailLanding(FarAddr landed, uint64_t value) {
-  (void)value;  // the slot already holds it; fixup moves it by address
+Status FarQueue::FixupTailLanding(FarAddr landed) {
   ++op_stats_.slow_enqueues;
   ++client_->mutable_stats().slow_path_ops;
   FMDS_RETURN_IF_ERROR(lock_.Lock(*client_, MutexWaitStrategy::kPoll));
@@ -267,36 +288,21 @@ Result<uint64_t> FarQueue::Dequeue() {
     return FixupHeadLanding(*landed, value);
   }
   if (value == 0) {
-    // Empty race: we reserved a slot no producer has filled (yet). Either
-    // the producer assigned to this exact slot shows up (slots fill in
-    // order, so ours fills before any later reservation's), or we give the
-    // reservation back with a CAS that only succeeds once every later
-    // reserver has unwound first (LIFO unwind — prevents double-consuming
-    // a slot another dequeuer still owns).
+    // Empty race: we reserved a slot no producer has filled (yet).
     ++op_stats_.empty_races;
     ++op_stats_.slow_dequeues;
     ++client_->mutable_stats().slow_path_ops;
-    for (int spin = 0; spin < kSlotSpinLimit; ++spin) {
-      FMDS_ASSIGN_OR_RETURN(uint64_t v, client_->ReadWord(*landed));
-      if (v != 0) {
-        FMDS_RETURN_IF_ERROR(client_->PostWriteWordBackground(*landed, 0));
-        return v;
-      }
-      FMDS_ASSIGN_OR_RETURN(
-          uint64_t old,
-          client_->CompareSwap(head_addr(), *landed + kWordSize, *landed));
-      if (old == *landed + kWordSize) {
-        est_head_ = *landed;
-        return Status(StatusCode::kNotFound, "queue empty");
-      }
-      std::this_thread::yield();
+    FMDS_ASSIGN_OR_RETURN(uint64_t v, AwaitOrUnwind(*landed, *landed));
+    if (v == 0) {
+      return Status(StatusCode::kNotFound, "queue empty");
     }
-    return Status(StatusCode::kAborted, "empty-race unwind did not settle");
+    FMDS_RETURN_IF_ERROR(client_->CompareSwapBackground(*landed, v, 0));
+    return v;
   }
   ++op_stats_.fast_dequeues;
   // Reset the consumed slot off the critical path so the next lap's empty
   // detection stays sound.
-  FMDS_RETURN_IF_ERROR(client_->PostWriteWordBackground(*landed, 0));
+  FMDS_RETURN_IF_ERROR(client_->CompareSwapBackground(*landed, value, 0));
   return value;
 }
 
@@ -305,7 +311,7 @@ Result<uint64_t> FarQueue::FixupHeadLanding(FarAddr landed,
   ++op_stats_.slow_dequeues;
   ++client_->mutable_stats().slow_path_ops;
   const uint64_t j = (landed - ring_end()) / kWordSize;
-  Result<uint64_t> out = Status(StatusCode::kInternal, "unset");
+  uint64_t out = faai_value;
   if (faai_value != 0) {
     // Margin violation: the slack slot still held a tail item when our faai
     // read it. The tail fixup (which runs under the lock) may have since
@@ -324,27 +330,17 @@ Result<uint64_t> FarQueue::FixupHeadLanding(FarAddr landed,
           client_->WriteWord(ring_base_ + j * kWordSize, 0));
     }
     FMDS_RETURN_IF_ERROR(lock_.Unlock(*client_));
-    out = faai_value;
   } else {
     // Normal wrap: my reservation logically names ring slot j; the tail
-    // fixup places the item there. Spin WITHOUT the queue lock — the tail
-    // fixup needs it to perform that very copy.
-    bool got = false;
-    for (int spin = 0; spin < kSlotSpinLimit; ++spin) {
-      FMDS_ASSIGN_OR_RETURN(uint64_t v,
-                            client_->ReadWord(ring_base_ + j * kWordSize));
-      if (v != 0) {
-        FMDS_RETURN_IF_ERROR(
-            client_->WriteWord(ring_base_ + j * kWordSize, 0));
-        out = v;
-        got = true;
-        break;
-      }
-      std::this_thread::yield();
+    // fixup places the item there, or an empty queue takes it back (with no
+    // lap to subtract). Wait WITHOUT the queue lock — the tail fixup needs
+    // it to perform that very copy.
+    const FarAddr slot = ring_base_ + j * kWordSize;
+    FMDS_ASSIGN_OR_RETURN(out, AwaitOrUnwind(landed, slot));
+    if (out == 0) {
+      return Status(StatusCode::kNotFound, "queue empty");
     }
-    if (!got) {
-      out = Status(StatusCode::kAborted, "wrapped slot never filled");
-    }
+    FMDS_RETURN_IF_ERROR(client_->WriteWord(slot, 0));
   }
   // Subtract the lap (once) if the head still points into the slack.
   FMDS_RETURN_IF_ERROR(lock_.Lock(*client_, MutexWaitStrategy::kPoll));
@@ -359,6 +355,39 @@ Result<uint64_t> FarQueue::FixupHeadLanding(FarAddr landed,
   FMDS_RETURN_IF_ERROR(lock_.Unlock(*client_));
   ops_since_refresh_ = refresh_every_;
   return out;
+}
+
+Result<uint64_t> FarQueue::AwaitOrUnwind(FarAddr landed, FarAddr slot) {
+  // A slack landing's head may since have been lapped by the dequeuer that
+  // consumed the slot before ours.
+  const uint64_t lap = landed >= ring_end() ? capacity_ * kWordSize : 0;
+  for (uint64_t tries = 1;; ++tries) {
+    FMDS_ASSIGN_OR_RETURN(uint64_t v, client_->ReadWord(slot));
+    if (v != 0) {
+      return v;
+    }
+    FMDS_ASSIGN_OR_RETURN(
+        uint64_t old,
+        client_->CompareSwap(head_addr(), landed + kWordSize, landed));
+    if (old == landed + kWordSize) {
+      est_head_ = landed;
+      return 0;
+    }
+    if (lap != 0 && old == landed + kWordSize - lap) {
+      FMDS_ASSIGN_OR_RETURN(
+          old, client_->CompareSwap(head_addr(), old, landed - lap));
+      if (old == landed + kWordSize - lap) {
+        est_head_ = landed - lap;
+        return 0;
+      }
+    }
+    // Yield now and then, so a producer sharing this core gets to run, but
+    // not every try: each yield invites the scheduler to park this waiter,
+    // and one parked for a whole lap loses its item (see the header).
+    if (tries % kYieldEvery == 0) {
+      std::this_thread::yield();
+    }
+  }
 }
 
 Result<uint64_t> FarQueue::SizeSlow() {

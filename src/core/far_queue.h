@@ -21,9 +21,10 @@
 //   * wrap-around: an op that lands in the slack region fixes the queue up —
 //     tail landers copy slack slots back to the ring start and subtract one
 //     lap from the pointer; head landers consume the wrapped ring slot;
-//   * empty race: a dequeue that reads an unwritten slot (0) either spins
-//     for the in-flight producer assigned to that exact slot or returns the
-//     reservation and reports empty;
+//   * empty race: a dequeue that reads an unwritten slot (0) — in the ring
+//     or, on an empty queue, in the slack — either spins for the in-flight
+//     producer assigned to that exact slot or returns the reservation and
+//     reports empty; no dequeue keeps a reservation it did not fill;
 //   * occupancy: clients keep *background-refreshed* estimates of the remote
 //     head/tail ("second logical slack", §5.3) and fall back to synchronous
 //     pointer reads only when the estimated margin gets thin.
@@ -34,7 +35,6 @@
 #define FMDS_SRC_CORE_FAR_QUEUE_H_
 
 #include <cstdint>
-#include <memory>
 
 #include "src/alloc/far_allocator.h"
 #include "src/core/far_mutex.h"
@@ -131,8 +131,17 @@ class FarQueue {
   Status EnableWatch();
 
   // Slack-landing fixups (hold the queue lock).
-  Status FixupTailLanding(FarAddr landed, uint64_t value);
+  Status FixupTailLanding(FarAddr landed);
   Result<uint64_t> FixupHeadLanding(FarAddr landed, uint64_t faai_value);
+  // An empty reservation at `landed` whose item belongs in ring `slot`:
+  // returns the value once its producer fills the slot, or 0 after giving
+  // the reservation back by a head CAS that succeeds only once every later
+  // reserver has unwound (LIFO: slots fill in order, so ours fills first).
+  // Yields every few tries and has no deadline. Known gap: slots carry no lap
+  // tag, so if a waiter sleeps through a whole ring lap after its producer
+  // filled the slot, the next lap's producer overwrites the owed item and a
+  // later dequeuer waits here for an item that never comes.
+  Result<uint64_t> AwaitOrUnwind(FarAddr landed, FarAddr slot);
 
   FarClient* client_;
   FarAddr header_;
@@ -146,7 +155,7 @@ class FarQueue {
   uint64_t est_head_ = 0;
   uint64_t est_tail_ = 0;
   uint64_t ops_since_refresh_ = 0;
-  std::unique_ptr<EstimateWatch> watch_;
+  OwnedSink<EstimateWatch> watch_;
 
   OpStats op_stats_;
 };

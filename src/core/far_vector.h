@@ -9,8 +9,7 @@
 //   * direct: the client caches the base pointer once and reads/writes the
 //     element address itself.
 //
-// Clients may subscribe to element ranges (notify0 / notify0d) or to an
-// element reaching a value (notifye).
+// Clients may subscribe to element ranges (notify0 / notify0d).
 #ifndef FMDS_SRC_CORE_FAR_VECTOR_H_
 #define FMDS_SRC_CORE_FAR_VECTOR_H_
 
@@ -115,10 +114,12 @@ class FarVector {
     return client.Write(ElementAddr(first), std::as_bytes(values));
   }
 
-  // notify0 / notify0d over [first, first+count) elements. The range must
-  // stay within one page (fabric constraint) — callers align their layouts.
+  // notify0 / notify0d over [first, first+count) elements, delivered to
+  // `sink`. The range must stay within one page (fabric constraint) —
+  // callers align their layouts.
   Result<SubId> SubscribeRange(
       FarClient& client, uint64_t first, uint64_t count, bool with_data,
+      NotificationSink* sink,
       DeliveryPolicy policy = DeliveryPolicy::Reliable()) const {
     if (first + count > capacity_) {
       return Status(StatusCode::kOutOfRange, "subscribe range");
@@ -128,22 +129,7 @@ class FarVector {
     spec.addr = ElementAddr(first);
     spec.len = count * sizeof(T);
     spec.policy = policy;
-    return client.Subscribe(spec);
-  }
-
-  // notifye on element i reaching `target` (word-sized elements).
-  Result<SubId> SubscribeEquals(
-      FarClient& client, uint64_t i, uint64_t target,
-      DeliveryPolicy policy = DeliveryPolicy::Reliable()) const {
-    static_assert(sizeof(T) == kWordSize);
-    FMDS_RETURN_IF_ERROR(CheckIndex(i));
-    NotifySpec spec;
-    spec.mode = NotifyMode::kOnEqual;
-    spec.addr = ElementAddr(i);
-    spec.len = kWordSize;
-    spec.value = target;
-    spec.policy = policy;
-    return client.Subscribe(spec);
+    return client.Subscribe(spec, sink);
   }
 
   // Swaps the storage the base pointer designates (owner-side; one far

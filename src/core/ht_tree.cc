@@ -1467,18 +1467,18 @@ Status HtTree::EnableSplitNotifications(DeliveryPolicy policy) {
   spec.addr = header_ + kHdrSplits;
   spec.len = kWordSize;
   spec.policy = policy;
-  FMDS_ASSIGN_OR_RETURN(split_sub_, client_->Subscribe(spec));
-  return OkStatus();
+  split_watch_ = MakeOwnedSink<NotificationInbox>(
+      client_, client_->channel().capacity());  // replaces an earlier watch
+  return client_->Subscribe(spec, split_watch_.get()).status();
 }
 
 Result<bool> HtTree::PollSplitNotifications() {
-  bool refresh = false;
-  while (auto event = client_->PollNotification()) {
-    if (event->kind == NotifyEventKind::kLossWarning ||
-        event->sub_id == split_sub_) {
-      refresh = true;
-    }
+  if (!split_watch_) {
+    return false;
   }
+  (void)client_->DispatchNotifications();
+  const bool refresh = !split_watch_->empty();
+  split_watch_->Clear();
   if (refresh) {
     FMDS_RETURN_IF_ERROR(RefreshCache());
   }

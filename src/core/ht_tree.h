@@ -197,8 +197,9 @@ class HtTree : public FarMap {
   // the cached trie via notifications instead of lazy version checks.
   Status EnableSplitNotifications(
       DeliveryPolicy policy = DeliveryPolicy::Reliable());
-  // Polls the channel and refreshes the cache if a split fired. Returns
-  // true if a refresh happened.
+  // Dispatches the client's notifications and refreshes the cache if the
+  // split watch got an event (a split or a loss warning). Returns true if a
+  // refresh happened; false when the watch is off.
   Result<bool> PollSplitNotifications();
 
   // Local-cache footprint in bytes of the trie mirror — the cache the
@@ -493,7 +494,8 @@ class HtTree : public FarMap {
   FarAddr arena_next_ = kNullFarAddr;
   uint64_t arena_left_ = 0;
 
-  SubId split_sub_ = kInvalidSubId;
+  // Sink of the split watch (EnableSplitNotifications).
+  OwnedSink<NotificationInbox> split_watch_;
   OpStats op_stats_;
 
   // Put and Remove: a store with `tombstone` set is a Remove.

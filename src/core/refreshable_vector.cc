@@ -7,7 +7,10 @@
 namespace fmds {
 
 RefreshableVector::RefreshableVector(FarClient* client, FarAddr header)
-    : client_(client), header_(header) {}
+    : client_(client),
+      header_(header),
+      inbox_(MakeOwnedSink<NotificationInbox>(
+          client, client->channel().capacity())) {}
 
 Result<RefreshableVector> RefreshableVector::Create(FarClient* client,
                                                     FarAllocator* alloc,
@@ -102,8 +105,7 @@ Status RefreshableVector::SubscribeVersions() {
     spec.addr = addr;
     spec.len = len;
     spec.policy.coalesce = false;  // every group invalidation matters
-    FMDS_ASSIGN_OR_RETURN(SubId id, client_->Subscribe(spec));
-    version_subs_.push_back(id);
+    FMDS_RETURN_IF_ERROR(client_->Subscribe(spec, inbox_.get()).status());
     offset += len;
   }
   notify_active_ = true;
@@ -111,14 +113,11 @@ Status RefreshableVector::SubscribeVersions() {
   return OkStatus();
 }
 
-Status RefreshableVector::UnsubscribeVersions() {
-  for (SubId id : version_subs_) {
-    FMDS_RETURN_IF_ERROR(client_->Unsubscribe(id));
-  }
-  version_subs_.clear();
+void RefreshableVector::UnsubscribeVersions() {
+  client_->UnsubscribeSink(inbox_.get());
+  inbox_->Clear();  // invalidations of the old watch: the next poll covers them
   notify_active_ = false;
   refresh_stats_.notify_active = false;
-  return OkStatus();
 }
 
 Status RefreshableVector::EnableReader(RefreshMode mode) {
@@ -211,7 +210,8 @@ Status RefreshableVector::RefreshByPolling() {
 Status RefreshableVector::RefreshByNotifications() {
   bool lost = false;
   std::vector<uint64_t> dirty;
-  while (auto event = client_->PollNotification()) {
+  (void)client_->DispatchNotifications();
+  while (auto event = inbox_->Pop()) {
     if (event->kind == NotifyEventKind::kLossWarning) {
       lost = true;
       continue;
@@ -237,7 +237,7 @@ Status RefreshableVector::RefreshByNotifications() {
                             static_cast<double>(num_groups_);
     if (fraction >= kHighWaterFraction) {
       // Update storm: notifications cost more than polling; switch back.
-      FMDS_RETURN_IF_ERROR(UnsubscribeVersions());
+      UnsubscribeVersions();
       quiet_refreshes_ = 0;
       ++refresh_stats_.mode_switches;
     }

@@ -8,8 +8,8 @@
 // a full local mirror and refresh it by:
 //   * kPollVersions — read the version region (1 far access), diff against
 //     the mirror, rgather exactly the changed groups (1 more far access);
-//   * kNotify — subscribe notify0 to the version region; refreshes consult
-//     the notification channel (near accesses only) and rgather just the
+//   * kNotify — subscribe notify0 to the version region; refreshes dispatch
+//     the client's notifications (near accesses only) and rgather just the
 //     invalidated groups: ZERO far accesses when nothing changed;
 //   * kAuto — the paper's dynamic policy: start polling while the update
 //     rate is high, shift to notifications as updates slow (an iterative ML
@@ -99,7 +99,7 @@ class RefreshableVector {
   }
 
   Status SubscribeVersions();
-  Status UnsubscribeVersions();
+  void UnsubscribeVersions();
   // Pulls the listed groups' data (and versions) with one rgather.
   Status PullGroups(const std::vector<uint64_t>& groups);
   Status RefreshByPolling();
@@ -122,7 +122,8 @@ class RefreshableVector {
   bool notify_active_ = false;
   std::vector<uint64_t> mirror_;
   std::vector<uint64_t> mirror_versions_;
-  std::vector<SubId> version_subs_;
+  // Sink of the version-region subscriptions.
+  OwnedSink<NotificationInbox> inbox_;
   int quiet_refreshes_ = 0;
   RefreshStats refresh_stats_;
 };

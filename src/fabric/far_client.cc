@@ -37,8 +37,7 @@ FarClient::FarClient(Fabric* fabric, uint64_t client_id, ClientOptions options)
       home_node_(options.home_node),
       local_latency_(options.local_latency),
       obs_(client_id),
-      channel_(options.channel_capacity),
-      channel_capacity_(options.channel_capacity) {
+      channel_(options.channel_capacity) {
   obs_.set_options(options.obs);
   doorbell_.groups.resize(fabric->num_nodes());
 }
@@ -834,7 +833,12 @@ const FarClient::Completion* FarClient::FindCompletion(
 // ------------------------------ Notifications ------------------------------
 
 Result<SubId> FarClient::Subscribe(const NotifySpec& spec,
+                                   NotificationSink* sink,
                                    uint64_t* snapshot) {
+  if (sink == nullptr) {
+    return Status(StatusCode::kInvalidArgument,
+                  "subscription needs a notification sink");
+  }
   if (!IsWordAligned(spec.addr) || spec.len == 0) {
     return Status(StatusCode::kInvalidArgument,
                   "subscription must be word-aligned and non-empty");
@@ -846,35 +850,37 @@ Result<SubId> FarClient::Subscribe(const NotifySpec& spec,
   if (!st.ok()) {
     return st;
   }
-  sub_homes_[id] = loc.node;
+  subs_[id] = Registration{loc.node, sink};
   // Subscription setup message (the read-and-arm snapshot rides the reply).
   AccountRoundTrip(FarOpKind::kNotification, loc.node, spec.addr, kWordSize, 1,
                    0);
   return id;
 }
 
-Result<SubId> FarClient::Subscribe(const NotifySpec& spec,
-                                   NotificationSink* sink,
-                                   uint64_t* snapshot) {
-  FMDS_ASSIGN_OR_RETURN(SubId id, Subscribe(spec, snapshot));
-  if (sink != nullptr) {
-    sinks_[id] = sink;
-  }
-  return id;
-}
-
 Status FarClient::Unsubscribe(SubId id) {
-  auto it = sub_homes_.find(id);
-  if (it == sub_homes_.end()) {
+  auto it = subs_.find(id);
+  if (it == subs_.end()) {
     return NotFound("unknown subscription");
   }
-  const NodeId node = it->second;  // captured before erase invalidates it
+  const NodeId node = it->second.node;  // captured before erase invalidates it
   fabric_->node(node).Unsubscribe(id);
-  sub_homes_.erase(it);
-  sinks_.erase(id);
+  subs_.erase(it);
   AccountRoundTrip(FarOpKind::kNotification, node, kNullFarAddr, kWordSize, 1,
                    0);
   return OkStatus();
+}
+
+void FarClient::UnsubscribeSink(NotificationSink* sink) {
+  std::vector<SubId> ids;
+  for (const auto& [id, reg] : subs_) {
+    if (reg.sink == sink) {
+      ids.push_back(id);
+    }
+  }
+  std::sort(ids.begin(), ids.end());
+  for (SubId id : ids) {
+    (void)Unsubscribe(id);
+  }
 }
 
 Status FarClient::UnsubscribeAt(FarAddr watch_addr, SubId id) {
@@ -885,19 +891,7 @@ Status FarClient::UnsubscribeAt(FarAddr watch_addr, SubId id) {
   return OkStatus();
 }
 
-void FarClient::ForgetSubscription(SubId id) {
-  sub_homes_.erase(id);
-  sinks_.erase(id);
-  // Remember the id so events already queued for it are dropped at dispatch
-  // instead of accumulating in the poll-style park (where enough of them
-  // would overflow into a spurious loss warning). Bounded: an id aged out
-  // degrades to the park path, which is still correct.
-  constexpr size_t kForgottenCap = 256;
-  if (forgotten_subs_.size() >= kForgottenCap) {
-    forgotten_subs_.pop_front();
-  }
-  forgotten_subs_.push_back(id);
-}
+void FarClient::ForgetSubscription(SubId id) { subs_.erase(id); }
 
 size_t FarClient::DispatchNotifications() {
   // Empty-channel check is free: the queue head is client-local state the
@@ -909,116 +903,49 @@ size_t FarClient::DispatchNotifications() {
   AccountNear(1);
   size_t routed = 0;
   for (NotifyEvent& ev : channel_.Drain()) {
-    // Stats and obs are charged at the point of delivery, never at parking:
-    // a parked event is counted by the PollNotification()/WaitNotification()
-    // call that consumes it. Counting the drain itself would tally parked
-    // events twice whenever dispatch coexists with poll-style subscriptions
-    // (e.g. the near cache plus the HT-tree's split watch).
     if (ev.kind == NotifyEventKind::kLossWarning) {
       // No sub_id: an unknown number of events for unknown subscriptions
-      // were dropped. Every sink must assume the worst, and poll-style
-      // subscribers still need to see the warning too — the warning is
-      // parked for them and counted when they consume it.
+      // were dropped. Every sink must assume the worst.
       std::unordered_set<NotificationSink*> seen;
-      for (const auto& [sub, sink] : sinks_) {
-        if (seen.insert(sink).second) {
-          sink->OnNotify(ev);
+      for (const auto& [sub, reg] : subs_) {
+        if (seen.insert(reg.sink).second) {
+          reg.sink->OnNotify(ev);
           ++routed;
         }
       }
-      ParkEvent(std::move(ev));
       continue;
     }
-    auto it = sinks_.find(ev.sub_id);
-    if (it != sinks_.end()) {
-      ++stats_.notifications;
-      if (obs_.recording()) {
-        obs_.RecordOp(FarOpKind::kNotification, kObsNoNode, ev.addr, ev.len,
-                      clock_.now_ns(), 0, true);
-      }
-      it->second->OnNotify(ev);
-      ++routed;
-    } else if (!forgotten_subs_.empty() &&
-               std::find(forgotten_subs_.begin(), forgotten_subs_.end(),
-                         ev.sub_id) != forgotten_subs_.end()) {
-      // Late event for a background-retired subscription: drop it.
-    } else {
-      ParkEvent(std::move(ev));
+    auto it = subs_.find(ev.sub_id);
+    if (it == subs_.end()) {
+      continue;  // unsubscribed, or retired by a background evictor
     }
-  }
-  return routed;
-}
-
-void FarClient::ParkEvent(NotifyEvent ev) {
-  // The park inherits the channel's bound: a dispatcher that never polls
-  // its poll-style events must not grow memory without limit. Overflow
-  // degrades exactly like the channel does — drop everything parked and
-  // leave a single loss warning.
-  if (parked_events_.size() >= channel_capacity_) {
-    parked_events_.clear();
-    NotifyEvent loss;
-    loss.kind = NotifyEventKind::kLossWarning;
-    loss.publish_ns = ev.publish_ns;
-    parked_events_.push_back(std::move(loss));
-    return;
-  }
-  parked_events_.push_back(std::move(ev));
-}
-
-std::optional<NotifyEvent> FarClient::PollNotification() {
-  AccountNear(1);
-  if (!parked_events_.empty()) {
-    NotifyEvent ev = std::move(parked_events_.front());
-    parked_events_.pop_front();
     ++stats_.notifications;
     if (obs_.recording()) {
       obs_.RecordOp(FarOpKind::kNotification, kObsNoNode, ev.addr, ev.len,
                     clock_.now_ns(), 0, true);
     }
-    return ev;
+    it->second.sink->OnNotify(ev);
+    ++routed;
   }
-  auto ev = channel_.Poll();
-  if (ev.has_value()) {
-    ++stats_.notifications;
-    if (obs_.recording()) {
-      // Delivery already happened on the node side; a poll that drains the
-      // channel costs the client only the near access charged above.
-      obs_.RecordOp(FarOpKind::kNotification, kObsNoNode, ev->addr, ev->len,
-                    clock_.now_ns(), 0, true);
-    }
-  }
-  return ev;
+  return routed;
 }
 
-Result<NotifyEvent> FarClient::WaitNotification(uint64_t timeout_ms) {
+Status FarClient::WaitNotification(uint64_t timeout_ms) {
   // Monotonic budget (immune to wall-clock steps) stretched under
-  // sanitizer builds, where the poll loop itself runs an order of
+  // sanitizer builds, where the wait loop itself runs an order of
   // magnitude slower.
   const auto deadline =
       std::chrono::steady_clock::now() +
       std::chrono::milliseconds(timeout_ms * kWaitBudgetScale);
-  while (std::chrono::steady_clock::now() < deadline) {
-    std::optional<NotifyEvent> ev;
-    if (!parked_events_.empty()) {
-      ev = std::move(parked_events_.front());
-      parked_events_.pop_front();
-    } else {
-      ev = channel_.Poll();
-    }
-    if (ev.has_value()) {
-      ++stats_.notifications;
-      AccountNear(1);
-      const uint64_t start_ns = clock_.now_ns();
-      clock_.Advance(latency_.notify_delay_ns);
-      if (obs_.recording()) {
-        obs_.RecordOp(FarOpKind::kNotification, kObsNoNode, ev->addr, ev->len,
-                      start_ns, latency_.notify_delay_ns, true);
-      }
-      return *std::move(ev);
+  while (channel_.size() == 0) {
+    if (std::chrono::steady_clock::now() >= deadline) {
+      return Status(StatusCode::kUnavailable, "notification wait timed out");
     }
     std::this_thread::yield();
   }
-  return Status(StatusCode::kUnavailable, "notification wait timed out");
+  clock_.Advance(latency_.notify_delay_ns);
+  (void)DispatchNotifications();
+  return OkStatus();
 }
 
 // ------------------------------- Accounting -------------------------------
@@ -1048,6 +975,16 @@ Status FarClient::PostWriteBackground(FarAddr addr,
 Status FarClient::PostWriteWordBackground(FarAddr addr, uint64_t value) {
   uint64_t v = value;
   return PostWriteBackground(addr, AsConstBytes(v));
+}
+
+Status FarClient::CompareSwapBackground(FarAddr addr, uint64_t expected,
+                                        uint64_t desired) {
+  return Run({.kind = FarOpKind::kCas,
+              .addr = addr,
+              .value = expected,
+              .desired = desired},
+             ChargeRule::kBackground)
+      .status();
 }
 
 Result<uint64_t> FarClient::ReadWordBackground(FarAddr addr) {

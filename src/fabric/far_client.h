@@ -20,9 +20,11 @@
 
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <optional>
 #include <span>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/common/bytes.h"
@@ -217,18 +219,21 @@ class FarClient {
                                           OpId id);
 
   // ----------------------- Notifications (§4.3) -----------------------
-  // Read-and-arm registration: if `snapshot` is non-null it receives the
-  // watched range's first word, read atomically with the registration on
-  // the memory node. A caller that validated data *before* subscribing
-  // compares the snapshot against the word it read: a mismatch means a
-  // write raced the registration window and the data must not be trusted.
-  Result<SubId> Subscribe(const NotifySpec& spec, uint64_t* snapshot = nullptr);
-  // Subscribe with a dispatch target: events for this subscription are
-  // routed to `sink` by DispatchNotifications() instead of surfacing
-  // through PollNotification(). Same 1-RTT registration cost.
+  // Registers a subscription whose events DispatchNotifications() routes to
+  // `sink` (1-RTT registration; a null sink is kInvalidArgument), which
+  // must outlive the subscription: a structure holds its sink in an
+  // OwnedSink (below), a NotificationInbox if it consumes events in order.
+  // Read-and-arm: if `snapshot` is non-null it receives the watched range's
+  // first word, read atomically with the registration on the memory node.
+  // A caller that validated data *before* subscribing compares the snapshot
+  // against the word it read: a mismatch means a write raced the
+  // registration window and the data must not be trusted.
   Result<SubId> Subscribe(const NotifySpec& spec, NotificationSink* sink,
                           uint64_t* snapshot = nullptr);
   Status Unsubscribe(SubId id);
+  // Unsubscribes every subscription delivering to `sink`, in subscription
+  // order (one round trip each).
+  void UnsubscribeSink(NotificationSink* sink);
   // Node-side unsubscribe by explicit watch address: pays the 1-RTT
   // teardown on the node owning `watch_addr` without consulting this
   // client's subscription maps. Built for background cache evictors: the
@@ -237,25 +242,22 @@ class FarClient {
   Status UnsubscribeAt(FarAddr watch_addr, SubId id);
   // Owner-side bookkeeping drop for a subscription whose node-side half was
   // already torn down elsewhere (UnsubscribeAt). No round trip. Late events
-  // already in flight for the id are discarded instead of parked.
+  // already in flight for the id find no sink and are dropped.
   void ForgetSubscription(SubId id);
-  NotificationChannel& channel() { return channel_; }
-  // Non-blocking; accounts one near access per poll and one notification
-  // per delivered event.
-  std::optional<NotifyEvent> PollNotification();
-  // Spins (real time, for threaded tests) until an event arrives or
-  // ~timeout_ms elapses.
-  Result<NotifyEvent> WaitNotification(uint64_t timeout_ms = 2000);
+  // Counters only: DispatchNotifications() is the channel's one reader.
+  const NotificationChannel& channel() const { return channel_; }
+  // Yields (real time, for threaded waits such as FarMutex's notify lock)
+  // until the channel holds an event or ~timeout_ms elapses, then charges
+  // one notify_delay_ns and dispatches. OkStatus() or kUnavailable.
+  Status WaitNotification(uint64_t timeout_ms = 2000);
   // Drains the channel and routes each event to the sink registered for its
-  // subscription. Loss warnings (which carry no sub_id) fan out to every
-  // distinct sink. Events for poll-style subscriptions are parked and remain
-  // observable through PollNotification()/WaitNotification(). Returns the
-  // number of events routed to sinks. Accounting: checking an empty channel
-  // is free (the local queue head is near state the client touches anyway);
-  // a non-empty drain charges one near access, and each event bumps the
-  // notification stat exactly once, at the point it is delivered — sink
-  // routing here, or the PollNotification()/WaitNotification() call that
-  // later consumes a parked event. Parking is not delivery.
+  // subscription; an event whose subscription has no sink (unsubscribed or
+  // retired) is dropped. Loss warnings (which carry no sub_id) fan out to
+  // every distinct sink. Returns the number of events routed. Accounting:
+  // checking an empty channel is free (the local queue head is near state
+  // the client touches anyway); a non-empty drain charges one near access,
+  // and each event delivered to a sink bumps the notification stat once and
+  // records one kNotification op. Loss warnings are not counted.
   size_t DispatchNotifications();
 
   // --------------------------- Ordering (§2) ---------------------------
@@ -273,6 +275,10 @@ class FarClient {
   // §5.3): counted as traffic, does not advance the client clock.
   Status PostWriteBackground(FarAddr addr, std::span<const std::byte> data);
   Status PostWriteWordBackground(FarAddr addr, uint64_t value);
+  // Background compare-and-swap (e.g. clearing a consumed queue slot only
+  // while it still holds the consumed value, §5.3).
+  Status CompareSwapBackground(FarAddr addr, uint64_t expected,
+                               uint64_t desired);
   // Far read issued off the critical path (e.g. queue occupancy estimate
   // refresh, §5.3): counted as traffic, does not advance the client clock.
   Result<uint64_t> ReadWordBackground(FarAddr addr);
@@ -433,10 +439,6 @@ class FarClient {
     std::vector<RoundTripCost> deferred;
   };
 
-  // Queues a dispatched poll-style event for PollNotification(), bounded by
-  // the channel capacity (overflow collapses to one loss warning).
-  void ParkEvent(NotifyEvent ev);
-
   // Appends `op` in a slot of the issue queue, reusing one an earlier batch
   // left (and its buffers' capacity).
   PendingOp& Post(const FarOp& op);
@@ -472,16 +474,13 @@ class FarClient {
   ClientStats stats_;
   OpRecorder obs_;
   NotificationChannel channel_;
-  std::unordered_map<SubId, NodeId> sub_homes_;
-  // Dispatch routing for sink-registered subscriptions plus the overflow
-  // park for poll-style events that DispatchNotifications() drained.
-  std::unordered_map<SubId, NotificationSink*> sinks_;
-  // Subscriptions dropped via ForgetSubscription: events still in flight
-  // for these ids are discarded at dispatch instead of parked (bounded
-  // ring; an id aged out of it degrades to the normal park path).
-  std::deque<SubId> forgotten_subs_;
-  std::deque<NotifyEvent> parked_events_;
-  size_t channel_capacity_;
+  // This client's live subscriptions: the node holding each one and the
+  // sink its events are dispatched to.
+  struct Registration {
+    NodeId node;
+    NotificationSink* sink;
+  };
+  std::unordered_map<SubId, Registration> subs_;
 
   // Segments of the op being executed (reused across ops).
   std::vector<Fabric::Segment> segs_;
@@ -493,6 +492,25 @@ class FarClient {
   std::deque<Completion> completion_queue_;
   OpId next_op_id_ = 1;
 };
+
+// Owning pointer to a structure's sink. Destroying or replacing it first
+// unsubscribes every subscription that delivers to the sink, so a
+// structure that dies before its client leaves no freed sink registered.
+// The client must outlive it. Heap-held, so moves keep the sink's address.
+struct SinkUnsubscriber {
+  FarClient* client = nullptr;
+  void operator()(NotificationSink* sink) const {
+    client->UnsubscribeSink(sink);
+    delete sink;
+  }
+};
+template <typename Sink>
+using OwnedSink = std::unique_ptr<Sink, SinkUnsubscriber>;
+template <typename Sink, typename... Args>
+OwnedSink<Sink> MakeOwnedSink(FarClient* client, Args&&... args) {
+  return OwnedSink<Sink>(new Sink(std::forward<Args>(args)...),
+                         SinkUnsubscriber{client});
+}
 
 }  // namespace fmds
 

@@ -160,7 +160,6 @@ void MemoryNode::PublishWrite(uint64_t offset, uint64_t len, uint64_t now_ns) {
     }
     if (sub->spec.policy.drop_probability > 0.0 &&
         sub->drop_rng.NextBool(sub->spec.policy.drop_probability)) {
-      ++sub->dropped;
       stats_.notifications_dropped.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
@@ -188,7 +187,6 @@ void MemoryNode::PublishWrite(uint64_t offset, uint64_t len, uint64_t now_ns) {
       stats_.ops_serviced.fetch_sub(1, std::memory_order_relaxed);
       stats_.bytes_out.fetch_sub(event.len, std::memory_order_relaxed);
     }
-    ++sub->fired;
     stats_.notifications_fired.fetch_add(1, std::memory_order_relaxed);
     const bool coalesce = sub->spec.policy.coalesce;
     sub->channel->Publish(std::move(event), coalesce);

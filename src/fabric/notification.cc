@@ -57,25 +57,6 @@ void NotificationChannel::Publish(NotifyEvent event, bool coalesce) {
   queue_.push_back(std::move(event));
 }
 
-std::optional<NotifyEvent> NotificationChannel::Poll() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (queue_.empty()) {
-    return std::nullopt;
-  }
-  NotifyEvent ev = std::move(queue_.front());
-  queue_.pop_front();
-  if (ev.kind == NotifyEventKind::kLossWarning) {
-    loss_pending_ = false;
-  }
-  // Indices shifted by one; rebuild lazily only when small, else clear
-  // (coalescing is an optimization, correctness never depends on it).
-  pending_index_.clear();
-  for (size_t i = 0; i < queue_.size(); ++i) {
-    pending_index_[queue_[i].sub_id] = i;
-  }
-  return ev;
-}
-
 std::vector<NotifyEvent> NotificationChannel::Drain() {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<NotifyEvent> out(std::make_move_iterator(queue_.begin()),
@@ -104,6 +85,35 @@ uint64_t NotificationChannel::overflow_lost() const {
 uint64_t NotificationChannel::coalesced() const {
   std::lock_guard<std::mutex> lock(mu_);
   return coalesced_;
+}
+
+NotificationSink* DiscardingSink() {
+  struct Discard : NotificationSink {
+    void OnNotify(const NotifyEvent&) override {}
+  };
+  static Discard sink;
+  return &sink;
+}
+
+void NotificationInbox::OnNotify(const NotifyEvent& event) {
+  if (events_.size() >= capacity_) {
+    events_.clear();
+    NotifyEvent loss;
+    loss.kind = NotifyEventKind::kLossWarning;
+    loss.publish_ns = event.publish_ns;
+    events_.push_back(std::move(loss));
+    return;
+  }
+  events_.push_back(event);
+}
+
+std::optional<NotifyEvent> NotificationInbox::Pop() {
+  if (events_.empty()) {
+    return std::nullopt;
+  }
+  NotifyEvent event = std::move(events_.front());
+  events_.pop_front();
+  return event;
 }
 
 void SubscriptionTable::Add(uint64_t node_offset, const NotifySpec& spec,

@@ -51,15 +51,20 @@ struct NotifySpec {
   DeliveryPolicy policy = DeliveryPolicy::Reliable();
 };
 
-// Receiver-side callback target for dispatched events. A subscriber (e.g. a
-// NearCache) registers a sink with FarClient::Subscribe(spec, sink); the
-// client's DispatchNotifications() routes delivered events to it. Dispatch
+// Receiver-side callback target for dispatched events. Every subscription
+// names one: FarClient::Subscribe(spec, sink) registers it, and the client's
+// DispatchNotifications() routes each delivered event to it. Dispatch
 // happens on the owning client's thread — sinks need no locking of their own.
 class NotificationSink {
  public:
   virtual ~NotificationSink() = default;
   virtual void OnNotify(const struct NotifyEvent& event) = 0;
 };
+
+// A sink for waits that need only the wake-up and re-read the far word
+// themselves (FarMutex's notify lock, FarBarrier): it drops every event.
+// Stateless, so one instance serves every client.
+NotificationSink* DiscardingSink();
 
 enum class NotifyEventKind : uint8_t {
   kChanged = 0,      // a subscribed range changed
@@ -85,7 +90,8 @@ struct NotifyEvent {
 };
 
 // Per-client inbound event queue. Thread-safe: memory nodes publish from
-// writer threads; the owning client polls.
+// writer threads; the owning client's DispatchNotifications() is its only
+// reader.
 class NotificationChannel {
  public:
   explicit NotificationChannel(size_t capacity = 4096) : capacity_(capacity) {}
@@ -93,12 +99,10 @@ class NotificationChannel {
   // Called by the fabric. Applies coalescing and overflow handling.
   void Publish(NotifyEvent event, bool coalesce);
 
-  // Non-blocking pop; nullopt when empty.
-  std::optional<NotifyEvent> Poll();
-
   // Pops everything currently queued.
   std::vector<NotifyEvent> Drain();
 
+  size_t capacity() const { return capacity_; }
   size_t size() const;
   uint64_t published() const;
   uint64_t overflow_lost() const;
@@ -116,6 +120,29 @@ class NotificationChannel {
   bool loss_pending_ = false;
 };
 
+// A sink that queues the events of its subscriptions for an owner that
+// consumes them in order (a trie refresh, a mirror sync, an alarm scan). It
+// holds only what dispatch routed to it, so structures sharing a client
+// never see or consume each other's events. Bounded by the owning client's
+// channel capacity: on overflow it drops everything it holds and keeps one
+// loss warning, which the owner answers by resynchronizing.
+class NotificationInbox : public NotificationSink {
+ public:
+  explicit NotificationInbox(size_t capacity) : capacity_(capacity) {}
+
+  void OnNotify(const NotifyEvent& event) override;
+
+  // Pops the oldest queued event; nullopt when empty. Near state the
+  // dispatch already paid for, so popping costs nothing.
+  std::optional<NotifyEvent> Pop();
+  bool empty() const { return events_.empty(); }
+  void Clear() { events_.clear(); }
+
+ private:
+  size_t capacity_;
+  std::deque<NotifyEvent> events_;
+};
+
 // One registered subscription, owned by a memory node's SubscriptionTable.
 struct Subscription {
   SubId id = kInvalidSubId;
@@ -123,8 +150,6 @@ struct Subscription {
   uint64_t node_offset = 0; // node-local offset of spec.addr
   NotificationChannel* channel = nullptr;
   Rng drop_rng{0};
-  uint64_t fired = 0;
-  uint64_t dropped = 0;
 };
 
 // Page-indexed subscription registry of one memory node. The paper suggests

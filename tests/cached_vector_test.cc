@@ -147,12 +147,101 @@ TEST(CachedVectorTest, MultipleMirrorsAllFollow) {
     auto mirror = CachedFarVector::Attach(readers.back(), vec_w->header());
     ASSERT_TRUE(mirror.ok());
     ASSERT_TRUE(mirror->EnableMirror().ok());
-    mirrors.push_back(*std::move(mirror));
+    mirrors.push_back(std::move(mirror).value());
   }
   ASSERT_TRUE(vec_w->Set(5, 55).ok());
   for (auto& mirror : mirrors) {
     ASSERT_TRUE(mirror.Sync().ok());
     EXPECT_EQ(*mirror.Get(5), 55u);
+  }
+}
+
+TEST(CachedVectorTest, TwoMirrorsOnOneClientSeeTheirOwnWrites) {
+  TestEnv env;
+  auto& writer = env.NewClient();
+  auto& reader = env.NewClient();
+  auto vec_a = CachedFarVector::Create(&writer, &env.alloc(), 16);
+  ASSERT_TRUE(vec_a.ok());
+  auto vec_b = CachedFarVector::Create(&writer, &env.alloc(), 16);
+  ASSERT_TRUE(vec_b.ok());
+  auto mirror_a = CachedFarVector::Attach(&reader, vec_a->header());
+  ASSERT_TRUE(mirror_a.ok());
+  ASSERT_TRUE(mirror_a->EnableMirror().ok());
+  auto mirror_b = CachedFarVector::Attach(&reader, vec_b->header());
+  ASSERT_TRUE(mirror_b.ok());
+  ASSERT_TRUE(mirror_b->EnableMirror().ok());
+  ASSERT_TRUE(vec_b->Set(3, 7).ok());
+  ASSERT_TRUE(mirror_a->Sync().ok());  // must leave B's update for B
+  ASSERT_TRUE(mirror_b->Sync().ok());
+  EXPECT_EQ(*mirror_b->Get(3), 7u);
+  EXPECT_EQ(*mirror_a->Get(3), 0u);
+  EXPECT_EQ(mirror_a->stats().events_applied, 0u);
+  EXPECT_EQ(mirror_b->stats().events_applied, 1u);
+}
+
+TEST(CachedVectorTest, LossWarningReachesEveryMirrorOnOneClient) {
+  TestEnv env;
+  auto& writer = env.NewClient();
+  ClientOptions small;
+  small.channel_capacity = 4;
+  FarClient reader(&env.fabric(), 89, small);
+  auto vec_a = CachedFarVector::Create(&writer, &env.alloc(), 16);
+  ASSERT_TRUE(vec_a.ok());
+  auto vec_b = CachedFarVector::Create(&writer, &env.alloc(), 16);
+  ASSERT_TRUE(vec_b.ok());
+  auto mirror_a = CachedFarVector::Attach(&reader, vec_a->header());
+  ASSERT_TRUE(mirror_a.ok());
+  ASSERT_TRUE(mirror_a->EnableMirror().ok());
+  auto mirror_b = CachedFarVector::Attach(&reader, vec_b->header());
+  ASSERT_TRUE(mirror_b.ok());
+  ASSERT_TRUE(mirror_b->EnableMirror().ok());
+  for (uint64_t i = 0; i < 16; ++i) {  // overflows the reader's channel
+    ASSERT_TRUE(vec_a->Set(i, i + 1).ok());
+    ASSERT_TRUE(vec_b->Set(i, 100 + i).ok());
+  }
+  ASSERT_TRUE(mirror_a->Sync().ok());
+  ASSERT_TRUE(mirror_b->Sync().ok());
+  EXPECT_EQ(mirror_a->stats().loss_resyncs, 1u);
+  EXPECT_EQ(mirror_b->stats().loss_resyncs, 1u);
+  for (uint64_t i = 0; i < 16; ++i) {
+    EXPECT_EQ(*mirror_a->Get(i), i + 1) << "A[" << i << "]";
+    EXPECT_EQ(*mirror_b->Get(i), 100 + i) << "B[" << i << "]";
+  }
+}
+
+TEST(CachedVectorTest, DestroyedMirrorLeavesItsClientDispatching) {
+  // A mirror that dies before its client unsubscribes: writes to its range
+  // publish nothing, and the client's dispatches (events, then a loss
+  // warning) reach only the live mirror.
+  TestEnv env;
+  auto& writer = env.NewClient();
+  ClientOptions small;
+  small.channel_capacity = 4;
+  FarClient reader(&env.fabric(), 90, small);
+  auto vec_a = CachedFarVector::Create(&writer, &env.alloc(), 16);
+  ASSERT_TRUE(vec_a.ok());
+  auto vec_b = CachedFarVector::Create(&writer, &env.alloc(), 16);
+  ASSERT_TRUE(vec_b.ok());
+  {
+    auto gone = CachedFarVector::Attach(&reader, vec_a->header());
+    ASSERT_TRUE(gone.ok());
+    ASSERT_TRUE(gone->EnableMirror().ok());
+  }
+  auto mirror_b = CachedFarVector::Attach(&reader, vec_b->header());
+  ASSERT_TRUE(mirror_b.ok());
+  ASSERT_TRUE(mirror_b->EnableMirror().ok());
+  const uint64_t published = reader.channel().published();
+  ASSERT_TRUE(vec_a->Set(3, 7).ok());
+  EXPECT_EQ(reader.channel().published(), published);
+  ASSERT_TRUE(mirror_b->Sync().ok());
+  for (uint64_t i = 0; i < 16; ++i) {  // overflows the reader's channel
+    ASSERT_TRUE(vec_a->Set(i, i + 1).ok());
+    ASSERT_TRUE(vec_b->Set(i, 100 + i).ok());
+  }
+  ASSERT_TRUE(mirror_b->Sync().ok());
+  EXPECT_EQ(mirror_b->stats().loss_resyncs, 1u);
+  for (uint64_t i = 0; i < 16; ++i) {
+    EXPECT_EQ(*mirror_b->Get(i), 100 + i) << "B[" << i << "]";
   }
 }
 

@@ -55,12 +55,20 @@ TEST(FarCounterTest, EqualsNotification) {
   auto& watcher = env.NewClient();
   auto counter = FarCounter::Create(writer, env.alloc(), 3);
   ASSERT_TRUE(counter.ok());
-  ASSERT_TRUE(counter->SubscribeEquals(watcher, 0).ok());
+  NotifySpec spec;
+  spec.mode = NotifyMode::kOnEqual;
+  spec.addr = counter->addr();
+  spec.len = kWordSize;
+  spec.value = 0;
+  NotificationInbox inbox(watcher.channel().capacity());
+  ASSERT_TRUE(watcher.Subscribe(spec, &inbox).ok());
   ASSERT_TRUE(counter->FetchAdd(writer, static_cast<uint64_t>(-1)).ok());
   ASSERT_TRUE(counter->FetchAdd(writer, static_cast<uint64_t>(-1)).ok());
-  EXPECT_FALSE(watcher.PollNotification().has_value());
+  watcher.DispatchNotifications();
+  EXPECT_FALSE(inbox.Pop().has_value());
   ASSERT_TRUE(counter->FetchAdd(writer, static_cast<uint64_t>(-1)).ok());
-  EXPECT_TRUE(watcher.PollNotification().has_value());  // hit zero
+  watcher.DispatchNotifications();
+  EXPECT_TRUE(inbox.Pop().has_value());  // hit zero
 }
 
 // ------------------------------- FarVector --------------------------------
@@ -139,11 +147,15 @@ TEST(FarVectorTest, RangeSubscription) {
   auto vec = FarVector<uint64_t>::Create(writer, env.alloc(), 64,
                                          AllocHint::Any());
   ASSERT_TRUE(vec.ok());
-  ASSERT_TRUE(vec->SubscribeRange(watcher, 8, 8, /*with_data=*/true).ok());
+  NotificationInbox inbox(watcher.channel().capacity());
+  ASSERT_TRUE(
+      vec->SubscribeRange(watcher, 8, 8, /*with_data=*/true, &inbox).ok());
   ASSERT_TRUE(vec->Set(writer, 3, 1).ok());  // outside
-  EXPECT_FALSE(watcher.PollNotification().has_value());
+  watcher.DispatchNotifications();
+  EXPECT_FALSE(inbox.Pop().has_value());
   ASSERT_TRUE(vec->Set(writer, 9, 123).ok());  // inside
-  auto event = watcher.PollNotification();
+  watcher.DispatchNotifications();
+  auto event = inbox.Pop();
   ASSERT_TRUE(event.has_value());
   ASSERT_EQ(event->data.size(), sizeof(uint64_t));
   EXPECT_EQ(LoadAs<uint64_t>(std::span<const std::byte>(event->data)), 123u);

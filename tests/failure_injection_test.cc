@@ -134,13 +134,15 @@ TEST(FailureInjectionTest, DelayedNotificationsStillArriveInOrder) {
   spec.len = 8;
   spec.policy.coalesce = false;
   spec.policy.delay_ns = 50'000;  // half-RTT extra fabric delay
-  ASSERT_TRUE(watcher.Subscribe(spec).ok());
+  NotificationInbox inbox(watcher.channel().capacity());
+  ASSERT_TRUE(watcher.Subscribe(spec, &inbox).ok());
   for (uint64_t i = 1; i <= 5; ++i) {
     ASSERT_TRUE(writer.WriteWord(64, i).ok());
   }
   uint64_t last = 0;
   uint64_t count = 0;
-  while (auto event = watcher.PollNotification()) {
+  watcher.DispatchNotifications();
+  while (auto event = inbox.Pop()) {
     const uint64_t value =
         LoadAs<uint64_t>(std::span<const std::byte>(event->data));
     EXPECT_GT(value, last);  // FIFO per subscription
@@ -164,12 +166,14 @@ TEST(FailureInjectionTest, MonitoringStyleLossWarningTriggersResync) {
   spec.addr = 4096;
   spec.len = 256;
   spec.policy.coalesce = false;
-  ASSERT_TRUE(watcher.Subscribe(spec).ok());
+  NotificationInbox inbox(watcher.channel().capacity());
+  ASSERT_TRUE(watcher.Subscribe(spec, &inbox).ok());
   for (int i = 0; i < 50; ++i) {
     ASSERT_TRUE(writer.FetchAdd(4096 + (i % 32) * 8, 1).ok());
   }
   bool saw_warning = false;
-  while (auto event = watcher.PollNotification()) {
+  watcher.DispatchNotifications();
+  while (auto event = inbox.Pop()) {
     saw_warning |= event->kind == NotifyEventKind::kLossWarning;
   }
   ASSERT_TRUE(saw_warning);

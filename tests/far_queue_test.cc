@@ -116,6 +116,37 @@ TEST(FarQueueTest, AttachSharesState) {
   EXPECT_EQ(*qb->Dequeue(), 5u);
 }
 
+TEST(FarQueueTest, StaleDequeueAtWrapKeepsQueueLive) {
+  // A dequeue on a stale estimate lands in the slack of an empty queue. It
+  // must give its reservation back at once: waiting for a producer while
+  // the head sits past the lapped tail would read as "full" to every
+  // producer, and abandoning the reservation would leave the head past
+  // slots nobody fills.
+  TestEnv env;
+  auto& a = env.NewClient();
+  auto& b = env.NewClient();
+  auto queue = FarQueue::Create(&a, &env.alloc(),
+                                SmallQueue(/*capacity=*/16, /*clients=*/2));
+  ASSERT_TRUE(queue.ok());
+  for (uint64_t i = 1; i <= 15; ++i) {
+    ASSERT_TRUE(queue->Enqueue(i).ok());
+    ASSERT_EQ(*queue->Dequeue(), i);
+  }
+  ASSERT_TRUE(queue->Enqueue(100).ok());
+  FarQueue::Options never_refresh;
+  never_refresh.refresh_every = 1 << 30;
+  auto stale = FarQueue::Attach(&b, queue->header(), never_refresh);
+  ASSERT_TRUE(stale.ok());  // its estimate: one item queued
+  ASSERT_EQ(*queue->Dequeue(), 100u);
+  const uint64_t before = b.stats().far_ops;
+  EXPECT_EQ(stale->Dequeue().status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(b.stats().far_ops - before, 3u)
+      << "faai, one slot read, one unwind CAS: no spin";
+  ASSERT_TRUE(queue->Enqueue(200).ok());
+  EXPECT_EQ(*queue->Dequeue(), 200u);
+  EXPECT_EQ(*queue->SizeSlow(), 0u);
+}
+
 // MPMC stress: every enqueued value is dequeued exactly once, across laps.
 class FarQueueMpmcTest
     : public ::testing::TestWithParam<std::tuple<int, int, uint64_t>> {};
@@ -250,6 +281,32 @@ TEST(FarQueueWatchTest, IdlePollCostsZeroFarAccesses) {
 
   // A push wakes the watch (notification), not a poll loop of reads.
   ASSERT_TRUE(producer->Enqueue(77).ok());
+  auto got = consumer->Dequeue();
+  ASSERT_TRUE(got.ok()) << got.status().message();
+  EXPECT_EQ(*got, 77u);
+}
+
+TEST(FarQueueWatchTest, DestroyedWatchLeavesItsClientDispatching) {
+  // A watched handle that dies before its client unsubscribes its pointer
+  // watch; the client's other watched handle keeps dispatching.
+  TestEnv env;
+  auto& producer_client = env.NewClient();
+  auto& consumer_client = env.NewClient();
+  FarQueue::Options options = SmallQueue(/*capacity=*/256);
+  options.watch_estimates = true;
+  auto producer = FarQueue::Create(&producer_client, &env.alloc(), options);
+  ASSERT_TRUE(producer.ok());
+  {
+    auto gone = FarQueue::Attach(&consumer_client, producer->header(), options);
+    ASSERT_TRUE(gone.ok());
+  }
+  auto consumer =
+      FarQueue::Attach(&consumer_client, producer->header(), options);
+  ASSERT_TRUE(consumer.ok());
+  const uint64_t published = consumer_client.channel().published();
+  ASSERT_TRUE(producer->Enqueue(77).ok());
+  EXPECT_EQ(consumer_client.channel().published(), published + 1)
+      << "only the live handle's tail watch fires";
   auto got = consumer->Dequeue();
   ASSERT_TRUE(got.ok()) << got.status().message();
   EXPECT_EQ(*got, 77u);

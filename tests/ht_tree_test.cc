@@ -184,6 +184,83 @@ TEST(HtTreeTest, SplitNotificationsRefreshCache) {
   EXPECT_EQ(map_b->op_stats().stale_refreshes, stale_before);
 }
 
+TEST(HtTreeTest, SplitWatchKeepsCacheInvalidations) {
+  // A near cache and a split watch share one client: polling the watch
+  // routes the cache's invalidation instead of swallowing it.
+  TestEnv env(BigFabric());
+  auto& a = env.NewClient();
+  auto& b = env.NewClient();
+  auto map_a = HtTree::Create(&a, &env.alloc(), SmallTables(64));
+  ASSERT_TRUE(map_a.ok());
+  ASSERT_TRUE(map_a->Put(7, 1).ok());
+  HtTree::Options cached = SmallTables(64);
+  cached.cache.budget_bytes = 1 << 20;
+  cached.cache.admit_after = 1;
+  auto map_b = HtTree::Attach(&b, &env.alloc(), map_a->header(), cached);
+  ASSERT_TRUE(map_b.ok());
+  ASSERT_TRUE(map_b->EnableSplitNotifications().ok());
+  EXPECT_EQ(*map_b->Get(7), 1u);  // warms the cache
+  ASSERT_TRUE(map_a->Put(7, 2).ok());
+  auto refreshed = map_b->PollSplitNotifications();
+  ASSERT_TRUE(refreshed.ok());
+  EXPECT_FALSE(*refreshed) << "no split happened";
+  EXPECT_EQ(*map_b->Get(7), 2u) << "the invalidation reached the cache";
+}
+
+TEST(HtTreeTest, SplitWatchesOnOneClientKeepTheirOwnEvents) {
+  TestEnv env(BigFabric());
+  auto& owner = env.NewClient();
+  auto& watcher = env.NewClient();
+  auto first = HtTree::Create(&owner, &env.alloc(), SmallTables(64));
+  ASSERT_TRUE(first.ok());
+  auto second = HtTree::Create(&owner, &env.alloc(), SmallTables(64));
+  ASSERT_TRUE(second.ok());
+  auto watch_first = HtTree::Attach(&watcher, &env.alloc(), first->header());
+  ASSERT_TRUE(watch_first.ok());
+  auto watch_second =
+      HtTree::Attach(&watcher, &env.alloc(), second->header());
+  ASSERT_TRUE(watch_second.ok());
+  ASSERT_TRUE(watch_first->EnableSplitNotifications().ok());
+  ASSERT_TRUE(watch_second->EnableSplitNotifications().ok());
+  ASSERT_TRUE(second->Put(1, 2).ok());
+  ASSERT_TRUE(second->SplitTableOf(1).ok());
+  auto polled_first = watch_first->PollSplitNotifications();
+  ASSERT_TRUE(polled_first.ok());
+  EXPECT_FALSE(*polled_first) << "the first map did not split";
+  auto polled_second = watch_second->PollSplitNotifications();
+  ASSERT_TRUE(polled_second.ok());
+  EXPECT_TRUE(*polled_second) << "the second map's split reached its watch";
+}
+
+TEST(HtTreeTest, DestroyedSplitWatchLeavesItsClientDispatching) {
+  // A handle that dies before its client takes its split watch along: the
+  // next split publishes nothing, and the client's other watch still polls.
+  TestEnv env(BigFabric());
+  auto& owner = env.NewClient();
+  auto& watcher = env.NewClient();
+  auto first = HtTree::Create(&owner, &env.alloc(), SmallTables(64));
+  ASSERT_TRUE(first.ok());
+  auto second = HtTree::Create(&owner, &env.alloc(), SmallTables(64));
+  ASSERT_TRUE(second.ok());
+  {
+    auto gone = HtTree::Attach(&watcher, &env.alloc(), first->header());
+    ASSERT_TRUE(gone.ok());
+    ASSERT_TRUE(gone->EnableSplitNotifications().ok());
+  }
+  auto live = HtTree::Attach(&watcher, &env.alloc(), second->header());
+  ASSERT_TRUE(live.ok());
+  ASSERT_TRUE(live->EnableSplitNotifications().ok());
+  const uint64_t published = watcher.channel().published();
+  ASSERT_TRUE(first->Put(1, 2).ok());
+  ASSERT_TRUE(first->SplitTableOf(1).ok());
+  EXPECT_EQ(watcher.channel().published(), published);
+  ASSERT_TRUE(second->Put(1, 2).ok());
+  ASSERT_TRUE(second->SplitTableOf(1).ok());
+  auto polled = live->PollSplitNotifications();
+  ASSERT_TRUE(polled.ok());
+  EXPECT_TRUE(*polled);
+}
+
 TEST(HtTreeTest, CacheBytesGrowWithTables) {
   TestEnv env(BigFabric());
   auto& client = env.NewClient();

@@ -14,13 +14,20 @@ NotifySpec OnWrite(FarAddr addr, uint64_t len = kWordSize) {
   return spec;
 }
 
+// Dispatches `client`'s channel, then pops the oldest event `inbox` holds.
+std::optional<NotifyEvent> Next(FarClient& client, NotificationInbox& inbox) {
+  client.DispatchNotifications();
+  return inbox.Pop();
+}
+
 TEST(NotifyTest, Notify0FiresOnWrite) {
   TestEnv env;
   auto& writer = env.NewClient();
   auto& watcher = env.NewClient();
-  ASSERT_TRUE(watcher.Subscribe(OnWrite(64)).ok());
+  NotificationInbox inbox(watcher.channel().capacity());
+  ASSERT_TRUE(watcher.Subscribe(OnWrite(64), &inbox).ok());
   ASSERT_TRUE(writer.WriteWord(64, 42).ok());
-  auto event = watcher.PollNotification();
+  auto event = Next(watcher, inbox);
   ASSERT_TRUE(event.has_value());
   EXPECT_EQ(event->kind, NotifyEventKind::kChanged);
   EXPECT_EQ(event->addr, 64u);
@@ -30,29 +37,32 @@ TEST(NotifyTest, Notify0FiresOnWrite) {
 TEST(NotifyTest, NoEventWithoutWrite) {
   TestEnv env;
   auto& watcher = env.NewClient();
-  ASSERT_TRUE(watcher.Subscribe(OnWrite(64)).ok());
-  EXPECT_FALSE(watcher.PollNotification().has_value());
+  NotificationInbox inbox(watcher.channel().capacity());
+  ASSERT_TRUE(watcher.Subscribe(OnWrite(64), &inbox).ok());
+  EXPECT_FALSE(Next(watcher, inbox).has_value());
 }
 
 TEST(NotifyTest, OutsideRangeDoesNotFire) {
   TestEnv env;
   auto& writer = env.NewClient();
   auto& watcher = env.NewClient();
-  ASSERT_TRUE(watcher.Subscribe(OnWrite(64, 16)).ok());
+  NotificationInbox inbox(watcher.channel().capacity());
+  ASSERT_TRUE(watcher.Subscribe(OnWrite(64, 16), &inbox).ok());
   ASSERT_TRUE(writer.WriteWord(96, 1).ok());
-  EXPECT_FALSE(watcher.PollNotification().has_value());
+  EXPECT_FALSE(Next(watcher, inbox).has_value());
   ASSERT_TRUE(writer.WriteWord(72, 1).ok());  // inside [64, 80)
-  EXPECT_TRUE(watcher.PollNotification().has_value());
+  EXPECT_TRUE(Next(watcher, inbox).has_value());
 }
 
 TEST(NotifyTest, RangeWriteIntersectionReported) {
   TestEnv env;
   auto& writer = env.NewClient();
   auto& watcher = env.NewClient();
-  ASSERT_TRUE(watcher.Subscribe(OnWrite(64, 32)).ok());
+  NotificationInbox inbox(watcher.channel().capacity());
+  ASSERT_TRUE(watcher.Subscribe(OnWrite(64, 32), &inbox).ok());
   std::vector<std::byte> data(64, std::byte{1});
   ASSERT_TRUE(writer.Write(32, data).ok());  // covers [32, 96)
-  auto event = watcher.PollNotification();
+  auto event = Next(watcher, inbox);
   ASSERT_TRUE(event.has_value());
   EXPECT_EQ(event->addr, 64u);  // clipped to the subscription
   EXPECT_EQ(event->len, 32u);
@@ -62,43 +72,46 @@ TEST(NotifyTest, AtomicsPublishToo) {
   TestEnv env;
   auto& writer = env.NewClient();
   auto& watcher = env.NewClient();
-  ASSERT_TRUE(watcher.Subscribe(OnWrite(64)).ok());
+  NotificationInbox inbox(watcher.channel().capacity());
+  ASSERT_TRUE(watcher.Subscribe(OnWrite(64), &inbox).ok());
   ASSERT_TRUE(writer.FetchAdd(64, 1).ok());
-  EXPECT_TRUE(watcher.PollNotification().has_value());
+  EXPECT_TRUE(Next(watcher, inbox).has_value());
   ASSERT_TRUE(writer.CompareSwap(64, 1, 2).ok());
-  EXPECT_TRUE(watcher.PollNotification().has_value());
+  EXPECT_TRUE(Next(watcher, inbox).has_value());
   // Failed CAS does not publish.
   ASSERT_TRUE(writer.CompareSwap(64, 99, 3).ok());
-  EXPECT_FALSE(watcher.PollNotification().has_value());
+  EXPECT_FALSE(Next(watcher, inbox).has_value());
 }
 
 TEST(NotifyTest, NotifyeFiresOnlyOnTargetValue) {
   TestEnv env;
   auto& writer = env.NewClient();
   auto& watcher = env.NewClient();
+  NotificationInbox inbox(watcher.channel().capacity());
   NotifySpec spec;
   spec.mode = NotifyMode::kOnEqual;
   spec.addr = 64;
   spec.len = kWordSize;
   spec.value = 0;  // mutex-free convention
-  ASSERT_TRUE(watcher.Subscribe(spec).ok());
+  ASSERT_TRUE(watcher.Subscribe(spec, &inbox).ok());
   ASSERT_TRUE(writer.WriteWord(64, 7).ok());
-  EXPECT_FALSE(watcher.PollNotification().has_value());
+  EXPECT_FALSE(Next(watcher, inbox).has_value());
   ASSERT_TRUE(writer.WriteWord(64, 0).ok());
-  EXPECT_TRUE(watcher.PollNotification().has_value());
+  EXPECT_TRUE(Next(watcher, inbox).has_value());
 }
 
 TEST(NotifyTest, Notify0dCarriesData) {
   TestEnv env;
   auto& writer = env.NewClient();
   auto& watcher = env.NewClient();
+  NotificationInbox inbox(watcher.channel().capacity());
   NotifySpec spec;
   spec.mode = NotifyMode::kOnWriteData;
   spec.addr = 64;
   spec.len = 16;
-  ASSERT_TRUE(watcher.Subscribe(spec).ok());
+  ASSERT_TRUE(watcher.Subscribe(spec, &inbox).ok());
   ASSERT_TRUE(writer.WriteWord(72, 0xabcd).ok());
-  auto event = watcher.PollNotification();
+  auto event = Next(watcher, inbox);
   ASSERT_TRUE(event.has_value());
   ASSERT_EQ(event->data.size(), 8u);  // only the intersecting word
   EXPECT_EQ(LoadAs<uint64_t>(std::span<const std::byte>(event->data)),
@@ -108,25 +121,28 @@ TEST(NotifyTest, Notify0dCarriesData) {
 TEST(NotifyTest, PageCrossingSubscriptionRejected) {
   TestEnv env;
   auto& watcher = env.NewClient();
-  EXPECT_FALSE(watcher.Subscribe(OnWrite(kPageSize - 8, 16)).ok());
-  EXPECT_TRUE(watcher.Subscribe(OnWrite(kPageSize - 8, 8)).ok());
+  NotificationInbox inbox(watcher.channel().capacity());
+  EXPECT_FALSE(watcher.Subscribe(OnWrite(kPageSize - 8, 16), &inbox).ok());
+  EXPECT_TRUE(watcher.Subscribe(OnWrite(kPageSize - 8, 8), &inbox).ok());
 }
 
 TEST(NotifyTest, UnalignedSubscriptionRejected) {
   TestEnv env;
   auto& watcher = env.NewClient();
-  EXPECT_FALSE(watcher.Subscribe(OnWrite(65)).ok());
+  NotificationInbox inbox(watcher.channel().capacity());
+  EXPECT_FALSE(watcher.Subscribe(OnWrite(65), &inbox).ok());
 }
 
 TEST(NotifyTest, UnsubscribeStopsEvents) {
   TestEnv env;
   auto& writer = env.NewClient();
   auto& watcher = env.NewClient();
-  auto sub = watcher.Subscribe(OnWrite(64));
+  NotificationInbox inbox(watcher.channel().capacity());
+  auto sub = watcher.Subscribe(OnWrite(64), &inbox);
   ASSERT_TRUE(sub.ok());
   ASSERT_TRUE(watcher.Unsubscribe(*sub).ok());
   ASSERT_TRUE(writer.WriteWord(64, 1).ok());
-  EXPECT_FALSE(watcher.PollNotification().has_value());
+  EXPECT_FALSE(Next(watcher, inbox).has_value());
   EXPECT_FALSE(watcher.Unsubscribe(*sub).ok());  // idempotence check
 }
 
@@ -134,14 +150,16 @@ TEST(NotifyTest, DropPolicyLosesRoughlyTheConfiguredFraction) {
   TestEnv env;
   auto& writer = env.NewClient();
   auto& watcher = env.NewClient();
+  NotificationInbox inbox(watcher.channel().capacity());
   NotifySpec spec = OnWrite(64);
   spec.policy.drop_probability = 0.5;
   spec.policy.coalesce = false;
-  ASSERT_TRUE(watcher.Subscribe(spec).ok());
+  ASSERT_TRUE(watcher.Subscribe(spec, &inbox).ok());
   constexpr int kWrites = 2000;
   for (int i = 0; i < kWrites; ++i) {
     ASSERT_TRUE(writer.WriteWord(64, i + 1).ok());
-    watcher.channel().Drain();  // keep the channel from overflowing
+    watcher.DispatchNotifications();  // keep the channel from overflowing
+    inbox.Clear();
   }
   const uint64_t dropped =
       env.fabric().node(0).stats().notifications_dropped.load();
@@ -152,19 +170,20 @@ TEST(NotifyTest, CoalescingMergesBackToBackEvents) {
   TestEnv env;
   auto& writer = env.NewClient();
   auto& watcher = env.NewClient();
+  NotificationInbox inbox(watcher.channel().capacity());
   NotifySpec spec = OnWrite(64, 32);
   spec.policy.coalesce = true;
-  ASSERT_TRUE(watcher.Subscribe(spec).ok());
+  ASSERT_TRUE(watcher.Subscribe(spec, &inbox).ok());
   ASSERT_TRUE(writer.WriteWord(64, 1).ok());
   ASSERT_TRUE(writer.WriteWord(80, 2).ok());
   ASSERT_TRUE(writer.WriteWord(72, 3).ok());
   // One merged event covering [64, 88).
-  auto event = watcher.PollNotification();
+  auto event = Next(watcher, inbox);
   ASSERT_TRUE(event.has_value());
   EXPECT_EQ(event->coalesced, 2u);
   EXPECT_EQ(event->addr, 64u);
   EXPECT_EQ(event->len, 24u);
-  EXPECT_FALSE(watcher.PollNotification().has_value());
+  EXPECT_FALSE(Next(watcher, inbox).has_value());
   EXPECT_EQ(watcher.channel().coalesced(), 2u);
 }
 
@@ -174,14 +193,15 @@ TEST(NotifyTest, OverflowSurfacesLossWarning) {
   ClientOptions small;
   small.channel_capacity = 4;
   FarClient watcher(&env.fabric(), 99, small);
+  NotificationInbox inbox(watcher.channel().capacity());
   NotifySpec spec = OnWrite(64);
   spec.policy.coalesce = false;
-  ASSERT_TRUE(watcher.Subscribe(spec).ok());
+  ASSERT_TRUE(watcher.Subscribe(spec, &inbox).ok());
   for (int i = 0; i < 10; ++i) {
     ASSERT_TRUE(writer.WriteWord(64, i + 1).ok());
   }
   bool saw_loss = false;
-  while (auto event = watcher.PollNotification()) {
+  while (auto event = Next(watcher, inbox)) {
     saw_loss |= event->kind == NotifyEventKind::kLossWarning;
   }
   EXPECT_TRUE(saw_loss);
@@ -193,22 +213,25 @@ TEST(NotifyTest, TwoSubscribersBothFire) {
   auto& writer = env.NewClient();
   auto& w1 = env.NewClient();
   auto& w2 = env.NewClient();
-  ASSERT_TRUE(w1.Subscribe(OnWrite(64)).ok());
-  ASSERT_TRUE(w2.Subscribe(OnWrite(64)).ok());
+  NotificationInbox inbox1(w1.channel().capacity());
+  NotificationInbox inbox2(w2.channel().capacity());
+  ASSERT_TRUE(w1.Subscribe(OnWrite(64), &inbox1).ok());
+  ASSERT_TRUE(w2.Subscribe(OnWrite(64), &inbox2).ok());
   ASSERT_TRUE(writer.WriteWord(64, 5).ok());
-  EXPECT_TRUE(w1.PollNotification().has_value());
-  EXPECT_TRUE(w2.PollNotification().has_value());
+  EXPECT_TRUE(Next(w1, inbox1).has_value());
+  EXPECT_TRUE(Next(w2, inbox2).has_value());
 }
 
 TEST(NotifyTest, SubscriptionOnStripedNodeRoutesToOwner) {
   TestEnv env(StripedFabric(4, kPageSize, 1 << 20));
   auto& writer = env.NewClient();
   auto& watcher = env.NewClient();
+  NotificationInbox inbox(watcher.channel().capacity());
   const FarAddr addr = 2 * kPageSize + 128;  // node 2
-  ASSERT_TRUE(watcher.Subscribe(OnWrite(addr)).ok());
+  ASSERT_TRUE(watcher.Subscribe(OnWrite(addr), &inbox).ok());
   EXPECT_EQ(env.fabric().node(2).subscription_count(), 1u);
   ASSERT_TRUE(writer.WriteWord(addr, 1).ok());
-  EXPECT_TRUE(watcher.PollNotification().has_value());
+  EXPECT_TRUE(Next(watcher, inbox).has_value());
 }
 
 TEST(NotifyTest, SubscribeSnapshotReadsArmTimeWord) {
@@ -218,14 +241,15 @@ TEST(NotifyTest, SubscribeSnapshotReadsArmTimeWord) {
   TestEnv env;
   auto& writer = env.NewClient();
   auto& watcher = env.NewClient();
+  NotificationInbox inbox(watcher.channel().capacity());
   ASSERT_TRUE(writer.WriteWord(64, 7).ok());
   uint64_t snapshot = 123;
-  ASSERT_TRUE(watcher.Subscribe(OnWrite(64), &snapshot).ok());
+  ASSERT_TRUE(watcher.Subscribe(OnWrite(64), &inbox, &snapshot).ok());
   EXPECT_EQ(snapshot, 7u) << "snapshot must reflect the pre-arm write";
   // The pre-arm write produced no event; the next write does.
-  EXPECT_FALSE(watcher.PollNotification().has_value());
+  EXPECT_FALSE(Next(watcher, inbox).has_value());
   ASSERT_TRUE(writer.WriteWord(64, 8).ok());
-  EXPECT_TRUE(watcher.PollNotification().has_value());
+  EXPECT_TRUE(Next(watcher, inbox).has_value());
 }
 
 struct CountingSink : NotificationSink {
@@ -233,30 +257,46 @@ struct CountingSink : NotificationSink {
   void OnNotify(const NotifyEvent&) override { ++events; }
 };
 
-TEST(NotifyTest, ParkedEventsCountedOnceAcrossDispatchAndPoll) {
-  // One client with a sink-routed subscription AND a poll-style one (the
-  // near cache plus the HT-tree's split watch, in miniature). The event
-  // parked by DispatchNotifications() must bump the notification stat only
-  // when PollNotification() delivers it — not once at the drain and again
-  // at the poll (regression: parked events were double-counted).
+TEST(NotifyTest, EachEventCountedOnceAcrossSinks) {
+  // Two sinks on one client (a near cache and a split watch, in miniature):
+  // dispatch hands each its own event and counts each delivery once.
+  TestEnv env;
+  auto& writer = env.NewClient();
+  auto& watcher = env.NewClient();
+  CountingSink first;
+  CountingSink second;
+  ASSERT_TRUE(watcher.Subscribe(OnWrite(64), &first).ok());
+  ASSERT_TRUE(watcher.Subscribe(OnWrite(128), &second).ok());
+  ASSERT_TRUE(writer.WriteWord(64, 1).ok());
+  ASSERT_TRUE(writer.WriteWord(128, 2).ok());
+  EXPECT_EQ(watcher.DispatchNotifications(), 2u);
+  EXPECT_EQ(first.events, 1);
+  EXPECT_EQ(second.events, 1);
+  EXPECT_EQ(watcher.stats().notifications, 2u);
+  EXPECT_EQ(watcher.DispatchNotifications(), 0u);
+}
+
+TEST(NotifyTest, SubscribeWithoutSinkRejected) {
+  TestEnv env;
+  auto& watcher = env.NewClient();
+  EXPECT_EQ(watcher.Subscribe(OnWrite(64), nullptr).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(env.fabric().node(0).subscription_count(), 0u);
+}
+
+TEST(NotifyTest, UnsubscribedEventsAreDropped) {
+  // An event already queued for a subscription that is gone finds no sink.
   TestEnv env;
   auto& writer = env.NewClient();
   auto& watcher = env.NewClient();
   CountingSink sink;
-  ASSERT_TRUE(watcher.Subscribe(OnWrite(64), &sink).ok());
-  ASSERT_TRUE(watcher.Subscribe(OnWrite(128)).ok());  // poll-style
+  auto sub = watcher.Subscribe(OnWrite(64), &sink);
+  ASSERT_TRUE(sub.ok());
   ASSERT_TRUE(writer.WriteWord(64, 1).ok());
-  ASSERT_TRUE(writer.WriteWord(128, 2).ok());
-  EXPECT_EQ(watcher.DispatchNotifications(), 1u) << "only the sink event";
-  EXPECT_EQ(sink.events, 1);
-  EXPECT_EQ(watcher.stats().notifications, 1u)
-      << "the parked event is not yet delivered";
-  auto parked = watcher.PollNotification();
-  ASSERT_TRUE(parked.has_value());
-  EXPECT_EQ(parked->addr, 128u);
-  EXPECT_EQ(watcher.stats().notifications, 2u)
-      << "two events delivered, two counted — no double count";
-  EXPECT_FALSE(watcher.PollNotification().has_value());
+  ASSERT_TRUE(watcher.Unsubscribe(*sub).ok());
+  EXPECT_EQ(watcher.DispatchNotifications(), 0u);
+  EXPECT_EQ(sink.events, 0);
+  EXPECT_EQ(watcher.stats().notifications, 0u);
 }
 
 TEST(NotifyChannelTest, DrainReturnsEverything) {
@@ -269,6 +309,24 @@ TEST(NotifyChannelTest, DrainReturnsEverything) {
   EXPECT_EQ(channel.size(), 5u);
   EXPECT_EQ(channel.Drain().size(), 5u);
   EXPECT_EQ(channel.size(), 0u);
+}
+
+TEST(NotifyChannelTest, InboxOverflowKeepsOneLossWarning) {
+  NotificationInbox inbox(4);
+  for (uint64_t i = 1; i <= 6; ++i) {
+    NotifyEvent ev;
+    ev.sub_id = i;
+    inbox.OnNotify(ev);
+  }
+  // The fifth event overflowed: the four held events gave way to a single
+  // warning, and the sixth queued behind it.
+  auto first = inbox.Pop();
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(first->kind, NotifyEventKind::kLossWarning);
+  auto second = inbox.Pop();
+  ASSERT_TRUE(second.has_value());
+  EXPECT_EQ(second->sub_id, 6u);
+  EXPECT_FALSE(inbox.Pop().has_value());
 }
 
 }  // namespace
