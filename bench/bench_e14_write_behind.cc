@@ -62,7 +62,6 @@ ShardedMap::Options MapOptions(const Config& cfg) {
   options.shard.buckets_per_table = cfg.buckets;
   options.shard.cache.budget_bytes = 256 << 10;
   options.shard.cache.admit_after = 0;
-  options.shard.cache.word_versioned = true;
   return options;
 }
 

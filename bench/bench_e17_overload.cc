@@ -349,13 +349,10 @@ void ScenarioHotspotRouter(const Config& cfg, GateSet* gates,
   DataplaneRouter router(&client, router_options);
   RpcMapPath path(&client, &dataplane);
 
-  // Routing arms through the consolidated RouteOptions block: Create wires
-  // the decider into the handle (map_options.h), no post-create call.
-  HtTree::Options map_options = ScenarioMap();
-  map_options.route.decider = &router;
-  map_options.route.remote = &path;
-  std::unique_ptr<FarMap> map = std::make_unique<HtTree>(CheckOk(
-      HtTree::Create(&client, &env.alloc(), map_options), "hotspot map"));
+  auto tree = std::make_unique<HtTree>(CheckOk(
+      HtTree::Create(&client, &env.alloc(), ScenarioMap()), "hotspot map"));
+  CheckOk(tree->EnableRouting(&router, &path), "enable routing");
+  std::unique_ptr<FarMap> map = std::move(tree);
   Populate(*map, cfg.keys);
 
   const uint64_t window_ns =

@@ -1,6 +1,5 @@
 #include "src/alloc/far_allocator.h"
 
-#include <algorithm>
 #include <cassert>
 
 namespace fmds {
@@ -132,47 +131,6 @@ Result<FarAddr> FarAllocator::Allocate(uint64_t size, AllocHint hint,
     }
   }
   return Status(StatusCode::kInternal, "bad placement");
-}
-
-NodeId FarAllocator::PolicyNode(PlacementPolicy policy,
-                                uint64_t shard_key) const {
-  const uint32_t n = fabric_->num_nodes();
-  switch (policy) {
-    case PlacementPolicy::kSingleNode:
-      return home_node_ % n;
-    case PlacementPolicy::kRoundRobinPage: {
-      std::lock_guard<std::mutex> lock(mu_);
-      return static_cast<NodeId>(policy_pages_ % n);
-    }
-    case PlacementPolicy::kShardByKey:
-      return static_cast<NodeId>(shard_key % n);
-  }
-  return 0;
-}
-
-Result<FarAddr> FarAllocator::AllocatePlaced(uint64_t size,
-                                             PlacementPolicy policy,
-                                             uint64_t shard_key,
-                                             uint64_t alignment) {
-  NodeId node = 0;
-  const uint32_t n = fabric_->num_nodes();
-  switch (policy) {
-    case PlacementPolicy::kSingleNode:
-      node = home_node_ % n;
-      break;
-    case PlacementPolicy::kRoundRobinPage: {
-      // The cursor advances by whole pages so small allocations keep
-      // landing together and page-sized ones tile the nodes evenly.
-      std::lock_guard<std::mutex> lock(mu_);
-      node = static_cast<NodeId>(policy_pages_ % n);
-      policy_pages_ += std::max<uint64_t>(1, (size + kPageSize - 1) / kPageSize);
-      break;
-    }
-    case PlacementPolicy::kShardByKey:
-      node = static_cast<NodeId>(shard_key % n);
-      break;
-  }
-  return Allocate(size, AllocHint::OnNode(node), alignment);
 }
 
 Status FarAllocator::Free(FarAddr addr, uint64_t size) {

@@ -50,22 +50,6 @@ struct AllocHint {
   }
 };
 
-// §7 scale-out placement policies: deterministic rules mapping a stream of
-// allocations onto memory nodes, so structures can stripe their storage.
-// Unlike the per-call AllocHint, a policy is a standing decision a
-// structure (or a router like ShardedMap) applies to every allocation:
-//   kSingleNode     everything on one home node — maximal locality, the
-//                   pre-scale-out behaviour of a pinned structure.
-//   kRoundRobinPage successive pages cycle over the nodes — capacity and
-//                   bandwidth spread for bulk/append-ish storage.
-//   kShardByKey     node = shard_key % num_nodes — co-locates everything
-//                   sharing a shard key; the basis of per-node sharding.
-enum class PlacementPolicy : uint8_t {
-  kSingleNode = 0,
-  kRoundRobinPage,
-  kShardByKey,
-};
-
 class FarAllocator {
  public:
   explicit FarAllocator(Fabric* fabric);
@@ -76,21 +60,6 @@ class FarAllocator {
   // placement target is full.
   Result<FarAddr> Allocate(uint64_t size, AllocHint hint = AllocHint::Any(),
                            uint64_t alignment = kWordSize);
-
-  // Allocates under a standing placement policy. `shard_key` selects the
-  // node for kShardByKey (ignored otherwise); kSingleNode pins to
-  // `home_node` (default 0, see set_home_node); kRoundRobinPage advances an
-  // internal page cursor by the pages this allocation covers.
-  Result<FarAddr> AllocatePlaced(uint64_t size, PlacementPolicy policy,
-                                 uint64_t shard_key = 0,
-                                 uint64_t alignment = kWordSize);
-
-  // The node the next AllocatePlaced(policy, shard_key) would target.
-  // Stateless for kSingleNode/kShardByKey; reads (does not advance) the
-  // round-robin cursor for kRoundRobinPage.
-  NodeId PolicyNode(PlacementPolicy policy, uint64_t shard_key = 0) const;
-
-  void set_home_node(NodeId node) { home_node_ = node; }
 
   // Returns the block to the quarantine; recycled two epochs later.
   Status Free(FarAddr addr, uint64_t size);
@@ -127,8 +96,6 @@ class FarAllocator {
   mutable std::mutex mu_;
   std::vector<NodeArena> arenas_;
   NodeId round_robin_ = 0;
-  NodeId home_node_ = 0;       // kSingleNode target
-  uint64_t policy_pages_ = 0;  // pages handed out by kRoundRobinPage
   FarAddr contiguous_bump_;  // high end of the address space, grows down
   std::vector<QuarantinedBlock> quarantine_[2];
   uint64_t allocated_bytes_ = 0;

@@ -46,7 +46,6 @@ class FarBTree {
   uint64_t last_get_far_accesses() const { return last_get_accesses_; }
   uint64_t height() const { return height_; }
   uint64_t cache_bytes() const;
-  void ClearCache() { cache_.clear(); }
 
  private:
   // Header: [0] root, [8] fanout, [16] lock, [24] height.

@@ -40,8 +40,8 @@ Result<ChainedHash> ChainedHash::Attach(FarClient* client,
 Result<FarAddr> ChainedHash::AllocItemSlot() {
   if (arena_left_ == 0) {
     FMDS_ASSIGN_OR_RETURN(
-        arena_next_, alloc_->Allocate(options_.arena_batch * kItemBytes));
-    arena_left_ = options_.arena_batch;
+        arena_next_, alloc_->Allocate(kArenaBatch * kItemBytes));
+    arena_left_ = kArenaBatch;
   }
   const FarAddr slot = arena_next_;
   arena_next_ += kItemBytes;

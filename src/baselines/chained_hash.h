@@ -24,7 +24,6 @@ class ChainedHash {
   struct Options {
     uint64_t buckets = 4096;
     bool use_indirect = false;  // load0 on lookups (proposed HW)
-    uint64_t arena_batch = 4096;
   };
 
   static Result<ChainedHash> Create(FarClient* client, FarAllocator* alloc,
@@ -56,6 +55,8 @@ class ChainedHash {
   // Item: [0] key, [8] value, [16] flags, [24] next (0 terminates).
   static constexpr uint64_t kItemBytes = 32;
   static constexpr uint64_t kFlagTombstone = 1;
+  // Items the client slab pre-allocates per far allocation.
+  static constexpr uint64_t kArenaBatch = 4096;
 
   struct Item {
     uint64_t key;

@@ -3,8 +3,9 @@
 //
 // With NearCacheOptions::background_eviction set, the owning thread's hot
 // path never runs a CLOCK sweep and never pays an eviction's unsubscribe
-// round trip: admissions simply stop above the high watermark, and this
-// thread drains every watched cache back to the low watermark via
+// round trip: admissions simply stop above the high watermark, each refusal
+// marks the cache due (NearCache::SweepNeeded()), and this thread's next
+// periodic pass drains every due cache back to the low watermark via
 // NearCache::BackgroundSweep(). The evictor owns its own FarClient, so the
 // teardown round trips land on its clock and stats (bg_evictions, label
 // "cache.bg_evict"), keeping the application thread's counters an honest
@@ -28,8 +29,8 @@ namespace fmds {
 
 struct BackgroundEvictorOptions {
   // Real-time cadence between sweep passes. Each pass checks
-  // NearCache::SweepNeeded() per cache (cheap) and only sweeps rings above
-  // their high watermark.
+  // NearCache::SweepNeeded() per cache (cheap) and only sweeps rings that
+  // refused an admission since their last sweep.
   uint64_t poll_interval_us = 100;
   ClientOptions client;  // options for the evictor's own FarClient
 };

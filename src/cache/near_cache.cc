@@ -14,57 +14,17 @@ size_t MaxEntries(uint64_t budget_bytes) {
 }
 }  // namespace
 
-NearCache::NearCache(FarClient* client, NearCacheOptions options)
+NearCache::NearCache(FarClient* client, NearCacheOptions options,
+                     bool word_versioned)
     : client_(client),
       options_(options),
+      word_versioned_(word_versioned),
       ring_(MaxEntries(options.budget_bytes)),
-      filter_(options.filter_slots),
+      filter_(kFilterSlots),
       win_hits_(WindowedOptions{}.window_ns, WindowedOptions{}.slots),
       win_lookups_(WindowedOptions{}.window_ns, WindowedOptions{}.slots) {}
 
 NearCache::~NearCache() { Clear(); }
-
-uint64_t NearCache::BudgetLimit() const {
-  return options_.shared_budget != nullptr ? options_.shared_budget->limit
-                                           : options_.budget_bytes;
-}
-
-uint64_t NearCache::HighWatermark() const {
-  if (options_.shared_budget != nullptr) {
-    return options_.shared_budget->high_watermark;
-  }
-  return CacheBudget::DefaultHigh(options_.budget_bytes,
-                                  options_.high_watermark_bytes);
-}
-
-uint64_t NearCache::LowWatermark() const {
-  if (options_.shared_budget != nullptr) {
-    return options_.shared_budget->low_watermark;
-  }
-  return CacheBudget::DefaultLow(options_.budget_bytes,
-                                 options_.high_watermark_bytes,
-                                 options_.low_watermark_bytes);
-}
-
-uint64_t NearCache::BudgetUsedLocked() const {
-  return options_.shared_budget != nullptr
-             ? options_.shared_budget->used.load(std::memory_order_relaxed)
-             : bytes_used_;
-}
-
-void NearCache::AddBytesLocked(uint64_t n) {
-  bytes_used_ += n;
-  if (options_.shared_budget != nullptr) {
-    options_.shared_budget->used.fetch_add(n, std::memory_order_relaxed);
-  }
-}
-
-void NearCache::SubBytesLocked(uint64_t n) {
-  bytes_used_ -= n;
-  if (options_.shared_budget != nullptr) {
-    options_.shared_budget->used.fetch_sub(n, std::memory_order_relaxed);
-  }
-}
 
 void NearCache::DrainRetiredLocked() {
   // Owner thread only: finishes subscriptions the background evictor tore
@@ -130,7 +90,6 @@ bool NearCache::ArmWatchLocked(Entry& e, uint64_t key, FarAddr watch,
   spec.mode = NotifyMode::kOnWrite;
   spec.addr = watch;
   spec.len = watch_len;
-  spec.policy = options_.policy;
   uint64_t snapshot = 0;
   {
     ScopedOpLabel label(&client_->recorder(), label_name);
@@ -165,7 +124,7 @@ void NearCache::Admit(uint64_t key, std::span<const std::byte> payload,
     return;
   }
   const uint64_t cost = payload.size() + kEntryOverhead;
-  if (cost > BudgetLimit()) {
+  if (cost > options_.budget_bytes) {
     return;  // would never fit, even alone
   }
   std::lock_guard<std::mutex> lock(mu_);
@@ -176,7 +135,7 @@ void NearCache::Admit(uint64_t key, std::span<const std::byte> payload,
   if (slot != ClockRing<Entry>::npos) {
     // Resident (possibly invalidated) entry.
     Entry& e = ring_.value(slot);
-    SubBytesLocked(EntryCost(e));
+    bytes_used_ -= EntryCost(e);
     e.payload.assign(payload.begin(), payload.end());
     if (e.watch == watch && e.watch_len == watch_len) {
       // Same watch: refill in place. The live subscription covered the
@@ -201,7 +160,7 @@ void NearCache::Admit(uint64_t key, std::span<const std::byte> payload,
         return;
       }
     }
-    AddBytesLocked(EntryCost(e));
+    bytes_used_ += EntryCost(e);
     ring_.Touch(slot);
     if (!options_.background_eviction) {
       EvictToBudgetLocked();
@@ -210,11 +169,12 @@ void NearCache::Admit(uint64_t key, std::span<const std::byte> payload,
   }
   if (options_.background_eviction) {
     // The hot path never sweeps: above the high watermark (or with the ring
-    // at capacity) the admission is dropped and the background evictor is
-    // responsible for making room.
-    if (BudgetUsedLocked() + cost > HighWatermark() ||
+    // at capacity) the admission is dropped, and the drop is what tells the
+    // background evictor to make room.
+    if (bytes_used_ + cost > HighWatermark() ||
         ring_.size() + 1 >= ring_.capacity()) {
       ++stats_.wm_drops;
+      sweep_due_ = true;
       return;
     }
   }
@@ -241,11 +201,11 @@ void NearCache::Admit(uint64_t key, std::span<const std::byte> payload,
                       "cache.admit")) {
     return;
   }
-  AddBytesLocked(EntryCost(e));
+  bytes_used_ += EntryCost(e);
   std::optional<std::pair<uint64_t, Entry>> evicted;
   ring_.Insert(key, std::move(e), &evicted);
   if (evicted.has_value()) {
-    SubBytesLocked(EntryCost(evicted->second));
+    bytes_used_ -= EntryCost(evicted->second);
     ReleaseEntryLocked(evicted->second);
     ++stats_.evictions;
   }
@@ -300,18 +260,18 @@ void NearCache::RefillLocked(uint64_t key, std::span<const std::byte> payload,
     InvalidateLocked(key, account_client);
     return;
   }
-  if (!options_.word_versioned) {
+  if (!word_versioned_) {
     // Without word versioning the echo of the writer's own CAS would kill
     // this refill at the next dispatch; keeping the entry valid until then
     // would serve hits that die unpredictably. Degrade to invalidation.
     InvalidateLocked(key, account_client);
     return;
   }
-  SubBytesLocked(EntryCost(e));
+  bytes_used_ -= EntryCost(e);
   e.payload.assign(payload.begin(), payload.end());
   e.watch_word = watch_word;
   e.valid = true;
-  AddBytesLocked(EntryCost(e));
+  bytes_used_ += EntryCost(e);
   ring_.Touch(slot);
   ++stats_.writer_refills;
   if (!options_.background_eviction) {
@@ -372,7 +332,7 @@ void NearCache::OnNotify(const NotifyEvent& event) {
   if (it == sub_to_key_.end()) {
     return;
   }
-  if (options_.word_versioned) {
+  if (word_versioned_) {
     // The event carries the watched word's state-at-publish value. If it
     // equals the word this entry was filled under, the write the event
     // reports *is* the write that produced the cached value (typically our
@@ -403,12 +363,12 @@ void NearCache::ReleaseEntryLocked(Entry& entry, const char* label_name) {
 }
 
 void NearCache::EvictToBudgetLocked() {
-  while (BudgetUsedLocked() > BudgetLimit()) {
+  while (bytes_used_ > options_.budget_bytes) {
     auto victim = ring_.EvictOne();
     if (!victim.has_value()) {
       break;
     }
-    SubBytesLocked(EntryCost(victim->second));
+    bytes_used_ -= EntryCost(victim->second);
     ReleaseEntryLocked(victim->second);
     ++stats_.evictions;
   }
@@ -416,7 +376,7 @@ void NearCache::EvictToBudgetLocked() {
 
 bool NearCache::SweepNeeded() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return bytes_used_ > 0 && BudgetUsedLocked() > HighWatermark();
+  return sweep_due_;
 }
 
 size_t NearCache::BackgroundSweep(FarClient* evictor_client) {
@@ -431,14 +391,15 @@ size_t NearCache::BackgroundSweep(FarClient* evictor_client) {
   std::vector<Retired> retired;
   {
     std::lock_guard<std::mutex> lock(mu_);
+    sweep_due_ = false;
     const uint64_t low = LowWatermark();
-    while (BudgetUsedLocked() > low && !ring_.empty()) {
+    while (bytes_used_ > low && !ring_.empty()) {
       auto victim = ring_.EvictOne();
       if (!victim.has_value()) {
         break;
       }
       Entry& e = victim->second;
-      SubBytesLocked(EntryCost(e));
+      bytes_used_ -= EntryCost(e);
       ++stats_.bg_evictions;
       if (e.sub != kInvalidSubId) {
         sub_to_key_.erase(e.sub);
@@ -467,10 +428,6 @@ void NearCache::Clear() {
   ring_.Clear();
   filter_.Clear();
   sub_to_key_.clear();
-  if (options_.shared_budget != nullptr && bytes_used_ > 0) {
-    options_.shared_budget->used.fetch_sub(bytes_used_,
-                                           std::memory_order_relaxed);
-  }
   bytes_used_ = 0;
 }
 
@@ -494,11 +451,10 @@ NearCache::Health NearCache::health() const {
   Health h;
   h.bytes_used = bytes_used_;
   h.entries = ring_.size();
-  h.budget_limit = BudgetLimit();
+  h.budget_limit = options_.budget_bytes;
   h.high_watermark = HighWatermark();
   h.low_watermark = LowWatermark();
-  h.sweep_needed = options_.background_eviction &&
-                   BudgetUsedLocked() >= HighWatermark() && h.entries > 0;
+  h.sweep_needed = sweep_due_;
   const uint64_t lookups = win_lookups_.RecentCount(win_now_ns_);
   const uint64_t hits = win_hits_.RecentCount(win_now_ns_);
   h.windowed_lookups = lookups;

@@ -16,13 +16,10 @@
 // during its validated read. A mismatch means a writer raced the window
 // between that read and the registration — the entry is then admitted
 // invalid (the subscription is live; the next miss refills it under it)
-// instead of pinning a possibly stale value. Under the default Reliable
-// policy publication is synchronous and dispatch runs at operation entry,
-// so hits are linearizable. Under lossy policies (drop_probability > 0) a
-// dropped event can leave an entry stale; staleness is then bounded by the
-// writer's own local Invalidate (read-your-writes), channel-overflow loss
-// resets, eviction, and address reuse — the §7.2 best-effort tradeoff,
-// documented in DESIGN.md §9.
+// instead of pinning a possibly stale value. Subscriptions are always
+// Reliable: publication is synchronous and dispatch runs at operation
+// entry, so hits are linearizable. The one loss left is a channel
+// overflow, whose loss warning invalidates the whole cache (DESIGN.md §9).
 //
 // An invalidated entry keeps its slot and its subscription: a miss whose
 // refill watches the *same* range refills in place without paying the
@@ -54,9 +51,7 @@
 #ifndef FMDS_SRC_CACHE_NEAR_CACHE_H_
 #define FMDS_SRC_CACHE_NEAR_CACHE_H_
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <span>
 #include <unordered_map>
@@ -70,32 +65,6 @@
 
 namespace fmds {
 
-// A byte budget shared by several caches (ShardedMap's per-shard rings
-// draw on one of these so the client's footprint stays bounded as shard
-// counts grow). `used` is the fleet-wide total across every attached
-// cache; each cache still evicts only its own entries.
-struct CacheBudget {
-  static uint64_t DefaultHigh(uint64_t limit, uint64_t high) {
-    return high != 0 ? high : limit;
-  }
-  static uint64_t DefaultLow(uint64_t limit, uint64_t high, uint64_t low) {
-    if (low != 0) {
-      return low;
-    }
-    const uint64_t h = DefaultHigh(limit, high);
-    return h - h / 8;
-  }
-  explicit CacheBudget(uint64_t limit_bytes, uint64_t high_bytes = 0,
-                       uint64_t low_bytes = 0)
-      : limit(limit_bytes),
-        high_watermark(DefaultHigh(limit_bytes, high_bytes)),
-        low_watermark(DefaultLow(limit_bytes, high_bytes, low_bytes)) {}
-  const uint64_t limit;
-  const uint64_t high_watermark;  // background mode: admissions drop above
-  const uint64_t low_watermark;   // background mode: sweeps drain to here
-  std::atomic<uint64_t> used{0};
-};
-
 struct NearCacheOptions {
   // Total bytes of cached payload + per-entry overhead. 0 disables the
   // cache entirely (every Lookup misses without charging anything).
@@ -103,31 +72,13 @@ struct NearCacheOptions {
   // k-hit admission: a key enters the cache on its k-th miss. 1 admits on
   // first touch; 2 (default) keeps one-shot keys from churning the budget.
   uint32_t admit_after = 2;
-  // Delivery policy for the coherence subscriptions.
-  DeliveryPolicy policy = DeliveryPolicy::Reliable();
-  // Capacity of the admission filter's own CLOCK ring (miss counters).
-  size_t filter_slots = 4096;
-  // Word-versioned coherence: treat the watched word as a version — every
-  // state of the watched range maps to a distinct word value that is never
-  // reused (HT-tree bucket heads qualify: item slots are never recycled and
-  // freed tables are quarantined). When set, a notification whose
-  // state-at-publish word equals the word the entry was filled under
-  // CONFIRMS the entry instead of killing it — which is what lets a writer
-  // refill its own entry at Put exit and survive the echo of its own CAS.
-  // Leave false for ranges whose words can repeat (e.g. blob length words).
-  bool word_versioned = false;
   // Mage-style background eviction: the hot path NEVER runs a CLOCK sweep
   // or pays an unsubscribe round trip. Admissions proceed while used bytes
-  // stay under the high watermark and are dropped (wm_drops) above it; a
-  // BackgroundEvictor thread calls BackgroundSweep() to drain the cache to
-  // the low watermark off the critical path.
+  // stay under the high watermark (the budget) and are dropped (wm_drops)
+  // above it; each drop marks the cache due for a sweep, and a
+  // BackgroundEvictor thread calls BackgroundSweep() to drain it to the low
+  // watermark (budget - budget/8) off the critical path.
   bool background_eviction = false;
-  uint64_t high_watermark_bytes = 0;  // 0 => the budget/limit itself
-  uint64_t low_watermark_bytes = 0;   // 0 => high - high/8
-  // Fleet-wide budget shared with sibling caches. When set, `budget_bytes`
-  // should equal the shared limit (it sizes this cache's ring); all byte
-  // accounting and watermark checks run against the shared total.
-  std::shared_ptr<CacheBudget> shared_budget;
 };
 
 struct NearCacheStats {
@@ -178,8 +129,18 @@ class NearCache : public NotificationSink {
   // Charged per entry on top of the payload: slot + index + subscription
   // bookkeeping on both sides of the fabric.
   static constexpr uint64_t kEntryOverhead = 64;
+  // Capacity of the admission filter's own CLOCK ring (miss counters).
+  static constexpr size_t kFilterSlots = 4096;
 
-  NearCache(FarClient* client, NearCacheOptions options);
+  // `word_versioned` is a property of what the owner watches: every state
+  // of a watched range maps to a distinct first-word value that is never
+  // reused (HT-tree bucket heads qualify: item slots are never recycled and
+  // freed tables are quarantined). Then a notification whose
+  // state-at-publish word equals the word an entry was filled under
+  // CONFIRMS the entry instead of killing it — which is what lets a writer
+  // refill its own entry at Put exit and survive the echo of its own CAS.
+  // Pass false for ranges whose words can repeat (e.g. blob length words).
+  NearCache(FarClient* client, NearCacheOptions options, bool word_versioned);
   NearCache(const NearCache&) = delete;
   NearCache& operator=(const NearCache&) = delete;
   ~NearCache() override;
@@ -227,7 +188,7 @@ class NearCache : public NotificationSink {
   // Writer-side refill: a client that just installed `payload` under a
   // successful CAS that left the watched word equal to `watch_word` re-fills
   // its own resident entry in place — zero far round trips, versus the read
-  // RTT a miss-then-refill would pay. Only meaningful with word_versioned
+  // RTT a miss-then-refill would pay. Only meaningful when word-versioned
   // (the echo of the writer's own CAS then *confirms* the entry instead of
   // killing it; without word versioning the refill would die on its own
   // notification). Resident same-watch entries refill; a resident entry
@@ -255,12 +216,14 @@ class NearCache : public NotificationSink {
   // Drops every entry and releases the subscriptions (unsubscribe RTTs).
   void Clear();
 
-  // True when a background sweep has bytes to reclaim (used >= high
-  // watermark in background mode). Cheap enough to poll.
+  // True once a background-mode admission was refused at the high
+  // watermark and no BackgroundSweep() has run since: the evictor's
+  // trigger, and the sweep_needed gauge. Cheap enough to poll.
   bool SweepNeeded() const;
 
   // Background eviction (Mage-style): evicts this cache's CLOCK victims
-  // until the (possibly shared) used total drops to the low watermark.
+  // until its used bytes drop to the low watermark, and clears the
+  // SweepNeeded() mark.
   // Victim state is reclaimed under the cache mutex; the per-victim
   // unsubscribe round trips are then paid OUTSIDE the mutex by
   // `evictor_client` (label "cache.bg_evict", ClientStats.bg_evictions) so
@@ -273,12 +236,6 @@ class NearCache : public NotificationSink {
   uint64_t bytes_used() const;
   size_t entries() const;
   NearCacheStats stats() const;
-  const NearCacheOptions& options() const { return options_; }
-
-  // Budget geometry (shared budget when configured, else local).
-  uint64_t budget_limit() const { return BudgetLimit(); }
-  uint64_t high_watermark() const { return HighWatermark(); }
-  uint64_t low_watermark() const { return LowWatermark(); }
 
   // Live health snapshot (any thread). windowed_hit_ratio covers only the
   // last window of the owner's simulated time, unlike
@@ -310,7 +267,7 @@ class NearCache : public NotificationSink {
     FarAddr watch = kNullFarAddr;
     uint64_t watch_len = 0;
     // Value of the watched range's first word at the time the payload was
-    // validated — the entry's version under word_versioned coherence, and
+    // validated — the entry's version under word-versioned coherence, and
     // the word LookupWatch hands to transactional readers.
     uint64_t watch_word = 0;
     bool valid = false;
@@ -319,14 +276,12 @@ class NearCache : public NotificationSink {
   uint64_t EntryCost(const Entry& e) const {
     return e.payload.size() + kEntryOverhead;
   }
-  // Byte accounting against the local counter and, when configured, the
-  // shared fleet budget.
-  void AddBytesLocked(uint64_t n);
-  void SubBytesLocked(uint64_t n);
-  uint64_t BudgetUsedLocked() const;
-  uint64_t BudgetLimit() const;
-  uint64_t HighWatermark() const;
-  uint64_t LowWatermark() const;
+  // Background mode: admissions stop at the budget itself, and a sweep
+  // drains an eighth of it.
+  uint64_t HighWatermark() const { return options_.budget_bytes; }
+  uint64_t LowWatermark() const {
+    return options_.budget_bytes - options_.budget_bytes / 8;
+  }
   // Owner-thread lazy cleanup of subscriptions the background evictor
   // already tore down node-side.
   void DrainRetiredLocked();
@@ -351,6 +306,7 @@ class NearCache : public NotificationSink {
 
   FarClient* client_;
   NearCacheOptions options_;
+  bool word_versioned_;
   // Guards every member below. See the threading note at the top.
   mutable std::mutex mu_;
   ClockRing<Entry> ring_;
@@ -360,6 +316,8 @@ class NearCache : public NotificationSink {
   // them (no round trip) on its next cache operation.
   std::vector<SubId> retired_subs_;
   uint64_t bytes_used_ = 0;
+  // Set by a refused background-mode admission, cleared by a sweep.
+  bool sweep_due_ = false;
   NearCacheStats stats_;
   // Rolling hit ratio over the owner client's simulated time (timestamps
   // are taken in Lookup on the owner thread; readers go through health()).

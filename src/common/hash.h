@@ -31,11 +31,6 @@ inline uint64_t Fnv1a(std::string_view bytes) {
   return h;
 }
 
-// Combine two hashes (boost-style).
-inline uint64_t HashCombine(uint64_t a, uint64_t b) {
-  return a ^ (b + 0x9e3779b97f4a7c15ULL + (a << 12) + (a >> 4));
-}
-
 }  // namespace fmds
 
 #endif  // FMDS_SRC_COMMON_HASH_H_

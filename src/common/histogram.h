@@ -50,12 +50,6 @@ class LogHistogram {
   }
   size_t bucket_count() const { return buckets_.size(); }
 
-  // Bucket-array size for a given resolution — what bucket_count() returns
-  // on an instance built with the same sub_bits.
-  static size_t BucketCountFor(int sub_bits) {
-    return static_cast<size_t>(63) << sub_bits;
-  }
-
   // The bucketing function, usable without an instance (hot paths bucket
   // into their own compact staging before ever touching a histogram).
   static size_t BucketIndexFor(uint64_t value, int sub_bits,

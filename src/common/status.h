@@ -71,9 +71,6 @@ inline Status OutOfRange(std::string msg) {
 inline Status NotFound(std::string msg) {
   return Status(StatusCode::kNotFound, std::move(msg));
 }
-inline Status AlreadyExists(std::string msg) {
-  return Status(StatusCode::kAlreadyExists, std::move(msg));
-}
 inline Status FailedPrecondition(std::string msg) {
   return Status(StatusCode::kFailedPrecondition, std::move(msg));
 }

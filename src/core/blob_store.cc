@@ -36,7 +36,10 @@ Result<HtBlobStore> HtBlobStore::Attach(FarClient* client,
 
 void HtBlobStore::EnableChunkCache(NearCacheOptions options) {
   if (options.budget_bytes > 0) {
-    chunk_cache_ = std::make_unique<NearCache>(client_, options);
+    // Length words can repeat when the allocator recycles a region, so
+    // the chunk cache is not word-versioned.
+    chunk_cache_ = std::make_unique<NearCache>(client_, options,
+                                               /*word_versioned=*/false);
   } else {
     chunk_cache_.reset();
   }

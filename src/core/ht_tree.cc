@@ -55,8 +55,8 @@ HtTree::HtTree(FarClient* client, FarAllocator* alloc, FarAddr header,
     // freshly allocated, never-reused address — so the cache can use
     // word-versioned coherence: a writer refills its own entry at Put exit
     // and the echo of its CAS confirms instead of killing it.
-    options_.cache.word_versioned = true;
-    near_cache_ = std::make_unique<NearCache>(client_, options_.cache);
+    near_cache_ = std::make_unique<NearCache>(client_, options_.cache,
+                                              /*word_versioned=*/true);
   }
 }
 
@@ -144,10 +144,6 @@ Result<HtTree> HtTree::Create(FarClient* client, FarAllocator* alloc,
       header, std::as_bytes(std::span<const uint64_t>(hdr))));
 
   FMDS_RETURN_IF_ERROR(map.RefreshCache());
-  if (options.route.enabled()) {
-    FMDS_RETURN_IF_ERROR(
-        map.EnableRouting(options.route.decider, options.route.remote));
-  }
   return map;
 }
 
@@ -160,10 +156,6 @@ Result<HtTree> HtTree::Attach(FarClient* client, FarAllocator* alloc,
                               FarAddr header, Options options) {
   HtTree map(client, alloc, header, options);
   FMDS_RETURN_IF_ERROR(map.RefreshCache());
-  if (options.route.enabled()) {
-    FMDS_RETURN_IF_ERROR(
-        map.EnableRouting(options.route.decider, options.route.remote));
-  }
   return map;
 }
 
@@ -246,9 +238,9 @@ Result<FarAddr> HtTree::BuildLeafNode(uint32_t depth, FarAddr table,
 Result<FarAddr> HtTree::AllocItemSlot() {
   if (arena_left_ == 0) {
     FMDS_ASSIGN_OR_RETURN(
-        arena_next_, alloc_->Allocate(options_.arena_batch * kItemBytes,
-                                      options_.placement));
-    arena_left_ = options_.arena_batch;
+        arena_next_,
+        alloc_->Allocate(kArenaBatch * kItemBytes, options_.placement));
+    arena_left_ = kArenaBatch;
   }
   const FarAddr slot = arena_next_;
   arena_next_ += kItemBytes;
@@ -1447,7 +1439,7 @@ Status HtTree::SplitLeafLocked(const CachedNode& leaf, uint64_t hash,
 
 Status HtTree::EnableWriteBehind(const WriteBehindOptions& wb_options) {
   Options flusher_options = options_;
-  flusher_options.cache = CacheOptions{};
+  flusher_options.cache = NearCacheOptions{};
   return AttachWriteBehind<HtTree>(&wb_, client_, alloc_, header_,
                                    flusher_options, {near_cache_.get()},
                                    wb_options);

@@ -54,7 +54,6 @@
 #include "src/common/hash.h"
 #include "src/core/dataplane.h"
 #include "src/core/far_map.h"
-#include "src/core/map_options.h"
 #include "src/core/write_behind.h"
 #include "src/fabric/far_client.h"
 
@@ -69,9 +68,6 @@ class HtTree : public FarMap {
     uint64_t max_chain = 6;
     // Pre-split the key space into 2^initial_depth tables at Create().
     uint32_t initial_depth = 0;
-    // Items a client's slab pre-allocates per far allocation (item
-    // allocation itself then costs no far access).
-    uint64_t arena_batch = 4096;
     // Ablation knobs (bench_a11): turn off the proposed hardware
     // (load0 merging the bucket dereference with the item read) and/or the
     // client-side bucket-head hint cache, to isolate their contributions.
@@ -85,17 +81,8 @@ class HtTree : public FarMap {
     // NearCache of bucket heads (budget_bytes = 0 keeps it off): a hit
     // serves the whole lookup from near memory — zero far accesses —
     // with coherence via per-bucket write notifications (DESIGN.md §9).
-    // The composable block (src/core/map_options.h). HtTree ignores the
-    // fleet-wide global_budget_bytes field (single cache).
-    CacheOptions cache;
-    // Stored write-behind defaults: the no-arg EnableWriteBehind() overload
-    // enables the engine with this block. The defaulting rule
-    // (map_options.h): an explicit EnableWriteBehind(options) argument wins.
-    WriteBehindOptions write_behind;
-    // Adaptive dataplane block: when enabled() (both pointers set),
-    // Create/Attach arm routing on the fresh handle — equivalent to
-    // calling EnableRouting() immediately after.
-    RouteOptions route;
+    // Bucket words are true versions, so the cache is word-versioned.
+    NearCacheOptions cache;
   };
 
   // Per-handle counters for the experiments: the FarMap surface's own.
@@ -107,8 +94,8 @@ class HtTree : public FarMap {
   static Result<HtTree> Create(FarClient* client, FarAllocator* alloc);
 
   // Binds to an existing map; performs a full cache refresh. The Options
-  // overload carries client-local knobs (placement, arena size, ablations);
-  // the far-resident geometry always comes from the header.
+  // overload carries client-local knobs (placement, cache, ablations); the
+  // far-resident geometry always comes from the header.
   static Result<HtTree> Attach(FarClient* client, FarAllocator* alloc,
                                FarAddr header);
   static Result<HtTree> Attach(FarClient* client, FarAllocator* alloc,
@@ -226,11 +213,8 @@ class HtTree : public FarMap {
   // Get/MultiGet consult the pending table first (read-your-writes). Call
   // at most once, after the handle reached its final location. Handles
   // owned by a ShardedMap must not enable this directly — the map runs one
-  // fleet-wide engine instead (ShardedMap::Options::write_behind).
+  // fleet-wide engine instead (ShardedMap::EnableWriteBehind).
   Status EnableWriteBehind(const WriteBehindOptions& wb_options);
-  // No-arg overload: enables with the stored Options::write_behind block
-  // (the map_options.h defaulting rule — an explicit argument wins).
-  Status EnableWriteBehind() { return EnableWriteBehind(options_.write_behind); }
   // Blocks until every enqueued write is published and surfaces the first
   // asynchronous publish error. No-op when write-behind is off.
   Status FlushBarrier() override;
@@ -247,9 +231,10 @@ class HtTree : public FarMap {
   // estimates accumulate. Routed mutations stay cache-coherent: the RPC
   // agent publishes through the bucket-head CAS (watch notifications fire)
   // and this handle applies the one landed-store exit (ApplyLandedStore)
-  // to the returned outcome, like every one-sided writer.
+  // to the returned outcome, like every one-sided writer. Arming costs no
+  // far op (it only translates the header address), so calling it right
+  // after Create or Attach leaves every count unchanged.
   Status EnableRouting(RouteDecider* decider, RemoteMapPath* remote);
-  RouteDecider* route_decider() { return route_decider_; }
   // The node owning this map's header (kObsNoNode before EnableRouting).
   NodeId home_node() const { return home_node_; }
   // Smoothed serial-RTT estimate for one lookup (1 + expected chain hops);
@@ -490,7 +475,9 @@ class HtTree : public FarMap {
   // stays stable across HtTree moves.
   std::unique_ptr<NearCache> near_cache_;
 
-  // Client item slab.
+  // Client item slab: items pre-allocated per far allocation (item
+  // allocation itself then costs no far access).
+  static constexpr uint64_t kArenaBatch = 4096;
   FarAddr arena_next_ = kNullFarAddr;
   uint64_t arena_left_ = 0;
 
@@ -630,8 +617,7 @@ class HtTree : public FarMap {
       return FailedPrecondition("write-behind already enabled");
     }
     auto flusher_client = std::make_unique<FarClient>(
-        app_client->fabric(), app_client->id() | kWbClientIdBit,
-        options.flusher_client);
+        app_client->fabric(), app_client->id() | kWbClientIdBit);
     FMDS_ASSIGN_OR_RETURN(
         Map handle,
         Map::Attach(flusher_client.get(), alloc, root, flusher_options));

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "src/common/hash.h"
-#include "src/core/txn.h"
 #include "src/obs/recorder.h"
 
 namespace fmds {
@@ -17,17 +16,6 @@ constexpr uint64_t kShardSalt = 0x9e3779b97f4a7c15ull;
 
 constexpr uint32_t kMaxShards = 1u << 12;
 }  // namespace
-
-ShardedMap::ShardedMap(FarClient* client, FarAllocator* alloc,
-                       FarAddr directory, const Options& options)
-    : client_(client), alloc_(alloc), directory_(directory), options_(options) {
-  if (const uint64_t global_budget = options.shard.cache.global_budget_bytes;
-      global_budget > 0) {
-    shared_budget_ = std::make_shared<CacheBudget>(
-        global_budget, options.shard.cache.high_watermark_bytes,
-        options.shard.cache.low_watermark_bytes);
-  }
-}
 
 uint32_t ShardedMap::ShardOf(uint64_t key) const {
   return static_cast<uint32_t>(Mix64(key ^ kShardSalt) % shards_.size());
@@ -42,12 +30,6 @@ HtTree::Options ShardedMap::ShardOptions(uint32_t i) const {
   HtTree::Options shard = options_.shard;
   if (options_.pin_shards) {
     shard.placement = AllocHint::OnNode(i % client_->fabric()->num_nodes());
-  }
-  if (shared_budget_ != nullptr) {
-    // Fleet-wide budget: budget_bytes sizes each shard's ring, but all
-    // byte accounting and watermark checks run against the shared total.
-    shard.cache.budget_bytes = shared_budget_->limit;
-    shard.cache.shared_budget = shared_budget_;
   }
   return shard;
 }
@@ -226,11 +208,6 @@ Status ShardedMap::MultiPut(std::span<const uint64_t> keys,
   if (keys.size() != values.size()) {
     return InvalidArgument("MultiPut keys/values length mismatch");
   }
-  // Write-behind wins over atomic_multiput: staged writes publish in the
-  // flusher's batches (MultiWrite handles the staging).
-  if (wb_ == nullptr && options_.atomic_multiput) {
-    return MultiPutAtomic(keys, values);
-  }
   return MultiWrite(keys, values, {});
 }
 
@@ -302,28 +279,6 @@ Status ShardedMap::MultiWrite(std::span<const uint64_t> keys,
   return first;
 }
 
-Status ShardedMap::MultiPutAtomic(std::span<const uint64_t> keys,
-                                  std::span<const uint64_t> values) {
-  if (keys.size() != values.size()) {
-    return InvalidArgument("MultiPut keys/values length mismatch");
-  }
-  if (keys.empty()) {
-    return OkStatus();
-  }
-  ScopedOpLabel label(&client_->recorder(), "sharded.multiput_atomic");
-  return RunTxn(this, TxnOptions{}, [&](Txn& txn) {
-    // Batch-pin: one doorbell of bucket probes records validated views for
-    // most keys, so the Puts below rarely pay a per-key pinning read and
-    // the whole operation stays at prepare/validate/commit + one probe
-    // wave.
-    (void)txn.MultiGet(keys);
-    for (size_t i = 0; i < keys.size(); ++i) {
-      FMDS_RETURN_IF_ERROR(txn.Put(keys[i], values[i]));
-    }
-    return OkStatus();
-  });
-}
-
 Status ShardedMap::EnableWriteBehind(const WriteBehindOptions& wb_options) {
   std::vector<NearCache*> app_caches;
   app_caches.reserve(shards_.size());
@@ -334,11 +289,10 @@ Status ShardedMap::EnableWriteBehind(const WriteBehindOptions& wb_options) {
     }
     app_caches.push_back(shard.near_cache());
   }
-  // The flusher's handle caches nothing, so it takes no shared budget
-  // either; each drained batch still fans out across shards and nodes in
-  // single doorbell waves.
+  // The flusher's handle caches nothing; each drained batch still fans out
+  // across shards and nodes in single doorbell waves.
   Options flusher_options = options_;
-  flusher_options.shard.cache = CacheOptions{};
+  flusher_options.shard.cache = NearCacheOptions{};
   return HtTree::AttachWriteBehind<ShardedMap>(
       &wb_, client_, alloc_, directory_, flusher_options,
       std::move(app_caches), wb_options);

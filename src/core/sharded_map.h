@@ -48,11 +48,6 @@ class ShardedMap : public FarMap {
     // placement round-robin per allocation — a measurable anti-pattern
     // (bench_e11): batches then touch every node per shard.
     bool pin_shards = true;
-    // Route MultiPut through the transaction chainlet builder: all keys
-    // publish atomically (one prepare/validate/commit round) instead of
-    // the independent per-key waves. Ignored while write-behind is on
-    // (staged writes publish in flusher batches instead).
-    bool atomic_multiput = false;
   };
 
   static Result<ShardedMap> Create(FarClient* client, FarAllocator* alloc,
@@ -94,13 +89,6 @@ class ShardedMap : public FarMap {
                     std::span<const uint8_t> tombstones,
                     std::vector<WriteOutcome>* outcomes = nullptr);
 
-  // Atomic MultiPut via the transaction engine: every key (any shard)
-  // publishes in one ≤3-doorbell prepare/validate/commit, all-or-nothing
-  // with respect to other transactions. Options::atomic_multiput routes
-  // MultiPut here.
-  Status MultiPutAtomic(std::span<const uint64_t> keys,
-                        std::span<const uint64_t> values);
-
   // ---- Write-behind mode (DESIGN.md §11) ----
   // One fleet-wide engine: Put/Remove/MultiPut stage into a shared pending
   // table (same-key combining) and the flusher publishes through its own
@@ -108,11 +96,6 @@ class ShardedMap : public FarMap {
   // nodes in single doorbell waves. Do not also enable per-shard
   // write-behind on this map's HtTrees.
   Status EnableWriteBehind(const WriteBehindOptions& wb_options);
-  // No-arg overload: enables with the stored shard.write_behind block (the
-  // map_options.h defaulting rule — an explicit argument wins).
-  Status EnableWriteBehind() {
-    return EnableWriteBehind(options_.shard.write_behind);
-  }
   // Blocks until every staged write (map-level and any per-shard engine)
   // is published; surfaces the first asynchronous error.
   Status FlushBarrier() override;
@@ -139,29 +122,25 @@ class ShardedMap : public FarMap {
   uint64_t cache_bytes() const;
   // Aggregated per-shard NearCache counters (zeros when caching is off).
   NearCacheStats near_cache_stats() const;
-  // Total bytes resident across the shards' NearCaches (== the shared
-  // budget's used total when shard.cache.global_budget_bytes is set).
+  // Total bytes resident across the shards' NearCaches.
   uint64_t near_cache_bytes() const;
-  // The fleet-wide budget, or null when per-shard budgets are in use.
-  const std::shared_ptr<CacheBudget>& shared_cache_budget() const {
-    return shared_budget_;
-  }
 
  private:
-  // Binds the handle and, when shard.cache.global_budget_bytes is set,
-  // creates the fleet-wide CacheBudget its shards share.
   ShardedMap(FarClient* client, FarAllocator* alloc, FarAddr directory,
-             const Options& options);
+             const Options& options)
+      : client_(client),
+        alloc_(alloc),
+        directory_(directory),
+        options_(options) {}
 
   // HtTree options for shard `i`: options_.shard, pinned to node
-  // i % num_nodes under pin_shards, drawing on shared_budget_ when set.
+  // i % num_nodes under pin_shards.
   HtTree::Options ShardOptions(uint32_t i) const;
 
   FarClient* client_;
   FarAllocator* alloc_;
   FarAddr directory_;
   Options options_;
-  std::shared_ptr<CacheBudget> shared_budget_;
   std::vector<HtTree> shards_;
   // Fleet-wide write-behind engine (null when off). Declared after
   // shards_: the flusher refills the shards' caches, so the engine must

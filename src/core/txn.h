@@ -92,7 +92,6 @@ class Txn {
 
   bool aborted() const { return aborted_; }
   size_t read_set_size() const { return reads_.size(); }
-  size_t write_set_size() const { return writes_.size(); }
 
  private:
   struct ReadRec {

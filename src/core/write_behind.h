@@ -29,12 +29,13 @@
 //     silently retried forever).
 //
 // Threading: Put/Remove/Lookup/FlushBarrier are called by the single
-// owning application thread; the flusher thread is internal. The flusher
+// owning application thread; the flusher thread is internal. A map arms
+// the engine through its one EnableWriteBehind(options) call. The flusher
 // publishes through a Publisher the structure supplies — it owns a
-// SEPARATE FarClient (and structure handle), so round trips, stats
-// (flush_stages) and labels ("wb.coalesce"/"wb.flush") land on the
-// flusher's clock, keeping the app client's counters an honest record of
-// hot-path work (the proof the hot path is allocation- and
+// SEPARATE FarClient (default ClientOptions) and structure handle, so
+// round trips, stats (flush_stages) and labels ("wb.coalesce"/"wb.flush")
+// land on the flusher's clock, keeping the app client's counters an honest
+// record of hot-path work (the proof the hot path is allocation- and
 // reclamation-free).
 #ifndef FMDS_SRC_CORE_WRITE_BEHIND_H_
 #define FMDS_SRC_CORE_WRITE_BEHIND_H_
@@ -68,8 +69,6 @@ struct WriteBehindOptions {
   // waiting, or this real-time interval elapses with work pending. Large
   // intervals maximize combining; small ones minimize publish lag.
   uint64_t flush_interval_us = 200;
-  // Options for the flusher's own FarClient (obs gate etc.).
-  ClientOptions flusher_client;
 };
 
 class WriteBehindEngine {
@@ -128,9 +127,6 @@ class WriteBehindEngine {
   // barrier.
   Status FlushBarrier();
 
-  uint64_t pending_count() const {
-    return unpublished_.load(std::memory_order_acquire);
-  }
   const WriteBehindOptions& options() const { return options_; }
 
   // Live pipeline health (any thread; locks mu_). Ages are in the APP

@@ -74,42 +74,6 @@ Status Fabric::Segments(FarAddr addr, uint64_t len,
   return OkStatus();
 }
 
-bool Fabric::SameNodeWord(FarAddr addr, NodeId node) const {
-  auto loc = Translate(addr);
-  return loc.ok() && loc->node == node;
-}
-
-void Fabric::DumpStats(std::ostream& os) const {
-  Table table({"node", "ops", "bytes_in", "bytes_out", "indirections",
-               "forwards", "notif_fired", "notif_dropped",
-               "notif_coalesced"});
-  uint64_t totals[8] = {};
-  for (NodeId i = 0; i < options_.num_nodes; ++i) {
-    const NodeStats& s = nodes_[i]->stats();
-    const uint64_t row[8] = {
-        s.ops_serviced.load(std::memory_order_relaxed),
-        s.bytes_in.load(std::memory_order_relaxed),
-        s.bytes_out.load(std::memory_order_relaxed),
-        s.indirections.load(std::memory_order_relaxed),
-        s.forwards.load(std::memory_order_relaxed),
-        s.notifications_fired.load(std::memory_order_relaxed),
-        s.notifications_dropped.load(std::memory_order_relaxed),
-        s.notifications_coalesced.load(std::memory_order_relaxed)};
-    std::vector<std::string> cells{Table::Cell(static_cast<uint64_t>(i))};
-    for (size_t c = 0; c < 8; ++c) {
-      cells.push_back(Table::Cell(row[c]));
-      totals[c] += row[c];
-    }
-    table.AddRow(std::move(cells));
-  }
-  std::vector<std::string> total_cells{"(all)"};
-  for (size_t c = 0; c < 8; ++c) {
-    total_cells.push_back(Table::Cell(totals[c]));
-  }
-  table.AddRow(std::move(total_cells));
-  table.Print(os, "fabric: per-node service counters");
-}
-
 void Fabric::DumpClientStats(std::ostream& os,
                              std::span<const ClientStats> clients) {
   // One column per FMDS_CLIENT_STATS field, named as ToString names it.

@@ -79,15 +79,7 @@ class Fabric {
   // Returns kOutOfRange if the range exceeds the address space.
   Status Segments(FarAddr addr, uint64_t len, std::vector<Segment>& out) const;
 
-  // True if the entire word at `addr` lives on `node` (8-byte ranges never
-  // straddle nodes given page-multiple stripes).
-  bool SameNodeWord(FarAddr addr, NodeId node) const;
-
   SubId NextSubId() { return next_sub_id_.fetch_add(1) + 1; }
-
-  // Fleet-wide per-node service counters as one table (plus a totals row):
-  // the memory-side companion to the client-side flight recorder.
-  void DumpStats(std::ostream& os) const;
 
   // Client-side fleet table: one row per ClientStats with a column per
   // FMDS_CLIENT_STATS counter, plus a totals row. Pass each thread's
@@ -96,10 +88,11 @@ class Fabric {
   static void DumpClientStats(std::ostream& os,
                               std::span<const ClientStats> clients);
 
-  // Live per-node health table: service counters plus the gauges DumpStats
-  // omits — active subscriptions, the injected per-op slowdown
-  // (set_extra_service_ns), and the congestion front end's queue depth and
-  // cumulative sheds. Safe to call while clients run (all atomics).
+  // Live per-node health table, the memory-side companion to the
+  // client-side flight recorder: service counters plus active
+  // subscriptions, the injected per-op slowdown (set_extra_service_ns), and
+  // the congestion front end's queue depth and cumulative sheds. Safe to
+  // call while clients run (all atomics).
   void DumpHealth(std::ostream& os) const;
 
   // Registers per-node traffic gauges (`prefix.node<i>.{ops,bytes_in,

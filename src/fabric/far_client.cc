@@ -35,7 +35,6 @@ FarClient::FarClient(Fabric* fabric, uint64_t client_id, ClientOptions options)
       retry_(options.retry),
       jitter_state_(client_id * 0x9E3779B97F4A7C15ull + 0xD1B54A32D192ED03ull),
       home_node_(options.home_node),
-      local_latency_(options.local_latency),
       obs_(client_id),
       channel_(options.channel_capacity) {
   obs_.set_options(options.obs);

@@ -75,12 +75,11 @@ struct ClientOptions {
   // Near-memory agent mode (§3.1): this client's compute sits next to
   // `home_node`'s memory — the shape of the RPC dataplane's per-node agents
   // (src/route/). Round trips serviced by the home node are charged
-  // `local_latency` (memory-controller access) instead of fabric RTTs;
+  // LocalAgentLatency() (memory-controller access) instead of fabric RTTs;
   // accesses to every other node still pay the full fabric model, and a
   // node's injected extra_service_ns applies on both (it models the
   // memory/controller side, which an on-node agent crosses too).
   std::optional<NodeId> home_node;
-  LatencyModel local_latency = LocalAgentLatency();
 };
 
 class FarClient {
@@ -296,13 +295,11 @@ class FarClient {
   // everywhere.
   Result<uint64_t> AdmitCongestion(FarOpKind kind, NodeId node, FarAddr addr,
                                    uint64_t ops, uint64_t bytes);
-  const RetryPolicy& retry_policy() const { return retry_; }
   void set_retry_policy(const RetryPolicy& policy) { retry_ = policy; }
 
   SimClock& clock() { return clock_; }
   const ClientStats& stats() const { return stats_; }
   ClientStats& mutable_stats() { return stats_; }
-  void ResetStats() { stats_ = ClientStats(); }
 
   // ------------------------- Flight recorder -------------------------
   // Per-client observability: op-kind/label latency histograms, node
@@ -469,7 +466,7 @@ class FarClient {
   RetryPolicy retry_;
   uint64_t jitter_state_;
   std::optional<NodeId> home_node_;
-  LatencyModel local_latency_;
+  LatencyModel local_latency_ = LocalAgentLatency();
   SimClock clock_;
   ClientStats stats_;
   OpRecorder obs_;

@@ -120,8 +120,6 @@ struct NodeStats {
   std::atomic<uint64_t> notifications_coalesced{0};
   // Operations bounced by the congestion front end (DESIGN.md §14).
   std::atomic<uint64_t> ops_shed{0};
-
-  std::string ToString() const;
 };
 
 }  // namespace fmds

@@ -174,45 +174,6 @@ std::string MetricsRegistry::NodeHeatmapJsonArray() const {
   return out;
 }
 
-std::string MetricsRegistry::LabelJsonObject() const {
-  std::string out = "{";
-  bool first = true;
-  for (const auto& [name, row] : labels_) {
-    if (!first) {
-      out += ", ";
-    }
-    first = false;
-    out += "\"";
-    // Labels are user-supplied strings; escape them so a quote or backslash
-    // in a label cannot corrupt the fragment. labels_ is an ordered map, so
-    // keys are already emitted in stable sorted order.
-    out += JsonEscape(name.empty() ? "(unlabeled)" : name);
-    out += "\": {";
-    char buf[192];
-    std::snprintf(buf, sizeof(buf), "\"ops\": %llu, \"bytes\": %llu, ",
-                  static_cast<unsigned long long>(row.ops),
-                  static_cast<unsigned long long>(row.bytes));
-    out += buf;
-    out += HistStatsJson(row.hist);
-    const uint64_t lookups = row.cache_hits + row.cache_misses;
-    if (lookups > 0 || row.cache_invalidations > 0) {
-      std::snprintf(
-          buf, sizeof(buf),
-          ", \"cache_hits\": %llu, \"cache_misses\": %llu, "
-          "\"cache_invalidations\": %llu, \"hit_ratio\": %.4f",
-          static_cast<unsigned long long>(row.cache_hits),
-          static_cast<unsigned long long>(row.cache_misses),
-          static_cast<unsigned long long>(row.cache_invalidations),
-          lookups == 0 ? 0.0
-                       : static_cast<double>(row.cache_hits) / lookups);
-      out += buf;
-    }
-    out += "}";
-  }
-  out += "}";
-  return out;
-}
-
 std::string MetricsRegistry::CacheJsonObject() const {
   uint64_t hits = 0;
   uint64_t misses = 0;

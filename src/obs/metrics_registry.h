@@ -72,10 +72,6 @@ class MetricsRegistry {
   std::string OpLatencyJsonObject() const;
   // [{"node":0,"ops":N,"bytes":B}, ...] summed over clients.
   std::string NodeHeatmapJsonArray() const;
-  // {"httree.get": {"ops":N,"bytes":B,"p50_ns":..,"p99_ns":..}, ...}
-  // Labels with NearCache activity additionally carry cache_hits,
-  // cache_misses, cache_invalidations, and hit_ratio fields.
-  std::string LabelJsonObject() const;
   // {"hits":N,"misses":N,"hit_ratio":R,"invalidations":N} summed over all
   // labels — the bench-level cache summary fragment.
   std::string CacheJsonObject() const;

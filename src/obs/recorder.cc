@@ -9,39 +9,26 @@ OpRecorder::OpRecorder(uint64_t client_id) : client_id_(client_id) {
   // needs a lookup miss path.
   label_names_.push_back("");
   label_ids_.emplace("", 0);
-  label_hists_.emplace_back(options_.histogram_sub_bits);
+  label_hists_.emplace_back(kHistogramSubBits);
   label_traffic_.emplace_back();
   label_cache_.emplace_back();
   kind_hists_.reserve(kFarOpKindCount);
   for (size_t i = 0; i < kFarOpKindCount; ++i) {
-    kind_hists_.emplace_back(options_.histogram_sub_bits);
+    kind_hists_.emplace_back(kHistogramSubBits);
   }
 }
 
 void OpRecorder::set_options(const ObsOptions& options) {
-  const bool resolution_changed =
-      options.histogram_sub_bits != options_.histogram_sub_bits;
   options_ = options;
   enabled_ = options_.latency_histograms || options_.trace;
   // A parked instance never survives an options change (its geometry may
   // no longer match).
   parked_windowed_.reset();
   if (options_.windowed) {
-    // Rebuild rather than carry over: window geometry may have changed and
-    // a fresh ring is cheap next to the since-start histogram rebuild below.
+    // Rebuild rather than carry over: window geometry may have changed.
     windowed_ = std::make_unique<WindowedSignals>(options_.windowed_opts);
   } else {
     windowed_.reset();
-  }
-  if (resolution_changed) {
-    kind_hists_.clear();
-    for (size_t i = 0; i < kFarOpKindCount; ++i) {
-      kind_hists_.emplace_back(options_.histogram_sub_bits);
-    }
-    label_hists_.clear();
-    for (size_t i = 0; i < label_names_.size(); ++i) {
-      label_hists_.emplace_back(options_.histogram_sub_bits);
-    }
   }
   if (trace_.capacity() != options_.trace_capacity) {
     trace_.set_capacity(options_.trace ? options_.trace_capacity : 0);
@@ -58,7 +45,7 @@ uint32_t OpRecorder::InternLabel(std::string_view label) {
   const uint32_t id = static_cast<uint32_t>(label_names_.size());
   label_names_.emplace_back(label);
   label_ids_.emplace(label_names_.back(), id);
-  label_hists_.emplace_back(options_.histogram_sub_bits);
+  label_hists_.emplace_back(kHistogramSubBits);
   label_traffic_.emplace_back();
   label_cache_.emplace_back();
   return id;

@@ -34,7 +34,6 @@ struct ObsOptions {
   bool latency_histograms = false;  // per-kind + per-label LogHistograms
   bool trace = false;               // record ops into the TraceRing
   size_t trace_capacity = 65536;    // ring slots (flight-recorder window)
-  int histogram_sub_bits = 3;       // LogHistogram resolution
   // Rolling signals (RecentP99 / RecentOpsPerSec / NodeLoadEwma) over the
   // last windowed_opts.window_ns of simulated time. Independent of the
   // since-start machinery above: windowed-only mode keeps `enabled()` false,
@@ -215,6 +214,9 @@ class OpRecorder {
   void RecordOpSinceStart(FarOpKind kind, NodeId node, FarAddr addr,
                           uint64_t bytes, uint64_t start_ns,
                           uint64_t latency_ns, bool ok, uint64_t batch_id);
+
+  // Resolution of the since-start LogHistograms.
+  static constexpr int kHistogramSubBits = 3;
 
   uint64_t client_id_;
   ObsOptions options_;

@@ -43,11 +43,10 @@ ClientOptions AgentClientOptions(NodeId node) {
 
 MapRpcService::MapRpcService(RpcServer* server, Fabric* fabric,
                              FarAllocator* alloc, NodeId node,
-                             uint64_t client_id, HtTree::Options map_options)
+                             uint64_t client_id)
     : server_(server),
       fabric_(fabric),
       alloc_(alloc),
-      map_options_(map_options),
       agent_(fabric, client_id, AgentClientOptions(node)) {
   server->RegisterHandler(
       kGet, [this](std::span<const std::byte> req,
@@ -81,7 +80,7 @@ Result<HtTree*> MapRpcService::HandleFor(FarAddr header) {
   // caller-side watches and transaction validation see agent writes
   // exactly like one-sided ones.
   FMDS_ASSIGN_OR_RETURN(HtTree attached,
-                        HtTree::Attach(&agent_, alloc_, header, map_options_));
+                        HtTree::Attach(&agent_, alloc_, header));
   auto handle = std::make_unique<HtTree>(std::move(attached));
   HtTree* raw = handle.get();
   handles_.emplace(header, std::move(handle));
@@ -188,12 +187,10 @@ Status MapRpcService::HandleMultiGet(std::span<const std::byte> req,
 
 // ----------------------------- RpcDataplane -----------------------------
 
-RpcDataplane::RpcDataplane(Fabric* fabric, FarAllocator* alloc,
-                           Options options) {
+RpcDataplane::RpcDataplane(Fabric* fabric, FarAllocator* alloc) {
   agents_.reserve(fabric->num_nodes());
   for (NodeId node = 0; node < fabric->num_nodes(); ++node) {
-    agents_.push_back(
-        std::make_unique<Agent>(fabric, alloc, node, options));
+    agents_.push_back(std::make_unique<Agent>(fabric, alloc, node));
   }
 }
 

@@ -37,11 +37,11 @@ class MapRpcService {
   static constexpr uint32_t kRemove = 102;
   static constexpr uint32_t kMultiGet = 103;
 
+  // The agent's handles take HtTree::Options{}: in particular the cache
+  // stays off, since the agent sits next to the memory and a server-side
+  // NearCache would add a second coherence domain for no latency win.
   MapRpcService(RpcServer* server, Fabric* fabric, FarAllocator* alloc,
-                NodeId node, uint64_t client_id,
-                HtTree::Options map_options = {});
-
-  FarClient& agent_client() { return agent_; }
+                NodeId node, uint64_t client_id);
 
  private:
   // Lazy server-side attach keyed by header: the first request against a
@@ -58,7 +58,6 @@ class MapRpcService {
   RpcServer* server_;
   Fabric* fabric_;
   FarAllocator* alloc_;
-  HtTree::Options map_options_;
   FarClient agent_;
   std::unordered_map<FarAddr, std::unique_ptr<HtTree>> handles_;
 };
@@ -68,20 +67,11 @@ class MapRpcService {
 // fleet through RpcMapPath below.
 class RpcDataplane {
  public:
-  struct Options {
-    RpcServerOptions server;
-    // Agent-side handle knobs. Leave the cache off (default): the agent
-    // sits next to the memory, and a server-side NearCache would add a
-    // second coherence domain for no latency win.
-    HtTree::Options map;
-    // Agent FarClients get ids base + node, so they are recognizable in
-    // stats dumps next to application clients.
-    uint64_t agent_client_id_base = 900;
-  };
+  // Agent FarClients get ids kAgentClientIdBase + node, so they are
+  // recognizable in stats dumps next to application clients.
+  static constexpr uint64_t kAgentClientIdBase = 900;
 
-  RpcDataplane(Fabric* fabric, FarAllocator* alloc, Options options);
-  RpcDataplane(Fabric* fabric, FarAllocator* alloc)
-      : RpcDataplane(fabric, alloc, Options()) {}
+  RpcDataplane(Fabric* fabric, FarAllocator* alloc);
 
   RpcServer* server(NodeId node) { return &agents_[node]->server; }
   MapRpcService& service(NodeId node) { return agents_[node]->service; }
@@ -102,11 +92,8 @@ class RpcDataplane {
   struct Agent {
     RpcServer server;
     MapRpcService service;
-    Agent(Fabric* fabric, FarAllocator* alloc, NodeId node,
-          const Options& options)
-        : server(options.server),
-          service(&server, fabric, alloc, node,
-                  options.agent_client_id_base + node, options.map) {
+    Agent(Fabric* fabric, FarAllocator* alloc, NodeId node)
+        : service(&server, fabric, alloc, node, kAgentClientIdBase + node) {
       server.set_node(node);
     }
   };

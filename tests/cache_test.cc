@@ -6,10 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <map>
 #include <thread>
 #include <vector>
 
+#include "src/cache/bg_evictor.h"
 #include "src/cache/clock_ring.h"
 #include "src/cache/near_cache.h"
 #include "src/common/bytes.h"
@@ -105,7 +107,7 @@ constexpr uint64_t kEntryCost = kWordSize + NearCache::kEntryOverhead;  // 72
 TEST(NearCacheTest, ByteBudgetExactFit) {
   TestEnv env;
   auto& client = env.NewClient();
-  NearCache cache(&client, CacheOpts(2 * kEntryCost));
+  NearCache cache(&client, CacheOpts(2 * kEntryCost), /*word_versioned=*/false);
   uint64_t v1 = 111, v2 = 222, v3 = 333;
   cache.Admit(1, AsConstBytes(v1), /*watch=*/64, kWordSize, /*expected=*/0);
   cache.Admit(2, AsConstBytes(v2), /*watch=*/128, kWordSize, /*expected=*/0);
@@ -121,7 +123,8 @@ TEST(NearCacheTest, ByteBudgetExactFit) {
 TEST(NearCacheTest, ByteBudgetOverByOneEvicts) {
   TestEnv env;
   auto& client = env.NewClient();
-  NearCache cache(&client, CacheOpts(2 * kEntryCost - 1));
+  NearCache cache(&client, CacheOpts(2 * kEntryCost - 1),
+                  /*word_versioned=*/false);
   uint64_t v1 = 111, v2 = 222;
   cache.Admit(1, AsConstBytes(v1), 64, kWordSize, 0);
   cache.Admit(2, AsConstBytes(v2), 128, kWordSize, 0);
@@ -135,7 +138,7 @@ TEST(NearCacheTest, ByteBudgetOverByOneEvicts) {
 TEST(NearCacheTest, EntryLargerThanBudgetNeverAdmitted) {
   TestEnv env;
   auto& client = env.NewClient();
-  NearCache cache(&client, CacheOpts(kEntryCost - 1));
+  NearCache cache(&client, CacheOpts(kEntryCost - 1), /*word_versioned=*/false);
   uint64_t v = 7;
   cache.Admit(1, AsConstBytes(v), 64, kWordSize, 0);
   EXPECT_EQ(cache.entries(), 0u);
@@ -145,7 +148,8 @@ TEST(NearCacheTest, EntryLargerThanBudgetNeverAdmitted) {
 TEST(NearCacheTest, KHitAdmissionFilter) {
   TestEnv env;
   auto& client = env.NewClient();
-  NearCache cache(&client, CacheOpts(1 << 20, /*admit_after=*/3));
+  NearCache cache(&client, CacheOpts(1 << 20, /*admit_after=*/3),
+                  /*word_versioned=*/false);
   uint64_t v = 42;
   cache.Admit(1, AsConstBytes(v), 64, kWordSize, 0);
   cache.Admit(1, AsConstBytes(v), 64, kWordSize, 0);
@@ -163,7 +167,7 @@ TEST(NearCacheTest, RefillAfterInvalidationSkipsResubscribe) {
   TestEnv env;
   auto& reader = env.NewClient();
   auto& writer = env.NewClient();
-  NearCache cache(&reader, CacheOpts(1 << 20));
+  NearCache cache(&reader, CacheOpts(1 << 20), /*word_versioned=*/false);
   uint64_t v = 100;
   cache.Admit(1, AsConstBytes(v), 64, kWordSize, 0);
   EXPECT_EQ(cache.stats().admissions, 1u);
@@ -199,7 +203,7 @@ TEST(NearCacheTest, RacedAdmissionEntersInvalid) {
   TestEnv env;
   auto& reader = env.NewClient();
   auto& writer = env.NewClient();
-  NearCache cache(&reader, CacheOpts(1 << 20));
+  NearCache cache(&reader, CacheOpts(1 << 20), /*word_versioned=*/false);
   // The racing write: the watched word is 7 by the time the subscribe
   // arms, but the admitting caller read it as 0.
   ASSERT_TRUE(writer.WriteWord(64, 7).ok());
@@ -233,7 +237,7 @@ TEST(NearCacheTest, RefillWithMovedWatchRewatches) {
   TestEnv env;
   auto& reader = env.NewClient();
   auto& writer = env.NewClient();
-  NearCache cache(&reader, CacheOpts(1 << 20));
+  NearCache cache(&reader, CacheOpts(1 << 20), /*word_versioned=*/false);
   uint64_t v = 100;
   cache.Admit(1, AsConstBytes(v), /*watch=*/64, kWordSize, 0);
   ASSERT_TRUE(writer.WriteWord(64, 5).ok());
@@ -267,7 +271,7 @@ TEST(NearCacheTest, LossWarningInvalidatesEverything) {
   tiny.channel_capacity = 2;
   FarClient reader(&env.fabric(), /*client_id=*/77, tiny);
   auto& writer = env.NewClient();
-  NearCache cache(&reader, CacheOpts(1 << 20));
+  NearCache cache(&reader, CacheOpts(1 << 20), /*word_versioned=*/false);
   uint64_t v = 1;
   cache.Admit(1, AsConstBytes(v), 64, kWordSize, 0);
   cache.Admit(2, AsConstBytes(v), 128, kWordSize, 0);
@@ -288,7 +292,7 @@ TEST(NearCacheTest, LossWarningInvalidatesEverything) {
 TEST(NearCacheTest, DisabledCacheChargesNothing) {
   TestEnv env;
   auto& client = env.NewClient();
-  NearCache cache(&client, CacheOpts(/*budget=*/0));
+  NearCache cache(&client, CacheOpts(/*budget=*/0), /*word_versioned=*/false);
   EXPECT_FALSE(cache.enabled());
   const ClientStats before = client.stats();
   uint64_t out = 0;
@@ -305,7 +309,7 @@ TEST(NearCacheTest, DisabledCacheChargesNothing) {
 TEST(NearCacheTest, LookupChargesOneNearAccessHitOrMiss) {
   TestEnv env;
   auto& client = env.NewClient();
-  NearCache cache(&client, CacheOpts(1 << 20));
+  NearCache cache(&client, CacheOpts(1 << 20), /*word_versioned=*/false);
   uint64_t v = 5, out = 0;
   cache.Admit(1, AsConstBytes(v), 64, kWordSize, 0);
   ClientStats before = client.stats();
@@ -319,6 +323,51 @@ TEST(NearCacheTest, LookupChargesOneNearAccessHitOrMiss) {
   delta = client.stats().Delta(before);
   EXPECT_EQ(delta.near_ops, 1u);
   EXPECT_EQ(delta.cache_misses, 1u);
+}
+
+TEST(NearCacheTest, BackgroundEvictorSweepsWithoutSweepNow) {
+  // In background mode the owner never sweeps: an admission above the high
+  // watermark is refused, and that refusal alone must bring the evictor's
+  // periodic pass. No SweepNow anywhere.
+  TestEnv env;
+  auto& client = env.NewClient();
+  NearCacheOptions options = CacheOpts(16 * kEntryCost);
+  options.background_eviction = true;
+  NearCache cache(&client, options, /*word_versioned=*/false);
+  uint64_t v = 1;
+  for (uint64_t k = 0; k < 20; ++k) {
+    cache.Admit(k, AsConstBytes(v), /*watch=*/64 * (k + 1), kWordSize, 0);
+  }
+  EXPECT_EQ(cache.entries(), 16u) << "the high watermark is the budget";
+  EXPECT_EQ(cache.stats().wm_drops, 4u);
+  EXPECT_TRUE(cache.SweepNeeded());
+  EXPECT_TRUE(cache.health().sweep_needed);
+
+  BackgroundEvictor evictor(&env.fabric(), /*client_id=*/9001);
+  evictor.Watch(&cache);
+  // Passes counted from here include at least two full ones that saw the
+  // cache (a pass already running may have snapshotted the list before).
+  const uint64_t first = evictor.passes();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (evictor.passes() < first + 3 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  evictor.Unwatch(&cache);
+  EXPECT_GE(evictor.passes(), first + 3);
+  EXPECT_GE(cache.stats().bg_evictions, 2u);
+  EXPECT_LE(cache.bytes_used(), 14 * kEntryCost)
+      << "a sweep drains to the low watermark, budget - budget/8";
+  EXPECT_FALSE(cache.SweepNeeded());
+  EXPECT_FALSE(cache.health().sweep_needed);
+
+  // Room again: the next admission lands.
+  const size_t entries = cache.entries();
+  cache.Admit(100, AsConstBytes(v), /*watch=*/2048, kWordSize, 0);
+  EXPECT_EQ(cache.entries(), entries + 1);
+  uint64_t out = 0;
+  EXPECT_TRUE(cache.Lookup(100, AsBytes(out)));
 }
 
 // --------------------------------------------------------- CacheCoherence

@@ -1,9 +1,8 @@
 // FarMap interface tests: one generic shadow-equivalence driver runs against
 // every map in the repo — HtTree, ShardedMap (both FarMap subclasses) and the
 // baseline hash tables via the FarMapRef adapter — through the abstract
-// interface only. Also pins the map_options.h consolidation: the composable
-// CacheOptions / WriteBehindOptions / RouteOptions blocks and the ONE
-// defaulting rule (an explicit EnableWriteBehind argument wins).
+// interface only. Also pins the one way to arm write-behind on a map:
+// EnableWriteBehind(options) on the handle at its final location.
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -160,32 +159,19 @@ TEST(FarMap, DefaultMultiPutRejectsSizeMismatch) {
   EXPECT_EQ(ref.MultiPut(keys, values).code(), StatusCode::kInvalidArgument);
 }
 
-// ------------------------- options consolidation --------------------------
-
-TEST(MapOptions, GlobalBudgetBlockSetsSharedBudget) {
-  TestEnv env(SmallFabric(2, 16ull << 20));
-  auto& client = env.NewClient();
-  ShardedMap::Options options;
-  options.num_shards = 2;
-  options.shard.cache.budget_bytes = 1 << 16;
-  options.shard.cache.global_budget_bytes = 1 << 20;
-  auto map = ShardedMap::Create(&client, &env.alloc(), options);
-  ASSERT_TRUE(map.ok());
-  ASSERT_NE(map->shared_cache_budget(), nullptr);
-  EXPECT_EQ(map->shared_cache_budget()->limit, 1u << 20);
-}
+// ---------------------------- write-behind arming ----------------------------
 
 TEST(MapOptions, StoredWriteBehindBlockEnablesNoArg) {
   TestEnv env(SmallFabric(1));
   auto& client = env.NewClient();
-  HtTree::Options options;
-  options.write_behind.max_batch = 8;
-  auto tree_result = HtTree::Create(&client, &env.alloc(), options);
+  auto tree_result = HtTree::Create(&client, &env.alloc(), HtTree::Options{});
   ASSERT_TRUE(tree_result.ok());
   // Move to the final location first (the EnableWriteBehind contract), then
-  // arm from the stored block.
+  // arm with explicit options.
   auto tree = std::make_unique<HtTree>(std::move(*tree_result));
-  ASSERT_TRUE(tree->EnableWriteBehind().ok());
+  WriteBehindOptions wb_options;
+  wb_options.max_batch = 8;
+  ASSERT_TRUE(tree->EnableWriteBehind(wb_options).ok());
   ASSERT_TRUE(tree->Put(7, 70).ok());
   ASSERT_TRUE(tree->FlushBarrier().ok());
   auto got = tree->Get(7);

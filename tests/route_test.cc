@@ -542,7 +542,7 @@ TEST_F(RpcPathTest, EveryWriterLeavesTheSameNearState) {
   auto& wb_tree_client = env_.NewClient();
   auto wb_tree = HtTree::Create(&wb_tree_client, &env_.alloc(), options);
   ASSERT_TRUE(wb_tree.ok());
-  ASSERT_TRUE(wb_tree->EnableWriteBehind().ok());
+  ASSERT_TRUE(wb_tree->EnableWriteBehind(WriteBehindOptions{}).ok());
   warm(*wb_tree, 9);
   ASSERT_TRUE(wb_tree->Put(9, 99).ok());
   ASSERT_TRUE(wb_tree->FlushBarrier().ok());
@@ -553,7 +553,7 @@ TEST_F(RpcPathTest, EveryWriterLeavesTheSameNearState) {
   auto wb_sharded = ShardedMap::Create(&wb_sharded_client, &env_.alloc(),
                                        sharded_options);
   ASSERT_TRUE(wb_sharded.ok());
-  ASSERT_TRUE(wb_sharded->EnableWriteBehind().ok());
+  ASSERT_TRUE(wb_sharded->EnableWriteBehind(WriteBehindOptions{}).ok());
   uint64_t flushed = 10;  // on shard 1: the refill must pick its shard's cache
   while (wb_sharded->ShardOf(flushed) != 1) {
     ++flushed;

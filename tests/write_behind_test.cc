@@ -4,6 +4,7 @@
 // invalidation races, and the Txn drain interop.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -90,7 +91,6 @@ TEST(WriteBehindTest, WriterSideRefillKeepsCacheWarm) {
   HtTree::Options options = SmallTables();
   options.cache.budget_bytes = 1 << 20;
   options.cache.admit_after = 0;
-  options.cache.word_versioned = true;
   auto map = HtTree::Create(&client, &env.alloc(), options);
   ASSERT_TRUE(map.ok());
   ASSERT_TRUE(map->EnableWriteBehind(ManualFlush()).ok());
@@ -400,44 +400,32 @@ TEST(WriteBehindShardedTest, TxnEntryPointsDrainTheEngine) {
   EXPECT_EQ(*map->Get(43), 4300u);
 }
 
-TEST(WriteBehindShardedTest, MultiPutAtomicPublishesAllOrNothing) {
-  TestEnv env(BigFabric(/*nodes=*/2));
-  auto& client = env.NewClient();
-  ShardedMap::Options options = SmallShards(2);
-  options.atomic_multiput = true;
-  auto map = ShardedMap::Create(&client, &env.alloc(), options);
-  ASSERT_TRUE(map.ok());
-
-  const std::vector<uint64_t> keys = {1, 2, 3, 4, 5, 6, 7, 8};
-  const std::vector<uint64_t> values = {10, 20, 30, 40, 50, 60, 70, 80};
-  const uint64_t commits_before = client.stats().txn_commits;
-  ASSERT_TRUE(map->MultiPut(keys, values).ok());
-  EXPECT_EQ(client.stats().txn_commits - commits_before, 1u)
-      << "atomic_multiput routes through one transaction";
-  for (size_t i = 0; i < keys.size(); ++i) {
-    EXPECT_EQ(*map->Get(keys[i]), values[i]);
-  }
-}
-
 TEST(WriteBehindShardedTest, GlobalBudgetCapsFleetBytes) {
+  // Each shard's cache holds to its own budget, so the fleet's near
+  // footprint is capped at num_shards budgets.
   TestEnv env(BigFabric(/*nodes=*/4));
   auto& client = env.NewClient();
   ShardedMap::Options options = SmallShards(4);
   options.shard.cache.admit_after = 0;
-  options.shard.cache.global_budget_bytes = 16 << 10;
+  options.shard.cache.budget_bytes = 4 << 10;
   auto map = ShardedMap::Create(&client, &env.alloc(), options);
   ASSERT_TRUE(map.ok());
-  ASSERT_NE(map->shared_cache_budget(), nullptr);
 
+  uint64_t shard_bytes_max = 0;
   for (uint64_t k = 0; k < 2000; ++k) {
     ASSERT_TRUE(map->Put(k, k + 1).ok());
     (void)map->Get(k);
+    for (uint32_t s = 0; s < map->num_shards(); ++s) {
+      shard_bytes_max = std::max(shard_bytes_max,
+                                 map->shard(s).near_cache()->bytes_used());
+    }
   }
+  EXPECT_LE(shard_bytes_max, 4u << 10)
+      << "every shard's ring respects its own budget";
+  EXPECT_GT(map->near_cache_stats().evictions, 0u)
+      << "the loop put the caches under pressure";
   EXPECT_LE(map->near_cache_bytes(), 16u << 10)
-      << "summed shard rings respect the fleet-wide budget";
-  EXPECT_EQ(map->near_cache_bytes(),
-            map->shared_cache_budget()->used.load())
-      << "near_cache_bytes reports the shared total";
+      << "summed shard rings stay within num_shards budgets";
   // Reads still correct under constant budget pressure.
   for (uint64_t k = 0; k < 2000; k += 37) {
     EXPECT_EQ(*map->Get(k), k + 1);
