@@ -1,10 +1,10 @@
 // E16 — adaptive hybrid dataplane (src/route/, DESIGN.md §13): per-op
-// one-sided vs RPC routing driven by live telemetry. §3.1 frames the
-// tradeoff — k dependent far accesses cost k round trips but zero server
-// CPU; shipping the op costs one round trip plus service at a
-// possibly-occupied processor — and the crossover moves with chain depth,
-// server occupancy, and batch size. The sweep drifts a workload across
-// that crossover and runs three arms at every point:
+// one-sided vs RPC routing learned from the router's own observations and
+// probes. §3.1 frames the tradeoff — k dependent far accesses cost k round
+// trips but zero server CPU; shipping the op costs one round trip plus
+// service at a possibly-occupied processor — and the crossover moves with
+// chain depth, server occupancy, and batch size. The sweep drifts a
+// workload across that crossover and runs three arms at every point:
 //
 //   one-sided : routing off, the pure one-sided protocol (wave engine for
 //               batches)
@@ -100,9 +100,7 @@ HtTree::Options SweepMapOptions(const Config& cfg) {
 struct Arm {
   Arm(BenchEnv* env, RpcDataplane* dataplane, const Config& cfg,
       std::optional<DataplaneRoute> force, bool routed) {
-    ObsOptions obs;
-    obs.windowed = true;  // the adaptive router's staleness priors
-    client = &env->NewClient(obs);
+    client = &env->NewClient();
     map.emplace(CheckOk(HtTree::Create(client, &env->alloc(),
                                        SweepMapOptions(cfg)),
                         "create sweep map"));
@@ -333,10 +331,8 @@ int main(int argc, char** argv) {
   };
   std::vector<ShardArm> shard_arms(3);
   for (int a = 0; a < 3; ++a) {
-    ObsOptions obs;
-    obs.windowed = true;
     ShardArm& arm = shard_arms[a];
-    arm.client = &env.NewClient(obs);
+    arm.client = &env.NewClient();
     arm.map.emplace(CheckOk(
         ShardedMap::Create(arm.client, &env.alloc(), shard_options),
         "create sharded map"));

@@ -574,7 +574,6 @@ void ScenarioRetryDeadline(const Config& cfg, GateSet* gates,
   retry.backoff_base_ns = 4'000;
   retry.backoff_max_ns = 2'000'000;
   retry.deadline_ns = 0;  // unlimited budget
-  retry.jitter = true;
   ScenarioFleet fleet(&env, cfg.retry_workers, ScenarioMap(), retry);
   Populate(fleet.map(0), cfg.keys);
   env.fabric().node(0).SetCongestion(FrontEnd(/*service_ns=*/650, 8));

@@ -7,7 +7,7 @@ namespace fmds {
 
 BackgroundEvictor::BackgroundEvictor(Fabric* fabric, uint64_t client_id,
                                      BackgroundEvictorOptions options)
-    : client_(fabric, client_id, options.client), options_(options) {
+    : client_(fabric, client_id), options_(options) {
   thread_ = std::thread([this] { Main(); });
 }
 

@@ -32,7 +32,6 @@ struct BackgroundEvictorOptions {
   // NearCache::SweepNeeded() per cache (cheap) and only sweeps rings that
   // refused an admission since their last sweep.
   uint64_t poll_interval_us = 100;
-  ClientOptions client;  // options for the evictor's own FarClient
 };
 
 class BackgroundEvictor {

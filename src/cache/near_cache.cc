@@ -137,6 +137,7 @@ void NearCache::Admit(uint64_t key, std::span<const std::byte> payload,
     Entry& e = ring_.value(slot);
     bytes_used_ -= EntryCost(e);
     e.payload.assign(payload.begin(), payload.end());
+    e.event_word.reset();
     if (e.watch == watch && e.watch_len == watch_len) {
       // Same watch: refill in place. The live subscription covered the
       // caller's read, so the payload is admissible as-is and no round
@@ -267,9 +268,16 @@ void NearCache::RefillLocked(uint64_t key, std::span<const std::byte> payload,
     InvalidateLocked(key, account_client);
     return;
   }
+  if (!account_client && !e.valid && e.event_word != watch_word) {
+    // Flusher-side refill of a killed entry whose last event was not this
+    // write's echo: a later writer's event may have killed it, and landing
+    // would resurrect the value that writer replaced.
+    return;
+  }
   bytes_used_ -= EntryCost(e);
   e.payload.assign(payload.begin(), payload.end());
   e.watch_word = watch_word;
+  e.event_word.reset();
   e.valid = true;
   bytes_used_ += EntryCost(e);
   ring_.Touch(slot);
@@ -303,6 +311,7 @@ void NearCache::RefillExternal(uint64_t key, std::span<const std::byte> payload,
 
 void NearCache::InvalidateAllLocked(bool account_client) {
   ring_.ForEach([this, account_client](uint64_t, Entry& e) {
+    e.event_word.reset();
     if (e.valid) {
       e.valid = false;
       ++stats_.invalidations;
@@ -342,6 +351,7 @@ void NearCache::OnNotify(const NotifyEvent& event) {
     const size_t slot = ring_.Find(it->second);
     if (slot != ClockRing<Entry>::npos) {
       Entry& e = ring_.value(slot);
+      e.event_word = event.word;
       if (e.valid && e.watch == event.addr && e.watch_word == event.word) {
         ++stats_.word_confirms;
         return;

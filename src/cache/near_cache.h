@@ -53,6 +53,7 @@
 
 #include <cstdint>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -201,7 +202,12 @@ class NearCache : public NotificationSink {
   // Cross-thread variants for the write-behind flusher (§11): same refill /
   // invalidate semantics, but NO owner-client stats, recorder, or near-op
   // accounting — the flusher charges its own client. Safe to call from a
-  // non-owner thread.
+  // non-owner thread. The flusher refills only after its whole batch
+  // published, so the owner may already have dispatched a later writer's
+  // event for the key: RefillExternal therefore lands only on a still-valid
+  // entry, or on one whose last dispatched event (since its fill, and with
+  // no loss warning since) carried `watch_word` itself. Otherwise the entry
+  // stays invalid and the next read refills it.
   void RefillExternal(uint64_t key, std::span<const std::byte> payload,
                       FarAddr watch, uint64_t watch_len, uint64_t watch_word);
   void InvalidateExternal(uint64_t key);
@@ -270,6 +276,10 @@ class NearCache : public NotificationSink {
     // validated — the entry's version under word-versioned coherence, and
     // the word LookupWatch hands to transactional readers.
     uint64_t watch_word = 0;
+    // Word carried by the last event dispatched to this entry since its
+    // fill (word-versioned caches; cleared by a loss warning): the guard
+    // of RefillExternal.
+    std::optional<uint64_t> event_word;
     bool valid = false;
   };
 
@@ -299,6 +309,8 @@ class NearCache : public NotificationSink {
   // ClientStats/recorder bumps (false on cross-thread paths).
   void InvalidateLocked(uint64_t key, bool account_client);
   void InvalidateAllLocked(bool account_client);
+  // `account_client` is false exactly on the flusher's cross-thread path,
+  // which also applies RefillExternal's event-word guard.
   void RefillLocked(uint64_t key, std::span<const std::byte> payload,
                     FarAddr watch, uint64_t watch_len, uint64_t watch_word,
                     bool account_client);

@@ -97,7 +97,7 @@ Status FarQueue::EnableWatch() {
   spec.len = kWordSize;
   // Coalescing is safe (and desirable) here: only the newest pointer value
   // matters, and the event's `word` field carries it.
-  spec.policy = DeliveryPolicy{0.0, /*coalesce=*/true, 0};
+  spec.policy = DeliveryPolicy{0.0, /*coalesce=*/true};
   uint64_t snapshot = 0;
   spec.addr = head_addr();
   FMDS_ASSIGN_OR_RETURN(watch_->head_sub,

@@ -1128,18 +1128,24 @@ Status HtTree::BatchPut::Take() {
     }
   }
   if (outcomes_ != nullptr) {
-    // A chained bucket's stable post-batch head is its LAST landed slot;
-    // refill confirmations must record that word, not each member's own
-    // slot (the member's word was overwritten by its chain successor).
-    std::unordered_map<FarAddr, uint64_t> final_head;
-    for (const WriteOutcome& o : *outcomes_) {
-      if (o.bucket != kNullFarAddr) {
-        final_head[o.bucket] = o.head;
+    // A member's refill word is the bucket head after its own CAS and every
+    // batch CAS that landed directly on top of it: that chain of members
+    // moves the word without changing this key's value. A racing writer's
+    // CAS in between breaks the chain there, so the member keeps the word
+    // its chain ended on, which that writer's event outdates.
+    std::unordered_map<FarAddr, FarAddr> landed_on;  // replaced word -> slot
+    for (const Op& op : ops_) {
+      if (op.result.ok() && op.bucket != kNullFarAddr) {
+        landed_on[op.predicted] = op.slot;
       }
     }
     for (WriteOutcome& o : *outcomes_) {
-      if (o.refillable) {
-        o.head = final_head[o.bucket];
+      if (!o.refillable) {
+        continue;
+      }
+      for (auto it = landed_on.find(o.head); it != landed_on.end();
+           it = landed_on.find(o.head)) {
+        o.head = it->second;
       }
     }
   }

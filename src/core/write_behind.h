@@ -127,8 +127,6 @@ class WriteBehindEngine {
   // barrier.
   Status FlushBarrier();
 
-  const WriteBehindOptions& options() const { return options_; }
-
   // Live pipeline health (any thread; locks mu_). Ages are in the APP
   // client's simulated time, measured against the newest enqueue the engine
   // has seen (sim clocks are owner-local, so a cross-thread "now" does not

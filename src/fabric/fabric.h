@@ -42,10 +42,10 @@ struct FabricOptions {
   IndirectionPolicy indirection = IndirectionPolicy::kForward;
   LatencyModel latency;
   // Per-node congestion front end (DESIGN.md §14): bounded service queue
-  // with a configurable service rate, link bandwidth share, and shed
-  // bound. Off by default — the fabric then behaves bit-identically to the
-  // fixed-RTT model. Every node starts with this config; per-node runtime
-  // changes go through MemoryNode::SetCongestion.
+  // with a configurable per-op service rate and shed bound. Off by default
+  // — the fabric then behaves bit-identically to the fixed-RTT model. Every
+  // node starts with this config; per-node runtime changes go through
+  // MemoryNode::SetCongestion.
   CongestionOptions congestion;
 };
 

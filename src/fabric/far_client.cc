@@ -85,14 +85,13 @@ MemoryNode* FarClient::FrontEnd(NodeId node) const {
   return n.congestion_enabled() ? &n : nullptr;
 }
 
-bool FarClient::OfferOnce(NodeId node, uint64_t ops, uint64_t bytes,
-                          uint64_t* queue_ns) {
+bool FarClient::OfferOnce(NodeId node, uint64_t ops, uint64_t* queue_ns) {
   *queue_ns = 0;
   MemoryNode* n = FrontEnd(node);
   if (n == nullptr) {
     return true;
   }
-  const AdmissionOutcome outcome = n->OfferLoad(clock_.now_ns(), ops, bytes);
+  const AdmissionOutcome outcome = n->OfferLoad(clock_.now_ns(), ops);
   if (outcome.admitted) {
     *queue_ns = outcome.queue_ns;
     return true;
@@ -102,12 +101,11 @@ bool FarClient::OfferOnce(NodeId node, uint64_t ops, uint64_t bytes,
 }
 
 Result<uint64_t> FarClient::AdmitCongestion(FarOpKind kind, NodeId node,
-                                            FarAddr addr, uint64_t ops,
-                                            uint64_t bytes) {
+                                            FarAddr addr, uint64_t ops) {
   const uint64_t op_start_ns = clock_.now_ns();
   for (uint32_t attempt = 1;; ++attempt) {
     uint64_t queue_ns = 0;
-    if (OfferOnce(node, ops, bytes, &queue_ns)) {
+    if (OfferOnce(node, ops, &queue_ns)) {
       return queue_ns;
     }
     // The bounce is a completed (failed) round trip: the client learns of
@@ -119,9 +117,7 @@ Result<uint64_t> FarClient::AdmitCongestion(FarOpKind kind, NodeId node,
     uint64_t backoff = retry_.backoff_base_ns
                        << std::min<uint32_t>(attempt - 1, 20);
     backoff = std::min(std::max<uint64_t>(backoff, 1), retry_.backoff_max_ns);
-    if (retry_.jitter) {
-      backoff = backoff / 2 + NextJitter() % std::max<uint64_t>(backoff / 2, 1);
-    }
+    backoff = backoff / 2 + NextJitter() % std::max<uint64_t>(backoff / 2, 1);
     if (retry_.deadline_ns != 0 &&
         clock_.now_ns() - op_start_ns + backoff > retry_.deadline_ns) {
       // Out of deadline budget: failing now beats sleeping past it.
@@ -138,19 +134,18 @@ Result<uint64_t> FarClient::AdmitCongestion(FarOpKind kind, NodeId node,
 // ------------------------------- Executor -------------------------------
 
 Result<uint64_t> FarClient::Admit(ChargeRule rule, FarOpKind kind,
-                                  NodeId node, FarAddr addr, uint64_t ops,
-                                  uint64_t bytes) {
+                                  NodeId node, FarAddr addr, uint64_t ops) {
   if (FrontEnd(node) == nullptr) {
     return uint64_t{0};
   }
   switch (rule) {
     case ChargeRule::kSerial:
-      return AdmitCongestion(kind, node, addr, ops, bytes);
+      return AdmitCongestion(kind, node, addr, ops);
     case ChargeRule::kDoorbell: {
       // A doorbell cannot re-time its sub-ops: a shed op completes with
       // kOverloaded and its caller decides whether to re-post.
       uint64_t queue_ns = 0;
-      if (OfferOnce(node, ops, bytes, &queue_ns)) {
+      if (OfferOnce(node, ops, &queue_ns)) {
         return queue_ns;
       }
       ++stats_.overload_failures;
@@ -220,11 +215,10 @@ void FarClient::Apply(const FarOp& op) {
         node.ReadRange(seg.offset, op.out.subspan(moved, len));
         break;
       case Access::kWrite:
-        node.WriteRange(seg.offset, op.in.subspan(moved, len),
-                        clock_.now_ns());
+        node.WriteRange(seg.offset, op.in.subspan(moved, len));
         break;
       case Access::kAdd:
-        node.FetchAddWord(seg.offset, op.value, clock_.now_ns());
+        node.FetchAddWord(seg.offset, op.value);
         break;
     }
     moved += len;
@@ -268,8 +262,7 @@ Status FarClient::Execute(const FarOp& op, ChargeRule rule, uint64_t* word,
           Admit(rule, op.kind, node, cost.addr,
                 op.kind == FarOpKind::kScatterGather
                     ? far.size()
-                    : std::max<size_t>(segs_.size(), 1),
-                total));
+                    : std::max<size_t>(segs_.size(), 1)));
       Apply(op);
       (read ? stats_.bytes_read : stats_.bytes_written) += total;
       cost.node = node;
@@ -290,18 +283,17 @@ Status FarClient::Execute(const FarOp& op, ChargeRule rule, uint64_t* word,
       if (!loc.ok()) {
         return loc.status();
       }
-      FMDS_ASSIGN_OR_RETURN(cost.queue_ns, Admit(rule, op.kind, loc->node,
-                                                 op.addr, 1, kWordSize));
+      FMDS_ASSIGN_OR_RETURN(cost.queue_ns,
+                            Admit(rule, op.kind, loc->node, op.addr, 1));
       MemoryNode& node = fabric_->node(loc->node);
       if (op.kind == FarOpKind::kReadWord) {
         result = node.LoadWord(loc->offset);
       } else if (op.kind == FarOpKind::kWriteWord) {
-        node.StoreWord(loc->offset, op.value, clock_.now_ns());
+        node.StoreWord(loc->offset, op.value);
       } else if (op.kind == FarOpKind::kCas) {
-        result = node.CompareSwapWord(loc->offset, op.value, op.desired,
-                                      clock_.now_ns());
+        result = node.CompareSwapWord(loc->offset, op.value, op.desired);
       } else {
-        result = node.FetchAddWord(loc->offset, op.value, clock_.now_ns());
+        result = node.FetchAddWord(loc->offset, op.value);
       }
       stats_.bytes_read += op.kind == FarOpKind::kWriteWord ? 0 : kWordSize;
       stats_.bytes_written += op.kind == FarOpKind::kReadWord ? 0 : kWordSize;
@@ -324,12 +316,11 @@ Status FarClient::Execute(const FarOp& op, ChargeRule rule, uint64_t* word,
                            : op.access == Access::kWrite ? op.in.size()
                                                          : kWordSize;
       cost.addr = ptr_addr;
-      // One queued request at the home node covers the whole indirection
-      // and carries the bytes it moves; the dependent access (forwarded or
-      // local) is controller work, not a second NIC arrival.
+      // One queued request at the home node covers the whole indirection;
+      // the dependent access (forwarded or local) is controller work, not a
+      // second NIC arrival.
       FMDS_ASSIGN_OR_RETURN(cost.queue_ns,
-                            Admit(rule, op.kind, home.node, ptr_addr, 1,
-                                  kWordSize + len));
+                            Admit(rule, op.kind, home.node, ptr_addr, 1));
       cost.node = home.node;
       cost.bytes = kWordSize;
       cost.messages = 1;
@@ -338,8 +329,7 @@ Status FarClient::Execute(const FarOp& op, ChargeRule rule, uint64_t* word,
       // Fetch (and for faai/saai atomically bump) the pointer.
       result = op.bump.has_value()
                    ? home_node.FetchAddWord(home.offset,
-                                            static_cast<uint64_t>(*op.bump),
-                                            clock_.now_ns())
+                                            static_cast<uint64_t>(*op.bump))
                    : home_node.LoadWord(home.offset);
       const FarAddr target =
           op.mode == IndexMode::kIndexedTgt ? result + op.index : result;
@@ -589,8 +579,7 @@ Status FarClient::CasBatch(std::span<const CasTarget> targets,
     FMDS_ASSIGN_OR_RETURN(auto loc0, fabric_->Translate(targets.front().addr));
     FMDS_ASSIGN_OR_RETURN(
         queue_ns, AdmitCongestion(FarOpKind::kCasBatch, loc0.node,
-                                  targets.front().addr, targets.size(),
-                                  targets.size() * 2 * kWordSize));
+                                  targets.front().addr, targets.size()));
   }
   NodeId first_node = kObsNoNode;
   for (size_t i = 0; i < targets.size(); ++i) {
@@ -603,7 +592,7 @@ Status FarClient::CasBatch(std::span<const CasTarget> targets,
       first_node = loc.node;
     }
     observed[i] = fabric_->node(loc.node).CompareSwapWord(
-        loc.offset, target.expected, target.desired, clock_.now_ns());
+        loc.offset, target.expected, target.desired);
   }
   stats_.bytes_written += targets.size() * kWordSize;
   stats_.bytes_read += targets.size() * kWordSize;

@@ -48,7 +48,9 @@ struct FarSeg {
 // every shed surfaces to the caller. With retries enabled, each bounce
 // backs the client off for a jittered, exponentially growing interval of
 // *simulated* time — which lets the congested node drain — before the op
-// is re-offered. A per-op deadline bounds the total simulated time spent.
+// is re-offered. The jitter (uniform in [b/2, b) for backoff b)
+// decorrelates the retry storms synchronized sheds would otherwise
+// produce. A per-op deadline bounds the total simulated time spent.
 struct RetryPolicy {
   // Admission attempts per operation, counting the first (1 = no retry).
   uint32_t max_attempts = 1;
@@ -59,9 +61,6 @@ struct RetryPolicy {
   // attempt; 0 = unlimited. A backoff that would cross the deadline fails
   // the op immediately (kOverloaded) instead of sleeping past it.
   uint64_t deadline_ns = 0;
-  // Jittered backoff: uniform in [b/2, b). Decorrelates the retry storms
-  // synchronized sheds would otherwise produce.
-  bool jitter = true;
 };
 
 struct ClientOptions {
@@ -283,18 +282,18 @@ class FarClient {
   Result<uint64_t> ReadWordBackground(FarAddr addr);
 
   // ---------------------- Congestion admission (§14) ----------------------
-  // Offers `ops` operations carrying `bytes` payload to `node`'s congestion
-  // front end, running the client's RetryPolicy on sheds (each bounce is a
-  // completed, failed round trip; each retry advances the clock by the
-  // jittered backoff). Returns the queueing delay to fold into the round
-  // trip, or kOverloaded once the policy gives up. No-op (returns 0) for
+  // Offers `ops` operations to `node`'s congestion front end, running the
+  // client's RetryPolicy on sheds (each bounce is a completed, failed round
+  // trip; each retry advances the clock by the jittered backoff). Returns
+  // the queueing delay to fold into the round trip, or kOverloaded once the
+  // policy gives up. No-op (returns 0) for
   // kObsNoNode, for the agent's own home node (an on-node agent crosses the
   // memory controller, not the NIC front end), and while congestion is off.
   // Sync verbs and RpcClient::Call come through here (a doorbell offers
   // each op once instead) — admission happens BEFORE memory effects
   // everywhere.
   Result<uint64_t> AdmitCongestion(FarOpKind kind, NodeId node, FarAddr addr,
-                                   uint64_t ops, uint64_t bytes);
+                                   uint64_t ops);
   void set_retry_policy(const RetryPolicy& policy) { retry_ = policy; }
 
   SimClock& clock() { return clock_; }
@@ -384,7 +383,7 @@ class FarClient {
   void Apply(const FarOp& op);
   // Admission under `rule`: AdmitCongestion, OfferOnce or none.
   Result<uint64_t> Admit(ChargeRule rule, FarOpKind kind, NodeId node,
-                         FarAddr addr, uint64_t ops, uint64_t bytes);
+                         FarAddr addr, uint64_t ops);
   void Charge(ChargeRule rule, const RoundTripCost& cost);
   // Runs the issued ops in post order under `rule`, op i completing into
   // next(i), then empties the issue queue. A CAS whose guard range saw a
@@ -455,8 +454,7 @@ class FarClient {
   // One admission attempt at `node`'s congestion front end: true with the
   // queueing delay in *queue_ns, or false (after bumping overload_sheds)
   // when the node sheds the op. Charges no bounce round trip.
-  bool OfferOnce(NodeId node, uint64_t ops, uint64_t bytes,
-                 uint64_t* queue_ns);
+  bool OfferOnce(NodeId node, uint64_t ops, uint64_t* queue_ns);
   // Deterministic per-client jitter source (xorshift).
   uint64_t NextJitter();
 

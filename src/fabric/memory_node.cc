@@ -19,16 +19,16 @@ uint64_t MemoryNode::LoadWord(uint64_t offset) {
   return WordRef(offset).load(std::memory_order_seq_cst);
 }
 
-void MemoryNode::StoreWord(uint64_t offset, uint64_t value, uint64_t now_ns) {
+void MemoryNode::StoreWord(uint64_t offset, uint64_t value) {
   assert(IsWordAligned(offset) && offset + kWordSize <= capacity_);
   stats_.ops_serviced.fetch_add(1, std::memory_order_relaxed);
   stats_.bytes_in.fetch_add(kWordSize, std::memory_order_relaxed);
   WordRef(offset).store(value, std::memory_order_seq_cst);
-  PublishWrite(offset, kWordSize, now_ns);
+  PublishWrite(offset, kWordSize);
 }
 
 uint64_t MemoryNode::CompareSwapWord(uint64_t offset, uint64_t expected,
-                                     uint64_t desired, uint64_t now_ns) {
+                                     uint64_t desired) {
   assert(IsWordAligned(offset) && offset + kWordSize <= capacity_);
   stats_.ops_serviced.fetch_add(1, std::memory_order_relaxed);
   stats_.bytes_in.fetch_add(kWordSize, std::memory_order_relaxed);
@@ -36,20 +36,19 @@ uint64_t MemoryNode::CompareSwapWord(uint64_t offset, uint64_t expected,
   const bool swapped = WordRef(offset).compare_exchange_strong(
       observed, desired, std::memory_order_seq_cst);
   if (swapped) {
-    PublishWrite(offset, kWordSize, now_ns);
+    PublishWrite(offset, kWordSize);
     return expected;
   }
   return observed;
 }
 
-uint64_t MemoryNode::FetchAddWord(uint64_t offset, uint64_t delta,
-                                  uint64_t now_ns) {
+uint64_t MemoryNode::FetchAddWord(uint64_t offset, uint64_t delta) {
   assert(IsWordAligned(offset) && offset + kWordSize <= capacity_);
   stats_.ops_serviced.fetch_add(1, std::memory_order_relaxed);
   stats_.bytes_in.fetch_add(kWordSize, std::memory_order_relaxed);
   const uint64_t old = WordRef(offset).fetch_add(delta,
                                                  std::memory_order_seq_cst);
-  PublishWrite(offset, kWordSize, now_ns);
+  PublishWrite(offset, kWordSize);
   return old;
 }
 
@@ -73,8 +72,7 @@ void MemoryNode::ReadRange(uint64_t offset, std::span<std::byte> out) {
   }
 }
 
-void MemoryNode::WriteRange(uint64_t offset, std::span<const std::byte> data,
-                            uint64_t now_ns) {
+void MemoryNode::WriteRange(uint64_t offset, std::span<const std::byte> data) {
   assert(offset + data.size() <= capacity_);
   stats_.ops_serviced.fetch_add(1, std::memory_order_relaxed);
   stats_.bytes_in.fetch_add(data.size(), std::memory_order_relaxed);
@@ -105,7 +103,7 @@ void MemoryNode::WriteRange(uint64_t offset, std::span<const std::byte> data,
     consumed += put;
     cursor += put;
   }
-  PublishWrite(offset, data.size(), now_ns);
+  PublishWrite(offset, data.size());
 }
 
 Status MemoryNode::Subscribe(uint64_t offset, const NotifySpec& spec,
@@ -142,7 +140,7 @@ bool MemoryNode::Unsubscribe(SubId id) {
   return removed;
 }
 
-void MemoryNode::PublishWrite(uint64_t offset, uint64_t len, uint64_t now_ns) {
+void MemoryNode::PublishWrite(uint64_t offset, uint64_t len) {
   if (subs_active_.load(std::memory_order_relaxed) == 0) {
     return;
   }
@@ -173,7 +171,6 @@ void MemoryNode::PublishWrite(uint64_t offset, uint64_t len, uint64_t now_ns) {
         std::min(offset + len, sub->node_offset + sub->spec.len);
     event.addr = sub->spec.addr + (lo - sub->node_offset);
     event.len = hi - lo;
-    event.publish_ns = now_ns + sub->spec.policy.delay_ns;
     // State-at-publish snapshot of the subscribed range's first word, read
     // under sub_mu_ — the same critical section read-and-arm uses. Racing
     // writers both publish; whichever publish runs last reads the final

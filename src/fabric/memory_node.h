@@ -37,16 +37,15 @@ class MemoryNode {
 
   // --- Word operations (offset must be word-aligned and in range). ---
   uint64_t LoadWord(uint64_t offset);
-  void StoreWord(uint64_t offset, uint64_t value, uint64_t now_ns);
+  void StoreWord(uint64_t offset, uint64_t value);
   // Returns the previous value; publishes a change only if the swap happened.
   uint64_t CompareSwapWord(uint64_t offset, uint64_t expected,
-                           uint64_t desired, uint64_t now_ns);
-  uint64_t FetchAddWord(uint64_t offset, uint64_t delta, uint64_t now_ns);
+                           uint64_t desired);
+  uint64_t FetchAddWord(uint64_t offset, uint64_t delta);
 
   // --- Byte-range operations. ---
   void ReadRange(uint64_t offset, std::span<std::byte> out);
-  void WriteRange(uint64_t offset, std::span<const std::byte> data,
-                  uint64_t now_ns);
+  void WriteRange(uint64_t offset, std::span<const std::byte> data);
 
   // --- Notifications (§4.3). ---
   // spec.addr is the global address; `offset` its node-local location.
@@ -80,13 +79,13 @@ class MemoryNode {
   }
 
   // --- Congestion front end (DESIGN.md §14). ---
-  // Offers `ops` operations carrying `bytes` payload to this node's bounded
-  // service queue. FarClient calls this BEFORE executing memory effects: a
-  // shed operation must not have happened. On admit, queue_ns is the
-  // load-dependent delay the client folds into the round trip; on shed the
-  // node's ops_shed stat bumps and the client surfaces kOverloaded.
-  AdmissionOutcome OfferLoad(uint64_t now_ns, uint64_t ops, uint64_t bytes) {
-    AdmissionOutcome outcome = service_queue_.Offer(now_ns, ops, bytes);
+  // Offers `ops` operations to this node's bounded service queue. FarClient
+  // calls this BEFORE executing memory effects: a shed operation must not
+  // have happened. On admit, queue_ns is the load-dependent delay the client
+  // folds into the round trip; on shed the node's ops_shed stat bumps and
+  // the client surfaces kOverloaded.
+  AdmissionOutcome OfferLoad(uint64_t now_ns, uint64_t ops) {
+    AdmissionOutcome outcome = service_queue_.Offer(now_ns, ops);
     if (!outcome.admitted) {
       stats_.ops_shed.fetch_add(ops, std::memory_order_relaxed);
     }
@@ -110,7 +109,7 @@ class MemoryNode {
   }
 
   // Fires subscriptions intersecting the written range.
-  void PublishWrite(uint64_t offset, uint64_t len, uint64_t now_ns);
+  void PublishWrite(uint64_t offset, uint64_t len);
 
   NodeId id_;
   uint64_t capacity_;

@@ -19,7 +19,6 @@ void NotificationChannel::Publish(NotifyEvent event, bool coalesce) {
             std::max(queued.addr + queued.len, event.addr + event.len);
         queued.addr = lo;
         queued.len = hi - lo;
-        queued.publish_ns = std::max(queued.publish_ns, event.publish_ns);
         queued.coalesced += 1 + event.coalesced;
         queued.word = event.word;  // latest write wins
         if (!event.data.empty()) {
@@ -37,7 +36,6 @@ void NotificationChannel::Publish(NotifyEvent event, bool coalesce) {
       loss_pending_ = true;
       NotifyEvent warn;
       warn.kind = NotifyEventKind::kLossWarning;
-      warn.publish_ns = event.publish_ns;
       // Replace the oldest queued event so the warning is guaranteed to fit.
       if (!queue_.empty()) {
         queue_.pop_front();
@@ -100,7 +98,6 @@ void NotificationInbox::OnNotify(const NotifyEvent& event) {
     events_.clear();
     NotifyEvent loss;
     loss.kind = NotifyEventKind::kLossWarning;
-    loss.publish_ns = event.publish_ns;
     events_.push_back(std::move(loss));
     return;
   }

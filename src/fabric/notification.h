@@ -5,9 +5,9 @@
 //   kOnWriteData (notify0d) — like kOnWrite, but carries the changed bytes
 //
 // Delivery is best-effort by design (§7.2): per-subscription policies can
-// drop, delay, or coalesce events, and a bounded channel that overflows
-// replaces the lost events with a loss warning the data-structure algorithm
-// must handle (versioning / full refresh).
+// drop or coalesce events, and a bounded channel that overflows replaces
+// the lost events with a loss warning the data-structure algorithm must
+// handle (versioning / full refresh).
 #ifndef FMDS_SRC_FABRIC_NOTIFICATION_H_
 #define FMDS_SRC_FABRIC_NOTIFICATION_H_
 
@@ -37,9 +37,8 @@ enum class NotifyMode : uint8_t {
 struct DeliveryPolicy {
   double drop_probability = 0.0;  // unreliable delivery
   bool coalesce = true;           // merge with a still-queued event of same sub
-  uint64_t delay_ns = 0;          // extra fabric delay beyond notify_delay_ns
   static DeliveryPolicy Reliable() {
-    return DeliveryPolicy{0.0, /*coalesce=*/false, 0};
+    return DeliveryPolicy{0.0, /*coalesce=*/false};
   }
 };
 
@@ -76,8 +75,7 @@ struct NotifyEvent {
   SubId sub_id = kInvalidSubId;
   FarAddr addr = kNullFarAddr;  // start of the changed (possibly merged) range
   uint64_t len = 0;
-  uint64_t publish_ns = 0;  // writer-side virtual timestamp
-  uint64_t coalesced = 0;   // additional events merged into this one
+  uint64_t coalesced = 0;  // additional events merged into this one
   // Value of the subscribed range's FIRST word, read at publish time inside
   // the node's subscription critical section (same section the read-and-arm
   // snapshot uses). For word-versioned caches — watched words that only ever

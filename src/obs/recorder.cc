@@ -30,10 +30,9 @@ void OpRecorder::set_options(const ObsOptions& options) {
   } else {
     windowed_.reset();
   }
-  if (trace_.capacity() != options_.trace_capacity) {
-    trace_.set_capacity(options_.trace ? options_.trace_capacity : 0);
-  } else if (!options_.trace) {
-    trace_.set_capacity(0);
+  const size_t capacity = options_.trace ? kTraceCapacity : 0;
+  if (trace_.capacity() != capacity) {
+    trace_.set_capacity(capacity);
   }
 }
 

@@ -33,8 +33,7 @@ class GaugeGroup;
 struct ObsOptions {
   bool latency_histograms = false;  // per-kind + per-label LogHistograms
   bool trace = false;               // record ops into the TraceRing
-  size_t trace_capacity = 65536;    // ring slots (flight-recorder window)
-  // Rolling signals (RecentP99 / RecentOpsPerSec / NodeLoadEwma) over the
+  // Rolling signals (WindowedSignals: p99, ops/s, node load EWMA) over the
   // last windowed_opts.window_ns of simulated time. Independent of the
   // since-start machinery above: windowed-only mode keeps `enabled()` false,
   // so labels, label interning and the trace ring stay untouched — this is
@@ -42,11 +41,10 @@ struct ObsOptions {
   bool windowed = false;
   WindowedOptions windowed_opts;
 
-  static ObsOptions All(size_t trace_capacity = 65536) {
+  static ObsOptions All() {
     ObsOptions o;
     o.latency_histograms = true;
     o.trace = true;
-    o.trace_capacity = trace_capacity;
     o.windowed = true;
     return o;
   }
@@ -181,19 +179,6 @@ class OpRecorder {
   // owner should call windowed()->Drain() before reading its own signals.
   WindowedSignals* windowed() { return windowed_.get(); }
   const WindowedSignals* windowed() const { return windowed_.get(); }
-  // Convenience forwarders answering 0 when windowed signals are off.
-  uint64_t RecentP99(FarOpKind kind) const {
-    return windowed_ ? windowed_->RecentP99(kind) : 0;
-  }
-  uint64_t RecentP99All() const {
-    return windowed_ ? windowed_->RecentP99All() : 0;
-  }
-  double RecentOpsPerSec(NodeId node) const {
-    return windowed_ ? windowed_->RecentOpsPerSec(node) : 0.0;
-  }
-  double NodeLoadEwma(NodeId node) const {
-    return windowed_ ? windowed_->NodeLoadEwma(node) : 0.0;
-  }
 
   // Registers the rolling signals with a TelemetryHub under `prefix`:
   // p99/count per op kind and overall, txn rates, and — for nodes
@@ -217,6 +202,8 @@ class OpRecorder {
 
   // Resolution of the since-start LogHistograms.
   static constexpr int kHistogramSubBits = 3;
+  // TraceRing slots while tracing (the flight-recorder window).
+  static constexpr size_t kTraceCapacity = 65536;
 
   uint64_t client_id_;
   ObsOptions options_;

@@ -21,10 +21,7 @@ constexpr size_t Idx(DataplaneRoute route) {
 
 DataplaneRouter::DataplaneRouter(FarClient* client,
                                  DataplaneRouterOptions options)
-    : client_(client), options_(options) {
-  options_.ewma_alpha = std::clamp(options_.ewma_alpha, 0.01, 1.0);
-  options_.hysteresis = std::max(options_.hysteresis, 1.0);
-}
+    : client_(client), options_(options) {}
 
 void DataplaneRouter::CountDecision(DataplaneRoute route, bool probe) {
   auto& stats = client_->mutable_stats();
@@ -41,32 +38,6 @@ void DataplaneRouter::CountDecision(DataplaneRoute route, bool probe) {
   }
 }
 
-void DataplaneRouter::RefreshStale(CellState& cell, NodeId node) {
-  // A cold estimate describes a regime that may be gone. The recorder's
-  // rolling signals are live whichever route the traffic takes: every
-  // one-sided access feeds NodeLoadEwma(node), every RPC feeds the kRpc
-  // histogram — so each is a fair per-key prior for its route.
-  const OpRecorder& recorder = client_->recorder();
-  RouteEstimate& os = cell.est[Idx(DataplaneRoute::kOneSided)];
-  if (os.samples > 0 && cell.decisions - os.last_seen > options_.stale_after) {
-    const double load = recorder.NodeLoadEwma(node);  // ns per op
-    if (load > 0.0) {
-      os.norm_ns += options_.ewma_alpha * (load - os.norm_ns);
-      os.last_seen = cell.decisions;
-    }
-  }
-  RouteEstimate& rpc = cell.est[Idx(DataplaneRoute::kRpc)];
-  if (rpc.samples > 0 &&
-      cell.decisions - rpc.last_seen > options_.stale_after) {
-    const double p99 =
-        static_cast<double>(recorder.RecentP99(FarOpKind::kRpc));
-    if (p99 > 0.0) {
-      rpc.norm_ns += options_.ewma_alpha * (p99 - rpc.norm_ns);
-      rpc.last_seen = cell.decisions;
-    }
-  }
-}
-
 DataplaneRoute DataplaneRouter::Decide(RoutedOp op, NodeId node, double units,
                                        uint64_t batch) {
   (void)batch;  // priced per key; the normalized estimates carry the rest
@@ -78,8 +49,7 @@ DataplaneRoute DataplaneRouter::Decide(RoutedOp op, NodeId node, double units,
   ++cell.decisions;
   RouteEstimate& os = cell.est[Idx(DataplaneRoute::kOneSided)];
   RouteEstimate& rpc = cell.est[Idx(DataplaneRoute::kRpc)];
-  if (os.samples < options_.min_samples ||
-      rpc.samples < options_.min_samples) {
+  if (os.samples < kMinSamples || rpc.samples < kMinSamples) {
     // Cold start: alternate so both routes earn real estimates before the
     // hysteresis loop starts defending an incumbent.
     const DataplaneRoute choice = os.samples <= rpc.samples
@@ -88,7 +58,6 @@ DataplaneRoute DataplaneRouter::Decide(RoutedOp op, NodeId node, double units,
     CountDecision(choice, /*probe=*/false);
     return choice;
   }
-  RefreshStale(cell, node);
   const double os_cost = os.norm_ns * std::max(units, 1.0);
   const double rpc_cost = rpc.norm_ns;
   const DataplaneRoute challenger = Other(cell.preferred);
@@ -96,7 +65,7 @@ DataplaneRoute DataplaneRouter::Decide(RoutedOp op, NodeId node, double units,
       cell.preferred == DataplaneRoute::kOneSided ? os_cost : rpc_cost;
   const double challenger_cost =
       cell.preferred == DataplaneRoute::kOneSided ? rpc_cost : os_cost;
-  if (challenger_cost * options_.hysteresis < incumbent_cost) {
+  if (challenger_cost * kHysteresis < incumbent_cost) {
     cell.preferred = challenger;
     flips_.fetch_add(1, std::memory_order_relaxed);
     ++client_->mutable_stats().route_flips;
@@ -130,9 +99,8 @@ void DataplaneRouter::Observe(RoutedOp op, NodeId node, DataplaneRoute route,
   const double norm = static_cast<double>(latency_ns) / denom;
   est.norm_ns = est.samples == 0
                     ? norm
-                    : est.norm_ns + options_.ewma_alpha * (norm - est.norm_ns);
+                    : est.norm_ns + kEwmaAlpha * (norm - est.norm_ns);
   ++est.samples;
-  est.last_seen = cell.decisions;
 }
 
 const DataplaneRouter::CellState* DataplaneRouter::CellIfPresent(

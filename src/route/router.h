@@ -4,23 +4,20 @@
 // service time at a possibly-busy processor — and Brock et al. (PAPERS.md)
 // show the winner flips with op complexity and server occupancy. Neither
 // signal is static (chains grow, occupancy swings), so the router learns
-// both routes' costs online and re-decides per operation.
+// both routes' costs online, from its own observations and probes, and
+// re-decides per operation.
 //
 // Policy, per (op kind, memory node):
-//   - EWMA cost estimates, normalized so decisions extrapolate: the
-//     one-sided estimate is ns per key per complexity unit (a chain twice
-//     as deep prices twice as high), the RPC estimate is ns per key (the
-//     agent walks chains at memory-local cost, so depth barely moves it).
-//   - Cold start alternates routes until both have min_samples estimates.
+//   - EWMA cost estimates (weight kEwmaAlpha), normalized so decisions
+//     extrapolate: the one-sided estimate is ns per key per complexity unit
+//     (a chain twice as deep prices twice as high), the RPC estimate is ns
+//     per key (the agent walks chains at memory-local cost, so depth barely
+//     moves it).
+//   - Cold start alternates routes until both have kMinSamples estimates.
 //   - Hysteresis: the incumbent route keeps the traffic until the other is
-//     better by more than the hysteresis factor — no flapping at the
-//     crossover.
+//     better by more than kHysteresis — no flapping at the crossover.
 //   - Epsilon probing: every probe_period-th decision rides the losing
 //     route so its estimate tracks regime changes the winner cannot see.
-//   - Staleness priors: a route unobserved for stale_after decisions
-//     blends its estimate toward the recorder's live windowed signals
-//     (NodeLoadEwma for one-sided, RecentP99(kRpc) for RPC), so a swing
-//     that happened while the route was cold still moves the decision.
 #ifndef FMDS_SRC_ROUTE_ROUTER_H_
 #define FMDS_SRC_ROUTE_ROUTER_H_
 
@@ -39,19 +36,9 @@ namespace fmds {
 class GaugeGroup;
 
 struct DataplaneRouterOptions {
-  // Smoothing for the per-route cost EWMAs (and staleness blends).
-  double ewma_alpha = 0.2;
-  // The non-incumbent route must be better by this factor to take over.
-  double hysteresis = 1.15;
   // Every Nth decision per (op, node) explores the losing route; 0 turns
-  // probing off (estimates then only refresh via the staleness priors).
+  // probing off (the losing route's estimate then stays frozen).
   uint32_t probe_period = 64;
-  // Observations per route before its estimate is trusted; until then the
-  // cold-start alternation feeds both routes.
-  uint32_t min_samples = 3;
-  // Decisions since a route's last observation before its estimate is
-  // refreshed from the recorder's windowed signals.
-  uint32_t stale_after = 256;
   // Static override: every decision returns this route (the bench's
   // one-sided-only / rpc-only arms). Probing and learning are bypassed.
   std::optional<DataplaneRoute> force;
@@ -59,9 +46,16 @@ struct DataplaneRouterOptions {
 
 class DataplaneRouter : public RouteDecider {
  public:
-  // One router per FarClient (single application thread); `client` also
-  // receives the route_* ClientStats bumps and provides the windowed
-  // signals for staleness refresh.
+  // Smoothing weight of the per-route cost EWMAs.
+  static constexpr double kEwmaAlpha = 0.2;
+  // The non-incumbent route must be better by this factor to take over.
+  static constexpr double kHysteresis = 1.15;
+  // Observations per route before its estimate is trusted; until then the
+  // cold-start alternation feeds both routes.
+  static constexpr uint64_t kMinSamples = 3;
+
+  // One router per FarClient (single application thread); `client`
+  // receives the route_* ClientStats bumps.
   explicit DataplaneRouter(FarClient* client,
                            DataplaneRouterOptions options = {});
 
@@ -95,7 +89,6 @@ class DataplaneRouter : public RouteDecider {
   struct RouteEstimate {
     double norm_ns = 0.0;  // EWMA, per key (×per unit for one-sided)
     uint64_t samples = 0;
-    uint64_t last_seen = 0;  // decision index of the last observation
   };
   struct CellState {
     std::array<RouteEstimate, 2> est;  // indexed by DataplaneRoute
@@ -107,7 +100,6 @@ class DataplaneRouter : public RouteDecider {
     return states_[static_cast<size_t>(op)][node];
   }
   const CellState* CellIfPresent(RoutedOp op, NodeId node) const;
-  void RefreshStale(CellState& cell, NodeId node);
   void CountDecision(DataplaneRoute route, bool probe);
 
   FarClient* client_;

@@ -45,7 +45,6 @@ MapRpcService::MapRpcService(RpcServer* server, Fabric* fabric,
                              FarAllocator* alloc, NodeId node,
                              uint64_t client_id)
     : server_(server),
-      fabric_(fabric),
       alloc_(alloc),
       agent_(fabric, client_id, AgentClientOptions(node)) {
   server->RegisterHandler(
@@ -215,7 +214,6 @@ Result<RpcClient*> RpcMapPath::ClientFor(FarAddr header) {
 
 Result<RemoteMapPath::ReadView> RpcMapPath::Get(FarAddr header,
                                                 uint64_t key) {
-  ScopedOpLabel label(&client_->recorder(), "rpc.map.get");
   FMDS_ASSIGN_OR_RETURN(RpcClient * rpc, ClientFor(header));
   MsgWriter writer;
   writer.U64(header);
@@ -226,10 +224,8 @@ Result<RemoteMapPath::ReadView> RpcMapPath::Get(FarAddr header,
   return ReadViewFrom(reader);
 }
 
-Result<WriteOutcome> RpcMapPath::CallWrite(
-    uint32_t method, const char* label_name, FarAddr header, uint64_t key,
-    uint64_t value) {
-  ScopedOpLabel label(&client_->recorder(), label_name);
+Result<WriteOutcome> RpcMapPath::CallWrite(uint32_t method, FarAddr header,
+                                           uint64_t key, uint64_t value) {
   FMDS_ASSIGN_OR_RETURN(RpcClient * rpc, ClientFor(header));
   MsgWriter writer;
   writer.U64(header);
@@ -249,17 +245,16 @@ Result<WriteOutcome> RpcMapPath::CallWrite(
 Result<WriteOutcome> RpcMapPath::Put(FarAddr header,
                                                     uint64_t key,
                                                     uint64_t value) {
-  return CallWrite(MapRpcService::kPut, "rpc.map.put", header, key, value);
+  return CallWrite(MapRpcService::kPut, header, key, value);
 }
 
 Result<WriteOutcome> RpcMapPath::Remove(FarAddr header,
                                                        uint64_t key) {
-  return CallWrite(MapRpcService::kRemove, "rpc.map.remove", header, key, 0);
+  return CallWrite(MapRpcService::kRemove, header, key, 0);
 }
 
 Status RpcMapPath::MultiGet(FarAddr header, std::span<const uint64_t> keys,
                             std::vector<ReadView>* views) {
-  ScopedOpLabel label(&client_->recorder(), "rpc.map.multiget");
   FMDS_ASSIGN_OR_RETURN(RpcClient * rpc, ClientFor(header));
   MsgWriter writer;
   writer.U64(header);

@@ -56,7 +56,6 @@ class MapRpcService {
                         std::vector<std::byte>& resp);
 
   RpcServer* server_;
-  Fabric* fabric_;
   FarAllocator* alloc_;
   FarClient agent_;
   std::unordered_map<FarAddr, std::unique_ptr<HtTree>> handles_;
@@ -118,8 +117,8 @@ class RpcMapPath : public RemoteMapPath {
 
  private:
   Result<RpcClient*> ClientFor(FarAddr header);
-  Result<WriteOutcome> CallWrite(uint32_t method, const char* label,
-                                 FarAddr header, uint64_t key, uint64_t value);
+  Result<WriteOutcome> CallWrite(uint32_t method, FarAddr header, uint64_t key,
+                                 uint64_t value);
 
   FarClient* client_;
   RpcDataplane* dataplane_;

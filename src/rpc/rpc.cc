@@ -58,7 +58,7 @@ Status RpcClient::Call(uint32_t method, std::span<const std::byte> request,
   FMDS_ASSIGN_OR_RETURN(
       const uint64_t queue_ns,
       client_->AdmitCongestion(FarOpKind::kRpc, server_->node(), kNullFarAddr,
-                               1, request.size()));
+                               1));
   uint64_t service_ns = 0;
   const Status status =
       server_->Dispatch(method, request, response, &service_ns);

@@ -35,8 +35,7 @@ void ServiceQueue::DrainLocked(uint64_t now_v) {
   }
 }
 
-AdmissionOutcome ServiceQueue::Offer(uint64_t now_ns, uint64_t ops,
-                                     uint64_t bytes) {
+AdmissionOutcome ServiceQueue::Offer(uint64_t now_ns, uint64_t ops) {
   if (!enabled()) {
     return {true, 0};
   }
@@ -54,19 +53,10 @@ AdmissionOutcome ServiceQueue::Offer(uint64_t now_ns, uint64_t ops,
     return {false, 0};
   }
   const uint64_t start = std::max(busy_until_, virtual_now_);
-  const uint64_t work =
-      ops * options_.service_ns +
-      static_cast<uint64_t>(options_.per_byte_service_ns *
-                            static_cast<double>(bytes));
   // The batch's ops complete back to back; depth accounting tracks each.
-  const uint64_t per_op = ops == 0 ? 0 : work / std::max<uint64_t>(ops, 1);
   uint64_t finish = start;
-  for (uint64_t i = 0; i + 1 < ops; ++i) {
-    finish += per_op;
-    in_service_.push_back(finish);
-  }
-  if (ops > 0) {
-    finish = start + work;
+  for (uint64_t i = 0; i < ops; ++i) {
+    finish += options_.service_ns;
     in_service_.push_back(finish);
   }
   busy_until_ = std::max(busy_until_, finish);

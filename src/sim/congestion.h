@@ -1,15 +1,15 @@
 // Per-node congestion model (DESIGN.md §14). The base LatencyModel charges a
 // fixed round trip regardless of offered load — fine for a single client, but
 // a memory node serving many clients has a finite front end: its controller
-// admits ops at a bounded service rate and its link moves a bounded number of
-// bytes per second. ServiceQueue models that front end as a virtual-time
-// work-conserving FIFO:
+// admits ops at a bounded service rate. ServiceQueue models that front end as
+// a virtual-time work-conserving FIFO priced per operation (payload bytes
+// are the base model's wire term, not front-end work):
 //
-//   - every admitted op occupies the front end for service_ns plus
-//     per_byte_service_ns per payload byte (the service *rate*, NOT an
-//     added latency: an op arriving at an idle node waits zero extra time,
-//     so the fixed-RTT behaviour of the base model is recovered exactly at
-//     low load — the drain-to-idle invariant the unit tests pin down);
+//   - every admitted op occupies the front end for service_ns (the service
+//     *rate*, NOT an added latency: an op arriving at an idle node waits
+//     zero extra time, so the fixed-RTT behaviour of the base model is
+//     recovered exactly at low load — the drain-to-idle invariant the unit
+//     tests pin down);
 //   - an op arriving while earlier arrivals still hold the front end waits
 //     behind them; that waiting time is the queueing delay the client adds
 //     to the modelled round trip, and it grows without bound as offered
@@ -43,8 +43,6 @@ struct CongestionOptions {
   // Front-end occupancy per admitted operation: the node's peak service
   // rate is 1e9 / service_ns ops per second.
   uint64_t service_ns = 300;
-  // Link-bandwidth share per payload byte (0 keeps admission op-bound).
-  double per_byte_service_ns = 0.0;
   // Hard bound on operations waiting for service; arrivals beyond it are
   // shed with kOverloaded.
   uint64_t queue_ops = 256;
@@ -71,9 +69,9 @@ class ServiceQueue {
   void SetOptions(const CongestionOptions& options);
   CongestionOptions GetOptions() const;
 
-  // Offers `ops` operations carrying `bytes` payload bytes arriving at
-  // `now_ns` (the caller's simulated clock). All-or-nothing for the batch.
-  AdmissionOutcome Offer(uint64_t now_ns, uint64_t ops, uint64_t bytes);
+  // Offers `ops` operations arriving at `now_ns` (the caller's simulated
+  // clock). All-or-nothing for the batch.
+  AdmissionOutcome Offer(uint64_t now_ns, uint64_t ops);
 
   // Operations still waiting for service at the queue's virtual present.
   // Telemetry-thread safe; a disabled queue reports 0.

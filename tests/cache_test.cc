@@ -289,6 +289,56 @@ TEST(NearCacheTest, LossWarningInvalidatesEverything) {
   EXPECT_FALSE(cache.Lookup(2, AsBytes(out)));
 }
 
+TEST(NearCacheTest, ExternalRefillAfterNewerEventMisses) {
+  // A write-behind flusher refills after its whole batch published. If
+  // another client rewrote the watched word after the flusher's CAS and the
+  // owner dispatched both events first, the refill must not make the entry
+  // valid again: no later event would kill the older value it carries.
+  TestEnv env;
+  ClientOptions tiny;
+  tiny.channel_capacity = 2;
+  FarClient owner(&env.fabric(), /*client_id=*/77, tiny);
+  auto& flusher = env.NewClient();
+  auto& other = env.NewClient();
+  NearCache cache(&owner, CacheOpts(1 << 20), /*word_versioned=*/true);
+  const FarAddr w = 64;
+  uint64_t v = 100;
+  cache.Admit(1, AsConstBytes(v), w, kWordSize, 0);
+  uint64_t out = 0;
+  ASSERT_TRUE(cache.Lookup(1, AsBytes(out)));
+
+  // The flusher's CAS leaves 11, another client then writes 22, and the
+  // owner dispatches both events before the flusher's refill under 11.
+  ASSERT_TRUE(flusher.WriteWord(w, 11).ok());
+  ASSERT_TRUE(other.WriteWord(w, 22).ok());
+  EXPECT_EQ(owner.DispatchNotifications(), 2u);
+  uint64_t stale = 111;
+  cache.RefillExternal(1, AsConstBytes(stale), w, kWordSize, 11);
+  EXPECT_FALSE(cache.Lookup(1, AsBytes(out)))
+      << "served " << out << " while the word holds 22";
+
+  // One writer: its echo is the last event dispatched, so its own refill
+  // lands and the next read is a hit.
+  ASSERT_TRUE(flusher.WriteWord(w, 33).ok());
+  EXPECT_EQ(owner.DispatchNotifications(), 1u);
+  uint64_t fresh = 333;
+  cache.RefillExternal(1, AsConstBytes(fresh), w, kWordSize, 33);
+  ASSERT_TRUE(cache.Lookup(1, AsBytes(out)));
+  EXPECT_EQ(out, 333u);
+
+  // A loss warning forgets the last event's word: the event for 55 was
+  // delivered, but the later write of 66 overflowed the channel, so a
+  // refill under 55 cannot be trusted.
+  ASSERT_TRUE(flusher.WriteWord(w, 44).ok());
+  ASSERT_TRUE(flusher.WriteWord(w, 55).ok());
+  ASSERT_TRUE(other.WriteWord(w, 66).ok());
+  owner.DispatchNotifications();
+  EXPECT_EQ(cache.stats().loss_resets, 1u);
+  uint64_t lost = 555;
+  cache.RefillExternal(1, AsConstBytes(lost), w, kWordSize, 55);
+  EXPECT_FALSE(cache.Lookup(1, AsBytes(out)));
+}
+
 TEST(NearCacheTest, DisabledCacheChargesNothing) {
   TestEnv env;
   auto& client = env.NewClient();

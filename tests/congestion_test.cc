@@ -32,7 +32,7 @@ CongestionOptions Congested(uint64_t service_ns = 1'000,
 TEST(ServiceQueue, DisabledQueueAdmitsForFree) {
   ServiceQueue queue(CongestionOptions{});  // enabled = false
   for (int i = 0; i < 100; ++i) {
-    const AdmissionOutcome outcome = queue.Offer(0, 1, 64);
+    const AdmissionOutcome outcome = queue.Offer(0, 1);
     EXPECT_TRUE(outcome.admitted);
     EXPECT_EQ(outcome.queue_ns, 0u);
   }
@@ -44,7 +44,7 @@ TEST(ServiceQueue, IdleArrivalWaitsZero) {
   // The service rate is occupancy, not latency: the first op at an idle
   // node starts immediately, preserving the base model's fixed RTT.
   ServiceQueue queue(Congested(1'000));
-  const AdmissionOutcome outcome = queue.Offer(0, 1, 0);
+  const AdmissionOutcome outcome = queue.Offer(0, 1);
   EXPECT_TRUE(outcome.admitted);
   EXPECT_EQ(outcome.queue_ns, 0u);
 }
@@ -54,7 +54,7 @@ TEST(ServiceQueue, FifoBacklogGrowsByServiceTime) {
   // i * service_ns behind its predecessors.
   ServiceQueue queue(Congested(/*service_ns=*/1'000, /*queue_ops=*/64));
   for (uint64_t i = 0; i < 8; ++i) {
-    const AdmissionOutcome outcome = queue.Offer(0, 1, 0);
+    const AdmissionOutcome outcome = queue.Offer(0, 1);
     ASSERT_TRUE(outcome.admitted);
     EXPECT_EQ(outcome.queue_ns, i * 1'000) << "op " << i;
   }
@@ -62,32 +62,20 @@ TEST(ServiceQueue, FifoBacklogGrowsByServiceTime) {
   EXPECT_EQ(queue.BacklogNs(), 8u * 1'000);
 }
 
-TEST(ServiceQueue, BytesConsumeLinkBandwidth) {
-  CongestionOptions options = Congested(/*service_ns=*/100, /*queue_ops=*/64);
-  options.per_byte_service_ns = 2.0;
-  ServiceQueue queue(options);
-  // First op carries 1000 bytes: occupies 100 + 2*1000 ns of front end.
-  ASSERT_TRUE(queue.Offer(0, 1, 1'000).admitted);
-  // Second op waits behind the whole transfer, not just the op cost.
-  const AdmissionOutcome second = queue.Offer(0, 1, 0);
-  ASSERT_TRUE(second.admitted);
-  EXPECT_EQ(second.queue_ns, 100u + 2'000u);
-}
-
 TEST(ServiceQueue, BoundedQueueShedsAndChargesRejects) {
   ServiceQueue queue(Congested(/*service_ns=*/1'000, /*queue_ops=*/4));
   for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(queue.Offer(0, 1, 0).admitted);
+    ASSERT_TRUE(queue.Offer(0, 1).admitted);
   }
   // Queue full: the 5th simultaneous arrival is shed...
-  EXPECT_FALSE(queue.Offer(0, 1, 0).admitted);
+  EXPECT_FALSE(queue.Offer(0, 1).admitted);
   EXPECT_EQ(queue.Sheds(), 1u);
   // ...and the bounce itself consumed reject_ns of front-end time, so the
   // backlog a later arrival sees includes it.
   EXPECT_EQ(queue.BacklogNs(), 4u * 1'000 + 150);
   // Batch offers are all-or-nothing: 2 ops into 1 free slot (after one op
   // drains) shed together.
-  const AdmissionOutcome batch = queue.Offer(1'200, 2, 0);
+  const AdmissionOutcome batch = queue.Offer(1'200, 2);
   EXPECT_FALSE(batch.admitted);
   EXPECT_EQ(queue.Sheds(), 3u);
 }
@@ -95,16 +83,16 @@ TEST(ServiceQueue, BoundedQueueShedsAndChargesRejects) {
 TEST(ServiceQueue, DrainToIdleRestoresZeroWait) {
   ServiceQueue queue(Congested(/*service_ns=*/1'000, /*queue_ops=*/8));
   for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(queue.Offer(0, 1, 0).admitted);
+    ASSERT_TRUE(queue.Offer(0, 1).admitted);
   }
   EXPECT_EQ(queue.DepthOps(), 8u);
   // Long after the backlog completes, the node is idle again: zero wait,
   // zero depth — fixed-RTT behaviour is fully recovered.
-  const AdmissionOutcome late = queue.Offer(100'000, 1, 0);
+  const AdmissionOutcome late = queue.Offer(100'000, 1);
   ASSERT_TRUE(late.admitted);
   EXPECT_EQ(late.queue_ns, 0u);
   EXPECT_EQ(queue.DepthOps(), 1u);
-  EXPECT_EQ(queue.Offer(200'000, 1, 0).queue_ns, 0u);
+  EXPECT_EQ(queue.Offer(200'000, 1).queue_ns, 0u);
 }
 
 TEST(ServiceQueue, SetOptionsReconfiguresAtRuntime) {
@@ -112,16 +100,16 @@ TEST(ServiceQueue, SetOptionsReconfiguresAtRuntime) {
   EXPECT_FALSE(queue.enabled());
   queue.SetOptions(Congested(/*service_ns=*/500, /*queue_ops=*/16));
   EXPECT_TRUE(queue.enabled());
-  ASSERT_TRUE(queue.Offer(0, 1, 0).admitted);
-  EXPECT_EQ(queue.Offer(0, 1, 0).queue_ns, 500u);
+  ASSERT_TRUE(queue.Offer(0, 1).admitted);
+  EXPECT_EQ(queue.Offer(0, 1).queue_ns, 500u);
   // Slowdown phase: new work is priced at the new rate; backlog persists.
   CongestionOptions slow = Congested(/*service_ns=*/5'000, /*queue_ops=*/16);
   queue.SetOptions(slow);
-  EXPECT_EQ(queue.Offer(0, 1, 0).queue_ns, 2u * 500);
-  EXPECT_EQ(queue.Offer(0, 1, 0).queue_ns, 2u * 500 + 5'000);
+  EXPECT_EQ(queue.Offer(0, 1).queue_ns, 2u * 500);
+  EXPECT_EQ(queue.Offer(0, 1).queue_ns, 2u * 500 + 5'000);
   // Disable: admission is free again.
   queue.SetOptions(CongestionOptions{});
-  EXPECT_EQ(queue.Offer(0, 1, 0).queue_ns, 0u);
+  EXPECT_EQ(queue.Offer(0, 1).queue_ns, 0u);
 }
 
 // ------------------------- MemoryNode + FarClient -------------------------
@@ -161,7 +149,7 @@ TEST(Congestion, ShedSurfacesOverloadedOnSyncVerb) {
   // Fill the node's queue open-loop (other clients' offered load).
   MemoryNode& node = env.fabric().node(0);
   for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(node.OfferLoad(0, 1, 0).admitted);
+    ASSERT_TRUE(node.OfferLoad(0, 1).admitted);
   }
   const Result<uint64_t> result = client.ReadWord(*addr);
   ASSERT_FALSE(result.ok());
@@ -187,7 +175,7 @@ TEST(Congestion, RetryWithBackoffDrainsAndSucceeds) {
 
   MemoryNode& node = env.fabric().node(0);
   for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(node.OfferLoad(0, 1, 0).admitted);
+    ASSERT_TRUE(node.OfferLoad(0, 1).admitted);
   }
   // Backoff advances the client's clock, which advances the node's virtual
   // time, draining the backlog: with enough attempts the op always lands
@@ -212,7 +200,7 @@ TEST(Congestion, DeadlineBudgetFailsFast) {
 
   MemoryNode& node = env.fabric().node(0);
   for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(node.OfferLoad(0, 1, 0).admitted);
+    ASSERT_TRUE(node.OfferLoad(0, 1).admitted);
   }
   const uint64_t start = client.clock().now_ns();
   const Result<uint64_t> result = client.ReadWord(*addr);
@@ -234,7 +222,7 @@ TEST(Congestion, BatchCompletionCarriesOverloaded) {
 
   MemoryNode& node = env.fabric().node(0);
   for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(node.OfferLoad(0, 1, 0).admitted);
+    ASSERT_TRUE(node.OfferLoad(0, 1).admitted);
   }
   // One waiting slot left: the first posted op is admitted, the second is
   // shed at the (single-offer, no-retry) batch admission point.
@@ -269,7 +257,7 @@ TEST(Congestion, QueueingDelayExtendsRoundTrip) {
   // Pile 8 foreign ops onto the node, then measure again.
   MemoryNode& node = env.fabric().node(0);
   for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(node.OfferLoad(client.clock().now_ns(), 1, 0).admitted);
+    ASSERT_TRUE(node.OfferLoad(client.clock().now_ns(), 1).admitted);
   }
   t0 = client.clock().now_ns();
   ASSERT_TRUE(client.ReadWord(*addr).ok());

@@ -256,6 +256,56 @@ TEST(MonitoringTest, WindowDriftDetectsRegimeChange) {
   EXPECT_GT(*changed, 0.9);
 }
 
+// Virtual-time replay: drive the §6 monitoring pipeline from a fixed
+// schedule over simulated milliseconds — the producer samples every 1 ms,
+// windows rotate every 100 ms, the consumer polls every 10 ms (at 5 ms
+// offsets) — so the run does not depend on host scheduling. At a shared
+// timestamp the rotation runs first, then the poll, then the sample.
+TEST(MonitoringTest, DrivesReplayDeterministically) {
+  TestEnv env;
+  auto& producer_client = env.NewClient();
+  auto& consumer_client = env.NewClient();
+  MonitorConfig config;
+  config.num_bins = 32;
+  config.max_value = 32.0;
+  config.warn_bin = 24;
+  config.critical_bin = 28;
+  config.failure_bin = 30;
+  config.alarm_duration = 2;
+  config.num_windows = 4;
+  auto store = MonitorStore::Create(&producer_client, &env.alloc(), config);
+  ASSERT_TRUE(store.ok());
+  MetricProducer producer(&*store, &producer_client);
+  MetricConsumer consumer(&*store, &consumer_client,
+                          AlarmSeverity::kWarning);
+  ASSERT_TRUE(consumer.Subscribe().ok());
+
+  uint64_t samples = 0;
+  uint64_t alarms = 0;
+  Rng rng(5);
+  for (uint64_t ms = 0; ms <= 405; ++ms) {
+    if (ms >= 100 && ms <= 400 && ms % 100 == 0) {
+      ASSERT_TRUE(producer.RotateWindow().ok());
+    }
+    if (ms % 10 == 5) {
+      auto polled = consumer.Poll();
+      ASSERT_TRUE(polled.ok());
+      alarms += polled->size();
+    }
+    if (ms <= 400) {
+      // Spike into the alarm range between 150 ms and 250 ms.
+      const bool spike = ms >= 150 && ms < 250;
+      const double value = spike ? 26.0 : rng.NextDouble() * 20.0;
+      ASSERT_TRUE(producer.Record(value).ok());
+      ++samples;
+    }
+  }
+
+  EXPECT_GE(samples, 400u);
+  EXPECT_GT(alarms, 0u) << "the 150-250ms spike must alarm";
+  EXPECT_GE(consumer.rotations_seen(), 3u);
+}
+
 // ------------- §6's headline: transfer counts, smart vs naive -------------
 
 TEST(MonitoringTest, HistogramBeatsNaiveOnTransfers) {

@@ -156,7 +156,7 @@ TEST(TraceRingTest, ZeroCapacityDropsEverything) {
 TEST(TraceExportTest, ChromeTraceHasRequiredKeysOnEveryEvent) {
   TestEnv env(SmallFabric());
   FarClient& client = env.NewClient();
-  client.EnableObs(ObsOptions::All(128));
+  client.EnableObs(ObsOptions::All());
   {
     ScopedOpLabel label(&client.recorder(), "test.sweep");
     for (int i = 0; i < 4; ++i) {
@@ -207,7 +207,7 @@ TEST(TraceExportTest, ChromeTraceHasRequiredKeysOnEveryEvent) {
 TEST(ObsClientTest, BatchedLatencySharesSumToClockDelta) {
   TestEnv env(SmallFabric());
   FarClient& client = env.NewClient();
-  client.EnableObs(ObsOptions::All(1024));
+  client.EnableObs(ObsOptions::All());
 
   for (int i = 0; i < 8; ++i) {
     ASSERT_TRUE(client.WriteWord(i * kWordSize, i + 100).ok());

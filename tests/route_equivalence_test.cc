@@ -42,7 +42,6 @@ DataplaneRouterOptions ArmRouterOptions(ArmKind kind) {
     // Aggressive exploration: flip-flop between paths mid-stream so the
     // equivalence check covers interleavings of both protocols.
     options.probe_period = 4;
-    options.min_samples = 2;
   }
   return options;
 }

@@ -44,15 +44,27 @@ HtTree::Options DeepChainOptions(uint64_t buckets = 512) {
 
 // ------------------------- router policy mechanics -------------------------
 
+// Runs the cold start on the (kGet, node 0) cell: kMinSamples decide/observe
+// rounds per route at constant per-unit costs, after which each estimate
+// equals its route's cost.
+void WarmUp(DataplaneRouter& router, uint64_t one_sided_ns, uint64_t rpc_ns) {
+  for (uint64_t i = 0; i < DataplaneRouter::kMinSamples; ++i) {
+    (void)router.Decide(RoutedOp::kGet, 0, 1.0, 1);
+    router.Observe(RoutedOp::kGet, 0, DataplaneRoute::kOneSided, one_sided_ns,
+                   1.0, 1);
+    (void)router.Decide(RoutedOp::kGet, 0, 1.0, 1);
+    router.Observe(RoutedOp::kGet, 0, DataplaneRoute::kRpc, rpc_ns, 1.0, 1);
+  }
+}
+
 TEST(RouterPolicy, ColdStartAlternatesThenConverges) {
   TestEnv env(SmallFabric(1));
   auto& client = env.NewClient();
   DataplaneRouterOptions options;
-  options.min_samples = 3;
   options.probe_period = 0;  // isolate the decision rule
   DataplaneRouter router(&client, options);
 
-  // Cold start: each route must be offered until both have min_samples.
+  // Cold start: each route must be offered until both have kMinSamples.
   std::vector<DataplaneRoute> first;
   for (int i = 0; i < 6; ++i) {
     const DataplaneRoute route = router.Decide(RoutedOp::kGet, 0, 1.0, 1);
@@ -81,36 +93,40 @@ TEST(RouterPolicy, HysteresisDefendsIncumbent) {
   TestEnv env(SmallFabric(1));
   auto& client = env.NewClient();
   DataplaneRouterOptions options;
-  options.min_samples = 1;
   options.probe_period = 0;
-  options.hysteresis = 1.5;
-  options.ewma_alpha = 1.0;  // estimates track the last observation exactly
   DataplaneRouter router(&client, options);
 
-  // Seed both routes; one-sided (1000) beats RPC (1200) and becomes the
+  // Seed both routes; one-sided (1000) beats RPC (1200) and stays the
   // incumbent.
-  auto seed = [&](DataplaneRoute route, uint64_t ns) {
-    router.Observe(RoutedOp::kGet, 0, route, ns, 1.0, 1);
-  };
-  (void)router.Decide(RoutedOp::kGet, 0, 1.0, 1);
-  seed(DataplaneRoute::kOneSided, 1000);
-  (void)router.Decide(RoutedOp::kGet, 0, 1.0, 1);
-  seed(DataplaneRoute::kRpc, 1200);
+  WarmUp(router, 1000, 1200);
   EXPECT_EQ(router.Decide(RoutedOp::kGet, 0, 1.0, 1),
             DataplaneRoute::kOneSided);
   const uint64_t flips_before = router.flips();
 
-  // RPC becomes modestly better (800 vs 1000): inside the 1.5x band, the
-  // incumbent keeps the traffic.
-  seed(DataplaneRoute::kRpc, 800);
-  EXPECT_EQ(router.Decide(RoutedOp::kGet, 0, 1.0, 1),
-            DataplaneRoute::kOneSided);
-  EXPECT_EQ(router.flips(), flips_before);
-
-  // RPC becomes decisively better (500 * 1.5 < 1000): flip.
-  seed(DataplaneRoute::kRpc, 500);
-  EXPECT_EQ(router.Decide(RoutedOp::kGet, 0, 1.0, 1), DataplaneRoute::kRpc);
-  EXPECT_EQ(router.flips(), flips_before + 1);
+  // Walk the RPC estimate down with 500 ns observations. While RPC ×
+  // kHysteresis stays at or above the incumbent's 1000 ns — even once RPC
+  // alone is cheaper — one-sided keeps the traffic; the first decision
+  // past that point flips.
+  double rpc_estimate = 1200.0;
+  int cheaper_inside_band = 0;
+  bool flipped = false;
+  for (int step = 0; step < 20 && !flipped; ++step) {
+    router.Observe(RoutedOp::kGet, 0, DataplaneRoute::kRpc, 500, 1.0, 1);
+    rpc_estimate += DataplaneRouter::kEwmaAlpha * (500.0 - rpc_estimate);
+    EXPECT_NEAR(router.EstimateNs(RoutedOp::kGet, 0, DataplaneRoute::kRpc),
+                rpc_estimate, 1e-6);
+    flipped = rpc_estimate * DataplaneRouter::kHysteresis < 1000.0;
+    if (!flipped && rpc_estimate < 1000.0) {
+      ++cheaper_inside_band;
+    }
+    EXPECT_EQ(router.Decide(RoutedOp::kGet, 0, 1.0, 1),
+              flipped ? DataplaneRoute::kRpc : DataplaneRoute::kOneSided)
+        << "rpc estimate " << rpc_estimate;
+    EXPECT_EQ(router.flips(), flips_before + (flipped ? 1 : 0));
+  }
+  ASSERT_TRUE(flipped);
+  EXPECT_GT(cheaper_inside_band, 0)
+      << "a cheaper RPC inside the band must not take over";
   EXPECT_EQ(client.stats().route_flips, router.flips());
 }
 
@@ -118,16 +134,11 @@ TEST(RouterPolicy, ComplexityUnitsScaleOneSidedCost) {
   TestEnv env(SmallFabric(1));
   auto& client = env.NewClient();
   DataplaneRouterOptions options;
-  options.min_samples = 1;
   options.probe_period = 0;
-  options.ewma_alpha = 1.0;
   DataplaneRouter router(&client, options);
 
   // One-sided costs 900 ns per round trip; RPC costs 2000 ns per key flat.
-  (void)router.Decide(RoutedOp::kGet, 0, 1.0, 1);
-  router.Observe(RoutedOp::kGet, 0, DataplaneRoute::kOneSided, 900, 1.0, 1);
-  (void)router.Decide(RoutedOp::kGet, 0, 1.0, 1);
-  router.Observe(RoutedOp::kGet, 0, DataplaneRoute::kRpc, 2000, 1.0, 1);
+  WarmUp(router, 900, 2000);
 
   // Shallow op (1 unit): 900 < 2000 -> one-sided.
   EXPECT_EQ(router.Decide(RoutedOp::kGet, 0, 1.0, 1),
@@ -141,15 +152,10 @@ TEST(RouterPolicy, ProbesRideTheLosingRoute) {
   TestEnv env(SmallFabric(1));
   auto& client = env.NewClient();
   DataplaneRouterOptions options;
-  options.min_samples = 1;
   options.probe_period = 4;
-  options.ewma_alpha = 1.0;
   DataplaneRouter router(&client, options);
 
-  (void)router.Decide(RoutedOp::kGet, 0, 1.0, 1);
-  router.Observe(RoutedOp::kGet, 0, DataplaneRoute::kOneSided, 500, 1.0, 1);
-  (void)router.Decide(RoutedOp::kGet, 0, 1.0, 1);
-  router.Observe(RoutedOp::kGet, 0, DataplaneRoute::kRpc, 5000, 1.0, 1);
+  WarmUp(router, 500, 5000);
 
   const uint64_t probes_before = router.probes();
   int rpc_decisions = 0;

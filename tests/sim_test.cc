@@ -1,10 +1,7 @@
 #include <gtest/gtest.h>
 
-#include "src/apps/monitoring/monitoring.h"
-#include "src/sim/event_queue.h"
 #include "src/sim/latency_model.h"
 #include "src/sim/sim_clock.h"
-#include "tests/test_env.h"
 
 namespace fmds {
 namespace {
@@ -24,125 +21,6 @@ TEST(LatencyModelTest, RoundTripScalesWithBytes) {
   EXPECT_GT(model.FarRoundTripNs(4096), model.FarRoundTripNs(8));
   EXPECT_EQ(model.FarRoundTripNs(0), model.far_base_ns);
   EXPECT_GT(model.RpcNs(64, 64), model.FarRoundTripNs(128));
-}
-
-TEST(EventQueueTest, RunsInTimestampOrder) {
-  EventQueue queue;
-  std::vector<int> order;
-  queue.ScheduleAt(300, [&] { order.push_back(3); });
-  queue.ScheduleAt(100, [&] { order.push_back(1); });
-  queue.ScheduleAt(200, [&] { order.push_back(2); });
-  EXPECT_EQ(queue.RunUntil(), 3u);
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-  EXPECT_EQ(queue.now_ns(), 300u);
-}
-
-TEST(EventQueueTest, StableOrderAtSameTimestamp) {
-  EventQueue queue;
-  std::vector<int> order;
-  for (int i = 0; i < 5; ++i) {
-    queue.ScheduleAt(100, [&, i] { order.push_back(i); });
-  }
-  queue.RunUntil();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(EventQueueTest, RunUntilStopsAtBoundary) {
-  EventQueue queue;
-  int ran = 0;
-  queue.ScheduleAt(100, [&] { ++ran; });
-  queue.ScheduleAt(500, [&] { ++ran; });
-  EXPECT_EQ(queue.RunUntil(250), 1u);
-  EXPECT_EQ(ran, 1);
-  EXPECT_EQ(queue.pending(), 1u);
-  EXPECT_EQ(queue.RunUntil(), 1u);
-  EXPECT_EQ(ran, 2);
-}
-
-TEST(EventQueueTest, EventsCanScheduleEvents) {
-  EventQueue queue;
-  int depth = 0;
-  std::function<void()> chain = [&] {
-    if (++depth < 5) {
-      queue.ScheduleAfter(10, chain);
-    }
-  };
-  queue.ScheduleAt(0, chain);
-  queue.RunUntil();
-  EXPECT_EQ(depth, 5);
-  EXPECT_EQ(queue.now_ns(), 40u);
-}
-
-TEST(EventQueueTest, NeverSchedulesIntoThePast) {
-  EventQueue queue;
-  uint64_t observed = 0;
-  queue.ScheduleAt(100, [&] {
-    queue.ScheduleAt(50, [&] { observed = queue.now_ns(); });  // clamped
-  });
-  queue.RunUntil();
-  EXPECT_EQ(observed, 100u);
-}
-
-// Virtual-time replay: drive the §6 monitoring pipeline from a
-// deterministic event schedule — producer samples every 1 ms, windows
-// rotate every 100 ms, consumer polls every 10 ms.
-TEST(EventQueueTest, DrivesMonitoringReplayDeterministically) {
-  TestEnv env;
-  auto& producer_client = env.NewClient();
-  auto& consumer_client = env.NewClient();
-  MonitorConfig config;
-  config.num_bins = 32;
-  config.max_value = 32.0;
-  config.warn_bin = 24;
-  config.critical_bin = 28;
-  config.failure_bin = 30;
-  config.alarm_duration = 2;
-  config.num_windows = 4;
-  auto store = MonitorStore::Create(&producer_client, &env.alloc(), config);
-  ASSERT_TRUE(store.ok());
-  MetricProducer producer(&*store, &producer_client);
-  MetricConsumer consumer(&*store, &consumer_client,
-                          AlarmSeverity::kWarning);
-  ASSERT_TRUE(consumer.Subscribe().ok());
-
-  EventQueue schedule;
-  uint64_t samples = 0;
-  uint64_t alarms = 0;
-  Rng rng(5);
-  constexpr uint64_t kMs = 1'000'000;
-  std::function<void()> sample = [&] {
-    // Spike into the alarm range between 150 ms and 250 ms.
-    const bool spike =
-        schedule.now_ns() >= 150 * kMs && schedule.now_ns() < 250 * kMs;
-    const double value = spike ? 26.0 : rng.NextDouble() * 20.0;
-    ASSERT_TRUE(producer.Record(value).ok());
-    ++samples;
-    if (schedule.now_ns() < 400 * kMs) {
-      schedule.ScheduleAfter(1 * kMs, sample);
-    }
-  };
-  std::function<void()> rotate = [&] {
-    ASSERT_TRUE(producer.RotateWindow().ok());
-    if (schedule.now_ns() < 400 * kMs) {
-      schedule.ScheduleAfter(100 * kMs, rotate);
-    }
-  };
-  std::function<void()> poll = [&] {
-    auto polled = consumer.Poll();
-    ASSERT_TRUE(polled.ok());
-    alarms += polled->size();
-    if (schedule.now_ns() < 400 * kMs) {
-      schedule.ScheduleAfter(10 * kMs, poll);
-    }
-  };
-  schedule.ScheduleAt(0, sample);
-  schedule.ScheduleAt(100 * kMs, rotate);
-  schedule.ScheduleAt(5 * kMs, poll);
-  schedule.RunUntil(410 * kMs);
-
-  EXPECT_GE(samples, 400u);
-  EXPECT_GT(alarms, 0u) << "the 150-250ms spike must alarm";
-  EXPECT_GE(consumer.rotations_seen(), 3u);
 }
 
 }  // namespace

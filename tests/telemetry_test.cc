@@ -224,8 +224,8 @@ TEST(SnapshotterTest, ConcurrentRecordingAndSampling) {
   std::thread ta(worker, &a);
   std::thread tb(worker, &b);
   for (int i = 0; i < 50; ++i) {
-    (void)a.recorder().RecentP99All();
-    (void)b.recorder().RecentOpsPerSec(0);
+    (void)a.recorder().windowed()->RecentP99All();
+    (void)b.recorder().windowed()->RecentOpsPerSec(0);
     (void)hub.Snapshot();
   }
   ta.join();
@@ -238,7 +238,8 @@ TEST(SnapshotterTest, ConcurrentRecordingAndSampling) {
             b.recorder().windowed()->RecentCountAll());
   double node_rate_sum = 0.0;
   for (size_t n = 0; n < a.recorder().windowed()->node_count(); ++n) {
-    node_rate_sum += a.recorder().RecentOpsPerSec(static_cast<NodeId>(n));
+    node_rate_sum +=
+        a.recorder().windowed()->RecentOpsPerSec(static_cast<NodeId>(n));
   }
   EXPECT_GT(node_rate_sum, 0.0);
   gauges.Release();

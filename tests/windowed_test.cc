@@ -350,8 +350,6 @@ TEST(RecorderWindowedTest, OffByDefault) {
   OpRecorder recorder(1);
   EXPECT_EQ(recorder.windowed(), nullptr);
   EXPECT_FALSE(recorder.recording());
-  EXPECT_EQ(recorder.RecentP99All(), 0u);
-  EXPECT_EQ(recorder.RecentOpsPerSec(0), 0.0);
 }
 
 TEST(RecorderWindowedTest, PauseDropsRecordsResumeKeepsState) {

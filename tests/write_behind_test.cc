@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -107,6 +109,83 @@ TEST(WriteBehindTest, WriterSideRefillKeepsCacheWarm) {
   EXPECT_EQ(*map->Get(5), 51u);
   EXPECT_EQ(client.stats().far_ops - before, 0u)
       << "writer-side refill served the read from near memory";
+}
+
+TEST(WriteBehindTest, FlusherRefillNeverResurrectsAnOlderValue) {
+  // The flusher refills the app's cache only after its whole batch
+  // published. A rival client that rewrites the key between the flusher's
+  // CAS and that refill — while the app thread dispatches both events —
+  // must not leave the app's cache serving the app's own older value. The
+  // rival aims at that window: it polls far memory until the flusher's
+  // write of the key shows, then writes the key itself. Each round takes a
+  // fresh key that the flusher published once before, so the flusher's
+  // head hint for its bucket is current and its batch CASes the key in the
+  // first wave, well before the refill.
+  TestEnv env(BigFabric());
+  auto& app = env.NewClient();
+  auto& rival = env.NewClient();
+  HtTree::Options options = SmallTables(/*buckets=*/4096);
+  options.cache.budget_bytes = 4 << 20;
+  options.cache.admit_after = 1;
+  auto map = HtTree::Create(&app, &env.alloc(), options);
+  ASSERT_TRUE(map.ok());
+  ASSERT_TRUE(map->EnableWriteBehind(ManualFlush(/*max_batch=*/256)).ok());
+  auto rival_map = HtTree::Attach(&rival, &env.alloc(), map->header(),
+                                  SmallTables(/*buckets=*/4096));
+  ASSERT_TRUE(rival_map.ok());
+
+  constexpr uint64_t kFillerBase = 1'000;  // 255 fillers complete a batch
+  constexpr uint64_t kReaderBase = 5'000;  // cached keys the app Gets
+  constexpr uint64_t kReaders = 16;
+  constexpr uint64_t kKeyBase = 10'000;
+  for (uint64_t r = 0; r < kReaders; ++r) {
+    ASSERT_TRUE(map->Put(kReaderBase + r, r).ok());
+  }
+  ASSERT_TRUE(map->FlushBarrier().ok());
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(1500);
+  int rounds = 0;
+  int stale = 0;
+  int rival_won = 0;
+  for (; rounds < 1000 && std::chrono::steady_clock::now() < deadline;
+       ++rounds) {
+    const uint64_t key = kKeyBase + rounds;
+    ASSERT_TRUE(map->Put(key, 1).ok());
+    ASSERT_TRUE(map->FlushBarrier().ok());
+    ASSERT_TRUE(map->Get(key).ok());  // resident and valid
+    const uint64_t app_value = 1'000'000 + rounds;
+    const uint64_t rival_value = 2'000'000 + rounds;
+    std::atomic<bool> go{false};
+    std::thread writer([&] {
+      while (!go.load(std::memory_order_acquire)) {
+        std::this_thread::yield();
+      }
+      while (*rival_map->Get(key) != app_value &&
+             !map->write_behind()->Empty()) {
+      }
+      ASSERT_TRUE(rival_map->Put(key, rival_value).ok());
+    });
+    ASSERT_TRUE(map->Put(key, app_value).ok());
+    for (uint64_t f = 0; f < 255; ++f) {
+      ASSERT_TRUE(map->Put(kFillerBase + f, rounds).ok());
+    }
+    go.store(true, std::memory_order_release);  // the batch is full
+    // Gets on keys outside the batch dispatch the app's events while the
+    // flusher publishes and refills.
+    for (uint64_t r = 0; !map->write_behind()->Empty(); ++r) {
+      ASSERT_TRUE(map->Get(kReaderBase + r % kReaders).ok());
+    }
+    writer.join();
+    ASSERT_TRUE(map->FlushBarrier().ok());
+    const Result<uint64_t> truth = rival_map->Get(key);
+    const Result<uint64_t> got = map->Get(key);
+    ASSERT_TRUE(truth.ok() && got.ok());
+    stale += *got != *truth ? 1 : 0;
+    rival_won += *truth == rival_value ? 1 : 0;
+  }
+  EXPECT_EQ(stale, 0) << "of " << rounds << " rounds";
+  EXPECT_GT(rival_won, 0) << "the rival's write never landed last";
 }
 
 TEST(WriteBehindTest, RandomizedShadowEquivalence) {
