@@ -84,7 +84,8 @@ T CheckOk(Result<T> result, const char* what) {
 // JSON array of {"name": ..., <config and metric fields>} objects so runs
 // are diffable across commits and scripts can track headline numbers.
 // The default output path is per-bench (BENCH_<id>.json in the working
-// directory); `--json=<path>` overrides it.
+// directory, BENCH_<id>_smoke.json under --smoke); `--json=<path>`
+// overrides it.
 class BenchJson {
  public:
   // Starts a new result entry; subsequent Num/Int/Str calls attach to it.
@@ -151,18 +152,6 @@ class BenchJson {
   std::vector<Entry> entries_;
 };
 
-// The --json=<path> argument, or `default_path` when absent.
-inline std::string JsonOutputPath(int argc, char** argv,
-                                  const std::string& default_path) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--json=", 0) == 0) {
-      return arg.substr(7);
-    }
-  }
-  return default_path;
-}
-
 // True when `flag` (e.g. "--smoke") appears verbatim on the command line.
 inline bool FlagPresent(int argc, char** argv, const char* flag) {
   for (int i = 1; i < argc; ++i) {
@@ -171,6 +160,25 @@ inline bool FlagPresent(int argc, char** argv, const char* flag) {
     }
   }
   return false;
+}
+
+// The --json=<path> argument, or `default_path` when absent. Under --smoke
+// the default gains a `_smoke` suffix (BENCH_e16.json becomes
+// BENCH_e16_smoke.json), so a smoke run never overwrites the committed
+// results of a full run.
+inline std::string JsonOutputPath(int argc, char** argv,
+                                  const std::string& default_path) {
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg.rfind("--json=", 0) == 0) {
+      return arg.substr(7);
+    }
+  }
+  const size_t ext = default_path.rfind(".json");
+  if (FlagPresent(argc, argv, "--smoke") && ext != std::string::npos) {
+    return default_path.substr(0, ext) + "_smoke.json";
+  }
+  return default_path;
 }
 
 // The --repeat=N argument, or 1 when absent. Benches that honor it run each

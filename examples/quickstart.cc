@@ -40,9 +40,12 @@ int main() {
   std::printf("counter = %llu\n",
               static_cast<unsigned long long>(*counter->Get(client)));
 
-  // 4. The HT-tree map (§5.2): 1 far access per lookup, 2 per store.
+  // 4. The HT-tree map (§5.2): 1 far access per lookup, 2 per store. A
+  // store reads its bucket head, then writes the item and CASes the bucket
+  // in one doorbell, which needs both on one node: pin the map to one.
   HtTree::Options map_options;
   map_options.buckets_per_table = 4096;  // low load factor: no chains
+  map_options.placement = AllocHint::OnNode(0);
   auto map = HtTree::Create(&client, &alloc, map_options);
   for (uint64_t k = 1; k <= 1000; ++k) {
     (void)map->Put(k, k * k);

@@ -2,10 +2,9 @@
 //
 // Shared eviction core of the near-memory caching layer (§3: client-side
 // caches are what turn the ~10x near/far gap into throughput): NearCache
-// drives it by byte budget, HtTree's bucket-head hint cache by entry count.
+// drives it by byte budget and, by entry count, its admission filter.
 // CLOCK approximates LRU with one reference bit per slot and a sweeping
-// hand — eviction is O(slots swept), amortized O(1), instead of the O(n)
-// wholesale clear the hint cache used before.
+// hand — eviction is O(slots swept), amortized O(1).
 //
 // Not thread-safe: like everything client-side, one owner thread.
 #ifndef FMDS_SRC_CACHE_CLOCK_RING_H_

@@ -73,15 +73,15 @@ void HtTree::CacheAdmitValue(uint64_t key, uint64_t value, FarAddr bucket,
     return;
   }
   // Only version-checked, chain-resolved FOUND results reach this point:
-  // caching an unvalidated read would make a stale value sticky (same
-  // lesson as the BatchPut hint rule below). Absent keys and tombstones
-  // are not cached — negative entries would pin budget for keys the
-  // workload may never ask about again. `head` is the bucket word observed
-  // by the read that resolved this value: Admit's read-and-arm subscribe
-  // compares it against the word at arm time, so a bucket CAS racing the
-  // window between our read and the subscription cannot pin a stale value
-  // (every mutation swings the head to a freshly allocated item, so an
-  // unchanged head word means an unchanged chain).
+  // caching an unvalidated read would make a stale value sticky (a store's
+  // CAS prediction follows the same rule, DESIGN.md §7). Absent keys and
+  // tombstones are not cached — negative entries would pin budget for keys
+  // the workload may never ask about again. `head` is the bucket word
+  // observed by the read that resolved this value: Admit's read-and-arm
+  // subscribe compares it against the word at arm time, so a bucket CAS
+  // racing the window between our read and the subscription cannot pin a
+  // stale value (every mutation swings the head to a freshly allocated
+  // item, so an unchanged head word means an unchanged chain).
   near_cache_->Admit(key, AsConstBytes(value), bucket, kWordSize, head);
 }
 
@@ -365,17 +365,22 @@ Status HtTree::RefreshPath(uint64_t hash) {
 }
 
 namespace {
-// The serial driver of a point op's one-key engine: every posted op runs as
-// the sync verb it stands for, so the op pays exactly the protocol's serial
-// round trips (one for a fresh lookup, two for a fresh store) and none of a
-// doorbell's accounting.
+// The point driver of a one-key engine. A wave of one op runs as the sync
+// verb it stands for, so a lookup and a store's head read pay exactly the
+// serial round trip and none of a doorbell's accounting. A wave of two — a
+// store's item write and bucket CAS on one node — rings one doorbell, so a
+// fresh store costs two round trips.
 template <typename Engine>
-void RunSerial(FarClient* client, Engine& engine) {
+void RunPoint(FarClient* client, Engine& engine) {
   std::array<FarClient::Completion, 2> done;  // a key posts <= 2 ops a wave
   while (const size_t posted = engine.PostWave()) {
     assert(posted <= done.size());
     const std::span<FarClient::Completion> wave(done.data(), posted);
-    client->ExecuteSerially(wave);
+    if (posted == 1) {
+      client->ExecuteSerially(wave);
+    } else {
+      client->RingDoorbell(wave);
+    }
     engine.AbsorbWave(wave);
   }
 }
@@ -463,7 +468,7 @@ Result<uint64_t> HtTree::Get(uint64_t key) {
         return Result<uint64_t>(view->value);
       },
       [&] {
-        RunSerial(client_, engine);
+        RunPoint(client_, engine);
         return engine.Take(0);
       });
 }
@@ -479,7 +484,7 @@ Result<HtTree::TxnReadView> HtTree::TxnRead(uint64_t key, bool allow_cache) {
   }
   BatchGet engine(this, std::span<const uint64_t>(&key, 1),
                   /*txn_mode=*/true);
-  RunSerial(client_, engine);
+  RunPoint(client_, engine);
   return engine.TakeView(0);
 }
 
@@ -585,58 +590,67 @@ void HtTree::BatchGet::AbsorbWave(
   }
 }
 
-void HtTree::BatchGet::AbsorbHead(size_t i) {
-  Probe& probe = probes_[i];
-  map_->client_->AccountNear(1);
-  const uint64_t meta = probe.item.meta;
-  if ((meta & kFlagRetired) != 0 || VersionOf(meta) != probe.leaf.version) {
-    Retry(i, /*stale=*/true);
-    return;
+HtTree::HeadCheck HtTree::CheckHead(const Item& head,
+                                    const CachedNode& leaf) {
+  client_->AccountNear(1);
+  if ((head.meta & kFlagRetired) != 0 ||
+      VersionOf(head.meta) != leaf.version) {
+    return HeadCheck::kStale;
   }
   // A pending head is a transaction's lock record (only ever at the head);
   // the pre-transaction chain hangs off its `next`.
-  if ((meta & kFlagPending) != 0) {
-    if (txn_mode_) {
-      // A txn read must NOT resolve the pre-transaction view: the only word
-      // it could record would be the lock record's address, and validating
-      // against that would certify a read the in-flight commit is about to
-      // overwrite (write skew). Wait for a clean head instead.
-      Retry(i, /*stale=*/false);
+  return (head.meta & kFlagPending) != 0 ? HeadCheck::kPending
+                                         : HeadCheck::kLive;
+}
+
+Status HtTree::BeforeReread(bool stale, int32_t leaf_index, FarAddr table,
+                            uint64_t hash, int* attempts,
+                            const char* exhausted) {
+  if (stale && CachesLeaf(leaf_index, table)) {
+    FMDS_RETURN_IF_ERROR(RefreshPath(hash));
+  }
+  StaleBackoff(*attempts);
+  if (++*attempts >= kMaxOpRetries) {
+    return Aborted(exhausted);
+  }
+  return OkStatus();
+}
+
+void HtTree::BatchGet::AbsorbHead(size_t i) {
+  Probe& probe = probes_[i];
+  switch (map_->CheckHead(probe.item, probe.leaf)) {
+    case HeadCheck::kStale:
+      Retry(i, /*stale=*/true);
       return;
-    }
-    // A lookup resolves that view wait-free, but the pending address must
-    // never become a CAS-prediction hint (a Put predicting it would steal
-    // the lock) or a cache watch word (a txn validating against it would
-    // miss the commit).
-    probe.pending_seen = true;
-    probe.stage = Stage::kWalk;
-    return;
+    case HeadCheck::kPending:
+      if (txn_mode_) {
+        // A txn read must NOT resolve the pre-transaction view: the only
+        // word it could record would be the lock record's address, and
+        // validating against that would certify a read the in-flight commit
+        // is about to overwrite (write skew). Wait for a clean head instead.
+        Retry(i, /*stale=*/false);
+        return;
+      }
+      // A lookup resolves that view wait-free, but the pending address must
+      // never become a cache watch word (a txn validating against it would
+      // miss the commit).
+      probe.pending_seen = true;
+      probe.stage = Stage::kWalk;
+      return;
+    case HeadCheck::kLive:
+      Classify(i);
+      return;
   }
-  // Hint only a head that passed the checks above: a lookup giving up on a
-  // frozen, unpublished table must not leave the retired sentinel as the
-  // next store's CAS prediction, or that store "succeeds" into the dead
-  // table (DESIGN.md §7).
-  if (map_->options_.use_head_hints) {
-    map_->head_hints_.Upsert(probe.bucket, probe.head);
-  }
-  Classify(i);
 }
 
 void HtTree::BatchGet::Retry(size_t i, bool stale) {
   Probe& probe = probes_[i];
-  // A batch refreshes a stale leaf once: a probe whose leaf another probe
-  // already refreshed just descends again.
-  if (stale && map_->CachesLeaf(probe.leaf_index, probe.leaf.table)) {
-    if (Status refreshed = map_->RefreshPath(probe.hash); !refreshed.ok()) {
-      probe.result = refreshed;
-      probe.stage = Stage::kDone;
-      return;
-    }
-  }
-  StaleBackoff(probe.attempts);
-  if (++probe.attempts >= kMaxOpRetries) {
-    probe.result = Aborted(txn_mode_ ? "txn read waited out a pending bucket"
-                                     : "get retries exhausted");
+  const Status status = map_->BeforeReread(
+      stale, probe.leaf_index, probe.leaf.table, probe.hash, &probe.attempts,
+      txn_mode_ ? "txn read waited out a pending bucket"
+                : "get retries exhausted");
+  if (!status.ok()) {
+    probe.result = status;
     probe.stage = Stage::kDone;
     return;
   }
@@ -797,16 +811,13 @@ Status HtTree::EnableRouting(RouteDecider* decider, RemoteMapPath* remote) {
 void HtTree::ApplyLandedStore(uint64_t key, uint64_t value,
                               const WriteOutcome& outcome) {
   // The CAS — this handle's own, a txn round's or the RPC agent's — left the
-  // bucket word equal to `outcome.head`, so the hint and the refill are
-  // exactly as fresh as the word itself. Word-versioned coherence covers the
+  // bucket word equal to `outcome.head`, so the refill is exactly as fresh
+  // as the word itself. Word-versioned coherence covers the
   // race with later writers: their events carry a different word and kill
   // the entry, and none of their queued events can have been dispatched
   // between the publish and this refill (no DispatchCacheInvalidations in
   // between). Non-resident keys are untouched and a moved watch degrades
   // to an invalidate, so read-your-writes holds in every case.
-  if (options_.use_head_hints && outcome.bucket != kNullFarAddr) {
-    head_hints_.Upsert(outcome.bucket, outcome.head);
-  }
   if (near_cache_ == nullptr) {
     return;
   }
@@ -876,7 +887,7 @@ Status HtTree::Store(uint64_t key, uint64_t value, bool tombstone) {
         return OkStatus();
       },
       [&] {
-        RunSerial(client_, engine);
+        RunPoint(client_, engine);
         return engine.Take();
       });
 }
@@ -917,25 +928,19 @@ HtTree::BatchPut::BatchPut(HtTree* map, std::span<const uint64_t> keys,
 
 size_t HtTree::BatchPut::PostWave() {
   FarClient* client = map_->client_;
-  // Same-bucket ops within one wave chain their predictions: op k links
-  // (and predicts) op k-1's slot, so the whole chain rides the ordered
-  // doorbell with zero intra-batch mispredictions. Without this, a batch
-  // of hot keys (write-behind under Zipf) collides on its own buckets and
-  // every op past the first pays a mispredict's extra waves. Only each
+  // Same-bucket ops publishing in one wave chain their predictions: op k
+  // links (and predicts) op k-1's slot, so the whole chain rides the
+  // ordered doorbell with zero intra-batch misses. Without this, a batch of
+  // hot keys (write-behind under Zipf) collides on its own buckets and every
+  // op past the first pays a missed CAS and a second read. Only each
   // chain's FIRST op races external writers. A lone op has no chain.
   const bool chained = ops_.size() > 1;
   chain_tail_.clear();
-  auto tail_of = [&](FarAddr bucket) -> const Op* {
-    const auto it = chained ? chain_tail_.find(bucket) : chain_tail_.end();
-    return it == chain_tail_.end() ? nullptr : it->second;
-  };
   size_t posted = 0;
   for (Op& op : ops_) {
     switch (op.state) {
-      case State::kInit:
-      case State::kRewrite: {
-        const bool fresh = op.state == State::kInit;
-        if (fresh) {
+      case State::kRead:
+        if (op.slot == kNullFarAddr) {
           auto slot = map_->AllocItemSlot();
           if (!slot.ok()) {
             op.result = slot.status();
@@ -944,70 +949,55 @@ size_t HtTree::BatchPut::PostWave() {
           }
           op.slot = *slot;
         }
+        // Descend the cached trie again on every read: a read after a
+        // refresh lands on the fresh leaf.
         op.leaf_index = map_->DescendCached(op.hash);
         op.leaf = map_->nodes_[op.leaf_index];
         op.bucket =
             map_->BucketAddr(op.leaf.table, map_->BucketIndex(op.hash));
-        if (fresh) {
-          client->AccountNear(1);
+        op.read_op = map_->options_.use_indirect
+                         ? client->PostLoad0(op.bucket, AsBytes(op.head))
+                         : client->PostReadWord(op.bucket);
+        ++posted;
+        continue;
+      case State::kHead:
+        op.read_op = client->PostRead(op.predicted, AsBytes(op.head));
+        ++posted;
+        continue;
+      case State::kPublish: {
+        if (chained) {
+          const auto [tail, first] = chain_tail_.try_emplace(op.bucket, &op);
+          if (!first) {
+            op.predicted = op.link = tail->second->slot;
+            tail->second = &op;
+          }
         }
-        // A fresh store predicts its bucket's hinted head; one republished
-        // after a trie refresh predicts the fresh table's empty bucket.
-        const Op* tail = tail_of(op.bucket);
-        op.predicted = tail != nullptr ? tail->slot
-                       : fresh ? map_->HeadHint(op.bucket, op.leaf.sentinel)
-                               : op.leaf.sentinel;
-        op.link = op.predicted;
-        op.relinked = false;
-        // Far access 1 publishes the item body (not yet reachable); the
-        // CAS below links it. In a doorbell, post order per node makes the
-        // item visible before it becomes reachable. A removal is the same
-        // insert-at-head with the tombstone flag set.
+        // The item body: not reachable until the CAS links it. A removal is
+        // the same insert-at-head with the tombstone flag set.
         const Item item{op.key, op.value,
                         VersionOf(op.leaf.version) |
                             (op.tombstone ? kFlagTombstone : 0ull),
                         op.link};
         op.write_op = client->PostWrite(op.slot, AsConstBytes(item));
+        ++posted;
+        if (!map_->OnOneNode(op.slot, op.bucket)) {
+          op.cas_op = 0;  // the CAS waits for the write's own round trip
+          continue;
+        }
         break;
       }
-      case State::kRelink:
-        // The slot body is already published and never became reachable
-        // (the CAS failed), so only the link word needs rewriting. An
-        // earlier same-bucket op in this wave re-forms the chain; its
-        // members keep their original relative order.
-        if (const Op* tail = tail_of(op.bucket)) {
-          op.predicted = op.link = tail->slot;
-        }
-        op.relinked = true;
-        op.write_op = client->PostWriteWord(op.slot + kItemNext, op.link);
-        break;
-      case State::kRecas:
+      case State::kCas:
         op.write_op = 0;
         break;
-      case State::kInspect:
-        // Read the item behind the observed head before adopting it as a
-        // prediction (it could be the retired sentinel of a frozen
-        // bucket). In a doorbell the read rides with every other op of the
-        // wave, so an entire failed chain re-validates in one round trip.
-        op.read_op = client->PostRead(op.observed, AsBytes(op.head));
-        op.state = State::kInspectPosted;
-        ++posted;
-        continue;
-      case State::kPosted:
-      case State::kInspectPosted:
       case State::kDone:
         continue;
     }
-    if (chained) {
-      chain_tail_[op.bucket] = &op;
-    }
-    // Far access 2: the bucket CAS both links the item and validates the
-    // cached version (a frozen/retired bucket never equals `predicted`).
-    // It runs only if this wave's write of the slot landed.
+    // The bucket CAS links the item and validates the prediction (a frozen
+    // bucket never equals a validated head). It runs only if this wave's
+    // write of the slot landed.
     op.cas_op = client->PostCompareSwap(op.bucket, op.predicted, op.slot,
                                         /*guard=*/op.write_op);
-    posted += op.write_op != 0 ? 2 : 1;
-    op.state = State::kPosted;
+    ++posted;
   }
   return posted;
 }
@@ -1016,108 +1006,117 @@ void HtTree::BatchPut::AbsorbWave(
     std::span<const FarClient::Completion> done) {
   for (size_t i = 0; i < ops_.size(); ++i) {
     Op& op = ops_[i];
-    if (op.state == State::kInspectPosted) {
-      const FarClient::Completion* read =
-          FarClient::FindCompletion(done, op.read_op);
-      if (read == nullptr) {
-        continue;  // posted into a wave not executed yet
-      }
-      if (!read->status.ok()) {
-        op.result = read->status;
-        op.state = State::kDone;
-      } else {
-        AbsorbInspect(op);
-      }
-      continue;
-    }
-    if (op.state != State::kPosted) {
-      continue;
-    }
-    const FarClient::Completion* cas =
-        FarClient::FindCompletion(done, op.cas_op);
-    if (cas == nullptr) {
-      continue;  // posted into a wave not executed yet
-    }
-    const FarClient::Completion* write =
-        op.write_op != 0 ? FarClient::FindCompletion(done, op.write_op)
-                         : nullptr;
-    // A failed write cancels its CAS: the write's error is the op's.
-    const Status& failure = write != nullptr && !write->status.ok()
-                                ? write->status
-                                : cas->status;
-    if (!failure.ok()) {
-      op.result = failure;
-      op.state = State::kDone;
-      continue;
-    }
-    if (cas->word != op.predicted) {
-      // Mispredicted: stale cache or a concurrent writer (same-batch
-      // neighbors never collide — they chain at post time). Inspect the
-      // observed head next wave; it must NOT be hinted before that read:
-      // we cannot tell it from the retired sentinel of a concurrently
-      // frozen bucket, and a later CAS predicting the sentinel would
-      // "succeed" into the dead table and lose the write.
-      ++map_->op_stats_.cas_retries;
-      if (++op.attempts >= kMaxOpRetries) {
-        op.result = Aborted(op.tombstone ? "remove retries exhausted"
-                                         : "put retries exhausted");
-        op.state = State::kDone;
+    switch (op.state) {
+      case State::kRead:
+      case State::kHead: {
+        const FarClient::Completion* read =
+            FarClient::FindCompletion(done, op.read_op);
+        if (read == nullptr) {
+          continue;  // posted into a wave not executed yet
+        }
+        if (!read->status.ok()) {
+          op.result = read->status;
+          op.state = State::kDone;
+          continue;
+        }
+        if (op.state == State::kRead) {
+          op.predicted = read->word;
+          if (!map_->options_.use_indirect) {
+            op.state = State::kHead;  // the item read rides the next wave
+            continue;
+          }
+        }
+        AbsorbHead(op);
         continue;
       }
-      op.observed = cas->word;
-      op.state = State::kInspect;
-      continue;
+      case State::kPublish:
+      case State::kCas:
+        AbsorbPublish(i, done);
+        continue;
+      case State::kDone:
+        continue;
     }
-    // The CAS left the bucket word equal to op.slot: the landed-store exit
-    // refills (or, for a tombstone, invalidates) under that word, and the
-    // caller's outcome carries it to the flusher-side exit.
-    const WriteOutcome landed{op.bucket, op.slot, !op.tombstone};
-    map_->ApplyLandedStore(op.key, op.value, landed);
-    if (outcomes_ != nullptr) {
-      (*outcomes_)[i] = landed;
-    }
-    if (map_->GrowthSplitDue(op.leaf.table, op.link == op.predicted)) {
-      deferred_splits_.push_back({op.leaf_index, op.leaf.table, op.hash});
-    }
-    op.result = OkStatus();
-    op.state = State::kDone;
   }
 }
 
-void HtTree::BatchPut::AbsorbInspect(Op& op) {
-  const uint64_t meta = op.head.meta;
-  if ((meta & kFlagPending) != 0) {
-    // A transaction holds the bucket pending. Only its owner may change
-    // the word (commit or rollback), so adopting it as the prediction
-    // would steal the lock — wait it out under the same prediction.
-    StaleBackoff(op.attempts - 1);
-    op.state = op.relinked ? State::kRelink : State::kRecas;
+void HtTree::BatchPut::AbsorbHead(Op& op) {
+  const HeadCheck check = map_->CheckHead(op.head, op.leaf);
+  if (check == HeadCheck::kLive) {
+    // A validated live head of the cached table generation: the prediction,
+    // linked past when it is this op's own key (same-key head replacement,
+    // file comment).
+    op.link = LinkPast(op.key, op.predicted, op.head);
+    op.state = State::kPublish;
     return;
   }
-  if ((meta & kFlagRetired) != 0 || VersionOf(meta) != op.leaf.version) {
-    // A split froze or replaced the cached table: refresh the trie (once
-    // per stale leaf in a batch) and republish the whole image, with the
-    // fresh version, into the fresh table.
-    if (map_->CachesLeaf(op.leaf_index, op.leaf.table)) {
-      if (Status refreshed = map_->RefreshPath(op.hash); !refreshed.ok()) {
-        op.result = refreshed;
-        op.state = State::kDone;
-        return;
-      }
+  // A transaction's pending head is waited out: only its owner may change
+  // the word, so predicting it would steal the lock. A retired or
+  // version-mismatched head means a split froze or replaced the cached
+  // table: the trie refreshes and the op reads the fresh table's bucket.
+  const Status status = map_->BeforeReread(
+      check == HeadCheck::kStale, op.leaf_index, op.leaf.table, op.hash,
+      &op.attempts,
+      op.tombstone ? "remove retries exhausted" : "put retries exhausted");
+  if (!status.ok()) {
+    op.result = status;
+    op.state = State::kDone;
+    return;
+  }
+  op.state = State::kRead;
+}
+
+void HtTree::BatchPut::AbsorbPublish(
+    size_t i, std::span<const FarClient::Completion> done) {
+  Op& op = ops_[i];
+  const FarClient::Completion* write =
+      op.write_op != 0 ? FarClient::FindCompletion(done, op.write_op)
+                       : nullptr;
+  if (write != nullptr && !write->status.ok()) {
+    // A failed write cancels its CAS: the write's error is the op's.
+    op.result = write->status;
+    op.state = State::kDone;
+    return;
+  }
+  if (op.cas_op == 0) {
+    op.state = State::kCas;  // the write landed; the CAS rides next wave
+    return;
+  }
+  const FarClient::Completion* cas = FarClient::FindCompletion(done, op.cas_op);
+  if (cas == nullptr) {
+    return;  // posted into a wave not executed yet
+  }
+  if (!cas->status.ok()) {
+    op.result = cas->status;
+    op.state = State::kDone;
+    return;
+  }
+  if (cas->word != op.predicted) {
+    // A writer landed between this op's read and its CAS (same-batch
+    // neighbours never collide — they chain at post time). The slot never
+    // became reachable, so the op reads the bucket again and rewrites it.
+    ++map_->op_stats_.cas_retries;
+    if (++op.attempts >= kMaxOpRetries) {
+      op.result = Aborted(op.tombstone ? "remove retries exhausted"
+                                       : "put retries exhausted");
+      op.state = State::kDone;
+      return;
     }
-    StaleBackoff(op.attempts - 1);
-    op.state = State::kRewrite;
+    op.state = State::kRead;
     return;
   }
-  // Validated live head of the cached table generation: safe to adopt as
-  // the prediction and as a hint, and to link past when it is this op's
-  // own key (same-key head replacement, file comment).
-  if (map_->options_.use_head_hints) {
-    map_->head_hints_.Upsert(op.bucket, op.observed);
+  // The CAS left the bucket word equal to op.slot: the landed-store exit
+  // refills (or, for a tombstone, invalidates) under that word, and the
+  // caller's outcome carries it to the flusher-side exit.
+  const WriteOutcome landed{op.bucket, op.slot, !op.tombstone};
+  map_->ApplyLandedStore(op.key, op.value, landed);
+  if (outcomes_ != nullptr) {
+    (*outcomes_)[i] = landed;
   }
-  op.predicted = op.observed;
-  op.link = LinkPast(op.key, op.observed, op.head);
-  op.state = State::kRelink;
+  if (map_->GrowthSplitDue(op.leaf.table, op.link == op.predicted)) {
+    deferred_splits_.push_back({op.leaf_index, op.leaf.table, op.hash});
+  }
+  op.result = OkStatus();
+  op.state = State::kDone;
 }
 
 Status HtTree::BatchPut::Take() {
@@ -1500,11 +1499,7 @@ uint64_t HtTree::cache_bytes() const {
 }
 
 uint64_t HtTree::hint_cache_bytes() const {
-  // Hints are a pure optimization (mispredicted CASes self-correct); the
-  // CLOCK ring bounds them at kMaxHeadHints entries, evicting cold buckets
-  // one at a time instead of the old wholesale clear.
-  return head_hints_.size() * (sizeof(FarAddr) * 2 + sizeof(void*)) +
-         collision_estimate_.size() * (sizeof(FarAddr) + sizeof(uint64_t));
+  return collision_estimate_.size() * (sizeof(FarAddr) + sizeof(uint64_t));
 }
 
 }  // namespace fmds

@@ -9,35 +9,45 @@
 //                pointers; every table owns an "empty" sentinel item
 //   items        32 B, immutable once linked: {key, value, meta, next}
 //
-// Access costs (the paper's claims, reproduced by bench_e4):
+// Access costs (the paper's claims, reproduced by bench_e4 and bench_a11):
 //   lookup, fresh cache: descend the *cached* trie (near accesses), then ONE
 //     far access — load0 on the bucket follows the item pointer and returns
 //     the item in the same round trip. Empty buckets hold the table's
 //     sentinel item, whose embedded version makes even negative lookups
 //     verifiable in one access.
-//   store, fresh cache: TWO far accesses — write the new item, then CAS the
-//     bucket head. The CAS doubles as the version check: its expected value
-//     (cached head or sentinel) is only correct for the current table
-//     version; a retired table's buckets never match.
+//   store, fresh cache: TWO far accesses. The first is the same load0 as a
+//     lookup: it reads the bucket head the store will CAS against, since
+//     the client caches the trie but not the hash tables. The second writes
+//     the new item and CASes the bucket in one doorbell when the item slot
+//     and the bucket sit on one memory node (a ShardedMap shard or a
+//     one-node map always does), so the store sends three messages in two
+//     round trips; otherwise the write and the CAS stay two serial round
+//     trips, because post order binds one node only. The CAS doubles as the
+//     version check: the head it expects was read from the current table
+//     version, and a retired table's buckets never match it.
 //
 // Concurrency protocol: every mutation is an insert-at-head published by a
-// single CAS on the bucket word (removals insert a tombstone). A store whose
-// CAS mispredicts reads the head it observed to validate it; when that head
-// is the same key's previous item or tombstone, the retry links the new
-// item past it, to the head's `next` (same-key head replacement). That is
-// safe because linked items are immutable and never reused: a CAS that
-// succeeds on head H proves H.next is current, and the dropped H is a
-// version its own key's new item shadows. The bucket word still moves to a
+// single CAS on the bucket word (removals insert a tombstone). A store
+// validates the head it read the way a lookup does: it waits out a
+// transaction's pending record, and a retired sentinel or a version
+// mismatch refreshes the cached trie; either way it reads again. A live
+// head becomes the CAS prediction. When that head is the same key's
+// previous item or tombstone, the new item links past it, to the head's
+// `next` (same-key head replacement). That is safe because linked items are
+// immutable and never reused: a CAS that succeeds on head H proves H.next
+// is current, and the dropped H is a version its own key's new item
+// shadows. A CAS misses only when another writer landed between the read
+// and the CAS; the store then reads again. The bucket word still moves to a
 // fresh slot, so txn validation and cache word-versioning see an ordinary
-// store. Keys rewritten by several clients therefore keep their chains
-// short, and the per-handle split trigger counts only stores that
-// lengthened a chain (growth-only). A split freezes the table by CASing
-// every bucket to the map-wide retired sentinel — after that no mutation
-// can land in the old table — then rewrites the frozen chains (dropping
-// the shadowed items and tombstones left) into two fresh tables and
-// republishes the trie via CAS on the parent pointer. Clients with stale
-// caches observe the retired sentinel (or a version mismatch) in their one
-// far access and refresh their cached trie.
+// store. A rewrite therefore never lengthens its key's chain, and the
+// per-handle split trigger counts only stores that did (growth-only). A
+// split freezes the table by CASing every bucket to the map-wide retired
+// sentinel — after that no mutation can land in the old table — then
+// rewrites the frozen chains (dropping any shadowed items and tombstones
+// left) into two fresh tables and republishes the trie via CAS on the
+// parent pointer. Clients with stale caches observe the retired sentinel
+// (or a version mismatch) in their one far access and refresh their cached
+// trie.
 #ifndef FMDS_SRC_CORE_HT_TREE_H_
 #define FMDS_SRC_CORE_HT_TREE_H_
 
@@ -49,7 +59,6 @@
 #include <vector>
 
 #include "src/alloc/far_allocator.h"
-#include "src/cache/clock_ring.h"
 #include "src/cache/near_cache.h"
 #include "src/common/hash.h"
 #include "src/core/dataplane.h"
@@ -68,11 +77,10 @@ class HtTree : public FarMap {
     uint64_t max_chain = 6;
     // Pre-split the key space into 2^initial_depth tables at Create().
     uint32_t initial_depth = 0;
-    // Ablation knobs (bench_a11): turn off the proposed hardware
-    // (load0 merging the bucket dereference with the item read) and/or the
-    // client-side bucket-head hint cache, to isolate their contributions.
+    // Ablation knob (bench_a11): turn off the proposed hardware (load0
+    // merging the bucket dereference with the item read, in lookups and in
+    // a store's head read) to isolate its contribution.
     bool use_indirect = true;
-    bool use_head_hints = true;
     // Standing placement for every far allocation this map makes (header,
     // trie nodes, tables, item slabs). ShardedMap pins each shard's
     // storage to one memory node with this (§7 scale-out), keeping a
@@ -105,8 +113,10 @@ class HtTree : public FarMap {
 
   // Point operations. Get returns kNotFound for absent/tombstoned keys.
   // Each runs its one key through the same engine as the batched calls
-  // below (BatchGet / BatchPut), executing every far op as its own sync
-  // verb: a fresh lookup costs one far access, a fresh store two.
+  // below (BatchGet / BatchPut) under the point driver: a wave of one far
+  // op runs as its sync verb, and only a store's item write and bucket CAS
+  // share a doorbell. A fresh lookup costs one far access, a fresh store
+  // two.
   Result<uint64_t> Get(uint64_t key) override;
   Status Put(uint64_t key, uint64_t value) override;
   Status Remove(uint64_t key) override;
@@ -115,22 +125,21 @@ class HtTree : public FarMap {
   // probe rides one doorbell (one client round trip for the whole batch
   // instead of one per key), and chain continuations proceed in batched
   // waves. Per-key semantics match Get exactly, including the stale-trie
-  // refresh, head hints and the proactive split of a long chain. Requires
-  // no other async ops pending on the client.
+  // refresh and the proactive split of a long chain. Requires no other
+  // async ops pending on the client.
   std::vector<Result<uint64_t>> MultiGet(
       std::span<const uint64_t> keys) override;
 
-  // Batched multi-key store: each key's item-body write and bucket CAS ride
-  // one shared doorbell (k stores ≈ 1 waited round trip instead of 2 each),
-  // and a CAS never runs when its item write failed. A mispredicted CAS
-  // (stale cache, concurrent writers) retries inside later waves with
-  // Put's rules, so per-key semantics match Put; duplicate keys in one
-  // batch resolve in unspecified relative order. The write→CAS ordering a
-  // doorbell guarantees holds per node, so a map whose storage spans nodes
-  // relies on the simulator's in-order execution — pin placement
-  // (ShardedMap does) for hardware-faithful batching. Requires no other
-  // async ops pending on the client. Returns the first per-key error, if
-  // any.
+  // Batched multi-key store: every key's bucket read rides one doorbell,
+  // then every key's item write and bucket CAS ride the next (k stores ≈ 2
+  // waited round trips instead of 2 each), and a CAS never runs when its
+  // item write failed. A key whose slot and bucket sit on different nodes
+  // posts its CAS one wave after its write, since post order binds one node
+  // only. Stale heads, pending heads and missed CASes (concurrent writers)
+  // read again inside later waves with Put's rules, so per-key semantics
+  // match Put; duplicate keys in one batch resolve in unspecified relative
+  // order. Requires no other async ops pending on the client. Returns the
+  // first per-key error, if any.
   Status MultiPut(std::span<const uint64_t> keys,
                   std::span<const uint64_t> values) override;
 
@@ -157,7 +166,7 @@ class HtTree : public FarMap {
   // routers (ShardedMap, Txn) run one engine per shard, so sub-batches
   // bound for different memory nodes overlap (§7: simulated time = max
   // over nodes) — then every engine absorbs the completions. (Point ops
-  // use the serial driver instead: each posted op runs as its sync verb.)
+  // use the point driver instead: a one-op wave runs as its sync verb.)
   template <typename Engine>
   static void RunWaves(FarClient* client, std::span<Engine> engines) {
     std::vector<FarClient::Completion> done;
@@ -192,7 +201,8 @@ class HtTree : public FarMap {
   // Local-cache footprint in bytes of the trie mirror — the cache the
   // structure *requires* for 1-far-access lookups (E4's currency).
   uint64_t cache_bytes() const;
-  // Optional bucket-head hint cache (accelerates stores; bounded).
+  // Near bytes beyond the trie: the per-table growth counters of the
+  // split trigger.
   uint64_t hint_cache_bytes() const;
   uint64_t cached_tables() const;
 
@@ -409,27 +419,35 @@ class HtTree : public FarMap {
   FarAddr BucketAddr(FarAddr table, uint64_t bucket) const {
     return table + kTableHeaderBytes + bucket * kWordSize;
   }
-  // CAS-prediction hint for `bucket` (touching its CLOCK slot), or
-  // `fallback` (the leaf's sentinel) when unhinted or hints are off.
-  FarAddr HeadHint(FarAddr bucket, FarAddr fallback) {
-    if (!options_.use_head_hints) {
-      return fallback;
-    }
-    const size_t slot = head_hints_.Find(bucket);
-    if (slot == ClockRing<FarAddr>::npos) {
-      return fallback;
-    }
-    head_hints_.Touch(slot);
-    return head_hints_.value(slot);
-  }
   uint64_t BucketIndex(uint64_t hash) const {
     return hash % buckets_per_table_;
   }
+  // What a read of a bucket head found, validated against the cached leaf
+  // the reader descended to (one near access): a live head of that table
+  // generation; a transaction's lock record; or a stale head — the retired
+  // sentinel of a frozen bucket, or an item of another table version.
+  enum class HeadCheck : uint8_t { kLive, kPending, kStale };
+  HeadCheck CheckHead(const Item& head, const CachedNode& leaf);
+  // The wait before a key reads a pending or stale head again: a stale head
+  // first refreshes the cached trie, once per leaf (a key whose leaf another
+  // key of the batch already refreshed just descends again); then the key
+  // backs off and spends one try of its retry budget. Not OK ends the key:
+  // the refresh failed, or the budget ran out (kAborted, `exhausted`).
+  Status BeforeReread(bool stale, int32_t leaf_index, FarAddr table,
+                      uint64_t hash, int* attempts, const char* exhausted);
   // Same-key head replacement (file comment): the link word for a store of
   // `key` whose CAS expects the validated head `head` at `head_addr`.
   static FarAddr LinkPast(uint64_t key, FarAddr head_addr, const Item& head) {
     const bool same_key = (head.meta & kFlagSentinel) == 0 && head.key == key;
     return same_key ? head.next : head_addr;
+  }
+  // True when an item slot and a bucket word sit on one memory node, whose
+  // post order makes the item visible before a CAS posted after it in the
+  // same doorbell links it (DESIGN.md §5). Address arithmetic only.
+  bool OnOneNode(FarAddr slot, FarAddr bucket) const {
+    const auto a = client_->fabric()->Translate(slot);
+    const auto b = client_->fabric()->Translate(bucket);
+    return a.ok() && b.ok() && a->node == b->node;
   }
   // Growth-only split trigger (§5.2's "enough collisions"), called once per
   // landed store: counts it against `table` only if it `grew` the chain
@@ -462,12 +480,6 @@ class HtTree : public FarMap {
   FarAddr retired_sentinel_ = kNullFarAddr;
 
   std::vector<CachedNode> nodes_;  // nodes_[0] mirrors the root
-  // Bucket-head hints: bucket addr -> last observed head item. Only an
-  // optimization (mispredicted CAS retries fix them up). Bounded by the
-  // same CLOCK ring NearCache uses, so a hot working set survives instead
-  // of the old wholesale clear.
-  static constexpr size_t kMaxHeadHints = 1 << 16;
-  ClockRing<FarAddr> head_hints_{kMaxHeadHints};
   // Per-table count of this handle's chain-growing stores (GrowthSplitDue).
   std::unordered_map<FarAddr, uint64_t> collision_estimate_;
   // Bucket-head NearCache (null when Options::cache.budget_bytes == 0).
@@ -493,7 +505,8 @@ class HtTree : public FarMap {
   RemoteMapPath* remote_path_ = nullptr;
   NodeId home_node_ = kObsNoNode;
   // Smoothed complexity estimates in serial one-sided round trips per op:
-  // lookups start at the head-hit cost (1), stores at item write + CAS (2).
+  // lookups start at the head-hit cost (1), stores at the head read plus
+  // the item write and CAS in one doorbell (2).
   // Fed by the one-sided walks/retries AND by the RPC agent's chain-hop
   // feedback, so the signal stays fresh whichever path is preferred.
   double lookup_units_ = 1.0;
@@ -520,16 +533,15 @@ class HtTree : public FarMap {
       -> decltype(one_sided());
   // The landed-store exit: what a writer does to its own near state once
   // the bucket CAS of its store of `key` landed `outcome` — a one-sided
-  // store, a txn commit and a routed write alike. The head hint moves to
-  // the new head, and a resident NearCache entry refills with `value` under
-  // that head word (zero far round trips; the echo of the CAS confirms it,
-  // any later writer's event kills it), or is invalidated for a tombstone.
+  // store, a txn commit and a routed write alike. A resident NearCache
+  // entry refills with `value` under the new head word (zero far round
+  // trips; the echo of the CAS confirms it, any later writer's event kills
+  // it), or is invalidated for a tombstone.
   void ApplyLandedStore(uint64_t key, uint64_t value,
                         const WriteOutcome& outcome);
   // Its flusher-side form, run on a write-behind flusher's thread against
   // the application handle's `cache` (null when off): the same refill or
-  // invalidate through the NearCache's External variants, and no hint
-  // (the application handle's hints belong to its own thread).
+  // invalidate through the NearCache's External variants.
   static void ApplyFlushedStore(NearCache* cache, uint64_t key,
                                 uint64_t value, const WriteOutcome& outcome);
 
@@ -604,7 +616,7 @@ class HtTree : public FarMap {
   // Sets `*engine` to a write-behind engine for `app_client` whose flusher
   // owns its own client (publish round trips land on its clock, not the
   // app thread's) and a `Map` handle attached to `root` under
-  // `flusher_options` (head hints on for CAS prediction, caches off).
+  // `flusher_options` (caches off).
   // `app_caches` are the application handle's caches, one per shard.
   template <typename Map>
   static Status AttachWriteBehind(std::unique_ptr<WriteBehindEngine>* engine,
@@ -634,13 +646,12 @@ class HtTree : public FarMap {
   // The lookup engine behind Get, MultiGet and TxnRead. PostWave()
   // enqueues the next wave of far ops without flushing; AbsorbWave()
   // consumes their completions. Drive it until PostWave() returns 0 — with
-  // RunWaves for a batch, serially for a point op — then Take(). Each key
-  // probes its bucket (load0: bucket word and head item in one access),
-  // validates the head against its cached leaf, and walks the chain. A
-  // stale head (retired sentinel or version mismatch) refreshes the cached
-  // trie, backs off and probes again; a validated clean head becomes the
-  // bucket's CAS-prediction hint; a lookup that walked past max_chain
-  // items splits the table.
+  // RunWaves for a batch, with the point driver for a point op — then
+  // Take(). Each key probes its bucket (load0: bucket word and head item in
+  // one access), validates the head against its cached leaf, and walks the
+  // chain. A stale head (retired sentinel or version mismatch) refreshes
+  // the cached trie, backs off and probes again; a lookup that walked past
+  // max_chain items splits the table.
   class BatchGet {
    public:
     // Txn mode (TxnRead, Txn::MultiGet): skips the pending-table and
@@ -688,7 +699,7 @@ class HtTree : public FarMap {
       int attempts = 0;   // stale refreshes and pending waits so far
       uint32_t hops = 0;  // chain reads past the bucket head
       // Head was a transaction lock record: the walk resolves the
-      // pre-transaction view, which must not feed hints or the cache.
+      // pre-transaction view, which must not feed the cache.
       bool pending_seen = false;
       Result<uint64_t> result = Status(StatusCode::kInternal, "unresolved");
       TxnReadView view;  // txn mode
@@ -723,26 +734,15 @@ class HtTree : public FarMap {
     Status Take();
 
    private:
-    // kInit posts the item body and the bucket CAS, which the client runs
-    // only if the body landed. A mispredicted CAS reads the head it
-    // observed (kInspect -> kInspectPosted) and validates it: a live head
-    // of the cached table is adopted as prediction and hint, and the op
-    // re-links (past the head when it is the op's own key) and re-CASes
-    // (kRelink); a retired or version-mismatched head refreshes the trie
-    // and re-publishes the whole image into the fresh table (kRewrite); a
-    // transaction's pending head is waited out under the same prediction
-    // (kRecas after a full image, kRelink after a re-link, as the store
-    // protocol rewrites the link word on every retry that follows one).
-    enum class State : uint8_t {
-      kInit,
-      kPosted,
-      kInspect,
-      kInspectPosted,
-      kRelink,
-      kRecas,
-      kRewrite,
-      kDone
-    };
+    // The stage whose far ops the next wave posts. kRead probes the bucket
+    // (load0: word and head item in one access; with use_indirect off the
+    // word alone, and kHead reads the item next wave). A validated live
+    // head becomes the prediction (kPublish); a pending or stale head is
+    // waited out or refreshed and read again. kPublish posts the item write
+    // and the bucket CAS, which the client runs only if the write landed;
+    // when the slot and the bucket sit on different nodes the write rides
+    // alone and kCas posts the CAS next wave. A missed CAS reads again.
+    enum class State : uint8_t { kRead, kHead, kPublish, kCas, kDone };
     struct Op {
       uint64_t key = 0;
       uint64_t value = 0;
@@ -751,23 +751,26 @@ class HtTree : public FarMap {
       CachedNode leaf;
       FarAddr slot = kNullFarAddr;
       FarAddr bucket = kNullFarAddr;
+      // The head the CAS expects: the word the read found, or the slot of
+      // the same-bucket op publishing just before this one in the wave.
       FarAddr predicted = kNullFarAddr;
       // The slot's `next`: `predicted`, or the head's own `next` when the
       // store replaces its key's previous head (LinkPast).
       FarAddr link = kNullFarAddr;
-      // Bucket word a failed CAS observed; inspected before adoption.
-      FarAddr observed = kNullFarAddr;
-      Item head{};
+      Item head{};  // the image of the head the read found
+      FarClient::OpId read_op = 0;
       FarClient::OpId write_op = 0;
       FarClient::OpId cas_op = 0;
-      FarClient::OpId read_op = 0;
-      int attempts = 0;  // mispredicted CASes so far
-      State state = State::kInit;
+      int attempts = 0;  // missed CASes, stale refreshes and pending waits
+      State state = State::kRead;
       bool tombstone = false;
-      bool relinked = false;  // the last write was a link word, not an image
       Status result;
     };
-    void AbsorbInspect(Op& op);
+    // Validates a freshly read bucket head.
+    void AbsorbHead(Op& op);
+    // Consumes the completions of a publish wave: the item write, the
+    // bucket CAS, or both.
+    void AbsorbPublish(size_t i, std::span<const FarClient::Completion> done);
 
     HtTree* map_;
     PerKey<Op> ops_;

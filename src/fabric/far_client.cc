@@ -85,29 +85,20 @@ MemoryNode* FarClient::FrontEnd(NodeId node) const {
   return n.congestion_enabled() ? &n : nullptr;
 }
 
-bool FarClient::OfferOnce(NodeId node, uint64_t ops, uint64_t* queue_ns) {
-  *queue_ns = 0;
-  MemoryNode* n = FrontEnd(node);
-  if (n == nullptr) {
-    return true;
-  }
-  const AdmissionOutcome outcome = n->OfferLoad(clock_.now_ns(), ops);
-  if (outcome.admitted) {
-    *queue_ns = outcome.queue_ns;
-    return true;
-  }
-  stats_.overload_sheds += ops;
-  return false;
-}
-
 Result<uint64_t> FarClient::AdmitCongestion(FarOpKind kind, NodeId node,
                                             FarAddr addr, uint64_t ops) {
+  MemoryNode* front_end = FrontEnd(node);
+  if (front_end == nullptr) {
+    return uint64_t{0};
+  }
   const uint64_t op_start_ns = clock_.now_ns();
   for (uint32_t attempt = 1;; ++attempt) {
-    uint64_t queue_ns = 0;
-    if (OfferOnce(node, ops, &queue_ns)) {
-      return queue_ns;
+    const AdmissionOutcome outcome =
+        front_end->OfferLoad(clock_.now_ns(), ops);
+    if (outcome.admitted) {
+      return outcome.queue_ns;
     }
+    stats_.overload_sheds += ops;
     // The bounce is a completed (failed) round trip: the client learns of
     // the shed from the node's reject reply.
     AccountRoundTrip(kind, node, addr, 0, 1, 0, /*ok=*/false);
@@ -135,27 +126,13 @@ Result<uint64_t> FarClient::AdmitCongestion(FarOpKind kind, NodeId node,
 
 Result<uint64_t> FarClient::Admit(ChargeRule rule, FarOpKind kind,
                                   NodeId node, FarAddr addr, uint64_t ops) {
-  if (FrontEnd(node) == nullptr) {
+  // One admission rule: an op a congested node sheds runs the RetryPolicy
+  // loop in a doorbell as in a sync verb, so batching an op never turns a
+  // shed the serial rule retries into a kOverloaded completion.
+  if (rule == ChargeRule::kBackground) {
     return uint64_t{0};
   }
-  switch (rule) {
-    case ChargeRule::kSerial:
-      return AdmitCongestion(kind, node, addr, ops);
-    case ChargeRule::kDoorbell: {
-      // A doorbell cannot re-time its sub-ops: a shed op completes with
-      // kOverloaded and its caller decides whether to re-post.
-      uint64_t queue_ns = 0;
-      if (OfferOnce(node, ops, &queue_ns)) {
-        return queue_ns;
-      }
-      ++stats_.overload_failures;
-      return Overloaded("node " + std::to_string(node) +
-                        " shed op: service queue full");
-    }
-    case ChargeRule::kBackground:
-      break;
-  }
-  return uint64_t{0};
+  return AdmitCongestion(kind, node, addr, ops);
 }
 
 inline void FarClient::Charge(ChargeRule rule, const RoundTripCost& cost) {
@@ -702,6 +679,21 @@ Status FarClient::Flush() {
   RunIssued(ChargeRule::kDoorbell, [this](size_t) -> Completion& {
     return completion_queue_.emplace_back();
   });
+  ChargeDoorbell(batch_size);
+  return OkStatus();
+}
+
+void FarClient::RingDoorbell(std::span<Completion> done) {
+  assert(done.size() == issued_);
+  if (issued_ != 0) {
+    RunIssued(ChargeRule::kDoorbell,
+              [done](size_t i) -> Completion& { return done[i]; });
+    ChargeDoorbell(done.size());
+  }
+  AccountNear(1);  // the completion check WaitAll charges
+}
+
+void FarClient::ChargeDoorbell(size_t batch_size) {
   // One doorbell: per-node groups proceed in parallel; the client waits for
   // the slowest.
   uint64_t batch_ns = 0;
@@ -774,7 +766,6 @@ Status FarClient::Flush() {
   doorbell_.rtts = 0;
   doorbell_.obs.clear();
   doorbell_.deferred.clear();
-  return OkStatus();
 }
 
 std::optional<FarClient::Completion> FarClient::Poll() {

@@ -211,6 +211,11 @@ class FarClient {
   // `done` must hold exactly pending_ops() slots. Charges no completion
   // check: the caller waited on each verb.
   void ExecuteSerially(std::span<Completion> done);
+  // WaitAll into a caller's buffer: rings one doorbell for every posted op
+  // (same accounting as Flush plus WaitAll's completion check), writing op
+  // i's completion to done[i] instead of the completion queue, so it
+  // allocates nothing. `done` must hold exactly pending_ops() slots.
+  void RingDoorbell(std::span<Completion> done);
   // The completion of op `id` in `done`, a flushed batch in post order
   // (ids ascending), or nullptr when `id` is not in it.
   static const Completion* FindCompletion(std::span<const Completion> done,
@@ -289,9 +294,8 @@ class FarClient {
   // policy gives up. No-op (returns 0) for
   // kObsNoNode, for the agent's own home node (an on-node agent crosses the
   // memory controller, not the NIC front end), and while congestion is off.
-  // Sync verbs and RpcClient::Call come through here (a doorbell offers
-  // each op once instead) — admission happens BEFORE memory effects
-  // everywhere.
+  // Sync verbs, doorbell ops and RpcClient::Call all come through here —
+  // admission happens BEFORE memory effects everywhere.
   Result<uint64_t> AdmitCongestion(FarOpKind kind, NodeId node, FarAddr addr,
                                    uint64_t ops);
   void set_retry_policy(const RetryPolicy& policy) { retry_ = policy; }
@@ -340,11 +344,11 @@ class FarClient {
 
   // How an executed op's cost reaches the client (DESIGN.md §5).
   enum class ChargeRule : uint8_t {
-    // Sync verbs and ExecuteSerially: admission retries per RetryPolicy and
-    // each round trip is one AccountRoundTrip.
+    // Sync verbs and ExecuteSerially: each round trip is one
+    // AccountRoundTrip.
     kSerial,
-    // Flush: each op is offered to admission once; the doorbell waits for
-    // its slowest memory-node group.
+    // Flush and RingDoorbell: each op joins its memory-node group, and the
+    // doorbell waits for the slowest group.
     kDoorbell,
     // Off the critical path: no admission; traffic counts, the clock stays.
     kBackground,
@@ -381,10 +385,15 @@ class FarClient {
   // Applies `op`'s access to every segment in segs_, in order: reads fill
   // op.out, writes drain op.in, adds bump each word by op.value.
   void Apply(const FarOp& op);
-  // Admission under `rule`: AdmitCongestion, OfferOnce or none.
+  // Admission under `rule`: AdmitCongestion (serial and doorbell alike) or
+  // none (background).
   Result<uint64_t> Admit(ChargeRule rule, FarOpKind kind, NodeId node,
                          FarAddr addr, uint64_t ops);
   void Charge(ChargeRule rule, const RoundTripCost& cost);
+  // Charges the doorbell of `batch_size` ops RunIssued just executed: the
+  // wait for its slowest node group, its stats and its recorder span, then
+  // its dependent accesses.
+  void ChargeDoorbell(size_t batch_size);
   // Runs the issued ops in post order under `rule`, op i completing into
   // next(i), then empties the issue queue. A CAS whose guard range saw a
   // failure completes with that failure and no memory effect.
@@ -451,10 +460,6 @@ class FarClient {
   // for kObsNoNode, for the agent's own home node and while congestion is
   // off (admission is then free).
   MemoryNode* FrontEnd(NodeId node) const;
-  // One admission attempt at `node`'s congestion front end: true with the
-  // queueing delay in *queue_ns, or false (after bumping overload_sheds)
-  // when the node sheds the op. Charges no bounce round trip.
-  bool OfferOnce(NodeId node, uint64_t ops, uint64_t* queue_ns);
   // Deterministic per-client jitter source (xorshift).
   uint64_t NextJitter();
 

@@ -129,8 +129,8 @@ Status MapRpcService::HandleWrite(std::span<const std::byte> req,
     return map.status();
   }
   // MultiWrite's single-key form publishes through the bucket-head CAS and
-  // reports the publish location, which the caller needs for its head hint
-  // and writer-side refill.
+  // reports the publish location, which the caller needs for its
+  // writer-side refill.
   const uint64_t keys[1] = {key};
   const uint64_t values[1] = {value};
   const uint8_t tombstones[1] = {tombstone ? uint8_t{1} : uint8_t{0}};

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <numeric>
 #include <set>
 #include <thread>
 
@@ -341,28 +342,24 @@ TEST(HtTreeTest, ConcurrentReadersDuringWrites) {
 }
 
 TEST(HtTreeTest, AblationModesStayCorrect) {
-  // The ablation knobs (no load0 indirection / no head hints) change the
-  // access count, never the semantics.
+  // The ablation knob (no load0 indirection) changes the access count,
+  // never the semantics.
   for (bool indirect : {true, false}) {
-    for (bool hints : {true, false}) {
-      TestEnv env(BigFabric());
-      auto& client = env.NewClient();
-      HtTree::Options options = SmallTables(64);
-      options.use_indirect = indirect;
-      options.use_head_hints = hints;
-      auto map = HtTree::Create(&client, &env.alloc(), options);
-      ASSERT_TRUE(map.ok());
-      for (uint64_t k = 1; k <= 400; ++k) {
-        ASSERT_TRUE(map->Put(k, k * 9).ok());
-      }
-      ASSERT_TRUE(map->Remove(13).ok());
-      for (uint64_t k = 1; k <= 400; ++k) {
-        if (k == 13) {
-          EXPECT_EQ(map->Get(k).status().code(), StatusCode::kNotFound);
-        } else {
-          ASSERT_EQ(*map->Get(k), k * 9) << "indirect=" << indirect
-                                         << " hints=" << hints;
-        }
+    TestEnv env(BigFabric());
+    auto& client = env.NewClient();
+    HtTree::Options options = SmallTables(64);
+    options.use_indirect = indirect;
+    auto map = HtTree::Create(&client, &env.alloc(), options);
+    ASSERT_TRUE(map.ok());
+    for (uint64_t k = 1; k <= 400; ++k) {
+      ASSERT_TRUE(map->Put(k, k * 9).ok());
+    }
+    ASSERT_TRUE(map->Remove(13).ok());
+    for (uint64_t k = 1; k <= 400; ++k) {
+      if (k == 13) {
+        EXPECT_EQ(map->Get(k).status().code(), StatusCode::kNotFound);
+      } else {
+        ASSERT_EQ(*map->Get(k), k * 9) << "indirect=" << indirect;
       }
     }
   }
@@ -383,10 +380,9 @@ TEST(HtTreeTest, NonIndirectLookupCostsTwoAccesses) {
 }
 
 TEST(HtTreeTest, AlternatingWritersReplaceTheirKeysHead) {
-  // Two handles take turns rewriting one key, so every store mispredicts:
-  // each handle's hint is its own last item, which the other handle has
-  // just shadowed. The retry finds the key's previous item at the head and
-  // links past it, so the chain never grows and no split fires.
+  // Two handles take turns rewriting one key, so every store finds at the
+  // head the item the other handle just wrote. Each store links past it,
+  // so the chain never grows and no split fires.
   TestEnv env(BigFabric());
   auto& a = env.NewClient();
   auto& b = env.NewClient();
@@ -405,8 +401,10 @@ TEST(HtTreeTest, AlternatingWritersReplaceTheirKeysHead) {
     HtTree& writer = (i % 2 == 0) ? *map_a : *map_b;
     ASSERT_TRUE(writer.Put(kKey, i).ok());
   }
-  EXPECT_GT(map_a->op_stats().cas_retries + map_b->op_stats().cas_retries,
-            1000u);
+  // Every store read the rival's item before its CAS, so none missed; the
+  // replacement shows in the split count and the mate's hop count below.
+  EXPECT_EQ(map_a->op_stats().cas_retries + map_b->op_stats().cas_retries,
+            0u);
   EXPECT_EQ(map_a->op_stats().splits + map_b->op_stats().splits, 0u);
   const uint64_t hops = map_a->op_stats().chain_hops;
   EXPECT_EQ(*map_a->Get(mate), 7u);
@@ -416,10 +414,10 @@ TEST(HtTreeTest, AlternatingWritersReplaceTheirKeysHead) {
 }
 
 TEST(HtTreeTest, AlternatingBatchWritersReplaceTheirKeysHeads) {
-  // The same rule on BatchPut's inspect -> relink wave: two handles take
+  // The same rule in BatchPut's read and publish waves: two handles take
   // turns publishing one batch of stores and removes over the same keys,
-  // one key per bucket. Every op mispredicts and relinks past its key's
-  // previous item, so each bucket keeps exactly one item.
+  // one key per bucket. Every op reads its key's previous item at the head
+  // and links past it, so each bucket keeps exactly one item.
   TestEnv env(BigFabric());
   auto& a = env.NewClient();
   auto& b = env.NewClient();
@@ -446,7 +444,9 @@ TEST(HtTreeTest, AlternatingBatchWritersReplaceTheirKeysHeads) {
     }
     ASSERT_TRUE(writer.MultiWrite(keys, values, tombstones).ok());
   }
-  EXPECT_GT(map_a->op_stats().cas_retries + map_b->op_stats().cas_retries,
+  // No CAS missed (each op read the rival's item first); the replacement
+  // shows in the split count and in the zero-hop reads below.
+  EXPECT_EQ(map_a->op_stats().cas_retries + map_b->op_stats().cas_retries,
             0u);
   EXPECT_EQ(map_a->op_stats().splits + map_b->op_stats().splits, 0u);
   const uint64_t hops = map_a->op_stats().chain_hops;
@@ -515,10 +515,10 @@ TEST(HtTreeTest, GetGivingUpOnFrozenBucketLeavesNoRetiredHint) {
 
 TEST(HtTreeTest, PointOpAccountingIsPinned) {
   // A fixed-seed script of point ops through two handles on two clients:
-  // mispredicted CASes, same-key head replacement, growth splits, stale
-  // refreshes after the other handle's splits, one forced split, then one
-  // transaction (TxnRead, prepare, validate, commit). Every far access,
-  // near access, byte and simulated nanosecond of it is pinned.
+  // same-key head replacement, growth splits, stale refreshes after the
+  // other handle's splits, one forced split, then one transaction
+  // (TxnRead, prepare, validate, commit). Every far access, near access,
+  // byte and simulated nanosecond of it is pinned.
   TestEnv env(BigFabric());
   auto& a = env.NewClient();
   auto& b = env.NewClient();
@@ -568,20 +568,20 @@ TEST(HtTreeTest, PointOpAccountingIsPinned) {
                   s.splits};
   };
   EXPECT_EQ(client_counts(a),
-            (Counts{3742, 4494, 8508, 72760, 54392, 4251390}));
+            (Counts{2777, 4328, 8318, 85584, 51200, 3443754}));
   EXPECT_EQ(client_counts(b),
-            (Counts{3769, 4927, 8388, 85360, 58544, 4267834}));
+            (Counts{2624, 3613, 8184, 72160, 35296, 3280828}));
   EXPECT_EQ(op_counts(map_a->op_stats()),
-            (Counts{750, 611, 139, 227, 9, 320, 6}));
+            (Counts{750, 611, 139, 263, 2, 0, 6}));
   EXPECT_EQ(op_counts(map_b->op_stats()),
-            (Counts{784, 548, 168, 263, 6, 307, 9}));
+            (Counts{784, 548, 168, 304, 6, 0, 2}));
   EXPECT_EQ(op_counts(sharded->op_stats()), (Counts{2, 10, 0, 1, 0, 0, 0}));
 }
 
-TEST(HtTreeTest, PutAfterMultiGetUsesItsHeadHint) {
-  // MultiGet validates bucket heads exactly like Get, so it feeds the same
-  // CAS-prediction hints: a Put right after either read of a key another
-  // handle wrote costs the paper's two far accesses, not a mispredict.
+TEST(HtTreeTest, PutAfterMultiGetCostsTwoFarAccesses) {
+  // A store reads its bucket head itself, so what the handle read before
+  // does not matter: a Put right after a Get or a MultiGet of a key another
+  // handle wrote costs the paper's two far accesses and no CAS miss.
   TestEnv env(BigFabric());
   auto& a = env.NewClient();
   auto& b = env.NewClient();
@@ -605,15 +605,104 @@ TEST(HtTreeTest, PutAfterMultiGetUsesItsHeadHint) {
   before = b.stats().far_ops;
   ASSERT_TRUE(map_b->Put(6, 67).ok());
   EXPECT_EQ(b.stats().far_ops - before, 2u) << "Put after MultiGet";
+  EXPECT_EQ(map_b->op_stats().cas_retries, 0u);
   EXPECT_EQ(*map_a->Get(5), 56u);
   EXPECT_EQ(*map_a->Get(6), 67u);
 }
 
+// The first key after `key` that shares its bucket in a one-table map of
+// `buckets` buckets.
+uint64_t BucketMate(uint64_t key, uint64_t buckets) {
+  uint64_t mate = key + 1;
+  while (Mix64(mate) % buckets != Mix64(key) % buckets) {
+    ++mate;
+  }
+  return mate;
+}
+
+TEST(HtTreeTest, PutAfterRivalRewriteCostsTwoFarAccesses) {
+  // Handle A puts a key, handle B rewrites it, then A puts it again. A's
+  // store reads B's item at the head and links past it: §5.2's two far
+  // accesses (the head read, then the item write and bucket CAS in one
+  // doorbell) and three messages, with one item of the key left in the
+  // bucket.
+  TestEnv env(BigFabric());
+  auto& a = env.NewClient();
+  auto& b = env.NewClient();
+  constexpr uint64_t kBuckets = 64;
+  auto map_a = HtTree::Create(&a, &env.alloc(), SmallTables(kBuckets));
+  ASSERT_TRUE(map_a.ok());
+  auto map_b = HtTree::Attach(&b, &env.alloc(), map_a->header());
+  ASSERT_TRUE(map_b.ok());
+  constexpr uint64_t kKey = 1;
+  const uint64_t mate = BucketMate(kKey, kBuckets);
+  ASSERT_TRUE(map_a->Put(mate, 7).ok());
+  ASSERT_TRUE(map_a->Put(kKey, 1).ok());
+  ASSERT_TRUE(map_b->Put(kKey, 2).ok());
+  const uint64_t far0 = a.stats().far_ops;
+  const uint64_t messages0 = a.stats().messages;
+  ASSERT_TRUE(map_a->Put(kKey, 3).ok());
+  EXPECT_EQ(a.stats().far_ops - far0, 2u);
+  EXPECT_EQ(a.stats().messages - messages0, 3u);
+  EXPECT_EQ(map_a->op_stats().cas_retries, 0u);
+  const uint64_t hops = map_b->op_stats().chain_hops;
+  EXPECT_EQ(*map_b->Get(mate), 7u);
+  EXPECT_LE(map_b->op_stats().chain_hops - hops, 1u)
+      << "the bucket-mate sits right behind the key's single item";
+  EXPECT_EQ(*map_b->Get(kKey), 3u);
+}
+
+TEST(HtTreeTest, MissedCasReadsAgainAndLinksPastTheKeysHead) {
+  // A writer that lands between a store's head read and its CAS makes the
+  // CAS miss. Handle A drives a one-key BatchPut by hand and lets handle B
+  // rewrite the key between A's read wave and A's publish wave: A reads
+  // the bucket again, finds B's item and links past it.
+  TestEnv env(BigFabric());
+  auto& a = env.NewClient();
+  auto& b = env.NewClient();
+  constexpr uint64_t kBuckets = 64;
+  auto map_a = HtTree::Create(&a, &env.alloc(), SmallTables(kBuckets));
+  ASSERT_TRUE(map_a.ok());
+  auto map_b = HtTree::Attach(&b, &env.alloc(), map_a->header());
+  ASSERT_TRUE(map_b.ok());
+  constexpr uint64_t kKey = 1;
+  const uint64_t mate = BucketMate(kKey, kBuckets);
+  ASSERT_TRUE(map_a->Put(mate, 7).ok());
+  ASSERT_TRUE(map_a->Put(kKey, 1).ok());
+
+  const uint64_t key = kKey;
+  const uint64_t value = 3;
+  HtTree::BatchPut engine(&*map_a, std::span<const uint64_t>(&key, 1),
+                          std::span<const uint64_t>(&value, 1), {}, nullptr);
+  std::vector<FarClient::Completion> done;
+  auto run_wave = [&](size_t expected_ops) {
+    ASSERT_EQ(engine.PostWave(), expected_ops);
+    done.clear();
+    ASSERT_TRUE(a.WaitAll(&done).ok());
+    engine.AbsorbWave(done);
+  };
+  run_wave(1);  // the head read: A's own item of the key
+  ASSERT_TRUE(map_b->Put(kKey, 2).ok());
+  run_wave(2);  // the item write and the CAS, which misses B's item
+  EXPECT_EQ(map_a->op_stats().cas_retries, 1u);
+  run_wave(1);  // the read again
+  run_wave(2);  // the publish past B's item
+  EXPECT_EQ(engine.PostWave(), 0u);
+  ASSERT_TRUE(engine.Take().ok());
+
+  EXPECT_EQ(map_a->op_stats().splits + map_b->op_stats().splits, 0u);
+  const uint64_t hops = map_b->op_stats().chain_hops;
+  EXPECT_EQ(*map_b->Get(mate), 7u);
+  EXPECT_LE(map_b->op_stats().chain_hops - hops, 1u)
+      << "the bucket-mate sits right behind the key's single item";
+  EXPECT_EQ(*map_b->Get(kKey), 3u);
+}
+
 TEST(HtTreeTest, StaleHandleBatchStaysBatched) {
-  // A handle whose cached trie lags another handle's split sees every
-  // bucket CAS of its batch land on the retired sentinel. The batch
-  // refreshes its trie once and re-publishes in waves; no key drops to a
-  // serial store of its own.
+  // A handle whose cached trie lags another handle's split reads the
+  // retired sentinel in every bucket of its batch. The batch refreshes its
+  // trie once and reads and publishes in waves; no key drops to a serial
+  // store of its own.
   TestEnv env(BigFabric());
   auto& a = env.NewClient();
   auto& b = env.NewClient();
@@ -631,9 +720,10 @@ TEST(HtTreeTest, StaleHandleBatchStaysBatched) {
   const uint64_t puts = map_b->op_stats().puts;
   const uint64_t before = b.stats().far_ops;
   ASSERT_TRUE(map_b->MultiPut(keys, values).ok());
-  // Three doorbells (stores, inspects, republish) plus a four-access trie
-  // refresh; one serial store per key would cost well over 100.
-  EXPECT_LE(b.stats().far_ops - before, 7u);
+  // Three doorbells (reads, reads of the fresh table, publish) plus a
+  // four-access trie refresh, whatever the batch's size; one serial store
+  // per key would cost well over 100.
+  EXPECT_EQ(b.stats().far_ops - before, 7u);
   EXPECT_EQ(map_b->op_stats().puts - puts, keys.size());
   EXPECT_GE(map_b->op_stats().stale_refreshes, 1u);
   for (size_t i = 0; i < keys.size(); ++i) {
@@ -676,6 +766,154 @@ TEST(HtTreeTest, ShedItemWriteNeverPublishesItsSlot) {
     ASSERT_TRUE(got.ok()) << "key " << k << ": " << got.status().ToString();
     EXPECT_EQ(*got, k * 10) << "key " << k;
   }
+}
+
+// A front end that holds four ops (the one in service included) and
+// services one per `service_ns`.
+CongestionOptions ShortQueue(uint64_t service_ns) {
+  CongestionOptions congestion;
+  congestion.enabled = true;
+  congestion.service_ns = service_ns;
+  congestion.queue_ops = 4;
+  return congestion;
+}
+
+// A rival client's offered load at `now_ns`: ops until the node sheds one.
+void Saturate(MemoryNode& node, uint64_t now_ns) {
+  while (node.OfferLoad(now_ns, 1).admitted) {
+  }
+}
+
+std::vector<uint64_t> KeyRange(uint64_t first, uint64_t count) {
+  std::vector<uint64_t> keys(count);
+  std::iota(keys.begin(), keys.end(), first);
+  return keys;
+}
+
+// Runs one wave of `engine` through a doorbell; returns the ops it posted.
+size_t RunOneWave(FarClient& client, HtTree::BatchPut& engine) {
+  const size_t posted = engine.PostWave();
+  std::vector<FarClient::Completion> done;
+  (void)client.WaitAll(&done);
+  engine.AbsorbWave(done);
+  return posted;
+}
+
+TEST(HtTreeTest, ShedDoorbellOpsRetryLikeSyncVerbs) {
+  // A congested node sheds doorbell ops as it sheds sync verbs: a 64-key
+  // MultiPut's waves, and a one-key store's publish doorbell when a rival
+  // fills the queue between its head read and its publish. Under a
+  // RetryPolicy with attempts to spare, each shed op backs off and is
+  // offered again, and every store lands.
+  TestEnv env(BigFabric());
+  auto& client = env.NewClient();
+  auto map = HtTree::Create(&client, &env.alloc(), SmallTables(1024));
+  ASSERT_TRUE(map.ok());
+  ASSERT_TRUE(map->Put(1, 1).ok());  // warms the item slab
+  MemoryNode& node = env.fabric().node(0);
+  node.SetCongestion(ShortQueue(/*service_ns=*/20'000));
+  client.set_retry_policy(
+      RetryPolicy{.max_attempts = 8, .deadline_ns = 1'000'000});
+
+  const std::vector<uint64_t> keys = KeyRange(100, 64);
+  Saturate(node, client.clock().now_ns());
+  ASSERT_TRUE(map->MultiPut(keys, keys).ok());
+  EXPECT_GT(client.stats().overload_retries, 0u);
+
+  uint64_t retries = client.stats().overload_retries;
+  Saturate(node, client.clock().now_ns());
+  ASSERT_TRUE(map->Put(2, 22).ok());
+  EXPECT_GT(client.stats().overload_retries, retries);
+
+  const uint64_t key = 3;
+  const uint64_t value = 33;
+  HtTree::BatchPut engine(&*map, std::span<const uint64_t>(&key, 1),
+                          std::span<const uint64_t>(&value, 1), {}, nullptr);
+  ASSERT_EQ(RunOneWave(client, engine), 1u);  // the head read
+  Saturate(node, client.clock().now_ns());
+  retries = client.stats().overload_retries;
+  ASSERT_EQ(RunOneWave(client, engine), 2u);  // the write and the CAS
+  EXPECT_GT(client.stats().overload_retries, retries);
+  EXPECT_EQ(engine.PostWave(), 0u);
+  ASSERT_TRUE(engine.Take().ok());
+  EXPECT_EQ(client.stats().overload_failures, 0u);
+
+  node.SetCongestion(CongestionOptions{});
+  for (uint64_t k : keys) {
+    ASSERT_EQ(*map->Get(k), k) << "key " << k;
+  }
+  EXPECT_EQ(*map->Get(2), 22u);
+  EXPECT_EQ(*map->Get(3), 33u);
+}
+
+TEST(HtTreeTest, ShedDoorbellOpsWithoutRetriesChargeTheSyncBounce) {
+  // With no retry to spare, a shed doorbell op fails kOverloaded after the
+  // same bounce round trip a shed sync verb is charged: one far access and
+  // one message each, and the clock moves by that bounce alone.
+  TestEnv env(BigFabric());
+  auto& client = env.NewClient();
+  auto map = HtTree::Create(&client, &env.alloc(), SmallTables(1024));
+  ASSERT_TRUE(map.ok());
+  ASSERT_TRUE(map->Put(1, 1).ok());
+  MemoryNode& node = env.fabric().node(0);
+  // Nothing drains while the test runs: every op past the queue is shed.
+  node.SetCongestion(ShortQueue(/*service_ns=*/1'000'000'000));
+  const uint64_t near_ns = env.fabric().options().latency.near_ns;
+  struct Snapshot {
+    uint64_t far, messages, near, failures, ns;
+  };
+  auto snap = [&] {
+    const ClientStats& s = client.stats();
+    return Snapshot{s.far_ops, s.messages, s.near_ops, s.overload_failures,
+                    client.clock().now_ns()};
+  };
+  auto expect_bounces = [&](const Snapshot& before, uint64_t bounces,
+                            uint64_t bounce_ns) {
+    const Snapshot after = snap();
+    EXPECT_EQ(after.far - before.far, bounces);
+    EXPECT_EQ(after.messages - before.messages, bounces);
+    EXPECT_EQ(after.failures - before.failures, bounces);
+    EXPECT_EQ(after.ns - before.ns,
+              bounces * bounce_ns + (after.near - before.near) * near_ns);
+  };
+
+  Saturate(node, client.clock().now_ns());
+  Snapshot before = snap();
+  EXPECT_EQ(client.ReadWord(map->header()).status().code(),
+            StatusCode::kOverloaded);
+  const uint64_t bounce_ns = snap().ns - before.ns;
+  expect_bounces(before, 1, bounce_ns);
+
+  // Each of the 64 head reads in the batch's first doorbell bounces once.
+  const std::vector<uint64_t> keys = KeyRange(100, 64);
+  before = snap();
+  EXPECT_EQ(map->MultiPut(keys, keys).code(), StatusCode::kOverloaded);
+  expect_bounces(before, keys.size(), bounce_ns);
+
+  // A point Put's head read bounces like the sync verb it runs as.
+  before = snap();
+  EXPECT_EQ(map->Put(1, 2).code(), StatusCode::kOverloaded);
+  expect_bounces(before, 1, bounce_ns);
+
+  // A one-key store whose publish doorbell meets a full queue: the item
+  // write bounces, and the CAS it guards never runs.
+  node.SetCongestion(CongestionOptions{});
+  node.SetCongestion(ShortQueue(/*service_ns=*/1'000'000'000));
+  const uint64_t key = 1;
+  const uint64_t value = 3;
+  HtTree::BatchPut engine(&*map, std::span<const uint64_t>(&key, 1),
+                          std::span<const uint64_t>(&value, 1), {}, nullptr);
+  ASSERT_EQ(RunOneWave(client, engine), 1u);  // the head read
+  Saturate(node, client.clock().now_ns());
+  before = snap();
+  ASSERT_EQ(RunOneWave(client, engine), 2u);  // the write and the CAS
+  expect_bounces(before, 1, bounce_ns);
+  EXPECT_EQ(engine.PostWave(), 0u);
+  EXPECT_EQ(engine.Take().code(), StatusCode::kOverloaded);
+
+  node.SetCongestion(CongestionOptions{});
+  EXPECT_EQ(*map->Get(1), 1u);
+  EXPECT_EQ(map->Get(100).status().code(), StatusCode::kNotFound);
 }
 
 // Property sweep: content matches a reference map across geometries.
@@ -734,9 +972,9 @@ TEST_P(HtTreeParamTest, MatchesReferenceMap) {
 }
 
 TEST_P(HtTreeParamTest, TwoHandlesMatchReferenceMap) {
-  // Interleaving two handles on few keys makes stores mispredict on heads
-  // the other handle wrote, so same-key replacement runs in every mix:
-  // value over value, tombstone over value, and value over tombstone.
+  // Interleaving two handles on few keys makes stores read heads the other
+  // handle wrote, so same-key replacement runs in every mix: value over
+  // value, tombstone over value, and value over tombstone.
   const auto [buckets, depth] = GetParam();
   TestEnv env(BigFabric());
   auto& a = env.NewClient();
@@ -749,8 +987,19 @@ TEST_P(HtTreeParamTest, TwoHandlesMatchReferenceMap) {
   Rng rng(buckets * 37 + depth);
   HtTree* handles[] = {&*map_a, &*map_b};
   CheckAgainstReference(handles, 64, rng);
-  EXPECT_GT(map_a->op_stats().cas_retries + map_b->op_stats().cas_retries,
-            0u);
+  // Same-key replacement ran: once a key heads its bucket, rewrites of it
+  // that alternate between the handles link past its previous item and
+  // never count as growth. Without it, each handle would cross its split
+  // threshold (buckets / 2 growth stores per table) within this loop.
+  constexpr uint64_t kKey = 1;
+  ASSERT_TRUE(map_a->Put(kKey, 0).ok());
+  const uint64_t splits = map_a->op_stats().splits + map_b->op_stats().splits;
+  const uint64_t rewrites = 2 * (buckets / 2 + 1);
+  for (uint64_t i = 1; i <= rewrites; ++i) {
+    ASSERT_TRUE(handles[i % 2]->Put(kKey, i).ok());
+  }
+  EXPECT_EQ(map_a->op_stats().splits + map_b->op_stats().splits, splits);
+  EXPECT_EQ(*map_a->Get(kKey), rewrites);
 }
 
 INSTANTIATE_TEST_SUITE_P(

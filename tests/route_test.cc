@@ -445,12 +445,14 @@ TEST_F(RpcPathTest, RpcLandedWritesKeepWatchCoherence) {
 
 // The owner's near state once `writer` landed a store of `key`: the next
 // Get answers `value` from the refilled NearCache entry at zero far
-// accesses (a removed key misses to kNotFound instead). A `one_sided`
-// owner also holds the new head as its CAS hint, so its next Put costs the
-// bare two far accesses and no CAS retry.
+// accesses (a removed key misses to kNotFound instead). An owner that
+// writes one-sided then pays `next_put_far` far accesses for its next Put
+// and no CAS retry: it reads the head the landed store left, then writes
+// the item and CASes the bucket (one doorbell when the item slab and the
+// bucket share a node, a round trip each when they do not).
 void ExpectLandedStoreExit(const char* writer, FarClient& owner, FarMap& map,
                            uint64_t key, std::optional<uint64_t> value,
-                           bool one_sided) {
+                           std::optional<uint64_t> next_put_far) {
   SCOPED_TRACE(writer);
   const uint64_t get_far0 = owner.stats().far_ops;
   const Result<uint64_t> got = map.Get(key);
@@ -462,13 +464,13 @@ void ExpectLandedStoreExit(const char* writer, FarClient& owner, FarMap& map,
   } else {
     EXPECT_EQ(got.status().code(), StatusCode::kNotFound);
   }
-  if (one_sided) {
+  if (next_put_far.has_value()) {
     const uint64_t put_far0 = owner.stats().far_ops;
     const uint64_t retries0 = map.map_stats().cas_retries;
     ASSERT_TRUE(map.Put(key, 7777).ok());
-    EXPECT_EQ(owner.stats().far_ops - put_far0, 2u);
+    EXPECT_EQ(owner.stats().far_ops - put_far0, *next_put_far);
     EXPECT_EQ(map.map_stats().cas_retries - retries0, 0u)
-        << "the head hint must predict the next CAS";
+        << "the head read must predict the next CAS";
   }
 }
 
@@ -493,17 +495,22 @@ TEST_F(RpcPathTest, EveryWriterLeavesTheSameNearState) {
   auto& client = env_.NewClient();
   auto tree = HtTree::Create(&client, &env_.alloc(), options);
   ASSERT_TRUE(tree.ok());
+  // This unpinned map put the owner's item slab and the keys' buckets on
+  // different nodes; the pinned ShardedMap shards below share one.
+  constexpr uint64_t kSplitPutFar = 3;
+  constexpr uint64_t kPinnedPutFar = 2;
   warm(*tree, 1);
   ASSERT_TRUE(tree->Put(1, 11).ok());
-  ExpectLandedStoreExit("Put", client, *tree, 1, 11, true);
+  ExpectLandedStoreExit("Put", client, *tree, 1, 11, kSplitPutFar);
   warm(*tree, 2);
   ASSERT_TRUE(tree->Remove(2).ok());
-  ExpectLandedStoreExit("Remove", client, *tree, 2, std::nullopt, true);
+  ExpectLandedStoreExit("Remove", client, *tree, 2, std::nullopt,
+                        kSplitPutFar);
   warm(*tree, 3);
   const uint64_t multi_keys[2] = {3, 4};
   const uint64_t multi_values[2] = {33, 44};
   ASSERT_TRUE(tree->MultiPut(multi_keys, multi_values).ok());
-  ExpectLandedStoreExit("MultiPut", client, *tree, 3, 33, true);
+  ExpectLandedStoreExit("MultiPut", client, *tree, 3, 33, kSplitPutFar);
 
   auto& txn_client = env_.NewClient();
   auto sharded = ShardedMap::Create(&txn_client, &env_.alloc(),
@@ -515,7 +522,8 @@ TEST_F(RpcPathTest, EveryWriterLeavesTheSameNearState) {
     ASSERT_TRUE(fast.Put(5, 55).ok());
     ASSERT_TRUE(fast.Commit().ok());
   }
-  ExpectLandedStoreExit("fast-path txn", txn_client, *sharded, 5, 55, true);
+  ExpectLandedStoreExit("fast-path txn", txn_client, *sharded, 5, 55,
+                        kPinnedPutFar);
   uint64_t other = 7;  // a second write bucket: the prepare path
   while (sharded->ShardOf(other) == sharded->ShardOf(6) &&
          Mix64(other) % 64 == Mix64(6) % 64) {
@@ -529,7 +537,7 @@ TEST_F(RpcPathTest, EveryWriterLeavesTheSameNearState) {
     ASSERT_TRUE(prepared.Commit().ok());
   }
   ExpectLandedStoreExit("prepare-path txn", txn_client, *sharded, 6, 66,
-                        true);
+                        kPinnedPutFar);
 
   auto& routed_client = env_.NewClient();
   auto routed = HtTree::Attach(&routed_client, &env_.alloc(), tree->header(),
@@ -543,7 +551,8 @@ TEST_F(RpcPathTest, EveryWriterLeavesTheSameNearState) {
   ASSERT_TRUE(routed->EnableRouting(&router, &path).ok());
   warm(*routed, 8);
   ASSERT_TRUE(routed->Put(8, 88).ok());
-  ExpectLandedStoreExit("routed Put", routed_client, *routed, 8, 88, false);
+  ExpectLandedStoreExit("routed Put", routed_client, *routed, 8, 88,
+                        std::nullopt);
 
   auto& wb_tree_client = env_.NewClient();
   auto wb_tree = HtTree::Create(&wb_tree_client, &env_.alloc(), options);
@@ -553,7 +562,7 @@ TEST_F(RpcPathTest, EveryWriterLeavesTheSameNearState) {
   ASSERT_TRUE(wb_tree->Put(9, 99).ok());
   ASSERT_TRUE(wb_tree->FlushBarrier().ok());
   ExpectLandedStoreExit("HtTree flusher", wb_tree_client, *wb_tree, 9, 99,
-                        false);
+                        std::nullopt);
 
   auto& wb_sharded_client = env_.NewClient();
   auto wb_sharded = ShardedMap::Create(&wb_sharded_client, &env_.alloc(),
@@ -568,7 +577,7 @@ TEST_F(RpcPathTest, EveryWriterLeavesTheSameNearState) {
   ASSERT_TRUE(wb_sharded->Put(flushed, 1010).ok());
   ASSERT_TRUE(wb_sharded->FlushBarrier().ok());
   ExpectLandedStoreExit("ShardedMap flusher", wb_sharded_client, *wb_sharded,
-                        flushed, 1010, false);
+                        flushed, 1010, std::nullopt);
 }
 
 TEST_F(RpcPathTest, ShardedMapRoutesPerShard) {
