@@ -5,6 +5,8 @@
 //
 // We measure the cache-bytes / far-accesses trade at laptop scale and then
 // extrapolate the paper's trillion-item arithmetic from the same geometry.
+#include <cmath>
+
 #include "bench/bench_util.h"
 #include "src/baselines/btree.h"
 #include "src/common/rng.h"
@@ -104,13 +106,21 @@ int main() {
               "E4a: 1-far-access lookups — what they cost in client cache");
 
   // The paper's arithmetic, reproduced from the structure's geometry:
-  // tables of 100K elements, trie of ~2x tables nodes, 32 B per cached node.
+  // tables of 100K elements; a mirrored trie of live nodes only, 2 × tables
+  // − 1 of 32 B; and the trie directory, 4 B slots for the smallest power
+  // of two >= 2 × tables. A balanced trie's leaves sit at depth
+  // ceil(log2(tables)), no deeper than the directory's, so finding a key's
+  // leaf costs the directory's 2 near accesses where walking the trie
+  // node by node would cost depth + 1.
   Table extrapolation({"items", "tables(100K each)", "trie nodes",
-                       "client cache", "B-tree cache (fanout 16)"});
+                       "directory slots", "client cache", "near/descent",
+                       "per-level walk", "B-tree cache (fanout 16)"});
   for (double items : {1e9, 1e12}) {
     const double tables = items / 100000.0;
-    const double nodes = 2.0 * tables;  // internal + leaf
-    const double cache_mb = nodes * 32.0 / 1e6;
+    const double nodes = 2.0 * tables - 1.0;  // internal + leaf
+    const double slots = std::exp2(std::ceil(std::log2(2.0 * tables)));
+    const double cache_mb = (nodes * 32.0 + slots * 4.0) / 1e6;
+    const double walk = std::ceil(std::log2(tables)) + 1.0;
     const double btree_cache_gb = (items / 16.0) * 32.0 / 1e9;
     char items_label[16];
     char cache_label[32];
@@ -119,9 +129,10 @@ int main() {
     std::snprintf(cache_label, sizeof(cache_label), "%.0f MB", cache_mb);
     std::snprintf(btree_label, sizeof(btree_label), "%.0f GB",
                   btree_cache_gb);
-    extrapolation.AddRow({items_label,
-                          Table::Cell(tables, 0),
-                          Table::Cell(nodes, 0), cache_label, btree_label});
+    extrapolation.AddRow({items_label, Table::Cell(tables, 0),
+                          Table::Cell(nodes, 0), Table::Cell(slots, 0),
+                          cache_label, Table::Cell(2.0, 0),
+                          Table::Cell(walk, 0), btree_label});
   }
   extrapolation.Print(
       std::cout,

@@ -2,14 +2,14 @@
 // (Mage-style, ROADMAP "asynchronous eviction/write-behind pipeline").
 //
 // With NearCacheOptions::background_eviction set, the owning thread's hot
-// path never runs a CLOCK sweep and never pays an eviction's unsubscribe
-// round trip: admissions simply stop above the high watermark, each refusal
-// marks the cache due (NearCache::SweepNeeded()), and this thread's next
-// periodic pass drains every due cache back to the low watermark via
-// NearCache::BackgroundSweep(). The evictor owns its own FarClient, so the
-// teardown round trips land on its clock and stats (bg_evictions, label
-// "cache.bg_evict"), keeping the application thread's counters an honest
-// record of hot-path work.
+// path never runs a CLOCK sweep and never pays an eviction's or a rewatch's
+// unsubscribe round trip: admissions simply stop above the high watermark,
+// each refusal (or rewatch) marks the cache due (NearCache::SweepNeeded()),
+// and this thread's next periodic pass drains every due cache back to the
+// low watermark via NearCache::BackgroundSweep(). The evictor owns its own
+// FarClient, so the teardown round trips land on its clock and stats
+// (bg_evictions, label "cache.bg_evict"), keeping the application thread's
+// counters an honest record of hot-path work.
 //
 // Lifetime contract: Unwatch() (or StopAndJoin()) every cache before it is
 // destroyed — the evictor holds raw NearCache pointers.
@@ -30,7 +30,7 @@ namespace fmds {
 struct BackgroundEvictorOptions {
   // Real-time cadence between sweep passes. Each pass checks
   // NearCache::SweepNeeded() per cache (cheap) and only sweeps rings that
-  // refused an admission since their last sweep.
+  // refused an admission or rewatched an entry since their last sweep.
   uint64_t poll_interval_us = 100;
 };
 

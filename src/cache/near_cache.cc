@@ -151,8 +151,19 @@ void NearCache::Admit(uint64_t key, std::span<const std::byte> payload,
       // The key's watched range moved (e.g. a split migrated it to a new
       // table and retired — possibly freed — the old one). The old
       // subscription now watches dead memory and would never see another
-      // relevant write, so release it and read-and-arm the new range.
-      ReleaseEntryLocked(e, "cache.rewatch");
+      // relevant write, so release it and read-and-arm the new range. In
+      // background mode the evictor's next pass pays the unsubscribe; the
+      // owner only forgets the id, and late events for it are dropped.
+      if (options_.background_eviction && e.sub != kInvalidSubId) {
+        sub_to_key_.erase(e.sub);
+        client_->ForgetSubscription(e.sub);
+        rewatch_retired_.push_back({e.sub, e.watch});
+        e.sub = kInvalidSubId;
+        e.watch = kNullFarAddr;
+        e.watch_len = 0;
+      } else {
+        ReleaseEntryLocked(e, "cache.rewatch");
+      }
       ++stats_.rewatches;
       if (!ArmWatchLocked(e, key, watch, watch_len, expected_watch_word,
                           "cache.rewatch")) {
@@ -386,7 +397,7 @@ void NearCache::EvictToBudgetLocked() {
 
 bool NearCache::SweepNeeded() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return sweep_due_;
+  return sweep_due_ || !rewatch_retired_.empty();
 }
 
 size_t NearCache::BackgroundSweep(FarClient* evictor_client) {
@@ -394,13 +405,11 @@ size_t NearCache::BackgroundSweep(FarClient* evictor_client) {
   // near state. The victims' subscriptions are remembered but NOT torn down
   // here — paying round trips under the mutex would stall the hot path the
   // sweep exists to protect.
-  struct Retired {
-    SubId sub;
-    FarAddr watch;
-  };
-  std::vector<Retired> retired;
+  std::vector<RetiredWatch> retired;
+  std::vector<RetiredWatch> rewatched;
   {
     std::lock_guard<std::mutex> lock(mu_);
+    rewatched.swap(rewatch_retired_);
     sweep_due_ = false;
     const uint64_t low = LowWatermark();
     while (bytes_used_ > low && !ring_.empty()) {
@@ -423,10 +432,14 @@ size_t NearCache::BackgroundSweep(FarClient* evictor_client) {
   }
   // Phase 2 (no cache mutex): pay the node-side unsubscribe round trips on
   // the evictor's own client and clock.
-  for (const Retired& r : retired) {
+  for (const RetiredWatch& r : retired) {
     ScopedOpLabel label(&evictor_client->recorder(), "cache.bg_evict");
     (void)evictor_client->UnsubscribeAt(r.watch, r.sub);
     ++evictor_client->mutable_stats().bg_evictions;
+  }
+  for (const RetiredWatch& r : rewatched) {
+    ScopedOpLabel label(&evictor_client->recorder(), "cache.rewatch");
+    (void)evictor_client->UnsubscribeAt(r.watch, r.sub);
   }
   return retired.size();
 }
@@ -434,6 +447,10 @@ size_t NearCache::BackgroundSweep(FarClient* evictor_client) {
 void NearCache::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
   DrainRetiredLocked();
+  for (const RetiredWatch& r : rewatch_retired_) {
+    (void)client_->UnsubscribeAt(r.watch, r.sub);
+  }
+  rewatch_retired_.clear();
   ring_.ForEach([this](uint64_t, Entry& e) { ReleaseEntryLocked(e); });
   ring_.Clear();
   filter_.Clear();

@@ -78,7 +78,9 @@ struct NearCacheOptions {
   // stay under the high watermark (the budget) and are dropped (wm_drops)
   // above it; each drop marks the cache due for a sweep, and a
   // BackgroundEvictor thread calls BackgroundSweep() to drain it to the low
-  // watermark (budget - budget/8) off the critical path.
+  // watermark (budget - budget/8) off the critical path. A rewatch (the
+  // key's watched range moved) leaves its old subscription to that same
+  // pass too, so it pays only the new range's subscribe.
   bool background_eviction = false;
 };
 
@@ -223,16 +225,18 @@ class NearCache : public NotificationSink {
   void Clear();
 
   // True once a background-mode admission was refused at the high
-  // watermark and no BackgroundSweep() has run since: the evictor's
-  // trigger, and the sweep_needed gauge. Cheap enough to poll.
+  // watermark, or a rewatch left an old subscription to tear down, and no
+  // BackgroundSweep() has run since: the evictor's trigger. Cheap enough
+  // to poll.
   bool SweepNeeded() const;
 
   // Background eviction (Mage-style): evicts this cache's CLOCK victims
-  // until its used bytes drop to the low watermark, and clears the
-  // SweepNeeded() mark.
+  // until its used bytes drop to the low watermark, tears down the old
+  // subscriptions rewatches left behind, and clears the SweepNeeded() mark.
   // Victim state is reclaimed under the cache mutex; the per-victim
   // unsubscribe round trips are then paid OUTSIDE the mutex by
-  // `evictor_client` (label "cache.bg_evict", ClientStats.bg_evictions) so
+  // `evictor_client` (label "cache.bg_evict", ClientStats.bg_evictions; a
+  // rewatch's teardown is labelled "cache.rewatch" and is no eviction) so
   // the owner thread never blocks behind fabric teardown. The owner's
   // subscription bookkeeping is retired lazily (ForgetSubscription) on its
   // next cache operation. Returns the number of entries reclaimed. Caller
@@ -295,6 +299,12 @@ class NearCache : public NotificationSink {
   // Owner-thread lazy cleanup of subscriptions the background evictor
   // already tore down node-side.
   void DrainRetiredLocked();
+  // A node-side subscription the owner no longer routes events to, left
+  // for an unsubscribe round trip.
+  struct RetiredWatch {
+    SubId sub;
+    FarAddr watch;
+  };
   // Read-and-arm subscribe on [watch, watch+watch_len): fills e.sub/e.watch,
   // registers sub_to_key_, and sets e.valid from the snapshot comparison.
   // Returns false (entry untouched beyond payload) if the range is
@@ -327,6 +337,9 @@ class NearCache : public NotificationSink {
   // Sub ids the background evictor reclaimed; the owner thread forgets
   // them (no round trip) on its next cache operation.
   std::vector<SubId> retired_subs_;
+  // Background mode: old subscriptions of rewatched entries, already
+  // forgotten by the owner, awaiting the evictor's node-side teardown.
+  std::vector<RetiredWatch> rewatch_retired_;
   uint64_t bytes_used_ = 0;
   // Set by a refused background-mode admission, cleared by a sweep.
   bool sweep_due_ = false;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cassert>
 #include <chrono>
 #include <optional>
@@ -24,6 +25,20 @@ constexpr uint32_t kMaxDepth = 40;
 constexpr int kMaxOpRetries = 4096;
 
 uint64_t VersionOf(uint64_t meta) { return meta & 0xffffffffull; }
+
+// The top `bits` bits of `hash`: the prefix a trie node at depth `bits`
+// covers.
+uint64_t HashPrefix(uint64_t hash, uint32_t bits) {
+  return bits == 0 ? 0 : hash >> (64 - bits);
+}
+
+// The trie directory's depth for a mirror of `leaves` leaves: the smallest
+// with 2^bits >= 2 × leaves, so the directory stays linear in leaves (zero
+// for one leaf, whose only slot names the root).
+uint32_t DirBits(uint64_t leaves) {
+  return leaves < 2 ? 0
+                    : static_cast<uint32_t>(std::bit_width(2 * leaves - 1));
+}
 
 // Brief real-time backoff between staleness retries: an in-flight split
 // holds the table frozen for many fabric round trips.
@@ -250,13 +265,15 @@ Result<FarAddr> HtTree::AllocItemSlot() {
 }
 
 int32_t HtTree::DescendCached(uint64_t hash) const {
-  int32_t idx = 0;
-  uint64_t hops = 1;
+  int32_t idx = dir_[HashPrefix(hash, dir_bits_)];
+  // The slot, then the node it names. A one-leaf mirror's directory has
+  // zero bits: its only slot names the root, which is all the descent reads.
+  uint64_t near = dir_bits_ == 0 ? 1 : 2;
   while (!nodes_[idx].leaf) {
     idx = nodes_[idx].child[HashBit(hash, nodes_[idx].depth)];
-    ++hops;
+    ++near;
   }
-  client_->AccountNear(hops);
+  client_->AccountNear(near);
   return idx;
 }
 
@@ -272,22 +289,32 @@ Status HtTree::RefreshCache() {
 
   // Mirror the trie breadth-first through the batched pipeline: the whole
   // trie costs depth+1 round trips, not one per node.
-  nodes_.clear();
-  FMDS_ASSIGN_OR_RETURN(int32_t root, FetchSubtree(hdr[kHdrRoot / 8]));
-  (void)root;  // appended into an empty cache, so always index 0
+  FMDS_ASSIGN_OR_RETURN(nodes_, FetchSubtree(hdr[kHdrRoot / 8]));
+  if (!collision_estimate_.empty()) {
+    // Growth estimates of tables that left the mirror go with them.
+    std::unordered_set<FarAddr> tables;
+    for (const CachedNode& node : nodes_) {
+      if (node.leaf) {
+        tables.insert(node.table);
+      }
+    }
+    std::erase_if(collision_estimate_, [&](const auto& estimate) {
+      return !tables.contains(estimate.first);
+    });
+  }
+  RebuildDirectory();
   return OkStatus();
 }
 
-Result<int32_t> HtTree::FetchSubtree(FarAddr addr) {
+Result<std::vector<HtTree::CachedNode>> HtTree::FetchSubtree(FarAddr addr) {
   // Level-order batched fetch: all nodes of one level ride one doorbell
   // (both children of every internal node in a single round trip).
-  const int32_t root_idx = static_cast<int32_t>(nodes_.size());
-  nodes_.push_back(CachedNode{});
+  std::vector<CachedNode> nodes(1);
   struct Fetch {
     FarAddr addr;
     int32_t idx;
   };
-  std::vector<Fetch> frontier{{addr, root_idx}};
+  std::vector<Fetch> frontier{{addr, 0}};
   while (!frontier.empty()) {
     std::vector<NodeRec> recs(frontier.size());
     for (size_t i = 0; i < frontier.size(); ++i) {
@@ -298,7 +325,7 @@ Result<int32_t> HtTree::FetchSubtree(FarAddr addr) {
     for (size_t i = 0; i < frontier.size(); ++i) {
       const NodeRec& rec = recs[i];
       // Build locally and assign by index: the push_backs below reallocate
-      // `nodes_`, so no reference into it may be held across them.
+      // `nodes`, so no reference into it may be held across them.
       CachedNode node;
       node.addr = frontier[i].addr;
       node.depth = rec.depth();
@@ -309,18 +336,62 @@ Result<int32_t> HtTree::FetchSubtree(FarAddr addr) {
         node.sentinel = rec.c;
       } else {
         node.leaf = false;
-        node.child[0] = static_cast<int32_t>(nodes_.size());
-        nodes_.push_back(CachedNode{});
-        node.child[1] = static_cast<int32_t>(nodes_.size());
-        nodes_.push_back(CachedNode{});
+        node.child[0] = static_cast<int32_t>(nodes.size());
+        nodes.push_back(CachedNode{});
+        node.child[1] = static_cast<int32_t>(nodes.size());
+        nodes.push_back(CachedNode{});
         next.push_back(Fetch{rec.a, node.child[0]});
         next.push_back(Fetch{rec.b, node.child[1]});
       }
-      nodes_[frontier[i].idx] = node;
+      nodes[frontier[i].idx] = node;
     }
     frontier = std::move(next);
   }
-  return root_idx;
+  return nodes;
+}
+
+Status HtTree::SpliceSubtree(int32_t at, FarAddr addr, uint64_t hash) {
+  // The far trie only ever swings a leaf's cell to a new internal node, and
+  // internal nodes are never freed, so only a cached leaf can lag it.
+  const CachedNode replaced = nodes_[at];
+  assert(replaced.leaf);
+  FMDS_ASSIGN_OR_RETURN(std::vector<CachedNode> sub, FetchSubtree(addr));
+  // The subtree's root takes the leaf's cell and its descendants append,
+  // so every child index moves by the same offset.
+  const int32_t base = static_cast<int32_t>(nodes_.size()) - 1;
+  for (CachedNode& node : sub) {
+    if (!node.leaf) {
+      node.child[0] += base;
+      node.child[1] += base;
+    }
+  }
+  nodes_[at] = sub[0];
+  nodes_.insert(nodes_.end(), sub.begin() + 1, sub.end());
+  collision_estimate_.erase(replaced.table);
+  if (DirBits(cached_tables()) != dir_bits_) {
+    RebuildDirectory();
+  } else if (replaced.depth < dir_bits_) {
+    FillDirectory(at, HashPrefix(hash, replaced.depth));
+  }
+  return OkStatus();
+}
+
+void HtTree::RebuildDirectory() {
+  dir_bits_ = DirBits(cached_tables());
+  dir_.assign(size_t{1} << dir_bits_, 0);
+  FillDirectory(0, 0);
+}
+
+void HtTree::FillDirectory(int32_t at, uint64_t prefix) {
+  const CachedNode& node = nodes_[at];
+  if (node.leaf || node.depth == dir_bits_) {
+    const uint32_t below = dir_bits_ - node.depth;
+    std::fill_n(dir_.begin() + static_cast<ptrdiff_t>(prefix << below),
+                size_t{1} << below, at);
+    return;
+  }
+  FillDirectory(node.child[0], prefix << 1);
+  FillDirectory(node.child[1], (prefix << 1) | 1);
 }
 
 Status HtTree::RefreshPath(uint64_t hash) {
@@ -346,17 +417,13 @@ Status HtTree::RefreshPath(uint64_t hash) {
     }
     if (cached.leaf) {
       // The cached view lags a split: pull the whole replacement subtree.
-      FMDS_ASSIGN_OR_RETURN(int32_t sub, FetchSubtree(fa));
-      nodes_[ci] = nodes_[sub];
-      return OkStatus();
+      return SpliceSubtree(ci, fa, hash);
     }
     const uint32_t bit = HashBit(hash, rec.depth());
     const FarAddr next_fa = (bit == 0) ? rec.a : rec.b;
     const int32_t next_ci = cached.child[bit];
     if (nodes_[next_ci].addr != next_fa) {
-      FMDS_ASSIGN_OR_RETURN(int32_t sub, FetchSubtree(next_fa));
-      nodes_[next_ci] = nodes_[sub];
-      return OkStatus();
+      return SpliceSubtree(next_ci, next_fa, hash);
     }
     fa = next_fa;
     ci = next_ci;
@@ -1238,10 +1305,7 @@ Status HtTree::SplitLeaf(int32_t leaf_index, uint64_t hash) {
   (void)alloc_->Free(table, kTableHeaderBytes + buckets_per_table_ * kWordSize);
   (void)alloc_->Free(leaf.addr, kNodeBytes);
 
-  // Splice the new subtree into the local cache.
-  FMDS_ASSIGN_OR_RETURN(int32_t sub, FetchSubtree(internal));
-  nodes_[leaf_index] = nodes_[sub];
-  collision_estimate_.erase(table);
+  FMDS_RETURN_IF_ERROR(SpliceSubtree(leaf_index, internal, hash));
   ++op_stats_.splits;
   return OkStatus();
 }
@@ -1483,19 +1547,14 @@ Result<bool> HtTree::PollSplitNotifications() {
 }
 
 uint64_t HtTree::cached_tables() const {
-  uint64_t leaves = 0;
-  for (const CachedNode& node : nodes_) {
-    if (node.leaf && node.table != kNullFarAddr) {
-      ++leaves;
-    }
-  }
-  return leaves;
+  // The mirror is a full binary tree: one more leaf than internal nodes.
+  return (nodes_.size() + 1) / 2;
 }
 
 uint64_t HtTree::cache_bytes() const {
-  // The §5.2 geometry: the mirrored trie is what the client must cache to
-  // get 1-far-access lookups.
-  return nodes_.size() * sizeof(CachedNode);
+  // The §5.2 geometry: the mirrored trie and its directory are what the
+  // client must cache to get 1-far-access lookups.
+  return nodes_.size() * sizeof(CachedNode) + dir_.size() * sizeof(int32_t);
 }
 
 uint64_t HtTree::hint_cache_bytes() const {

@@ -10,11 +10,14 @@
 //   items        32 B, immutable once linked: {key, value, meta, next}
 //
 // Access costs (the paper's claims, reproduced by bench_e4 and bench_a11):
-//   lookup, fresh cache: descend the *cached* trie (near accesses), then ONE
-//     far access — load0 on the bucket follows the item pointer and returns
-//     the item in the same round trip. Empty buckets hold the table's
-//     sentinel item, whose embedded version makes even negative lookups
-//     verifiable in one access.
+//   lookup, fresh cache: find the key's leaf in the *cached* trie through a
+//     directory over the top bits of the key hash — two near accesses (the
+//     slot, then the node it names; one while the trie is a single leaf)
+//     plus one per trie level below the directory's depth, which only a
+//     leaf deeper than most pays — then ONE far access: load0 on the bucket
+//     follows the item pointer and returns the item in the same round trip.
+//     Empty buckets hold the table's sentinel item, whose embedded version
+//     makes even negative lookups verifiable in one access.
 //   store, fresh cache: TWO far accesses. The first is the same load0 as a
 //     lookup: it reads the bucket head the store will CAS against, since
 //     the client caches the trie but not the hash tables. The second writes
@@ -73,7 +76,8 @@ class HtTree : public FarMap {
   struct Options {
     uint64_t buckets_per_table = 1024;
     // Split a table once a lookup (Get, MultiGet) walks a chain longer than
-    // this, or local collision estimates exceed the table load factor.
+    // this, or once this handle's chain-growing stores to it pass half its
+    // buckets (GrowthSplitDue).
     uint64_t max_chain = 6;
     // Pre-split the key space into 2^initial_depth tables at Create().
     uint32_t initial_depth = 0;
@@ -198,11 +202,12 @@ class HtTree : public FarMap {
   // refresh happened; false when the watch is off.
   Result<bool> PollSplitNotifications();
 
-  // Local-cache footprint in bytes of the trie mirror — the cache the
-  // structure *requires* for 1-far-access lookups (E4's currency).
+  // Local-cache footprint in bytes of the trie mirror and its directory —
+  // the cache the structure *requires* for 1-far-access lookups (E4's
+  // currency).
   uint64_t cache_bytes() const;
   // Near bytes beyond the trie: the per-table growth counters of the
-  // split trigger.
+  // split trigger, one per cached table this handle grew.
   uint64_t hint_cache_bytes() const;
   uint64_t cached_tables() const;
 
@@ -345,15 +350,28 @@ class HtTree : public FarMap {
   Result<FarAddr> AllocItemSlot();
 
   // Trie descent over the local cache; returns index into nodes_ of the
-  // leaf covering `hash`. Accounts near accesses.
+  // leaf covering `hash`. Charges one near access for the directory slot
+  // (none in a one-leaf mirror), one for the node it names and one per
+  // level it walks below that node.
   int32_t DescendCached(uint64_t hash) const;
 
   // Replaces the cached subtree rooted where `hash` leads after detecting
   // staleness: walks the *far* trie along the hash path and splices.
   Status RefreshPath(uint64_t hash);
-  // Reads the subtree under far node `addr` and appends it to the cache;
-  // returns the local index of the subtree root.
-  Result<int32_t> FetchSubtree(FarAddr addr);
+  // Reads the subtree under far node `addr`, level by level. Its root is
+  // element 0 and child indices point into the returned vector.
+  Result<std::vector<CachedNode>> FetchSubtree(FarAddr addr);
+  // Replaces the cached leaf nodes_[at], which `hash` leads to, with the far
+  // subtree under `addr`, written into the leaf's own cell so no dead node
+  // is left. Drops the leaf table's growth estimate and re-points the
+  // directory slots of that hash prefix (the whole directory only when its
+  // depth must grow).
+  Status SpliceSubtree(int32_t at, FarAddr addr, uint64_t hash);
+  // Resizes the directory for the mirror's leaf count and fills it.
+  void RebuildDirectory();
+  // Points every directory slot under nodes_[at] (which covers hash prefix
+  // `prefix`) at the deepest cached node covering it.
+  void FillDirectory(int32_t at, uint64_t prefix);
 
   // ---- Transaction read hook (used by Txn via friendship) ----
   // One validated read observation: the resolved value (or a definitive
@@ -452,8 +470,12 @@ class HtTree : public FarMap {
   // Growth-only split trigger (§5.2's "enough collisions"), called once per
   // landed store: counts it against `table` only if it `grew` the chain
   // (linked to the head its CAS replaced). True once this handle's count
-  // reaches load factor ~1/2 — most buckets then hold at most one item, so
-  // lookups stay at one far access — and the caller should split.
+  // passes half the buckets, and the caller should split. The count starts
+  // at 0 on every table, including one a split built with about half its
+  // parent's items, so a table splits well past load factor 1/2: at the end
+  // of a seed-3 farbench `read_mostly` run its shards hold ~925 items per
+  // 1,024-bucket table, and a lookup walks past the bucket head that much
+  // more often (ROADMAP direction 2 weighs that trade).
   bool GrowthSplitDue(FarAddr table, bool grew);
   static uint32_t HashBit(uint64_t hash, uint32_t depth) {
     return static_cast<uint32_t>((hash >> (63 - depth)) & 1);
@@ -479,8 +501,16 @@ class HtTree : public FarMap {
   uint64_t buckets_per_table_ = 0;
   FarAddr retired_sentinel_ = kNullFarAddr;
 
+  // The trie mirror holds live nodes only (splices write in place), so it
+  // is a full binary tree of 2 × leaves − 1 nodes.
   std::vector<CachedNode> nodes_;  // nodes_[0] mirrors the root
-  // Per-table count of this handle's chain-growing stores (GrowthSplitDue).
+  // The hash-prefix directory over the mirror: dir_[p] is the index of the
+  // deepest cached node covering the top dir_bits_ bits p of a key hash — a
+  // leaf no deeper than dir_bits_, or the internal node at that depth.
+  std::vector<int32_t> dir_;
+  uint32_t dir_bits_ = 0;
+  // Per-table count of this handle's chain-growing stores (GrowthSplitDue),
+  // for tables the mirror still caches.
   std::unordered_map<FarAddr, uint64_t> collision_estimate_;
   // Bucket-head NearCache (null when Options::cache.budget_bytes == 0).
   // Heap-owned so the NotificationSink pointer registered with the client

@@ -265,6 +265,84 @@ TEST(NearCacheTest, RefillWithMovedWatchRewatches) {
       << "cross-handle write to the new bucket must kill the entry";
 }
 
+size_t NodeSubscriptions(Fabric& fabric) {
+  size_t total = 0;
+  for (uint32_t n = 0; n < fabric.num_nodes(); ++n) {
+    total += fabric.node(n).subscription_count();
+  }
+  return total;
+}
+
+TEST(NearCacheTest, BackgroundRewatchLeavesTheUnsubscribeToTheEvictor) {
+  // In background mode a rewatch pays only the new range's subscribe, as a
+  // first admission does: the old subscription's unsubscribe round trip
+  // goes to the evictor's next pass, like an evicted entry's.
+  TestEnv env;
+  auto& reader = env.NewClient();
+  auto& writer = env.NewClient();
+  NearCacheOptions options = CacheOpts(1 << 20);
+  options.background_eviction = true;
+  NearCache cache(&reader, options, /*word_versioned=*/false);
+  uint64_t v = 100;
+  uint64_t far0 = reader.stats().far_ops;
+  cache.Admit(1, AsConstBytes(v), /*watch=*/64, kWordSize, 0);
+  const uint64_t admit_far_ops = reader.stats().far_ops - far0;
+  ASSERT_TRUE(writer.WriteWord(64, 5).ok());
+  EXPECT_EQ(reader.DispatchNotifications(), 1u);
+  EXPECT_FALSE(cache.SweepNeeded());
+
+  uint64_t v2 = 200;
+  far0 = reader.stats().far_ops;
+  cache.Admit(1, AsConstBytes(v2), /*watch=*/128, kWordSize, 0);
+  EXPECT_EQ(reader.stats().far_ops - far0, admit_far_ops);
+  EXPECT_EQ(cache.stats().rewatches, 1u);
+  EXPECT_TRUE(cache.SweepNeeded()) << "the old subscription awaits teardown";
+  EXPECT_FALSE(cache.health().sweep_needed) << "no admission was refused";
+  EXPECT_EQ(NodeSubscriptions(env.fabric()), 2u);
+
+  // Until then the old range's events reach no entry.
+  ASSERT_TRUE(writer.WriteWord(64, 6).ok());
+  EXPECT_EQ(reader.DispatchNotifications(), 0u);
+  uint64_t out = 0;
+  EXPECT_TRUE(cache.Lookup(1, AsBytes(out)));
+  EXPECT_EQ(out, 200u);
+
+  BackgroundEvictor evictor(&env.fabric(), /*client_id=*/9002);
+  evictor.Watch(&cache);
+  evictor.SweepNow();
+  evictor.Unwatch(&cache);
+  EXPECT_FALSE(cache.SweepNeeded());
+  EXPECT_EQ(NodeSubscriptions(env.fabric()), 1u);
+  EXPECT_EQ(evictor.stats().far_ops, 1u) << "one unsubscribe round trip";
+  EXPECT_EQ(evictor.stats().bg_evictions, 0u) << "a teardown is no eviction";
+  EXPECT_EQ(cache.entries(), 1u);
+
+  // The new range still invalidates.
+  ASSERT_TRUE(writer.WriteWord(128, 9).ok());
+  EXPECT_EQ(reader.DispatchNotifications(), 1u);
+  EXPECT_FALSE(cache.Lookup(1, AsBytes(out)));
+}
+
+TEST(NearCacheTest, ClearTearsDownRewatchedSubscriptions) {
+  // A cache destroyed before any evictor pass leaves no subscription at the
+  // node, not even one a background-mode rewatch released.
+  TestEnv env;
+  auto& reader = env.NewClient();
+  auto& writer = env.NewClient();
+  NearCacheOptions options = CacheOpts(1 << 20);
+  options.background_eviction = true;
+  {
+    NearCache cache(&reader, options, /*word_versioned=*/false);
+    uint64_t v = 100;
+    cache.Admit(1, AsConstBytes(v), /*watch=*/64, kWordSize, 0);
+    ASSERT_TRUE(writer.WriteWord(64, 5).ok());
+    EXPECT_EQ(reader.DispatchNotifications(), 1u);
+    cache.Admit(1, AsConstBytes(v), /*watch=*/128, kWordSize, 0);
+    EXPECT_EQ(NodeSubscriptions(env.fabric()), 2u);
+  }
+  EXPECT_EQ(NodeSubscriptions(env.fabric()), 0u);
+}
+
 TEST(NearCacheTest, LossWarningInvalidatesEverything) {
   TestEnv env;
   ClientOptions tiny;

@@ -274,6 +274,122 @@ TEST(HtTreeTest, CacheBytesGrowWithTables) {
   EXPECT_GT(map->cache_bytes(), before);
 }
 
+// The depth of the trie mirror's directory over `leaves` cached leaves: the
+// smallest with 2^bits >= 2 × leaves (zero for one leaf).
+uint32_t DirectoryBits(uint64_t leaves) {
+  uint32_t bits = 0;
+  while (leaves > 1 && (1ull << bits) < 2 * leaves) {
+    ++bits;
+  }
+  return bits;
+}
+
+TEST(HtTreeTest, DescentReadsOneDirectorySlotAndTheNodeItNames) {
+  // 256 tables, every leaf at depth 8: the directory slot and the node it
+  // names find the leaf, and one more near access validates the head. A
+  // per-level descent would read the 9 trie nodes on the path instead.
+  TestEnv env(BigFabric());
+  auto& client = env.NewClient();
+  auto map = HtTree::Create(&client, &env.alloc(),
+                            SmallTables(64, /*depth=*/8));
+  ASSERT_TRUE(map.ok());
+  ASSERT_EQ(map->cached_tables(), 256u);
+  ASSERT_TRUE(map->Put(5, 55).ok());
+  const uint64_t before = client.stats().near_ops;
+  EXPECT_EQ(*map->Get(5), 55u);
+  EXPECT_EQ(client.stats().near_ops - before, 2u + 1u);
+}
+
+TEST(HtTreeTest, DeepLeafWalksOnlyTheLevelsBelowTheDirectory) {
+  // Twenty forced splits of one key's table leave that key's leaf at depth
+  // 20, far below the directory's depth for 21 leaves. The key pays one
+  // near access per level below the directory, every key still reads back,
+  // and the directory stays linear in leaves rather than 2^depth.
+  TestEnv env(BigFabric());
+  auto& client = env.NewClient();
+  auto map = HtTree::Create(&client, &env.alloc(), SmallTables(64));
+  ASSERT_TRUE(map.ok());
+  constexpr uint64_t kKey = 7;
+  constexpr uint64_t kKeys = 30;  // too few to split a 64-bucket table
+  constexpr uint32_t kSplits = 20;
+  for (uint64_t k = 1; k <= kKeys; ++k) {
+    ASSERT_TRUE(map->Put(k, k * 5).ok());
+  }
+  ASSERT_EQ(map->cached_tables(), 1u);
+  for (uint32_t i = 0; i < kSplits; ++i) {
+    ASSERT_TRUE(map->SplitTableOf(kKey).ok()) << "split " << i;
+  }
+  ASSERT_EQ(map->cached_tables(), 1u + kSplits);
+  const uint32_t bits = DirectoryBits(map->cached_tables());
+  ASSERT_LT(bits, kSplits);
+  const uint64_t before = client.stats().near_ops;
+  EXPECT_EQ(*map->Get(kKey), kKey * 5);
+  EXPECT_EQ(client.stats().near_ops - before, 2u + (kSplits - bits) + 1u);
+  for (uint64_t k = 1; k <= kKeys; ++k) {
+    ASSERT_EQ(*map->Get(k), k * 5) << "key " << k;
+  }
+  // 2 × leaves − 1 mirrored nodes of 48 B and at most 4 × leaves slots.
+  EXPECT_LT(map->cache_bytes(), 128 * map->cached_tables());
+}
+
+TEST(HtTreeTest, RefreshedMirrorHoldsOnlyLiveNodes) {
+  // A handle that refreshed across another handle's splits caches exactly
+  // what a handle attached afterwards does: each refresh writes the new
+  // subtree into the stale leaf's own cell, so no dead node stays behind.
+  TestEnv env(BigFabric());
+  auto& a = env.NewClient();
+  auto& b = env.NewClient();
+  auto map_a = HtTree::Create(&a, &env.alloc(), SmallTables(16));
+  ASSERT_TRUE(map_a.ok());
+  auto map_b = HtTree::Attach(&b, &env.alloc(), map_a->header());
+  ASSERT_TRUE(map_b.ok());
+  constexpr uint64_t kKeys = 600;
+  for (uint64_t k = 0; k < kKeys; ++k) {
+    ASSERT_TRUE(map_a->Put(k, k + 1).ok());
+    if (k % 100 == 99) {
+      for (uint64_t j = 0; j <= k; ++j) {
+        ASSERT_EQ(*map_b->Get(j), j + 1) << "key " << j;
+      }
+    }
+  }
+  ASSERT_GT(map_a->op_stats().splits, 8u);
+  ASSERT_GT(map_b->op_stats().stale_refreshes, 1u);
+  auto& c = env.NewClient();
+  auto map_c = HtTree::Attach(&c, &env.alloc(), map_a->header());
+  ASSERT_TRUE(map_c.ok());
+  EXPECT_EQ(map_b->cached_tables(), map_c->cached_tables());
+  EXPECT_EQ(map_b->cache_bytes(), map_c->cache_bytes());
+  EXPECT_EQ(map_a->cache_bytes(), map_c->cache_bytes());
+}
+
+TEST(HtTreeTest, GrowthEstimatesLeaveWithTheirTables) {
+  // Handle A's growth estimate of a table goes once the table leaves A's
+  // mirror, whoever split it: after B splits the root table (A re-reads the
+  // whole trie), after B splits an inner table (A splices one subtree), and
+  // when A's own split finds the table B already split.
+  TestEnv env(BigFabric());
+  auto& a = env.NewClient();
+  auto& b = env.NewClient();
+  auto map_a = HtTree::Create(&a, &env.alloc(), SmallTables(1024));
+  ASSERT_TRUE(map_a.ok());
+  auto map_b = HtTree::Attach(&b, &env.alloc(), map_a->header());
+  ASSERT_TRUE(map_b.ok());
+  ASSERT_EQ(map_a->hint_cache_bytes(), 0u);
+  for (uint64_t key : {11, 12, 13}) {
+    ASSERT_TRUE(map_a->Put(key, key).ok());  // grows the key's table
+    ASSERT_GT(map_a->hint_cache_bytes(), 0u) << "key " << key;
+    ASSERT_TRUE(map_b->SplitTableOf(key).ok());
+    if (key == 13) {
+      ASSERT_TRUE(map_a->SplitTableOf(key).ok());
+      EXPECT_EQ(map_a->op_stats().splits, 0u) << "B had split it already";
+    } else {
+      EXPECT_EQ(*map_a->Get(key), key);  // stale head: A refreshes
+    }
+    EXPECT_EQ(map_a->hint_cache_bytes(), 0u) << "key " << key;
+  }
+  EXPECT_EQ(map_a->op_stats().stale_refreshes, 3u);
+}
+
 TEST(HtTreeTest, ConcurrentWritersDistinctKeys) {
   TestEnv env(BigFabric());
   auto& creator = env.NewClient();
@@ -568,9 +684,9 @@ TEST(HtTreeTest, PointOpAccountingIsPinned) {
                   s.splits};
   };
   EXPECT_EQ(client_counts(a),
-            (Counts{2777, 4328, 8318, 85584, 51200, 3443754}));
+            (Counts{2777, 4328, 6302, 85584, 51200, 3242154}));
   EXPECT_EQ(client_counts(b),
-            (Counts{2624, 3613, 8184, 72160, 35296, 3280828}));
+            (Counts{2624, 3613, 6164, 72160, 35296, 3078828}));
   EXPECT_EQ(op_counts(map_a->op_stats()),
             (Counts{750, 611, 139, 263, 2, 0, 6}));
   EXPECT_EQ(op_counts(map_b->op_stats()),
