@@ -14,12 +14,14 @@
 //      in the pending table, so hot keys cost one publish per drain
 //      instead of one per write (ClientStats.writes_combined counts the
 //      absorbed doorbells).
-//   3. Hot path stays allocation/reclamation-free: during a pure-write
-//      window the app client pays ZERO far ops, the app cache performs
-//      ZERO hot-path evictions (background evictor reclaims instead:
-//      bg_evictions > 0), and the pipeline counters prove the stages ran
-//      where they should (app writes_combined > 0, flusher
-//      flush_stages > 0, app flush_stages == 0).
+//   3. Hot path stays allocation/teardown-free: during a pure-write
+//      window the app client pays ZERO far ops and ZERO eviction
+//      unsubscribes (app_cache_evictions: a write-behind Put touches no
+//      cache; the slots the warm-up reads reclaimed had their unsubscribes
+//      paid by the background evictor, bg_evictions > 0), and the pipeline
+//      counters prove the stages ran where they should (app
+//      writes_combined > 0, flusher flush_stages > 0, app
+//      flush_stages == 0).
 //
 // Flags: --smoke (tiny config for CI), --repeat=N (median-of-N),
 // --json=<path>.
@@ -371,7 +373,7 @@ int main(int argc, char** argv) {
     json.Int("flush_stages", r.flush_stages);
   }
 
-  // --- Claim 3: the hot path is allocation- and reclamation-free ---
+  // --- Claim 3: the hot path is allocation- and teardown-free ---
   const ProofResult proof = RunHotPathProof(cfg, 29);
   json.Begin("hot-path-proof");
   json.Int("app_far_ops_pure_write_window", proof.app_far_ops);

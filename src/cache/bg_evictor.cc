@@ -81,9 +81,7 @@ BackgroundEvictor::Health BackgroundEvictor::health() const {
   for (const NearCache* cache : caches) {
     const NearCache::Health ch = cache->health();
     h.bytes_used += ch.bytes_used;
-    h.budget_headroom += ch.bytes_used >= ch.high_watermark
-                             ? 0
-                             : ch.high_watermark - ch.bytes_used;
+    h.budget_headroom += ch.budget_limit - ch.bytes_used;
   }
   return h;
 }

@@ -1,15 +1,19 @@
-// BackgroundEvictor: a dedicated reclamation thread for NearCache rings
-// (Mage-style, ROADMAP "asynchronous eviction/write-behind pipeline").
+// BackgroundEvictor: a dedicated thread that pays NearCache subscription
+// teardowns off the owner's hot path (Mage-style, ROADMAP "asynchronous
+// eviction/write-behind pipeline").
 //
-// With NearCacheOptions::background_eviction set, the owning thread's hot
-// path never runs a CLOCK sweep and never pays an eviction's or a rewatch's
-// unsubscribe round trip: admissions simply stop above the high watermark,
-// each refusal (or rewatch) marks the cache due (NearCache::SweepNeeded()),
-// and this thread's next periodic pass drains every due cache back to the
-// low watermark via NearCache::BackgroundSweep(). The evictor owns its own
-// FarClient, so the teardown round trips land on its clock and stats
-// (bg_evictions, label "cache.bg_evict"), keeping the application thread's
-// counters an honest record of hot-path work.
+// With NearCacheOptions::background_eviction set, a cache's owner evicts
+// exactly as it would inline — it reclaims the CLOCK victim as soon as an
+// admission or a rewatch passes the budget — but never pays the released
+// subscription's unsubscribe round trip: it forgets the id and retires it,
+// which marks the cache due (NearCache::SweepNeeded()). This thread's next
+// periodic pass pays every retired unsubscribe via
+// NearCache::BackgroundSweep(). The evictor owns its own FarClient, so the
+// teardown round trips land on its clock and stats (bg_evictions, label
+// "cache.bg_evict"; a rewatch's old subscription under "cache.rewatch"),
+// keeping the application thread's counters an honest record of hot-path
+// work. Retired subscriptions wait for a pass, so every background-mode
+// cache needs an evictor watching it.
 //
 // Lifetime contract: Unwatch() (or StopAndJoin()) every cache before it is
 // destroyed — the evictor holds raw NearCache pointers.
@@ -29,8 +33,9 @@ namespace fmds {
 
 struct BackgroundEvictorOptions {
   // Real-time cadence between sweep passes. Each pass checks
-  // NearCache::SweepNeeded() per cache (cheap) and only sweeps rings that
-  // refused an admission or rewatched an entry since their last sweep.
+  // NearCache::SweepNeeded() per cache (cheap) and only sweeps caches whose
+  // owner retired a subscription (an eviction or a rewatch) since their
+  // last sweep.
   uint64_t poll_interval_us = 100;
 };
 
@@ -58,9 +63,9 @@ class BackgroundEvictor {
   uint64_t passes() const;
 
   // Live sweep health (any thread; locks). bytes_used / budget_headroom
-  // sum over every watched cache; headroom is distance below the high
-  // watermark (0 when a sweep is due). Do not destroy a watched cache while
-  // health readers (gauges) are live — Unwatch only fences the sweep pass.
+  // sum over every watched cache; a cache's headroom is its budget minus
+  // its used bytes. Do not destroy a watched cache while health readers
+  // (gauges) are live — Unwatch only fences the sweep pass.
   struct Health {
     uint64_t passes = 0;
     uint64_t bg_evictions = 0;  // as of the last completed pass

@@ -27,7 +27,6 @@ class ClockRing {
   explicit ClockRing(size_t capacity) : capacity_(capacity == 0 ? 1 : capacity) {}
 
   size_t size() const { return index_.size(); }
-  size_t capacity() const { return capacity_; }
   bool empty() const { return index_.empty(); }
 
   // Slot of `key`, or npos. Does not touch the reference bit — pair with
@@ -72,18 +71,6 @@ class ClockRing {
     s.live = true;
     index_.emplace(key, slot);
     return slot;
-  }
-
-  // Assign-if-present (touching the entry) or Insert.
-  size_t Upsert(uint64_t key, Value value,
-                std::optional<std::pair<uint64_t, Value>>* evicted = nullptr) {
-    const size_t slot = Find(key);
-    if (slot != npos) {
-      slots_[slot].value = std::move(value);
-      slots_[slot].ref = true;
-      return slot;
-    }
-    return Insert(key, std::move(value), evicted);
   }
 
   bool Erase(uint64_t key) {

@@ -26,16 +26,6 @@ NearCache::NearCache(FarClient* client, NearCacheOptions options,
 
 NearCache::~NearCache() { Clear(); }
 
-void NearCache::DrainRetiredLocked() {
-  // Owner thread only: finishes subscriptions the background evictor tore
-  // down node-side. ForgetSubscription touches owner-thread client maps and
-  // costs no round trip.
-  for (SubId id : retired_subs_) {
-    client_->ForgetSubscription(id);
-  }
-  retired_subs_.clear();
-}
-
 bool NearCache::Lookup(uint64_t key, std::span<std::byte> out) {
   return LookupWatch(key, out, nullptr, nullptr);
 }
@@ -54,9 +44,6 @@ bool NearCache::LookupWatch(uint64_t key, std::span<std::byte> out,
   std::lock_guard<std::mutex> lock(mu_);
   win_now_ns_ = std::max(win_now_ns_, now_ns);
   win_lookups_.Add(now_ns, 1);
-  if (!retired_subs_.empty()) {
-    DrainRetiredLocked();
-  }
   const size_t slot = ring_.Find(key);
   if (slot != ClockRing<Entry>::npos) {
     Entry& e = ring_.value(slot);
@@ -128,9 +115,6 @@ void NearCache::Admit(uint64_t key, std::span<const std::byte> payload,
     return;  // would never fit, even alone
   }
   std::lock_guard<std::mutex> lock(mu_);
-  if (!retired_subs_.empty()) {
-    DrainRetiredLocked();
-  }
   const size_t slot = ring_.Find(key);
   if (slot != ClockRing<Entry>::npos) {
     // Resident (possibly invalidated) entry.
@@ -151,19 +135,8 @@ void NearCache::Admit(uint64_t key, std::span<const std::byte> payload,
       // The key's watched range moved (e.g. a split migrated it to a new
       // table and retired — possibly freed — the old one). The old
       // subscription now watches dead memory and would never see another
-      // relevant write, so release it and read-and-arm the new range. In
-      // background mode the evictor's next pass pays the unsubscribe; the
-      // owner only forgets the id, and late events for it are dropped.
-      if (options_.background_eviction && e.sub != kInvalidSubId) {
-        sub_to_key_.erase(e.sub);
-        client_->ForgetSubscription(e.sub);
-        rewatch_retired_.push_back({e.sub, e.watch});
-        e.sub = kInvalidSubId;
-        e.watch = kNullFarAddr;
-        e.watch_len = 0;
-      } else {
-        ReleaseEntryLocked(e, "cache.rewatch");
-      }
+      // relevant write, so release it and read-and-arm the new range.
+      ReleaseEntryLocked(e, /*evicted=*/false);
       ++stats_.rewatches;
       if (!ArmWatchLocked(e, key, watch, watch_len, expected_watch_word,
                           "cache.rewatch")) {
@@ -174,21 +147,8 @@ void NearCache::Admit(uint64_t key, std::span<const std::byte> payload,
     }
     bytes_used_ += EntryCost(e);
     ring_.Touch(slot);
-    if (!options_.background_eviction) {
-      EvictToBudgetLocked();
-    }
+    EvictToBudgetLocked();
     return;
-  }
-  if (options_.background_eviction) {
-    // The hot path never sweeps: above the high watermark (or with the ring
-    // at capacity) the admission is dropped, and the drop is what tells the
-    // background evictor to make room.
-    if (bytes_used_ + cost > HighWatermark() ||
-        ring_.size() + 1 >= ring_.capacity()) {
-      ++stats_.wm_drops;
-      sweep_due_ = true;
-      return;
-    }
   }
   if (options_.admit_after > 1) {
     // k-hit filter: count misses per key in a small CLOCK ring; only a key
@@ -218,13 +178,10 @@ void NearCache::Admit(uint64_t key, std::span<const std::byte> payload,
   ring_.Insert(key, std::move(e), &evicted);
   if (evicted.has_value()) {
     bytes_used_ -= EntryCost(evicted->second);
-    ReleaseEntryLocked(evicted->second);
-    ++stats_.evictions;
+    ReleaseEntryLocked(evicted->second, /*evicted=*/true);
   }
   ++stats_.admissions;
-  if (!options_.background_eviction) {
-    EvictToBudgetLocked();
-  }
+  EvictToBudgetLocked();
 }
 
 void NearCache::InvalidateLocked(uint64_t key, bool account_client) {
@@ -265,10 +222,12 @@ void NearCache::RefillLocked(uint64_t key, std::span<const std::byte> payload,
     return;  // not resident: admission stays a read-path decision
   }
   Entry& e = ring_.value(slot);
-  if (e.watch != watch || e.watch_len != watch_len) {
-    // The key's watched range moved under this entry (split migration).
-    // Rewatching costs unsubscribe + subscribe round trips, which the
-    // write path must not pay — kill the entry and let a read re-admit.
+  if (e.watch != watch || e.watch_len != watch_len ||
+      e.payload.size() != payload.size()) {
+    // The key's watched range moved under this entry (split migration), or
+    // its value changed size. Rewatching costs round trips and growing
+    // could evict, neither of which the write path (possibly the flusher's
+    // thread) may do — kill the entry and let a read re-admit.
     InvalidateLocked(key, account_client);
     return;
   }
@@ -285,17 +244,12 @@ void NearCache::RefillLocked(uint64_t key, std::span<const std::byte> payload,
     // would resurrect the value that writer replaced.
     return;
   }
-  bytes_used_ -= EntryCost(e);
   e.payload.assign(payload.begin(), payload.end());
   e.watch_word = watch_word;
   e.event_word.reset();
   e.valid = true;
-  bytes_used_ += EntryCost(e);
   ring_.Touch(slot);
   ++stats_.writer_refills;
-  if (!options_.background_eviction) {
-    EvictToBudgetLocked();
-  }
 }
 
 void NearCache::Refill(uint64_t key, std::span<const std::byte> payload,
@@ -372,15 +326,26 @@ void NearCache::OnNotify(const NotifyEvent& event) {
   InvalidateLocked(it->second, /*account_client=*/true);
 }
 
-void NearCache::ReleaseEntryLocked(Entry& entry, const char* label_name) {
-  if (entry.sub != kInvalidSubId) {
-    sub_to_key_.erase(entry.sub);
-    ScopedOpLabel label(&client_->recorder(), label_name);
-    (void)client_->Unsubscribe(entry.sub);
-    entry.sub = kInvalidSubId;
+void NearCache::ReleaseEntryLocked(const Entry& entry, bool evicted) {
+  // Every resident entry holds a live subscription (an unsubscribable
+  // range is never admitted, and a failed rewatch drops its entry).
+  sub_to_key_.erase(entry.sub);
+  if (options_.background_eviction) {
+    // No round trip: late events for the forgotten id find no sink and
+    // are dropped until the evictor unsubscribes it node-side.
+    client_->ForgetSubscription(entry.sub);
+    retired_.push_back({entry.sub, entry.watch, evicted});
+    if (evicted) {
+      ++stats_.bg_evictions;
+    }
+    return;
   }
-  entry.watch = kNullFarAddr;
-  entry.watch_len = 0;
+  ScopedOpLabel label(&client_->recorder(),
+                      evicted ? "cache.evict" : "cache.rewatch");
+  (void)client_->Unsubscribe(entry.sub);
+  if (evicted) {
+    ++stats_.evictions;
+  }
 }
 
 void NearCache::EvictToBudgetLocked() {
@@ -390,68 +355,43 @@ void NearCache::EvictToBudgetLocked() {
       break;
     }
     bytes_used_ -= EntryCost(victim->second);
-    ReleaseEntryLocked(victim->second);
-    ++stats_.evictions;
+    ReleaseEntryLocked(victim->second, /*evicted=*/true);
   }
 }
 
 bool NearCache::SweepNeeded() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return sweep_due_ || !rewatch_retired_.empty();
+  return !retired_.empty();
 }
 
-size_t NearCache::BackgroundSweep(FarClient* evictor_client) {
-  // Phase 1 (under the cache mutex): pick CLOCK victims and reclaim their
-  // near state. The victims' subscriptions are remembered but NOT torn down
-  // here — paying round trips under the mutex would stall the hot path the
-  // sweep exists to protect.
+void NearCache::BackgroundSweep(FarClient* evictor_client) {
   std::vector<RetiredWatch> retired;
-  std::vector<RetiredWatch> rewatched;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    rewatched.swap(rewatch_retired_);
-    sweep_due_ = false;
-    const uint64_t low = LowWatermark();
-    while (bytes_used_ > low && !ring_.empty()) {
-      auto victim = ring_.EvictOne();
-      if (!victim.has_value()) {
-        break;
-      }
-      Entry& e = victim->second;
-      bytes_used_ -= EntryCost(e);
-      ++stats_.bg_evictions;
-      if (e.sub != kInvalidSubId) {
-        sub_to_key_.erase(e.sub);
-        retired.push_back({e.sub, e.watch});
-        // The owner forgets the id (no RTT) on its next cache op; any
-        // event still in flight for it is ignored (sub_to_key_ miss) or,
-        // once forgotten, dropped by dispatch for want of a sink.
-        retired_subs_.push_back(e.sub);
-      }
+    retired.swap(retired_);
+  }
+  // No cache mutex: the round trips land on the evictor's own client and
+  // clock, and the owner never waits behind them.
+  for (const RetiredWatch& r : retired) {
+    ScopedOpLabel label(&evictor_client->recorder(),
+                        r.evicted ? "cache.bg_evict" : "cache.rewatch");
+    (void)evictor_client->UnsubscribeAt(r.watch, r.sub);
+    if (r.evicted) {
+      ++evictor_client->mutable_stats().bg_evictions;
     }
   }
-  // Phase 2 (no cache mutex): pay the node-side unsubscribe round trips on
-  // the evictor's own client and clock.
-  for (const RetiredWatch& r : retired) {
-    ScopedOpLabel label(&evictor_client->recorder(), "cache.bg_evict");
-    (void)evictor_client->UnsubscribeAt(r.watch, r.sub);
-    ++evictor_client->mutable_stats().bg_evictions;
-  }
-  for (const RetiredWatch& r : rewatched) {
-    ScopedOpLabel label(&evictor_client->recorder(), "cache.rewatch");
-    (void)evictor_client->UnsubscribeAt(r.watch, r.sub);
-  }
-  return retired.size();
 }
 
 void NearCache::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
-  DrainRetiredLocked();
-  for (const RetiredWatch& r : rewatch_retired_) {
+  for (const RetiredWatch& r : retired_) {
     (void)client_->UnsubscribeAt(r.watch, r.sub);
   }
-  rewatch_retired_.clear();
-  ring_.ForEach([this](uint64_t, Entry& e) { ReleaseEntryLocked(e); });
+  retired_.clear();
+  ring_.ForEach([this](uint64_t, Entry& e) {
+    ScopedOpLabel label(&client_->recorder(), "cache.evict");
+    (void)client_->Unsubscribe(e.sub);
+  });
   ring_.Clear();
   filter_.Clear();
   sub_to_key_.clear();
@@ -479,9 +419,7 @@ NearCache::Health NearCache::health() const {
   h.bytes_used = bytes_used_;
   h.entries = ring_.size();
   h.budget_limit = options_.budget_bytes;
-  h.high_watermark = HighWatermark();
-  h.low_watermark = LowWatermark();
-  h.sweep_needed = sweep_due_;
+  h.sweep_needed = !retired_.empty();
   const uint64_t lookups = win_lookups_.RecentCount(win_now_ns_);
   const uint64_t hits = win_hits_.RecentCount(win_now_ns_);
   h.windowed_lookups = lookups;
@@ -498,9 +436,7 @@ void NearCache::AddGauges(GaugeGroup* group, const std::string& prefix) {
              [this] { return static_cast<double>(health().entries); });
   group->Add(prefix + ".budget_headroom_bytes", [this] {
     const Health h = health();
-    return h.bytes_used >= h.high_watermark
-               ? 0.0
-               : static_cast<double>(h.high_watermark - h.bytes_used);
+    return static_cast<double>(h.budget_limit - h.bytes_used);
   });
   group->Add(prefix + ".sweep_needed",
              [this] { return health().sweep_needed ? 1.0 : 0.0; });

@@ -31,23 +31,30 @@
 // Keeping the old subscription would leave the entry watching dead memory,
 // blind to every future write.
 //
+// Eviction: one rule in both modes. Whenever an admission or a rewatch
+// takes the cache over its budget, the owner reclaims the CLOCK victim at
+// once, and releases its subscription the way a rewatch releases its old
+// one. background_eviction decides only who pays that unsubscribe round
+// trip: the owner, now (inline mode), or a BackgroundEvictor's next pass
+// (background mode, where the owner forgets the id and retires it).
+//
 // Accounting rules (DESIGN.md §9): Lookup charges exactly one near access,
 // hit or miss — on a hit that is the *entire* cost of the probe;
 // admission, rewatch, and eviction charge their subscribe/unsubscribe
 // round trips under the "cache.admit"/"cache.rewatch"/"cache.evict"
-// labels; dispatching an empty notification channel is free.
+// labels (a retired unsubscribe lands on the evictor's client instead);
+// dispatching an empty notification channel is free.
 //
 // Threading (§11, write-behind): the cache is *owned* by one client
 // thread — Lookup/Admit/OnNotify/Clear run there — but two kinds of helper
-// threads may now touch it, so every method takes an internal mutex:
+// threads may touch it, so every method takes an internal mutex:
 //   - a write-behind flusher refills/invalidates entries after publishing
-//     (RefillExternal/InvalidateExternal — no owner-client accounting);
-//   - a background evictor reclaims budget off the hot path
-//     (BackgroundSweep — node-side unsubscribes paid by the *evictor's*
-//     client; owner-side subscription bookkeeping is retired lazily on the
-//     owner thread).
-// The mutex guards cache state only; it is never held across a round trip
-// except on owner-thread release paths (rewatch/clear/sync evict).
+//     (RefillExternal/InvalidateExternal — no owner-client accounting; a
+//     refill never resizes an entry, so it never evicts);
+//   - a background evictor pays the retired subscriptions' unsubscribe
+//     round trips on its own client (BackgroundSweep).
+// The mutex guards cache state only. The owner holds it across its own
+// subscribe and unsubscribe round trips; the evictor never does.
 #ifndef FMDS_SRC_CACHE_NEAR_CACHE_H_
 #define FMDS_SRC_CACHE_NEAR_CACHE_H_
 
@@ -73,14 +80,13 @@ struct NearCacheOptions {
   // k-hit admission: a key enters the cache on its k-th miss. 1 admits on
   // first touch; 2 (default) keeps one-shot keys from churning the budget.
   uint32_t admit_after = 2;
-  // Mage-style background eviction: the hot path NEVER runs a CLOCK sweep
-  // or pays an unsubscribe round trip. Admissions proceed while used bytes
-  // stay under the high watermark (the budget) and are dropped (wm_drops)
-  // above it; each drop marks the cache due for a sweep, and a
-  // BackgroundEvictor thread calls BackgroundSweep() to drain it to the low
-  // watermark (budget - budget/8) off the critical path. A rewatch (the
-  // key's watched range moved) leaves its old subscription to that same
-  // pass too, so it pays only the new range's subscribe.
+  // Mage-style background eviction: the owner never pays an unsubscribe
+  // round trip. It still reclaims every victim the moment the budget is
+  // passed (so hits, admissions and victims match inline mode), but it only
+  // forgets a released subscription's id and retires it; a
+  // BackgroundEvictor thread pays the node-side unsubscribes. Retired
+  // subscriptions wait for an evictor pass or for Clear(), so a cache in
+  // this mode needs a BackgroundEvictor watching it.
   bool background_eviction = false;
 };
 
@@ -90,21 +96,20 @@ struct NearCacheStats {
   uint64_t invalidations = 0;  // notification- or writer-driven entry kills
   uint64_t admissions = 0;     // new entries (paid a subscribe RTT)
   uint64_t refills = 0;        // in-place refills of resident entries
-  uint64_t evictions = 0;      // synchronous (hot-path) budget/capacity
-                               // victims (paid unsubscribe)
+  uint64_t evictions = 0;      // budget/capacity victims whose unsubscribe
+                               // the owner paid (inline mode)
   uint64_t loss_resets = 0;    // whole-cache invalidations on loss warning
   uint64_t rewatches = 0;      // refills whose watched range moved (paid
-                               // unsubscribe + subscribe RTTs)
+                               // a subscribe RTT; the old subscription is
+                               // released as an evicted one is)
   uint64_t raced_admits = 0;   // admissions whose arm-time snapshot differed
                                // from the validated read (entered invalid)
   uint64_t writer_refills = 0; // Refill() fills from a writer's own value
                                // (zero far round trips)
   uint64_t word_confirms = 0;  // notifications whose word matched the
                                // entry's fill word (entry kept valid)
-  uint64_t bg_evictions = 0;   // victims reclaimed by BackgroundSweep()
-                               // (unsubscribe paid by the evictor client)
-  uint64_t wm_drops = 0;       // admissions dropped above the high
-                               // watermark while awaiting a sweep
+  uint64_t bg_evictions = 0;   // budget/capacity victims whose unsubscribe
+                               // was handed to the evictor (background mode)
 
   void Add(const NearCacheStats& other) {
     hits += other.hits;
@@ -119,7 +124,6 @@ struct NearCacheStats {
     writer_refills += other.writer_refills;
     word_confirms += other.word_confirms;
     bg_evictions += other.bg_evictions;
-    wm_drops += other.wm_drops;
   }
   double HitRatio() const {
     const uint64_t lookups = hits + misses;
@@ -194,10 +198,11 @@ class NearCache : public NotificationSink {
   // RTT a miss-then-refill would pay. Only meaningful when word-versioned
   // (the echo of the writer's own CAS then *confirms* the entry instead of
   // killing it; without word versioning the refill would die on its own
-  // notification). Resident same-watch entries refill; a resident entry
-  // whose watch moved is invalidated (rewatching would cost round trips the
-  // write path must not pay); absent keys are ignored (admission stays a
-  // read-path, filter-gated decision).
+  // notification). Resident same-watch entries of the same payload size
+  // refill; a resident entry whose watch moved or whose size differs is
+  // invalidated (rewatching would cost round trips, and growing could
+  // evict, neither of which the write path may do); absent keys are
+  // ignored (admission stays a read-path, filter-gated decision).
   void Refill(uint64_t key, std::span<const std::byte> payload, FarAddr watch,
               uint64_t watch_len, uint64_t watch_word);
 
@@ -221,27 +226,23 @@ class NearCache : public NotificationSink {
   // loss warning invalidates everything (unknown events were dropped).
   void OnNotify(const NotifyEvent& event) override;
 
-  // Drops every entry and releases the subscriptions (unsubscribe RTTs).
+  // Drops every entry and unsubscribes, on the owner's client, every
+  // subscription the cache still holds node-side, retired ones included.
   void Clear();
 
-  // True once a background-mode admission was refused at the high
-  // watermark, or a rewatch left an old subscription to tear down, and no
-  // BackgroundSweep() has run since: the evictor's trigger. Cheap enough
-  // to poll.
+  // True while released subscriptions await their node-side unsubscribe
+  // (background mode): the evictor's trigger. Cheap enough to poll.
   bool SweepNeeded() const;
 
-  // Background eviction (Mage-style): evicts this cache's CLOCK victims
-  // until its used bytes drop to the low watermark, tears down the old
-  // subscriptions rewatches left behind, and clears the SweepNeeded() mark.
-  // Victim state is reclaimed under the cache mutex; the per-victim
-  // unsubscribe round trips are then paid OUTSIDE the mutex by
-  // `evictor_client` (label "cache.bg_evict", ClientStats.bg_evictions; a
-  // rewatch's teardown is labelled "cache.rewatch" and is no eviction) so
-  // the owner thread never blocks behind fabric teardown. The owner's
-  // subscription bookkeeping is retired lazily (ForgetSubscription) on its
-  // next cache operation. Returns the number of entries reclaimed. Caller
-  // (the BackgroundEvictor) must stop sweeping before the cache dies.
-  size_t BackgroundSweep(FarClient* evictor_client);
+  // Background mode: unsubscribes every subscription the owner retired
+  // since the last sweep. The retired list is taken under the cache mutex;
+  // the round trips are then paid OUTSIDE it by `evictor_client`, so the
+  // owner thread never blocks behind fabric teardown. An evicted entry's
+  // unsubscribe is labelled "cache.bg_evict" and counts in the evictor
+  // client's ClientStats.bg_evictions; a rewatch's old subscription is
+  // labelled "cache.rewatch". Caller (the BackgroundEvictor) must stop
+  // sweeping before the cache dies.
+  void BackgroundSweep(FarClient* evictor_client);
 
   uint64_t bytes_used() const;
   size_t entries() const;
@@ -255,9 +256,7 @@ class NearCache : public NotificationSink {
     uint64_t bytes_used = 0;
     uint64_t entries = 0;
     uint64_t budget_limit = 0;
-    uint64_t high_watermark = 0;
-    uint64_t low_watermark = 0;
-    bool sweep_needed = false;
+    bool sweep_needed = false;  // SweepNeeded()
     double windowed_hit_ratio = 0.0;
     uint64_t windowed_lookups = 0;
   };
@@ -290,20 +289,12 @@ class NearCache : public NotificationSink {
   uint64_t EntryCost(const Entry& e) const {
     return e.payload.size() + kEntryOverhead;
   }
-  // Background mode: admissions stop at the budget itself, and a sweep
-  // drains an eighth of it.
-  uint64_t HighWatermark() const { return options_.budget_bytes; }
-  uint64_t LowWatermark() const {
-    return options_.budget_bytes - options_.budget_bytes / 8;
-  }
-  // Owner-thread lazy cleanup of subscriptions the background evictor
-  // already tore down node-side.
-  void DrainRetiredLocked();
-  // A node-side subscription the owner no longer routes events to, left
-  // for an unsubscribe round trip.
+  // A subscription the owner released in background mode (already
+  // forgotten on its client), awaiting the node-side unsubscribe.
   struct RetiredWatch {
     SubId sub;
     FarAddr watch;
+    bool evicted;  // an evicted entry's, not a rewatch's old one
   };
   // Read-and-arm subscribe on [watch, watch+watch_len): fills e.sub/e.watch,
   // registers sub_to_key_, and sets e.valid from the snapshot comparison.
@@ -312,9 +303,12 @@ class NearCache : public NotificationSink {
   bool ArmWatchLocked(Entry& e, uint64_t key, FarAddr watch,
                       uint64_t watch_len, uint64_t expected_watch_word,
                       const char* label_name);
-  // Unsubscribes and forgets one released entry; the label names the cause
-  // in the flight recorder ("cache.evict" eviction, "cache.rewatch" move).
-  void ReleaseEntryLocked(Entry& entry, const char* label_name = "cache.evict");
+  // Releases `entry`'s subscription: an evicted entry's, or a rewatched
+  // entry's old one. Inline mode unsubscribes now ("cache.evict" /
+  // "cache.rewatch"); background mode forgets the id on the owner's client
+  // and retires it for the evictor. An eviction counts in `evictions` or
+  // `bg_evictions` accordingly. Owner thread only.
+  void ReleaseEntryLocked(const Entry& entry, bool evicted);
   // Marks one entry invalid. `account_client` gates the owner-client
   // ClientStats/recorder bumps (false on cross-thread paths).
   void InvalidateLocked(uint64_t key, bool account_client);
@@ -324,6 +318,8 @@ class NearCache : public NotificationSink {
   void RefillLocked(uint64_t key, std::span<const std::byte> payload,
                     FarAddr watch, uint64_t watch_len, uint64_t watch_word,
                     bool account_client);
+  // Reclaims CLOCK victims until the cache fits its budget. Runs after
+  // every admission and rewatch.
   void EvictToBudgetLocked();
 
   FarClient* client_;
@@ -334,15 +330,9 @@ class NearCache : public NotificationSink {
   ClockRing<Entry> ring_;
   ClockRing<uint32_t> filter_;  // key -> miss count (admission filter)
   std::unordered_map<SubId, uint64_t> sub_to_key_;
-  // Sub ids the background evictor reclaimed; the owner thread forgets
-  // them (no round trip) on its next cache operation.
-  std::vector<SubId> retired_subs_;
-  // Background mode: old subscriptions of rewatched entries, already
-  // forgotten by the owner, awaiting the evictor's node-side teardown.
-  std::vector<RetiredWatch> rewatch_retired_;
+  // Background mode: released subscriptions awaiting the evictor.
+  std::vector<RetiredWatch> retired_;
   uint64_t bytes_used_ = 0;
-  // Set by a refused background-mode admission, cleared by a sweep.
-  bool sweep_due_ = false;
   NearCacheStats stats_;
   // Rolling hit ratio over the owner client's simulated time (timestamps
   // are taken in Lookup on the owner thread; readers go through health()).

@@ -240,12 +240,13 @@ class FarClient {
   // Node-side unsubscribe by explicit watch address: pays the 1-RTT
   // teardown on the node owning `watch_addr` without consulting this
   // client's subscription maps. Built for background cache evictors: the
-  // evictor's own client retires a subscription that a *different* client
-  // registered (the owner later calls ForgetSubscription to drop its maps).
+  // owner first forgets the id (ForgetSubscription), and the evictor's own
+  // client later tears down that subscription, which a *different* client
+  // registered.
   Status UnsubscribeAt(FarAddr watch_addr, SubId id);
-  // Owner-side bookkeeping drop for a subscription whose node-side half was
-  // already torn down elsewhere (UnsubscribeAt). No round trip. Late events
-  // already in flight for the id find no sink and are dropped.
+  // Owner-side bookkeeping drop for a subscription whose node-side half is
+  // left to an UnsubscribeAt (typically another client's). No round trip.
+  // Events for the id that arrive until then find no sink and are dropped.
   void ForgetSubscription(SubId id);
   // Counters only: DispatchNotifications() is the channel's one reader.
   const NotificationChannel& channel() const { return channel_; }

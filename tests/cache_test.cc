@@ -78,21 +78,6 @@ TEST(ClockRingTest, AllReferencedWrapsAndEvictsOldest) {
   EXPECT_EQ(ring.size(), 3u);
 }
 
-TEST(ClockRingTest, UpsertTouchesExisting) {
-  ClockRing<int> ring(2);
-  ring.Insert(1, 10);
-  ring.Insert(2, 20);
-  ring.Unref(ring.Find(1));
-  ring.Upsert(1, 11);  // re-references and replaces in place, no eviction
-  EXPECT_EQ(ring.value(ring.Find(1)), 11);
-  EXPECT_EQ(ring.size(), 2u);
-  ring.Unref(ring.Find(2));
-  std::optional<std::pair<uint64_t, int>> evicted;
-  ring.Insert(3, 30, &evicted);
-  ASSERT_TRUE(evicted.has_value());
-  EXPECT_EQ(evicted->first, 2u) << "the upsert's touch protected key 1";
-}
-
 // ---------------------------------------------------------------- NearCache
 
 NearCacheOptions CacheOpts(uint64_t budget, uint32_t admit_after = 1) {
@@ -297,7 +282,7 @@ TEST(NearCacheTest, BackgroundRewatchLeavesTheUnsubscribeToTheEvictor) {
   EXPECT_EQ(reader.stats().far_ops - far0, admit_far_ops);
   EXPECT_EQ(cache.stats().rewatches, 1u);
   EXPECT_TRUE(cache.SweepNeeded()) << "the old subscription awaits teardown";
-  EXPECT_FALSE(cache.health().sweep_needed) << "no admission was refused";
+  EXPECT_TRUE(cache.health().sweep_needed);
   EXPECT_EQ(NodeSubscriptions(env.fabric()), 2u);
 
   // Until then the old range's events reach no entry.
@@ -325,11 +310,11 @@ TEST(NearCacheTest, BackgroundRewatchLeavesTheUnsubscribeToTheEvictor) {
 
 TEST(NearCacheTest, ClearTearsDownRewatchedSubscriptions) {
   // A cache destroyed before any evictor pass leaves no subscription at the
-  // node, not even one a background-mode rewatch released.
+  // node, not even one that a background-mode rewatch or eviction released.
   TestEnv env;
   auto& reader = env.NewClient();
   auto& writer = env.NewClient();
-  NearCacheOptions options = CacheOpts(1 << 20);
+  NearCacheOptions options = CacheOpts(2 * kEntryCost);
   options.background_eviction = true;
   {
     NearCache cache(&reader, options, /*word_versioned=*/false);
@@ -339,6 +324,13 @@ TEST(NearCacheTest, ClearTearsDownRewatchedSubscriptions) {
     EXPECT_EQ(reader.DispatchNotifications(), 1u);
     cache.Admit(1, AsConstBytes(v), /*watch=*/128, kWordSize, 0);
     EXPECT_EQ(NodeSubscriptions(env.fabric()), 2u);
+    // Two more keys pass the two-entry budget: key 1 is the CLOCK victim.
+    cache.Admit(2, AsConstBytes(v), /*watch=*/192, kWordSize, 0);
+    cache.Admit(3, AsConstBytes(v), /*watch=*/256, kWordSize, 0);
+    EXPECT_EQ(cache.entries(), 2u);
+    EXPECT_EQ(cache.stats().bg_evictions, 1u);
+    EXPECT_EQ(NodeSubscriptions(env.fabric()), 4u)
+        << "two live, plus the rewatched and the evicted one awaiting teardown";
   }
   EXPECT_EQ(NodeSubscriptions(env.fabric()), 0u);
 }
@@ -454,48 +446,106 @@ TEST(NearCacheTest, LookupChargesOneNearAccessHitOrMiss) {
 }
 
 TEST(NearCacheTest, BackgroundEvictorSweepsWithoutSweepNow) {
-  // In background mode the owner never sweeps: an admission above the high
-  // watermark is refused, and that refusal alone must bring the evictor's
-  // periodic pass. No SweepNow anywhere.
+  // In background mode every admission lands and the owner evicts as inline
+  // mode does, but pays no unsubscribe: the retired subscriptions alone
+  // must bring the evictor's periodic pass. No SweepNow anywhere.
   TestEnv env;
   auto& client = env.NewClient();
   NearCacheOptions options = CacheOpts(16 * kEntryCost);
   options.background_eviction = true;
   NearCache cache(&client, options, /*word_versioned=*/false);
+  const ClientStats before = client.stats();
   uint64_t v = 1;
   for (uint64_t k = 0; k < 20; ++k) {
     cache.Admit(k, AsConstBytes(v), /*watch=*/64 * (k + 1), kWordSize, 0);
   }
-  EXPECT_EQ(cache.entries(), 16u) << "the high watermark is the budget";
-  EXPECT_EQ(cache.stats().wm_drops, 4u);
+  EXPECT_EQ(cache.stats().admissions, 20u);
+  EXPECT_EQ(cache.entries(), 16u);
+  EXPECT_EQ(cache.stats().bg_evictions, 4u);
+  EXPECT_EQ(cache.stats().evictions, 0u);
+  EXPECT_EQ(client.stats().Delta(before).far_ops, 20u)
+      << "20 subscribes and no unsubscribe";
   EXPECT_TRUE(cache.SweepNeeded());
   EXPECT_TRUE(cache.health().sweep_needed);
+  EXPECT_EQ(NodeSubscriptions(env.fabric()), 20u);
 
   BackgroundEvictor evictor(&env.fabric(), /*client_id=*/9001);
   evictor.Watch(&cache);
-  // Passes counted from here include at least two full ones that saw the
-  // cache (a pass already running may have snapshotted the list before).
-  const uint64_t first = evictor.passes();
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (evictor.passes() < first + 3 &&
-         std::chrono::steady_clock::now() < deadline) {
+  while (cache.SweepNeeded() && std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
+  // Unwatch waits out the pass that took the retired list.
   evictor.Unwatch(&cache);
-  EXPECT_GE(evictor.passes(), first + 3);
-  EXPECT_GE(cache.stats().bg_evictions, 2u);
-  EXPECT_LE(cache.bytes_used(), 14 * kEntryCost)
-      << "a sweep drains to the low watermark, budget - budget/8";
   EXPECT_FALSE(cache.SweepNeeded());
   EXPECT_FALSE(cache.health().sweep_needed);
+  EXPECT_EQ(evictor.stats().far_ops, 4u) << "the evictor paid 4 unsubscribes";
+  EXPECT_EQ(evictor.stats().bg_evictions, 4u);
+  EXPECT_EQ(NodeSubscriptions(env.fabric()), 16u);
+}
 
-  // Room again: the next admission lands.
-  const size_t entries = cache.entries();
-  cache.Admit(100, AsConstBytes(v), /*watch=*/2048, kWordSize, 0);
-  EXPECT_EQ(cache.entries(), entries + 1);
-  uint64_t out = 0;
-  EXPECT_TRUE(cache.Lookup(100, AsBytes(out)));
+// Runs one fixed op sequence through a cache with 16 entries of budget: a
+// Lookup per op, and an Admit on each miss. Keys are skewed (60% on 8 hot
+// keys) so the run both hits and evicts; nothing writes, so nothing
+// invalidates. The evictor watches throughout and runs one forced pass at
+// the end.
+struct SequenceRun {
+  NearCacheStats stats;
+  size_t entries = 0;
+  uint64_t owner_far_ops = 0;
+  size_t node_subscriptions = 0;
+};
+
+SequenceRun RunAdmissionSequence(bool background_eviction) {
+  TestEnv env;
+  auto& owner = env.NewClient();
+  NearCacheOptions options = CacheOpts(16 * kEntryCost, /*admit_after=*/2);
+  options.background_eviction = background_eviction;
+  NearCache cache(&owner, options, /*word_versioned=*/false);
+  BackgroundEvictor evictor(&env.fabric(), /*client_id=*/9003);
+  evictor.Watch(&cache);
+  Rng rng(20261019);
+  for (int op = 0; op < 4000; ++op) {
+    const uint64_t key =
+        rng.NextBool(0.6) ? rng.NextInRange(0, 7) : rng.NextInRange(8, 127);
+    uint64_t out = 0;
+    if (!cache.Lookup(key, AsBytes(out))) {
+      const uint64_t value = key * 10;
+      cache.Admit(key, AsConstBytes(value), /*watch=*/64 * (key + 1),
+                  kWordSize, 0);
+    }
+  }
+  evictor.SweepNow();
+  evictor.Unwatch(&cache);
+  SequenceRun run;
+  run.stats = cache.stats();
+  run.entries = cache.entries();
+  run.owner_far_ops = owner.stats().far_ops;
+  run.node_subscriptions = NodeSubscriptions(env.fabric());
+  return run;
+}
+
+TEST(NearCacheTest, BackgroundModeEvictsWhatInlineModeEvicts) {
+  // One eviction rule: background mode reclaims the same CLOCK victims at
+  // the same moments as inline mode, so one op sequence ends with the same
+  // contents whatever the evictor thread's timing; only the victims'
+  // unsubscribe round trips move from the owner to the evictor.
+  const SequenceRun in = RunAdmissionSequence(/*background_eviction=*/false);
+  const SequenceRun bg = RunAdmissionSequence(/*background_eviction=*/true);
+  ASSERT_GT(in.stats.evictions, 0u);
+  ASSERT_GT(in.stats.hits, 0u);
+  EXPECT_EQ(bg.stats.hits, in.stats.hits);
+  EXPECT_EQ(bg.stats.misses, in.stats.misses);
+  EXPECT_EQ(bg.stats.admissions, in.stats.admissions);
+  EXPECT_EQ(bg.entries, in.entries);
+  EXPECT_EQ(bg.stats.bg_evictions, in.stats.evictions);
+  EXPECT_EQ(bg.stats.evictions, 0u) << "the owner paid no unsubscribe";
+  EXPECT_EQ(in.owner_far_ops - bg.owner_far_ops, in.stats.evictions)
+      << "exactly the victims' unsubscribes left the owner";
+  EXPECT_EQ(bg.node_subscriptions, bg.entries)
+      << "after the evictor's pass, only live entries stay subscribed";
+  EXPECT_EQ(in.node_subscriptions, in.entries);
 }
 
 // --------------------------------------------------------- CacheCoherence

@@ -361,9 +361,9 @@ TEST(WriteBehindTest, BackgroundEvictionRacesInvalidationSafely) {
   auto& app = env.NewClient();
   auto& writer = env.NewClient();
   HtTree::Options options = SmallTables(/*buckets=*/512);
-  // Tiny ring with background mode: admissions stop at the high watermark
-  // and ONLY the evictor thread reclaims, while a second client's writes
-  // invalidate entries concurrently.
+  // Tiny ring with background mode: the app thread evicts as reads admit,
+  // but ONLY the evictor thread pays the victims' unsubscribes, while a
+  // second client's writes invalidate entries concurrently.
   options.cache.budget_bytes = 8 << 10;
   options.cache.admit_after = 0;
   options.cache.background_eviction = true;
@@ -401,9 +401,9 @@ TEST(WriteBehindTest, BackgroundEvictionRacesInvalidationSafely) {
   evictor.StopAndJoin();
 
   EXPECT_EQ(map->near_cache()->stats().evictions, 0u)
-      << "the app thread never ran a CLOCK sweep";
+      << "the app thread paid no eviction unsubscribe";
   EXPECT_GT(evictor.stats().bg_evictions, 0u)
-      << "reclamation happened on the evictor's clock";
+      << "the victims' unsubscribes landed on the evictor's clock";
   // Final reads still agree with far memory.
   for (uint64_t k = 0; k < kKeys; k += 3) {
     EXPECT_EQ(*map->Get(k), k + 100);
