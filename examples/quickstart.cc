@@ -3,6 +3,7 @@
 //
 //   cmake -B build -G Ninja && cmake --build build
 //   ./build/examples/quickstart
+#include <array>
 #include <cstdio>
 
 #include "src/alloc/far_allocator.h"
@@ -67,7 +68,7 @@ int main() {
   std::vector<uint64_t> keys{11, 222, 333, 444, 555, 666, 777, 888};
   const uint64_t batch_ops_before = client.stats().far_ops;
   const uint64_t batch_t0 = client.clock().now_ns();
-  auto values = map->MultiGet(keys);  // all probes ride one flush
+  auto values = map->MultiGet(keys);  // all probes ride one doorbell
   std::printf("MultiGet(%zu keys) -> %llu waited round trip(s), %.1f us "
               "(vs ~%zu round trips sync)\n",
               keys.size(),
@@ -77,10 +78,12 @@ int main() {
                   1000.0,
               keys.size());
   (void)values;
-  // The same machinery is available raw: Post*()s, then Flush()/WaitAll().
+  // The same machinery is available raw: Post*()s, then one WaitAll()
+  // doorbell that completes op i into done[i].
   client.PostWriteWord(cell, 1);
   client.PostWriteWord(target, 2);
-  (void)client.WaitAll();
+  std::array<FarClient::Completion, 2> done;
+  (void)client.WaitAll(done);
 
   // 7. The metric that matters (§3.1): far accesses, not wall time.
   std::printf("\nclient totals: %s\n", client.stats().ToString().c_str());

@@ -115,7 +115,8 @@ std::vector<Result<uint64_t>> ChainedHash::MultiGet(
     for (auto& probe : probes) {
       client_->PostLoad0(BucketAddr(probe.key), AsBytes(probe.item));
     }
-    (void)client_->WaitAll(&done);
+    done.resize(client_->pending_ops());
+    (void)client_->WaitAll(done);
     for (size_t i = 0; i < probes.size(); ++i) {
       if (done[i].status.ok()) {
         walking.push_back(i);
@@ -130,7 +131,8 @@ std::vector<Result<uint64_t>> ChainedHash::MultiGet(
     for (auto& probe : probes) {
       client_->PostReadWord(BucketAddr(probe.key));
     }
-    (void)client_->WaitAll(&done);
+    done.resize(client_->pending_ops());
+    (void)client_->WaitAll(done);
     std::vector<size_t> live;
     std::vector<FarAddr> heads;
     for (size_t i = 0; i < probes.size(); ++i) {
@@ -144,11 +146,11 @@ std::vector<Result<uint64_t>> ChainedHash::MultiGet(
         heads.push_back(done[i].word);
       }
     }
-    done.clear();
     for (size_t j = 0; j < live.size(); ++j) {
       client_->PostRead(heads[j], AsBytes(probes[live[j]].item));
     }
-    (void)client_->WaitAll(&done);
+    done.resize(client_->pending_ops());
+    (void)client_->WaitAll(done);
     for (size_t j = 0; j < live.size(); ++j) {
       if (done[j].status.ok()) {
         walking.push_back(live[j]);
@@ -178,13 +180,13 @@ std::vector<Result<uint64_t>> ChainedHash::MultiGet(
     if (continuing.empty()) {
       break;
     }
-    done.clear();
     for (size_t i : continuing) {
       Probe& probe = probes[i];
       client_->PostRead(probe.item.next, AsBytes(probe.item));
       ++chain_hops_;
     }
-    (void)client_->WaitAll(&done);
+    done.resize(client_->pending_ops());
+    (void)client_->WaitAll(done);
     std::vector<size_t> still;
     for (size_t j = 0; j < continuing.size(); ++j) {
       if (done[j].status.ok()) {

@@ -77,8 +77,8 @@ std::vector<Result<uint64_t>> NeighborhoodHash::MultiGet(
                       std::as_writable_bytes(std::span<Slot>(windows[i])));
     posted.push_back(i);
   }
-  std::vector<FarClient::Completion> done;
-  (void)client_->WaitAll(&done);
+  std::vector<FarClient::Completion> done(client_->pending_ops());
+  (void)client_->WaitAll(done);
   for (size_t j = 0; j < posted.size(); ++j) {
     const size_t i = posted[j];
     if (!done[j].status.ok()) {

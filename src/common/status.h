@@ -29,7 +29,7 @@ enum class StatusCode : uint8_t {
   kUnimplemented,
   // A memory node's congestion front end shed the operation (bounded
   // service queue overflow, DESIGN.md §14). Retryable: backoff lets the
-  // node drain; see ClientOptions::retry.
+  // node drain; see RetryPolicy and FarClient::set_retry_policy.
   kOverloaded,
 };
 

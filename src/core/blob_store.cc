@@ -164,8 +164,8 @@ std::vector<Result<std::vector<std::byte>>> HtBlobStore::MultiGet(
     client_->PostRead(fetch.blob, fetch.buf);
   }
   if (!fetches.empty()) {
-    std::vector<FarClient::Completion> done;
-    (void)client_->WaitAll(&done);
+    std::vector<FarClient::Completion> done(client_->pending_ops());
+    (void)client_->WaitAll(done);
     for (size_t j = 0; j < fetches.size(); ++j) {
       const Fetch& fetch = fetches[j];
       if (!done[j].status.ok()) {
@@ -188,8 +188,8 @@ std::vector<Result<std::vector<std::byte>>> HtBlobStore::MultiGet(
         tail.blob + kWordSize + tail.have,
         std::span<std::byte>(*results[tail.idx]).subspan(tail.have));
   }
-  std::vector<FarClient::Completion> done;
-  (void)client_->WaitAll(&done);
+  std::vector<FarClient::Completion> done(client_->pending_ops());
+  (void)client_->WaitAll(done);
   for (size_t j = 0; j < tails.size(); ++j) {
     if (!done[j].status.ok()) {
       results[tails[j].idx] = done[j].status;

@@ -315,12 +315,14 @@ Result<std::vector<HtTree::CachedNode>> HtTree::FetchSubtree(FarAddr addr) {
     int32_t idx;
   };
   std::vector<Fetch> frontier{{addr, 0}};
+  std::vector<FarClient::Completion> done;
   while (!frontier.empty()) {
     std::vector<NodeRec> recs(frontier.size());
     for (size_t i = 0; i < frontier.size(); ++i) {
       client_->PostRead(frontier[i].addr, AsBytes(recs[i]));
     }
-    FMDS_RETURN_IF_ERROR(client_->WaitAll());
+    done.resize(client_->pending_ops());
+    FMDS_RETURN_IF_ERROR(client_->WaitAll(done));
     std::vector<Fetch> next;
     for (size_t i = 0; i < frontier.size(); ++i) {
       const NodeRec& rec = recs[i];
@@ -446,7 +448,7 @@ void RunPoint(FarClient* client, Engine& engine) {
     if (posted == 1) {
       client->ExecuteSerially(wave);
     } else {
-      client->RingDoorbell(wave);
+      (void)client->WaitAll(wave);
     }
     engine.AbsorbWave(wave);
   }

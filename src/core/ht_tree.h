@@ -166,7 +166,7 @@ class HtTree : public FarMap {
   class BatchPut;
 
   // The batched driver: runs `engines` to completion, one doorbell per
-  // wave. Every engine posts its next wave, one Flush carries them all —
+  // wave. Every engine posts its next wave, one WaitAll carries them all —
   // routers (ShardedMap, Txn) run one engine per shard, so sub-batches
   // bound for different memory nodes overlap (§7: simulated time = max
   // over nodes) — then every engine absorbs the completions. (Point ops
@@ -182,8 +182,8 @@ class HtTree : public FarMap {
       if (posted == 0) {
         return;
       }
-      done.clear();
-      (void)client->WaitAll(&done);
+      done.resize(client->pending_ops());
+      (void)client->WaitAll(done);
       for (Engine& engine : engines) {
         engine.AbsorbWave(done);
       }

@@ -281,8 +281,8 @@ Status Txn::Prepare(std::span<BucketCommit> commits, bool lock,
                                    lock ? bc.pending : bc.final_head,
                                    first_write);
   }
-  std::vector<FarClient::Completion> done;
-  const Status flushed = c->WaitAll(&done);
+  std::vector<FarClient::Completion> done(c->pending_ops());
+  const Status flushed = c->WaitAll(done);
   if (!lock) {
     // A direct commit locked nothing: a fabric error is its answer as is
     // (RunTxn does not retry it), where round P reads it as a lost bucket.
@@ -332,8 +332,8 @@ Status Txn::Validate(std::span<const BucketCommit> commits) {
   for (const auto& check : checks) {
     (void)c->PostReadWord(check.first);
   }
-  std::vector<FarClient::Completion> done;
-  FMDS_RETURN_IF_ERROR(c->WaitAll(&done));
+  std::vector<FarClient::Completion> done(c->pending_ops());
+  FMDS_RETURN_IF_ERROR(c->WaitAll(done));
   for (size_t i = 0; i < checks.size(); ++i) {
     if (done[i].word != checks[i].second) {
       ++c->mutable_stats().txn_validate_fails;

@@ -32,12 +32,10 @@ FarClient::FarClient(Fabric* fabric, uint64_t client_id, ClientOptions options)
     : fabric_(fabric),
       client_id_(client_id),
       latency_(fabric->options().latency),
-      retry_(options.retry),
       jitter_state_(client_id * 0x9E3779B97F4A7C15ull + 0xD1B54A32D192ED03ull),
       home_node_(options.home_node),
       obs_(client_id),
       channel_(options.channel_capacity) {
-  obs_.set_options(options.obs);
   doorbell_.groups.resize(fabric->num_nodes());
 }
 
@@ -155,7 +153,7 @@ inline void FarClient::Charge(ChargeRule rule, const RoundTripCost& cost) {
       break;
   }
   if (cost.dependent) {
-    // It cannot overlap the batch it depends on: Flush charges it serially
+    // It cannot overlap the batch it depends on: WaitAll charges it serially
     // once the doorbell's reply is in.
     doorbell_.deferred.push_back(cost);
     doorbell_.deferred.back().pieces = {};
@@ -646,12 +644,12 @@ FarClient::OpId FarClient::PostRGather(std::vector<FarSeg> iov,
   return slot.id;
 }
 
-template <typename Next>
-void FarClient::RunIssued(ChargeRule rule, Next next) {
+void FarClient::RunIssued(ChargeRule rule, std::span<Completion> done) {
+  assert(done.size() == issued_);
   Completion failed;  // latest failure: cancels the CASes it guards
   for (size_t i = 0; i < issued_; ++i) {
     const PendingOp& slot = issue_queue_[i];
-    Completion& completion = next(i);
+    Completion& completion = done[i];
     completion.id = slot.id;
     completion.word = 0;
     // What a cancelled CAS reports: its kind and address, nothing moved.
@@ -671,26 +669,18 @@ void FarClient::RunIssued(ChargeRule rule, Next next) {
   issued_ = 0;
 }
 
-Status FarClient::Flush() {
-  if (issued_ == 0) {
-    return OkStatus();
-  }
-  const size_t batch_size = issued_;
-  RunIssued(ChargeRule::kDoorbell, [this](size_t) -> Completion& {
-    return completion_queue_.emplace_back();
-  });
-  ChargeDoorbell(batch_size);
-  return OkStatus();
-}
-
-void FarClient::RingDoorbell(std::span<Completion> done) {
-  assert(done.size() == issued_);
-  if (issued_ != 0) {
-    RunIssued(ChargeRule::kDoorbell,
-              [done](size_t i) -> Completion& { return done[i]; });
+Status FarClient::WaitAll(std::span<Completion> done) {
+  RunIssued(ChargeRule::kDoorbell, done);
+  if (!done.empty()) {
     ChargeDoorbell(done.size());
   }
-  AccountNear(1);  // the completion check WaitAll charges
+  AccountNear(1);  // the completion check
+  for (const Completion& completion : done) {
+    if (!completion.status.ok()) {
+      return completion.status;
+    }
+  }
+  return OkStatus();
 }
 
 void FarClient::ChargeDoorbell(size_t batch_size) {
@@ -768,37 +758,8 @@ void FarClient::ChargeDoorbell(size_t batch_size) {
   doorbell_.deferred.clear();
 }
 
-std::optional<FarClient::Completion> FarClient::Poll() {
-  AccountNear(1);  // completion-queue check
-  if (completion_queue_.empty()) {
-    return std::nullopt;
-  }
-  Completion completion = std::move(completion_queue_.front());
-  completion_queue_.pop_front();
-  return completion;
-}
-
-Status FarClient::WaitAll(std::vector<Completion>* out) {
-  FMDS_RETURN_IF_ERROR(Flush());
-  AccountNear(1);
-  Status first = OkStatus();
-  while (!completion_queue_.empty()) {
-    Completion completion = std::move(completion_queue_.front());
-    completion_queue_.pop_front();
-    if (first.ok() && !completion.status.ok()) {
-      first = completion.status;
-    }
-    if (out != nullptr) {
-      out->push_back(std::move(completion));
-    }
-  }
-  return first;
-}
-
 void FarClient::ExecuteSerially(std::span<Completion> done) {
-  assert(done.size() == issued_);
-  RunIssued(ChargeRule::kSerial,
-            [done](size_t i) -> Completion& { return done[i]; });
+  RunIssued(ChargeRule::kSerial, done);
 }
 
 const FarClient::Completion* FarClient::FindCompletion(
@@ -928,14 +889,6 @@ Status FarClient::WaitNotification(uint64_t timeout_ms) {
 }
 
 // ------------------------------- Accounting -------------------------------
-
-void FarClient::Fence() {
-  // Synchronous ops already execute in program order; posted async ops are
-  // submitted here so nothing issued before the fence can reorder past it.
-  // Costs one near access (completion-queue check) on top of the flush.
-  (void)Flush();
-  AccountNear(1);
-}
 
 void FarClient::AccountNear(uint64_t accesses) {
   stats_.near_ops += accesses;

@@ -19,7 +19,6 @@
 #define FMDS_SRC_FABRIC_FAR_CLIENT_H_
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <span>
@@ -63,14 +62,12 @@ struct RetryPolicy {
   uint64_t deadline_ns = 0;
 };
 
+// What a client fixes at construction. Its two policies have one setter
+// each: set_retry_policy (default: no retry) and EnableObs (default: the
+// flight recorder fully off, so the accounting hot path stays a branch +
+// counter increments).
 struct ClientOptions {
   size_t channel_capacity = 4096;
-  // What to do when a congested node sheds this client's op; see
-  // RetryPolicy. Ignored while the fabric's congestion model is off.
-  RetryPolicy retry;
-  // Flight-recorder gate (histograms / trace ring); defaults fully off so
-  // the accounting hot path stays a branch + counter increments.
-  ObsOptions obs;
   // Near-memory agent mode (§3.1): this client's compute sits next to
   // `home_node`'s memory — the shape of the RPC dataplane's per-node agents
   // (src/route/). Round trips serviced by the home node are charged
@@ -155,17 +152,17 @@ class FarClient {
   // The paper's round-trip argument cuts both ways: dependent accesses cost
   // one RTT each, but *independent* accesses can be overlapped. Post*
   // enqueues an operation into the client's issue queue without touching the
-  // fabric; Flush() is the doorbell that submits the whole batch. The
+  // fabric; WaitAll() is the doorbell that submits the whole batch. The
   // latency model charges a batch of k independent ops to the same memory
   // node one base round trip plus per-op wire/occupancy cost (not k RTTs);
   // ops bound for different nodes overlap, so the client waits for the
-  // slowest node group. Completions are delivered in post order through
-  // Poll()/WaitAll() and carry a per-op Status plus the word result (read
-  // value / pre-op value / indirect pointer).
+  // slowest node group. Op i's completion lands in the caller's slot i and
+  // carries a per-op Status plus the word result (read value / pre-op value
+  // / indirect pointer).
   //
-  // Lifetime: read output spans must stay valid until the op's completion is
-  // observed; write payloads are copied at Post time. A FarClient is owned
-  // by one application thread, so the queues need no locking.
+  // Lifetime: read output spans must stay valid until the batch runs; write
+  // payloads are copied at Post time. A FarClient is owned by one
+  // application thread, so the issue queue needs no locking.
   using OpId = uint64_t;
 
   struct Completion {
@@ -193,30 +190,21 @@ class FarClient {
   OpId PostRGather(std::vector<FarSeg> iov, std::span<std::byte> out);
 
   size_t pending_ops() const { return issued_; }
-  size_t pending_completions() const { return completion_queue_.size(); }
 
-  // Doorbell: submits every posted op in post order, advances the clock by
-  // the modelled batch latency (then by one round trip per dependent kError
-  // access), and moves completions to the completion queue. A flush with
-  // nothing posted is a (free) no-op.
-  Status Flush();
-  // Pops the oldest completion, if any. Completions surface in post order.
-  std::optional<Completion> Poll();
-  // Flushes pending ops, drains every completion into `out` (if given), and
-  // returns OK iff all drained ops succeeded (first error otherwise).
-  Status WaitAll(std::vector<Completion>* out = nullptr);
+  // The doorbell: submits every posted op in post order, writing op i's
+  // completion to done[i], which must hold exactly pending_ops() slots.
+  // Advances the clock by the modelled batch latency, then by one round
+  // trip per dependent kError access, then by one near access for the
+  // completion check (charged even with nothing posted). Returns the
+  // status of the first op that failed, OK when none did.
+  Status WaitAll(std::span<Completion> done);
   // The serial alternative to a doorbell: executes every posted op as the
   // sync verb it stands for (one round trip each, same accounting, same
   // CAS guard rule), in post order, writing op i's completion to done[i].
   // `done` must hold exactly pending_ops() slots. Charges no completion
   // check: the caller waited on each verb.
   void ExecuteSerially(std::span<Completion> done);
-  // WaitAll into a caller's buffer: rings one doorbell for every posted op
-  // (same accounting as Flush plus WaitAll's completion check), writing op
-  // i's completion to done[i] instead of the completion queue, so it
-  // allocates nothing. `done` must hold exactly pending_ops() slots.
-  void RingDoorbell(std::span<Completion> done);
-  // The completion of op `id` in `done`, a flushed batch in post order
+  // The completion of op `id` in `done`, a finished batch in post order
   // (ids ascending), or nullptr when `id` is not in it.
   static const Completion* FindCompletion(std::span<const Completion> done,
                                           OpId id);
@@ -264,13 +252,6 @@ class FarClient {
   // records one kNotification op. Loss warnings are not counted.
   size_t DispatchNotifications();
 
-  // --------------------------- Ordering (§2) ---------------------------
-  // Memory barrier: all previously issued operations complete before any
-  // later one. Synchronous ops already execute in program order; posted
-  // async ops are flushed here, so a fence orders them against everything
-  // that follows. Completions stay pollable after the fence.
-  void Fence();
-
   // -------------------------- Accounting hooks --------------------------
   // Data-structure code calls this when it touches its *local* cache, so the
   // near/far cost split in the experiments is explicit.
@@ -299,6 +280,8 @@ class FarClient {
   // admission happens BEFORE memory effects everywhere.
   Result<uint64_t> AdmitCongestion(FarOpKind kind, NodeId node, FarAddr addr,
                                    uint64_t ops);
+  // What to do when a congested node sheds this client's op; see
+  // RetryPolicy. Ignored while the fabric's congestion model is off.
   void set_retry_policy(const RetryPolicy& policy) { retry_ = policy; }
 
   SimClock& clock() { return clock_; }
@@ -348,8 +331,8 @@ class FarClient {
     // Sync verbs and ExecuteSerially: each round trip is one
     // AccountRoundTrip.
     kSerial,
-    // Flush and RingDoorbell: each op joins its memory-node group, and the
-    // doorbell waits for the slowest group.
+    // WaitAll: each op joins its memory-node group, and the doorbell waits
+    // for the slowest group.
     kDoorbell,
     // Off the critical path: no admission; traffic counts, the clock stays.
     kBackground,
@@ -396,10 +379,10 @@ class FarClient {
   // its dependent accesses.
   void ChargeDoorbell(size_t batch_size);
   // Runs the issued ops in post order under `rule`, op i completing into
-  // next(i), then empties the issue queue. A CAS whose guard range saw a
-  // failure completes with that failure and no memory effect.
-  template <typename Next>
-  void RunIssued(ChargeRule rule, Next next);
+  // done[i] (exactly pending_ops() slots), then empties the issue queue. A
+  // CAS whose guard range saw a failure completes with that failure and no
+  // memory effect.
+  void RunIssued(ChargeRule rule, std::span<Completion> done);
 
   // Charges one client round trip: bumps ClientStats, advances the clock
   // by the modelled latency plus any congestion queueing delay, and (when
@@ -421,7 +404,7 @@ class FarClient {
     std::vector<FarSeg> iov;         // rgather source list
   };
 
-  // Per-node accumulator for one Flush: cost_n = far_base + wire_ns +
+  // Per-node accumulator for one doorbell: cost_n = far_base + wire_ns +
   // (contribs-1)*batch_op_ns + hops*node_hop_ns; the clock advances by the
   // max over nodes.
   struct BatchGroup {
@@ -433,7 +416,7 @@ class FarClient {
     uint64_t queue_ns = 0;
   };
 
-  // The doorbell Flush is submitting: what the kDoorbell rule charged.
+  // The doorbell WaitAll is submitting: what the kDoorbell rule charged.
   struct Doorbell {
     std::vector<BatchGroup> groups;  // indexed by node
     uint64_t messages = 0;
@@ -490,7 +473,6 @@ class FarClient {
   std::vector<PendingOp> issue_queue_;
   size_t issued_ = 0;
   Doorbell doorbell_;
-  std::deque<Completion> completion_queue_;
   OpId next_op_id_ = 1;
 };
 

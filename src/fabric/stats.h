@@ -20,7 +20,7 @@ namespace fmds {
 //   batches .. overlapped_rtts_saved: the async pipeline (doorbell
 //     batching). far_ops counts round-trip latencies the client serially
 //     waited for, so a flushed batch of k independent ops bumps far_ops
-//     once and these record the pipelining: Flush() doorbells issued, ops
+//     once and these record the pipelining: WaitAll() doorbells issued, ops
 //     carried inside them, round trips overlapped vs the sync path.
 //   fanout_batches, cross_node_rtts_saved: cross-node fan-out (§7
 //     scale-out). A flushed batch whose ops span several memory nodes

@@ -122,7 +122,7 @@ class OpRecorder {
     }
   }
 
-  // Monotonic id for one Flush() doorbell (its span + its ops).
+  // Monotonic id for one WaitAll() doorbell (its span + its ops).
   uint64_t NextBatchId() { return ++batch_seq_; }
 
   // Pause / resume the windowed signals WITHOUT destroying window state:

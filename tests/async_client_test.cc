@@ -1,7 +1,9 @@
-// Async batched pipeline (Post*/Flush/Poll/WaitAll): completion ordering,
-// partial-batch flushes, per-op error propagation, latency/stats accounting
-// (doorbell batching, §3.1/§4.2), equivalence of async interleavings with
-// the sync path, a multi-threaded flush stress, and MultiGet hot paths.
+// Async batched pipeline (Post*, then the WaitAll doorbell or the
+// ExecuteSerially driver, each completing op i into the caller's slot i):
+// completion ordering, back-to-back doorbells, per-op error propagation,
+// latency/stats accounting (doorbell batching, §3.1/§4.2), equivalence of
+// async interleavings with the sync path, a multi-threaded doorbell stress,
+// and MultiGet hot paths.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -34,21 +36,16 @@ TEST(AsyncClientTest, CompletionsArriveInPostOrder) {
   const auto id2 = client.PostReadWord(64);
   const auto id3 = client.PostReadWord(72);
   EXPECT_EQ(client.pending_ops(), 3u);
-  ASSERT_TRUE(client.Flush().ok());
+  std::array<FarClient::Completion, 3> done;
+  ASSERT_TRUE(client.WaitAll(done).ok());
   EXPECT_EQ(client.pending_ops(), 0u);
-  EXPECT_EQ(client.pending_completions(), 3u);
 
-  auto c1 = client.Poll();
-  auto c2 = client.Poll();
-  auto c3 = client.Poll();
-  ASSERT_TRUE(c1 && c2 && c3);
-  EXPECT_EQ(c1->id, id1);
-  EXPECT_EQ(c2->id, id2);
-  EXPECT_EQ(c3->id, id3);
-  EXPECT_EQ(c1->word, 33u);
-  EXPECT_EQ(c2->word, 11u);
-  EXPECT_EQ(c3->word, 22u);
-  EXPECT_FALSE(client.Poll().has_value());
+  EXPECT_EQ(done[0].id, id1);
+  EXPECT_EQ(done[1].id, id2);
+  EXPECT_EQ(done[2].id, id3);
+  EXPECT_EQ(done[0].word, 33u);
+  EXPECT_EQ(done[1].word, 11u);
+  EXPECT_EQ(done[2].word, 22u);
 }
 
 TEST(AsyncClientTest, BatchExecutesInPostOrderWithinOneFlush) {
@@ -60,8 +57,8 @@ TEST(AsyncClientTest, BatchExecutesInPostOrderWithinOneFlush) {
   client.PostReadWord(64);
   client.PostCompareSwap(64, 42, 99);
   client.PostFetchAdd(64, 1);
-  std::vector<FarClient::Completion> done;
-  ASSERT_TRUE(client.WaitAll(&done).ok());
+  std::vector<FarClient::Completion> done(client.pending_ops());
+  ASSERT_TRUE(client.WaitAll(done).ok());
   ASSERT_EQ(done.size(), 4u);
   EXPECT_EQ(done[1].word, 42u);   // read sees the posted write
   EXPECT_EQ(done[2].word, 42u);   // CAS observes 42, installs 99
@@ -75,20 +72,27 @@ TEST(AsyncClientTest, PartialBatchFlushes) {
   const ClientStats before = client.stats();
   client.PostWriteWord(64, 7);
   client.PostWriteWord(72, 8);
-  ASSERT_TRUE(client.Flush().ok());
+  std::array<FarClient::Completion, 2> writes;
+  ASSERT_TRUE(client.WaitAll(writes).ok());
   client.PostReadWord(64);
   client.PostReadWord(72);
   client.PostReadWord(64);
-  ASSERT_TRUE(client.Flush().ok());
+  std::array<FarClient::Completion, 3> reads;
+  ASSERT_TRUE(client.WaitAll(reads).ok());
   const ClientStats delta = client.stats().Delta(before);
   EXPECT_EQ(delta.batches, 2u);
   EXPECT_EQ(delta.batched_ops, 5u);
   EXPECT_EQ(delta.far_ops, 2u);  // one waited round trip per doorbell
-  EXPECT_EQ(client.pending_completions(), 5u);
-  // An empty flush is free.
+  EXPECT_EQ(reads[0].word, 7u);
+  EXPECT_EQ(reads[1].word, 8u);
+  EXPECT_EQ(reads[2].word, 7u);
+  // An empty doorbell rings nothing: only its completion check is charged.
   const ClientStats before_empty = client.stats();
-  ASSERT_TRUE(client.Flush().ok());
-  EXPECT_EQ(client.stats().Delta(before_empty).batches, 0u);
+  ASSERT_TRUE(client.WaitAll({}).ok());
+  const ClientStats empty = client.stats().Delta(before_empty);
+  EXPECT_EQ(empty.batches, 0u);
+  EXPECT_EQ(empty.far_ops, 0u);
+  EXPECT_EQ(empty.near_ops, 1u);
 }
 
 TEST(AsyncClientTest, WaitAllFlushesPendingOps) {
@@ -97,8 +101,8 @@ TEST(AsyncClientTest, WaitAllFlushesPendingOps) {
   client.PostWriteWord(64, 5);
   client.PostReadWord(64);
   EXPECT_EQ(client.pending_ops(), 2u);
-  std::vector<FarClient::Completion> done;
-  ASSERT_TRUE(client.WaitAll(&done).ok());  // no explicit Flush
+  std::vector<FarClient::Completion> done(client.pending_ops());
+  ASSERT_TRUE(client.WaitAll(done).ok());
   EXPECT_EQ(client.pending_ops(), 0u);
   ASSERT_EQ(done.size(), 2u);
   EXPECT_EQ(done[1].word, 5u);
@@ -115,9 +119,9 @@ TEST(AsyncClientTest, PerOpErrorsDoNotPoisonTheBatch) {
   client.PostWriteWord(beyond, 1);   // out of range
   client.PostReadWord(64 + 1);       // misaligned
   client.PostReadWord(72);
-  std::vector<FarClient::Completion> done;
-  const Status overall = client.WaitAll(&done);
-  EXPECT_FALSE(overall.ok());  // first error surfaces
+  std::vector<FarClient::Completion> done(client.pending_ops());
+  const Status overall = client.WaitAll(done);
+  EXPECT_EQ(overall.code(), StatusCode::kOutOfRange);  // first error surfaces
   ASSERT_EQ(done.size(), 5u);
   EXPECT_TRUE(done[0].status.ok());
   EXPECT_EQ(done[0].word, 77u);
@@ -135,11 +139,13 @@ TEST(AsyncClientTest, PostReadAndWriteBuffers) {
     payload[i] = static_cast<std::byte>(i);
   }
   client.PostWrite(256, payload);
-  // Write payloads are copied at Post time: clobber the source before Flush.
+  // Write payloads are copied at Post time: clobber the source before the
+  // doorbell.
   std::fill(payload.begin(), payload.end(), std::byte{0xFF});
   std::vector<std::byte> echo(100);
   client.PostRead(256, echo);
-  ASSERT_TRUE(client.WaitAll().ok());
+  std::array<FarClient::Completion, 2> done;
+  ASSERT_TRUE(client.WaitAll(done).ok());
   for (size_t i = 0; i < echo.size(); ++i) {
     EXPECT_EQ(echo[i], static_cast<std::byte>(i));
   }
@@ -153,7 +159,8 @@ TEST(AsyncClientTest, PostRGatherCollectsScatteredSegments) {
   uint64_t out[2] = {0, 0};
   client.PostRGather({{64, 8}, {512, 8}},
                      std::as_writable_bytes(std::span<uint64_t>(out)));
-  ASSERT_TRUE(client.WaitAll().ok());
+  std::array<FarClient::Completion, 1> done;
+  ASSERT_TRUE(client.WaitAll(done).ok());
   EXPECT_EQ(out[0], 0x1111u);
   EXPECT_EQ(out[1], 0x2222u);
 }
@@ -164,9 +171,8 @@ TEST(AsyncClientTest, PostLoad0NullPointerFailsPrecondition) {
   ASSERT_TRUE(client.WriteWord(64, 0).ok());  // null pointer word
   uint64_t out;
   client.PostLoad0(64, AsBytes(out));
-  std::vector<FarClient::Completion> done;
-  EXPECT_FALSE(client.WaitAll(&done).ok());
-  ASSERT_EQ(done.size(), 1u);
+  std::array<FarClient::Completion, 1> done;
+  EXPECT_FALSE(client.WaitAll(done).ok());
   EXPECT_EQ(done[0].status.code(), StatusCode::kFailedPrecondition);
 }
 
@@ -177,39 +183,35 @@ TEST(AsyncClientTest, PostLoad0FollowsPointerLikeSyncLoad0) {
   ASSERT_TRUE(client.WriteWord(64, 128).ok());  // pointer -> 128
   uint64_t out = 0;
   client.PostLoad0(64, AsBytes(out));
-  std::vector<FarClient::Completion> done;
-  ASSERT_TRUE(client.WaitAll(&done).ok());
+  std::array<FarClient::Completion, 1> done;
+  ASSERT_TRUE(client.WaitAll(done).ok());
   EXPECT_EQ(out, 0xabcdu);
   EXPECT_EQ(done[0].word, 128u);  // indirect pointer surfaces in the word
 }
 
-TEST(AsyncClientTest, FenceFlushesPostedOps) {
-  TestEnv env;
-  auto& client = env.NewClient();
-  client.PostWriteWord(64, 123);
-  client.Fence();
-  EXPECT_EQ(client.pending_ops(), 0u);
-  EXPECT_EQ(*client.ReadWord(64), 123u);
-  // Completions remain pollable after the fence.
-  EXPECT_EQ(client.pending_completions(), 1u);
-}
-
 // ------------------------- Latency accounting -------------------------
+// A doorbell's clock delta is its batch wait plus one near access for the
+// completion check; these tests subtract that access to time the batch.
 
 TEST(AsyncClientTest, SingleOpBatchCostsExactlyOneSyncOp) {
   TestEnv env;
   auto& sync_client = env.NewClient();
   auto& async_client = env.NewClient();
+  const LatencyModel model;  // defaults match the fabric's model
 
   const uint64_t sync_t0 = sync_client.clock().now_ns();
   ASSERT_TRUE(sync_client.ReadWord(64).ok());
   const uint64_t sync_cost = sync_client.clock().now_ns() - sync_t0;
 
+  const uint64_t near_before = async_client.stats().near_ops;
   const uint64_t async_t0 = async_client.clock().now_ns();
   async_client.PostReadWord(64);
-  ASSERT_TRUE(async_client.Flush().ok());
-  const uint64_t async_cost = async_client.clock().now_ns() - async_t0;
+  std::array<FarClient::Completion, 1> done;
+  ASSERT_TRUE(async_client.WaitAll(done).ok());
+  const uint64_t async_cost =
+      async_client.clock().now_ns() - async_t0 - model.near_ns;
   EXPECT_EQ(async_cost, sync_cost);
+  EXPECT_EQ(async_client.stats().near_ops - near_before, 1u);
 }
 
 TEST(AsyncClientTest, BatchOfKCostsOneRttPlusPerOpOccupancy) {
@@ -223,11 +225,13 @@ TEST(AsyncClientTest, BatchOfKCostsOneRttPlusPerOpOccupancy) {
   for (uint64_t i = 0; i < kOps; ++i) {
     client.PostReadWord(64 + 8 * i);
   }
-  ASSERT_TRUE(client.Flush().ok());
-  const uint64_t elapsed = client.clock().now_ns() - t0;
+  std::array<FarClient::Completion, kOps> done;
+  ASSERT_TRUE(client.WaitAll(done).ok());
+  const uint64_t elapsed = client.clock().now_ns() - t0 - model.near_ns;
   EXPECT_EQ(elapsed, model.BatchNs(kOps, kOps * kWordSize));
 
   const ClientStats delta = client.stats().Delta(before);
+  EXPECT_EQ(delta.near_ops, 1u);              // the completion check
   EXPECT_EQ(delta.far_ops, 1u);               // one waited round trip
   EXPECT_EQ(delta.messages, kOps);            // traffic is still k messages
   EXPECT_EQ(delta.batches, 1u);
@@ -240,18 +244,25 @@ TEST(AsyncClientTest, BatchOfKCostsOneRttPlusPerOpOccupancy) {
 TEST(AsyncClientTest, CrossNodeGroupsOverlap) {
   TestEnv env(SmallFabric(2, 1 << 20));
   auto& client = env.NewClient();
+  const LatencyModel model;
   const FarAddr node1_word = (1ull << 20) + 64;  // contiguous partitions
 
+  uint64_t near_before = client.stats().near_ops;
   const uint64_t t0 = client.clock().now_ns();
   client.PostReadWord(64);          // node 0
   client.PostReadWord(node1_word);  // node 1
-  ASSERT_TRUE(client.Flush().ok());
-  const uint64_t both = client.clock().now_ns() - t0;
+  std::array<FarClient::Completion, 2> pair;
+  ASSERT_TRUE(client.WaitAll(pair).ok());
+  const uint64_t both = client.clock().now_ns() - t0 - model.near_ns;
+  EXPECT_EQ(client.stats().near_ops - near_before, 1u);
 
+  near_before = client.stats().near_ops;
   const uint64_t t1 = client.clock().now_ns();
   client.PostReadWord(64);
-  ASSERT_TRUE(client.Flush().ok());
-  const uint64_t one = client.clock().now_ns() - t1;
+  std::array<FarClient::Completion, 1> single;
+  ASSERT_TRUE(client.WaitAll(single).ok());
+  const uint64_t one = client.clock().now_ns() - t1 - model.near_ns;
+  EXPECT_EQ(client.stats().near_ops - near_before, 1u);
 
   // Two single-op groups on different nodes overlap: same cost as one.
   EXPECT_EQ(both, one);
@@ -271,8 +282,8 @@ TEST(AsyncClientTest, ErrorPolicyIndirectionChargesSerialRoundTrip) {
   const ClientStats before = client.stats();
   uint64_t out = 0;
   client.PostLoad0(64, AsBytes(out));
-  std::vector<FarClient::Completion> done;
-  ASSERT_TRUE(client.WaitAll(&done).ok());
+  std::array<FarClient::Completion, 1> done;
+  ASSERT_TRUE(client.WaitAll(done).ok());
   EXPECT_EQ(out, 0x5a5au);
   // Doorbell round trip + serialized dependent access.
   EXPECT_EQ(client.stats().Delta(before).far_ops, 2u);
@@ -330,8 +341,14 @@ TEST(AsyncClientTest, RandomAsyncInterleavingsMatchSyncExecution) {
       }
     }
 
-    // Async leg: identical stream, flushed at random batch boundaries.
+    // Async leg: identical stream, doorbells at random batch boundaries;
+    // each batch completes into the next slots of `done`.
     std::vector<FarClient::Completion> done;
+    auto ring = [&] {
+      const size_t first = done.size();
+      done.resize(first + async_client.pending_ops());
+      return async_client.WaitAll(std::span(done).subspan(first));
+    };
     for (const Op& op : ops) {
       switch (op.kind) {
         case 0:
@@ -348,10 +365,10 @@ TEST(AsyncClientTest, RandomAsyncInterleavingsMatchSyncExecution) {
           break;
       }
       if (op.flush_after) {
-        ASSERT_TRUE(async_client.WaitAll(&done).ok());
+        ASSERT_TRUE(ring().ok());
       }
     }
-    ASSERT_TRUE(async_client.WaitAll(&done).ok());
+    ASSERT_TRUE(ring().ok());
 
     ASSERT_EQ(done.size(), sync_results.size());
     for (size_t i = 0; i < done.size(); ++i) {
@@ -371,7 +388,7 @@ TEST(AsyncClientTest, RandomAsyncInterleavingsMatchSyncExecution) {
   // ranges across the stripe boundary, load0 through a null, a same-node
   // and a cross-node pointer (the bounce), rgather, and a CAS guarded by a
   // write that may fail. One stream drives three legs: the sync verbs, the
-  // doorbell (Flush) and the serial driver (ExecuteSerially). All three
+  // doorbell (WaitAll) and the serial driver (ExecuteSerially). All three
   // must leave the same memory and complete every op alike; the serial
   // driver must also charge exactly what the sync verbs charge.
   enum Kind : uint64_t {
@@ -541,8 +558,8 @@ TEST(AsyncClientTest, RandomAsyncInterleavingsMatchSyncExecution) {
       if (!op.flush_after && i + 1 < ops.size()) {
         continue;
       }
-      std::vector<FarClient::Completion> done;
-      (void)async_client.WaitAll(&done);
+      std::vector<FarClient::Completion> done(async_client.pending_ops());
+      (void)async_client.WaitAll(done);
       ASSERT_EQ(done.size(), next - batch_start);
       absorb(done, &async_got[batch_start]);
       std::vector<FarClient::Completion> serial_done(
@@ -586,7 +603,7 @@ TEST(AsyncClientTest, RandomAsyncInterleavingsMatchSyncExecution) {
 // --------------------------- Threaded stress ---------------------------
 
 TEST(AsyncClientTest, ConcurrentFlushesKeepWordsAtomic) {
-  // N client threads flush mixed batches against one memory node. Counter
+  // N client threads ring mixed doorbells against one memory node. Counter
   // words accumulate exactly; hammered words never tear (always hold a
   // value some thread wrote whole).
   constexpr int kThreads = 4;
@@ -615,8 +632,8 @@ TEST(AsyncClientTest, ConcurrentFlushesKeepWordsAtomic) {
         client.PostFetchAdd(kCounter, 1);
         client.PostWriteWord(kShared, tagged(t, r));
         client.PostReadWord(kShared);
-        std::vector<FarClient::Completion> done;
-        if (!client.WaitAll(&done).ok() || done.size() != 3) {
+        std::vector<FarClient::Completion> done(client.pending_ops());
+        if (!client.WaitAll(done).ok() || done.size() != 3) {
           failures.fetch_add(1);
           continue;
         }

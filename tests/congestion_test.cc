@@ -2,7 +2,8 @@
 // virtual-time FIFO mechanics (service order, bandwidth sharing, bounded
 // overflow, drain-to-idle), the MemoryNode front end, and the FarClient
 // admission/retry path that surfaces kOverloaded through sync verbs and the
-// async Post*/Flush completions.
+// async Post*/WaitAll completions.
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -211,8 +212,8 @@ TEST(Congestion, DeadlineBudgetFailsFast) {
 }
 
 TEST(Congestion, BatchCompletionCarriesOverloaded) {
-  // The async path offers once per op at Flush: a shed op's completion
-  // carries kOverloaded while admitted ops in the same doorbell succeed.
+  // The doorbell offers once per op: a shed op's completion carries
+  // kOverloaded while admitted ops in the same doorbell succeed.
   FabricOptions options = SmallFabric(1);
   options.congestion = Congested(/*service_ns=*/100'000, /*queue_ops=*/4);
   TestEnv env(options);
@@ -228,12 +229,8 @@ TEST(Congestion, BatchCompletionCarriesOverloaded) {
   // shed at the (single-offer, no-retry) batch admission point.
   client.PostWriteWord(*addr, 1);
   client.PostWriteWord(*addr, 2);
-  ASSERT_TRUE(client.Flush().ok());
-  std::vector<FarClient::Completion> completions;
-  while (auto c = client.Poll()) {
-    completions.push_back(*c);
-  }
-  ASSERT_EQ(completions.size(), 2u);
+  std::array<FarClient::Completion, 2> completions;
+  EXPECT_EQ(client.WaitAll(completions).code(), StatusCode::kOverloaded);
   EXPECT_TRUE(completions[0].status.ok());
   EXPECT_EQ(completions[1].status.code(), StatusCode::kOverloaded);
   EXPECT_GE(client.stats().overload_sheds, 1u);

@@ -189,14 +189,6 @@ TEST(FabricEdgeTest, FaaiNegativeDeltaMovesPointerBackwards) {
   EXPECT_EQ(out, 42u);
 }
 
-TEST(FabricEdgeTest, FenceIsOrderedNoopWithAccounting) {
-  TestEnv env;
-  auto& client = env.NewClient();
-  const uint64_t near_before = client.stats().near_ops;
-  client.Fence();
-  EXPECT_EQ(client.stats().near_ops, near_before + 1);
-}
-
 TEST(FabricEdgeTest, ManySmallNodes) {
   FabricOptions options;
   options.num_nodes = 64;

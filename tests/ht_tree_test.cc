@@ -793,8 +793,8 @@ TEST(HtTreeTest, MissedCasReadsAgainAndLinksPastTheKeysHead) {
   std::vector<FarClient::Completion> done;
   auto run_wave = [&](size_t expected_ops) {
     ASSERT_EQ(engine.PostWave(), expected_ops);
-    done.clear();
-    ASSERT_TRUE(a.WaitAll(&done).ok());
+    done.resize(a.pending_ops());
+    ASSERT_TRUE(a.WaitAll(done).ok());
     engine.AbsorbWave(done);
   };
   run_wave(1);  // the head read: A's own item of the key
@@ -909,8 +909,8 @@ std::vector<uint64_t> KeyRange(uint64_t first, uint64_t count) {
 // Runs one wave of `engine` through a doorbell; returns the ops it posted.
 size_t RunOneWave(FarClient& client, HtTree::BatchPut& engine) {
   const size_t posted = engine.PostWave();
-  std::vector<FarClient::Completion> done;
-  (void)client.WaitAll(&done);
+  std::vector<FarClient::Completion> done(client.pending_ops());
+  (void)client.WaitAll(done);
   engine.AbsorbWave(done);
   return posted;
 }

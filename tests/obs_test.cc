@@ -2,6 +2,7 @@
 // attribution, TraceRing wraparound, Chrome-trace JSON well-formedness,
 // and the sync-vs-batched invariant that per-op latencies sum exactly to
 // the simulated clock delta.
+#include <array>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -164,7 +165,8 @@ TEST(TraceExportTest, ChromeTraceHasRequiredKeysOnEveryEvent) {
     }
     client.PostReadWord(0);
     client.PostReadWord(kWordSize);
-    ASSERT_TRUE(client.WaitAll().ok());
+    std::array<FarClient::Completion, 2> done;
+    ASSERT_TRUE(client.WaitAll(done).ok());
   }
 
   MetricsRegistry registry;
@@ -214,15 +216,18 @@ TEST(ObsClientTest, BatchedLatencySharesSumToClockDelta) {
   }
   client.recorder().Reset();
 
+  const uint64_t near_before = client.stats().near_ops;
   const uint64_t t0 = client.clock().now_ns();
   for (int i = 0; i < 8; ++i) {
     client.PostReadWord(i * kWordSize);
   }
-  // Flush, not WaitAll: WaitAll charges an extra near access for the
-  // completion-queue drain, which is not fabric time.
-  ASSERT_TRUE(client.Flush().ok());
-  const uint64_t elapsed = client.clock().now_ns() - t0;
-  ASSERT_TRUE(client.WaitAll().ok());
+  std::array<FarClient::Completion, 8> done;
+  ASSERT_TRUE(client.WaitAll(done).ok());
+  // The doorbell's one near access, its completion check, is not fabric
+  // time: subtract it.
+  EXPECT_EQ(client.stats().near_ops - near_before, 1u);
+  const uint64_t elapsed =
+      client.clock().now_ns() - t0 - env.fabric().options().latency.near_ns;
   ASSERT_GT(elapsed, 0u);
 
   const OpRecorder& recorder = client.recorder();

@@ -6,8 +6,11 @@
 #include <thread>
 #include <vector>
 
+#include "src/baselines/chained_hash.h"
 #include "src/common/rng.h"
+#include "src/core/blob_store.h"
 #include "src/core/sharded_map.h"
+#include "src/core/txn.h"
 #include "tests/test_env.h"
 
 namespace fmds {
@@ -293,6 +296,117 @@ TEST(ShardedMapTest, ConcurrentBatchedWritersStayConsistent) {
   std::thread rb(check, &*map_b, 1);               // B reads A's range
   ra.join();
   rb.join();
+}
+
+TEST(ShardedMapTest, BatchAccountingIsPinned) {
+  // The batched counterpart of HtTreeTest.PointOpAccountingIsPinned: a
+  // fixed-seed script of doorbell paths through two handles on two clients
+  // over four pinned shards. MultiPut, MultiGet and MultiWrite (tombstones,
+  // outcomes) waves with growth splits; a forced split on one handle whose
+  // stale refresh the other handle's MultiGet fetches level by level; a
+  // transaction whose read set comes from Txn::MultiGet; and the
+  // ChainedHash and HtBlobStore MultiGets. Every far access, near access,
+  // byte, doorbell and simulated nanosecond of it is pinned.
+  TestEnv env(SmallFabric(4, 16ull << 20));
+  auto& a = env.NewClient();
+  auto& b = env.NewClient();
+  ShardedMap::Options options;
+  options.num_shards = 4;
+  options.shard.buckets_per_table = 64;
+  options.shard.max_chain = 4;
+  auto map_a = ShardedMap::Create(&a, &env.alloc(), options);
+  ASSERT_TRUE(map_a.ok());
+  auto map_b =
+      ShardedMap::Attach(&b, &env.alloc(), map_a->directory(), options);
+  ASSERT_TRUE(map_b.ok());
+  Rng rng(20261019);
+  auto draw = [&rng](size_t n) {
+    std::vector<uint64_t> keys(n);
+    for (uint64_t& key : keys) {
+      key = rng.NextInRange(1, 400);
+    }
+    return keys;
+  };
+  for (int round = 0; round < 6; ++round) {
+    ShardedMap& map = (round % 2 == 0) ? *map_a : *map_b;
+    const std::vector<uint64_t> put_keys = draw(48);
+    ASSERT_TRUE(map.MultiPut(put_keys, draw(48)).ok());
+    for (const auto& r : map.MultiGet(draw(32))) {
+      ASSERT_TRUE(r.ok() || r.status().code() == StatusCode::kNotFound);
+    }
+    const std::vector<uint64_t> write_keys = draw(40);
+    std::vector<uint8_t> tombstones(write_keys.size());
+    for (uint8_t& tombstone : tombstones) {
+      tombstone = rng.NextBool(0.25) ? 1 : 0;
+    }
+    std::vector<WriteOutcome> outcomes;
+    ASSERT_TRUE(
+        map.MultiWrite(write_keys, draw(40), tombstones, &outcomes).ok());
+    ASSERT_EQ(outcomes.size(), write_keys.size());
+  }
+
+  const uint64_t split_key = rng.NextInRange(1, 400);
+  HtTree& shard_b = map_b->shard(map_b->ShardOf(split_key));
+  const uint64_t stale_before = shard_b.op_stats().stale_refreshes;
+  ASSERT_TRUE(
+      map_a->shard(map_a->ShardOf(split_key)).SplitTableOf(split_key).ok());
+  std::vector<uint64_t> lookups = draw(24);
+  lookups.push_back(split_key);
+  for (const auto& r : map_b->MultiGet(lookups)) {
+    ASSERT_TRUE(r.ok() || r.status().code() == StatusCode::kNotFound);
+  }
+  EXPECT_GT(shard_b.op_stats().stale_refreshes, stale_before);
+
+  Txn txn(&*map_a);
+  for (const auto& r : txn.MultiGet(draw(12))) {
+    ASSERT_TRUE(r.ok() || r.status().code() == StatusCode::kNotFound);
+  }
+  ASSERT_TRUE(txn.Put(rng.NextInRange(1, 400), 7).ok());
+  ASSERT_TRUE(txn.Put(rng.NextInRange(1, 400), 8).ok());
+  ASSERT_TRUE(txn.Commit().ok());
+
+  ChainedHash::Options chained_options;
+  chained_options.buckets = 32;  // load factor forces chains
+  auto chained = ChainedHash::Create(&b, &env.alloc(), chained_options);
+  ASSERT_TRUE(chained.ok());
+  for (uint64_t k = 1; k <= 120; ++k) {
+    ASSERT_TRUE(chained->Put(k, k + 5).ok());
+  }
+  std::vector<uint64_t> chained_keys = draw(20);
+  for (uint64_t& key : chained_keys) {
+    key = key % 140 + 1;  // hits and misses
+  }
+  for (const auto& r : chained->MultiGet(chained_keys)) {
+    ASSERT_TRUE(r.ok() || r.status().code() == StatusCode::kNotFound);
+  }
+
+  ShardedMap::Options blob_options = options;
+  auto blobs = HtBlobStore::CreateSharded(&a, &env.alloc(), blob_options);
+  ASSERT_TRUE(blobs.ok());
+  std::vector<uint64_t> blob_keys;
+  for (uint64_t k = 1; k <= 12; ++k) {
+    // Every fourth value outgrows the speculative first fetch.
+    const size_t len = (k % 4 == 0) ? HtBlobStore::kInlineFetch + 40 : 24 * k;
+    std::vector<std::byte> value(len, static_cast<std::byte>(k));
+    ASSERT_TRUE(blobs->Put(k, value).ok());
+    blob_keys.push_back(k);
+  }
+  blob_keys.push_back(99);  // absent
+  for (const auto& r : blobs->MultiGet(blob_keys)) {
+    ASSERT_TRUE(r.ok() || r.status().code() == StatusCode::kNotFound);
+  }
+
+  using Counts = std::vector<uint64_t>;
+  auto client_counts = [](FarClient& c) {
+    const ClientStats& s = c.stats();
+    return Counts{s.far_ops,     s.messages,      s.near_ops,
+                  s.bytes_read,  s.bytes_written, s.batches,
+                  s.batched_ops, c.clock().now_ns()};
+  };
+  EXPECT_EQ(client_counts(a), (Counts{251, 1686, 1912, 32648, 32248, 60,
+                                      1040, 463076}));
+  EXPECT_EQ(client_counts(b), (Counts{513, 1674, 2082, 24984, 20640, 50,
+                                      1090, 714762}));
 }
 
 }  // namespace
