@@ -396,8 +396,8 @@ int main(int argc, char** argv) {
           shard_keys[0][rng.Next() % shard_keys[0].size()],
           shard_keys[1][rng.Next() % shard_keys[1].size()],
           shard_keys[1][rng.Next() % shard_keys[1].size()]};
-      auto results = arm.map->MultiGet(batch);
-      for (auto& r : results) {
+      auto got = arm.map->MultiGet(batch);
+      for (auto& r : got) {
         CheckOk(r.status(), "sharded multiget");
       }
       ops += 4;

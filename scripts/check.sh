@@ -16,14 +16,14 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 JOBS="${JOBS:-$(nproc)}"
 
-SANITIZER_TARGETS=(fabric_test fabric_edge_test async_client_test
+SANITIZER_TARGETS=(common_test fabric_test fabric_edge_test async_client_test
   notification_test sharded_map_test obs_test cache_test txn_test
   txn_serializability_test write_behind_test far_queue_test
   windowed_test telemetry_test route_test route_equivalence_test
   congestion_test admission_test far_map_test ht_tree_test blob_store_test
   refreshable_test cached_vector_test monitoring_test core_simple_test
   failure_injection_test alloc_test)
-SANITIZER_FILTER='Fabric|AsyncClient|Notif|ShardedMap|Obs|Trace|OpLabel|NearCache|ClockRing|Cache|Txn|Serializ|WriteBehind|FarQueueWatch|Telemetry|Windowed|Snapshotter|GaugeGroup|Ewma|LogHistogramWindow|RecorderWindowed|Route|RpcPath|ServiceQueue|Congestion|Admission|FarMap|MapOptions|HtTree|BlobStore|Refreshable|CachedVector|Monitoring|FarBarrier|FarCounter|FarMutex|FarVector|FailureInjection|FarQueueTest|Alloc'
+SANITIZER_FILTER='FlatMap|SubscriptionTable|Fabric|AsyncClient|Notif|ShardedMap|Obs|Trace|OpLabel|NearCache|ClockRing|Cache|Txn|Serializ|WriteBehind|FarQueueWatch|Telemetry|Windowed|Snapshotter|GaugeGroup|Ewma|LogHistogramWindow|RecorderWindowed|Route|RpcPath|ServiceQueue|Congestion|Admission|FarMap|MapOptions|HtTree|BlobStore|Refreshable|CachedVector|Monitoring|FarBarrier|FarCounter|FarMutex|FarVector|FailureInjection|FarQueueTest|Alloc'
 
 echo "==> normal build"
 cmake -B build -S . >/dev/null

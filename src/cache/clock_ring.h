@@ -4,7 +4,8 @@
 // caches are what turn the ~10x near/far gap into throughput): NearCache
 // drives it by byte budget and, by entry count, its admission filter.
 // CLOCK approximates LRU with one reference bit per slot and a sweeping
-// hand — eviction is O(slots swept), amortized O(1).
+// hand — eviction is O(slots swept), amortized O(1). The key index is a
+// FlatMap sized for the full capacity at construction, so it never rehashes.
 //
 // Not thread-safe: like everything client-side, one owner thread.
 #ifndef FMDS_SRC_CACHE_CLOCK_RING_H_
@@ -13,9 +14,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
+
+#include "src/common/flat_map.h"
 
 namespace fmds {
 
@@ -24,7 +26,10 @@ class ClockRing {
  public:
   static constexpr size_t npos = static_cast<size_t>(-1);
 
-  explicit ClockRing(size_t capacity) : capacity_(capacity == 0 ? 1 : capacity) {}
+  explicit ClockRing(size_t capacity)
+      : capacity_(capacity == 0 ? 1 : capacity) {
+    index_.Reserve(capacity_);
+  }
 
   size_t size() const { return index_.size(); }
   bool empty() const { return index_.empty(); }
@@ -32,8 +37,8 @@ class ClockRing {
   // Slot of `key`, or npos. Does not touch the reference bit — pair with
   // Touch() on use so a probe-only scan cannot pin an entry.
   size_t Find(uint64_t key) const {
-    auto it = index_.find(key);
-    return it == index_.end() ? npos : it->second;
+    const size_t* slot = index_.Find(key);
+    return slot == nullptr ? npos : *slot;
   }
 
   void Touch(size_t slot) { slots_[slot].ref = true; }
@@ -69,20 +74,20 @@ class ClockRing {
     s.value = std::move(value);
     s.ref = true;
     s.live = true;
-    index_.emplace(key, slot);
+    index_[key] = slot;
     return slot;
   }
 
   bool Erase(uint64_t key) {
-    auto it = index_.find(key);
-    if (it == index_.end()) {
+    const size_t slot = Find(key);
+    if (slot == npos) {
       return false;
     }
-    Slot& s = slots_[it->second];
+    Slot& s = slots_[slot];
     s.live = false;
     s.value = Value();
-    free_.push_back(it->second);
-    index_.erase(it);
+    free_.push_back(slot);
+    index_.Erase(key);
     return true;
   }
 
@@ -105,7 +110,7 @@ class ClockRing {
           std::pair<uint64_t, Value> victim{s.key, std::move(s.value)};
           s.live = false;
           s.value = Value();
-          index_.erase(victim.first);
+          index_.Erase(victim.first);
           free_.push_back(hand_);
           ++hand_;
           return victim;
@@ -128,7 +133,7 @@ class ClockRing {
   void Clear() {
     slots_.clear();
     free_.clear();
-    index_.clear();
+    index_.Clear();
     hand_ = 0;
   }
 
@@ -142,7 +147,7 @@ class ClockRing {
 
   std::vector<Slot> slots_;       // grows on demand up to capacity_
   std::vector<size_t> free_;      // dead slot indices for reuse
-  std::unordered_map<uint64_t, size_t> index_;
+  FlatMap<size_t> index_;  // key -> slot
   size_t hand_ = 0;
   size_t capacity_;
 };

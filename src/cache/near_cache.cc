@@ -302,8 +302,8 @@ void NearCache::OnNotify(const NotifyEvent& event) {
     InvalidateAllLocked(/*account_client=*/true);
     return;
   }
-  auto it = sub_to_key_.find(event.sub_id);
-  if (it == sub_to_key_.end()) {
+  const uint64_t* key = sub_to_key_.Find(event.sub_id);
+  if (key == nullptr) {
     return;
   }
   if (word_versioned_) {
@@ -313,7 +313,7 @@ void NearCache::OnNotify(const NotifyEvent& event) {
     // own refilled Put) — the entry is current, keep it. Coalesced events
     // carry the latest word, and an event stream always ends with the
     // current value, so a kept-stale window closes at the final event.
-    const size_t slot = ring_.Find(it->second);
+    const size_t slot = ring_.Find(*key);
     if (slot != ClockRing<Entry>::npos) {
       Entry& e = ring_.value(slot);
       e.event_word = event.word;
@@ -323,13 +323,13 @@ void NearCache::OnNotify(const NotifyEvent& event) {
       }
     }
   }
-  InvalidateLocked(it->second, /*account_client=*/true);
+  InvalidateLocked(*key, /*account_client=*/true);
 }
 
 void NearCache::ReleaseEntryLocked(const Entry& entry, bool evicted) {
   // Every resident entry holds a live subscription (an unsubscribable
   // range is never admitted, and a failed rewatch drops its entry).
-  sub_to_key_.erase(entry.sub);
+  sub_to_key_.Erase(entry.sub);
   if (options_.background_eviction) {
     // No round trip: late events for the forgotten id find no sink and
     // are dropped until the evictor unsubscribes it node-side.
@@ -394,7 +394,7 @@ void NearCache::Clear() {
   });
   ring_.Clear();
   filter_.Clear();
-  sub_to_key_.clear();
+  sub_to_key_.Clear();
   bytes_used_ = 0;
 }
 

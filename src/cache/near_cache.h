@@ -62,10 +62,10 @@
 #include <mutex>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "src/cache/clock_ring.h"
+#include "src/common/flat_map.h"
 #include "src/fabric/far_client.h"
 #include "src/fabric/notification.h"
 #include "src/obs/telemetry.h"
@@ -329,7 +329,7 @@ class NearCache : public NotificationSink {
   mutable std::mutex mu_;
   ClockRing<Entry> ring_;
   ClockRing<uint32_t> filter_;  // key -> miss count (admission filter)
-  std::unordered_map<SubId, uint64_t> sub_to_key_;
+  FlatMap<uint64_t> sub_to_key_;  // SubId -> key
   // Background mode: released subscriptions awaiting the evictor.
   std::vector<RetiredWatch> retired_;
   uint64_t bytes_used_ = 0;

@@ -798,13 +798,13 @@ Result<SubId> FarClient::Subscribe(const NotifySpec& spec,
 }
 
 Status FarClient::Unsubscribe(SubId id) {
-  auto it = subs_.find(id);
-  if (it == subs_.end()) {
+  const Registration* reg = subs_.Find(id);
+  if (reg == nullptr) {
     return NotFound("unknown subscription");
   }
-  const NodeId node = it->second.node;  // captured before erase invalidates it
+  const NodeId node = reg->node;  // captured before erase invalidates it
   fabric_->node(node).Unsubscribe(id);
-  subs_.erase(it);
+  subs_.Erase(id);
   AccountRoundTrip(FarOpKind::kNotification, node, kNullFarAddr, kWordSize, 1,
                    0);
   return OkStatus();
@@ -812,11 +812,11 @@ Status FarClient::Unsubscribe(SubId id) {
 
 void FarClient::UnsubscribeSink(NotificationSink* sink) {
   std::vector<SubId> ids;
-  for (const auto& [id, reg] : subs_) {
+  subs_.ForEach([&](SubId id, const Registration& reg) {
     if (reg.sink == sink) {
       ids.push_back(id);
     }
-  }
+  });
   std::sort(ids.begin(), ids.end());
   for (SubId id : ids) {
     (void)Unsubscribe(id);
@@ -831,7 +831,7 @@ Status FarClient::UnsubscribeAt(FarAddr watch_addr, SubId id) {
   return OkStatus();
 }
 
-void FarClient::ForgetSubscription(SubId id) { subs_.erase(id); }
+void FarClient::ForgetSubscription(SubId id) { subs_.Erase(id); }
 
 size_t FarClient::DispatchNotifications() {
   // Empty-channel check is free: the queue head is client-local state the
@@ -847,16 +847,16 @@ size_t FarClient::DispatchNotifications() {
       // No sub_id: an unknown number of events for unknown subscriptions
       // were dropped. Every sink must assume the worst.
       std::unordered_set<NotificationSink*> seen;
-      for (const auto& [sub, reg] : subs_) {
+      subs_.ForEach([&](SubId, const Registration& reg) {
         if (seen.insert(reg.sink).second) {
           reg.sink->OnNotify(ev);
           ++routed;
         }
-      }
+      });
       continue;
     }
-    auto it = subs_.find(ev.sub_id);
-    if (it == subs_.end()) {
+    const Registration* reg = subs_.Find(ev.sub_id);
+    if (reg == nullptr) {
       continue;  // unsubscribed, or retired by a background evictor
     }
     ++stats_.notifications;
@@ -864,7 +864,7 @@ size_t FarClient::DispatchNotifications() {
       obs_.RecordOp(FarOpKind::kNotification, kObsNoNode, ev.addr, ev.len,
                     clock_.now_ns(), 0, true);
     }
-    it->second.sink->OnNotify(ev);
+    reg->sink->OnNotify(ev);
     ++routed;
   }
   return routed;

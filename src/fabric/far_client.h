@@ -22,11 +22,11 @@
 #include <memory>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "src/common/bytes.h"
+#include "src/common/flat_map.h"
 #include "src/common/status.h"
 #include "src/fabric/fabric.h"
 #include "src/fabric/notification.h"
@@ -461,10 +461,10 @@ class FarClient {
   // This client's live subscriptions: the node holding each one and the
   // sink its events are dispatched to.
   struct Registration {
-    NodeId node;
-    NotificationSink* sink;
+    NodeId node = 0;
+    NotificationSink* sink = nullptr;
   };
-  std::unordered_map<SubId, Registration> subs_;
+  FlatMap<Registration> subs_;  // SubId -> registration
 
   // Segments of the op being executed (reused across ops).
   std::vector<Fabric::Segment> segs_;

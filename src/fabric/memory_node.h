@@ -1,6 +1,6 @@
 // One far-memory node: a slab of word-addressable memory plus the memory-side
 // logic the paper's hardware extensions require (fabric-level atomics,
-// page-indexed notification subscriptions).
+// word-indexed notification subscriptions).
 //
 // Concurrency model: word operations are lock-free via std::atomic_ref on the
 // 8-byte-aligned backing store, so they are atomic "at the fabric level,

@@ -1,6 +1,8 @@
 #include "src/fabric/notification.h"
 
 #include <algorithm>
+#include <cassert>
+#include <utility>
 
 namespace fmds {
 
@@ -113,6 +115,14 @@ std::optional<NotifyEvent> NotificationInbox::Pop() {
   return event;
 }
 
+namespace {
+// Indices of the first and the last word of [offset, offset+len), taking
+// an empty range as the word holding `offset`.
+std::pair<uint64_t, uint64_t> WordSpan(uint64_t offset, uint64_t len) {
+  return {offset / kWordSize, (offset + (len == 0 ? 0 : len - 1)) / kWordSize};
+}
+}  // namespace
+
 void SubscriptionTable::Add(uint64_t node_offset, const NotifySpec& spec,
                             NotificationChannel* channel, SubId id) {
   auto sub = std::make_unique<Subscription>();
@@ -123,44 +133,60 @@ void SubscriptionTable::Add(uint64_t node_offset, const NotifySpec& spec,
   sub->drop_rng.Seed(0x1005ULL * id + 17);
   Subscription* raw = sub.get();
   subs_[id] = std::move(sub);
-  by_page_[PageIndexOf(node_offset)].push_back(raw);
+  const auto [first, last] = WordSpan(node_offset, spec.len);
+  for (uint64_t word = first; word <= last; ++word) {
+    std::vector<Subscription*>& list = by_word_[word];
+    list.insert(std::upper_bound(list.begin(), list.end(), id,
+                                 [](SubId key, const Subscription* s) {
+                                   return key < s->id;
+                                 }),
+                raw);
+  }
 }
 
 bool SubscriptionTable::Remove(SubId id) {
-  auto it = subs_.find(id);
-  if (it == subs_.end()) {
+  std::unique_ptr<Subscription>* found = subs_.Find(id);
+  if (found == nullptr) {
     return false;
   }
-  const uint64_t page = PageIndexOf(it->second->node_offset);
-  auto page_it = by_page_.find(page);
-  if (page_it != by_page_.end()) {
-    auto& vec = page_it->second;
-    vec.erase(std::remove(vec.begin(), vec.end(), it->second.get()),
-              vec.end());
-    if (vec.empty()) {
-      by_page_.erase(page_it);
+  const std::unique_ptr<Subscription> sub = std::move(*found);
+  subs_.Erase(id);
+  const auto [first, last] = WordSpan(sub->node_offset, sub->spec.len);
+  for (uint64_t word = first; word <= last; ++word) {
+    std::vector<Subscription*>* list = by_word_.Find(word);
+    assert(list != nullptr);
+    list->erase(std::find(list->begin(), list->end(), sub.get()));
+    if (list->empty()) {
+      by_word_.Erase(word);
     }
   }
-  subs_.erase(it);
   return true;
 }
 
 void SubscriptionTable::Collect(uint64_t offset, uint64_t len,
                                 std::vector<Subscription*>& out) {
-  const uint64_t first_page = PageIndexOf(offset);
-  const uint64_t last_page = PageIndexOf(offset + (len == 0 ? 0 : len - 1));
-  for (uint64_t page = first_page; page <= last_page; ++page) {
-    auto it = by_page_.find(page);
-    if (it == by_page_.end()) {
+  const size_t begin = out.size();
+  const auto [first, last] = WordSpan(offset, len);
+  for (uint64_t word = first; word <= last; ++word) {
+    const std::vector<Subscription*>* list = by_word_.Find(word);
+    if (list == nullptr) {
       continue;
     }
-    for (Subscription* sub : it->second) {
+    for (Subscription* sub : *list) {
       const uint64_t sub_lo = sub->node_offset;
       const uint64_t sub_hi = sub_lo + sub->spec.len;
-      if (offset < sub_hi && sub_lo < offset + len) {
+      // A range covering several written words is taken at the first.
+      if (word == std::max(first, sub_lo / kWordSize) && offset < sub_hi &&
+          sub_lo < offset + len) {
         out.push_back(sub);
       }
     }
+  }
+  if (last > first) {  // one word's list is already in SubId order
+    std::sort(out.begin() + begin, out.end(),
+              [](const Subscription* a, const Subscription* b) {
+                return a->id < b->id;
+              });
   }
 }
 

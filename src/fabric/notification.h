@@ -19,6 +19,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/common/flat_map.h"
 #include "src/common/rng.h"
 #include "src/fabric/far_addr.h"
 
@@ -150,10 +151,11 @@ struct Subscription {
   Rng drop_rng{0};
 };
 
-// Page-indexed subscription registry of one memory node. The paper suggests
+// Word-indexed subscription registry of one memory node. The paper suggests
 // recording subscriptions in page-table entries at the memory node so write
-// paths find them cheaply; this mirrors that: lookup is by page index, so a
-// write touches only the tables of its own pages.
+// paths find them cheaply; this goes one step finer: a subscription is
+// registered under every word its range covers, so a write probes only the
+// words it touches and never scans the other subscriptions on its page.
 class SubscriptionTable {
  public:
   // Registers a subscription at a node-local offset. The range must lie
@@ -163,14 +165,17 @@ class SubscriptionTable {
            NotificationChannel* channel, SubId id);
   bool Remove(SubId id);
 
-  // Appends subscriptions whose range intersects [offset, offset+len).
+  // Appends the subscriptions whose range intersects [offset, offset+len),
+  // each once, in ascending SubId order (the order they subscribed).
   void Collect(uint64_t offset, uint64_t len, std::vector<Subscription*>& out);
 
   size_t size() const { return subs_.size(); }
 
  private:
-  std::unordered_map<SubId, std::unique_ptr<Subscription>> subs_;
-  std::unordered_map<uint64_t, std::vector<Subscription*>> by_page_;
+  FlatMap<std::unique_ptr<Subscription>> subs_;  // SubId -> subscription
+  // Word index (offset / kWordSize) -> the subscriptions covering that
+  // word, in ascending SubId order.
+  FlatMap<std::vector<Subscription*>> by_word_;
 };
 
 }  // namespace fmds

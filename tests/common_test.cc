@@ -2,8 +2,11 @@
 
 #include <map>
 #include <sstream>
+#include <unordered_map>
+#include <vector>
 
 #include "src/common/bytes.h"
+#include "src/common/flat_map.h"
 #include "src/common/hash.h"
 #include "src/common/histogram.h"
 #include "src/common/rng.h"
@@ -332,6 +335,102 @@ TEST(HashTest, Mix64Avalanches) {
 TEST(HashTest, Fnv1aDiffers) {
   EXPECT_NE(Fnv1a("hello"), Fnv1a("world"));
   EXPECT_EQ(Fnv1a("same"), Fnv1a("same"));
+}
+
+// ------------------------------- FlatMap ---------------------------------
+
+// Applies one random insert-or-overwrite, erase or find of `key` to both
+// maps and checks that they agree on its outcome and on their sizes.
+void RandomFlatMapStep(Rng& rng, uint64_t key, bool may_insert,
+                       FlatMap<uint64_t>& map,
+                       std::unordered_map<uint64_t, uint64_t>& oracle) {
+  const uint64_t op = rng.NextBelow(3);
+  if (op == 0 && may_insert) {
+    const uint64_t value = rng.Next();
+    map[key] = value;
+    oracle[key] = value;
+  } else if (op == 1) {
+    EXPECT_EQ(map.Erase(key), oracle.erase(key) == 1) << "key " << key;
+  } else {
+    const uint64_t* got = map.Find(key);
+    const auto want = oracle.find(key);
+    ASSERT_EQ(got != nullptr, want != oracle.end()) << "key " << key;
+    if (got != nullptr) {
+      EXPECT_EQ(*got, want->second) << "key " << key;
+    }
+  }
+  ASSERT_EQ(map.size(), oracle.size());
+}
+
+// Every key of `pool` is found in `map` exactly when the oracle holds it,
+// with the oracle's value, and ForEach visits exactly the oracle's entries.
+void ExpectSameContents(const std::vector<uint64_t>& pool,
+                        FlatMap<uint64_t>& map,
+                        const std::unordered_map<uint64_t, uint64_t>& oracle) {
+  for (uint64_t key : pool) {
+    const uint64_t* got = map.Find(key);
+    const auto want = oracle.find(key);
+    ASSERT_EQ(got != nullptr, want != oracle.end()) << "key " << key;
+    if (got != nullptr) {
+      EXPECT_EQ(*got, want->second) << "key " << key;
+    }
+  }
+  size_t visited = 0;
+  map.ForEach([&](uint64_t key, uint64_t& value) {
+    ++visited;
+    const auto want = oracle.find(key);
+    ASSERT_NE(want, oracle.end()) << "key " << key;
+    EXPECT_EQ(value, want->second) << "key " << key;
+  });
+  EXPECT_EQ(visited, oracle.size());
+}
+
+TEST(FlatMapTest, MatchesUnorderedMapUnderRandomOps) {
+  // A small key space (with 0 and the largest keys in it) makes overwrites,
+  // erases of present keys and finds of erased ones common, and the map
+  // grows through several rehashes.
+  std::vector<uint64_t> pool;
+  for (uint64_t k = 0; k < 700; ++k) {
+    pool.push_back(k);
+  }
+  for (uint64_t k = 0; k < 8; ++k) {
+    pool.push_back(~uint64_t{0} - k);
+  }
+  Rng rng(7);
+  FlatMap<uint64_t> map;
+  std::unordered_map<uint64_t, uint64_t> oracle;
+  for (int step = 0; step < 40000; ++step) {
+    RandomFlatMapStep(rng, pool[rng.NextBelow(pool.size())],
+                      /*may_insert=*/true, map, oracle);
+  }
+  ExpectSameContents(pool, map, oracle);
+  map.Clear();
+  oracle.clear();
+  ExpectSameContents(pool, map, oracle);
+}
+
+TEST(FlatMapTest, ClusterWrappingPastTheEndSurvivesErase) {
+  // Reserve(8) sizes the 16-slot minimum table (it stays at most half
+  // full), and at most 8 keys are present here, so it never rehashes. Every
+  // pool key hashes to one of its last two slots: the keys form one probe
+  // run that wraps past the array's end, and each erase must shift the
+  // wrapped entries back without losing one.
+  constexpr uint64_t kSlots = 16;
+  std::vector<uint64_t> pool;
+  for (uint64_t k = 0; pool.size() < 12; ++k) {
+    if ((Mix64(k) & (kSlots - 1)) >= kSlots - 2) {
+      pool.push_back(k);
+    }
+  }
+  Rng rng(11);
+  FlatMap<uint64_t> map;
+  map.Reserve(8);
+  std::unordered_map<uint64_t, uint64_t> oracle;
+  for (int step = 0; step < 5000; ++step) {
+    RandomFlatMapStep(rng, pool[rng.NextBelow(pool.size())],
+                      /*may_insert=*/oracle.size() < 8, map, oracle);
+    ExpectSameContents(pool, map, oracle);
+  }
 }
 
 }  // namespace

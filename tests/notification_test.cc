@@ -299,6 +299,96 @@ TEST(NotifyTest, UnsubscribedEventsAreDropped) {
   EXPECT_EQ(watcher.stats().notifications, 0u);
 }
 
+// SubscriptionTable ids of the subscriptions a write of [offset,
+// offset+len) would fire, in the order the node publishes them.
+std::vector<SubId> Hits(SubscriptionTable& table, uint64_t offset,
+                        uint64_t len) {
+  std::vector<Subscription*> hits;
+  table.Collect(offset, len, hits);
+  std::vector<SubId> ids;
+  for (const Subscription* sub : hits) {
+    ids.push_back(sub->id);
+  }
+  return ids;
+}
+
+TEST(SubscriptionTableTest, MultiWordWriteHitsInSubscriptionOrder) {
+  SubscriptionTable table;
+  NotificationChannel channel;
+  // Registered out of offset order: the highest range first.
+  table.Add(4096 + 48, OnWrite(4096 + 48), &channel, 1);
+  table.Add(4096 + 8, OnWrite(4096 + 8, 16), &channel, 2);
+  table.Add(4096, OnWrite(4096), &channel, 3);
+  table.Add(4096 + 24, OnWrite(4096 + 24), &channel, 4);
+  EXPECT_EQ(Hits(table, 4096, 64), (std::vector<SubId>{1, 2, 3, 4}));
+  EXPECT_EQ(Hits(table, 4096 + 16, 16), (std::vector<SubId>{2, 4}));
+  EXPECT_EQ(Hits(table, 4096 + 32, 16), (std::vector<SubId>{}));
+
+  // The same order end to end: one range write publishes the watcher's
+  // events in the order it subscribed.
+  TestEnv env;
+  auto& writer = env.NewClient();
+  auto& watcher = env.NewClient();
+  NotificationInbox inbox(watcher.channel().capacity());
+  std::vector<SubId> subscribed;
+  for (uint64_t offset : {48, 8, 0, 24}) {
+    auto sub = watcher.Subscribe(OnWrite(64 + offset), &inbox);
+    ASSERT_TRUE(sub.ok());
+    subscribed.push_back(*sub);
+  }
+  ASSERT_TRUE(writer.Write(64, std::vector<std::byte>(64)).ok());
+  watcher.DispatchNotifications();
+  std::vector<SubId> delivered;
+  while (auto event = inbox.Pop()) {
+    delivered.push_back(event->sub_id);
+  }
+  EXPECT_EQ(delivered, subscribed);
+}
+
+TEST(SubscriptionTableTest, PageWideSubscriptionFiresForEveryWord) {
+  SubscriptionTable table;
+  NotificationChannel channel;
+  table.Add(kPageSize, OnWrite(kPageSize, kPageSize), &channel, 7);
+  for (uint64_t offset = kPageSize; offset < 2 * kPageSize;
+       offset += kWordSize) {
+    ASSERT_EQ(Hits(table, offset, kWordSize), (std::vector<SubId>{7}))
+        << "offset " << offset;
+  }
+  // A write covering the whole page fires it once; neighbouring pages never.
+  EXPECT_EQ(Hits(table, kPageSize, kPageSize), (std::vector<SubId>{7}));
+  EXPECT_EQ(Hits(table, kPageSize - kWordSize, kWordSize),
+            (std::vector<SubId>{}));
+  EXPECT_EQ(Hits(table, 2 * kPageSize, kWordSize), (std::vector<SubId>{}));
+}
+
+TEST(SubscriptionTableTest, UnsubscribedRangeYieldsNoEvent) {
+  SubscriptionTable table;
+  NotificationChannel channel;
+  table.Add(kPageSize, OnWrite(kPageSize, kPageSize), &channel, 1);
+  table.Add(kPageSize + 64, OnWrite(kPageSize + 64), &channel, 2);
+  EXPECT_TRUE(table.Remove(1));
+  EXPECT_FALSE(table.Remove(1));
+  EXPECT_EQ(table.size(), 1u);
+  // The survivor sharing a word with the removed range still fires.
+  EXPECT_EQ(Hits(table, kPageSize, kPageSize), (std::vector<SubId>{2}));
+  EXPECT_TRUE(table.Remove(2));
+  EXPECT_EQ(table.size(), 0u);
+  EXPECT_EQ(Hits(table, kPageSize, kPageSize), (std::vector<SubId>{}));
+  EXPECT_EQ(Hits(table, kPageSize + 64, kWordSize), (std::vector<SubId>{}));
+
+  // End to end: subscribe, unsubscribe, then write.
+  TestEnv env;
+  auto& writer = env.NewClient();
+  auto& watcher = env.NewClient();
+  NotificationInbox inbox(watcher.channel().capacity());
+  auto sub = watcher.Subscribe(OnWrite(kPageSize, kPageSize), &inbox);
+  ASSERT_TRUE(sub.ok());
+  ASSERT_TRUE(watcher.Unsubscribe(*sub).ok());
+  ASSERT_TRUE(writer.WriteWord(kPageSize + 64, 1).ok());
+  EXPECT_EQ(watcher.channel().size(), 0u);
+  EXPECT_FALSE(Next(watcher, inbox).has_value());
+}
+
 TEST(NotifyChannelTest, DrainReturnsEverything) {
   NotificationChannel channel;
   for (int i = 0; i < 5; ++i) {

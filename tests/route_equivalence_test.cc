@@ -250,8 +250,8 @@ INSTANTIATE_TEST_SUITE_P(Arms, ConcurrentEquivalence,
                          ::testing::Values(ArmKind::kOneSidedOnly,
                                            ArmKind::kAdaptive,
                                            ArmKind::kRpcForced),
-                         [](const auto& info) {
-                           switch (info.param) {
+                         [](const auto& arm_info) {
+                           switch (arm_info.param) {
                              case ArmKind::kOneSidedOnly:
                                return "OneSided";
                              case ArmKind::kAdaptive:
