@@ -1,8 +1,9 @@
 // E14 — asynchronous write-behind pipeline (src/core/write_behind.*,
 // DESIGN.md §11): the app thread enqueues writes into a client-local
-// pending table and a flusher thread publishes them in batched doorbell
-// waves, so a write-heavy workload is bounded by the flusher's *issue
-// rate*, not the app thread's serial round-trip latency.
+// pending table and the flusher's steps publish them in batched doorbell
+// waves on the flusher's own client and clock, so a write-heavy workload is
+// bounded by the flusher's *issue rate*, not the app's serial round-trip
+// latency.
 //
 // Three claims, all enforced by the exit code:
 //   1. Throughput: at 8 app threads (each its own client + write-behind
@@ -144,8 +145,8 @@ RunResult RunMix(const Config& cfg, bool wb, double write_frac,
         op(0);
       }
       CheckOk(map.FlushBarrier(), "warmup barrier");
-      // The flusher idles between drains; after a barrier with nothing
-      // staged its clock is stable to sample.
+      // After a barrier nothing is staged: both clocks start the window
+      // drained.
       const uint64_t app_t0 = client.clock().now_ns();
       const uint64_t flusher_t0 =
           wb ? map.write_behind()->flusher_client()->clock().now_ns() : 0;
@@ -187,7 +188,7 @@ RunResult RunMix(const Config& cfg, bool wb, double write_frac,
 }
 
 // The combining row: one writer rewriting `hot_keys` keys round-robin.
-// Everything stays staged until batch-full/barrier drains (huge flush
+// Everything stays staged until full-table/barrier drains (huge flush
 // interval), so the only difference between the modes is how many records
 // reach a doorbell: combine mode publishes one per key per drain, FIFO
 // publishes one per WRITE.
@@ -267,7 +268,6 @@ ProofResult RunHotPathProof(const Config& cfg, uint64_t seed) {
   for (uint64_t k = 1; k <= span; ++k) {
     (void)map.Get(k);
   }
-  evictor.SweepNow();
 
   // The owner's victims, in either mode: inline mode counts them in
   // `evictions`, background mode in `bg_evictions`.
@@ -288,7 +288,6 @@ ProofResult RunHotPathProof(const Config& cfg, uint64_t seed) {
   p.writes_combined = delta.writes_combined;
   p.app_flush_stages = delta.flush_stages;
   CheckOk(map.FlushBarrier(), "proof barrier");
-  evictor.SweepNow();
   p.bg_evictions = evictor.stats().bg_evictions;
   p.flusher_flush_stages =
       map.write_behind()->flusher_client()->stats().flush_stages;

@@ -18,9 +18,11 @@
 //
 // The bench also drives the full export surface as a smoke-level check:
 // a TelemetryHub wired with recorder + fabric + cache + write-behind +
-// evictor gauges, a TelemetrySnapshotter writing JSON-lines while app,
-// flusher, and evictor threads run, Prometheus text export, and the
-// Fabric::DumpHealth / DumpClientStats tables.
+// evictor gauges, a TelemetrySnapshotter writing JSON-lines while the app
+// thread runs (the flusher's and the evictor's steps with it), Prometheus
+// text export, and the Fabric::DumpHealth / DumpClientStats tables. Its
+// cache budget is far below the pipeline's resident set, so the evictor
+// has victims to pay for (evictor.bg_evictions > 0).
 //
 // Flags: --smoke, --json=<path>, --telemetry=<path> (JSON-lines output,
 // default TELEMETRY_e15.jsonl).
@@ -260,7 +262,7 @@ struct PipelineResult {
   uint64_t telemetry_lines = 0;
   double wb_batches_flushed = 0.0;
   double cache_windowed_lookups = 0.0;
-  double evictor_passes = 0.0;
+  double evictor_bg_evictions = 0.0;
   bool ok = false;
 };
 
@@ -274,7 +276,7 @@ PipelineResult RunPipeline(const Config& cfg, const std::string& telemetry,
 
   HtTree::Options options;
   options.buckets_per_table = 4096;
-  options.cache.budget_bytes = 32 << 10;  // small: the evictor has work
+  options.cache.budget_bytes = 4 << 10;  // below the resident set: evicts
   options.cache.admit_after = 0;
   options.cache.background_eviction = true;
   HtTree map =
@@ -287,7 +289,7 @@ PipelineResult RunPipeline(const Config& cfg, const std::string& telemetry,
   evictor.Watch(map.near_cache());
 
   // Every layer registers its gauges with one hub; the snapshotter samples
-  // them on a wall-clock cadence while app + flusher + evictor threads run.
+  // them on a wall-clock cadence while the app thread runs.
   TelemetryHub hub;
   GaugeGroup gauges(&hub);
   client.recorder().AddGauges(&gauges, "client0", env.fabric().num_nodes());
@@ -313,7 +315,6 @@ PipelineResult RunPipeline(const Config& cfg, const std::string& telemetry,
     }
   }
   CheckOk(map.FlushBarrier(), "barrier");
-  evictor.SweepNow();
   snapshotter.TickNow();
   snapshotter.Stop();
 
@@ -325,16 +326,16 @@ PipelineResult RunPipeline(const Config& cfg, const std::string& telemetry,
       r.wb_batches_flushed = s.value;
     } else if (s.name == "cache.windowed_lookups") {
       r.cache_windowed_lookups = s.value;
-    } else if (s.name == "evictor.passes") {
-      r.evictor_passes = s.value;
+    } else if (s.name == "evictor.bg_evictions") {
+      r.evictor_bg_evictions = s.value;
     }
   }
   const std::string prom = hub.ExportPromText();
 
   if (verbose) {
     env.fabric().DumpHealth(std::cout);
-    // Quiesced: app thread is this thread, flusher idles post-barrier,
-    // evictor pass completed — the single-owner stats are stable to copy.
+    // The app, the flusher and the evictor all step on this thread, so
+    // their stats are stable to copy.
     const ClientStats fleet[] = {
         client.stats(), map.write_behind()->flusher_client()->stats(),
         evictor.stats()};
@@ -359,7 +360,7 @@ PipelineResult RunPipeline(const Config& cfg, const std::string& telemetry,
   evictor.StopAndJoin();
   r.ok = r.ticks >= 1 && r.telemetry_lines >= r.ticks &&
          r.gauge_count >= 30 && r.wb_batches_flushed > 0 &&
-         r.cache_windowed_lookups > 0 && r.evictor_passes > 0 &&
+         r.cache_windowed_lookups > 0 && r.evictor_bg_evictions > 0 &&
          prom.find("fmds_") != std::string::npos;
   return r;
 }
@@ -432,7 +433,7 @@ int main(int argc, char** argv) {
   json.Int("gauges", pipeline.gauge_count);
   json.Num("wb_batches_flushed", pipeline.wb_batches_flushed, 1);
   json.Num("cache_windowed_lookups", pipeline.cache_windowed_lookups, 1);
-  json.Num("evictor_passes", pipeline.evictor_passes, 1);
+  json.Num("evictor_bg_evictions", pipeline.evictor_bg_evictions, 1);
   json.Begin("headline");
   json.Int("overhead_ok", overhead.overhead < cfg.overhead_bound ? 1 : 0);
   json.Int("tracking_ok", tracking.detected && tracking.recovered ? 1 : 0);

@@ -121,7 +121,6 @@ void NearCache::Admit(uint64_t key, std::span<const std::byte> payload,
     Entry& e = ring_.value(slot);
     bytes_used_ -= EntryCost(e);
     e.payload.assign(payload.begin(), payload.end());
-    e.event_word.reset();
     if (e.watch == watch && e.watch_len == watch_len) {
       // Same watch: refill in place. The live subscription covered the
       // caller's read, so the payload is admissible as-is and no round
@@ -227,7 +226,7 @@ void NearCache::RefillLocked(uint64_t key, std::span<const std::byte> payload,
     // The key's watched range moved under this entry (split migration), or
     // its value changed size. Rewatching costs round trips and growing
     // could evict, neither of which the write path (possibly the flusher's
-    // thread) may do — kill the entry and let a read re-admit.
+    // step) may do — kill the entry and let a read re-admit.
     InvalidateLocked(key, account_client);
     return;
   }
@@ -238,15 +237,8 @@ void NearCache::RefillLocked(uint64_t key, std::span<const std::byte> payload,
     InvalidateLocked(key, account_client);
     return;
   }
-  if (!account_client && !e.valid && e.event_word != watch_word) {
-    // Flusher-side refill of a killed entry whose last event was not this
-    // write's echo: a later writer's event may have killed it, and landing
-    // would resurrect the value that writer replaced.
-    return;
-  }
   e.payload.assign(payload.begin(), payload.end());
   e.watch_word = watch_word;
-  e.event_word.reset();
   e.valid = true;
   ring_.Touch(slot);
   ++stats_.writer_refills;
@@ -274,23 +266,20 @@ void NearCache::RefillExternal(uint64_t key, std::span<const std::byte> payload,
                /*account_client=*/false);
 }
 
-void NearCache::InvalidateAllLocked(bool account_client) {
-  ring_.ForEach([this, account_client](uint64_t, Entry& e) {
-    e.event_word.reset();
+void NearCache::InvalidateAllLocked() {
+  ring_.ForEach([this](uint64_t, Entry& e) {
     if (e.valid) {
       e.valid = false;
       ++stats_.invalidations;
-      if (account_client) {
-        ++client_->mutable_stats().cache_invalidations;
-        client_->recorder().RecordCacheInvalidation();
-      }
+      ++client_->mutable_stats().cache_invalidations;
+      client_->recorder().RecordCacheInvalidation();
     }
   });
 }
 
 void NearCache::InvalidateAll() {
   std::lock_guard<std::mutex> lock(mu_);
-  InvalidateAllLocked(/*account_client=*/true);
+  InvalidateAllLocked();
 }
 
 void NearCache::OnNotify(const NotifyEvent& event) {
@@ -299,7 +288,7 @@ void NearCache::OnNotify(const NotifyEvent& event) {
     // An unknown number of events, for unknown subscriptions, were lost:
     // the only safe response is to distrust everything cached.
     ++stats_.loss_resets;
-    InvalidateAllLocked(/*account_client=*/true);
+    InvalidateAllLocked();
     return;
   }
   const uint64_t* key = sub_to_key_.Find(event.sub_id);
@@ -315,8 +304,7 @@ void NearCache::OnNotify(const NotifyEvent& event) {
     // current value, so a kept-stale window closes at the final event.
     const size_t slot = ring_.Find(*key);
     if (slot != ClockRing<Entry>::npos) {
-      Entry& e = ring_.value(slot);
-      e.event_word = event.word;
+      const Entry& e = ring_.value(slot);
       if (e.valid && e.watch == event.addr && e.watch_word == event.word) {
         ++stats_.word_confirms;
         return;
@@ -330,12 +318,15 @@ void NearCache::ReleaseEntryLocked(const Entry& entry, bool evicted) {
   // Every resident entry holds a live subscription (an unsubscribable
   // range is never admitted, and a failed rewatch drops its entry).
   sub_to_key_.Erase(entry.sub);
-  if (options_.background_eviction) {
-    // No round trip: late events for the forgotten id find no sink and
-    // are dropped until the evictor unsubscribes it node-side.
+  if (options_.background_eviction && evictor_ != nullptr) {
+    // The owner pays no round trip: it forgets the id, and the evictor's
+    // client tears the subscription down node-side on its own clock.
     client_->ForgetSubscription(entry.sub);
-    retired_.push_back({entry.sub, entry.watch, evicted});
+    ScopedOpLabel label(&evictor_->recorder(),
+                        evicted ? "cache.bg_evict" : "cache.rewatch");
+    (void)evictor_->UnsubscribeAt(entry.watch, entry.sub);
     if (evicted) {
+      ++evictor_->mutable_stats().bg_evictions;
       ++stats_.bg_evictions;
     }
     return;
@@ -359,35 +350,13 @@ void NearCache::EvictToBudgetLocked() {
   }
 }
 
-bool NearCache::SweepNeeded() const {
+void NearCache::SetEvictor(FarClient* evictor_client) {
   std::lock_guard<std::mutex> lock(mu_);
-  return !retired_.empty();
-}
-
-void NearCache::BackgroundSweep(FarClient* evictor_client) {
-  std::vector<RetiredWatch> retired;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    retired.swap(retired_);
-  }
-  // No cache mutex: the round trips land on the evictor's own client and
-  // clock, and the owner never waits behind them.
-  for (const RetiredWatch& r : retired) {
-    ScopedOpLabel label(&evictor_client->recorder(),
-                        r.evicted ? "cache.bg_evict" : "cache.rewatch");
-    (void)evictor_client->UnsubscribeAt(r.watch, r.sub);
-    if (r.evicted) {
-      ++evictor_client->mutable_stats().bg_evictions;
-    }
-  }
+  evictor_ = evictor_client;
 }
 
 void NearCache::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
-  for (const RetiredWatch& r : retired_) {
-    (void)client_->UnsubscribeAt(r.watch, r.sub);
-  }
-  retired_.clear();
   ring_.ForEach([this](uint64_t, Entry& e) {
     ScopedOpLabel label(&client_->recorder(), "cache.evict");
     (void)client_->Unsubscribe(e.sub);
@@ -419,7 +388,6 @@ NearCache::Health NearCache::health() const {
   h.bytes_used = bytes_used_;
   h.entries = ring_.size();
   h.budget_limit = options_.budget_bytes;
-  h.sweep_needed = !retired_.empty();
   const uint64_t lookups = win_lookups_.RecentCount(win_now_ns_);
   const uint64_t hits = win_hits_.RecentCount(win_now_ns_);
   h.windowed_lookups = lookups;
@@ -438,8 +406,6 @@ void NearCache::AddGauges(GaugeGroup* group, const std::string& prefix) {
     const Health h = health();
     return static_cast<double>(h.budget_limit - h.bytes_used);
   });
-  group->Add(prefix + ".sweep_needed",
-             [this] { return health().sweep_needed ? 1.0 : 0.0; });
   group->Add(prefix + ".windowed_hit_ratio",
              [this] { return health().windowed_hit_ratio; });
   group->Add(prefix + ".windowed_lookups", [this] {

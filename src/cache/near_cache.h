@@ -34,27 +34,25 @@
 // Eviction: one rule in both modes. Whenever an admission or a rewatch
 // takes the cache over its budget, the owner reclaims the CLOCK victim at
 // once, and releases its subscription the way a rewatch releases its old
-// one. background_eviction decides only who pays that unsubscribe round
-// trip: the owner, now (inline mode), or a BackgroundEvictor's next pass
-// (background mode, where the owner forgets the id and retires it).
+// one, at that moment. background_eviction decides only whose client pays
+// that unsubscribe round trip: the owner's (inline mode), or the client of
+// the BackgroundEvictor watching the cache (background mode; a
+// background-mode cache no evictor watches pays on its owner's client).
 //
 // Accounting rules (DESIGN.md §9): Lookup charges exactly one near access,
 // hit or miss — on a hit that is the *entire* cost of the probe;
 // admission, rewatch, and eviction charge their subscribe/unsubscribe
 // round trips under the "cache.admit"/"cache.rewatch"/"cache.evict"
-// labels (a retired unsubscribe lands on the evictor's client instead);
-// dispatching an empty notification channel is free.
+// labels (an unsubscribe the evictor pays lands on its client under
+// "cache.bg_evict"/"cache.rewatch"); dispatching an empty notification
+// channel is free.
 //
-// Threading (§11, write-behind): the cache is *owned* by one client
-// thread — Lookup/Admit/OnNotify/Clear run there — but two kinds of helper
-// threads may touch it, so every method takes an internal mutex:
-//   - a write-behind flusher refills/invalidates entries after publishing
-//     (RefillExternal/InvalidateExternal — no owner-client accounting; a
-//     refill never resizes an entry, so it never evicts);
-//   - a background evictor pays the retired subscriptions' unsubscribe
-//     round trips on its own client (BackgroundSweep).
-// The mutex guards cache state only. The owner holds it across its own
-// subscribe and unsubscribe round trips; the evictor never does.
+// Threading (§11, write-behind): every method runs on the thread that owns
+// the cache's client, including the write-behind flusher's refills
+// (RefillExternal/InvalidateExternal — no owner-client accounting; a
+// refill never resizes an entry, so it never evicts) and the evictor's
+// unsubscribes, which are steps of that thread on their own clients. The
+// internal mutex exists for health() readers (gauges) on other threads.
 #ifndef FMDS_SRC_CACHE_NEAR_CACHE_H_
 #define FMDS_SRC_CACHE_NEAR_CACHE_H_
 
@@ -80,13 +78,12 @@ struct NearCacheOptions {
   // k-hit admission: a key enters the cache on its k-th miss. 1 admits on
   // first touch; 2 (default) keeps one-shot keys from churning the budget.
   uint32_t admit_after = 2;
-  // Mage-style background eviction: the owner never pays an unsubscribe
-  // round trip. It still reclaims every victim the moment the budget is
-  // passed (so hits, admissions and victims match inline mode), but it only
-  // forgets a released subscription's id and retires it; a
-  // BackgroundEvictor thread pays the node-side unsubscribes. Retired
-  // subscriptions wait for an evictor pass or for Clear(), so a cache in
-  // this mode needs a BackgroundEvictor watching it.
+  // Mage-style background eviction: the owner's client never pays an
+  // unsubscribe round trip. The owner still reclaims every victim the
+  // moment the budget is passed (so hits, admissions and victims match
+  // inline mode), but the watching BackgroundEvictor's client pays the
+  // released subscription's node-side unsubscribe, at release. Without an
+  // evictor watching, the cache behaves as in inline mode.
   bool background_eviction = false;
 };
 
@@ -97,7 +94,8 @@ struct NearCacheStats {
   uint64_t admissions = 0;     // new entries (paid a subscribe RTT)
   uint64_t refills = 0;        // in-place refills of resident entries
   uint64_t evictions = 0;      // budget/capacity victims whose unsubscribe
-                               // the owner paid (inline mode)
+                               // the owner paid (inline mode, or no
+                               // evictor watching)
   uint64_t loss_resets = 0;    // whole-cache invalidations on loss warning
   uint64_t rewatches = 0;      // refills whose watched range moved (paid
                                // a subscribe RTT; the old subscription is
@@ -109,7 +107,7 @@ struct NearCacheStats {
   uint64_t word_confirms = 0;  // notifications whose word matched the
                                // entry's fill word (entry kept valid)
   uint64_t bg_evictions = 0;   // budget/capacity victims whose unsubscribe
-                               // was handed to the evictor (background mode)
+                               // the watching evictor paid (background mode)
 
   void Add(const NearCacheStats& other) {
     hits += other.hits;
@@ -206,15 +204,11 @@ class NearCache : public NotificationSink {
   void Refill(uint64_t key, std::span<const std::byte> payload, FarAddr watch,
               uint64_t watch_len, uint64_t watch_word);
 
-  // Cross-thread variants for the write-behind flusher (§11): same refill /
-  // invalidate semantics, but NO owner-client stats, recorder, or near-op
-  // accounting — the flusher charges its own client. Safe to call from a
-  // non-owner thread. The flusher refills only after its whole batch
-  // published, so the owner may already have dispatched a later writer's
-  // event for the key: RefillExternal therefore lands only on a still-valid
-  // entry, or on one whose last dispatched event (since its fill, and with
-  // no loss warning since) carried `watch_word` itself. Otherwise the entry
-  // stays invalid and the next read refills it.
+  // Variants for the write-behind flusher (§11): same refill / invalidate
+  // semantics, but NO owner-client stats, recorder, or near-op accounting —
+  // the flusher charges its own client. The flusher's step runs on the
+  // owner's thread and refills before the owner can dispatch any later
+  // event, so every write newer than the refilled one still kills it.
   void RefillExternal(uint64_t key, std::span<const std::byte> payload,
                       FarAddr watch, uint64_t watch_len, uint64_t watch_word);
   void InvalidateExternal(uint64_t key);
@@ -226,23 +220,16 @@ class NearCache : public NotificationSink {
   // loss warning invalidates everything (unknown events were dropped).
   void OnNotify(const NotifyEvent& event) override;
 
-  // Drops every entry and unsubscribes, on the owner's client, every
-  // subscription the cache still holds node-side, retired ones included.
+  // Drops every entry and unsubscribes every one, on the owner's client.
   void Clear();
 
-  // True while released subscriptions await their node-side unsubscribe
-  // (background mode): the evictor's trigger. Cheap enough to poll.
-  bool SweepNeeded() const;
-
-  // Background mode: unsubscribes every subscription the owner retired
-  // since the last sweep. The retired list is taken under the cache mutex;
-  // the round trips are then paid OUTSIDE it by `evictor_client`, so the
-  // owner thread never blocks behind fabric teardown. An evicted entry's
-  // unsubscribe is labelled "cache.bg_evict" and counts in the evictor
-  // client's ClientStats.bg_evictions; a rewatch's old subscription is
-  // labelled "cache.rewatch". Caller (the BackgroundEvictor) must stop
-  // sweeping before the cache dies.
-  void BackgroundSweep(FarClient* evictor_client);
+  // Attaches (or, with nullptr, detaches) the client a BackgroundEvictor
+  // pays this cache's released subscriptions with, in background mode. An
+  // evicted entry's unsubscribe is labelled "cache.bg_evict" there and
+  // counts in that client's ClientStats.bg_evictions; a rewatch's old
+  // subscription is labelled "cache.rewatch". BackgroundEvictor::Watch and
+  // Unwatch call it; the client must outlive the attachment.
+  void SetEvictor(FarClient* evictor_client);
 
   uint64_t bytes_used() const;
   size_t entries() const;
@@ -256,7 +243,6 @@ class NearCache : public NotificationSink {
     uint64_t bytes_used = 0;
     uint64_t entries = 0;
     uint64_t budget_limit = 0;
-    bool sweep_needed = false;  // SweepNeeded()
     double windowed_hit_ratio = 0.0;
     uint64_t windowed_lookups = 0;
   };
@@ -279,23 +265,12 @@ class NearCache : public NotificationSink {
     // validated — the entry's version under word-versioned coherence, and
     // the word LookupWatch hands to transactional readers.
     uint64_t watch_word = 0;
-    // Word carried by the last event dispatched to this entry since its
-    // fill (word-versioned caches; cleared by a loss warning): the guard
-    // of RefillExternal.
-    std::optional<uint64_t> event_word;
     bool valid = false;
   };
 
   uint64_t EntryCost(const Entry& e) const {
     return e.payload.size() + kEntryOverhead;
   }
-  // A subscription the owner released in background mode (already
-  // forgotten on its client), awaiting the node-side unsubscribe.
-  struct RetiredWatch {
-    SubId sub;
-    FarAddr watch;
-    bool evicted;  // an evicted entry's, not a rewatch's old one
-  };
   // Read-and-arm subscribe on [watch, watch+watch_len): fills e.sub/e.watch,
   // registers sub_to_key_, and sets e.valid from the snapshot comparison.
   // Returns false (entry untouched beyond payload) if the range is
@@ -304,17 +279,17 @@ class NearCache : public NotificationSink {
                       uint64_t watch_len, uint64_t expected_watch_word,
                       const char* label_name);
   // Releases `entry`'s subscription: an evicted entry's, or a rewatched
-  // entry's old one. Inline mode unsubscribes now ("cache.evict" /
-  // "cache.rewatch"); background mode forgets the id on the owner's client
-  // and retires it for the evictor. An eviction counts in `evictions` or
-  // `bg_evictions` accordingly. Owner thread only.
+  // entry's old one. Inline mode unsubscribes on the owner's client
+  // ("cache.evict" / "cache.rewatch"); background mode with an evictor
+  // attached forgets the id on the owner's client and unsubscribes it on
+  // the evictor's ("cache.bg_evict" / "cache.rewatch"). An eviction counts
+  // in `evictions` or `bg_evictions` accordingly.
   void ReleaseEntryLocked(const Entry& entry, bool evicted);
   // Marks one entry invalid. `account_client` gates the owner-client
-  // ClientStats/recorder bumps (false on cross-thread paths).
+  // ClientStats/recorder bumps (false on the flusher's path).
   void InvalidateLocked(uint64_t key, bool account_client);
-  void InvalidateAllLocked(bool account_client);
-  // `account_client` is false exactly on the flusher's cross-thread path,
-  // which also applies RefillExternal's event-word guard.
+  void InvalidateAllLocked();
+  // `account_client` is false exactly on the flusher's path.
   void RefillLocked(uint64_t key, std::span<const std::byte> payload,
                     FarAddr watch, uint64_t watch_len, uint64_t watch_word,
                     bool account_client);
@@ -327,11 +302,11 @@ class NearCache : public NotificationSink {
   bool word_versioned_;
   // Guards every member below. See the threading note at the top.
   mutable std::mutex mu_;
+  // Pays released subscriptions in background mode (null: the owner does).
+  FarClient* evictor_ = nullptr;
   ClockRing<Entry> ring_;
   ClockRing<uint32_t> filter_;  // key -> miss count (admission filter)
   FlatMap<uint64_t> sub_to_key_;  // SubId -> key
-  // Background mode: released subscriptions awaiting the evictor.
-  std::vector<RetiredWatch> retired_;
   uint64_t bytes_used_ = 0;
   NearCacheStats stats_;
   // Rolling hit ratio over the owner client's simulated time (timestamps

@@ -635,12 +635,9 @@ void HtTree::BatchGet::AbsorbWave(
     if (probe.stage == Stage::kDone) {
       continue;
     }
-    const FarClient::Completion* c = FarClient::FindCompletion(done, probe.op);
-    if (c == nullptr) {
-      continue;  // posted into a wave not executed yet
-    }
-    if (!c->status.ok()) {
-      probe.result = c->status;
+    const FarClient::Completion& c = done[probe.op];
+    if (!c.status.ok()) {
+      probe.result = c.status;
       probe.stage = Stage::kDone;
       continue;
     }
@@ -649,7 +646,7 @@ void HtTree::BatchGet::AbsorbWave(
       continue;
     }
     if (probe.stage == Stage::kProbe) {
-      probe.head = c->word;
+      probe.head = c.word;
       if (!map_->options_.use_indirect) {
         probe.stage = Stage::kHead;  // the item read rides the next wave
         continue;
@@ -929,8 +926,8 @@ Status HtTree::Remove(uint64_t key) {
 Status HtTree::Store(uint64_t key, uint64_t value, bool tombstone) {
   if (wb_ != nullptr) {
     // Write-behind: stage and return — no far round trip, no allocation,
-    // no cache sweep on this thread. The flusher publishes asynchronously;
-    // errors surface at FlushBarrier().
+    // no cache sweep on this client. The engine's flush steps publish on
+    // the flusher's client; errors surface at FlushBarrier().
     ++(tombstone ? op_stats_.removes : op_stats_.puts);
     client_->AccountNear(1);
     if (tombstone) {
@@ -1050,13 +1047,14 @@ size_t HtTree::BatchPut::PostWave() {
         op.write_op = client->PostWrite(op.slot, AsConstBytes(item));
         ++posted;
         if (!map_->OnOneNode(op.slot, op.bucket)) {
-          op.cas_op = 0;  // the CAS waits for the write's own round trip
+          // The CAS waits for the write's own round trip.
+          op.cas_op = FarClient::kNoOp;
           continue;
         }
         break;
       }
       case State::kCas:
-        op.write_op = 0;
+        op.write_op = FarClient::kNoOp;
         break;
       case State::kDone:
         continue;
@@ -1078,18 +1076,14 @@ void HtTree::BatchPut::AbsorbWave(
     switch (op.state) {
       case State::kRead:
       case State::kHead: {
-        const FarClient::Completion* read =
-            FarClient::FindCompletion(done, op.read_op);
-        if (read == nullptr) {
-          continue;  // posted into a wave not executed yet
-        }
-        if (!read->status.ok()) {
-          op.result = read->status;
+        const FarClient::Completion& read = done[op.read_op];
+        if (!read.status.ok()) {
+          op.result = read.status;
           op.state = State::kDone;
           continue;
         }
         if (op.state == State::kRead) {
-          op.predicted = read->word;
+          op.predicted = read.word;
           if (!map_->options_.use_indirect) {
             op.state = State::kHead;  // the item read rides the next wave
             continue;
@@ -1137,29 +1131,23 @@ void HtTree::BatchPut::AbsorbHead(Op& op) {
 void HtTree::BatchPut::AbsorbPublish(
     size_t i, std::span<const FarClient::Completion> done) {
   Op& op = ops_[i];
-  const FarClient::Completion* write =
-      op.write_op != 0 ? FarClient::FindCompletion(done, op.write_op)
-                       : nullptr;
-  if (write != nullptr && !write->status.ok()) {
+  if (op.write_op != FarClient::kNoOp && !done[op.write_op].status.ok()) {
     // A failed write cancels its CAS: the write's error is the op's.
-    op.result = write->status;
+    op.result = done[op.write_op].status;
     op.state = State::kDone;
     return;
   }
-  if (op.cas_op == 0) {
+  if (op.cas_op == FarClient::kNoOp) {
     op.state = State::kCas;  // the write landed; the CAS rides next wave
     return;
   }
-  const FarClient::Completion* cas = FarClient::FindCompletion(done, op.cas_op);
-  if (cas == nullptr) {
-    return;  // posted into a wave not executed yet
-  }
-  if (!cas->status.ok()) {
-    op.result = cas->status;
+  const FarClient::Completion& cas = done[op.cas_op];
+  if (!cas.status.ok()) {
+    op.result = cas.status;
     op.state = State::kDone;
     return;
   }
-  if (cas->word != op.predicted) {
+  if (cas.word != op.predicted) {
     // A writer landed between this op's read and its CAS (same-batch
     // neighbours never collide — they chain at post time). The slot never
     // became reachable, so the op reads the bucket again and rewrites it.

@@ -221,17 +221,17 @@ class HtTree : public FarMap {
   const NearCache* near_cache() const { return near_cache_.get(); }
 
   // ---- Write-behind mode (DESIGN.md §11) ----
-  // Switches Put/Remove to asynchronous enqueue-and-return: writes stage
-  // in a pending table (same-key writes combined) and a dedicated flusher
-  // thread publishes them in batched waves through its own Attach'd handle
-  // and FarClient, so this thread never blocks on a publish round trip.
+  // Switches Put/Remove to enqueue-and-return: writes stage in a pending
+  // table (same-key writes combined) and the engine's flush steps publish
+  // them in batched waves through the flusher's own Attach'd handle and
+  // FarClient, so this handle's clock never pays a publish round trip.
   // Get/MultiGet consult the pending table first (read-your-writes). Call
   // at most once, after the handle reached its final location. Handles
   // owned by a ShardedMap must not enable this directly — the map runs one
   // fleet-wide engine instead (ShardedMap::EnableWriteBehind).
   Status EnableWriteBehind(const WriteBehindOptions& wb_options);
-  // Blocks until every enqueued write is published and surfaces the first
-  // asynchronous publish error. No-op when write-behind is off.
+  // Publishes every staged write and surfaces the first deferred publish
+  // error. No-op when write-behind is off.
   Status FlushBarrier() override;
   // The engine, or nullptr when write-behind is off.
   WriteBehindEngine* write_behind() { return wb_.get(); }
@@ -569,8 +569,8 @@ class HtTree : public FarMap {
   // it), or is invalidated for a tombstone.
   void ApplyLandedStore(uint64_t key, uint64_t value,
                         const WriteOutcome& outcome);
-  // Its flusher-side form, run on a write-behind flusher's thread against
-  // the application handle's `cache` (null when off): the same refill or
+  // Its flusher-side form, run by a write-behind flush step against the
+  // application handle's `cache` (null when off): the same refill or
   // invalidate through the NearCache's External variants.
   static void ApplyFlushedStore(NearCache* cache, uint64_t key,
                                 uint64_t value, const WriteOutcome& outcome);
@@ -597,8 +597,8 @@ class HtTree : public FarMap {
   };
 
   // Write-behind engine (null when off). Declared after near_cache_: the
-  // flusher's refill stage touches that cache, so the engine must stop
-  // (members destroy in reverse order) before the cache goes away.
+  // engine's last flush refills that cache, so the engine must go
+  // (members destroy in reverse order) before the cache does.
   std::unique_ptr<WriteBehindEngine> wb_;
 
   // ---- Write-behind attachment, one for both maps (DESIGN.md §11) ----
@@ -608,8 +608,8 @@ class HtTree : public FarMap {
   // cache-off `Map` handle (an HtTree or a ShardedMap) on the same far map,
   // then applies the flusher-side landed-store exit to the application
   // handle's cache of each key: an HtTree's one cache, or the cache of the
-  // key's shard. Lives on the flusher thread; the NearCache External calls
-  // are its only cross-thread touch.
+  // key's shard. Driven by the engine's flush steps on the owner's thread;
+  // the NearCache External calls are its only touch of the app handle.
   template <typename Map>
   class WbPublisher final : public WriteBehindEngine::Publisher {
    public:
@@ -725,7 +725,7 @@ class HtTree : public FarMap {
       FarAddr head = kNullFarAddr;
       Item item{};
       Stage stage = Stage::kProbe;
-      FarClient::OpId op = 0;
+      size_t op = FarClient::kNoOp;  // this wave's op (doorbell index)
       int attempts = 0;   // stale refreshes and pending waits so far
       uint32_t hops = 0;  // chain reads past the bucket head
       // Head was a transaction lock record: the walk resolves the
@@ -788,9 +788,10 @@ class HtTree : public FarMap {
       // store replaces its key's previous head (LinkPast).
       FarAddr link = kNullFarAddr;
       Item head{};  // the image of the head the read found
-      FarClient::OpId read_op = 0;
-      FarClient::OpId write_op = 0;
-      FarClient::OpId cas_op = 0;
+      // This wave's ops, as doorbell indices (kNoOp: not posted this wave).
+      size_t read_op = FarClient::kNoOp;
+      size_t write_op = FarClient::kNoOp;
+      size_t cas_op = FarClient::kNoOp;
       int attempts = 0;  // missed CASes, stale refreshes and pending waits
       State state = State::kRead;
       bool tombstone = false;

@@ -314,8 +314,8 @@ Status ShardedMap::FlushBarrier() {
 }
 
 Status ShardedMap::DrainWriteBehind() {
-  // Empty() is lock-free, so structures without write-behind (or with an
-  // idle engine) pay nothing on this per-operation hook.
+  // Structures without write-behind, or with an idle engine, pay no far op
+  // on this per-operation hook.
   Status first = OkStatus();
   if (wb_ != nullptr && !wb_->Empty()) {
     first = wb_->FlushBarrier();

@@ -96,8 +96,8 @@ class ShardedMap : public FarMap {
   // nodes in single doorbell waves. Do not also enable per-shard
   // write-behind on this map's HtTrees.
   Status EnableWriteBehind(const WriteBehindOptions& wb_options);
-  // Blocks until every staged write (map-level and any per-shard engine)
-  // is published; surfaces the first asynchronous error.
+  // Publishes every staged write (map-level and any per-shard engine);
+  // surfaces the first deferred publish error.
   Status FlushBarrier() override;
   // Cheap per-operation drain hook (Txn entry points): barriers only when
   // something is actually pending.
@@ -143,8 +143,8 @@ class ShardedMap : public FarMap {
   Options options_;
   std::vector<HtTree> shards_;
   // Fleet-wide write-behind engine (null when off). Declared after
-  // shards_: the flusher refills the shards' caches, so the engine must
-  // stop before they destruct.
+  // shards_: its last flush refills the shards' caches, so the engine must
+  // go before they destruct.
   std::unique_ptr<WriteBehindEngine> wb_;
 };
 

@@ -266,11 +266,11 @@ Status Txn::Prepare(std::span<BucketCommit> commits, bool lock,
   // bodies land first (the same contract MultiPut relies on).
   FarClient* c = client();
   for (BucketCommit& bc : commits) {
-    FarClient::OpId first_write = 0;
+    size_t first_write = FarClient::kNoOp;
     for (const auto& [slot, img] : bc.items) {
-      const FarClient::OpId id = c->PostWrite(slot, AsConstBytes(img));
-      if (first_write == 0) {
-        first_write = id;
+      const size_t i = c->PostWrite(slot, AsConstBytes(img));
+      if (first_write == FarClient::kNoOp) {
+        first_write = i;
       }
     }
     if (lock) {
@@ -289,9 +289,8 @@ Status Txn::Prepare(std::span<BucketCommit> commits, bool lock,
     FMDS_RETURN_IF_ERROR(flushed);
   }
   for (BucketCommit& bc : commits) {
-    const FarClient::Completion* cas =
-        FarClient::FindCompletion(done, bc.cas_op);
-    if (cas != nullptr && cas->status.ok() && cas->word == bc.expected) {
+    const FarClient::Completion& cas = done[bc.cas_op];
+    if (cas.status.ok() && cas.word == bc.expected) {
       prepared->push_back(&bc);
     }
   }

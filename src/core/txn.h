@@ -121,7 +121,7 @@ class Txn {
     uint64_t expected = 0;        // recorded clean head word
     FarAddr final_head = kNullFarAddr;
     FarAddr pending = kNullFarAddr;
-    FarClient::OpId cas_op = 0;
+    size_t cas_op = FarClient::kNoOp;  // doorbell index of the prepare CAS
     std::vector<std::pair<uint64_t, WriteRec>> writes;
     std::vector<std::pair<FarAddr, HtTree::Item>> items;
     HtTree::Item pending_item{};

@@ -581,84 +581,85 @@ Status FarClient::CasBatch(std::span<const CasTarget> targets,
 
 // ------------------------- Async batched pipeline -------------------------
 
-FarClient::PendingOp& FarClient::Post(const FarOp& op) {
+size_t FarClient::Post(const FarOp& op) {
   // A posted op's spans point into its slot's own vectors, which must keep
   // their buffers when issue_queue_ grows: the slots move, never copy.
   static_assert(std::is_nothrow_move_constructible_v<PendingOp>);
   if (issued_ == issue_queue_.size()) {
     issue_queue_.emplace_back();
   }
-  PendingOp& slot = issue_queue_[issued_++];
-  slot.id = next_op_id_++;
-  slot.guard = 0;
+  PendingOp& slot = issue_queue_[issued_];
+  slot.guard = kNoOp;
   slot.op = op;
-  return slot;
+  return issued_++;
 }
 
-FarClient::OpId FarClient::PostRead(FarAddr addr, std::span<std::byte> out) {
-  return Post({.kind = FarOpKind::kRead, .addr = addr, .out = out}).id;
+size_t FarClient::PostRead(FarAddr addr, std::span<std::byte> out) {
+  return Post({.kind = FarOpKind::kRead, .addr = addr, .out = out});
 }
 
-FarClient::OpId FarClient::PostWrite(FarAddr addr,
-                                     std::span<const std::byte> data) {
-  PendingOp& slot = Post(
+size_t FarClient::PostWrite(FarAddr addr, std::span<const std::byte> data) {
+  const size_t i = Post(
       {.kind = FarOpKind::kWrite, .access = Access::kWrite, .addr = addr});
+  PendingOp& slot = issue_queue_[i];
   slot.payload.assign(data.begin(), data.end());
   slot.op.in = slot.payload;
-  return slot.id;
+  return i;
 }
 
-FarClient::OpId FarClient::PostReadWord(FarAddr addr) {
-  return Post({.kind = FarOpKind::kReadWord, .addr = addr}).id;
+size_t FarClient::PostReadWord(FarAddr addr) {
+  return Post({.kind = FarOpKind::kReadWord, .addr = addr});
 }
 
-FarClient::OpId FarClient::PostWriteWord(FarAddr addr, uint64_t value) {
-  return Post({.kind = FarOpKind::kWriteWord, .addr = addr, .value = value})
-      .id;
+size_t FarClient::PostWriteWord(FarAddr addr, uint64_t value) {
+  return Post({.kind = FarOpKind::kWriteWord, .addr = addr, .value = value});
 }
 
-FarClient::OpId FarClient::PostCompareSwap(FarAddr addr, uint64_t expected,
-                                           uint64_t desired, OpId guard) {
-  PendingOp& slot = Post({.kind = FarOpKind::kCas,
-                          .addr = addr,
-                          .value = expected,
-                          .desired = desired});
-  slot.guard = guard;
-  return slot.id;
+size_t FarClient::PostCompareSwap(FarAddr addr, uint64_t expected,
+                                  uint64_t desired, size_t guard) {
+  const size_t i = Post({.kind = FarOpKind::kCas,
+                         .addr = addr,
+                         .value = expected,
+                         .desired = desired});
+  issue_queue_[i].guard = guard;
+  return i;
 }
 
-FarClient::OpId FarClient::PostFetchAdd(FarAddr addr, uint64_t delta) {
-  return Post({.kind = FarOpKind::kFetchAdd, .addr = addr, .value = delta})
-      .id;
+size_t FarClient::PostFetchAdd(FarAddr addr, uint64_t delta) {
+  return Post({.kind = FarOpKind::kFetchAdd, .addr = addr, .value = delta});
 }
 
-FarClient::OpId FarClient::PostLoad0(FarAddr ad, std::span<std::byte> out) {
-  return Post({.kind = FarOpKind::kIndirect, .addr = ad, .out = out}).id;
+size_t FarClient::PostLoad0(FarAddr ad, std::span<std::byte> out) {
+  return Post({.kind = FarOpKind::kIndirect, .addr = ad, .out = out});
 }
 
-FarClient::OpId FarClient::PostRGather(std::vector<FarSeg> iov,
-                                       std::span<std::byte> out) {
-  PendingOp& slot = Post({.kind = FarOpKind::kScatterGather, .out = out});
+size_t FarClient::PostRGather(std::vector<FarSeg> iov,
+                              std::span<std::byte> out) {
+  const size_t i = Post({.kind = FarOpKind::kScatterGather, .out = out});
+  PendingOp& slot = issue_queue_[i];
   slot.iov = std::move(iov);
   slot.op.iov = slot.iov;
-  return slot.id;
+  return i;
 }
 
 void FarClient::RunIssued(ChargeRule rule, std::span<Completion> done) {
   assert(done.size() == issued_);
-  Completion failed;  // latest failure: cancels the CASes it guards
+  // The latest failure, and one past its index (0: none yet): it cancels
+  // every CAS whose guard is at or before it.
+  Status failed;
+  size_t failed_end = 0;
   for (size_t i = 0; i < issued_; ++i) {
     const PendingOp& slot = issue_queue_[i];
     Completion& completion = done[i];
-    completion.id = slot.id;
     completion.word = 0;
     // What a cancelled CAS reports: its kind and address, nothing moved.
     RoundTripCost cost{.kind = FarOpKind::kCas, .addr = slot.op.addr};
-    completion.status = slot.guard != 0 && failed.id >= slot.guard
-                            ? failed.status
+    completion.status = slot.guard < failed_end
+                            ? failed
                             : Execute(slot.op, rule, &completion.word, &cost);
     if (!completion.status.ok()) {
-      failed = completion;
+      failed = completion.status;
+      failed_end = i + 1;
     }
     if (rule == ChargeRule::kDoorbell && obs_.recording()) {
       cost.ok = completion.status.ok();
@@ -762,14 +763,6 @@ void FarClient::ExecuteSerially(std::span<Completion> done) {
   RunIssued(ChargeRule::kSerial, done);
 }
 
-const FarClient::Completion* FarClient::FindCompletion(
-    std::span<const Completion> done, OpId id) {
-  const auto it = std::lower_bound(
-      done.begin(), done.end(), id,
-      [](const Completion& c, OpId target) { return c.id < target; });
-  return it != done.end() && it->id == id ? &*it : nullptr;
-}
-
 // ------------------------------ Notifications ------------------------------
 
 Result<SubId> FarClient::Subscribe(const NotifySpec& spec,
@@ -857,7 +850,7 @@ size_t FarClient::DispatchNotifications() {
     }
     const Registration* reg = subs_.Find(ev.sub_id);
     if (reg == nullptr) {
-      continue;  // unsubscribed, or retired by a background evictor
+      continue;  // unsubscribed, or forgotten by a background-mode cache
     }
     ++stats_.notifications;
     if (obs_.recording()) {

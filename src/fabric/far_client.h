@@ -156,38 +156,38 @@ class FarClient {
   // latency model charges a batch of k independent ops to the same memory
   // node one base round trip plus per-op wire/occupancy cost (not k RTTs);
   // ops bound for different nodes overlap, so the client waits for the
-  // slowest node group. Op i's completion lands in the caller's slot i and
-  // carries a per-op Status plus the word result (read value / pre-op value
-  // / indirect pointer).
+  // slowest node group. Each Post* returns its op's index in the coming
+  // doorbell: op i's completion lands in the caller's slot i and carries a
+  // per-op Status plus the word result (read value / pre-op value /
+  // indirect pointer).
   //
   // Lifetime: read output spans must stay valid until the batch runs; write
   // payloads are copied at Post time. A FarClient is owned by one
   // application thread, so the issue queue needs no locking.
-  using OpId = uint64_t;
-
   struct Completion {
-    OpId id = 0;
     Status status;
     // ReadWord value, CAS/fetch-add pre-op value, or indirect pointer.
     uint64_t word = 0;
   };
+  // An index that names no posted op; as a CAS guard, no guard.
+  static constexpr size_t kNoOp = SIZE_MAX;
 
-  OpId PostRead(FarAddr addr, std::span<std::byte> out);
-  OpId PostWrite(FarAddr addr, std::span<const std::byte> data);
-  OpId PostReadWord(FarAddr addr);
-  OpId PostWriteWord(FarAddr addr, uint64_t value);
-  // With `guard` set to an op posted earlier in the same batch, the CAS
-  // runs only if every op from `guard` up to it succeeded; otherwise it
-  // completes with that failure and no memory effect. A CAS that links
-  // items written in the same doorbell must never publish a slot whose
-  // write failed.
-  OpId PostCompareSwap(FarAddr addr, uint64_t expected, uint64_t desired,
-                       OpId guard = 0);
-  OpId PostFetchAdd(FarAddr addr, uint64_t delta);
+  size_t PostRead(FarAddr addr, std::span<std::byte> out);
+  size_t PostWrite(FarAddr addr, std::span<const std::byte> data);
+  size_t PostReadWord(FarAddr addr);
+  size_t PostWriteWord(FarAddr addr, uint64_t value);
+  // With `guard` set to the index of an op posted earlier in the same
+  // batch, the CAS runs only if every op from `guard` up to it succeeded;
+  // otherwise it completes with that failure and no memory effect. A CAS
+  // that links items written in the same doorbell must never publish a
+  // slot whose write failed.
+  size_t PostCompareSwap(FarAddr addr, uint64_t expected, uint64_t desired,
+                         size_t guard = kNoOp);
+  size_t PostFetchAdd(FarAddr addr, uint64_t delta);
   // Indirect read (Fig. 1 load0): tmp = *ad, read out.size() bytes at tmp.
-  OpId PostLoad0(FarAddr ad, std::span<std::byte> out);
+  size_t PostLoad0(FarAddr ad, std::span<std::byte> out);
   // Scatter-gather read of a far iovec into the contiguous `out`.
-  OpId PostRGather(std::vector<FarSeg> iov, std::span<std::byte> out);
+  size_t PostRGather(std::vector<FarSeg> iov, std::span<std::byte> out);
 
   size_t pending_ops() const { return issued_; }
 
@@ -204,10 +204,6 @@ class FarClient {
   // `done` must hold exactly pending_ops() slots. Charges no completion
   // check: the caller waited on each verb.
   void ExecuteSerially(std::span<Completion> done);
-  // The completion of op `id` in `done`, a finished batch in post order
-  // (ids ascending), or nullptr when `id` is not in it.
-  static const Completion* FindCompletion(std::span<const Completion> done,
-                                          OpId id);
 
   // ----------------------- Notifications (§4.3) -----------------------
   // Registers a subscription whose events DispatchNotifications() routes to
@@ -228,8 +224,8 @@ class FarClient {
   // Node-side unsubscribe by explicit watch address: pays the 1-RTT
   // teardown on the node owning `watch_addr` without consulting this
   // client's subscription maps. Built for background cache evictors: the
-  // owner first forgets the id (ForgetSubscription), and the evictor's own
-  // client later tears down that subscription, which a *different* client
+  // owner forgets the id (ForgetSubscription), and the evictor's own
+  // client tears down that subscription, which a *different* client
   // registered.
   Status UnsubscribeAt(FarAddr watch_addr, SubId id);
   // Owner-side bookkeeping drop for a subscription whose node-side half is
@@ -397,8 +393,7 @@ class FarClient {
   // ---- Async pipeline internals ----
   // A posted op: its descriptor plus the buffers the slot owns for it.
   struct PendingOp {
-    OpId id = 0;
-    OpId guard = 0;  // CAS: first op whose failure cancels it
+    size_t guard = kNoOp;  // CAS: first op whose failure cancels it
     FarOp op;        // op.in / op.iov point into the vectors below
     std::vector<std::byte> payload;  // write data (copied at Post time)
     std::vector<FarSeg> iov;         // rgather source list
@@ -429,8 +424,8 @@ class FarClient {
   };
 
   // Appends `op` in a slot of the issue queue, reusing one an earlier batch
-  // left (and its buffers' capacity).
-  PendingOp& Post(const FarOp& op);
+  // left (and its buffers' capacity); returns the slot's index.
+  size_t Post(const FarOp& op);
 
   // Latency model for round trips serviced by `node` — the local model when
   // this client is a near-memory agent on that node, the fabric model
@@ -473,7 +468,6 @@ class FarClient {
   std::vector<PendingOp> issue_queue_;
   size_t issued_ = 0;
   Doorbell doorbell_;
-  OpId next_op_id_ = 1;
 };
 
 // Owning pointer to a structure's sink. Destroying or replacing it first

@@ -34,8 +34,8 @@ namespace fmds {
 //     under the txn / write-set bucket CAS mispredicted). abort rate =
 //     txn_aborts / (txn_commits + txn_aborts).
 //   writes_combined, flush_stages, bg_evictions: write-behind dataplane
-//     (src/core/write_behind.*). The app thread enqueues; a flusher thread
-//     publishes. Pending writes absorbed by a newer write to the same key
+//     (src/core/write_behind.*). The app thread enqueues; the flusher's
+//     steps publish on their own client. Pending writes absorbed by a newer write to the same key
 //     before any doorbell (app client); pipeline stage executions by the
 //     flusher (coalesce / publish / refill passes, flusher client); cache
 //     entries reclaimed off the hot path by a background evictor (evictor

@@ -31,8 +31,7 @@
 // synchronized (single-threaded) building blocks. WindowedSignals is the
 // concurrency boundary: Record*() must be called by the owning client
 // thread only; every reader method locks and may be called from any thread
-// (the TelemetrySnapshotter reads live while app/flusher/evictor threads
-// record).
+// (the TelemetrySnapshotter reads live while app threads record).
 #ifndef FMDS_SRC_OBS_WINDOWED_H_
 #define FMDS_SRC_OBS_WINDOWED_H_
 

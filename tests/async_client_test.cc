@@ -32,20 +32,23 @@ TEST(AsyncClientTest, CompletionsArriveInPostOrder) {
   ASSERT_TRUE(client.WriteWord(72, 22).ok());
   ASSERT_TRUE(client.WriteWord(80, 33).ok());
 
-  const auto id1 = client.PostReadWord(80);
-  const auto id2 = client.PostReadWord(64);
-  const auto id3 = client.PostReadWord(72);
+  // Each Post* returns its op's index in the coming doorbell.
+  EXPECT_EQ(client.PostReadWord(80), 0u);
+  EXPECT_EQ(client.PostReadWord(64), 1u);
+  EXPECT_EQ(client.PostReadWord(72), 2u);
   EXPECT_EQ(client.pending_ops(), 3u);
   std::array<FarClient::Completion, 3> done;
   ASSERT_TRUE(client.WaitAll(done).ok());
   EXPECT_EQ(client.pending_ops(), 0u);
 
-  EXPECT_EQ(done[0].id, id1);
-  EXPECT_EQ(done[1].id, id2);
-  EXPECT_EQ(done[2].id, id3);
   EXPECT_EQ(done[0].word, 33u);
   EXPECT_EQ(done[1].word, 11u);
   EXPECT_EQ(done[2].word, 22u);
+  // The next doorbell numbers its ops from 0 again.
+  EXPECT_EQ(client.PostReadWord(64), 0u);
+  std::array<FarClient::Completion, 1> again;
+  ASSERT_TRUE(client.WaitAll(again).ok());
+  EXPECT_EQ(again[0].word, 11u);
 }
 
 TEST(AsyncClientTest, BatchExecutesInPostOrderWithinOneFlush) {
@@ -532,7 +535,7 @@ TEST(AsyncClientTest, RandomAsyncInterleavingsMatchSyncExecution) {
           c.PostRGather(gather_iov(op), out_bytes(*o, 3));
           break;
         default: {
-          const FarClient::OpId write =
+          const size_t write =
               c.PostWrite(guard_write_addr(op), data.first(8));
           c.PostCompareSwap(slot_addr(op.slot), op.arg, op.arg + 1, write);
           break;

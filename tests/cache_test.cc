@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <map>
 #include <thread>
 #include <vector>
@@ -259,48 +258,42 @@ size_t NodeSubscriptions(Fabric& fabric) {
 }
 
 TEST(NearCacheTest, BackgroundRewatchLeavesTheUnsubscribeToTheEvictor) {
-  // In background mode a rewatch pays only the new range's subscribe, as a
-  // first admission does: the old subscription's unsubscribe round trip
-  // goes to the evictor's next pass, like an evicted entry's.
+  // In background mode a rewatch pays only the new range's subscribe on the
+  // owner's client, as a first admission does: the old subscription is torn
+  // down at the rewatch, on the watching evictor's client, like an evicted
+  // entry's.
   TestEnv env;
   auto& reader = env.NewClient();
   auto& writer = env.NewClient();
   NearCacheOptions options = CacheOpts(1 << 20);
   options.background_eviction = true;
   NearCache cache(&reader, options, /*word_versioned=*/false);
+  BackgroundEvictor evictor(&env.fabric(), /*client_id=*/9002);
+  evictor.Watch(&cache);
   uint64_t v = 100;
   uint64_t far0 = reader.stats().far_ops;
   cache.Admit(1, AsConstBytes(v), /*watch=*/64, kWordSize, 0);
   const uint64_t admit_far_ops = reader.stats().far_ops - far0;
   ASSERT_TRUE(writer.WriteWord(64, 5).ok());
   EXPECT_EQ(reader.DispatchNotifications(), 1u);
-  EXPECT_FALSE(cache.SweepNeeded());
 
   uint64_t v2 = 200;
   far0 = reader.stats().far_ops;
   cache.Admit(1, AsConstBytes(v2), /*watch=*/128, kWordSize, 0);
   EXPECT_EQ(reader.stats().far_ops - far0, admit_far_ops);
   EXPECT_EQ(cache.stats().rewatches, 1u);
-  EXPECT_TRUE(cache.SweepNeeded()) << "the old subscription awaits teardown";
-  EXPECT_TRUE(cache.health().sweep_needed);
-  EXPECT_EQ(NodeSubscriptions(env.fabric()), 2u);
+  EXPECT_EQ(NodeSubscriptions(env.fabric()), 1u)
+      << "the old subscription is gone at the rewatch";
+  EXPECT_EQ(evictor.stats().far_ops, 1u) << "one unsubscribe round trip";
+  EXPECT_EQ(evictor.stats().bg_evictions, 0u) << "a teardown is no eviction";
+  EXPECT_EQ(cache.entries(), 1u);
 
-  // Until then the old range's events reach no entry.
+  // The old range's writes reach no entry.
   ASSERT_TRUE(writer.WriteWord(64, 6).ok());
   EXPECT_EQ(reader.DispatchNotifications(), 0u);
   uint64_t out = 0;
   EXPECT_TRUE(cache.Lookup(1, AsBytes(out)));
   EXPECT_EQ(out, 200u);
-
-  BackgroundEvictor evictor(&env.fabric(), /*client_id=*/9002);
-  evictor.Watch(&cache);
-  evictor.SweepNow();
-  evictor.Unwatch(&cache);
-  EXPECT_FALSE(cache.SweepNeeded());
-  EXPECT_EQ(NodeSubscriptions(env.fabric()), 1u);
-  EXPECT_EQ(evictor.stats().far_ops, 1u) << "one unsubscribe round trip";
-  EXPECT_EQ(evictor.stats().bg_evictions, 0u) << "a teardown is no eviction";
-  EXPECT_EQ(cache.entries(), 1u);
 
   // The new range still invalidates.
   ASSERT_TRUE(writer.WriteWord(128, 9).ok());
@@ -309,8 +302,10 @@ TEST(NearCacheTest, BackgroundRewatchLeavesTheUnsubscribeToTheEvictor) {
 }
 
 TEST(NearCacheTest, ClearTearsDownRewatchedSubscriptions) {
-  // A cache destroyed before any evictor pass leaves no subscription at the
-  // node, not even one that a background-mode rewatch or eviction released.
+  // A background-mode cache that no evictor watches pays its released
+  // subscriptions' unsubscribes on its own client, at release, as inline
+  // mode does: after a rewatch and an eviction only the live entries stay
+  // subscribed, and a destroyed cache leaves no subscription at the node.
   TestEnv env;
   auto& reader = env.NewClient();
   auto& writer = env.NewClient();
@@ -322,15 +317,19 @@ TEST(NearCacheTest, ClearTearsDownRewatchedSubscriptions) {
     cache.Admit(1, AsConstBytes(v), /*watch=*/64, kWordSize, 0);
     ASSERT_TRUE(writer.WriteWord(64, 5).ok());
     EXPECT_EQ(reader.DispatchNotifications(), 1u);
+    const uint64_t far0 = reader.stats().far_ops;
     cache.Admit(1, AsConstBytes(v), /*watch=*/128, kWordSize, 0);
-    EXPECT_EQ(NodeSubscriptions(env.fabric()), 2u);
+    EXPECT_EQ(reader.stats().far_ops - far0, 2u)
+        << "the new range's subscribe and the old range's unsubscribe";
+    EXPECT_EQ(NodeSubscriptions(env.fabric()), 1u);
     // Two more keys pass the two-entry budget: key 1 is the CLOCK victim.
     cache.Admit(2, AsConstBytes(v), /*watch=*/192, kWordSize, 0);
     cache.Admit(3, AsConstBytes(v), /*watch=*/256, kWordSize, 0);
     EXPECT_EQ(cache.entries(), 2u);
-    EXPECT_EQ(cache.stats().bg_evictions, 1u);
-    EXPECT_EQ(NodeSubscriptions(env.fabric()), 4u)
-        << "two live, plus the rewatched and the evicted one awaiting teardown";
+    EXPECT_EQ(cache.stats().evictions, 1u) << "the owner paid the victim";
+    EXPECT_EQ(cache.stats().bg_evictions, 0u);
+    EXPECT_EQ(NodeSubscriptions(env.fabric()), cache.entries())
+        << "only the live entries stay subscribed";
   }
   EXPECT_EQ(NodeSubscriptions(env.fabric()), 0u);
 }
@@ -360,14 +359,12 @@ TEST(NearCacheTest, LossWarningInvalidatesEverything) {
 }
 
 TEST(NearCacheTest, ExternalRefillAfterNewerEventMisses) {
-  // A write-behind flusher refills after its whole batch published. If
-  // another client rewrote the watched word after the flusher's CAS and the
-  // owner dispatched both events first, the refill must not make the entry
-  // valid again: no later event would kill the older value it carries.
+  // A write-behind flush step refills the owner's cache under the word its
+  // CAS left. With one writer, its echo confirms the refill and the next
+  // read is a hit; a newer writer's event, dispatched after the refill,
+  // kills it.
   TestEnv env;
-  ClientOptions tiny;
-  tiny.channel_capacity = 2;
-  FarClient owner(&env.fabric(), /*client_id=*/77, tiny);
+  auto& owner = env.NewClient();
   auto& flusher = env.NewClient();
   auto& other = env.NewClient();
   NearCache cache(&owner, CacheOpts(1 << 20), /*word_versioned=*/true);
@@ -376,16 +373,6 @@ TEST(NearCacheTest, ExternalRefillAfterNewerEventMisses) {
   cache.Admit(1, AsConstBytes(v), w, kWordSize, 0);
   uint64_t out = 0;
   ASSERT_TRUE(cache.Lookup(1, AsBytes(out)));
-
-  // The flusher's CAS leaves 11, another client then writes 22, and the
-  // owner dispatches both events before the flusher's refill under 11.
-  ASSERT_TRUE(flusher.WriteWord(w, 11).ok());
-  ASSERT_TRUE(other.WriteWord(w, 22).ok());
-  EXPECT_EQ(owner.DispatchNotifications(), 2u);
-  uint64_t stale = 111;
-  cache.RefillExternal(1, AsConstBytes(stale), w, kWordSize, 11);
-  EXPECT_FALSE(cache.Lookup(1, AsBytes(out)))
-      << "served " << out << " while the word holds 22";
 
   // One writer: its echo is the last event dispatched, so its own refill
   // lands and the next read is a hit.
@@ -396,17 +383,15 @@ TEST(NearCacheTest, ExternalRefillAfterNewerEventMisses) {
   ASSERT_TRUE(cache.Lookup(1, AsBytes(out)));
   EXPECT_EQ(out, 333u);
 
-  // A loss warning forgets the last event's word: the event for 55 was
-  // delivered, but the later write of 66 overflowed the channel, so a
-  // refill under 55 cannot be trusted.
+  // Another client writes 55 after the flusher's CAS left 44: the refill
+  // under 44 lands, and the newer event, dispatched next, kills it.
   ASSERT_TRUE(flusher.WriteWord(w, 44).ok());
-  ASSERT_TRUE(flusher.WriteWord(w, 55).ok());
-  ASSERT_TRUE(other.WriteWord(w, 66).ok());
-  owner.DispatchNotifications();
-  EXPECT_EQ(cache.stats().loss_resets, 1u);
-  uint64_t lost = 555;
-  cache.RefillExternal(1, AsConstBytes(lost), w, kWordSize, 55);
-  EXPECT_FALSE(cache.Lookup(1, AsBytes(out)));
+  uint64_t older = 444;
+  cache.RefillExternal(1, AsConstBytes(older), w, kWordSize, 44);
+  ASSERT_TRUE(other.WriteWord(w, 55).ok());
+  EXPECT_EQ(owner.DispatchNotifications(), 2u);
+  EXPECT_FALSE(cache.Lookup(1, AsBytes(out)))
+      << "served " << out << " while the word holds 55";
 }
 
 TEST(NearCacheTest, DisabledCacheChargesNothing) {
@@ -447,49 +432,36 @@ TEST(NearCacheTest, LookupChargesOneNearAccessHitOrMiss) {
 
 TEST(NearCacheTest, BackgroundEvictorSweepsWithoutSweepNow) {
   // In background mode every admission lands and the owner evicts as inline
-  // mode does, but pays no unsubscribe: the retired subscriptions alone
-  // must bring the evictor's periodic pass. No SweepNow anywhere.
+  // mode does, but pays no unsubscribe: the watching evictor's client pays
+  // each victim's at release, so the node holds only the live entries' the
+  // moment the loop ends, with no wait.
   TestEnv env;
   auto& client = env.NewClient();
   NearCacheOptions options = CacheOpts(16 * kEntryCost);
   options.background_eviction = true;
   NearCache cache(&client, options, /*word_versioned=*/false);
+  BackgroundEvictor evictor(&env.fabric(), /*client_id=*/9001);
+  evictor.Watch(&cache);
   const ClientStats before = client.stats();
   uint64_t v = 1;
   for (uint64_t k = 0; k < 20; ++k) {
     cache.Admit(k, AsConstBytes(v), /*watch=*/64 * (k + 1), kWordSize, 0);
   }
+  EXPECT_EQ(NodeSubscriptions(env.fabric()), 16u);
   EXPECT_EQ(cache.stats().admissions, 20u);
   EXPECT_EQ(cache.entries(), 16u);
   EXPECT_EQ(cache.stats().bg_evictions, 4u);
   EXPECT_EQ(cache.stats().evictions, 0u);
   EXPECT_EQ(client.stats().Delta(before).far_ops, 20u)
       << "20 subscribes and no unsubscribe";
-  EXPECT_TRUE(cache.SweepNeeded());
-  EXPECT_TRUE(cache.health().sweep_needed);
-  EXPECT_EQ(NodeSubscriptions(env.fabric()), 20u);
-
-  BackgroundEvictor evictor(&env.fabric(), /*client_id=*/9001);
-  evictor.Watch(&cache);
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (cache.SweepNeeded() && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  // Unwatch waits out the pass that took the retired list.
-  evictor.Unwatch(&cache);
-  EXPECT_FALSE(cache.SweepNeeded());
-  EXPECT_FALSE(cache.health().sweep_needed);
   EXPECT_EQ(evictor.stats().far_ops, 4u) << "the evictor paid 4 unsubscribes";
   EXPECT_EQ(evictor.stats().bg_evictions, 4u);
-  EXPECT_EQ(NodeSubscriptions(env.fabric()), 16u);
 }
 
 // Runs one fixed op sequence through a cache with 16 entries of budget: a
 // Lookup per op, and an Admit on each miss. Keys are skewed (60% on 8 hot
 // keys) so the run both hits and evicts; nothing writes, so nothing
-// invalidates. The evictor watches throughout and runs one forced pass at
-// the end.
+// invalidates. The evictor watches throughout.
 struct SequenceRun {
   NearCacheStats stats;
   size_t entries = 0;
@@ -516,7 +488,6 @@ SequenceRun RunAdmissionSequence(bool background_eviction) {
                   kWordSize, 0);
     }
   }
-  evictor.SweepNow();
   evictor.Unwatch(&cache);
   SequenceRun run;
   run.stats = cache.stats();
@@ -529,8 +500,8 @@ SequenceRun RunAdmissionSequence(bool background_eviction) {
 TEST(NearCacheTest, BackgroundModeEvictsWhatInlineModeEvicts) {
   // One eviction rule: background mode reclaims the same CLOCK victims at
   // the same moments as inline mode, so one op sequence ends with the same
-  // contents whatever the evictor thread's timing; only the victims'
-  // unsubscribe round trips move from the owner to the evictor.
+  // contents; only the victims' unsubscribe round trips move from the
+  // owner to the evictor.
   const SequenceRun in = RunAdmissionSequence(/*background_eviction=*/false);
   const SequenceRun bg = RunAdmissionSequence(/*background_eviction=*/true);
   ASSERT_GT(in.stats.evictions, 0u);
@@ -544,7 +515,7 @@ TEST(NearCacheTest, BackgroundModeEvictsWhatInlineModeEvicts) {
   EXPECT_EQ(in.owner_far_ops - bg.owner_far_ops, in.stats.evictions)
       << "exactly the victims' unsubscribes left the owner";
   EXPECT_EQ(bg.node_subscriptions, bg.entries)
-      << "after the evictor's pass, only live entries stay subscribed";
+      << "only live entries stay subscribed";
   EXPECT_EQ(in.node_subscriptions, in.entries);
 }
 

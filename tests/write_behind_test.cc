@@ -1,12 +1,11 @@
 // Write-behind dataplane (DESIGN.md §11): equivalence against a shadow
 // map, read-your-writes via the pending table, FlushBarrier ordering,
 // combining under concurrent CAS retries, background eviction vs
-// invalidation races, and the Txn drain interop.
+// invalidation races, the Txn drain interop, and exact replay of a run.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
+#include <string>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -32,8 +31,8 @@ HtTree::Options SmallTables(uint64_t buckets = 256) {
 }
 
 // Write-behind knobs that keep everything staged until a barrier: the
-// flusher only wakes for a full batch or a waiting barrier, which makes
-// the pre-publish window deterministic in tests.
+// table never reaches max_pending (twice max_batch) in these tests, and the
+// flush interval is 1000 simulated seconds.
 WriteBehindOptions ManualFlush(size_t max_batch = 1 << 20) {
   WriteBehindOptions wb;
   wb.max_batch = max_batch;
@@ -112,15 +111,14 @@ TEST(WriteBehindTest, WriterSideRefillKeepsCacheWarm) {
 }
 
 TEST(WriteBehindTest, FlusherRefillNeverResurrectsAnOlderValue) {
-  // The flusher refills the app's cache only after its whole batch
+  // A flush step refills the app's cache only after its whole batch
   // published. A rival client that rewrites the key between the flusher's
-  // CAS and that refill — while the app thread dispatches both events —
-  // must not leave the app's cache serving the app's own older value. The
-  // rival aims at that window: it polls far memory until the flusher's
-  // write of the key shows, then writes the key itself. Each round takes a
-  // fresh key that the flusher published once before, so the flusher's
-  // head hint for its bucket is current and its batch CASes the key in the
-  // first wave, well before the refill.
+  // CAS and that refill must not leave the app's cache serving the app's
+  // own older value. The rival aims at that window: it polls far memory
+  // until the flusher's write of the key shows, then writes the key itself,
+  // racing the owner's FlushBarrier, which publishes and refills on the
+  // owner's thread. Wherever the rival's write lands, the app's next Get
+  // must return the far value.
   TestEnv env(BigFabric());
   auto& app = env.NewClient();
   auto& rival = env.NewClient();
@@ -135,57 +133,39 @@ TEST(WriteBehindTest, FlusherRefillNeverResurrectsAnOlderValue) {
   ASSERT_TRUE(rival_map.ok());
 
   constexpr uint64_t kFillerBase = 1'000;  // 255 fillers complete a batch
-  constexpr uint64_t kReaderBase = 5'000;  // cached keys the app Gets
-  constexpr uint64_t kReaders = 16;
   constexpr uint64_t kKeyBase = 10'000;
-  for (uint64_t r = 0; r < kReaders; ++r) {
-    ASSERT_TRUE(map->Put(kReaderBase + r, r).ok());
-  }
-  ASSERT_TRUE(map->FlushBarrier().ok());
-
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::milliseconds(1500);
-  int rounds = 0;
+  constexpr int kRounds = 200;
   int stale = 0;
-  int rival_won = 0;
-  for (; rounds < 1000 && std::chrono::steady_clock::now() < deadline;
-       ++rounds) {
-    const uint64_t key = kKeyBase + rounds;
+  for (int round = 0; round < kRounds; ++round) {
+    const uint64_t key = kKeyBase + round;
     ASSERT_TRUE(map->Put(key, 1).ok());
     ASSERT_TRUE(map->FlushBarrier().ok());
     ASSERT_TRUE(map->Get(key).ok());  // resident and valid
-    const uint64_t app_value = 1'000'000 + rounds;
-    const uint64_t rival_value = 2'000'000 + rounds;
-    std::atomic<bool> go{false};
+    const uint64_t app_value = 1'000'000 + round;
+    const uint64_t rival_value = 2'000'000 + round;
+    ASSERT_TRUE(map->Put(key, app_value).ok());
+    for (uint64_t f = 0; f < 255; ++f) {
+      ASSERT_TRUE(map->Put(kFillerBase + f, round).ok());
+    }
     std::thread writer([&] {
-      while (!go.load(std::memory_order_acquire)) {
-        std::this_thread::yield();
-      }
-      while (*rival_map->Get(key) != app_value &&
-             !map->write_behind()->Empty()) {
+      for (;;) {
+        const Result<uint64_t> seen = rival_map->Get(key);
+        if (seen.ok() && *seen == app_value) {
+          break;
+        }
       }
       ASSERT_TRUE(rival_map->Put(key, rival_value).ok());
     });
-    ASSERT_TRUE(map->Put(key, app_value).ok());
-    for (uint64_t f = 0; f < 255; ++f) {
-      ASSERT_TRUE(map->Put(kFillerBase + f, rounds).ok());
-    }
-    go.store(true, std::memory_order_release);  // the batch is full
-    // Gets on keys outside the batch dispatch the app's events while the
-    // flusher publishes and refills.
-    for (uint64_t r = 0; !map->write_behind()->Empty(); ++r) {
-      ASSERT_TRUE(map->Get(kReaderBase + r % kReaders).ok());
-    }
+    const Status barrier = map->FlushBarrier();
     writer.join();
-    ASSERT_TRUE(map->FlushBarrier().ok());
+    ASSERT_TRUE(barrier.ok()) << barrier.message();
     const Result<uint64_t> truth = rival_map->Get(key);
     const Result<uint64_t> got = map->Get(key);
     ASSERT_TRUE(truth.ok() && got.ok());
+    EXPECT_EQ(*truth, rival_value) << "the rival writes last";
     stale += *got != *truth ? 1 : 0;
-    rival_won += *truth == rival_value ? 1 : 0;
   }
-  EXPECT_EQ(stale, 0) << "of " << rounds << " rounds";
-  EXPECT_GT(rival_won, 0) << "the rival's write never landed last";
+  EXPECT_EQ(stale, 0) << "of " << kRounds << " rounds";
 }
 
 TEST(WriteBehindTest, RandomizedShadowEquivalence) {
@@ -362,7 +342,7 @@ TEST(WriteBehindTest, BackgroundEvictionRacesInvalidationSafely) {
   auto& writer = env.NewClient();
   HtTree::Options options = SmallTables(/*buckets=*/512);
   // Tiny ring with background mode: the app thread evicts as reads admit,
-  // but ONLY the evictor thread pays the victims' unsubscribes, while a
+  // but ONLY the evictor's client pays the victims' unsubscribes, while a
   // second client's writes invalidate entries concurrently.
   options.cache.budget_bytes = 8 << 10;
   options.cache.admit_after = 0;
@@ -371,9 +351,7 @@ TEST(WriteBehindTest, BackgroundEvictionRacesInvalidationSafely) {
   ASSERT_TRUE(map.ok());
   ASSERT_NE(map->near_cache(), nullptr);
 
-  BackgroundEvictorOptions ev_options;
-  ev_options.poll_interval_us = 50;
-  BackgroundEvictor evictor(&env.fabric(), /*client_id=*/9001, ev_options);
+  BackgroundEvictor evictor(&env.fabric(), /*client_id=*/9001);
   evictor.Watch(map->near_cache());
 
   constexpr uint64_t kKeys = 600;
@@ -394,7 +372,6 @@ TEST(WriteBehindTest, BackgroundEvictionRacesInvalidationSafely) {
       ASSERT_TRUE(got.ok()) << got.status().message();
       EXPECT_TRUE(*got == k + 1 || *got == k + 100) << "key " << k;
     }
-    evictor.SweepNow();
   }
   invalidator.join();
   evictor.Unwatch(map->near_cache());
@@ -403,7 +380,7 @@ TEST(WriteBehindTest, BackgroundEvictionRacesInvalidationSafely) {
   EXPECT_EQ(map->near_cache()->stats().evictions, 0u)
       << "the app thread paid no eviction unsubscribe";
   EXPECT_GT(evictor.stats().bg_evictions, 0u)
-      << "the victims' unsubscribes landed on the evictor's clock";
+      << "the victims' unsubscribes landed on the evictor's client";
   // Final reads still agree with far memory.
   for (uint64_t k = 0; k < kKeys; k += 3) {
     EXPECT_EQ(*map->Get(k), k + 100);
@@ -509,6 +486,94 @@ TEST(WriteBehindShardedTest, GlobalBudgetCapsFleetBytes) {
   for (uint64_t k = 0; k < 2000; k += 37) {
     EXPECT_EQ(*map->Get(k), k + 1);
   }
+}
+
+// ---- Replay: the flusher and the evictor are clocks, not threads ----
+
+// What one run of the fixed sequence below leaves behind.
+struct ReplayRun {
+  std::string app;
+  std::string flusher;
+  std::string evictor;
+  uint64_t app_ns = 0;
+  uint64_t flusher_ns = 0;
+  uint64_t evictor_ns = 0;
+  NearCacheStats cache;
+};
+
+// One fixed Put/Get/Remove sequence, on a fresh fabric, through a
+// write-behind ShardedMap whose background-mode caches an evictor watches.
+// The caches hold far fewer keys than the run touches, so they evict, and
+// the flush rule's three triggers all fire: a full table, the interval and
+// the final barrier.
+void RunReplay(ReplayRun* run) {
+  TestEnv env(BigFabric(/*nodes=*/4));
+  auto& client = env.NewClient();
+  ShardedMap::Options options = SmallShards(4);
+  options.shard.cache.budget_bytes = 4 << 10;
+  options.shard.cache.admit_after = 1;
+  options.shard.cache.background_eviction = true;
+  auto map = ShardedMap::Create(&client, &env.alloc(), options);
+  ASSERT_TRUE(map.ok());
+  WriteBehindOptions wb;
+  wb.max_batch = 32;
+  wb.max_pending = 128;
+  wb.flush_interval_us = 20;
+  ASSERT_TRUE(map->EnableWriteBehind(wb).ok());
+  BackgroundEvictor evictor(&env.fabric(), /*client_id=*/9004);
+  for (uint32_t s = 0; s < map->num_shards(); ++s) {
+    evictor.Watch(map->shard(s).near_cache());
+  }
+  Rng gen(0x5eedf00d);
+  for (int i = 0; i < 6000; ++i) {
+    const uint64_t key = gen.Next() % 2000;
+    const uint64_t op = gen.Next() % 10;
+    if (op < 5) {
+      ASSERT_TRUE(map->Put(key, gen.Next() | 1).ok());
+    } else if (op < 6) {
+      ASSERT_TRUE(map->Remove(key).ok());
+    } else {
+      (void)map->Get(key);
+    }
+  }
+  ASSERT_TRUE(map->FlushBarrier().ok());
+  FarClient* flusher = map->write_behind()->flusher_client();
+  run->app = client.stats().ToString();
+  run->flusher = flusher->stats().ToString();
+  run->evictor = evictor.stats().ToString();
+  run->app_ns = client.clock().now_ns();
+  run->flusher_ns = flusher->clock().now_ns();
+  run->evictor_ns = evictor.client()->clock().now_ns();
+  run->cache = map->near_cache_stats();
+}
+
+TEST(WriteBehindShardedTest, RunsRepeatExactly) {
+  ReplayRun first;
+  ReplayRun second;
+  ASSERT_NO_FATAL_FAILURE(RunReplay(&first));
+  ASSERT_NO_FATAL_FAILURE(RunReplay(&second));
+  ASSERT_GT(first.cache.bg_evictions, 0u) << "the caches evicted";
+  ASSERT_GT(first.evictor_ns, 0u);
+  EXPECT_EQ(first.app, second.app);
+  EXPECT_EQ(first.flusher, second.flusher);
+  EXPECT_EQ(first.evictor, second.evictor);
+  EXPECT_EQ(first.app_ns, second.app_ns);
+  EXPECT_EQ(first.flusher_ns, second.flusher_ns);
+  EXPECT_EQ(first.evictor_ns, second.evictor_ns);
+  const NearCacheStats& a = first.cache;
+  const NearCacheStats& b = second.cache;
+  EXPECT_EQ(a.hits, b.hits);
+  EXPECT_EQ(a.misses, b.misses);
+  EXPECT_EQ(a.invalidations, b.invalidations);
+  EXPECT_EQ(a.admissions, b.admissions);
+  EXPECT_EQ(a.refills, b.refills);
+  EXPECT_EQ(a.evictions, b.evictions);
+  EXPECT_EQ(a.loss_resets, b.loss_resets);
+  EXPECT_EQ(a.rewatches, b.rewatches);
+  EXPECT_EQ(a.raced_admits, b.raced_admits);
+  EXPECT_EQ(a.writer_refills, b.writer_refills);
+  EXPECT_EQ(a.word_confirms, b.word_confirms);
+  EXPECT_EQ(a.bg_evictions, b.bg_evictions);
 }
 
 }  // namespace
