@@ -1,7 +1,7 @@
 // E15 — live windowed telemetry (src/obs/windowed.*, src/obs/telemetry.*,
 // DESIGN.md §12): rolling signals over simulated time, pipeline health
-// gauges, and the continuous JSON-lines exporter. Two claims, both enforced
-// by the exit code:
+// gauges, and the JSON-lines exporter. Three claims, all enforced by the
+// exit code:
 //
 //   1. Overhead: always-on windowed signals (ObsOptions::WindowedOnly,
 //      the production shape) cost < 5% thread-CPU time vs observability OFF
@@ -15,14 +15,15 @@
 //      (MemoryNode::set_extra_service_ns), RecentP99All reflects it within
 //      TWO rolling windows of simulated work — and decays back within two
 //      windows of the slowdown clearing (window expiry, not Reset).
-//
-// The bench also drives the full export surface as a smoke-level check:
-// a TelemetryHub wired with recorder + fabric + cache + write-behind +
-// evictor gauges, a TelemetrySnapshotter writing JSON-lines while the app
-// thread runs (the flusher's and the evictor's steps with it), Prometheus
-// text export, and the Fabric::DumpHealth / DumpClientStats tables. Its
-// cache budget is far below the pipeline's resident set, so the evictor
-// has victims to pay for (evictor.bg_evictions > 0).
+//   3. Export: a TelemetryHub wired with recorder + fabric + cache +
+//      write-behind + evictor gauges, and a TelemetrySnapshotter the app
+//      thread ticks every kTickEvery requests and once after its
+//      FlushBarrier, stamping each JSON line with its simulated clock, so
+//      the series repeats byte for byte for one run. The gate wants exactly
+//      that many ticks and lines, plus Prometheus text export and the
+//      Fabric::DumpHealth / DumpClientStats tables. Its cache budget is far
+//      below the pipeline's resident set, so the evictor has victims to
+//      pay for (evictor.bg_evictions > 0).
 //
 // Flags: --smoke, --json=<path>, --telemetry=<path> (JSON-lines output,
 // default TELEMETRY_e15.jsonl).
@@ -224,7 +225,6 @@ TrackingResult MeasureTracking() {
   TrackingResult r;
   // Baseline: fill more than one full window of steady traffic.
   run_for(2 * window_ns);
-  signals->Drain();
   r.p99_baseline = signals->RecentP99All();
 
   // Inject: node 2 slows by ~4x a typical one-sided RTT. Charged inside
@@ -236,7 +236,6 @@ TrackingResult MeasureTracking() {
   // simulated work (old sub-windows still hold fast samples until they
   // rotate out — two windows bounds full turnover).
   run_for(2 * window_ns);
-  signals->Drain();
   r.p99_slow = signals->RecentP99All();
   r.ewma_slow_node = signals->NodeLoadEwma(slow_node);
   r.ewma_fast_node = signals->NodeLoadEwma(0);
@@ -248,13 +247,15 @@ TrackingResult MeasureTracking() {
   // Clear and let the slowed samples rotate out of the window entirely.
   env.fabric().node(slow_node).set_extra_service_ns(0);
   run_for(2 * window_ns);
-  signals->Drain();
   r.p99_recovered = signals->RecentP99All();
   r.recovered = r.p99_recovered < r.p99_baseline + r.extra_ns / 2;
   return r;
 }
 
 // ---- Export surface: hub + snapshotter + prom text + health tables ----
+
+// Requests between two snapshotter ticks in the pipeline.
+constexpr int kTickEvery = 250;
 
 struct PipelineResult {
   uint64_t ticks = 0;
@@ -288,8 +289,8 @@ PipelineResult RunPipeline(const Config& cfg, const std::string& telemetry,
   BackgroundEvictor evictor(&env.fabric(), /*client_id=*/4242);
   evictor.Watch(map.near_cache());
 
-  // Every layer registers its gauges with one hub; the snapshotter samples
-  // them on a wall-clock cadence while the app thread runs.
+  // Every layer registers its gauges with one hub; the app thread ticks the
+  // snapshotter at fixed points of its own run.
   TelemetryHub hub;
   GaugeGroup gauges(&hub);
   client.recorder().AddGauges(&gauges, "client0", env.fabric().num_nodes());
@@ -298,11 +299,7 @@ PipelineResult RunPipeline(const Config& cfg, const std::string& telemetry,
   map.write_behind()->AddGauges(&gauges, "wb");
   evictor.AddGauges(&gauges, "evictor");
 
-  SnapshotterOptions snap_opts;
-  snap_opts.path = telemetry;
-  snap_opts.interval_ms = 5;
-  TelemetrySnapshotter snapshotter(&hub, snap_opts);
-  CheckOk(snapshotter.Start(), "snapshotter start");
+  TelemetrySnapshotter snapshotter(&hub, telemetry);
 
   Rng rng(99);
   const uint64_t span = 4000;
@@ -313,10 +310,12 @@ PipelineResult RunPipeline(const Config& cfg, const std::string& telemetry,
     } else {
       (void)map.Get(key);
     }
+    if ((i + 1) % kTickEvery == 0) {
+      CheckOk(snapshotter.Tick(client.clock().now_ns()), "tick");
+    }
   }
   CheckOk(map.FlushBarrier(), "barrier");
-  snapshotter.TickNow();
-  snapshotter.Stop();
+  CheckOk(snapshotter.Tick(client.clock().now_ns()), "tick");
 
   PipelineResult r;
   r.ticks = snapshotter.ticks();
@@ -358,7 +357,8 @@ PipelineResult RunPipeline(const Config& cfg, const std::string& telemetry,
 
   evictor.Unwatch(map.near_cache());
   evictor.StopAndJoin();
-  r.ok = r.ticks >= 1 && r.telemetry_lines >= r.ticks &&
+  r.ok = r.ticks == static_cast<uint64_t>(cfg.pipeline_ops / kTickEvery) + 1 &&
+         r.telemetry_lines == r.ticks &&
          r.gauge_count >= 30 && r.wb_batches_flushed > 0 &&
          r.cache_windowed_lookups > 0 && r.evictor_bg_evictions > 0 &&
          prom.find("fmds_") != std::string::npos;

@@ -250,9 +250,7 @@ AdmissionArmResult RunAdmissionArm(const Config& cfg,
             }
           }
           if (worker == 0 && round % 32 == 31) {
-            WindowedSignals* signals = client.recorder().windowed();
-            signals->Drain();
-            const uint64_t p99 = signals->RecentP99All();
+            const uint64_t p99 = client.recorder().windowed()->RecentP99All();
             if (p99 > 0) {
               controller->ReportP99(0, p99);
             }

@@ -212,8 +212,9 @@ inline double Median(std::vector<double> samples) {
   return (samples[mid - 1] + samples[mid]) / 2.0;
 }
 
-// The --telemetry=<path> argument (JSON-lines gauge snapshots written by a
-// TelemetrySnapshotter while the bench runs), or `default_path` when absent.
+// The --telemetry=<path> argument (JSON-lines gauge snapshots a
+// TelemetrySnapshotter writes as the bench ticks it), or `default_path` when
+// absent.
 // Pass "" as the default for benches where continuous export is opt-in.
 inline std::string TelemetryOutputPath(int argc, char** argv,
                                        const std::string& default_path = "") {

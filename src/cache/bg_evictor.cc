@@ -12,19 +12,16 @@ BackgroundEvictor::~BackgroundEvictor() { StopAndJoin(); }
 
 void BackgroundEvictor::Watch(NearCache* cache) {
   cache->SetEvictor(&client_);
-  std::lock_guard<std::mutex> lock(mu_);
   caches_.push_back(cache);
 }
 
 void BackgroundEvictor::Unwatch(NearCache* cache) {
   cache->SetEvictor(nullptr);
-  std::lock_guard<std::mutex> lock(mu_);
   caches_.erase(std::remove(caches_.begin(), caches_.end(), cache),
                 caches_.end());
 }
 
 void BackgroundEvictor::StopAndJoin() {
-  std::lock_guard<std::mutex> lock(mu_);
   for (NearCache* cache : caches_) {
     cache->SetEvictor(nullptr);
   }
@@ -32,7 +29,6 @@ void BackgroundEvictor::StopAndJoin() {
 }
 
 BackgroundEvictor::Health BackgroundEvictor::health() const {
-  std::lock_guard<std::mutex> lock(mu_);
   Health h;
   h.watched_caches = caches_.size();
   for (const NearCache* cache : caches_) {

@@ -14,15 +14,13 @@
 // work runs on the caches' owner thread, as a step of it: a dedicated core
 // becomes a dedicated clock, not a host thread.
 //
-// Threading: watch the caches of one owner thread only, and call Watch,
-// Unwatch, StopAndJoin and stats() there; health() and the gauges may be
-// read from any thread. Unwatch a cache before it is destroyed — the
-// evictor holds raw NearCache pointers.
+// Threading: watch the caches of one owner thread only, and call every
+// method there, the gauges included. Unwatch a cache before it is
+// destroyed — the evictor holds raw NearCache pointers.
 #ifndef FMDS_SRC_CACHE_BG_EVICTOR_H_
 #define FMDS_SRC_CACHE_BG_EVICTOR_H_
 
 #include <cstdint>
-#include <mutex>
 #include <vector>
 
 #include "src/cache/near_cache.h"
@@ -50,13 +48,13 @@ class BackgroundEvictor {
   void StopAndJoin();
 
   // The evictor's client: its stats carry bg_evictions, its clock the
-  // teardown round trips. Owner thread only, as is stats().
+  // teardown round trips.
   FarClient* client() { return &client_; }
   ClientStats stats() const { return client_.stats(); }
 
-  // Live health (any thread; locks). Each sums over every watched cache:
-  // its NearCacheStats::bg_evictions, its used bytes, and its headroom
-  // (budget minus used bytes).
+  // Live health. Each sums over every watched cache: its
+  // NearCacheStats::bg_evictions, its used bytes, and its headroom (budget
+  // minus used bytes).
   struct Health {
     uint64_t bg_evictions = 0;
     uint64_t watched_caches = 0;
@@ -71,8 +69,6 @@ class BackgroundEvictor {
 
  private:
   FarClient client_;
-  // Guards caches_ against health() readers.
-  mutable std::mutex mu_;
   std::vector<NearCache*> caches_;
 };
 

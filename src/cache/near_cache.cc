@@ -38,10 +38,8 @@ bool NearCache::LookupWatch(uint64_t key, std::span<std::byte> out,
   // One near access covers the whole probe — on a hit this is the entire
   // cost of the operation (that asymmetry is the point of the cache).
   client_->AccountNear(1);
-  // Owner thread: the clock read is safe here, and the timestamp feeds the
-  // rolling hit-ratio gauge under mu_ below.
+  // The owner's clock stamps the rolling hit-ratio gauge.
   const uint64_t now_ns = client_->clock().now_ns();
-  std::lock_guard<std::mutex> lock(mu_);
   win_now_ns_ = std::max(win_now_ns_, now_ns);
   win_lookups_.Add(now_ns, 1);
   const size_t slot = ring_.Find(key);
@@ -69,10 +67,9 @@ bool NearCache::LookupWatch(uint64_t key, std::span<std::byte> out,
   return false;
 }
 
-bool NearCache::ArmWatchLocked(Entry& e, uint64_t key, FarAddr watch,
-                               uint64_t watch_len,
-                               uint64_t expected_watch_word,
-                               const char* label_name) {
+bool NearCache::ArmWatch(Entry& e, uint64_t key, FarAddr watch,
+                         uint64_t watch_len, uint64_t expected_watch_word,
+                         const char* label_name) {
   NotifySpec spec;
   spec.mode = NotifyMode::kOnWrite;
   spec.addr = watch;
@@ -114,7 +111,6 @@ void NearCache::Admit(uint64_t key, std::span<const std::byte> payload,
   if (cost > options_.budget_bytes) {
     return;  // would never fit, even alone
   }
-  std::lock_guard<std::mutex> lock(mu_);
   const size_t slot = ring_.Find(key);
   if (slot != ClockRing<Entry>::npos) {
     // Resident (possibly invalidated) entry.
@@ -135,10 +131,10 @@ void NearCache::Admit(uint64_t key, std::span<const std::byte> payload,
       // table and retired — possibly freed — the old one). The old
       // subscription now watches dead memory and would never see another
       // relevant write, so release it and read-and-arm the new range.
-      ReleaseEntryLocked(e, /*evicted=*/false);
+      ReleaseEntry(e, /*evicted=*/false);
       ++stats_.rewatches;
-      if (!ArmWatchLocked(e, key, watch, watch_len, expected_watch_word,
-                          "cache.rewatch")) {
+      if (!ArmWatch(e, key, watch, watch_len, expected_watch_word,
+                    "cache.rewatch")) {
         // New range unsubscribable: the entry can't stay coherent. Drop it.
         ring_.Erase(key);
         return;
@@ -146,7 +142,7 @@ void NearCache::Admit(uint64_t key, std::span<const std::byte> payload,
     }
     bytes_used_ += EntryCost(e);
     ring_.Touch(slot);
-    EvictToBudgetLocked();
+    EvictToBudget();
     return;
   }
   if (options_.admit_after > 1) {
@@ -168,8 +164,8 @@ void NearCache::Admit(uint64_t key, std::span<const std::byte> payload,
 
   Entry e;
   e.payload.assign(payload.begin(), payload.end());
-  if (!ArmWatchLocked(e, key, watch, watch_len, expected_watch_word,
-                      "cache.admit")) {
+  if (!ArmWatch(e, key, watch, watch_len, expected_watch_word,
+                "cache.admit")) {
     return;
   }
   bytes_used_ += EntryCost(e);
@@ -177,13 +173,13 @@ void NearCache::Admit(uint64_t key, std::span<const std::byte> payload,
   ring_.Insert(key, std::move(e), &evicted);
   if (evicted.has_value()) {
     bytes_used_ -= EntryCost(evicted->second);
-    ReleaseEntryLocked(evicted->second, /*evicted=*/true);
+    ReleaseEntry(evicted->second, /*evicted=*/true);
   }
   ++stats_.admissions;
-  EvictToBudgetLocked();
+  EvictToBudget();
 }
 
-void NearCache::InvalidateLocked(uint64_t key, bool account_client) {
+void NearCache::InvalidateEntry(uint64_t key, bool account_client) {
   const size_t slot = ring_.Find(key);
   if (slot == ClockRing<Entry>::npos) {
     return;
@@ -204,18 +200,16 @@ void NearCache::InvalidateLocked(uint64_t key, bool account_client) {
 }
 
 void NearCache::Invalidate(uint64_t key) {
-  std::lock_guard<std::mutex> lock(mu_);
-  InvalidateLocked(key, /*account_client=*/true);
+  InvalidateEntry(key, /*account_client=*/true);
 }
 
 void NearCache::InvalidateExternal(uint64_t key) {
-  std::lock_guard<std::mutex> lock(mu_);
-  InvalidateLocked(key, /*account_client=*/false);
+  InvalidateEntry(key, /*account_client=*/false);
 }
 
-void NearCache::RefillLocked(uint64_t key, std::span<const std::byte> payload,
-                             FarAddr watch, uint64_t watch_len,
-                             uint64_t watch_word, bool account_client) {
+void NearCache::RefillEntry(uint64_t key, std::span<const std::byte> payload,
+                            FarAddr watch, uint64_t watch_len,
+                            uint64_t watch_word, bool account_client) {
   const size_t slot = ring_.Find(key);
   if (slot == ClockRing<Entry>::npos) {
     return;  // not resident: admission stays a read-path decision
@@ -227,14 +221,14 @@ void NearCache::RefillLocked(uint64_t key, std::span<const std::byte> payload,
     // its value changed size. Rewatching costs round trips and growing
     // could evict, neither of which the write path (possibly the flusher's
     // step) may do — kill the entry and let a read re-admit.
-    InvalidateLocked(key, account_client);
+    InvalidateEntry(key, account_client);
     return;
   }
   if (!word_versioned_) {
     // Without word versioning the echo of the writer's own CAS would kill
     // this refill at the next dispatch; keeping the entry valid until then
     // would serve hits that die unpredictably. Degrade to invalidation.
-    InvalidateLocked(key, account_client);
+    InvalidateEntry(key, account_client);
     return;
   }
   e.payload.assign(payload.begin(), payload.end());
@@ -250,9 +244,8 @@ void NearCache::Refill(uint64_t key, std::span<const std::byte> payload,
   if (!enabled()) {
     return;
   }
-  std::lock_guard<std::mutex> lock(mu_);
-  RefillLocked(key, payload, watch, watch_len, watch_word,
-               /*account_client=*/true);
+  RefillEntry(key, payload, watch, watch_len, watch_word,
+              /*account_client=*/true);
 }
 
 void NearCache::RefillExternal(uint64_t key, std::span<const std::byte> payload,
@@ -261,12 +254,11 @@ void NearCache::RefillExternal(uint64_t key, std::span<const std::byte> payload,
   if (!enabled()) {
     return;
   }
-  std::lock_guard<std::mutex> lock(mu_);
-  RefillLocked(key, payload, watch, watch_len, watch_word,
-               /*account_client=*/false);
+  RefillEntry(key, payload, watch, watch_len, watch_word,
+              /*account_client=*/false);
 }
 
-void NearCache::InvalidateAllLocked() {
+void NearCache::InvalidateAll() {
   ring_.ForEach([this](uint64_t, Entry& e) {
     if (e.valid) {
       e.valid = false;
@@ -277,18 +269,12 @@ void NearCache::InvalidateAllLocked() {
   });
 }
 
-void NearCache::InvalidateAll() {
-  std::lock_guard<std::mutex> lock(mu_);
-  InvalidateAllLocked();
-}
-
 void NearCache::OnNotify(const NotifyEvent& event) {
-  std::lock_guard<std::mutex> lock(mu_);
   if (event.kind == NotifyEventKind::kLossWarning) {
     // An unknown number of events, for unknown subscriptions, were lost:
     // the only safe response is to distrust everything cached.
     ++stats_.loss_resets;
-    InvalidateAllLocked();
+    InvalidateAll();
     return;
   }
   const uint64_t* key = sub_to_key_.Find(event.sub_id);
@@ -311,10 +297,10 @@ void NearCache::OnNotify(const NotifyEvent& event) {
       }
     }
   }
-  InvalidateLocked(*key, /*account_client=*/true);
+  InvalidateEntry(*key, /*account_client=*/true);
 }
 
-void NearCache::ReleaseEntryLocked(const Entry& entry, bool evicted) {
+void NearCache::ReleaseEntry(const Entry& entry, bool evicted) {
   // Every resident entry holds a live subscription (an unsubscribable
   // range is never admitted, and a failed rewatch drops its entry).
   sub_to_key_.Erase(entry.sub);
@@ -339,24 +325,18 @@ void NearCache::ReleaseEntryLocked(const Entry& entry, bool evicted) {
   }
 }
 
-void NearCache::EvictToBudgetLocked() {
+void NearCache::EvictToBudget() {
   while (bytes_used_ > options_.budget_bytes) {
     auto victim = ring_.EvictOne();
     if (!victim.has_value()) {
       break;
     }
     bytes_used_ -= EntryCost(victim->second);
-    ReleaseEntryLocked(victim->second, /*evicted=*/true);
+    ReleaseEntry(victim->second, /*evicted=*/true);
   }
 }
 
-void NearCache::SetEvictor(FarClient* evictor_client) {
-  std::lock_guard<std::mutex> lock(mu_);
-  evictor_ = evictor_client;
-}
-
 void NearCache::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
   ring_.ForEach([this](uint64_t, Entry& e) {
     ScopedOpLabel label(&client_->recorder(), "cache.evict");
     (void)client_->Unsubscribe(e.sub);
@@ -367,23 +347,7 @@ void NearCache::Clear() {
   bytes_used_ = 0;
 }
 
-uint64_t NearCache::bytes_used() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return bytes_used_;
-}
-
-size_t NearCache::entries() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return ring_.size();
-}
-
-NearCacheStats NearCache::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
-}
-
 NearCache::Health NearCache::health() const {
-  std::lock_guard<std::mutex> lock(mu_);
   Health h;
   h.bytes_used = bytes_used_;
   h.entries = ring_.size();

@@ -50,14 +50,13 @@
 // Threading (§11, write-behind): every method runs on the thread that owns
 // the cache's client, including the write-behind flusher's refills
 // (RefillExternal/InvalidateExternal — no owner-client accounting; a
-// refill never resizes an entry, so it never evicts) and the evictor's
-// unsubscribes, which are steps of that thread on their own clients. The
-// internal mutex exists for health() readers (gauges) on other threads.
+// refill never resizes an entry, so it never evicts), the evictor's
+// unsubscribes, which are steps of that thread on their own clients, and
+// health() and the gauges, which its owner samples. Nothing is locked.
 #ifndef FMDS_SRC_CACHE_NEAR_CACHE_H_
 #define FMDS_SRC_CACHE_NEAR_CACHE_H_
 
 #include <cstdint>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <vector>
@@ -229,16 +228,16 @@ class NearCache : public NotificationSink {
   // counts in that client's ClientStats.bg_evictions; a rewatch's old
   // subscription is labelled "cache.rewatch". BackgroundEvictor::Watch and
   // Unwatch call it; the client must outlive the attachment.
-  void SetEvictor(FarClient* evictor_client);
+  void SetEvictor(FarClient* evictor_client) { evictor_ = evictor_client; }
 
-  uint64_t bytes_used() const;
-  size_t entries() const;
-  NearCacheStats stats() const;
+  uint64_t bytes_used() const { return bytes_used_; }
+  size_t entries() const { return ring_.size(); }
+  NearCacheStats stats() const { return stats_; }
 
-  // Live health snapshot (any thread). windowed_hit_ratio covers only the
-  // last window of the owner's simulated time, unlike
-  // NearCacheStats::HitRatio() which is since-start — a cache that went
-  // cold after a working-set shift shows up here first.
+  // Live health snapshot. windowed_hit_ratio covers only the last window
+  // of the owner's simulated time, unlike NearCacheStats::HitRatio() which
+  // is since-start — a cache that went cold after a working-set shift shows
+  // up here first.
   struct Health {
     uint64_t bytes_used = 0;
     uint64_t entries = 0;
@@ -275,33 +274,29 @@ class NearCache : public NotificationSink {
   // registers sub_to_key_, and sets e.valid from the snapshot comparison.
   // Returns false (entry untouched beyond payload) if the range is
   // unsubscribable.
-  bool ArmWatchLocked(Entry& e, uint64_t key, FarAddr watch,
-                      uint64_t watch_len, uint64_t expected_watch_word,
-                      const char* label_name);
+  bool ArmWatch(Entry& e, uint64_t key, FarAddr watch, uint64_t watch_len,
+                uint64_t expected_watch_word, const char* label_name);
   // Releases `entry`'s subscription: an evicted entry's, or a rewatched
   // entry's old one. Inline mode unsubscribes on the owner's client
   // ("cache.evict" / "cache.rewatch"); background mode with an evictor
   // attached forgets the id on the owner's client and unsubscribes it on
   // the evictor's ("cache.bg_evict" / "cache.rewatch"). An eviction counts
   // in `evictions` or `bg_evictions` accordingly.
-  void ReleaseEntryLocked(const Entry& entry, bool evicted);
+  void ReleaseEntry(const Entry& entry, bool evicted);
   // Marks one entry invalid. `account_client` gates the owner-client
   // ClientStats/recorder bumps (false on the flusher's path).
-  void InvalidateLocked(uint64_t key, bool account_client);
-  void InvalidateAllLocked();
+  void InvalidateEntry(uint64_t key, bool account_client);
   // `account_client` is false exactly on the flusher's path.
-  void RefillLocked(uint64_t key, std::span<const std::byte> payload,
-                    FarAddr watch, uint64_t watch_len, uint64_t watch_word,
-                    bool account_client);
+  void RefillEntry(uint64_t key, std::span<const std::byte> payload,
+                   FarAddr watch, uint64_t watch_len, uint64_t watch_word,
+                   bool account_client);
   // Reclaims CLOCK victims until the cache fits its budget. Runs after
   // every admission and rewatch.
-  void EvictToBudgetLocked();
+  void EvictToBudget();
 
   FarClient* client_;
   NearCacheOptions options_;
   bool word_versioned_;
-  // Guards every member below. See the threading note at the top.
-  mutable std::mutex mu_;
   // Pays released subscriptions in background mode (null: the owner does).
   FarClient* evictor_ = nullptr;
   ClockRing<Entry> ring_;
@@ -309,8 +304,8 @@ class NearCache : public NotificationSink {
   FlatMap<uint64_t> sub_to_key_;  // SubId -> key
   uint64_t bytes_used_ = 0;
   NearCacheStats stats_;
-  // Rolling hit ratio over the owner client's simulated time (timestamps
-  // are taken in Lookup on the owner thread; readers go through health()).
+  // Rolling hit ratio over the owner client's simulated time, stamped in
+  // Lookup and read through health().
   WindowedRate win_hits_;
   WindowedRate win_lookups_;
   uint64_t win_now_ns_ = 0;

@@ -292,15 +292,15 @@ Status HtTree::RefreshCache() {
   FMDS_ASSIGN_OR_RETURN(nodes_, FetchSubtree(hdr[kHdrRoot / 8]));
   if (!collision_estimate_.empty()) {
     // Growth estimates of tables that left the mirror go with them.
-    std::unordered_set<FarAddr> tables;
+    FlatMap<uint64_t> kept;
     for (const CachedNode& node : nodes_) {
-      if (node.leaf) {
-        tables.insert(node.table);
+      const uint64_t* estimate =
+          node.leaf ? collision_estimate_.Find(node.table) : nullptr;
+      if (estimate != nullptr) {
+        kept[node.table] = *estimate;
       }
     }
-    std::erase_if(collision_estimate_, [&](const auto& estimate) {
-      return !tables.contains(estimate.first);
-    });
+    collision_estimate_ = std::move(kept);
   }
   RebuildDirectory();
   return OkStatus();
@@ -369,7 +369,7 @@ Status HtTree::SpliceSubtree(int32_t at, FarAddr addr, uint64_t hash) {
   }
   nodes_[at] = sub[0];
   nodes_.insert(nodes_.end(), sub.begin() + 1, sub.end());
-  collision_estimate_.erase(replaced.table);
+  collision_estimate_.Erase(replaced.table);
   if (DirBits(cached_tables()) != dir_bits_) {
     RebuildDirectory();
   } else if (replaced.depth < dir_bits_) {

@@ -63,6 +63,7 @@
 
 #include "src/alloc/far_allocator.h"
 #include "src/cache/near_cache.h"
+#include "src/common/flat_map.h"
 #include "src/common/hash.h"
 #include "src/core/dataplane.h"
 #include "src/core/far_map.h"
@@ -511,7 +512,7 @@ class HtTree : public FarMap {
   uint32_t dir_bits_ = 0;
   // Per-table count of this handle's chain-growing stores (GrowthSplitDue),
   // for tables the mirror still caches.
-  std::unordered_map<FarAddr, uint64_t> collision_estimate_;
+  FlatMap<uint64_t> collision_estimate_;
   // Bucket-head NearCache (null when Options::cache.budget_bytes == 0).
   // Heap-owned so the NotificationSink pointer registered with the client
   // stays stable across HtTree moves.

@@ -37,39 +37,33 @@ void WriteBehindEngine::Enqueue(uint64_t key, uint64_t value, bool tombstone) {
   // The owner's clock anchors the staged record's age gauge and the
   // interval trigger.
   const uint64_t now_ns = app_client_->clock().now_ns();
-  size_t staged = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    last_app_now_ns_ = std::max(last_app_now_ns_, now_ns);
-    const uint64_t seq = next_seq_++;
-    if (options_.combine) {
-      const auto [it, fresh] = latest_.try_emplace(key);
-      if (fresh) {
-        order_.push_back(key);
-        it->second = Rec{value, tombstone, seq, now_ns};
-      } else {
-        // Overwrote a staged record in place: the superseded write will
-        // never cost a doorbell. Charged to the app client — combining
-        // happens on the hot path. The staging timestamp survives the
-        // overwrite so the age gauge reports how long the key has waited,
-        // not its last touch.
-        it->second = Rec{value, tombstone, seq, it->second.enqueue_ns};
-        ++app_client_->mutable_stats().writes_combined;
-      }
+  last_app_now_ns_ = std::max(last_app_now_ns_, now_ns);
+  const uint64_t seq = next_seq_++;
+  if (options_.combine) {
+    const auto [it, fresh] = latest_.try_emplace(key);
+    if (fresh) {
+      order_.push_back(key);
+      it->second = Rec{value, tombstone, seq, now_ns};
     } else {
-      latest_[key] = Rec{value, tombstone, seq, now_ns};
-      fifo_.push_back(FifoRec{key, value, tombstone, seq, now_ns});
+      // Overwrote a staged record in place: the superseded write will
+      // never cost a doorbell. Charged to the app client — combining
+      // happens on the hot path. The staging timestamp survives the
+      // overwrite so the age gauge reports how long the key has waited,
+      // not its last touch.
+      it->second = Rec{value, tombstone, seq, it->second.enqueue_ns};
+      ++app_client_->mutable_stats().writes_combined;
     }
-    staged = StagedLocked();
+  } else {
+    latest_[key] = Rec{value, tombstone, seq, now_ns};
+    fifo_.push_back(FifoRec{key, value, tombstone, seq, now_ns});
   }
-  if (staged >= options_.max_pending ||
+  if (Staged() >= options_.max_pending ||
       now_ns >= last_flush_ns_ + options_.flush_interval_us * 1000) {
     FlushOne();
   }
 }
 
 std::optional<Result<uint64_t>> WriteBehindEngine::Lookup(uint64_t key) const {
-  std::lock_guard<std::mutex> lock(mu_);
   const auto it = latest_.find(key);
   if (it == latest_.end()) {
     return std::nullopt;
@@ -80,22 +74,16 @@ std::optional<Result<uint64_t>> WriteBehindEngine::Lookup(uint64_t key) const {
   return Result<uint64_t>(it->second.value);
 }
 
-bool WriteBehindEngine::Empty() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return StagedLocked() == 0;
-}
-
 Status WriteBehindEngine::FlushBarrier() {
   while (!Empty()) {
     FlushOne();
   }
-  std::lock_guard<std::mutex> lock(mu_);
   Status s = first_error_;
   first_error_ = OkStatus();
   return s;
 }
 
-WriteBehindEngine::Batch WriteBehindEngine::PeekBatchLocked(
+WriteBehindEngine::Batch WriteBehindEngine::PeekBatch(
     std::vector<uint64_t>* seqs) const {
   Batch batch;
   if (options_.combine) {
@@ -132,11 +120,7 @@ WriteBehindEngine::Batch WriteBehindEngine::PeekBatchLocked(
 
 void WriteBehindEngine::FlushOne() {
   std::vector<uint64_t> seqs;
-  Batch batch;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    batch = PeekBatchLocked(&seqs);
-  }
+  const Batch batch = PeekBatch(&seqs);
   last_flush_ns_ = app_client_->clock().now_ns();
 
   FarClient* fc = publisher_->client();
@@ -169,7 +153,6 @@ void WriteBehindEngine::FlushOne() {
   }
   const uint64_t stage3_ns = fc->clock().now_ns();
 
-  std::lock_guard<std::mutex> lock(mu_);
   // Drain-lag attribution on the flusher's clock, per pipeline stage.
   stage_coalesce_ns_ += stage1_ns - stage0_ns;
   stage_publish_ns_ += stage2_ns - stage1_ns;
@@ -201,9 +184,8 @@ void WriteBehindEngine::FlushOne() {
 }
 
 WriteBehindEngine::Health WriteBehindEngine::health() const {
-  std::lock_guard<std::mutex> lock(mu_);
   Health h;
-  h.pending_entries = StagedLocked();
+  h.pending_entries = Staged();
   // Logical payload: 8-byte key + 8-byte value per staged record.
   h.pending_bytes = h.pending_entries * 16;
   if (h.pending_entries > 0) {

@@ -34,9 +34,9 @@
 //     dropped, not retried).
 //
 // Threading: Put/Remove/Lookup/FlushBarrier, and so every flush step, run
-// on the single owning application thread. health() and the gauges may be
-// read from any thread; the table's mutex exists for them. A map arms the
-// engine through its one EnableWriteBehind(options) call. The flusher
+// on the single owning application thread, as do health() and the gauges,
+// which its owner samples; nothing is locked. A map arms the engine
+// through its one EnableWriteBehind(options) call. The flusher
 // publishes through a Publisher the structure supplies — it owns a
 // SEPARATE FarClient (default ClientOptions) and structure handle, so
 // round trips, stats (flush_stages) and labels ("wb.coalesce"/"wb.flush")
@@ -49,7 +49,6 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -127,16 +126,16 @@ class WriteBehindEngine {
   std::optional<Result<uint64_t>> Lookup(uint64_t key) const;
 
   // True when nothing is staged.
-  bool Empty() const;
+  bool Empty() const { return Staged() == 0; }
 
   // Publishes every staged write; returns (and clears) the first publish
   // error since the last barrier.
   Status FlushBarrier();
 
-  // Live pipeline health (any thread; locks mu_). Ages are in the APP
-  // client's simulated time, measured against the newest enqueue the engine
-  // has seen; stage times are cumulative FLUSHER-clock ns per pipeline
-  // stage, so their ratios expose where drain time goes.
+  // Live pipeline health. Ages are in the APP client's simulated time,
+  // measured against the newest enqueue the engine has seen; stage times
+  // are cumulative FLUSHER-clock ns per pipeline stage, so their ratios
+  // expose where drain time goes.
   struct Health {
     uint64_t pending_entries = 0;  // staged (unpublished) records
     uint64_t pending_bytes = 0;    // logical payload (key+value per record)
@@ -176,12 +175,12 @@ class WriteBehindEngine {
   };
 
   void Enqueue(uint64_t key, uint64_t value, bool tombstone);
-  size_t StagedLocked() const {
+  size_t Staged() const {
     return options_.combine ? order_.size() : fifo_.size();
   }
   // The oldest staged records, up to max_batch, left in the table; `seqs`
   // receives each record's sequence number.
-  Batch PeekBatchLocked(std::vector<uint64_t>* seqs) const;
+  Batch PeekBatch(std::vector<uint64_t>* seqs) const;
   // One flush step, with at least one record staged: publishes the oldest
   // batch on the flusher's client and clock, then drops it from the table
   // (failed or not).
@@ -193,9 +192,6 @@ class WriteBehindEngine {
   // Owner clock at the last flush step: the interval trigger's origin.
   uint64_t last_flush_ns_ = 0;
 
-  // Guards every member below against health() readers; only the owner
-  // thread writes them.
-  mutable std::mutex mu_;
   // Combine mode: at most one staged record per key, FIFO by first
   // enqueue; the record body lives in latest_.
   std::deque<uint64_t> order_;

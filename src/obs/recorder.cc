@@ -132,8 +132,8 @@ void OpRecorder::RecordCacheInvalidation() {
 }
 
 void OpRecorder::AddGauges(GaugeGroup* group, const std::string& prefix,
-                           uint32_t num_nodes) const {
-  const WindowedSignals* w = windowed_.get();
+                           uint32_t num_nodes) {
+  WindowedSignals* w = windowed_.get();
   if (w == nullptr) {
     return;
   }

@@ -174,11 +174,8 @@ class OpRecorder {
   const TraceRing& trace() const { return trace_; }
 
   // ---- Rolling signals (nullptr unless options.windowed) ----
-  // WindowedSignals is internally synchronized: any thread may call its
-  // Recent* readers while the owning client thread keeps recording. The
-  // owner should call windowed()->Drain() before reading its own signals.
+  // Read on the owning client's thread, like everything else here.
   WindowedSignals* windowed() { return windowed_.get(); }
-  const WindowedSignals* windowed() const { return windowed_.get(); }
 
   // Registers the rolling signals with a TelemetryHub under `prefix`:
   // p99/count per op kind and overall, txn rates, and — for nodes
@@ -187,7 +184,7 @@ class OpRecorder {
   // which set_options() and Reset() replace: release the group before
   // either, and never let it outlive this recorder.
   void AddGauges(GaugeGroup* group, const std::string& prefix,
-                 uint32_t num_nodes) const;
+                 uint32_t num_nodes);
 
   void Reset();
 

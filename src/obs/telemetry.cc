@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <ostream>
+#include <utility>
 
 #include "src/obs/json.h"
 
@@ -42,22 +43,16 @@ std::string PromName(const std::string& name) {
 // TelemetryHub
 
 void TelemetryHub::AddGauge(const std::string& name, GaugeFn fn) {
-  std::lock_guard<std::mutex> lock(mu_);
   gauges_[name] = std::move(fn);
 }
 
 void TelemetryHub::RemoveGauge(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
   gauges_.erase(name);
 }
 
-size_t TelemetryHub::gauge_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return gauges_.size();
-}
+size_t TelemetryHub::gauge_count() const { return gauges_.size(); }
 
 std::vector<TelemetryHub::Sample> TelemetryHub::Snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
   std::vector<Sample> out;
   out.reserve(gauges_.size());
   for (const auto& [name, fn] : gauges_) {
@@ -113,89 +108,28 @@ void GaugeGroup::Release() {
 // TelemetrySnapshotter
 
 TelemetrySnapshotter::TelemetrySnapshotter(TelemetryHub* hub,
-                                           SnapshotterOptions options)
-    : hub_(hub), options_(std::move(options)) {
-  started_at_ = std::chrono::steady_clock::now();
-}
+                                           std::string path)
+    : hub_(hub), path_(std::move(path)) {}
 
-TelemetrySnapshotter::~TelemetrySnapshotter() { Stop(); }
-
-Status TelemetrySnapshotter::Start() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (running_.load(std::memory_order_acquire)) {
+Status TelemetrySnapshotter::Tick(uint64_t sim_ns) {
+  if (path_.empty()) {
+    (void)hub_->Snapshot();
+    ++ticks_;
     return OkStatus();
   }
-  if (!options_.path.empty() && !out_open_) {
-    out_.open(options_.path, std::ios::out | std::ios::app);
+  if (!out_.is_open()) {
+    out_.open(path_, std::ios::out | std::ios::trunc);
     if (!out_.is_open()) {
       return Status(StatusCode::kInternal,
                     "telemetry: cannot open output path");
     }
-    out_open_ = true;
   }
-  started_at_ = std::chrono::steady_clock::now();
-  stop_ = false;
-  running_.store(true, std::memory_order_release);
-  thread_ = std::thread([this] { Main(); });
-  return OkStatus();
-}
-
-void TelemetrySnapshotter::Stop() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!running_.load(std::memory_order_acquire)) {
-      return;
-    }
-    stop_ = true;
-    stop_cv_.notify_all();
-  }
-  thread_.join();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    // Final tick: even a run shorter than one interval leaves a time series.
-    EmitTickLocked();
-    if (out_open_) {
-      out_.flush();
-    }
-    running_.store(false, std::memory_order_release);
-  }
-}
-
-void TelemetrySnapshotter::TickNow() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!out_open_ && !options_.path.empty()) {
-    // TickNow before Start: open lazily so tests can drive the snapshotter
-    // fully synchronously.
-    out_.open(options_.path, std::ios::out | std::ios::app);
-    out_open_ = out_.is_open();
-  }
-  EmitTickLocked();
-}
-
-void TelemetrySnapshotter::Main() {
-  std::unique_lock<std::mutex> lock(mu_);
-  while (!stop_) {
-    EmitTickLocked();
-    stop_cv_.wait_for(lock, std::chrono::milliseconds(options_.interval_ms),
-                      [&] { return stop_; });
-  }
-}
-
-void TelemetrySnapshotter::EmitTickLocked() {
-  const uint64_t tick = ticks_.fetch_add(1, std::memory_order_acq_rel);
-  const auto wall_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-                           std::chrono::steady_clock::now() - started_at_)
-                           .count();
-  if (!out_open_) {
-    // Still sample the hub so gauge callbacks run (lifecycle tests assert
-    // concurrent-read safety with no output file configured).
-    (void)hub_->Snapshot();
-    return;
-  }
-  out_ << "{\"tick\":" << tick << ",\"wall_ms\":" << wall_ms
+  out_ << "{\"tick\":" << ticks_++ << ",\"sim_ns\":" << sim_ns
        << ",\"gauges\":";
   hub_->WriteJsonObject(out_);
   out_ << "}\n";
+  out_.flush();
+  return OkStatus();
 }
 
 }  // namespace fmds

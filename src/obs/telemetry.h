@@ -1,36 +1,30 @@
 // Live telemetry: a gauge registry (TelemetryHub), RAII registration
-// (GaugeGroup), and a continuous exporter (TelemetrySnapshotter).
+// (GaugeGroup), and a JSON-lines exporter (TelemetrySnapshotter).
 //
 // The flight recorder answers "what happened" after a run; the hub answers
 // "what is happening" during one. Components expose their health as named
 // gauges — cheap double-valued callbacks registered with a hub — and the
-// snapshotter thread samples every gauge on a wall-clock cadence into a
-// JSON-lines time series (one object per tick), the format
-// `bench_util --telemetry=<path>` consumes. `ExportPromText()` renders the
+// snapshotter samples every gauge whenever its owner ticks it, at fixed
+// points of the owner's own steps, into a JSON-lines time series (one
+// object per tick) stamped with the owner's simulated time, the format
+// `bench_util --telemetry=<path>` selects. `ExportPromText()` renders the
 // same snapshot once in Prometheus text exposition format.
 //
-// Threading: TelemetryHub is fully synchronized; gauges may be registered,
-// removed, and sampled from any thread. A gauge callback must be safe to
-// invoke from the snapshotter thread (read an atomic, lock the component's
-// own mutex, call a WindowedSignals reader — never touch single-owner state
-// like ClientStats). Callbacks must not call back into the hub.
+// Threading: none of these classes starts a thread or takes a lock. The
+// thread that owns the components a hub samples registers, samples and
+// ticks; a gauge callback may therefore read single-owner state directly.
+// Callbacks must not call back into the hub.
 //
 // Lifetime: a GaugeGroup unregisters its gauges on destruction. Destroy the
-// group (or the hub) BEFORE the component its callbacks capture; the hub
-// never outlives a sample mid-call (removal blocks on the hub mutex).
+// group (or the hub) BEFORE the component its callbacks capture.
 #ifndef FMDS_SRC_OBS_TELEMETRY_H_
 #define FMDS_SRC_OBS_TELEMETRY_H_
 
-#include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <fstream>
 #include <functional>
 #include <map>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/common/status.h"
@@ -53,8 +47,8 @@ class TelemetryHub {
   void RemoveGauge(const std::string& name);
   size_t gauge_count() const;
 
-  // Evaluates every gauge under the hub lock; sorted by name. Non-finite
-  // values are clamped to 0 (JSON has no NaN/Inf).
+  // Evaluates every gauge; sorted by name. Non-finite values are clamped
+  // to 0 (JSON has no NaN/Inf).
   std::vector<Sample> Snapshot() const;
 
   // One-shot Prometheus text exposition: names are sanitized to the metric
@@ -66,7 +60,6 @@ class TelemetryHub {
   void WriteJsonObject(std::ostream& os) const;
 
  private:
-  mutable std::mutex mu_;
   std::map<std::string, GaugeFn> gauges_;
 };
 
@@ -99,58 +92,29 @@ class GaugeGroup {
   std::vector<std::string> names_;
 };
 
-struct SnapshotterOptions {
-  // JSON-lines output file; empty writes nothing (ticks still count, and
-  // TickNow() still samples — useful for overhead runs and tests that only
-  // assert lifecycle behavior).
-  std::string path;
-  // Wall-clock cadence between ticks.
-  uint64_t interval_ms = 50;
-};
-
-// Background exporter: every interval_ms, evaluates the hub and appends one
-// JSON object line: {"tick":N,"wall_ms":M,"gauges":{...}} where wall_ms is
-// milliseconds since Start(). Start/Stop are idempotent and the destructor
-// stops; a final tick is taken on Stop() so short runs always emit at least
-// one line.
+// Exporter: each Tick evaluates the hub and writes one JSON object line,
+// {"tick":N,"sim_ns":T,"gauges":{...}}, where N counts ticks from 0 and T is
+// the simulated time the owner passes. The owner ticks at fixed points of
+// its own steps, so a run's series repeats for one sequence of steps; there
+// is no implicit final tick, so the owner ticks after its last step.
 class TelemetrySnapshotter {
  public:
-  TelemetrySnapshotter(TelemetryHub* hub, SnapshotterOptions options);
-  TelemetrySnapshotter(const TelemetrySnapshotter&) = delete;
-  TelemetrySnapshotter& operator=(const TelemetrySnapshotter&) = delete;
-  ~TelemetrySnapshotter();
+  // An empty `path` samples the hub on every tick and writes nothing.
+  TelemetrySnapshotter(TelemetryHub* hub, std::string path);
 
-  // Launches the sampling thread. Second Start without a Stop is a no-op;
-  // Start after Stop relaunches (the output file is appended to). Fails if
-  // the output path cannot be opened.
-  Status Start();
-  // Joins the thread (taking one final tick). No-op when not running.
-  void Stop();
+  // Samples the hub and writes (and flushes) one line. The first tick
+  // opens `path` and truncates it, so a file holds one snapshotter's
+  // series. Fails with kInternal, writing nothing, when `path` cannot be
+  // opened.
+  Status Tick(uint64_t sim_ns);
 
-  // Takes one synchronous tick from the calling thread (works whether or
-  // not the thread is running; serialized with it).
-  void TickNow();
-
-  bool running() const { return running_.load(std::memory_order_acquire); }
-  uint64_t ticks() const { return ticks_.load(std::memory_order_acquire); }
-  const SnapshotterOptions& options() const { return options_; }
+  uint64_t ticks() const { return ticks_; }
 
  private:
-  void Main();
-  void EmitTickLocked();
-
   TelemetryHub* hub_;
-  SnapshotterOptions options_;
-
-  std::mutex mu_;  // guards out_, start time, stop flag, cv
-  std::condition_variable stop_cv_;
+  std::string path_;
   std::ofstream out_;
-  bool out_open_ = false;
-  bool stop_ = false;
-  std::chrono::steady_clock::time_point started_at_;
-  std::atomic<bool> running_{false};
-  std::atomic<uint64_t> ticks_{0};
-  std::thread thread_;
+  uint64_t ticks_ = 0;
 };
 
 }  // namespace fmds

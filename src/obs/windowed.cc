@@ -173,7 +173,7 @@ WindowedSignals::WindowedSignals(const WindowedOptions& options)
                             options_.sub_bits);
   }
   slot_shift_ = kind_hist_[0].slot_shift();
-  // +2 headroom: DrainLocked flushes both pending run slots into the tail,
+  // +2 headroom: Drain flushes both pending run slots into the tail,
   // and BreakRun only guarantees staged_total_ <= staging_cap_ on entry.
   staging_.resize(options_.staging + 2);
   staging_data_ = staging_.data();
@@ -186,7 +186,7 @@ void WindowedSignals::BreakRun(uint64_t key) {
       // Rare: more distinct runs than staging slots within one sub-window.
       // Drain flushes both pending slots too, so fall through with them
       // empty.
-      LockedDrain();
+      Drain();
     }
     if (pend_[1].count != 0) {
       staging_data_[staged_total_++] = pend_[1];
@@ -204,8 +204,7 @@ void WindowedSignals::GrowNodeHot(size_t node) {
 
 void WindowedSignals::RecordTxn(uint64_t now_ns, bool committed,
                                 bool validate_fail) {
-  std::lock_guard<std::mutex> lock(mu_);
-  DrainLocked();
+  Drain();
   if (committed) {
     txn_commits_.Add(now_ns, 1);
   } else {
@@ -218,11 +217,6 @@ void WindowedSignals::RecordTxn(uint64_t now_ns, bool committed,
 }
 
 void WindowedSignals::Drain() {
-  std::lock_guard<std::mutex> lock(mu_);
-  DrainLocked();
-}
-
-void WindowedSignals::DrainLocked() {
   for (PendingRun& p : pend_) {
     if (p.count != 0) {
       staging_data_[staged_total_++] = p;
@@ -262,7 +256,7 @@ void WindowedSignals::DrainLocked() {
     if (a.ops == 0) {
       continue;
     }
-    EnsureNodeLocked(n);
+    EnsureNode(n);
     node_ops_[n].AddAtEpoch(epoch, a.ops);
     node_bytes_[n].AddAtEpoch(epoch, a.bytes);
     node_load_[n].UpdateMany(
@@ -274,7 +268,7 @@ void WindowedSignals::DrainLocked() {
   staged_total_ = 0;
 }
 
-void WindowedSignals::EnsureNodeLocked(size_t node) {
+void WindowedSignals::EnsureNode(size_t node) {
   while (node_ops_.size() <= node) {
     node_ops_.emplace_back(options_.window_ns, options_.slots);
     node_bytes_.emplace_back(options_.window_ns, options_.slots);
@@ -282,14 +276,14 @@ void WindowedSignals::EnsureNodeLocked(size_t node) {
   }
 }
 
-uint64_t WindowedSignals::RecentPercentile(FarOpKind kind, double q) const {
-  std::lock_guard<std::mutex> lock(mu_);
+uint64_t WindowedSignals::RecentPercentile(FarOpKind kind, double q) {
+  Drain();
   return kind_hist_[static_cast<size_t>(kind)].RecentPercentile(last_now_ns_,
                                                                 q);
 }
 
-uint64_t WindowedSignals::RecentPercentileAll(double q) const {
-  std::lock_guard<std::mutex> lock(mu_);
+uint64_t WindowedSignals::RecentPercentileAll(double q) {
+  Drain();
   // The all-kinds view is a read-time merge over the per-kind windows
   // (excluding the kBatch roll-up span) — read-side work so the drain loop
   // appends each record once.
@@ -303,13 +297,13 @@ uint64_t WindowedSignals::RecentPercentileAll(double q) const {
   return merged.Percentile(q);
 }
 
-uint64_t WindowedSignals::RecentCount(FarOpKind kind) const {
-  std::lock_guard<std::mutex> lock(mu_);
+uint64_t WindowedSignals::RecentCount(FarOpKind kind) {
+  Drain();
   return kind_hist_[static_cast<size_t>(kind)].RecentCount(last_now_ns_);
 }
 
-uint64_t WindowedSignals::RecentCountAll() const {
-  std::lock_guard<std::mutex> lock(mu_);
+uint64_t WindowedSignals::RecentCountAll() {
+  Drain();
   uint64_t total = 0;
   for (size_t k = 0; k < kFarOpKindCount; ++k) {
     if (k == static_cast<size_t>(FarOpKind::kBatch)) {
@@ -320,37 +314,37 @@ uint64_t WindowedSignals::RecentCountAll() const {
   return total;
 }
 
-double WindowedSignals::RecentOpsPerSec(NodeId node) const {
-  std::lock_guard<std::mutex> lock(mu_);
+double WindowedSignals::RecentOpsPerSec(NodeId node) {
+  Drain();
   if (node >= node_ops_.size()) {
     return 0.0;
   }
   return node_ops_[node].RecentRatePerSec(last_now_ns_);
 }
 
-double WindowedSignals::RecentBytesPerSec(NodeId node) const {
-  std::lock_guard<std::mutex> lock(mu_);
+double WindowedSignals::RecentBytesPerSec(NodeId node) {
+  Drain();
   if (node >= node_bytes_.size()) {
     return 0.0;
   }
   return node_bytes_[node].RecentRatePerSec(last_now_ns_);
 }
 
-double WindowedSignals::NodeLoadEwma(NodeId node) const {
-  std::lock_guard<std::mutex> lock(mu_);
+double WindowedSignals::NodeLoadEwma(NodeId node) {
+  Drain();
   if (node >= node_load_.size()) {
     return 0.0;
   }
   return node_load_[node].value();
 }
 
-size_t WindowedSignals::node_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
+size_t WindowedSignals::node_count() {
+  Drain();
   return node_ops_.size();
 }
 
-double WindowedSignals::RecentTxnAbortRate() const {
-  std::lock_guard<std::mutex> lock(mu_);
+double WindowedSignals::RecentTxnAbortRate() {
+  Drain();
   const uint64_t commits = txn_commits_.RecentCount(last_now_ns_);
   const uint64_t aborts = txn_aborts_.RecentCount(last_now_ns_);
   const uint64_t total = commits + aborts;
@@ -358,8 +352,8 @@ double WindowedSignals::RecentTxnAbortRate() const {
                     : static_cast<double>(aborts) / static_cast<double>(total);
 }
 
-double WindowedSignals::RecentTxnValidateFailRate() const {
-  std::lock_guard<std::mutex> lock(mu_);
+double WindowedSignals::RecentTxnValidateFailRate() {
+  Drain();
   const uint64_t commits = txn_commits_.RecentCount(last_now_ns_);
   const uint64_t aborts = txn_aborts_.RecentCount(last_now_ns_);
   const uint64_t vfails = txn_vfails_.RecentCount(last_now_ns_);
@@ -368,18 +362,18 @@ double WindowedSignals::RecentTxnValidateFailRate() const {
                     : static_cast<double>(vfails) / static_cast<double>(total);
 }
 
-uint64_t WindowedSignals::RecentTxnCommits() const {
-  std::lock_guard<std::mutex> lock(mu_);
+uint64_t WindowedSignals::RecentTxnCommits() {
+  Drain();
   return txn_commits_.RecentCount(last_now_ns_);
 }
 
-uint64_t WindowedSignals::RecentTxnAborts() const {
-  std::lock_guard<std::mutex> lock(mu_);
+uint64_t WindowedSignals::RecentTxnAborts() {
+  Drain();
   return txn_aborts_.RecentCount(last_now_ns_);
 }
 
-uint64_t WindowedSignals::last_now_ns() const {
-  std::lock_guard<std::mutex> lock(mu_);
+uint64_t WindowedSignals::last_now_ns() {
+  Drain();
   return last_now_ns_;
 }
 

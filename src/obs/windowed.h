@@ -18,27 +18,24 @@
 //                      per-node load gauge.
 //   WindowedSignals    the recorder-side bundle: per-op-kind windowed
 //                      histograms, per-node rates + load EWMAs, and windowed
-//                      txn outcome rates, behind ONE mutex with owner-thread
-//                      run-length accumulators so the record hot path is a
-//                      packed-key compare + two counter increments on
-//                      always-hot lines (the <5% always-on budget, E15).
+//                      txn outcome rates, fed through run-length
+//                      accumulators so the record hot path is a packed-key
+//                      compare + two counter increments on always-hot lines
+//                      (the <5% always-on budget, E15).
 //
 // Time base: the owning client's SimClock. Simulated time only advances
 // when the client executes operations, so windows never decay while a
 // client idles — "the last W ms" means the last W ms of *work*.
 //
-// Threading: WindowedHistogram / WindowedRate / Ewma are caller-
-// synchronized (single-threaded) building blocks. WindowedSignals is the
-// concurrency boundary: Record*() must be called by the owning client
-// thread only; every reader method locks and may be called from any thread
-// (the TelemetrySnapshotter reads live while app threads record).
+// Threading: none of these is synchronized. A WindowedSignals belongs to
+// its client's thread, which records into it and reads it (directly, or
+// through the gauges its owner samples).
 #ifndef FMDS_SRC_OBS_WINDOWED_H_
 #define FMDS_SRC_OBS_WINDOWED_H_
 
 #include <array>
 #include <bit>
 #include <cstdint>
-#include <mutex>
 #include <vector>
 
 #include "src/common/histogram.h"
@@ -49,8 +46,7 @@
 namespace fmds {
 
 // Ring of `slots` sub-window LogHistograms covering the last
-// slots * slot_ns nanoseconds. Single-threaded; WindowedSignals provides
-// the locking.
+// slots * slot_ns nanoseconds.
 class WindowedHistogram {
  public:
   // `window_ns` is the full rolling window W; it is split into `slots`
@@ -63,7 +59,7 @@ class WindowedHistogram {
   void Record(uint64_t now_ns, uint64_t value);
 
   // Lazily clears and claims the sub-window for `epoch`, returning its
-  // histogram. Batch recorders (WindowedSignals::DrainLocked) resolve the
+  // histogram. Batch recorders (WindowedSignals::Drain) resolve the
   // slot once per same-epoch batch and Record into it directly.
   LogHistogram& ClaimSlot(uint64_t epoch);
 
@@ -165,10 +161,9 @@ struct WindowedOptions {
   // Time constant of the per-node load EWMAs.
   uint64_t ewma_tau_ns = 1'000'000;
   // Staging-array capacity, in RUNS (maximal same-(latency, kind) record
-  // groups): records accumulate lock-free in owner-side run accumulators
-  // and are folded into the locked window structures when the sub-window
-  // epoch advances (or, rarely, when this array fills with distinct runs).
-  // Readers can therefore lag the owner by up to one sub-window of records.
+  // groups): records accumulate in run accumulators and are folded into the
+  // window structures when the sub-window epoch advances, when a reader
+  // reads, or (rarely) when this array fills with distinct runs.
   size_t staging = 256;
 };
 
@@ -177,11 +172,11 @@ class WindowedSignals {
  public:
   explicit WindowedSignals(const WindowedOptions& options);
 
-  // ---- Owner-thread write side ----
+  // ---- Write side ----
   // One executed far op. `now_ns` is the op's completion time on the
-  // owner's SimClock. Folds the op into owner-side run accumulators; the
-  // batch moves into the locked structures when `now_ns` crosses a
-  // sub-window boundary (or, rarely, when the run array fills).
+  // owner's SimClock. Folds the op into run accumulators; the batch moves
+  // into the window structures when `now_ns` crosses a sub-window boundary,
+  // when a reader reads, or (rarely) when the run array fills.
   // Inline: this runs once per far op in always-on mode (the E15 budget).
   // Two design rules keep the in-situ cost near the microbenchmark number
   // even when the app's working set is hundreds of times the cache:
@@ -203,7 +198,7 @@ class WindowedSignals {
     const uint64_t epoch = now_ns >> slot_shift_;
     if (epoch != staged_epoch_) {
       if (pend_[0].count != 0) {
-        LockedDrain();
+        Drain();
       }
       staged_epoch_ = epoch;
     }
@@ -234,41 +229,38 @@ class WindowedSignals {
     BreakRun(key);
   }
   // One transaction outcome (commit or abort; validate_fail marks aborts
-  // whose read set failed validation). Rare relative to ops: locks directly.
+  // whose read set failed validation). Rare relative to ops: folds the
+  // staged runs and records directly.
   void RecordTxn(uint64_t now_ns, bool committed, bool validate_fail);
-  // Flushes the staging buffer. Owner thread only (the owner calls this
-  // before reading its own signals so they include everything it recorded).
-  void Drain();
 
-  // ---- Read side (any thread; locks) ----
-  // Windows are evaluated at the newest drained timestamp, so reads are
-  // consistent with the last drain rather than a clock readers can't see.
-  uint64_t RecentPercentile(FarOpKind kind, double q) const;
-  uint64_t RecentP99(FarOpKind kind) const {
-    return RecentPercentile(kind, 0.99);
-  }
+  // ---- Read side ----
+  // Every reader first folds the staged runs, so it answers from every op
+  // recorded so far. Windows are evaluated at the newest recorded
+  // completion time.
+  uint64_t RecentPercentile(FarOpKind kind, double q);
+  uint64_t RecentP99(FarOpKind kind) { return RecentPercentile(kind, 0.99); }
   // Across ALL op kinds (excluding the kBatch roll-up span).
-  uint64_t RecentPercentileAll(double q) const;
-  uint64_t RecentP99All() const { return RecentPercentileAll(0.99); }
-  uint64_t RecentCount(FarOpKind kind) const;
-  uint64_t RecentCountAll() const;
-  double RecentOpsPerSec(NodeId node) const;
-  double RecentBytesPerSec(NodeId node) const;
+  uint64_t RecentPercentileAll(double q);
+  uint64_t RecentP99All() { return RecentPercentileAll(0.99); }
+  uint64_t RecentCount(FarOpKind kind);
+  uint64_t RecentCountAll();
+  double RecentOpsPerSec(NodeId node);
+  double RecentBytesPerSec(NodeId node);
   // Smoothed per-op modelled latency to `node` (ns) — the load proxy an
   // adaptive one-sided/RPC router consumes: a saturated or slowed node
   // shows up here within ~tau of simulated time. 0 for never-touched nodes.
-  double NodeLoadEwma(NodeId node) const;
+  double NodeLoadEwma(NodeId node);
   // Number of node slots with any recorded traffic (index bound for the
   // per-node getters).
-  size_t node_count() const;
+  size_t node_count();
   // Windowed txn outcome rates over commits+aborts in the window (0 when
   // the window holds no outcomes).
-  double RecentTxnAbortRate() const;
-  double RecentTxnValidateFailRate() const;
-  uint64_t RecentTxnCommits() const;
-  uint64_t RecentTxnAborts() const;
-  // Newest drained simulated timestamp.
-  uint64_t last_now_ns() const;
+  double RecentTxnAbortRate();
+  double RecentTxnValidateFailRate();
+  uint64_t RecentTxnCommits();
+  uint64_t RecentTxnAborts();
+  // Newest recorded simulated timestamp.
+  uint64_t last_now_ns();
 
   const WindowedOptions& options() const { return options_; }
 
@@ -296,11 +288,9 @@ class WindowedSignals {
     uint64_t latency_sum = 0;
   };
 
-  void DrainLocked();
-  void LockedDrain() {
-    std::lock_guard<std::mutex> lock(mu_);
-    DrainLocked();
-  }
+  // Folds the pending runs, the staging array and the per-node table into
+  // the window structures.
+  void Drain();
   // Third-distinct-key path of RecordOp: evict the older pending run to the
   // staging array (draining first if it is full) and open a run for `key`.
   // Out of line — it runs once per key change, not once per record.
@@ -308,7 +298,7 @@ class WindowedSignals {
   // Out-of-line growth path for the per-node table (first record ever seen
   // for a node id).
   void GrowNodeHot(size_t node);
-  void EnsureNodeLocked(size_t node);
+  void EnsureNode(size_t node);
 
   // Hot header fields, kept adjacent so the RecordOp read-modify-write
   // traffic stays within one or two cache lines.
@@ -324,16 +314,15 @@ class WindowedSignals {
   // Raw pointer/capacity of staging_, cached for the same reason.
   PendingRun* staging_data_ = nullptr;
   size_t staging_cap_ = 0;
-  // Owner-only staging (no lock): closed runs, appended by BreakRun,
-  // drained under mu_. Every staged run shares one sub-window epoch —
-  // RecordOp drains BEFORE admitting a record from a new sub-window.
+  // Closed runs, appended by BreakRun and folded by Drain. Every staged run
+  // shares one sub-window epoch — RecordOp drains BEFORE admitting a record
+  // from a new sub-window.
   std::vector<PendingRun> staging_;  // capacity = options_.staging
-  // Owner-only per-node sums since the last drain (see NodeAgg).
+  // Per-node sums since the last drain (see NodeAgg).
   std::vector<NodeAgg> node_hot_;
 
   WindowedOptions options_;
 
-  mutable std::mutex mu_;
   // Per-kind rolling histograms only; the all-kinds view (RecentP99All) is
   // merged from them at read time, so the drain loop appends each record to
   // ONE histogram instead of two.

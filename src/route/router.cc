@@ -26,14 +26,14 @@ DataplaneRouter::DataplaneRouter(FarClient* client,
 void DataplaneRouter::CountDecision(DataplaneRoute route, bool probe) {
   auto& stats = client_->mutable_stats();
   if (route == DataplaneRoute::kOneSided) {
-    one_sided_.fetch_add(1, std::memory_order_relaxed);
+    ++one_sided_;
     ++stats.route_one_sided;
   } else {
-    rpc_.fetch_add(1, std::memory_order_relaxed);
+    ++rpc_;
     ++stats.route_rpc;
   }
   if (probe) {
-    probes_.fetch_add(1, std::memory_order_relaxed);
+    ++probes_;
     ++stats.route_probes;
   }
 }
@@ -67,7 +67,7 @@ DataplaneRoute DataplaneRouter::Decide(RoutedOp op, NodeId node, double units,
       cell.preferred == DataplaneRoute::kOneSided ? rpc_cost : os_cost;
   if (challenger_cost * kHysteresis < incumbent_cost) {
     cell.preferred = challenger;
-    flips_.fetch_add(1, std::memory_order_relaxed);
+    ++flips_;
     ++client_->mutable_stats().route_flips;
   }
   DataplaneRoute choice = cell.preferred;

@@ -22,7 +22,6 @@
 #define FMDS_SRC_ROUTE_ROUTER_H_
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -64,15 +63,11 @@ class DataplaneRouter : public RouteDecider {
   void Observe(RoutedOp op, NodeId node, DataplaneRoute route,
                uint64_t latency_ns, double units, uint64_t batch) override;
 
-  // Decision counters (readable from the telemetry thread).
-  uint64_t one_sided_decisions() const {
-    return one_sided_.load(std::memory_order_relaxed);
-  }
-  uint64_t rpc_decisions() const {
-    return rpc_.load(std::memory_order_relaxed);
-  }
-  uint64_t probes() const { return probes_.load(std::memory_order_relaxed); }
-  uint64_t flips() const { return flips_.load(std::memory_order_relaxed); }
+  // Decision counters.
+  uint64_t one_sided_decisions() const { return one_sided_; }
+  uint64_t rpc_decisions() const { return rpc_; }
+  uint64_t probes() const { return probes_; }
+  uint64_t flips() const { return flips_; }
 
   // Current normalized cost estimate (ns) for one route of one (op, node)
   // cell; 0 before any observation. Test/bench introspection.
@@ -104,12 +99,12 @@ class DataplaneRouter : public RouteDecider {
 
   FarClient* client_;
   DataplaneRouterOptions options_;
-  // Owner-thread state; the atomics below are the only cross-thread reads.
+  // Owner-thread state, the counters and their gauges included.
   std::array<std::unordered_map<NodeId, CellState>, kRoutedOpCount> states_;
-  std::atomic<uint64_t> one_sided_{0};
-  std::atomic<uint64_t> rpc_{0};
-  std::atomic<uint64_t> probes_{0};
-  std::atomic<uint64_t> flips_{0};
+  uint64_t one_sided_ = 0;
+  uint64_t rpc_ = 0;
+  uint64_t probes_ = 0;
+  uint64_t flips_ = 0;
 };
 
 }  // namespace fmds

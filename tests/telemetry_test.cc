@@ -1,16 +1,14 @@
 // TelemetryHub / GaugeGroup / TelemetrySnapshotter tests: registry
 // semantics (sorted snapshots, non-finite clamping, RAII unregistration),
-// Prometheus text export, JSON escaping, snapshotter lifecycle (start/stop
-// idempotence, restart-appends, final tick on stop), the JSON-lines schema
-// of every emitted tick, and a TSan-facing stress run with recording
-// threads live while the snapshotter samples.
-#include <atomic>
+// Prometheus text export, JSON escaping, the exact JSON-lines a tick writes
+// (simulated-time stamps), the lifecycle (no tick on construction or
+// destruction, one series per file), the empty and unopenable paths, and a
+// series that repeats byte for byte for one op sequence.
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -116,134 +114,147 @@ TEST(GaugeGroupTest, ExplicitReleaseIsIdempotent) {
   EXPECT_EQ(hub.gauge_count(), 0u);
 }
 
-// --------------------------- snapshotter lifecycle ---------------------------
+// ------------------------------- snapshotter -------------------------------
+
+TEST(SnapshotterTest, TicksStampTheOwnersSimulatedTime) {
+  TelemetryHub hub;
+  double v = 1.5;
+  hub.AddGauge("node0.ops_per_sec", [&] { return v; });
+  hub.AddGauge("wb.pending", [] { return 4.0; });
+  const std::string path = TempPath("ticks");
+  {
+    TelemetrySnapshotter snap(&hub, path);
+    ASSERT_TRUE(snap.Tick(1000).ok());
+    v = 2.5;
+    ASSERT_TRUE(snap.Tick(250'000).ok());
+    EXPECT_EQ(snap.ticks(), 2u);
+    // Each line is on disk once its tick returns.
+    EXPECT_EQ(ReadLines(path),
+              (std::vector<std::string>{
+                  "{\"tick\":0,\"sim_ns\":1000,\"gauges\":{"
+                  "\"node0.ops_per_sec\":1.5,\"wb.pending\":4}}",
+                  "{\"tick\":1,\"sim_ns\":250000,\"gauges\":{"
+                  "\"node0.ops_per_sec\":2.5,\"wb.pending\":4}}"}));
+  }
+  std::remove(path.c_str());
+}
 
 TEST(SnapshotterTest, StartStopIdempotentAndFinalTick) {
+  // A snapshotter's lifecycle is its constructor and destructor. Neither
+  // ticks, so a file holds exactly the ticks its owner took, and a new
+  // snapshotter on the same path starts a fresh file.
   TelemetryHub hub;
   hub.AddGauge("x", [] { return 7.0; });
-  SnapshotterOptions opts;
-  opts.path = TempPath("lifecycle");
-  std::remove(opts.path.c_str());
-  opts.interval_ms = 1000;  // long: ticks come from Stop()'s final tick
-  TelemetrySnapshotter snap(&hub, opts);
-  EXPECT_FALSE(snap.running());
-  ASSERT_TRUE(snap.Start().ok());
-  ASSERT_TRUE(snap.Start().ok());  // second Start is a no-op
-  EXPECT_TRUE(snap.running());
-  snap.Stop();
-  EXPECT_FALSE(snap.running());
-  snap.Stop();  // idempotent
-  EXPECT_GE(snap.ticks(), 1u) << "Stop must take a final tick";
-  const uint64_t after_first = snap.ticks();
-
-  // Restart appends to the same file.
-  ASSERT_TRUE(snap.Start().ok());
-  snap.Stop();
-  EXPECT_GT(snap.ticks(), after_first);
-  EXPECT_GE(ReadLines(opts.path).size(), 2u);
-  std::remove(opts.path.c_str());
+  const std::string path = TempPath("lifecycle");
+  std::remove(path.c_str());
+  {
+    TelemetrySnapshotter idle(&hub, path);
+    EXPECT_EQ(idle.ticks(), 0u);
+  }
+  EXPECT_FALSE(std::ifstream(path).is_open())
+      << "a snapshotter that never ticks opens no file";
+  {
+    TelemetrySnapshotter snap(&hub, path);
+    ASSERT_TRUE(snap.Tick(5).ok());
+    ASSERT_TRUE(snap.Tick(9).ok());
+  }
+  EXPECT_EQ(ReadLines(path).size(), 2u) << "destruction takes no final tick";
+  TelemetrySnapshotter again(&hub, path);
+  ASSERT_TRUE(again.Tick(7).ok());
+  EXPECT_EQ(ReadLines(path),
+            (std::vector<std::string>{
+                "{\"tick\":0,\"sim_ns\":7,\"gauges\":{\"x\":7}}"}));
+  std::remove(path.c_str());
 }
 
 TEST(SnapshotterTest, TickNowWorksWithoutStartAndWithEmptyPath) {
+  // Tick needs no call before it. An empty-path snapshotter sharing a hub
+  // with a file-backed one counts only its own ticks and leaves the file's
+  // series alone.
   TelemetryHub hub;
   hub.AddGauge("x", [] { return 1.0; });
-  TelemetrySnapshotter snap(&hub, SnapshotterOptions{});  // no output file
-  snap.TickNow();
-  snap.TickNow();
-  EXPECT_EQ(snap.ticks(), 2u);
-  EXPECT_FALSE(snap.running());
+  const std::string path = TempPath("shared_hub");
+  TelemetrySnapshotter quiet(&hub, "");
+  TelemetrySnapshotter file(&hub, path);
+  ASSERT_TRUE(quiet.Tick(1).ok());
+  ASSERT_TRUE(file.Tick(2).ok());
+  ASSERT_TRUE(quiet.Tick(3).ok());
+  EXPECT_EQ(quiet.ticks(), 2u);
+  EXPECT_EQ(file.ticks(), 1u);
+  EXPECT_EQ(ReadLines(path),
+            (std::vector<std::string>{
+                "{\"tick\":0,\"sim_ns\":2,\"gauges\":{\"x\":1}}"}));
+  std::remove(path.c_str());
 }
 
-TEST(SnapshotterTest, JsonLinesSchemaPerTick) {
+TEST(SnapshotterTest, EmptyPathSamplesAndBadPathFails) {
   TelemetryHub hub;
-  std::atomic<double> v{1.5};
-  hub.AddGauge("node0.ops_per_sec", [&] { return v.load(); });
-  hub.AddGauge("wb.pending", [] { return 4.0; });
-  SnapshotterOptions opts;
-  opts.path = TempPath("schema");
-  std::remove(opts.path.c_str());
-  opts.interval_ms = 1000;
-  TelemetrySnapshotter snap(&hub, opts);
-  ASSERT_TRUE(snap.Start().ok());
-  snap.TickNow();
-  v.store(2.5);
-  snap.TickNow();
-  snap.Stop();
+  int samples = 0;
+  hub.AddGauge("x", [&] {
+    ++samples;
+    return 1.0;
+  });
+  TelemetrySnapshotter quiet(&hub, "");
+  ASSERT_TRUE(quiet.Tick(10).ok());
+  ASSERT_TRUE(quiet.Tick(20).ok());
+  EXPECT_EQ(quiet.ticks(), 2u);
+  EXPECT_EQ(samples, 2) << "an empty path still samples every gauge";
 
-  const auto lines = ReadLines(opts.path);
-  ASSERT_GE(lines.size(), 3u);  // 2 explicit ticks + final tick on Stop
-  int64_t prev_tick = -1;  // tick numbering starts at 0
-  for (const std::string& line : lines) {
-    // Every tick is one self-contained JSON object with the fixed key
-    // skeleton consumers grep for.
-    ASSERT_EQ(line.rfind("{\"tick\":", 0), 0u) << line;
-    EXPECT_NE(line.find("\"wall_ms\":"), std::string::npos) << line;
-    EXPECT_NE(line.find("\"gauges\":{"), std::string::npos) << line;
-    EXPECT_NE(line.find("\"node0.ops_per_sec\":"), std::string::npos) << line;
-    EXPECT_NE(line.find("\"wb.pending\":"), std::string::npos) << line;
-    EXPECT_EQ(line.back(), '}') << line;
-    // Ticks strictly increase across lines.
-    const int64_t tick = std::stoll(line.substr(8));
-    EXPECT_GT(tick, prev_tick) << line;
-    prev_tick = tick;
-  }
-  std::remove(opts.path.c_str());
+  TelemetrySnapshotter bad(&hub,
+                           testing::TempDir() + "fmds_no_such_dir/t.jsonl");
+  EXPECT_EQ(bad.Tick(30).code(), StatusCode::kInternal);
+  EXPECT_EQ(bad.ticks(), 0u);
 }
 
-// ------------------------- concurrent sampling (TSan) -------------------------
-
-TEST(SnapshotterTest, ConcurrentRecordingAndSampling) {
-  // Two owner threads record windowed signals on their own clients while
-  // the snapshotter thread samples their gauges at full speed and the main
-  // thread polls the reader API — the torn-read surface TSan checks.
+// Runs one op sequence on a fresh fabric with the recorder's and the
+// fabric's gauges armed, ticking every 1,000 ops, and returns the series.
+std::string RecordSeries(const std::string& name) {
   TestEnv env(SmallFabric(2, 16ull << 20));
-  FarClient& a = env.NewClient();
-  FarClient& b = env.NewClient();
-  a.EnableObs(ObsOptions::WindowedOnly());
-  b.EnableObs(ObsOptions::WindowedOnly());
-
+  FarClient& client = env.NewClient();
+  client.EnableObs(ObsOptions::WindowedOnly());
   TelemetryHub hub;
   GaugeGroup gauges(&hub);
-  a.recorder().AddGauges(&gauges, "a", env.fabric().num_nodes());
-  b.recorder().AddGauges(&gauges, "b", env.fabric().num_nodes());
-
-  SnapshotterOptions opts;
-  opts.path = TempPath("tsan");
-  std::remove(opts.path.c_str());
-  opts.interval_ms = 1;
-  TelemetrySnapshotter snap(&hub, opts);
-  ASSERT_TRUE(snap.Start().ok());
-
-  const auto worker = [](FarClient* client) {
-    for (int i = 0; i < 20000; ++i) {
-      ASSERT_TRUE(client->WriteWord(8 * (i % 512), i).ok());
-      ASSERT_TRUE(client->ReadWord(8 * (i % 512)).ok());
+  client.recorder().AddGauges(&gauges, "client0", env.fabric().num_nodes());
+  env.fabric().AddGauges(&gauges, "fabric");
+  const std::string path = TempPath(name);
+  TelemetrySnapshotter snap(&hub, path);
+  for (int i = 0; i < 5000; ++i) {
+    EXPECT_TRUE(client.WriteWord(8 * (i % 512), i).ok());
+    EXPECT_TRUE(client.ReadWord(8 * (i % 512)).ok());
+    if ((i + 1) % 1000 == 0) {
+      EXPECT_TRUE(snap.Tick(client.clock().now_ns()).ok());
     }
-    client->recorder().windowed()->Drain();
-  };
-  std::thread ta(worker, &a);
-  std::thread tb(worker, &b);
-  for (int i = 0; i < 50; ++i) {
-    (void)a.recorder().windowed()->RecentP99All();
-    (void)b.recorder().windowed()->RecentOpsPerSec(0);
-    (void)hub.Snapshot();
   }
-  ta.join();
-  tb.join();
-  snap.Stop();
-
-  EXPECT_GE(snap.ticks(), 1u);
-  EXPECT_GT(a.recorder().windowed()->RecentCountAll(), 0u);
-  EXPECT_EQ(a.recorder().windowed()->RecentCountAll(),
-            b.recorder().windowed()->RecentCountAll());
+  EXPECT_EQ(snap.ticks(), 5u);
+  WindowedSignals* w = client.recorder().windowed();
+  const uint64_t recent = w->RecentCountAll();
+  EXPECT_GT(recent, 0u);
   double node_rate_sum = 0.0;
-  for (size_t n = 0; n < a.recorder().windowed()->node_count(); ++n) {
-    node_rate_sum +=
-        a.recorder().windowed()->RecentOpsPerSec(static_cast<NodeId>(n));
+  for (size_t n = 0; n < w->node_count(); ++n) {
+    node_rate_sum += w->RecentOpsPerSec(static_cast<NodeId>(n));
   }
   EXPECT_GT(node_rate_sum, 0.0);
-  gauges.Release();
-  std::remove(opts.path.c_str());
+  const std::vector<std::string> lines = ReadLines(path);
+  EXPECT_EQ(lines.size(), 5u);
+  // The last tick came right after the last op, so its gauge reads what
+  // the owner had recorded by then.
+  EXPECT_NE(lines.back().find("\"client0.ops\":" + std::to_string(recent) +
+                              ","),
+            std::string::npos)
+      << lines.back();
+  std::remove(path.c_str());
+  std::string series;
+  for (const std::string& line : lines) {
+    series += line + "\n";
+  }
+  return series;
+}
+
+TEST(SnapshotterTest, SeriesRepeatsForOneSequence) {
+  const std::string first = RecordSeries("repeat_a");
+  const std::string second = RecordSeries("repeat_b");
+  EXPECT_FALSE(first.empty());
+  EXPECT_EQ(first, second);
 }
 
 }  // namespace

@@ -203,7 +203,6 @@ TEST(WindowedSignalsTest, RepeatRunCountsExact) {
   for (int i = 0; i < 1000; ++i) {
     s.RecordOp(FarOpKind::kRead, 0, 64, 100, 900);
   }
-  s.Drain();
   EXPECT_EQ(s.RecentCount(FarOpKind::kRead), 1000u);
   EXPECT_EQ(s.RecentCountAll(), 1000u);
   EXPECT_EQ(s.RecentPercentile(FarOpKind::kRead, 1.0), 900u);
@@ -217,7 +216,6 @@ TEST(WindowedSignalsTest, TwoWayAlternationCountsExact) {
   for (int i = 0; i < 501; ++i) {  // odd total: ends mid-alternation
     s.RecordOp(FarOpKind::kRead, 0, 64, 50, i % 2 == 0 ? 700 : 1300);
   }
-  s.Drain();
   EXPECT_EQ(s.RecentCount(FarOpKind::kRead), 501u);
   EXPECT_EQ(s.RecentPercentile(FarOpKind::kRead, 0.0), 700u);
   EXPECT_EQ(s.RecentPercentile(FarOpKind::kRead, 1.0), 1300u);
@@ -229,7 +227,6 @@ TEST(WindowedSignalsTest, SameLatencyDifferentKindSplitsRuns) {
     s.RecordOp(FarOpKind::kRead, 0, 64, 10, 500);
     s.RecordOp(FarOpKind::kWrite, 0, 64, 10, 500);
   }
-  s.Drain();
   EXPECT_EQ(s.RecentCount(FarOpKind::kRead), 10u);
   EXPECT_EQ(s.RecentCount(FarOpKind::kWrite), 10u);
 }
@@ -242,7 +239,6 @@ TEST(WindowedSignalsTest, ThirdKeyEvictsToStaging) {
   for (int i = 0; i < 300; ++i) {
     s.RecordOp(FarOpKind::kRead, 0, 64, 20, lats[i % 3]);
   }
-  s.Drain();
   EXPECT_EQ(s.RecentCount(FarOpKind::kRead), 300u);
   EXPECT_EQ(s.RecentPercentile(FarOpKind::kRead, 0.0), 400u);
   EXPECT_EQ(s.RecentPercentile(FarOpKind::kRead, 1.0), 1600u);
@@ -257,7 +253,6 @@ TEST(WindowedSignalsTest, StagingOverflowDrainsMidEpoch) {
   for (uint64_t i = 0; i < 100; ++i) {
     s.RecordOp(FarOpKind::kRead, 0, 64, 30, 100 + i * 8);
   }
-  s.Drain();
   EXPECT_EQ(s.RecentCount(FarOpKind::kRead), 100u);
 }
 
@@ -268,7 +263,6 @@ TEST(WindowedSignalsTest, EpochCrossingsPreserveCountsAndExpire) {
   for (uint64_t e = 0; e < 16; ++e) {
     s.RecordOp(FarOpKind::kRead, 0, 64, e * slot + 1, 600);
   }
-  s.Drain();
   // At now = 15 * slot + 1 the live epochs are 8..15: exactly 8 survive.
   EXPECT_EQ(s.RecentCount(FarOpKind::kRead), 8u);
 }
@@ -276,7 +270,6 @@ TEST(WindowedSignalsTest, EpochCrossingsPreserveCountsAndExpire) {
 TEST(WindowedSignalsTest, LatencyClampsTo32Bits) {
   WindowedSignals s(TinyWindow());
   s.RecordOp(FarOpKind::kRead, 0, 64, 40, uint64_t{1} << 40);
-  s.Drain();
   EXPECT_EQ(s.RecentCount(FarOpKind::kRead), 1u);
   EXPECT_EQ(s.RecentPercentile(FarOpKind::kRead, 1.0), uint64_t{UINT32_MAX});
 }
@@ -292,7 +285,6 @@ TEST(WindowedSignalsTest, PerNodeAttribution) {
   // An op no memory node serviced (a delivered notification) counts for
   // its kind but owns no per-node row.
   s.RecordOp(FarOpKind::kNotification, kObsNoNode, 8, 50, 0);
-  s.Drain();
   ASSERT_GE(s.node_count(), 3u);
   EXPECT_EQ(s.node_count(), 3u);
   EXPECT_EQ(s.RecentCount(FarOpKind::kNotification), 1u);
@@ -313,7 +305,6 @@ TEST(WindowedSignalsTest, BatchKindExcludedFromAllAndNodes) {
   // kBatch is a span over its member ops: tracked per kind, excluded from
   // the all-kinds roll-up and from per-node attribution.
   s.RecordOp(FarOpKind::kBatch, 0, 256, 60, 9000);
-  s.Drain();
   EXPECT_EQ(s.RecentCount(FarOpKind::kBatch), 1u);
   EXPECT_EQ(s.RecentCountAll(), 1u);
   EXPECT_EQ(s.RecentPercentileAll(1.0), 500u);
@@ -333,6 +324,21 @@ TEST(WindowedSignalsTest, TxnOutcomeRates) {
   EXPECT_EQ(s.RecentTxnAborts(), 2u);
   EXPECT_DOUBLE_EQ(s.RecentTxnAbortRate(), 2.0 / 8.0);
   EXPECT_DOUBLE_EQ(s.RecentTxnValidateFailRate(), 1.0 / 8.0);
+}
+
+TEST(WindowedSignalsTest, ReadersSeeTheOpenSubWindow) {
+  // The owner reads its own signals, so every reader folds the runs still
+  // staged in the current sub-window first: no op recorded so far is
+  // missing from the answer.
+  WindowedSignals s(TinyWindow());
+  for (uint64_t i = 0; i < 100; ++i) {
+    s.RecordOp(FarOpKind::kRead, 0, 64, 100 + i, i % 3 == 0 ? 700 : 900);
+  }
+  EXPECT_EQ(s.RecentCountAll(), 100u);
+  s.RecordOp(FarOpKind::kWrite, 1, 64, 300, 500);
+  EXPECT_EQ(s.RecentCountAll(), 101u);
+  EXPECT_EQ(s.RecentPercentileAll(0.0), 500u);
+  EXPECT_EQ(s.node_count(), 2u);
 }
 
 TEST(WindowedSignalsTest, TxnDrainsPendingOps) {
@@ -360,7 +366,6 @@ TEST(RecorderWindowedTest, PauseDropsRecordsResumeKeepsState) {
   ASSERT_TRUE(recorder.windowed_enabled());
 
   recorder.RecordOp(FarOpKind::kRead, 0, 0, 64, 100, 500, true);
-  recorder.windowed()->Drain();
   EXPECT_EQ(recorder.windowed()->RecentCountAll(), 1u);
 
   recorder.PauseWindowed();
@@ -375,7 +380,6 @@ TEST(RecorderWindowedTest, PauseDropsRecordsResumeKeepsState) {
   ASSERT_TRUE(recorder.windowed_enabled());
   recorder.ResumeWindowed();  // idempotent
   recorder.RecordOp(FarOpKind::kRead, 0, 0, 64, 300, 500, true);
-  recorder.windowed()->Drain();
   // The parked window state survived: 1 (before) + 1 (after), not 3.
   EXPECT_EQ(recorder.windowed()->RecentCountAll(), 2u);
 }
@@ -389,11 +393,9 @@ TEST(RecorderWindowedTest, SetOptionsDropsParkedInstance) {
   recorder.PauseWindowed();
   recorder.set_options(opts);  // rebuilds windowed_, discards parked
   ASSERT_TRUE(recorder.windowed_enabled());
-  recorder.windowed()->Drain();
   EXPECT_EQ(recorder.windowed()->RecentCountAll(), 0u);
   // Resume after the rebuild must not revive the stale instance.
   recorder.ResumeWindowed();
-  recorder.windowed()->Drain();
   EXPECT_EQ(recorder.windowed()->RecentCountAll(), 0u);
 }
 
