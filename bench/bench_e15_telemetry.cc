@@ -261,9 +261,9 @@ struct PipelineResult {
   uint64_t ticks = 0;
   uint64_t gauge_count = 0;
   uint64_t telemetry_lines = 0;
-  double wb_batches_flushed = 0.0;
-  double cache_windowed_lookups = 0.0;
-  double evictor_bg_evictions = 0.0;
+  uint64_t wb_batches_flushed = 0;
+  uint64_t cache_windowed_lookups = 0;
+  uint64_t evictor_bg_evictions = 0;
   bool ok = false;
 };
 
@@ -322,11 +322,11 @@ PipelineResult RunPipeline(const Config& cfg, const std::string& telemetry,
   r.gauge_count = hub.gauge_count();
   for (const TelemetryHub::Sample& s : hub.Snapshot()) {
     if (s.name == "wb.batches_flushed") {
-      r.wb_batches_flushed = s.value;
+      r.wb_batches_flushed = static_cast<uint64_t>(s.value);
     } else if (s.name == "cache.windowed_lookups") {
-      r.cache_windowed_lookups = s.value;
+      r.cache_windowed_lookups = static_cast<uint64_t>(s.value);
     } else if (s.name == "evictor.bg_evictions") {
-      r.evictor_bg_evictions = s.value;
+      r.evictor_bg_evictions = static_cast<uint64_t>(s.value);
     }
   }
   const std::string prom = hub.ExportPromText();
@@ -424,16 +424,16 @@ int main(int argc, char** argv) {
   json.Int("p99_baseline_ns", tracking.p99_baseline);
   json.Int("p99_slow_ns", tracking.p99_slow);
   json.Int("p99_recovered_ns", tracking.p99_recovered);
-  json.Num("ewma_slow_node_ns", tracking.ewma_slow_node, 1);
-  json.Num("ewma_fast_node_ns", tracking.ewma_fast_node, 1);
+  json.Num("ewma_slow_node_ns", tracking.ewma_slow_node);
+  json.Num("ewma_fast_node_ns", tracking.ewma_fast_node);
   json.Int("windows_to_detect", 2);
   json.Begin("export");
   json.Int("snapshotter_ticks", pipeline.ticks);
   json.Int("telemetry_lines", pipeline.telemetry_lines);
   json.Int("gauges", pipeline.gauge_count);
-  json.Num("wb_batches_flushed", pipeline.wb_batches_flushed, 1);
-  json.Num("cache_windowed_lookups", pipeline.cache_windowed_lookups, 1);
-  json.Num("evictor_bg_evictions", pipeline.evictor_bg_evictions, 1);
+  json.Int("wb_batches_flushed", pipeline.wb_batches_flushed);
+  json.Int("cache_windowed_lookups", pipeline.cache_windowed_lookups);
+  json.Int("evictor_bg_evictions", pipeline.evictor_bg_evictions);
   json.Begin("headline");
   json.Int("overhead_ok", overhead.overhead < cfg.overhead_bound ? 1 : 0);
   json.Int("tracking_ok", tracking.detected && tracking.recovered ? 1 : 0);

@@ -37,6 +37,7 @@ struct FarMapStats {
   uint64_t stale_refreshes = 0;  // cache refreshes triggered by staleness
   uint64_t cas_retries = 0;      // bucket CAS mispredictions
   uint64_t splits = 0;           // splits this handle performed
+  uint64_t compactions = 0;      // bucket compactions this handle landed
 
   void Add(const FarMapStats& other) {
     gets += other.gets;
@@ -46,6 +47,7 @@ struct FarMapStats {
     stale_refreshes += other.stale_refreshes;
     cas_retries += other.cas_retries;
     splits += other.splits;
+    compactions += other.compactions;
   }
 };
 

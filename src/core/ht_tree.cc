@@ -7,7 +7,6 @@
 #include <chrono>
 #include <optional>
 #include <thread>
-#include <unordered_set>
 #include <utility>
 
 #include "src/common/bytes.h"
@@ -200,22 +199,15 @@ Result<FarAddr> HtTree::BuildTable(
         items_base,
         alloc_->Allocate(total_items * kItemBytes, options_.placement));
     images.reserve(total_items);
-    uint64_t slot = 0;
     for (uint64_t b = 0; b < nb; ++b) {
       const auto& chain = chains[b];
       if (chain.empty()) {
         continue;
       }
-      heads[b] = items_base + slot * kItemBytes;
-      for (size_t i = 0; i < chain.size(); ++i) {
-        Item img = chain[i];
-        img.meta = VersionOf(version) | (img.meta & kFlagTombstone);
-        img.next = (i + 1 < chain.size())
-                       ? items_base + (slot + 1) * kItemBytes
-                       : sentinel;
-        images.push_back(img);
-        ++slot;
-      }
+      heads[b] = items_base + images.size() * kItemBytes;
+      images.insert(images.end(), chain.begin(), chain.end());
+      LinkRun(std::span(images).last(chain.size()), heads[b], version,
+              sentinel);
     }
     FMDS_RETURN_IF_ERROR(client_->Write(
         items_base, std::as_bytes(std::span<const Item>(images))));
@@ -437,8 +429,8 @@ namespace {
 // The point driver of a one-key engine. A wave of one op runs as the sync
 // verb it stands for, so a lookup and a store's head read pay exactly the
 // serial round trip and none of a doorbell's accounting. A wave of two — a
-// store's item write and bucket CAS on one node — rings one doorbell, so a
-// fresh store costs two round trips.
+// store's item write and bucket CAS on one node, or a compaction's — rings
+// one doorbell, so a fresh store costs two round trips.
 template <typename Engine>
 void RunPoint(FarClient* client, Engine& engine) {
   std::array<FarClient::Completion, 2> done;  // a key posts <= 2 ops a wave
@@ -568,6 +560,33 @@ std::optional<HtTree::TxnReadView> HtTree::CachedTxnView(uint64_t key) {
   return view;
 }
 
+std::vector<HtTree::Item> HtTree::LiveRun(std::span<const Item> chain,
+                                          bool drop_tombstones) {
+  // Runs are short, so a scan of the run so far beats a hash set.
+  std::vector<Item> run;
+  for (const Item& item : chain) {
+    if (std::none_of(run.begin(), run.end(), [&](const Item& kept) {
+          return kept.key == item.key;
+        })) {
+      run.push_back(item);
+    }
+  }
+  if (drop_tombstones) {
+    std::erase_if(run, [](const Item& kept) {
+      return (kept.meta & kFlagTombstone) != 0;
+    });
+  }
+  return run;
+}
+
+void HtTree::LinkRun(std::span<Item> run, FarAddr base, uint64_t version,
+                     FarAddr tail) {
+  for (size_t k = 0; k < run.size(); ++k) {
+    run[k].meta = VersionOf(version) | (run[k].meta & kFlagTombstone);
+    run[k].next = k + 1 < run.size() ? base + (k + 1) * kItemBytes : tail;
+  }
+}
+
 // ---------------------------- BatchGet engine ----------------------------
 
 HtTree::BatchGet::BatchGet(HtTree* map, std::span<const uint64_t> keys,
@@ -620,6 +639,19 @@ size_t HtTree::BatchGet::PostWave() {
         ++map_->op_stats_.chain_hops;
         ++probe.hops;
         break;
+      case Stage::kCompact: {
+        // The run sits on its bucket's node, so post order makes it
+        // visible before the CAS links it; the CAS runs only if it landed.
+        size_t guard = FarClient::kNoOp;
+        if (!probe.items.empty()) {
+          guard = client->PostWrite(
+              probe.run, std::as_bytes(std::span<const Item>(probe.items)));
+          ++posted;
+        }
+        probe.op = client->PostCompareSwap(probe.bucket, probe.head, probe.run,
+                                           guard);
+        break;
+      }
       case Stage::kDone:
         continue;
     }
@@ -636,6 +668,10 @@ void HtTree::BatchGet::AbsorbWave(
       continue;
     }
     const FarClient::Completion& c = done[probe.op];
+    if (probe.stage == Stage::kCompact) {
+      AbsorbCompaction(probe, c);  // the lookup resolved before it
+      continue;
+    }
     if (!c.status.ok()) {
       probe.result = c.status;
       probe.stage = Stage::kDone;
@@ -729,27 +765,16 @@ void HtTree::BatchGet::Classify(size_t i) {
   const bool sentinel = (item.meta & kFlagSentinel) != 0;
   const bool match = !sentinel && item.key == probe.key;
   if (!sentinel && !match && item.next != kNullFarAddr) {
+    if (!txn_mode_) {
+      probe.items.push_back(item);  // a compaction may rewrite the walk
+    }
     probe.stage = Stage::kWalk;
     return;
   }
   probe.stage = Stage::kDone;
   // Resolved: the version-carrying sentinel makes even a miss definitive
-  // in one access; the first match wins and a tombstone means absent. A
-  // lookup that walked a long chain splits the table (§5.2) before the
-  // cache arms a watch on the bucket; the read past a lock record is not
-  // a chain link.
-  const uint32_t chain = probe.hops - (probe.pending_seen ? 1 : 0);
-  if (!txn_mode_ && (sentinel || match) &&
-      chain > map_->options_.max_chain &&
-      map_->CachesLeaf(probe.leaf_index, probe.leaf.table)) {
-    (void)map_->SplitLeaf(probe.leaf_index, probe.hash);
-  }
+  // in one access; the first match wins and a tombstone means absent.
   const bool found = match && (item.meta & kFlagTombstone) == 0;
-  if (found && !probe.pending_seen) {
-    // Only version-checked, chain-resolved bindings get here; probe.head
-    // is the bucket word the probe observed (the read-and-arm check).
-    map_->CacheAdmitValue(probe.key, item.value, probe.bucket, probe.head);
-  }
   if (txn_mode_) {
     // A miss is a successful negative view: it validates with the same
     // bucket word.
@@ -766,6 +791,67 @@ void HtTree::BatchGet::Classify(size_t i) {
   } else {
     probe.result =
         Status(StatusCode::kNotFound, match ? "key removed" : "key absent");
+  }
+  // A lookup that walked a long chain compacts its bucket, or splits the
+  // table (§5.2), before the cache arms a watch on the bucket; the read past
+  // a lock record is not a chain link.
+  const uint32_t chain = probe.hops - (probe.pending_seen ? 1 : 0);
+  if (!txn_mode_ && (sentinel || match) &&
+      chain > map_->options_.max_chain &&
+      map_->CachesLeaf(probe.leaf_index, probe.leaf.table)) {
+    if (!probe.pending_seen && StageCompaction(probe, match)) {
+      return;  // the cache admits under the run's word (AbsorbCompaction)
+    }
+    (void)map_->SplitLeaf(probe.leaf_index, probe.hash);
+  }
+  if (found && !probe.pending_seen) {
+    // Only version-checked, chain-resolved bindings get here; probe.head
+    // is the bucket word the probe observed (the read-and-arm check).
+    map_->CacheAdmitValue(probe.key, item.value, probe.bucket, probe.head);
+  }
+}
+
+bool HtTree::BatchGet::StageCompaction(Probe& probe, bool match) {
+  // A walk that ended at a match left older items below it: the run keeps
+  // its tombstones, each still shadowing its key down there, and links to
+  // the match's `next`. A walk that reached the sentinel saw every item.
+  if (match) {
+    probe.items.push_back(probe.item);
+  }
+  const FarAddr tail = probe.items.back().next;
+  std::vector<Item> run = LiveRun(probe.items, /*drop_tombstones=*/!match);
+  if (run.size() > map_->options_.max_chain) {
+    return false;  // live collisions: only a split shortens them
+  }
+  probe.run = tail;
+  if (!run.empty()) {
+    const auto addr = map_->alloc_->Allocate(run.size() * kItemBytes,
+                                             AllocHint::Near(probe.bucket));
+    if (!addr.ok()) {
+      return false;
+    }
+    probe.run = *addr;
+    LinkRun(run, probe.run, probe.leaf.version, tail);
+  }
+  probe.items = std::move(run);
+  probe.stage = Stage::kCompact;
+  return true;
+}
+
+void HtTree::BatchGet::AbsorbCompaction(Probe& probe,
+                                        const FarClient::Completion& cas) {
+  probe.stage = Stage::kDone;
+  if (!cas.status.ok() || cas.word != probe.head) {
+    // A store, a freeze or a lock record landed first, or the node shed the
+    // doorbell: the run never became reachable, and nothing is retried.
+    if (!probe.items.empty()) {
+      (void)map_->alloc_->Free(probe.run, probe.items.size() * kItemBytes);
+    }
+    return;
+  }
+  ++map_->op_stats_.compactions;
+  if (probe.result.ok()) {
+    map_->CacheAdmitValue(probe.key, *probe.result, probe.bucket, probe.run);
   }
 }
 
@@ -1400,8 +1486,7 @@ Status HtTree::SplitLeafLocked(const CachedNode& leaf, uint64_t hash,
 
   // Read the frozen chains level-by-level — one rgather per chain depth
   // instead of one round trip per item, starting from the held head images
-  // — and compact: first occurrence per key wins; tombstones erase their
-  // key.
+  // — and keep each whole chain's live run.
   std::vector<std::vector<Item>> bucket_items(nb);
   std::vector<std::pair<uint64_t, FarAddr>> frontier;  // (bucket, item addr)
   auto absorb = [&](uint64_t b, const Item& item) {
@@ -1442,16 +1527,12 @@ Status HtTree::SplitLeafLocked(const CachedNode& leaf, uint64_t hash,
   std::vector<std::vector<Item>> child_chains[2];
   child_chains[0].assign(nb, {});
   child_chains[1].assign(nb, {});
-  std::unordered_set<uint64_t> seen;
   for (uint64_t b = 0; b < nb; ++b) {
-    seen.clear();
-    for (const Item& item : bucket_items[b]) {
-      if (seen.insert(item.key).second &&
-          (item.meta & kFlagTombstone) == 0) {
-        const uint64_t item_hash = Mix64(item.key);
-        const uint32_t side = HashBit(item_hash, leaf.depth);
-        child_chains[side][item_hash % nb].push_back(item);
-      }
+    for (const Item& item :
+         LiveRun(bucket_items[b], /*drop_tombstones=*/true)) {
+      const uint64_t item_hash = Mix64(item.key);
+      const uint32_t side = HashBit(item_hash, leaf.depth);
+      child_chains[side][item_hash % nb].push_back(item);
     }
   }
 

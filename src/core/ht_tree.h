@@ -43,14 +43,31 @@
 // and the CAS; the store then reads again. The bucket word still moves to a
 // fresh slot, so txn validation and cache word-versioning see an ordinary
 // store. A rewrite therefore never lengthens its key's chain, and the
-// per-handle split trigger counts only stores that did (growth-only). A
-// split freezes the table by CASing every bucket to the map-wide retired
-// sentinel — after that no mutation can land in the old table — then
-// rewrites the frozen chains (dropping any shadowed items and tombstones
-// left) into two fresh tables and republishes the trie via CAS on the
-// parent pointer. Clients with stale caches observe the retired sentinel
-// (or a version mismatch) in their one far access and refresh their cached
-// trie.
+// per-handle split trigger counts only stores that did (growth-only).
+//
+// Garbage a store leaves behind a bucket-mate (a shadowed version, a
+// tombstone) is collected per bucket. A lookup that walked more than
+// max_chain items rewrites the walked chain as one contiguous run of its
+// live items (LiveRun: the first item of each key; tombstones dropped only
+// when the walk reached the sentinel, and otherwise the run's last item
+// links to the match's `next`) and publishes it with one CAS against the
+// head it read, in one doorbell with the run's write — a compaction. The
+// store argument covers it: a CAS that lands on head H proves the walked
+// chain is current; the run carries the cached leaf's version; a racing
+// store, freeze or pending record makes the CAS miss, which loses nothing
+// and is not retried; and the word moves to a fresh run (or, with no live
+// item left, to the sentinel, which only ever means an empty bucket), so
+// every watcher sees an ordinary store.
+//
+// A table splits when a lookup's run would still be longer than max_chain
+// (live collisions), when a long walk started under a pending head, or on
+// the growth trigger. A split freezes the table by CASing every bucket to
+// the map-wide retired sentinel — after that no mutation can land in the
+// old table — then rewrites the frozen chains (dropping any shadowed items
+// and tombstones left) into two fresh tables and republishes the trie via
+// CAS on the parent pointer. Clients with stale caches observe the retired
+// sentinel (or a version mismatch) in their one far access and refresh
+// their cached trie.
 #ifndef FMDS_SRC_CORE_HT_TREE_H_
 #define FMDS_SRC_CORE_HT_TREE_H_
 
@@ -76,9 +93,10 @@ class HtTree : public FarMap {
  public:
   struct Options {
     uint64_t buckets_per_table = 1024;
-    // Split a table once a lookup (Get, MultiGet) walks a chain longer than
-    // this, or once this handle's chain-growing stores to it pass half its
-    // buckets (GrowthSplitDue).
+    // A lookup (Get, MultiGet) that walks a chain longer than this compacts
+    // the bucket to its live items, or splits the table when those alone are
+    // longer. A table also splits once this handle's chain-growing stores to
+    // it pass half its buckets (GrowthSplitDue).
     uint64_t max_chain = 6;
     // Pre-split the key space into 2^initial_depth tables at Create().
     uint32_t initial_depth = 0;
@@ -89,7 +107,9 @@ class HtTree : public FarMap {
     // Standing placement for every far allocation this map makes (header,
     // trie nodes, tables, item slabs). ShardedMap pins each shard's
     // storage to one memory node with this (§7 scale-out), keeping a
-    // shard's indirections local and its doorbell traffic single-node.
+    // shard's indirections local and its doorbell traffic single-node. A
+    // compacted run is placed by its bucket instead, so its write and its
+    // CAS share one doorbell.
     AllocHint placement = AllocHint::Any();
     // NearCache of bucket heads (budget_bytes = 0 keeps it off): a hit
     // serves the whole lookup from near memory — zero far accesses —
@@ -130,8 +150,8 @@ class HtTree : public FarMap {
   // probe rides one doorbell (one client round trip for the whole batch
   // instead of one per key), and chain continuations proceed in batched
   // waves. Per-key semantics match Get exactly, including the stale-trie
-  // refresh and the proactive split of a long chain. Requires no other
-  // async ops pending on the client.
+  // refresh and the compaction (or split) of a long chain. Requires no
+  // other async ops pending on the client.
   std::vector<Result<uint64_t>> MultiGet(
       std::span<const uint64_t> keys) override;
 
@@ -454,6 +474,18 @@ class HtTree : public FarMap {
   // the refresh failed, or the budget ran out (kAborted, `exhausted`).
   Status BeforeReread(bool stale, int32_t leaf_index, FarAddr table,
                       uint64_t hash, int* attempts, const char* exhausted);
+  // The live-run rule a split's rewrite and a compaction share (file
+  // comment): the first item of each key in `chain`, in chain order, which
+  // puts each key's newest version first. Tombstones go too when
+  // `drop_tombstones`, which is sound only when `chain` runs to the
+  // sentinel: nothing older of a removed key is left below it.
+  static std::vector<Item> LiveRun(std::span<const Item> chain,
+                                   bool drop_tombstones);
+  // Lays `run` out as one contiguous chain at `base`, as a fresh table and
+  // a compaction write it: each item carries `version` (and of its flags
+  // only the tombstone) and links to the next, the last to `tail`.
+  static void LinkRun(std::span<Item> run, FarAddr base, uint64_t version,
+                      FarAddr tail);
   // Same-key head replacement (file comment): the link word for a store of
   // `key` whose CAS expects the validated head `head` at `head_addr`.
   static FarAddr LinkPast(uint64_t key, FarAddr head_addr, const Item& head) {
@@ -682,16 +714,17 @@ class HtTree : public FarMap {
   // one access), validates the head against its cached leaf, and walks the
   // chain. A stale head (retired sentinel or version mismatch) refreshes
   // the cached trie, backs off and probes again; a lookup that walked past
-  // max_chain items splits the table.
+  // max_chain items compacts its bucket in one more wave (the run's write
+  // and its CAS) or splits the table (file comment).
   class BatchGet {
    public:
     // Txn mode (TxnRead, Txn::MultiGet): skips the pending-table and
     // value-cache consults (a txn resolves cache hits with watch words
     // itself), waits out pending heads instead of resolving the
-    // pre-transaction view, never splits, and records a validatable
-    // TxnReadView per key, read with TakeView() instead of Take(). A
-    // deep-chain read set costs O(chain) doorbells total instead of
-    // O(keys × chain) sequential round trips.
+    // pre-transaction view, never compacts or splits, and records a
+    // validatable TxnReadView per key, read with TakeView() instead of
+    // Take(). A deep-chain read set costs O(chain) doorbells total instead
+    // of O(keys × chain) sequential round trips.
     BatchGet(HtTree* map, std::span<const uint64_t> keys,
              bool txn_mode = false);
     // Posts this engine's next wave into the client's issue queue (no
@@ -716,7 +749,9 @@ class HtTree : public FarMap {
     bool TryRoute(uint64_t t0);
 
    private:
-    enum class Stage : uint8_t { kProbe, kHead, kWalk, kDone };
+    // kCompact posts a resolved lookup's compaction: the run's write and
+    // the bucket CAS it guards.
+    enum class Stage : uint8_t { kProbe, kHead, kWalk, kCompact, kDone };
     struct Probe {
       uint64_t key = 0;
       uint64_t hash = 0;
@@ -732,6 +767,12 @@ class HtTree : public FarMap {
       // Head was a transaction lock record: the walk resolves the
       // pre-transaction view, which must not feed the cache.
       bool pending_seen = false;
+      // Images of the items a walk passed, the head first (filled only once
+      // a walk starts, so a head hit allocates nothing); kCompact: the run.
+      std::vector<Item> items;
+      // kCompact: the word the CAS installs — the run's address, or the
+      // sentinel when no live item is left.
+      FarAddr run = kNullFarAddr;
       Result<uint64_t> result = Status(StatusCode::kInternal, "unresolved");
       TxnReadView view;  // txn mode
     };
@@ -740,6 +781,14 @@ class HtTree : public FarMap {
     // Chain-walk decision on a fresh item image: hit, definitive miss, or
     // continue walking next wave.
     void Classify(size_t i);
+    // A resolved walk past max_chain items: builds the walked chain's live
+    // run and stages its compaction (kCompact). False when the table must
+    // split instead — the run is longer than max_chain — or no run could be
+    // allocated.
+    bool StageCompaction(Probe& probe, bool match);
+    // The compaction CAS's completion: a landed run counts and becomes the
+    // word the cache admits under; a missed one was never reachable.
+    void AbsorbCompaction(Probe& probe, const FarClient::Completion& cas);
     // A stale or (txn mode) pending head: refresh the trie if nobody did
     // since this probe descended, back off, and probe again.
     void Retry(size_t i, bool stale);

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <map>
 #include <numeric>
+#include <optional>
 #include <set>
 #include <thread>
 
@@ -631,10 +634,10 @@ TEST(HtTreeTest, GetGivingUpOnFrozenBucketLeavesNoRetiredHint) {
 
 TEST(HtTreeTest, PointOpAccountingIsPinned) {
   // A fixed-seed script of point ops through two handles on two clients:
-  // same-key head replacement, growth splits, stale refreshes after the
-  // other handle's splits, one forced split, then one transaction
-  // (TxnRead, prepare, validate, commit). Every far access, near access,
-  // byte and simulated nanosecond of it is pinned.
+  // same-key head replacement, splits, a bucket compaction, stale
+  // refreshes after the other handle's splits, one forced split, then one
+  // transaction (TxnRead, prepare, validate, commit). Every far access,
+  // near access, byte and simulated nanosecond of it is pinned.
   TestEnv env(BigFabric());
   auto& a = env.NewClient();
   auto& b = env.NewClient();
@@ -681,17 +684,18 @@ TEST(HtTreeTest, PointOpAccountingIsPinned) {
   auto op_counts = [](const HtTree::OpStats& s) {
     return Counts{s.gets,       s.puts,           s.removes,
                   s.chain_hops, s.stale_refreshes, s.cas_retries,
-                  s.splits};
+                  s.splits,     s.compactions};
   };
   EXPECT_EQ(client_counts(a),
-            (Counts{2777, 4328, 6302, 85584, 51200, 3242154}));
+            (Counts{2755, 4208, 6303, 83360, 48664, 3221270}));
   EXPECT_EQ(client_counts(b),
-            (Counts{2624, 3613, 6164, 72160, 35296, 3078828}));
+            (Counts{2626, 3614, 6162, 72216, 35296, 3080340}));
   EXPECT_EQ(op_counts(map_a->op_stats()),
-            (Counts{750, 611, 139, 263, 2, 0, 6}));
+            (Counts{750, 611, 139, 275, 2, 0, 5, 1}));
   EXPECT_EQ(op_counts(map_b->op_stats()),
-            (Counts{784, 548, 168, 304, 6, 0, 2}));
-  EXPECT_EQ(op_counts(sharded->op_stats()), (Counts{2, 10, 0, 1, 0, 0, 0}));
+            (Counts{784, 548, 168, 313, 5, 0, 2, 0}));
+  EXPECT_EQ(op_counts(sharded->op_stats()),
+            (Counts{2, 10, 0, 1, 0, 0, 0, 0}));
 }
 
 TEST(HtTreeTest, PutAfterMultiGetCostsTwoFarAccesses) {
@@ -812,6 +816,338 @@ TEST(HtTreeTest, MissedCasReadsAgainAndLinksPastTheKeysHead) {
   EXPECT_LE(map_b->op_stats().chain_hops - hops, 1u)
       << "the bucket-mate sits right behind the key's single item";
   EXPECT_EQ(*map_b->Get(kKey), 3u);
+}
+
+// `key` and the next `count - 1` keys that share its bucket in a one-table
+// map of `buckets` buckets.
+std::vector<uint64_t> SharedBucket(uint64_t key, size_t count,
+                                   uint64_t buckets) {
+  std::vector<uint64_t> keys{key};
+  while (keys.size() < count) {
+    keys.push_back(BucketMate(keys.back(), buckets));
+  }
+  return keys;
+}
+
+// Leaves `keys[0]` and `keys[1]` rewritten in turn six times over
+// `keys[2]`: each store's head is the other key's item, so the bucket
+// holds, head first, keys[1] and keys[0] six times each, then keys[2] — 13
+// items, 3 of them live (keys[0] = 105, keys[1] = 205, keys[2] = 300).
+void BuryUnderRewrites(HtTree& map, std::span<const uint64_t> keys) {
+  ASSERT_TRUE(map.Put(keys[2], 300).ok());
+  for (uint64_t i = 0; i < 6; ++i) {
+    ASSERT_TRUE(map.Put(keys[0], 100 + i).ok());
+    ASSERT_TRUE(map.Put(keys[1], 200 + i).ok());
+  }
+}
+
+TEST(HtTreeTest, LongGarbageChainCompactsItsBucket) {
+  // A lookup of the buried key walks past max_chain (4). Its bucket holds
+  // three live keys, so it rewrites the chain as one run of them and
+  // publishes the run with one CAS in the doorbell that writes it: no split,
+  // and the next lookup finds the key at its run position.
+  TestEnv env(BigFabric());
+  auto& client = env.NewClient();
+  constexpr uint64_t kBuckets = 64;
+  auto map = HtTree::Create(&client, &env.alloc(), SmallTables(kBuckets));
+  ASSERT_TRUE(map.ok());
+  const std::vector<uint64_t> keys = SharedBucket(1, 3, kBuckets);
+  BuryUnderRewrites(*map, keys);
+  uint64_t before = client.stats().far_ops;
+  EXPECT_EQ(*map->Get(keys[2]), 300u);
+  EXPECT_EQ(client.stats().far_ops - before, 1 + 12 + 1u)
+      << "the head, 12 hops, then the run's write and CAS in one doorbell";
+  EXPECT_EQ(map->op_stats().splits, 0u);
+  EXPECT_EQ(map->op_stats().compactions, 1u);
+  // The run, head first: keys[1], keys[0], keys[2].
+  before = client.stats().far_ops;
+  EXPECT_EQ(*map->Get(keys[2]), 300u);
+  EXPECT_EQ(client.stats().far_ops - before, 1 + 2u);
+  EXPECT_EQ(*map->Get(keys[0]), 105u);
+  EXPECT_EQ(*map->Get(keys[1]), 205u);
+  EXPECT_EQ(map->op_stats().compactions, 1u);
+  EXPECT_EQ(map->op_stats().splits, 0u);
+}
+
+TEST(HtTreeTest, LongLiveChainStillSplits) {
+  // Six distinct live keys in one bucket leave nothing to compact: the
+  // lookup that walks past max_chain splits the table, at the cost a split
+  // had before compaction existed (the same 35 far accesses and 99
+  // messages: six walk reads, then the split's reads, freeze, rewrite and
+  // republish).
+  TestEnv env(BigFabric());
+  auto& client = env.NewClient();
+  constexpr uint64_t kBuckets = 64;
+  auto map = HtTree::Create(&client, &env.alloc(), SmallTables(kBuckets));
+  ASSERT_TRUE(map.ok());
+  const std::vector<uint64_t> keys = SharedBucket(1, 6, kBuckets);
+  for (uint64_t key : keys) {
+    ASSERT_TRUE(map->Put(key, key * 10).ok());
+  }
+  const uint64_t far0 = client.stats().far_ops;
+  const uint64_t messages0 = client.stats().messages;
+  EXPECT_EQ(*map->Get(keys[0]), keys[0] * 10);  // five hops down
+  EXPECT_EQ(client.stats().far_ops - far0, 35u);
+  EXPECT_EQ(client.stats().messages - messages0, 99u);
+  EXPECT_EQ(map->op_stats().splits, 1u);
+  EXPECT_EQ(map->op_stats().compactions, 0u);
+  for (uint64_t key : keys) {
+    EXPECT_EQ(*map->Get(key), key * 10) << "key " << key;
+  }
+}
+
+TEST(HtTreeTest, CompactionKeepsTombstonesAboveAPartialWalk) {
+  // A walk that ends at its match leaves older items below it. The run
+  // keeps the tombstones the walk passed, because one may shadow its key's
+  // older item down there: a key removed above the match stays absent.
+  TestEnv env(BigFabric());
+  auto& client = env.NewClient();
+  constexpr uint64_t kBuckets = 64;
+  auto map = HtTree::Create(&client, &env.alloc(), SmallTables(kBuckets));
+  ASSERT_TRUE(map.ok());
+  const std::vector<uint64_t> keys = SharedBucket(1, 4, kBuckets);
+  const uint64_t removed = keys[0];
+  const uint64_t target = keys[1];
+  ASSERT_TRUE(map->Put(removed, 1).ok());
+  ASSERT_TRUE(map->Put(target, 2).ok());
+  ASSERT_TRUE(map->Remove(removed).ok());
+  for (uint64_t i = 0; i < 3; ++i) {
+    ASSERT_TRUE(map->Put(keys[2], 30 + i).ok());
+    ASSERT_TRUE(map->Put(keys[3], 40 + i).ok());
+  }
+  // Head first: six rewrites, removed's tombstone, target, removed's item.
+  EXPECT_EQ(*map->Get(target), 2u);
+  ASSERT_EQ(map->op_stats().compactions, 1u);
+  EXPECT_EQ(map->Get(removed).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(*map->Get(keys[2]), 32u);
+  EXPECT_EQ(*map->Get(keys[3]), 42u);
+  EXPECT_EQ(*map->Get(target), 2u);
+  EXPECT_EQ(map->op_stats().splits, 0u);
+}
+
+TEST(HtTreeTest, AllDeadBucketCompactsToItsSentinel) {
+  // A miss that walks to the sentinel through only dead items (versions
+  // and tombstones of two removed keys) leaves no run to write: the one
+  // CAS swings the bucket back to the table's sentinel.
+  TestEnv env(BigFabric());
+  auto& client = env.NewClient();
+  constexpr uint64_t kBuckets = 64;
+  auto map = HtTree::Create(&client, &env.alloc(), SmallTables(kBuckets));
+  ASSERT_TRUE(map.ok());
+  const std::vector<uint64_t> keys = SharedBucket(1, 3, kBuckets);
+  for (uint64_t i = 0; i < 3; ++i) {
+    ASSERT_TRUE(map->Put(keys[0], i).ok());
+    ASSERT_TRUE(map->Put(keys[1], i).ok());
+  }
+  ASSERT_TRUE(map->Remove(keys[0]).ok());
+  ASSERT_TRUE(map->Remove(keys[1]).ok());
+  uint64_t before = client.stats().far_ops;
+  EXPECT_EQ(map->Get(keys[2]).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(client.stats().far_ops - before, 1 + 8 + 1u)
+      << "the head, eight hops to the sentinel, then the CAS alone";
+  EXPECT_EQ(map->op_stats().compactions, 1u);
+  for (uint64_t key : keys) {
+    before = client.stats().far_ops;
+    EXPECT_EQ(map->Get(key).status().code(), StatusCode::kNotFound);
+    EXPECT_EQ(client.stats().far_ops - before, 1u) << "an empty bucket";
+  }
+  ASSERT_TRUE(map->Put(keys[0], 7).ok());
+  EXPECT_EQ(*map->Get(keys[0]), 7u);
+  EXPECT_EQ(map->op_stats().splits, 0u);
+}
+
+TEST(HtTreeTest, CompactionThatLosesItsCasIsNotRetried) {
+  // Handle A drives a one-key lookup wave by wave, and handle B stores into
+  // the same bucket after A posted its compaction and before it runs. A's
+  // CAS misses: the run never became reachable, so A frees it and posts
+  // nothing more, and B's store and every older value stay visible.
+  TestEnv env(BigFabric());
+  auto& a = env.NewClient();
+  auto& b = env.NewClient();
+  constexpr uint64_t kBuckets = 64;
+  auto map_a = HtTree::Create(&a, &env.alloc(), SmallTables(kBuckets));
+  ASSERT_TRUE(map_a.ok());
+  auto map_b = HtTree::Attach(&b, &env.alloc(), map_a->header());
+  ASSERT_TRUE(map_b.ok());
+  const std::vector<uint64_t> keys = SharedBucket(1, 4, kBuckets);
+  BuryUnderRewrites(*map_a, keys);
+
+  const uint64_t key = keys[2];
+  HtTree::BatchGet engine(&*map_a, std::span<const uint64_t>(&key, 1));
+  const uint64_t freed = env.alloc().freed_bytes();
+  std::vector<FarClient::Completion> done;
+  size_t waves = 0;
+  size_t compaction_waves = 0;
+  for (size_t posted; (posted = engine.PostWave()) != 0; ++waves) {
+    if (posted == 2) {
+      // The run's write and its CAS are posted but not run: B lands first.
+      ++compaction_waves;
+      ASSERT_TRUE(map_b->Put(keys[3], 400).ok());
+    }
+    done.resize(a.pending_ops());
+    ASSERT_TRUE(a.WaitAll(done).ok());
+    engine.AbsorbWave(done);
+  }
+  EXPECT_EQ(waves, 1 + 12 + 1u) << "the head, 12 hops, one compaction";
+  EXPECT_EQ(compaction_waves, 1u);
+  EXPECT_EQ(*engine.Take(0), 300u);
+  EXPECT_EQ(map_a->op_stats().compactions, 0u);
+  EXPECT_EQ(map_a->op_stats().splits, 0u);
+  EXPECT_EQ(env.alloc().freed_bytes() - freed, 3 * 32u)
+      << "the three-item run was freed";
+
+  EXPECT_EQ(*map_a->Get(keys[3]), 400u);
+  EXPECT_EQ(*map_a->Get(keys[0]), 105u);
+  EXPECT_EQ(*map_a->Get(keys[1]), 205u);
+  EXPECT_EQ(*map_b->Get(keys[2]), 300u);
+}
+
+TEST(HtTreeTest, CompactionInvalidatesBucketWatchers) {
+  // A compaction moves the bucket word like a store, so every NearCache
+  // entry watching the bucket is invalidated, and the compacting handle
+  // admits its own key under the run's word.
+  TestEnv env(BigFabric());
+  auto& a = env.NewClient();
+  auto& b = env.NewClient();
+  constexpr uint64_t kBuckets = 64;
+  HtTree::Options options = SmallTables(kBuckets);
+  options.cache.budget_bytes = 64 << 10;
+  options.cache.admit_after = 1;
+  auto map_a = HtTree::Create(&a, &env.alloc(), options);
+  ASSERT_TRUE(map_a.ok());
+  auto map_b = HtTree::Attach(&b, &env.alloc(), map_a->header(), options);
+  ASSERT_TRUE(map_b.ok());
+  const std::vector<uint64_t> keys = SharedBucket(1, 3, kBuckets);
+  BuryUnderRewrites(*map_a, keys);
+  EXPECT_EQ(*map_b->Get(keys[0]), 105u);  // admitted, one hop down
+  uint64_t before = b.stats().far_ops;
+  EXPECT_EQ(*map_b->Get(keys[0]), 105u);
+  EXPECT_EQ(b.stats().far_ops - before, 0u) << "a near hit";
+
+  EXPECT_EQ(*map_a->Get(keys[2]), 300u);
+  ASSERT_EQ(map_a->op_stats().compactions, 1u);
+  before = a.stats().far_ops;
+  EXPECT_EQ(*map_a->Get(keys[2]), 300u);
+  EXPECT_EQ(a.stats().far_ops - before, 0u) << "admitted under the run";
+
+  const uint64_t invalidations = map_b->near_cache()->stats().invalidations;
+  before = b.stats().far_ops;
+  EXPECT_EQ(*map_b->Get(keys[0]), 105u);
+  EXPECT_GT(b.stats().far_ops - before, 0u) << "the compaction's event";
+  EXPECT_EQ(map_b->near_cache()->stats().invalidations - invalidations, 1u);
+
+  ASSERT_TRUE(map_b->Put(keys[0], 999).ok());
+  ASSERT_TRUE(map_b->Remove(keys[1]).ok());
+  for (HtTree* map : {&*map_a, &*map_b}) {
+    EXPECT_EQ(*map->Get(keys[0]), 999u);
+    EXPECT_EQ(map->Get(keys[1]).status().code(), StatusCode::kNotFound);
+    EXPECT_EQ(*map->Get(keys[2]), 300u);
+  }
+}
+
+TEST(HtTreeTest, CompactingLookupsRaceStoresRemovesAndSplits) {
+  // Two writers store and remove their own keys in four shared buckets, so
+  // their stores keep burying each other's versions; two readers compact
+  // those chains, and a fifth thread forces splits. Readers never see a
+  // value written for another key, and every key ends at its owner's last
+  // acknowledged write.
+  TestEnv env(BigFabric());
+  auto& creator = env.NewClient();
+  constexpr uint64_t kBuckets = 64;
+  auto map = HtTree::Create(&creator, &env.alloc(), SmallTables(kBuckets));
+  ASSERT_TRUE(map.ok());
+  // Four keys in each of buckets 0-3, all with the same top 8 hash bits, so
+  // the forced splits (at most 6 deep on that path) never part them. Writers
+  // re-attach every 16 stores, which restarts their growth counts below the
+  // trigger (half the buckets): no other split parts them either.
+  std::vector<uint64_t> keys;
+  std::map<uint64_t, int> per_bucket;
+  for (uint64_t k = 1; keys.size() < 16; ++k) {
+    const uint64_t hash = Mix64(k);
+    if (hash >> 56 == 0 && hash % kBuckets < 4 &&
+        per_bucket[hash % kBuckets]++ < 4) {
+      keys.push_back(k);
+    }
+  }
+  constexpr int kWriters = 2;
+  constexpr int kReaders = 2;
+  constexpr uint64_t kWrites = 4000;
+  std::vector<FarClient*> clients;
+  for (int t = 0; t < kWriters + kReaders + 1; ++t) {
+    clients.push_back(&env.NewClient());
+  }
+  // Writer w owns keys[i] for i % kWriters == w: the last value it had
+  // acknowledged per key (nullopt: removed).
+  std::vector<std::map<uint64_t, std::optional<uint64_t>>> last(kWriters);
+  std::atomic<int> writing{kWriters};
+  std::atomic<uint64_t> compactions{0};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      Rng rng(w + 1);
+      for (uint64_t n = 0; n < kWrites; n += 16) {
+        auto handle =
+            HtTree::Attach(clients[w], &env.alloc(), map->header());
+        ASSERT_TRUE(handle.ok());
+        for (uint64_t i = n; i < n + 16; ++i) {
+          const uint64_t key =
+              keys[rng.NextBelow(keys.size() / kWriters) * kWriters + w];
+          if (rng.NextBelow(5) == 0) {
+            ASSERT_TRUE(handle->Remove(key).ok());
+            last[w][key] = std::nullopt;
+          } else {
+            const uint64_t value = key << 32 | i;
+            ASSERT_TRUE(handle->Put(key, value).ok());
+            last[w][key] = value;
+          }
+        }
+      }
+      --writing;
+    });
+  }
+  for (int r = 0; r < kReaders; ++r) {
+    threads.emplace_back([&, r] {
+      auto handle = HtTree::Attach(clients[kWriters + r], &env.alloc(),
+                                   map->header());
+      ASSERT_TRUE(handle.ok());
+      Rng rng(100 + r);
+      while (writing.load() > 0) {
+        const uint64_t key = keys[rng.NextBelow(keys.size())];
+        const auto value = handle->Get(key);
+        if (value.ok()) {
+          ASSERT_EQ(*value >> 32, key);
+        } else {
+          ASSERT_EQ(value.status().code(), StatusCode::kNotFound);
+        }
+      }
+      compactions += handle->op_stats().compactions;
+    });
+  }
+  threads.emplace_back([&] {
+    auto handle = HtTree::Attach(clients[kWriters + kReaders], &env.alloc(),
+                                 map->header());
+    ASSERT_TRUE(handle.ok());
+    Rng rng(200);
+    for (int splits = 0; splits < 6 && writing.load() > 0; ++splits) {
+      std::this_thread::sleep_for(std::chrono::microseconds(500));
+      ASSERT_TRUE(handle->SplitTableOf(keys[rng.NextBelow(keys.size())]).ok());
+    }
+  });
+  for (auto& thread : threads) {
+    thread.join();
+  }
+  EXPECT_GT(compactions.load(), 0u);
+  for (const auto& owned : last) {
+    for (const auto& [key, value] : owned) {
+      const auto got = map->Get(key);
+      if (value.has_value()) {
+        ASSERT_TRUE(got.ok()) << "key " << key;
+        EXPECT_EQ(*got, *value) << "key " << key;
+      } else {
+        EXPECT_EQ(got.status().code(), StatusCode::kNotFound) << "key " << key;
+      }
+    }
+  }
 }
 
 TEST(HtTreeTest, StaleHandleBatchStaysBatched) {
